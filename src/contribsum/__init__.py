@@ -18,7 +18,8 @@ from .attribution import (
     churn_stats,
 )
 from .identity import CoAuthorTag, Roster, StudentId, load_roster, parse_coauthors, resolve
-from .ingest import AnalysisWindow, CommitRecord, RepoHandle, list_commits, open_repo, snapshot
+from .gitio import Commit
+from .ingest import AnalysisWindow, RepoHandle, list_commits, open_repo, snapshot
 from .metrics import (
     ComplexityReport,
     FileMetrics,
@@ -34,7 +35,7 @@ __all__ = [
     "AnalysisWindow",
     "AttributionOptions",
     "CoAuthorTag",
-    "CommitRecord",
+    "Commit",
     "ComplexityReport",
     "ContributionEvidence",
     "ContributionSet",

@@ -2,7 +2,10 @@
 
 The engine replays history forward: every commit's per-file line ownership
 is derived from its parent's ownership plus the commit's diff, so the
-window-end snapshot ends up with one owning commit per line. Semantics:
+window-end snapshot ends up with one owning commit per line. Commits,
+their order and their file changes come from the ref's `History` (one
+`git log` stream); only blob contents are read through an ObjectReader.
+Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -26,8 +29,9 @@ from fnmatch import fnmatch
 
 from . import gitio, metrics
 from .errors import BranchNotFound, UnknownCommit
+from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
-from .ingest import AnalysisWindow, RepoHandle, walk_history, window_head
+from .ingest import AnalysisWindow, History, RepoHandle
 
 # Paths that routinely contain generated or vendored content; crediting
 # them inflates minor work, so they are excluded from blame by default.
@@ -84,6 +88,7 @@ class ContributionSet:
     per_student: dict[str, list[ContributionEvidence]]
     zero_commit_students: list[StudentId]
     students: dict[str, StudentId]
+    head: str | None = None  # window-end snapshot commit; None before any commit
 
     def evidence_for(self, student_id: str) -> list[ContributionEvidence]:
         return self.per_student.get(student_id, [])
@@ -164,7 +169,7 @@ _State = dict[str, list[_OwnedLine]]
 
 
 def _apply_changes(
-    state: _State, changes: list[gitio.TreeChange], commit: str, reader: gitio.ObjectReader
+    state: _State, changes: tuple[gitio.TreeChange, ...], commit: str, reader: gitio.ObjectReader
 ) -> None:
     for change in changes:
         if change.status == "D":
@@ -182,10 +187,7 @@ def _apply_changes(
 
 
 def _merge_state(
-    parent_states: list[_State],
-    raw: gitio.RawCommit,
-    reader: gitio.ObjectReader,
-    root: str,
+    parent_states: list[_State], commit: Commit, reader: gitio.ObjectReader
 ) -> _State:
     """Ownership after a merge: lines adopt whichever parent wrote them.
 
@@ -196,7 +198,7 @@ def _merge_state(
     """
     state: _State = dict(parent_states[0])
     others = parent_states[1:]
-    for change in gitio.diff_tree(root, raw.parents[0], raw.hash):
+    for change in commit.changes:
         if change.status == "D":
             state.pop(change.path, None)
             continue
@@ -231,37 +233,24 @@ def _merge_state(
                         if queue:
                             out.append(_OwnedLine(new_lines[j], queue.popleft().commit))
                         else:
-                            out.append(_OwnedLine(new_lines[j], raw.hash))
+                            out.append(_OwnedLine(new_lines[j], commit.hash))
             adopted = out
         state[change.path] = adopted
     return state
 
 
-def _ownership_at(
-    repo: RepoHandle, at: str
-) -> tuple[_State, dict[str, gitio.RawCommit]]:
-    """Replay history up to `at`; returns final state plus commit metadata."""
-    with gitio.ObjectReader(repo.root_path) as reader:
-        obj_type, _ = reader.get(at)
-        if obj_type != "commit":
-            raise UnknownCommit(at)
-        order = gitio.rev_list(repo.root_path, at)
-        raws = {sha: reader.commit(sha) for sha in order}
-        states: dict[str, _State] = {}
-        for sha in order:
-            raw = raws[sha]
-            if not raw.parents:
-                state: _State = {}
-                _apply_changes(state, gitio.diff_tree(repo.root_path, None, sha), sha, reader)
-            elif len(raw.parents) == 1:
-                state = dict(states[raw.parents[0]])
-                _apply_changes(
-                    state, gitio.diff_tree(repo.root_path, raw.parents[0], sha), sha, reader
-                )
+def _ownership_at(root: str, history: History, at: str) -> _State:
+    """Replay `at` and its ancestors, parents first; ownership at `at`."""
+    states: dict[str, _State] = {}
+    with gitio.ObjectReader(root) as reader:
+        for commit in history.ancestors(at).commits:
+            if len(commit.parents) >= 2:
+                state = _merge_state([states[p] for p in commit.parents], commit, reader)
             else:
-                state = _merge_state([states[p] for p in raw.parents], raw, reader, repo.root_path)
-            states[sha] = state
-        return states[at], raws
+                state = dict(states[commit.parents[0]]) if commit.parents else {}
+                _apply_changes(state, commit.changes, commit.hash, reader)
+            states[commit.hash] = state
+    return states[at]
 
 
 def is_excluded(path: str, globs: tuple[str, ...]) -> bool:
@@ -281,19 +270,23 @@ def _is_binary(lines: list[_OwnedLine]) -> bool:
     return False
 
 
-def _emit_attributions(
-    state: _State,
-    raws: dict[str, gitio.RawCommit],
+def _blame(
+    root: str,
+    history: History,
+    at: str,
     roster: Roster,
     excludes: tuple[str, ...],
     max_file_bytes: int,
 ) -> list[LineAttribution]:
+    """Replay up to `at`, then one attribution per line of each kept file."""
+    state = _ownership_at(root, history, at)
+    commits = history.by_sha
     resolved: dict[str, StudentId | None] = {}
 
     def student_of(sha: str) -> StudentId | None:
         if sha not in resolved:
-            raw = raws[sha]
-            resolved[sha] = resolve(roster, raw.author_name, raw.author_email)
+            commit = commits[sha]
+            resolved[sha] = resolve(roster, commit.author_name, commit.author_email)
         return resolved[sha]
 
     out: list[LineAttribution] = []
@@ -311,7 +304,7 @@ def _emit_attributions(
                     content=line.content,
                     student=student_of(line.commit),
                     commit=line.commit,
-                    authored_at=raws[line.commit].authored_at,
+                    authored_at=commits[line.commit].authored_at,
                 )
             )
     return out
@@ -329,18 +322,16 @@ def blame_snapshot(
     Lines are credited to the primary author of the owning commit;
     co-author splitting is applied later, during evidence aggregation.
     """
-    state, raws = _ownership_at(repo, at)
-    return _emit_attributions(state, raws, roster, tuple(excludes), max_file_bytes)
+    history = repo.history if at in repo.history.by_sha else History(gitio.log(repo.root_path, at))
+    return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
 
 
-def _credit_list(
-    raw: gitio.RawCommit, roster: Roster, split: bool
-) -> list[StudentId]:
-    primary = resolve(roster, raw.author_name, raw.author_email) or UNMAPPED
+def _credit_list(commit: Commit, roster: Roster, split: bool) -> list[StudentId]:
+    primary = resolve(roster, commit.author_name, commit.author_email) or UNMAPPED
     if not split:
         return [primary]
     credits = [primary]
-    for tag in parse_coauthors(raw.message, raw.hash):
+    for tag in parse_coauthors(commit.message, commit.hash):
         student = resolve(roster, tag.name, tag.email)
         if student is not None and student not in credits:
             credits.append(student)
@@ -378,18 +369,15 @@ def build_contribution_set(
     """
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
-    head = window_head(repo, window)
-
-    history = walk_history(repo, head) if head else []
-    window_commits = [
-        raw for raw in history if not raw.is_merge and window.contains(raw.authored_at)
-    ]
-    window_commits.sort(key=lambda r: (r.authored_at, r.hash))
+    history = repo.history
+    head = history.window_head(window)
+    replayed = history.ancestors(head) if head else History([])
+    window_commits = sorted(replayed.in_window(window), key=lambda c: (c.authored_at, c.hash))
 
     # zero-commit bookkeeping is independent of the splitting flag
     active_ids: set[str] = set()
-    for raw in window_commits:
-        for student in _credit_list(raw, roster, split=True):
+    for commit in window_commits:
+        for student in _credit_list(commit, roster, split=True):
             active_ids.add(student.id)
     zero_commit = sorted(
         (s for s in roster.students if s.id not in active_ids), key=lambda s: s.id
@@ -404,9 +392,9 @@ def build_contribution_set(
         return evidence[key]
 
     if head is not None:
-        state, raws = _ownership_at(repo, head)
-        attributions = _emit_attributions(
-            state, raws, roster, tuple(options.exclude_globs), options.max_file_bytes
+        attributions = _blame(
+            repo.root_path, history, head, roster, tuple(options.exclude_globs),
+            options.max_file_bytes,
         )
 
         credit_cache: dict[str, list[StudentId]] = {}
@@ -415,9 +403,9 @@ def build_contribution_set(
         noncomment_lines: dict[tuple[str, str], int] = defaultdict(int)
         kind_cache: dict[str, str] = {}
         for attr in attributions:  # already in (path, line_no) order
-            raw = raws[attr.commit]
+            commit = history.by_sha[attr.commit]
             if attr.commit not in credit_cache:
-                credit_cache[attr.commit] = _credit_list(raw, roster, options.split_coauthors)
+                credit_cache[attr.commit] = _credit_list(commit, roster, options.split_coauthors)
             credits = credit_cache[attr.commit]
             idx = credit_counter[attr.commit]
             credit_counter[attr.commit] += 1
@@ -426,7 +414,7 @@ def build_contribution_set(
 
             row = evidence_row(student, attr.path)
             row.lines_owned += 1
-            if window.contains(attr.authored_at) and not raw.is_merge:
+            if window.contains(attr.authored_at) and not commit.is_merge:
                 row.lines_added_in_window += 1
             if attr.path not in kind_cache:
                 kind_cache[attr.path] = metrics.classify_file(attr.path, attr.content.encode())
@@ -440,21 +428,16 @@ def build_contribution_set(
 
         _attach_solo_functions(credited, evidence_row)
 
-    for raw in window_commits:
-        credits = _credit_list(raw, roster, options.split_coauthors)
+    for commit in window_commits:
+        credits = _credit_list(commit, roster, options.split_coauthors)
         touched = {
-            p
-            for change in gitio.diff_tree(
-                repo.root_path, raw.parents[0] if raw.parents else None, raw.hash
-            )
-            for p in (change.path, change.old_path)
-            if p is not None
+            p for change in commit.changes for p in (change.path, change.old_path) if p is not None
         }
         for path in sorted(touched):
             if is_excluded(path, tuple(options.exclude_globs)):
                 continue
             for student in credits:
-                evidence_row(student, path).commit_messages.append(raw.message)
+                evidence_row(student, path).commit_messages.append(commit.message)
 
     per_student.setdefault(UNMAPPED.id, [])
     for (sid, _path), row in sorted(evidence.items()):
@@ -469,6 +452,7 @@ def build_contribution_set(
         per_student=per_student,
         zero_commit_students=zero_commit,
         students=students,
+        head=head,
     )
 
 
@@ -506,13 +490,10 @@ def churn_stats(
     """
     totals: dict[StudentId | None, tuple[int, int]] = {s: (0, 0) for s in roster.students}
     with gitio.ObjectReader(repo.root_path) as reader:
-        for raw in walk_history(repo):
-            if raw.is_merge or not window.contains(raw.authored_at):
-                continue
-            student = resolve(roster, raw.author_name, raw.author_email)
+        for commit in repo.history.in_window(window):
+            student = resolve(roster, commit.author_name, commit.author_email)
             added = deleted = 0
-            parent = raw.parents[0] if raw.parents else None
-            for change in gitio.diff_tree(repo.root_path, parent, raw.hash):
+            for change in commit.changes:
                 if change.status == "A":
                     added += len(_split_lines(reader.blob(change.new_blob)))
                 elif change.status == "D":
@@ -542,20 +523,18 @@ def branch_extra_attributions(
     owning commit is unreachable from the default branch head. Feeds the
     clearly-labeled supplementary report section behind --include-branch.
     """
-    tip = gitio.resolve_ref(repo.root_path, f"refs/heads/{branch}")
-    if not tip:
-        raise BranchNotFound(branch)
-    bhead = None
-    for raw in walk_history(repo, tip):
-        if raw.authored_at < window.end:
-            bhead = raw.hash
+    try:
+        history = History(gitio.log(repo.root_path, f"refs/heads/{branch}"))
+    except UnknownCommit as exc:
+        raise BranchNotFound(branch) from exc
+    bhead = history.window_head(window)
     if bhead is None:
         return []
-    mainline = set(gitio.rev_list(repo.root_path, repo.head_ref))
     return [
         attr
-        for attr in blame_snapshot(
-            repo, bhead, roster, tuple(options.exclude_globs), options.max_file_bytes
+        for attr in _blame(
+            repo.root_path, history, bhead, roster, tuple(options.exclude_globs),
+            options.max_file_bytes,
         )
-        if attr.commit not in mainline
+        if attr.commit not in repo.history.by_sha
     ]

@@ -103,9 +103,9 @@ def cmd_check(cfg: RunConfig) -> int:
             continue
         unmapped: list[str] = []
         if roster is not None:
-            for raw in ingest.walk_history(repo):
-                if resolve(roster, raw.author_name, raw.author_email) is None:
-                    signature = f"{raw.author_name} <{raw.author_email}>"
+            for commit in repo.history.commits:
+                if resolve(roster, commit.author_name, commit.author_email) is None:
+                    signature = f"{commit.author_name} <{commit.author_email}>"
                     if signature not in unmapped:
                         unmapped.append(signature)
         if unmapped:

@@ -11,6 +11,10 @@ class NotARepository(ContribSumError):
     """The given path does not contain a readable git object store."""
 
 
+class GitError(ContribSumError):
+    """A git process failed or died; the message names the repository."""
+
+
 class BranchNotFound(ContribSumError):
     def __init__(self, branch: str):
         super().__init__(f"branch not found: {branch}")

@@ -1,8 +1,15 @@
 """Read-only plumbing around the git executable.
 
-Everything in here shells out to `git` against a local object store; no
-porcelain commands, no working-tree access, no network. Higher modules
-(ingest, attribution) build on these primitives.
+Three kinds of git process, all against a local object store (no
+porcelain, no working tree, no network):
+
+* one `git log` stream per ref, parsed by `log` into `Commit`s that each
+  carry their file changes against the first parent;
+* one persistent `git cat-file --batch` process per `ObjectReader`, for
+  blob contents;
+* short one-off commands (ref lookups, `ls-tree`) through `git`.
+
+Higher modules (ingest, attribution) build on these primitives.
 """
 
 from __future__ import annotations
@@ -11,66 +18,30 @@ import subprocess
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .errors import NotARepository, UnknownCommit
+from .errors import GitError, UnknownCommit
 
 _GIT_TIMEOUT = 120  # seconds; local plumbing should never take this long
 
 
-def run_git(root: str, *args: str) -> str:
-    """Run a git command against `root` and return stdout as text."""
-    result = subprocess.run(
-        ["git", "-C", root, *args],
-        capture_output=True,
-        timeout=_GIT_TIMEOUT,
+def git(root: str, *args: str, check: bool = True) -> bytes | None:
+    """Run one git command against `root` and return its stdout.
+
+    A non-zero exit raises GitError, or returns None when `check` is
+    False (for probes such as "does this ref exist").
+    """
+    result = subprocess.run(["git", "-C", root, *args], capture_output=True, timeout=_GIT_TIMEOUT)
+    if result.returncode == 0:
+        return result.stdout
+    if not check:
+        return None
+    raise GitError(
+        f"git {args[0]} failed in {root}: {result.stderr.decode('utf-8', 'replace').strip()}"
     )
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"git {args[0]} failed in {root}: {result.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return result.stdout.decode("utf-8", "replace")
-
-
-def run_git_bytes(root: str, *args: str) -> bytes:
-    result = subprocess.run(
-        ["git", "-C", root, *args],
-        capture_output=True,
-        timeout=_GIT_TIMEOUT,
-    )
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"git {args[0]} failed in {root}: {result.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    return result.stdout
-
-
-def is_repository(path: str) -> bool:
-    result = subprocess.run(
-        ["git", "-C", path, "rev-parse", "--git-dir"],
-        capture_output=True,
-        timeout=_GIT_TIMEOUT,
-    )
-    return result.returncode == 0
-
-
-@dataclass(frozen=True)
-class RawCommit:
-    """Parsed commit object: identity, parents, author signature, message."""
-
-    hash: str
-    parents: tuple[str, ...]
-    author_name: str
-    author_email: str
-    authored_at: datetime
-    message: str
-
-    @property
-    def is_merge(self) -> bool:
-        return len(self.parents) >= 2
 
 
 @dataclass(frozen=True)
 class TreeChange:
-    """One file-level change between two trees (git diff-tree raw entry)."""
+    """One file-level change between two trees (a raw diff entry)."""
 
     status: str  # one of "A", "M", "D", "R"
     path: str  # post-image path (pre-image path for deletions)
@@ -79,17 +50,95 @@ class TreeChange:
     new_blob: str
 
 
-class ObjectReader:
-    """Persistent `git cat-file --batch` process for cheap object reads.
+@dataclass(frozen=True)
+class Commit:
+    """One commit: identity, parents, author signature, message, changes.
 
-    One subprocess serves every blob and commit fetch for a repository,
-    which keeps snapshot and blame replay fast. Not thread-safe; use one
-    reader per thread.
+    `changes` is the diff against the first parent, or against the empty
+    tree for a root commit.
+    """
+
+    hash: str
+    parents: tuple[str, ...]
+    author_name: str
+    author_email: str
+    authored_at: datetime
+    message: str
+    changes: tuple[TreeChange, ...] = ()
+
+    @property
+    def is_merge(self) -> bool:
+        return len(self.parents) >= 2
+
+
+# Rename detection threshold: a delete/add pair with >= 50% identical
+# content is reported as a rename, matching the attribution contract.
+RENAME_THRESHOLD = "-M50%"
+
+# \x01 opens each commit record; fields are NUL-separated like the -z
+# raw diff entries that follow the message.
+_LOG_FORMAT = "--format=%x01%H%x00%P%x00%an%x00%ae%x00%at%x00%B"
+
+
+def log(root: str, tip: str) -> list[Commit]:
+    """Every commit reachable from `tip`, parents-first (topological order).
+
+    One `git log` process: merges are diffed against their first parent,
+    root commits against the empty tree, renames detected at the 50%
+    threshold, raw -z output so arbitrary path bytes survive.
+    """
+    try:
+        out = git(
+            root, "log", "--root", "--topo-order", "--reverse", "-z", "--raw",
+            "--no-abbrev", RENAME_THRESHOLD, "--diff-merges=first-parent",
+            "--no-use-mailmap", "--no-color", _LOG_FORMAT, "--end-of-options", tip, "--",
+        )
+    except GitError as exc:
+        raise UnknownCommit(tip) from exc
+    fields = [f.decode("utf-8", "replace") for f in out.split(b"\0")]
+    commits: list[Commit] = []
+    i = 0
+    while i < len(fields) and fields[i].startswith("\x01"):
+        sha, parents, name, email, stamp, message = fields[i:i + 6]
+        i += 6
+        changes: list[TreeChange] = []
+        while i < len(fields) and fields[i].lstrip("\n").startswith(":"):
+            # :oldmode newmode oldsha newsha status
+            _, _, old_blob, new_blob, status = fields[i].lstrip("\n:").split()
+            kind = status[0]
+            if kind in ("R", "C"):
+                changes.append(TreeChange("R", fields[i + 2], fields[i + 1], old_blob, new_blob))
+                i += 3
+            else:
+                if kind not in ("A", "M", "D"):
+                    kind = "M"  # type changes (T) and friends: treat as modify
+                changes.append(TreeChange(kind, fields[i + 1], None, old_blob, new_blob))
+                i += 2
+        commits.append(
+            Commit(
+                hash=sha[1:],
+                parents=tuple(parents.split()),
+                author_name=name,
+                author_email=email,
+                authored_at=datetime.fromtimestamp(int(stamp), tz=timezone.utc),
+                message=message,
+                changes=tuple(changes),
+            )
+        )
+    if not commits:  # git log accepts a blob or tree and prints nothing
+        raise UnknownCommit(tip)
+    return commits
+
+
+class ObjectReader:
+    """Persistent `git cat-file --batch` process for cheap blob reads.
+
+    One subprocess serves every blob fetch for a repository, which keeps
+    snapshot and blame replay fast. Not thread-safe; use one reader per
+    thread.
     """
 
     def __init__(self, root: str):
-        if not is_repository(root):
-            raise NotARepository(f"not a git repository: {root}")
         self.root = root
         self._proc = subprocess.Popen(
             ["git", "-C", root, "cat-file", "--batch"],
@@ -98,23 +147,26 @@ class ObjectReader:
         )
 
     def get(self, ref: str) -> tuple[str, bytes]:
-        """Fetch one object; returns (type, payload) or raises UnknownCommit."""
+        """Fetch one object as (type, payload).
+
+        Raises UnknownCommit for a missing object, GitError when the
+        `cat-file` process has died.
+        """
         assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(ref.encode() + b"\n")
-        self._proc.stdin.flush()
+        try:
+            self._proc.stdin.write(ref.encode() + b"\n")
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the empty header read below reports the dead process
         header = self._proc.stdout.readline().decode().strip()
-        if header.endswith("missing") or not header:
+        if not header:
+            raise GitError(f"git cat-file for {self.root} exited; cannot read {ref}")
+        if header.endswith("missing"):
             raise UnknownCommit(ref)
         sha, obj_type, size = header.split()
         payload = self._proc.stdout.read(int(size))
         self._proc.stdout.read(1)  # trailing newline
         return obj_type, payload
-
-    def commit(self, sha: str) -> RawCommit:
-        obj_type, payload = self.get(sha)
-        if obj_type != "commit":
-            raise UnknownCommit(sha)
-        return parse_commit(sha, payload)
 
     def blob(self, sha: str) -> bytes:
         obj_type, payload = self.get(sha)
@@ -123,9 +175,13 @@ class ObjectReader:
         return payload
 
     def close(self) -> None:
-        if self._proc.stdin:
+        assert self._proc.stdin is not None and self._proc.stdout is not None
+        try:
             self._proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the process already exited; its unread request is moot
         self._proc.wait(timeout=10)
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ObjectReader":
         return self
@@ -134,115 +190,10 @@ class ObjectReader:
         self.close()
 
 
-def parse_commit(sha: str, payload: bytes) -> RawCommit:
-    """Parse a raw commit object into its header fields and message."""
-    text = payload.decode("utf-8", "replace")
-    header, _, message = text.partition("\n\n")
-    parents: list[str] = []
-    author_line = ""
-    for line in header.splitlines():
-        if line.startswith(" "):  # continuation of a multi-line header (gpgsig)
-            continue
-        if line.startswith("parent "):
-            parents.append(line[len("parent "):].strip())
-        elif line.startswith("author "):
-            author_line = line[len("author "):]
-    name, email, authored_at = parse_person(author_line)
-    return RawCommit(
-        hash=sha,
-        parents=tuple(parents),
-        author_name=name,
-        author_email=email,
-        authored_at=authored_at,
-        message=message,
-    )
-
-
-def parse_person(line: str) -> tuple[str, str, datetime]:
-    """Split `Name <email> unixtime tz` into its parts; timestamp as UTC."""
-    lt = line.rfind("<")
-    gt = line.rfind(">")
-    name = line[:lt].strip() if lt >= 0 else ""
-    email = line[lt + 1:gt].strip() if 0 <= lt < gt else ""
-    rest = line[gt + 1:].split() if gt >= 0 else []
-    ts = int(rest[0]) if rest else 0
-    return name, email, datetime.fromtimestamp(ts, tz=timezone.utc)
-
-
-def rev_list(root: str, ref: str) -> list[str]:
-    """All commits reachable from ref, topologically ordered parents-first."""
-    out = run_git(root, "rev-list", "--topo-order", "--reverse", ref)
-    return out.split()
-
-
-def resolve_ref(root: str, ref: str) -> str | None:
-    result = subprocess.run(
-        ["git", "-C", root, "rev-parse", "--verify", "--quiet", ref],
-        capture_output=True,
-        timeout=_GIT_TIMEOUT,
-    )
-    if result.returncode != 0:
-        return None
-    return result.stdout.decode().strip()
-
-
-def head_branch(root: str) -> str | None:
-    """Branch name HEAD points at, or None for a detached/unreadable HEAD."""
-    result = subprocess.run(
-        ["git", "-C", root, "symbolic-ref", "--quiet", "--short", "HEAD"],
-        capture_output=True,
-        timeout=_GIT_TIMEOUT,
-    )
-    if result.returncode != 0:
-        return None
-    return result.stdout.decode().strip() or None
-
-
-# Rename detection threshold: a delete/add pair with >= 50% identical
-# content is reported as a rename, matching the attribution contract.
-RENAME_THRESHOLD = "-M50%"
-
-
-def diff_tree(root: str, old: str | None, new: str) -> list[TreeChange]:
-    """File-level changes from `old` to `new` (old=None diffs against empty).
-
-    Renames are detected at the 50% similarity threshold. Output is the
-    raw -z format, so arbitrary path bytes are handled.
-    """
-    if old is None:
-        args = ["diff-tree", "-r", "-z", RENAME_THRESHOLD, "--no-commit-id", "--root", new]
-    else:
-        args = ["diff-tree", "-r", "-z", RENAME_THRESHOLD, "--no-commit-id", old, new]
-    out = run_git_bytes(root, *args)
-    changes: list[TreeChange] = []
-    fields = out.split(b"\0")
-    i = 0
-    while i < len(fields) and fields[i]:
-        meta = fields[i].decode("utf-8", "replace")
-        # :oldmode newmode oldsha newsha status
-        parts = meta.lstrip(":").split()
-        old_blob, new_blob, status = parts[2], parts[3], parts[4]
-        status_kind = status[0]
-        if status_kind in ("R", "C"):
-            old_path = fields[i + 1].decode("utf-8", "replace")
-            new_path = fields[i + 2].decode("utf-8", "replace")
-            i += 3
-            changes.append(TreeChange("R", new_path, old_path, old_blob, new_blob))
-        else:
-            path = fields[i + 1].decode("utf-8", "replace")
-            i += 2
-            if status_kind not in ("A", "M", "D"):
-                # type changes (T) and friends: treat as modify
-                status_kind = "M"
-            changes.append(TreeChange(status_kind, path, None, old_blob, new_blob))
-    return changes
-
-
 def ls_tree(root: str, commit: str) -> list[tuple[str, str]]:
     """(path, blob sha) for every blob in the commit's tree, path-sorted."""
-    out = run_git_bytes(root, "ls-tree", "-r", "-z", commit)
     entries: list[tuple[str, str]] = []
-    for record in out.split(b"\0"):
+    for record in git(root, "ls-tree", "-r", "-z", commit).split(b"\0"):
         if not record:
             continue
         meta, _, path = record.partition(b"\t")

@@ -1,5 +1,10 @@
 """Immutable views over local git clones: history, snapshots, windows.
 
+A ref's history is read once, from one `git log` stream, into a
+`History`: every reachable commit with its first-parent file changes.
+A `RepoHandle` loads its default branch's History once, on first use,
+and window heads, window commits and replay order all come from it.
+
 This module never mutates a repository. Cloning (network transport) is a
 CLI pre-step that shells out to git; everything here reads an
 already-present object store.
@@ -7,11 +12,13 @@ already-present object store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 from . import gitio
 from .errors import BranchNotFound, NotARepository, UnknownCommit
+from .gitio import Commit
 
 
 @dataclass(frozen=True)
@@ -33,30 +40,6 @@ class AnalysisWindow:
 
 
 @dataclass(frozen=True)
-class FileChange:
-    """One changed path within a commit."""
-
-    kind: str  # "add" | "modify" | "delete" | "rename"
-    path: str  # post-image path (pre-image path for deletions)
-    old_path: str | None = None  # renames only
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    hash: str
-    author_name: str
-    author_email: str
-    authored_at: datetime
-    message: str
-    parents: tuple[str, ...]
-    changed_files: tuple[FileChange, ...] = field(default_factory=tuple)
-
-    @property
-    def is_merge(self) -> bool:
-        return len(self.parents) >= 2
-
-
-@dataclass(frozen=True)
 class RepoHandle:
     """Handle to a local clone; safe to share across concurrent readers."""
 
@@ -64,8 +47,47 @@ class RepoHandle:
     default_branch: str
     head_ref: str
 
+    @cached_property
+    def history(self) -> History:
+        """The default branch's History, loaded on first use and then shared
+        by every default-branch consumer."""
+        return History(gitio.log(self.root_path, self.head_ref))
 
-_STATUS_KINDS = {"A": "add", "M": "modify", "D": "delete", "R": "rename"}
+
+class History:
+    """Every commit reachable from one tip, loaded from one `git log` stream.
+
+    Commits are held parents-first (topological order); window heads,
+    ancestor sets and window commits are answered from parent links
+    without further git calls.
+    """
+
+    def __init__(self, commits: list[Commit]):
+        self.commits = commits
+        self.by_sha = {c.hash: c for c in commits}
+
+    def window_head(self, window: AnalysisWindow) -> str | None:
+        """Last commit in topological order authored before the window end."""
+        head = None
+        for commit in self.commits:
+            if commit.authored_at < window.end:
+                head = commit.hash
+        return head
+
+    def ancestors(self, sha: str) -> "History":
+        """`sha` and every commit reachable from it, parents-first."""
+        seen = {sha}
+        pending = [sha]
+        while pending:
+            for parent in self.by_sha[pending.pop()].parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    pending.append(parent)
+        return History([c for c in self.commits if c.hash in seen])
+
+    def in_window(self, window: AnalysisWindow) -> list[Commit]:
+        """Non-merge commits authored inside the window, parents-first."""
+        return [c for c in self.commits if not c.is_merge and window.contains(c.authored_at)]
 
 
 def open_repo(path: str, branch: str | None = None) -> RepoHandle:
@@ -74,75 +96,32 @@ def open_repo(path: str, branch: str | None = None) -> RepoHandle:
     Branch resolution: the requested branch if given, else the branch HEAD
     points at, else "main", else "master".
     """
-    if not gitio.is_repository(path):
+    if gitio.git(path, "rev-parse", "--git-dir", check=False) is None:
         raise NotARepository(f"not a git repository: {path}")
     candidates: list[str]
     if branch:
         candidates = [branch]
     else:
-        configured = gitio.head_branch(path)
-        candidates = [configured] if configured else []
+        configured = gitio.git(path, "symbolic-ref", "--quiet", "--short", "HEAD", check=False)
+        candidates = [configured.decode().strip()] if configured else []
         candidates += ["main", "master"]
     for name in candidates:
-        head = gitio.resolve_ref(path, f"refs/heads/{name}")
+        ref = f"refs/heads/{name}"
+        head = gitio.git(path, "rev-parse", "--verify", "--quiet", ref, check=False)
         if head:
-            return RepoHandle(root_path=path, default_branch=name, head_ref=head)
+            return RepoHandle(root_path=path, default_branch=name, head_ref=head.decode().strip())
     if branch:
         raise BranchNotFound(branch)
     raise BranchNotFound(" / ".join(c for c in candidates if c))
 
 
-def read_commit(repo: RepoHandle, sha: str, with_changes: bool = True) -> CommitRecord:
-    """Load one commit record; changed files are diffed against the first parent."""
-    with gitio.ObjectReader(repo.root_path) as reader:
-        return _record_from_raw(repo, reader.commit(sha), with_changes)
-
-
-def _record_from_raw(repo: RepoHandle, raw: gitio.RawCommit, with_changes: bool) -> CommitRecord:
-    changes: tuple[FileChange, ...] = ()
-    if with_changes:
-        parent = raw.parents[0] if raw.parents else None
-        tree_changes = gitio.diff_tree(repo.root_path, parent, raw.hash)
-        changes = tuple(
-            FileChange(kind=_STATUS_KINDS[c.status], path=c.path, old_path=c.old_path)
-            for c in tree_changes
-        )
-    return CommitRecord(
-        hash=raw.hash,
-        author_name=raw.author_name,
-        author_email=raw.author_email,
-        authored_at=raw.authored_at,
-        message=raw.message,
-        parents=raw.parents,
-        changed_files=changes,
-    )
-
-
-def walk_history(repo: RepoHandle, tip: str | None = None) -> list[gitio.RawCommit]:
-    """Every commit reachable from tip (default branch head), parents-first."""
-    ref = tip or repo.head_ref
-    with gitio.ObjectReader(repo.root_path) as reader:
-        try:
-            reader.get(ref)
-        except UnknownCommit:
-            raise
-        order = gitio.rev_list(repo.root_path, ref)
-        return [reader.commit(sha) for sha in order]
-
-
-def list_commits(repo: RepoHandle, window: AnalysisWindow) -> list[CommitRecord]:
+def list_commits(repo: RepoHandle, window: AnalysisWindow) -> list[Commit]:
     """Non-merge commits on the default branch authored inside the window.
 
     Merge commits are traversed for reachability but never returned; they
     carry no authorship credit. Ordered oldest first by (authored_at, hash).
     """
-    selected = [
-        raw
-        for raw in walk_history(repo)
-        if not raw.is_merge and window.contains(raw.authored_at)
-    ]
-    selected.sort(key=lambda r: (r.authored_at, r.hash))
-    return [_record_from_raw(repo, raw, with_changes=True) for raw in selected]
+    return sorted(repo.history.in_window(window), key=lambda c: (c.authored_at, c.hash))
 
 
 def window_head(repo: RepoHandle, window: AnalysisWindow) -> str | None:
@@ -152,11 +131,7 @@ def window_head(repo: RepoHandle, window: AnalysisWindow) -> str | None:
     author date precedes the window end (merges included: a merge can be
     the branch tip). None when no commit predates the window end.
     """
-    head = None
-    for raw in walk_history(repo):
-        if raw.authored_at < window.end:
-            head = raw.hash
-    return head
+    return repo.history.window_head(window)
 
 
 def snapshot(repo: RepoHandle, at: str) -> list[tuple[str, bytes]]:

@@ -19,7 +19,7 @@ from . import attribution, ingest, metrics, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
-from .errors import ContribSumError
+from .errors import BranchNotFound, ContribSumError
 from .identity import UNMAPPED, Roster, resolve
 from .report import ReportDocument, RunMeta, diff_windows, render
 from .store import CostLedger, Store
@@ -87,7 +87,7 @@ def _analyze_team(
         include_branches=cfg.include_branches,
     )
     cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
-    head = ingest.window_head(repo, cfg.window)
+    head = cset.head
 
     # per-file metrics and analysis-tier functionality rows
     functionality_rows: list[chain.FunctionalityRow] = []
@@ -149,9 +149,9 @@ def _analyze_team(
 
     # unmapped author warnings from window commits
     unmapped: list[str] = []
-    for record in ingest.list_commits(repo, cfg.window):
-        if resolve(roster, record.author_name, record.author_email) is None:
-            signature = f"{record.author_name} <{record.author_email}>"
+    for commit in ingest.list_commits(repo, cfg.window):
+        if resolve(roster, commit.author_name, commit.author_email) is None:
+            signature = f"{commit.author_name} <{commit.author_email}>"
             if signature not in unmapped:
                 unmapped.append(signature)
     if UNMAPPED.id in cset.per_student:
@@ -161,7 +161,13 @@ def _analyze_team(
 
     branch_sections = []
     for branch in cfg.include_branches:
-        extra = attribution.branch_extra_attributions(repo, branch, cfg.window, roster, options)
+        try:
+            extra = attribution.branch_extra_attributions(
+                repo, branch, cfg.window, roster, options
+            )
+        except BranchNotFound:
+            result.warnings.append(f"branch {branch} not found; no section for it")
+            continue
         per_student: dict[str, int] = {}
         files: set[str] = set()
         for attr in extra:

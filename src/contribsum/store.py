@@ -92,17 +92,26 @@ class CostLedger:
     """Append-only usage ledger with running totals per tier.
 
     When constructed with a path, every append is persisted immediately;
-    without one the ledger is memory-only (handy in tests).
+    without one the ledger is memory-only (handy in tests). A line cut
+    short by a killed run is skipped with a warning, and the next append
+    starts on a fresh line so the fragment never fuses with an entry.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path else None
         self.entries: list[LedgerEntry] = []
+        self._fresh_line = True
         if self.path and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            text = self.path.read_text(encoding="utf-8")
+            self._fresh_line = not text or text.endswith("\n")
+            for no, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
                     continue
-                raw = json.loads(line)
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError:
+                    logger.warning("truncated ledger line %d skipped: %s", no, self.path)
+                    continue
                 self.entries.append(LedgerEntry(**raw))
 
     def add(
@@ -128,7 +137,10 @@ class CostLedger:
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if not self._fresh_line:
+                    fh.write("\n")
                 fh.write(json.dumps(entry.__dict__, sort_keys=True) + "\n")
+            self._fresh_line = True
         return entry
 
     def totals_by_tier(self) -> dict[str, float]:

@@ -1,0 +1,127 @@
+"""The one-stream history reader against a per-commit reference, and git errors."""
+
+from __future__ import annotations
+
+import subprocess
+from datetime import datetime, timezone
+
+import pytest
+
+from conftest import random_script
+from contribsum import gitio, synthfix
+from contribsum.errors import GitError, UnknownCommit
+from contribsum.gitio import Commit, TreeChange
+
+
+def _git(root: str, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", root, *args], capture_output=True, check=True).stdout
+
+
+def _reference_changes(root: str, commit: str, parent: str | None) -> tuple[TreeChange, ...]:
+    """`git diff-tree` of one commit against its first parent (or the empty tree)."""
+    against = [parent, commit] if parent else ["--root", commit]
+    fields = _git(root, "diff-tree", "-r", "-z", "-M50%", "--no-commit-id", *against).split(b"\0")
+    changes = []
+    i = 0
+    while i < len(fields) and fields[i]:
+        _, _, old_blob, new_blob, status = fields[i].decode().lstrip(":").split()
+        if status[0] in ("R", "C"):
+            old_path, path = fields[i + 1].decode(), fields[i + 2].decode()
+            changes.append(TreeChange("R", path, old_path, old_blob, new_blob))
+            i += 3
+        else:
+            kind = status[0] if status[0] in ("A", "M", "D") else "M"
+            changes.append(TreeChange(kind, fields[i + 1].decode(), None, old_blob, new_blob))
+            i += 2
+    return tuple(changes)
+
+
+def _reference_log(root: str, tip: str) -> list[Commit]:
+    """`rev-list` + `cat-file commit` + one `diff-tree` per commit."""
+    commits = []
+    for sha in _git(root, "rev-list", "--topo-order", "--reverse", tip).decode().split():
+        header, _, message = _git(root, "cat-file", "commit", sha).decode().partition("\n\n")
+        parents = []
+        author = ""
+        for line in header.splitlines():
+            if line.startswith("parent "):
+                parents.append(line[len("parent "):])
+            elif line.startswith("author "):
+                author = line[len("author "):]
+        name, _, rest = author.rpartition(" <")
+        email, _, stamp = rest.partition("> ")
+        commits.append(
+            Commit(
+                hash=sha,
+                parents=tuple(parents),
+                author_name=name,
+                author_email=email,
+                authored_at=datetime.fromtimestamp(int(stamp.split()[0]), tz=timezone.utc),
+                message=message,
+                changes=_reference_changes(root, sha, parents[0] if parents else None),
+            )
+        )
+    return commits
+
+
+def _tips(root: str) -> list[str]:
+    return _git(root, "for-each-ref", "--format=%(refname)", "refs/heads").decode().split()
+
+
+class TestLogEquivalence:
+    def test_standard_fixtures(self, built_fixtures):
+        for name, (handle, _) in built_fixtures.items():
+            for tip in _tips(handle.root_path):
+                assert gitio.log(handle.root_path, tip) == _reference_log(
+                    handle.root_path, tip
+                ), f"{name}:{tip}"
+
+    def test_random_histories(self, tmp_path):
+        for seed in range(24):
+            handle, _ = synthfix.build(random_script(seed), tmp_path / f"r{seed}")
+            for tip in _tips(handle.root_path):
+                assert gitio.log(handle.root_path, tip) == _reference_log(
+                    handle.root_path, tip
+                ), f"seed {seed}:{tip}"
+
+    def test_changes_cover_root_and_merge(self, built_fixtures):
+        handle, _ = built_fixtures["merged_branch"]
+        commits = gitio.log(handle.root_path, handle.head_ref)
+        assert commits[0].parents == () and commits[0].changes
+        merge = next(c for c in commits if c.is_merge)
+        assert [c.path for c in merge.changes] == ["pages.html"]
+
+
+class TestLogErrors:
+    def test_unknown_tip(self, built_fixtures):
+        handle, _ = built_fixtures["sole_author"]
+        for tip in ("0" * 40, "refs/heads/no-such-branch", "--all"):
+            with pytest.raises(UnknownCommit):
+                gitio.log(handle.root_path, tip)
+
+    def test_blob_tip(self, built_fixtures):
+        handle, _ = built_fixtures["sole_author"]
+        blob = _git(handle.root_path, "rev-parse", f"{handle.head_ref}:app.py").decode().strip()
+        with pytest.raises(UnknownCommit):
+            gitio.log(handle.root_path, blob)
+
+
+class TestGitErrors:
+    def test_failed_command_raises_git_error(self, built_fixtures):
+        handle, _ = built_fixtures["sole_author"]
+        with pytest.raises(GitError) as err:
+            gitio.git(handle.root_path, "cat-file", "-t", "0" * 40)
+        assert handle.root_path in str(err.value)
+        assert gitio.git(handle.root_path, "cat-file", "-t", "0" * 40, check=False) is None
+
+    def test_dead_reader_names_repository(self, built_fixtures):
+        handle, _ = built_fixtures["sole_author"]
+        blob = handle.history.commits[0].changes[0].new_blob
+        reader = gitio.ObjectReader(handle.root_path)
+        assert reader.blob(blob)
+        reader._proc.kill()
+        reader._proc.wait()
+        with pytest.raises(GitError) as err:
+            reader.blob(blob)
+        assert handle.root_path in str(err.value)
+        reader.close()

@@ -87,12 +87,12 @@ class TestListCommits:
         keys = [(r.authored_at, r.hash) for r in records]
         assert keys == sorted(keys)
 
-    def test_changed_files_carry_kinds(self, built_fixtures):
+    def test_changes_carry_statuses(self, built_fixtures):
         handle, _ = built_fixtures["rename_keeps_authors"]
         records = list_commits(handle, JUNE)
-        kinds = [c.kind for r in records for c in r.changed_files]
-        assert "add" in kinds
-        rename = next(c for r in records for c in r.changed_files if c.kind == "rename")
+        statuses = [c.status for r in records for c in r.changes]
+        assert "A" in statuses
+        rename = next(c for r in records for c in r.changes if c.status == "R")
         assert rename.old_path == "util.py"
         assert rename.path == "helpers.py"
 
@@ -151,7 +151,7 @@ class TestWindowHead:
 
 class TestReplayConsistency:
     def test_parent_snapshot_plus_diff_equals_snapshot(self, built_fixtures):
-        # For every non-merge commit: applying its changed_files against the
+        # For every non-merge commit: applying its changes against the
         # parent snapshot must yield the commit's snapshot file set.
         for name in ("interleaved_edits", "rename_keeps_authors", "unmerged_branch"):
             handle, _ = built_fixtures[name]
@@ -161,10 +161,10 @@ class TestReplayConsistency:
                 parent_files = dict(snapshot(handle, record.parents[0]))
                 child_files = dict(snapshot(handle, record.hash))
                 expected = dict(parent_files)
-                for change in record.changed_files:
-                    if change.kind == "delete":
+                for change in record.changes:
+                    if change.status == "D":
                         expected.pop(change.path, None)
-                    elif change.kind == "rename":
+                    elif change.status == "R":
                         expected.pop(change.old_path, None)
                         expected[change.path] = child_files[change.path]
                     else:

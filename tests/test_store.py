@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from contribsum.cli import main
 from contribsum.store import (
     CostLedger,
     Store,
@@ -101,6 +102,23 @@ class TestCostLedger:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)  # each line independently parseable
+
+    def test_truncated_final_line_skipped(self, tmp_path, caplog, capsys):
+        path = tmp_path / "ledger.jsonl"
+        CostLedger(path).add("analysis", "m", 1, 2, 0.25)
+        whole = path.read_text()
+        path.write_text(whole + whole[: len(whole) // 2])  # a killed append
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            ledger = CostLedger(path)
+        assert [e.cost for e in ledger.entries] == [0.25]
+        assert "truncated ledger line 2" in caplog.text
+        ledger.add("synthesis", "n", 3, 4, 0.5)
+        # the fragment keeps its own line; the new entry is whole
+        assert json.loads(path.read_text().splitlines()[-1])["cost"] == 0.5
+        again = CostLedger(path)
+        assert [e.cost for e in again.entries] == [0.25, 0.5]
+        assert main(["cost", "--state", str(tmp_path)]) == 0
+        assert "total: $0.75" in capsys.readouterr().out
 
     def test_negative_tokens_rejected(self):
         ledger = CostLedger()
