@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -128,18 +129,26 @@ def _render(template_name: str, data: dict) -> str:
     return template.replace("<<DATA>>", block)
 
 
-def _complete(
-    provider,
+@dataclass
+class Call:
+    """One budgeted request, answered from the cache or still to be sent."""
+
+    tier: ModelTier
+    key: str
+    messages: list[dict] | None  # only while the request still has to be sent
+    text: str | None = None  # the response text, once known
+
+
+def prepare(
     tier: ModelTier,
     template_name: str,
     data: dict,
     *,
-    ledger: CostLedger | None = None,
     store: Store | None = None,
     scope: str = "",
     prompt_override: str | None = None,
-) -> str:
-    """One budgeted, cached, ledgered provider call."""
+) -> Call:
+    """Render one request, check it against the tier budget, look it up in the cache."""
     prompt = prompt_override if prompt_override is not None else _render(template_name, data)
     system = load_template("system")
     estimate = estimate_tokens(system) + estimate_tokens(prompt)
@@ -149,27 +158,98 @@ def _complete(
             f"for {tier.model_id}"
         )
     key = cache_key(scope, template_hash(template_name), tier.model_id, prompt)
-    if store is not None:
-        hit = store.get(key)
-        if hit is not None:
-            return hit["text"]
+    hit = store.get(key) if store is not None else None
+    if hit is not None:
+        return Call(tier, key, None, hit["text"])
     messages = [
         {"role": "system", "content": system},
         {"role": "user", "content": prompt},
     ]
-    response = provider.send(messages, tier.model_id)
+    return Call(tier, key, messages)
+
+
+def _record(call: Call, response, *, ledger: CostLedger | None, store: Store | None) -> None:
+    """Ledger and cache one provider response to `call`."""
     if ledger is not None:
-        record_usage(ledger, tier, response.input_tokens, response.output_tokens)
+        record_usage(ledger, call.tier, response.input_tokens, response.output_tokens)
     if store is not None:
         store.put(
-            key,
+            call.key,
             {
                 "text": response.text,
                 "input_tokens": response.input_tokens,
                 "output_tokens": response.output_tokens,
             },
         )
-    return response.text
+    call.text = response.text
+    call.messages = None  # answered: the prompt is not kept
+
+
+class _Inline(Executor):
+    """Runs each submitted function at once, on the submitting thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _Inline()
+
+
+def _answer(
+    provider, call: Call | None, *, ledger: CostLedger | None, store: Store | None
+) -> str | None:
+    """Response text of one call, sent on this thread on a cache miss."""
+    return answer_all(provider, [call], _INLINE, ledger=ledger, store=store)[0]
+
+
+def answer_all(
+    provider,
+    calls: list[Call | None],
+    pool: Executor,
+    *,
+    ledger: CostLedger | None = None,
+    store: Store | None = None,
+) -> list[str | None]:
+    """Response text of every call, in order; a None call stays None.
+
+    Only `provider.send` of the cache misses runs on `pool`. Usage and
+    cache entries are recorded here, on the calling thread and in call
+    order, so ledger and cache come out the same for any pool size. When
+    a send fails, the sends not yet started are cancelled, the answers
+    already in are still recorded, and the first error is raised.
+    """
+    futures = [
+        pool.submit(provider.send, call.messages, call.tier.model_id)
+        if call is not None and call.text is None
+        else None
+        for call in calls
+    ]
+    error = None
+    try:
+        for call, future in zip(calls, futures):
+            if future is None or future.cancelled():
+                continue
+            try:
+                _record(call, future.result(), ledger=ledger, store=store)
+            except Exception as exc:
+                error = error or exc
+                _cancel(futures)
+    finally:
+        _cancel(futures)  # an interrupt, too, must not leave queued sends behind
+    if error is not None:
+        raise error
+    return [call and call.text for call in calls]
+
+
+def _cancel(futures: list[Future | None]) -> None:
+    for future in futures:
+        if future is not None:
+            future.cancel()
 
 
 def record_usage(
@@ -193,25 +273,22 @@ def _metrics_payload(metrics: FileMetrics) -> dict:
     }
 
 
-def summarize_file(
-    provider,
+def file_call(
     tier: ModelTier,
     path: str,
     content: str,
     metrics: FileMetrics,
     *,
-    ledger: CostLedger | None = None,
     store: Store | None = None,
     scope: str = "",
-) -> FunctionalityRow:
-    """Analysis-tier call producing one Functionality Table row.
+) -> Call | None:
+    """The request behind one Functionality Table row; None for an empty file.
 
-    Empty files short-circuit without a provider call. Content is clipped
-    to the first and last N lines; N halves until the request fits the
-    tier budget, or BudgetExceeded is raised.
+    Content is clipped to the first and last N lines; N halves until the
+    request fits the tier budget, or BudgetExceeded is raised.
     """
     if not content.strip():
-        return FunctionalityRow(path=path, functionality="empty file", difficulty="none", metrics=metrics)
+        return None
     clip = DEFAULT_CLIP_LINES
     system_cost = estimate_tokens(load_template("system"))
     while True:
@@ -227,11 +304,36 @@ def summarize_file(
         if clip <= 4:
             raise BudgetExceeded(f"{path}: content cannot fit tier budget even fully clipped")
         clip //= 2
-    text = _complete(
-        provider, tier, "summarize_file", data, ledger=ledger, store=store, scope=scope
-    )
+    return prepare(tier, "summarize_file", data, store=store, scope=scope, prompt_override=prompt)
+
+
+def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityRow:
+    """Functionality Table row from the answer to `file_call` (None: empty file)."""
+    if text is None:
+        return FunctionalityRow(path=path, functionality="empty file", difficulty="none", metrics=metrics)
     functionality, difficulty = _parse_two_fields(text)
     return FunctionalityRow(path=path, functionality=functionality, difficulty=difficulty, metrics=metrics)
+
+
+def summarize_file(
+    provider,
+    tier: ModelTier,
+    path: str,
+    content: str,
+    metrics: FileMetrics,
+    *,
+    ledger: CostLedger | None = None,
+    store: Store | None = None,
+    scope: str = "",
+) -> FunctionalityRow:
+    """Analysis-tier call producing one Functionality Table row, sent inline.
+
+    A single-row wrapper over `file_call` and `answer_all`; the pipeline
+    batches its rows instead. Empty files short-circuit without a
+    provider call.
+    """
+    call = file_call(tier, path, content, metrics, store=store, scope=scope)
+    return functionality_row(path, metrics, _answer(provider, call, ledger=ledger, store=store))
 
 
 def _parse_two_fields(text: str) -> tuple[str, str]:
@@ -249,17 +351,15 @@ def _parse_two_fields(text: str) -> tuple[str, str]:
     return functionality, difficulty
 
 
-def describe_contribution(
-    provider,
+def contribution_call(
     tier: ModelTier,
     row: FunctionalityRow,
     evidence: ContributionEvidence,
     *,
-    ledger: CostLedger | None = None,
     store: Store | None = None,
     scope: str = "",
-) -> ContributionRow:
-    """Analysis-tier call producing one Contribution Table row."""
+) -> Call:
+    """The request behind one Contribution Table row."""
     if evidence.lines_owned + evidence.lines_added_in_window <= 0:
         raise ValueError(
             f"no measurable lines for {evidence.student.id} in {evidence.path}; "
@@ -276,12 +376,33 @@ def describe_contribution(
         "commit_messages": evidence.commit_messages[:20],
         "solo_functions": [[n, s] for n, s in evidence.solo_functions],
     }
-    text = _complete(
-        provider, tier, "describe_contribution", data, ledger=ledger, store=store, scope=scope
-    )
+    return prepare(tier, "describe_contribution", data, store=store, scope=scope)
+
+
+def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionRow:
+    """Contribution Table row from the answer to `contribution_call`."""
     return ContributionRow(
         student=evidence.student, path=evidence.path, description=text.strip(), evidence=evidence
     )
+
+
+def describe_contribution(
+    provider,
+    tier: ModelTier,
+    row: FunctionalityRow,
+    evidence: ContributionEvidence,
+    *,
+    ledger: CostLedger | None = None,
+    store: Store | None = None,
+    scope: str = "",
+) -> ContributionRow:
+    """Analysis-tier call producing one Contribution Table row, sent inline.
+
+    A single-row wrapper over `contribution_call` and `answer_all`; the
+    pipeline batches its rows instead.
+    """
+    call = contribution_call(tier, row, evidence, store=store, scope=scope)
+    return contribution_row(evidence, _answer(provider, call, ledger=ledger, store=store))
 
 
 def _has_positive_evidence(rows: list[ContributionEvidence]) -> bool:
@@ -361,7 +482,8 @@ def synthesize(
         "template_instructions": bundle.template_instructions,
     }
 
-    text = _complete(provider, tier, "synthesize", data, ledger=ledger, store=store, scope=scope)
+    call = prepare(tier, "synthesize", data, store=store, scope=scope)
+    text = _answer(provider, call, ledger=ledger, store=store)
     try:
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
     except TemplateViolation as first_error:
@@ -369,16 +491,8 @@ def synthesize(
         prompt = repair.replace("<<PROBLEMS>>", str(first_error)).replace(
             "<<ORIGINAL>>", _render("synthesize", data)
         )
-        text = _complete(
-            provider,
-            tier,
-            "repair",
-            data,
-            ledger=ledger,
-            store=store,
-            scope=scope,
-            prompt_override=prompt,
-        )
+        call = prepare(tier, "repair", data, store=store, scope=scope, prompt_override=prompt)
+        text = _answer(provider, call, ledger=ledger, store=store)
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
 
     summaries.extend(parsed)

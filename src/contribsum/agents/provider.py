@@ -13,6 +13,7 @@ import json
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,8 +88,27 @@ class TokenBucket:
             time.sleep(wait)
 
 
+# Longest server-requested wait honored between two attempts, in seconds.
+MAX_RETRY_AFTER = 60.0
+
+
+def _retry_delay(resp, attempt: int) -> float:
+    """Seconds to wait before the next attempt: the answer's Retry-After
+    when it gives one in whole seconds, else 2, 4, 8."""
+    try:
+        return float(min(max(int(resp.headers["Retry-After"]), 0), MAX_RETRY_AFTER))
+    except (KeyError, ValueError):
+        return min(2.0 ** attempt, 8.0)
+
+
 class HttpProvider:
-    """Live chat-completion provider over HTTP JSON."""
+    """Live chat-completion provider over HTTP JSON.
+
+    One provider serves every send thread of a run. The first 429 answer
+    turns it to one request at a time for the rest of its life, so an
+    endpoint that refuses the run's concurrency is then sent to as a
+    sequential client would: a refused request's retry goes out alone.
+    """
 
     def __init__(
         self,
@@ -103,28 +123,52 @@ class HttpProvider:
         self.timeout = timeout
         self.max_retries = max_retries
         self.rate_limiter = rate_limiter
+        self.one_at_a_time = False
+        self._in_flight = 0
+        self._turn = threading.Condition()
+
+    @contextmanager
+    def _slot(self):
+        """Hold one request in flight; once throttled, only while no other is."""
+        with self._turn:
+            while self.one_at_a_time and self._in_flight:
+                self._turn.wait()
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._turn:
+                self._in_flight -= 1
+                self._turn.notify_all()
 
     def send(self, messages: list[dict], model_id: str) -> ProviderResponse:
         import requests
 
         last_error = "no attempt made"
+        delay = 0.0  # before the next attempt; none after the last
         for attempt in range(1, self.max_retries + 1):
+            if attempt > 1:
+                time.sleep(delay)
             if self.rate_limiter:
                 self.rate_limiter.acquire()
             try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"model": model_id, "messages": messages},
-                    headers={"Authorization": f"Bearer {self.api_key}"},
-                    timeout=self.timeout,
-                )
+                with self._slot():
+                    resp = requests.post(
+                        self.endpoint,
+                        json={"model": model_id, "messages": messages},
+                        headers={"Authorization": f"Bearer {self.api_key}"},
+                        timeout=self.timeout,
+                    )
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
-                time.sleep(min(2.0 ** attempt, 8.0))
+                delay = min(2.0 ** attempt, 8.0)
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
+                if resp.status_code == 429:
+                    with self._turn:
+                        self.one_at_a_time = True
                 last_error = f"HTTP {resp.status_code}"
-                time.sleep(min(2.0 ** attempt, 8.0))
+                delay = _retry_delay(resp, attempt)
                 continue
             if resp.status_code != 200:
                 raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}", attempt)

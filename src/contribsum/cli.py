@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ingest, pipeline
 from .agents import chain
-from .agents.provider import HttpProvider, MockProvider, ReplayProvider
+from .agents.provider import HttpProvider, MockProvider, ReplayProvider, TokenBucket
 from .config import RunConfig, load_config
 from .errors import ConfigError, ContribSumError
 from .identity import load_roster, resolve
@@ -31,7 +31,11 @@ def build_provider(cfg: RunConfig):
         return MockProvider(budgets=budgets)
     if cfg.provider_mode == "replay":
         return ReplayProvider(cfg.replay_dir)
-    return HttpProvider(endpoint=cfg.endpoint, api_key=cfg.resolved_api_key())
+    # one bucket paces every send thread; none at 0, which means unlimited
+    limiter = TokenBucket(cfg.rate_limit) if cfg.rate_limit > 0 else None
+    return HttpProvider(
+        endpoint=cfg.endpoint, api_key=cfg.resolved_api_key(), rate_limiter=limiter
+    )
 
 
 def _effective_config(cfg: RunConfig) -> RunConfig:

@@ -9,6 +9,7 @@ CONTRIBSUM_STATE overrides the state directory.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -22,6 +23,8 @@ from .ingest import AnalysisWindow
 API_KEY_ENV_VAR = "LLM_API_KEY"
 
 PROVIDER_MODES = ("mock", "replay", "live")
+
+MAX_ANALYSIS_WORKERS = 64
 
 
 @dataclass
@@ -44,7 +47,7 @@ class RunConfig:
     out_dir: str = "out"
     state_dir: str = ".contribsum"
     jobs: int = 1  # teams processed in parallel
-    analysis_workers: int = 1  # in-flight analysis calls per team
+    analysis_workers: int = 8  # provider requests in flight per run
     rate_limit: float = 0.0  # provider requests/second, 0 = unlimited
     branch: str | None = None  # explicit default branch override
     extra: dict = field(default_factory=dict)
@@ -74,10 +77,10 @@ class RunConfig:
                 raise ConfigError(f"{key.replace('_path', '')} file not found: {value}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if self.analysis_workers < 1:
-            raise ConfigError("analysis_workers must be at least 1")
-        if self.rate_limit < 0:
-            raise ConfigError("rate_limit must be non-negative")
+        if not 1 <= self.analysis_workers <= MAX_ANALYSIS_WORKERS:
+            raise ConfigError(f"analysis_workers must be between 1 and {MAX_ANALYSIS_WORKERS}")
+        if not 0 <= self.rate_limit < math.inf:
+            raise ConfigError("rate_limit must be a finite, non-negative number")
 
     def resolved_api_key(self) -> str:
         return os.environ.get(API_KEY_ENV_VAR) or self.api_key
@@ -100,6 +103,13 @@ def _parse_when(raw: str, what: str) -> datetime:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     return moment
+
+
+def _parse_number(raw: str, kind: type, what: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{what}: expected a number, got {raw!r}")
 
 
 def _tier(parser: configparser.ConfigParser, section: str, tier_name: str) -> ModelTier:
@@ -218,9 +228,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         replay_dir=rel(parser.get("provider", "replay_dir", fallback="")) or "",
         out_dir=rel(run_opt("out_dir", "out")) or "out",
         state_dir=rel(run_opt("state_dir", ".contribsum")) or ".contribsum",
-        jobs=int(run_opt("jobs", "1") or 1),
-        analysis_workers=int(run_opt("analysis_workers", "1") or 1),
-        rate_limit=float(run_opt("rate_limit", "0") or 0),
+        jobs=_parse_number(run_opt("jobs") or "1", int, "[run] jobs"),
+        analysis_workers=_parse_number(
+            run_opt("analysis_workers") or str(RunConfig.analysis_workers),
+            int,
+            "[run] analysis_workers",
+        ),
+        rate_limit=_parse_number(run_opt("rate_limit") or "0", float, "[run] rate_limit"),
         branch=run_opt("branch"),
     )
     cfg.validate()

@@ -4,6 +4,16 @@ One team's failure never aborts the others; the CLI collects TeamResult
 objects and reports per-team outcomes. All artifacts land under
 out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly.
+
+Provider round trips overlap: `run_analysis` owns one ThreadPoolExecutor
+of `analysis_workers` threads that every team shares, and only
+`provider.send` of a cache miss runs on it. Each team sends its
+analysis-tier calls in two batches, the file rows and then the
+contribution rows that quote them. Prompt rendering, budget checks,
+cache reads and writes, ledger entries and response parsing stay on the
+team's own thread in row order, so outputs and the ledger are the same
+for any pool size, and a fully cached run starts no send thread.
+Synthesis and its repair retry are sent inline.
 """
 
 from __future__ import annotations
@@ -11,8 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 
 from . import attribution, ingest, metrics, tables
@@ -49,6 +60,13 @@ def _read_optional(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def send_pool(cfg: RunConfig) -> ThreadPoolExecutor:
+    """The pool of `cfg.analysis_workers` threads that provider sends run on."""
+    return ThreadPoolExecutor(
+        max_workers=cfg.analysis_workers, thread_name_prefix="contribsum-send"
+    )
+
+
 def analyze_team(
     team: str,
     repo_path: str,
@@ -57,10 +75,12 @@ def analyze_team(
     provider,
     store: Store,
     ledger: CostLedger,
+    pool: Executor,
 ) -> TeamResult:
+    """Analyze one team; its provider sends go to `pool` (see `send_pool`)."""
     result = TeamResult(team=team, ok=True)
     try:
-        _analyze_team(result, team, repo_path, cfg, roster, provider, store, ledger)
+        _analyze_team(result, team, repo_path, cfg, roster, provider, store, ledger, pool)
     except ContribSumError as exc:
         result.ok = False
         result.error = str(exc)
@@ -79,6 +99,7 @@ def _analyze_team(
     provider,
     store: Store,
     ledger: CostLedger,
+    pool: Executor,
 ) -> None:
     repo = ingest.open_repo(repo_path, cfg.branch)
     options = attribution.AttributionOptions(
@@ -89,9 +110,8 @@ def _analyze_team(
     cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
     head = cset.head
 
-    # per-file metrics and analysis-tier functionality rows
-    functionality_rows: list[chain.FunctionalityRow] = []
-    file_text: dict[str, str] = {}
+    # per-file metrics and analysis-tier functionality rows, in snapshot order
+    files: list[tuple[str, metrics.FileMetrics, chain.Call | None]] = []
     if head is not None:
         for path, content in ingest.snapshot(repo, head):
             if attribution.is_excluded(path, cfg.exclude_globs):
@@ -99,36 +119,35 @@ def _analyze_team(
             if b"\0" in content[:8192] or len(content) > options.max_file_bytes:
                 continue
             text = content.decode("utf-8", "replace")
-            file_text[path] = text
             file_metrics = metrics.compute_file_metrics(path, content)
-            functionality_rows.append(
-                chain.summarize_file(
-                    provider,
-                    cfg.analysis_tier,
-                    path,
-                    text,
-                    file_metrics,
-                    ledger=ledger,
-                    store=store,
-                )
-            )
-
+            call = chain.file_call(cfg.analysis_tier, path, text, file_metrics, store=store)
+            files.append((path, file_metrics, call))
+    answers = chain.answer_all(
+        provider, [call for _, _, call in files], pool, ledger=ledger, store=store
+    )
+    functionality_rows = [
+        chain.functionality_row(path, file_metrics, answer)
+        for (path, file_metrics, _), answer in zip(files, answers)
+    ]
     rows_by_path = {row.path: row for row in functionality_rows}
 
-    # analysis-tier contribution rows for every evidence entry with lines
-    contribution_rows: list[chain.ContributionRow] = []
-    for student in roster.students:
-        for ev in cset.evidence_for(student.id):
-            if ev.lines_owned + ev.lines_added_in_window <= 0:
-                continue
-            row = rows_by_path.get(ev.path)
-            if row is None:
-                continue  # evidence for a file the snapshot no longer carries
-            contribution_rows.append(
-                chain.describe_contribution(
-                    provider, cfg.analysis_tier, row, ev, ledger=ledger, store=store
-                )
-            )
+    # analysis-tier contribution rows for every evidence entry with lines,
+    # in roster order; evidence for a file the snapshot no longer carries
+    # gets no row
+    evidence = [
+        ev
+        for student in roster.students
+        for ev in cset.evidence_for(student.id)
+        if ev.lines_owned + ev.lines_added_in_window > 0 and ev.path in rows_by_path
+    ]
+    calls = [
+        chain.contribution_call(cfg.analysis_tier, rows_by_path[ev.path], ev, store=store)
+        for ev in evidence
+    ]
+    answers = chain.answer_all(provider, calls, pool, ledger=ledger, store=store)
+    contribution_rows = [
+        chain.contribution_row(ev, answer) for ev, answer in zip(evidence, answers)
+    ]
 
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
@@ -326,31 +345,37 @@ def _find_prior_state(cfg: RunConfig, team: str) -> ReportDocument | None:
     team_dir = Path(cfg.out_dir) / team
     if not team_dir.exists():
         return None
-    best: tuple[str, dict] | None = None
+    # window starts may carry different UTC offsets: compare instants, not strings
+    best: tuple[datetime, dict] | None = None
     for state_path in team_dir.glob(f"*/{STATE_NAME}"):
         try:
             state = json.loads(state_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            start = datetime.fromisoformat(state["window_start"])
+            earlier = start < cfg.window.start
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             continue
-        start = state.get("window_start", "")
-        if start and start < cfg.window.start.isoformat():
-            if best is None or start > best[0]:
-                best = (start, state)
+        if earlier and (best is None or start > best[0]):
+            best = (start, state)
     if best is None:
         return None
     return _document_from_state(best[1])
 
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:
-    """Analyze every configured team, optionally in parallel."""
-    if cfg.jobs <= 1 or len(cfg.repos) <= 1:
-        return [
-            analyze_team(team, path, cfg, roster, provider, store, ledger)
-            for team, path in cfg.repos
-        ]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [
-            pool.submit(analyze_team, team, path, cfg, roster, provider, store, ledger)
-            for team, path in cfg.repos
-        ]
-        return [f.result() for f in futures]
+    """Analyze every configured team, `cfg.jobs` of them at a time.
+
+    All teams share one pool of `cfg.analysis_workers` send threads, so
+    the cap on provider requests in flight holds for the whole run.
+    """
+    with send_pool(cfg) as sends:
+        if cfg.jobs <= 1 or len(cfg.repos) <= 1:
+            return [
+                analyze_team(team, path, cfg, roster, provider, store, ledger, sends)
+                for team, path in cfg.repos
+            ]
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            futures = [
+                pool.submit(analyze_team, team, path, cfg, roster, provider, store, ledger, sends)
+                for team, path in cfg.repos
+            ]
+            return [f.result() for f in futures]

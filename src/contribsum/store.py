@@ -92,15 +92,17 @@ class CostLedger:
     """Append-only usage ledger with running totals per tier.
 
     When constructed with a path, every append is persisted immediately;
-    without one the ledger is memory-only (handy in tests). A line cut
-    short by a killed run is skipped with a warning, and the next append
-    starts on a fresh line so the fragment never fuses with an entry.
+    without one the ledger is memory-only (handy in tests). Appends are
+    safe from several threads. A line cut short by a killed run is skipped
+    with a warning, and the next append starts on a fresh line so the
+    fragment never fuses with an entry.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path else None
         self.entries: list[LedgerEntry] = []
         self._fresh_line = True
+        self._lock = threading.Lock()
         if self.path and self.path.exists():
             text = self.path.read_text(encoding="utf-8")
             self._fresh_line = not text or text.endswith("\n")
@@ -133,14 +135,17 @@ class CostLedger:
             output_tokens=output_tokens,
             cost=cost,
         )
-        self.entries.append(entry)
-        if self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if not self._fresh_line:
-                    fh.write("\n")
-                fh.write(json.dumps(entry.__dict__, sort_keys=True) + "\n")
-            self._fresh_line = True
+        # team threads share one ledger: the list, the file and the
+        # fresh-line flag change together
+        with self._lock:
+            self.entries.append(entry)
+            if self.path:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    if not self._fresh_line:
+                        fh.write("\n")
+                    fh.write(json.dumps(entry.__dict__, sort_keys=True) + "\n")
+                self._fresh_line = True
         return entry
 
     def totals_by_tier(self) -> dict[str, float]:

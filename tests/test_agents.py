@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import types
+
 import pytest
 
 from conftest import JUNE
 from contribsum.agents import chain
+from contribsum.agents import provider as provider_module
 from contribsum.agents.chain import (
     ROLES,
     SENIORITIES,
@@ -17,10 +21,12 @@ from contribsum.agents.chain import (
     validate_summary,
 )
 from contribsum.agents.provider import (
+    HttpProvider,
     MockProvider,
     ModelTier,
     ProviderResponse,
     ReplayProvider,
+    TokenBucket,
     estimate_tokens,
 )
 from contribsum.attribution import ContributionEvidence, ContributionSet
@@ -432,3 +438,118 @@ class TestBudgetAssertion:
         huge = [{"role": "user", "content": "y" * 10_000}]
         with pytest.raises(AssertionError):
             mock.send(huge, "tiny")
+
+
+class FakeClock:
+    """Stands in for the `time` module of agents.provider: sleeping only advances the clock."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class TestRateLimit:
+    def test_bucket_paces_to_its_rate(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(provider_module, "time", clock)
+        bucket = TokenBucket(4.0)
+        granted = []
+        for _ in range(9):
+            bucket.acquire()
+            granted.append(clock.now)
+        assert granted[0] == 1000.0  # a full bucket grants at once
+        gaps = [b - a for a, b in zip(granted, granted[1:])]
+        assert gaps == pytest.approx([0.25] * 8)
+
+    def test_http_sends_wait_for_the_bucket(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(provider_module, "time", clock)
+        posted = []
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return {
+                    "choices": [{"message": {"content": "ok"}}],
+                    "usage": {"prompt_tokens": 3, "completion_tokens": 1},
+                }
+
+        def post(url, json, headers, timeout):
+            posted.append(clock.now)
+            return Response()
+
+        fake_requests = types.SimpleNamespace(post=post, RequestException=OSError)
+        monkeypatch.setitem(sys.modules, "requests", fake_requests)
+        live = HttpProvider("http://localhost/v1", "key", rate_limiter=TokenBucket(2.0))
+        for _ in range(4):
+            assert live.send([{"role": "user", "content": "hi"}], "m").text == "ok"
+        assert posted == pytest.approx([1000.0, 1000.5, 1001.0, 1001.5])
+
+
+class Answer:
+    """A `requests` response as HttpProvider reads it."""
+
+    def __init__(self, status_code: int, headers: dict | None = None, text: str = "ok"):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.text = text
+
+    def json(self):
+        return {
+            "choices": [{"message": {"content": self.text}}],
+            "usage": {"prompt_tokens": 3, "completion_tokens": 1},
+        }
+
+
+def _endpoint(monkeypatch, answers: list[Answer]) -> FakeClock:
+    """Serve `answers` in turn to HttpProvider's posts; sleeping only advances a fake clock."""
+    clock = FakeClock()
+    monkeypatch.setattr(provider_module, "time", clock)
+    pending = iter(answers)
+    fake_requests = types.SimpleNamespace(
+        post=lambda url, json, headers, timeout: next(pending), RequestException=OSError
+    )
+    monkeypatch.setitem(sys.modules, "requests", fake_requests)
+    return clock
+
+
+class TestHttpRetries:
+    MESSAGES = [{"role": "user", "content": "hi"}]
+
+    def test_no_wait_after_the_last_attempt(self, monkeypatch):
+        clock = _endpoint(monkeypatch, [Answer(503)] * 3)
+        live = HttpProvider("http://localhost/v1", "key")
+        with pytest.raises(ProviderError, match=r"HTTP 503 \(after 3 attempts\)"):
+            live.send(self.MESSAGES, "m")
+        assert clock.sleeps == [2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "retry_after, waited",
+        [
+            ("7", 7.0),
+            ("3600", provider_module.MAX_RETRY_AFTER),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 2.0),  # a date: the default backoff
+            ("nan", 2.0),
+        ],
+    )
+    def test_429_waits_as_told_then_sends_one_at_a_time(self, monkeypatch, retry_after, waited):
+        clock = _endpoint(monkeypatch, [Answer(429, {"Retry-After": retry_after}), Answer(200)])
+        live = HttpProvider("http://localhost/v1", "key")
+        assert not live.one_at_a_time
+        assert live.send(self.MESSAGES, "m").text == "ok"
+        assert clock.sleeps == [waited]
+        assert live.one_at_a_time
+
+    def test_server_error_keeps_sends_concurrent(self, monkeypatch):
+        _endpoint(monkeypatch, [Answer(503), Answer(200)])
+        live = HttpProvider("http://localhost/v1", "key")
+        assert live.send(self.MESSAGES, "m").text == "ok"
+        assert not live.one_at_a_time

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from contribsum import synthfix
-from contribsum.cli import main
+from contribsum.agents.provider import HttpProvider, TokenBucket
+from contribsum.cli import build_provider, main
+from contribsum.config import load_config
+from contribsum.errors import ConfigError
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -179,6 +182,58 @@ class TestAnalyze:
         report = (tmp_path / "out" / "team-alpha" / "week-1" / "report.md").read_text()
         assert "## Unmerged branch: experiment" in report
         assert "cache.py" in report
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "option, value",
+        [("jobs", "many"), ("analysis_workers", "2.5"), ("rate_limit", "fast")],
+    )
+    def test_non_numeric_option_is_config_error(self, tmp_path, capsys, option, value):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        text = config.read_text().replace("provider = mock\n", f"provider = mock\n{option} = {value}\n")
+        config.write_text(text)
+        assert main(["analyze", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [run] {option}: expected a number, got {value!r}" in err
+
+    def test_analysis_workers_bounded(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        cfg = load_config(config)
+        assert cfg.analysis_workers == 8
+        cfg.analysis_workers = 64
+        cfg.validate()
+        for bad in (0, 65):
+            cfg.analysis_workers = bad
+            with pytest.raises(ConfigError, match="analysis_workers must be between 1 and 64"):
+                cfg.validate()
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_rate_limit_finite_and_non_negative(self, tmp_path, rate):
+        cfg = load_config(make_workspace(tmp_path, {"team-alpha": "sole_author"}))
+        cfg.rate_limit = rate
+        with pytest.raises(ConfigError, match="rate_limit"):
+            cfg.validate()
+
+
+class TestBuildProvider:
+    def _live(self, tmp_path, monkeypatch, rate_limit: float):
+        monkeypatch.setenv("LLM_API_KEY", "test-key")
+        cfg = load_config(make_workspace(tmp_path, {"team-alpha": "sole_author"}))
+        cfg.provider_mode = "live"
+        cfg.endpoint = "http://localhost:9/v1"
+        cfg.rate_limit = rate_limit
+        cfg.validate()
+        return build_provider(cfg)
+
+    def test_rate_limit_hands_one_bucket_to_the_live_provider(self, tmp_path, monkeypatch):
+        live = self._live(tmp_path, monkeypatch, 2.5)
+        assert isinstance(live, HttpProvider)
+        assert isinstance(live.rate_limiter, TokenBucket)
+        assert live.rate_limiter.rate == 2.5
+
+    def test_zero_rate_limit_means_no_bucket(self, tmp_path, monkeypatch):
+        assert self._live(tmp_path, monkeypatch, 0.0).rate_limiter is None
 
 
 class TestCheck:

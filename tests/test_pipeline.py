@@ -1,15 +1,35 @@
-"""Per-team pipeline: git process counts and per-team branch warnings."""
+"""Per-team pipeline: git process counts, per-team branch warnings, the
+run-wide send pool, an endpoint that refuses concurrent requests and the
+choice of the prior window."""
 
 from __future__ import annotations
 
+import json
 import subprocess
+import sys
+import threading
+import time
+import types
+from datetime import datetime, timezone
 from pathlib import Path
+
+import pytest
 
 from conftest import JUNE, ROSTER_TEXT
 from contribsum import pipeline, synthfix
-from contribsum.agents.provider import MockProvider, ModelTier
+from contribsum.agents import chain
+from contribsum.agents import provider as provider_module
+from contribsum.agents.provider import (
+    HttpProvider,
+    MockProvider,
+    ModelTier,
+    extract_data_block,
+    request_digest,
+)
 from contribsum.config import RunConfig
+from contribsum.errors import ProviderError
 from contribsum.identity import load_roster
+from contribsum.ingest import AnalysisWindow
 from contribsum.store import CostLedger, Store
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
@@ -76,10 +96,11 @@ class TestGitSpawns:
                 cfg = _config(tmp_path / f"run-{commits}-{len(branches)}", [], branches)
 
                 def run():
-                    result = pipeline.analyze_team(
-                        "team", handle.root_path, cfg, roster, MockProvider(),
-                        Store(tmp_path / "cache"), CostLedger(),
-                    )
+                    with pipeline.send_pool(cfg) as sends:
+                        result = pipeline.analyze_team(
+                            "team", handle.root_path, cfg, roster, MockProvider(),
+                            Store(tmp_path / "cache"), CostLedger(), sends,
+                        )
                     assert result.ok, result.error
 
                 counts[commits, branches] = _git_spawns(monkeypatch, run)
@@ -108,3 +129,328 @@ class TestIncludeBranch:
         }
         assert "## Unmerged branch: experiment" in reports["unmerged_branch"]
         assert "Unmerged branch" not in reports["sole_author"]
+
+
+class GatedProvider:
+    """MockProvider behind a gate: every send waits until `gate` is set."""
+
+    def __init__(self):
+        self.inner = MockProvider()
+        self.gate = threading.Event()
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, messages, model_id):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            assert self.gate.wait(timeout=30), "send never released"
+            return self.inner.send(messages, model_id)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class ShuffledProvider:
+    """MockProvider whose answers take 0-4 ms, fixed per request, so they arrive out of order."""
+
+    def __init__(self):
+        self.inner = MockProvider()
+
+    def send(self, messages, model_id):
+        digest = request_digest(messages, model_id)
+        time.sleep(int(digest[:2], 16) % 5 / 1000)
+        return self.inner.send(messages, model_id)
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def _run_in_background(run) -> tuple[threading.Thread, list]:
+    results: list = []
+    thread = threading.Thread(target=lambda: results.extend(run()), daemon=True)
+    thread.start()
+    return thread, results
+
+
+class TestSendPool:
+    def test_outputs_and_ledger_same_for_any_worker_count(self, tmp_path, built_fixtures):
+        handle, _ = synthfix.build(_history(30), tmp_path / "repo")
+        repos = [("five-files", handle.root_path)] + [
+            (name, built_fixtures[name][0].root_path)
+            for name in ("interleaved_edits", "merged_branch", "coauthored_commit")
+        ]
+        roster = load_roster(ROSTER_TEXT)
+        outputs = {}
+        ledgers = {}
+        for workers in (1, 4, 16):
+            cfg = _config(tmp_path / f"w{workers}", repos)
+            cfg.analysis_workers = workers
+            ledger = CostLedger()
+            results = pipeline.run_analysis(
+                cfg, roster, ShuffledProvider(), Store(tmp_path / f"w{workers}" / "cache"), ledger
+            )
+            assert all(r.ok for r in results), [r.error for r in results]
+            out = Path(cfg.out_dir)
+            outputs[workers] = {
+                str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            ledgers[workers] = [
+                (e.tier, e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries
+            ]
+        assert len(outputs[1]) >= 4 * 6
+        assert len(ledgers[1]) > 4 * 5  # more than one analysis call per team
+        assert outputs[4] == outputs[1] and outputs[16] == outputs[1]
+        assert ledgers[4] == ledgers[1] and ledgers[16] == ledgers[1]
+
+    def _gated_run(self, tmp_path, workers: int, jobs: int, teams: int):
+        roster = load_roster(ROSTER_TEXT)
+        repos = []
+        for n in range(teams):
+            handle, _ = synthfix.build(_history(12), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        cfg = _config(tmp_path, repos)
+        cfg.analysis_workers = workers
+        cfg.jobs = jobs
+        provider = GatedProvider()
+        thread, results = _run_in_background(
+            lambda: pipeline.run_analysis(cfg, roster, provider, Store(tmp_path / "cache"), CostLedger())
+        )
+        return provider, thread, results
+
+    @pytest.mark.parametrize(
+        "workers, jobs, teams, expected",
+        [
+            (2, 1, 1, 2),  # more misses than workers: the pool is full
+            (3, 2, 2, 3),  # two teams at once share the run's cap
+            (16, 1, 1, len(FILES)),  # fewer misses than workers: every miss is in flight
+        ],
+    )
+    def test_in_flight_sends_capped_per_run(self, tmp_path, workers, jobs, teams, expected):
+        provider, thread, results = self._gated_run(tmp_path, workers, jobs, teams)
+        try:
+            assert _wait_for(lambda: provider.in_flight == expected), provider.in_flight
+            time.sleep(0.2)  # room for a send beyond the cap to show up
+            assert provider.in_flight == expected
+        finally:
+            provider.gate.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(results) == teams and all(r.ok for r in results), [r.error for r in results]
+        assert provider.peak <= workers
+
+    def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
+        handle, _ = synthfix.build(_history(12), tmp_path / "repo")
+        cfg = _config(tmp_path, [])
+        roster = load_roster(ROSTER_TEXT)
+        store = Store(tmp_path / "cache")
+        with pipeline.send_pool(cfg) as sends:
+            cold = pipeline.analyze_team(
+                "team", handle.root_path, cfg, roster, MockProvider(), store, CostLedger(), sends
+            )
+        assert cold.ok, cold.error
+
+        class NoProvider:
+            def send(self, messages, model_id):
+                raise AssertionError("a cached run must not send")
+
+        starts = []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            original_start(thread)
+
+        ledger = CostLedger()
+        with pipeline.send_pool(cfg) as sends:
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            warm = pipeline.analyze_team(
+                "team", handle.root_path, cfg, roster, NoProvider(), store, ledger, sends
+            )
+            monkeypatch.undo()
+        assert warm.ok, warm.error
+        assert starts == []
+        assert ledger.entries == []
+
+    def test_failed_send_fails_only_its_team(self, tmp_path, monkeypatch):
+        roster = load_roster(ROSTER_TEXT)
+        failing, _ = synthfix.build(_history(12), tmp_path / "failing")
+        healthy, _ = synthfix.build(
+            RepoScript(
+                name="healthy",
+                roster_text=ROSTER_TEXT,
+                steps=[Step(*AUTHORS[1], message="app", ops=(SetFile("app.py", ("z = 2",)),))],
+            ),
+            tmp_path / "healthy",
+        )
+        failing_paths = set(FILES)
+
+        class FailOnFirstFile:
+            def __init__(self):
+                self.inner = MockProvider()
+                self.sent: list[str] = []
+                self._lock = threading.Lock()
+
+            def send(self, messages, model_id):
+                data = extract_data_block(messages[-1]["content"]) or {}
+                if data.get("task") == "summarize-file" and data["path"] in failing_paths:
+                    with self._lock:
+                        self.sent.append(data["path"])
+                    if data["path"] == FILES[0]:
+                        raise ProviderError("HTTP 503")
+                    # a send taken up before the failure is seen ends only
+                    # after the team has cancelled the rest
+                    assert cancelled.wait(timeout=30), "the failed team never cancelled"
+                return self.inner.send(messages, model_id)
+
+        cancelled = threading.Event()
+        original_cancel = chain._cancel
+
+        def cancel_then_signal(futures):
+            original_cancel(futures)
+            cancelled.set()
+
+        monkeypatch.setattr(chain, "_cancel", cancel_then_signal)
+        provider = FailOnFirstFile()
+        cfg = _config(tmp_path, [("failing", failing.root_path), ("healthy", healthy.root_path)])
+        cfg.analysis_workers = 1
+        results = pipeline.run_analysis(cfg, roster, provider, Store(tmp_path / "cache"), CostLedger())
+        by_team = {r.team: r for r in results}
+        assert not by_team["failing"].ok
+        assert by_team["failing"].error == "HTTP 503 (after 1 attempt)"
+        assert by_team["healthy"].ok, by_team["healthy"].error
+        # the failed send plus at most the one already taken up; the rest were cancelled
+        assert provider.sent[0] == FILES[0]
+        assert len(provider.sent) <= 2 < len(FILES)
+
+
+class OneAtATimeEndpoint:
+    """A chat endpoint that answers 429 to a request sent while another is
+    in flight; it answers the rest as MockProvider would.
+
+    Accepted requests are held until one has been refused, so a run that
+    sends more than one at a time is sure to be throttled.
+    """
+
+    def __init__(self):
+        self.inner = MockProvider()
+        self.in_flight = 0
+        self.refused = 0
+        self.throttled = threading.Event()
+        self._lock = threading.Lock()
+
+    def post(self, url, json, headers, timeout):
+        with self._lock:
+            self.in_flight += 1
+            refuse = self.in_flight > 1
+            self.refused += refuse
+        try:
+            if refuse:
+                self.throttled.set()
+                return _Answer(429, {"Retry-After": "1"})
+            assert self.throttled.wait(timeout=30), "never more than one request at a time"
+            response = self.inner.send(json["messages"], json["model"])
+            return _Answer(
+                200,
+                {},
+                {
+                    "choices": [{"message": {"content": response.text}}],
+                    "usage": {
+                        "prompt_tokens": response.input_tokens,
+                        "completion_tokens": response.output_tokens,
+                    },
+                },
+            )
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class _Answer:
+    def __init__(self, status_code: int, headers: dict, body: dict | None = None):
+        self.status_code = status_code
+        self.headers = headers
+        self.text = ""
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class TestThrottlingEndpoint:
+    def test_every_team_completes_at_the_default_worker_count(self, tmp_path, monkeypatch):
+        roster = load_roster(ROSTER_TEXT)
+        repos = []
+        for n in range(2):
+            handle, _ = synthfix.build(_history(12), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        outputs = {}
+        ledgers = {}
+        for mode in ("sequential", "live"):
+            cfg = _config(tmp_path / mode, repos)
+            ledger = CostLedger()
+            if mode == "sequential":
+                cfg.analysis_workers = 1
+                provider = MockProvider()
+            else:
+                assert cfg.analysis_workers > 1  # the default sends several at once
+                endpoint = OneAtATimeEndpoint()
+                slept: list[float] = []
+                fake_time = types.SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+                monkeypatch.setattr(provider_module, "time", fake_time)
+                fake_requests = types.SimpleNamespace(post=endpoint.post, RequestException=OSError)
+                monkeypatch.setitem(sys.modules, "requests", fake_requests)
+                provider = HttpProvider("http://localhost/v1", "key")
+            results = pipeline.run_analysis(
+                cfg, roster, provider, Store(tmp_path / mode / "cache"), ledger
+            )
+            assert all(r.ok for r in results), [r.error for r in results]
+            out = Path(cfg.out_dir)
+            outputs[mode] = {
+                str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            ledgers[mode] = [(e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries]
+        assert endpoint.refused >= 1
+        # each refused request waited as told, once, and its retry went out alone
+        assert slept == [1.0] * endpoint.refused
+        assert provider.one_at_a_time
+        assert outputs["live"] == outputs["sequential"]
+        assert ledgers["live"] == ledgers["sequential"]
+
+
+def _write_state(team_dir: Path, label: str, start: str) -> None:
+    (team_dir / label).mkdir(parents=True)
+    state = {
+        "team": "team",
+        "window_label": label,
+        "window_start": start,
+        "student_files": {},
+        "student_names": {},
+    }
+    (team_dir / label / pipeline.STATE_NAME).write_text(json.dumps(state), encoding="utf-8")
+
+
+class TestPriorState:
+    def test_prior_window_chosen_by_instant_not_by_string(self, tmp_path):
+        team_dir = tmp_path / "out" / "team"
+        # string order and time order disagree: 09:00+02:00 is 07:00 UTC
+        _write_state(team_dir, "earlier", "2024-03-04T09:00:00+02:00")
+        _write_state(team_dir, "later", "2024-03-04T08:00:00+00:00")
+        cfg = _config(tmp_path, [])
+        cfg.window = AnalysisWindow(
+            start=datetime(2024, 3, 11, tzinfo=timezone.utc),
+            end=datetime(2024, 3, 18, tzinfo=timezone.utc),
+            label="current",
+        )
+        assert pipeline._find_prior_state(cfg, "team").window_label == "later"
+        # 01:00+02:00 on the 11th is 23:00 UTC on the 10th: earlier than the window
+        _write_state(team_dir, "eve", "2024-03-11T01:00:00+02:00")
+        assert pipeline._find_prior_state(cfg, "team").window_label == "eve"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 from contribsum.cli import main
 from contribsum.store import (
@@ -119,6 +121,35 @@ class TestCostLedger:
         assert [e.cost for e in again.entries] == [0.25, 0.5]
         assert main(["cost", "--state", str(tmp_path)]) == 0
         assert "total: $0.75" in capsys.readouterr().out
+
+    def test_concurrent_adds_all_land_whole(self, tmp_path, caplog):
+        path = tmp_path / "ledger.jsonl"
+        ledger = CostLedger(path)
+        threads = [
+            threading.Thread(
+                target=lambda n=n: [ledger.add("analysis", f"m{n}", i, 1, 0.0) for i in range(200)]
+            )
+            for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(ledger.entries) == 1600
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            again = CostLedger(path)
+        assert "truncated ledger line" not in caplog.text
+        assert len(again.entries) == 1600
+        assert len(path.read_text().splitlines()) == 1600
+        assert sorted((e.model_id, e.input_tokens) for e in again.entries) == sorted(
+            (f"m{n}", i) for n in range(8) for i in range(200)
+        )
 
     def test_negative_tokens_rejected(self):
         ledger = CostLedger()
