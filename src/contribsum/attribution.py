@@ -5,7 +5,14 @@ is derived from its parent's ownership plus the commit's diff, so the
 window-end snapshot ends up with one owning commit per line. Commits,
 their order and their file changes come from the ref's `History` (one
 `git log` stream); only blob contents are read through an ObjectReader.
-Semantics:
+
+Replay covers only the paths that can reach a kept snapshot file: the
+files at the snapshot that are not excluded, not binary and not over
+the byte limit, plus every path a rename (merges included) carried into
+one of them, so a file keeps its authors even when it moved in from an
+excluded or deleted path. Changes to other paths are never read or
+diffed, and each commit's state is freed once its last child is
+replayed. Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -21,7 +28,8 @@ Semantics:
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from difflib import SequenceMatcher
@@ -169,13 +177,13 @@ _State = dict[str, list[_OwnedLine]]
 
 
 def _apply_changes(
-    state: _State, changes: tuple[gitio.TreeChange, ...], commit: str, reader: gitio.ObjectReader
+    state: _State, changes: list[gitio.TreeChange], commit: str, read: Callable[[str], bytes]
 ) -> None:
     for change in changes:
         if change.status == "D":
             state.pop(change.path, None)
             continue
-        new_lines = _split_lines(reader.blob(change.new_blob))
+        new_lines = _split_lines(read(change.new_blob))
         if change.status == "A":
             state[change.path] = [_OwnedLine(l, commit) for l in new_lines]
         elif change.status == "R":
@@ -187,7 +195,10 @@ def _apply_changes(
 
 
 def _merge_state(
-    parent_states: list[_State], commit: Commit, reader: gitio.ObjectReader
+    parent_states: list[_State],
+    changes: list[gitio.TreeChange],
+    commit: str,
+    read: Callable[[str], bytes],
 ) -> _State:
     """Ownership after a merge: lines adopt whichever parent wrote them.
 
@@ -198,11 +209,11 @@ def _merge_state(
     """
     state: _State = dict(parent_states[0])
     others = parent_states[1:]
-    for change in commit.changes:
+    for change in changes:
         if change.status == "D":
             state.pop(change.path, None)
             continue
-        new_lines = _split_lines(reader.blob(change.new_blob))
+        new_lines = _split_lines(read(change.new_blob))
         stripped = [l.rstrip() for l in new_lines]
         if change.status == "R":
             base = state.pop(change.old_path or "", [])
@@ -233,24 +244,10 @@ def _merge_state(
                         if queue:
                             out.append(_OwnedLine(new_lines[j], queue.popleft().commit))
                         else:
-                            out.append(_OwnedLine(new_lines[j], commit.hash))
+                            out.append(_OwnedLine(new_lines[j], commit))
             adopted = out
         state[change.path] = adopted
     return state
-
-
-def _ownership_at(root: str, history: History, at: str) -> _State:
-    """Replay `at` and its ancestors, parents first; ownership at `at`."""
-    states: dict[str, _State] = {}
-    with gitio.ObjectReader(root) as reader:
-        for commit in history.ancestors(at).commits:
-            if len(commit.parents) >= 2:
-                state = _merge_state([states[p] for p in commit.parents], commit, reader)
-            else:
-                state = dict(states[commit.parents[0]]) if commit.parents else {}
-                _apply_changes(state, commit.changes, commit.hash, reader)
-            states[commit.hash] = state
-    return states[at]
 
 
 def is_excluded(path: str, globs: tuple[str, ...]) -> bool:
@@ -259,15 +256,109 @@ def is_excluded(path: str, globs: tuple[str, ...]) -> bool:
     return any(fnmatch(path, g) or fnmatch(name, g) for g in globs)
 
 
-def _is_binary(lines: list[_OwnedLine]) -> bool:
-    budget = 8192
-    for line in lines:
-        if "\x00" in line.content[:budget]:
-            return True
-        budget -= len(line.content) + 1
-        if budget <= 0:
-            return False
-    return False
+def is_blamable(blob: bytes, max_file_bytes: int) -> bool:
+    """Text (no NUL in the first 8 KiB) of at most `max_file_bytes` bytes.
+
+    With `is_excluded`, this decides which snapshot files are blamed and
+    which get metrics and table rows.
+    """
+    return len(blob) <= max_file_bytes and b"\0" not in blob[:8192]
+
+
+def _tree_at(history: History, at: str) -> dict[str, str]:
+    """path -> blob sha at `at`, from first-parent changes alone."""
+    chain: list[Commit] = []
+    sha: str | None = at
+    while sha is not None:
+        commit = history.by_sha[sha]
+        chain.append(commit)
+        sha = commit.parents[0] if commit.parents else None
+    tree: dict[str, str] = {}
+    for commit in reversed(chain):
+        for change in commit.changes:
+            if change.status == "R":
+                tree.pop(change.old_path or "", None)
+            if change.status == "D":
+                tree.pop(change.path, None)
+            else:
+                tree[change.path] = change.new_blob
+    return tree
+
+
+def _rename_closure(history: History, kept: set[str]) -> set[str]:
+    """`kept` plus every path whose lines a rename carried into one of them."""
+    sources: dict[str, set[str]] = defaultdict(set)
+    for commit in history.commits:
+        for change in commit.changes:
+            if change.status == "R" and change.old_path is not None:
+                sources[change.path].add(change.old_path)
+    needed = set(kept)
+    pending = list(kept)
+    while pending:
+        for old in sources.get(pending.pop(), ()):
+            if old not in needed:
+                needed.add(old)
+                pending.append(old)
+    return needed
+
+
+def _needed_changes(
+    changes: tuple[gitio.TreeChange, ...], needed: set[str]
+) -> list[gitio.TreeChange]:
+    """The changes that touch a needed path; a rename out of one deletes it."""
+    out: list[gitio.TreeChange] = []
+    for change in changes:
+        if change.path in needed:
+            out.append(change)
+        elif change.old_path in needed:
+            out.append(gitio.TreeChange("D", change.old_path, None, change.old_blob, ""))
+    return out
+
+
+def _ownership_at(
+    root: str, history: History, at: str, excludes: tuple[str, ...], max_file_bytes: int
+) -> tuple[list[str], _State]:
+    """(kept paths in bytewise order, ownership at `at`).
+
+    Kept paths are the files at `at` that are not excluded and whose blob
+    passes `is_blamable`. Replay runs parents first over `at`'s ancestors
+    and applies only changes to the kept paths and their rename sources;
+    each commit's state is dropped after its last child is replayed.
+    """
+    ancestors = history.ancestors(at)
+    children = Counter(p for commit in ancestors.commits for p in commit.parents)
+    with gitio.ObjectReader(root) as reader:
+        head_blobs: dict[str, bytes] = {}  # blob sha -> content, kept files only
+
+        def read(sha: str) -> bytes:
+            return head_blobs[sha] if sha in head_blobs else reader.blob(sha)
+
+        kept: list[str] = []
+        for path, sha in _tree_at(ancestors, at).items():
+            if is_excluded(path, excludes):
+                continue
+            blob = read(sha)
+            if is_blamable(blob, max_file_bytes):
+                kept.append(path)
+                head_blobs[sha] = blob
+        kept.sort(key=lambda p: p.encode("utf-8", "replace"))
+        needed = _rename_closure(ancestors, set(kept))
+
+        states: dict[str, _State] = {}
+        for commit in ancestors.commits:
+            changes = _needed_changes(commit.changes, needed)
+            if commit.is_merge:
+                parents = [states[p] for p in commit.parents]
+                state = _merge_state(parents, changes, commit.hash, read)
+            else:
+                state = dict(states[commit.parents[0]]) if commit.parents else {}
+                _apply_changes(state, changes, commit.hash, read)
+            states[commit.hash] = state
+            for parent in commit.parents:
+                children[parent] -= 1
+                if not children[parent]:
+                    del states[parent]
+    return kept, states[at]
 
 
 def _blame(
@@ -279,7 +370,7 @@ def _blame(
     max_file_bytes: int,
 ) -> list[LineAttribution]:
     """Replay up to `at`, then one attribution per line of each kept file."""
-    state = _ownership_at(root, history, at)
+    kept, state = _ownership_at(root, history, at, excludes, max_file_bytes)
     commits = history.by_sha
     resolved: dict[str, StudentId | None] = {}
 
@@ -290,13 +381,8 @@ def _blame(
         return resolved[sha]
 
     out: list[LineAttribution] = []
-    for path in sorted(state, key=lambda p: p.encode("utf-8", "replace")):
-        lines = state[path]
-        if is_excluded(path, excludes) or _is_binary(lines):
-            continue
-        if sum(len(l.content) + 1 for l in lines) > max_file_bytes:
-            continue
-        for no, line in enumerate(lines, start=1):
+    for path in kept:
+        for no, line in enumerate(state[path], start=1):
             out.append(
                 LineAttribution(
                     path=path,

@@ -19,7 +19,7 @@ from .errors import ConfigError, ContribSumError
 from .identity import load_roster, resolve
 from .pipeline import STATE_NAME
 from .report import ReportDocument, RunMeta, render
-from .store import CostLedger, Store, ledger_report, resolve_state_dir
+from .store import CostLedger, Store, ledger_report, resolve_state_dir, write_atomic
 
 
 def build_provider(cfg: RunConfig):
@@ -184,7 +184,7 @@ def cmd_render(cfg: RunConfig) -> int:
             },
         )
         document = render(summaries, team_summary, meta)
-        (out_dir / "report.md").write_text(document.markdown, encoding="utf-8")
+        write_atomic(out_dir / "report.md", document.markdown)
         print(f"[ok]   {team}: re-rendered {out_dir / 'report.md'}")
     return 0 if failed == 0 else 1
 

@@ -12,6 +12,7 @@ already-present object store.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -134,11 +135,17 @@ def window_head(repo: RepoHandle, window: AnalysisWindow) -> str | None:
     return repo.history.window_head(window)
 
 
-def snapshot(repo: RepoHandle, at: str) -> list[tuple[str, bytes]]:
-    """Full file tree at a commit as (path, content), bytewise path order."""
+def snapshot(
+    repo: RepoHandle, at: str, wanted: Callable[[str], bool] = lambda path: True
+) -> list[tuple[str, bytes]]:
+    """File tree at a commit as (path, content), bytewise path order.
+
+    Only paths for which `wanted(path)` holds are listed, and only their
+    blobs are read.
+    """
     with gitio.ObjectReader(repo.root_path) as reader:
         obj_type, _ = reader.get(at)
         if obj_type != "commit":
             raise UnknownCommit(at)
         entries = gitio.ls_tree(repo.root_path, at)
-        return [(path, reader.blob(blob)) for path, blob in entries]
+        return [(path, reader.blob(blob)) for path, blob in entries if wanted(path)]

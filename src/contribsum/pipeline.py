@@ -33,7 +33,7 @@ from .config import RunConfig
 from .errors import BranchNotFound, ContribSumError
 from .identity import UNMAPPED, Roster, resolve
 from .report import ReportDocument, RunMeta, diff_windows, render
-from .store import CostLedger, Store
+from .store import CostLedger, Store, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -113,10 +113,10 @@ def _analyze_team(
     # per-file metrics and analysis-tier functionality rows, in snapshot order
     files: list[tuple[str, metrics.FileMetrics, chain.Call | None]] = []
     if head is not None:
-        for path, content in ingest.snapshot(repo, head):
-            if attribution.is_excluded(path, cfg.exclude_globs):
-                continue
-            if b"\0" in content[:8192] or len(content) > options.max_file_bytes:
+        for path, content in ingest.snapshot(
+            repo, head, lambda path: not attribution.is_excluded(path, cfg.exclude_globs)
+        ):
+            if not attribution.is_blamable(content, options.max_file_bytes):
                 continue
             text = content.decode("utf-8", "replace")
             file_metrics = metrics.compute_file_metrics(path, content)
@@ -245,16 +245,14 @@ def _analyze_team(
     )
     tables.write_csv(functionality_table, out_dir / "functionality.csv")
     tables.write_csv(contribution_table, out_dir / "contribution.csv")
-    (out_dir / "report.md").write_text(document.markdown, encoding="utf-8")
-    (out_dir / "contribution_set.json").write_text(cset.to_json(), encoding="utf-8")
+    write_atomic(out_dir / "report.md", document.markdown)
+    write_atomic(out_dir / "contribution_set.json", cset.to_json())
     _write_report_state(out_dir, cfg, document, summaries, team_summary)
 
     prior = _find_prior_state(cfg, team)
     if prior is not None:
         delta = diff_windows(prior, document)
-        (out_dir / "delta.md").write_text(
-            delta or "No changes between windows.\n", encoding="utf-8"
-        )
+        write_atomic(out_dir / "delta.md", delta or "No changes between windows.\n")
 
     artifact_names = ["functionality.csv", "contribution.csv", "report.md", "contribution_set.json"]
     if prior is not None:
@@ -282,9 +280,7 @@ def _analyze_team(
             for name in artifact_names
         },
     }
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
 
 
@@ -319,9 +315,7 @@ def _write_report_state(
             "bullets": list(team_summary.progress_bullets),
         },
     }
-    (out_dir / STATE_NAME).write_text(
-        json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / STATE_NAME, json.dumps(state, indent=2, sort_keys=True) + "\n")
 
 
 def _document_from_state(state: dict) -> ReportDocument:

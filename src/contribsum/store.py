@@ -37,6 +37,23 @@ def cache_key(commit_scope: str, template_hash: str, model_id: str, payload: str
     return hashlib.sha256(material.encode()).hexdigest()
 
 
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace `path` with `data` (text as UTF-8) by renaming a temp file
+    written beside it, so a reader never sees a partly written file."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    # unique temp name: concurrent writers of the same path must not clash
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class Store:
     """Durable key → JSON payload cache with digest verification."""
 
@@ -72,10 +89,7 @@ class Store:
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # unique temp name: concurrent writers of the same key must not clash
-        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(wrapped, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        write_atomic(path, json.dumps(wrapped, sort_keys=True))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedCsv, SchemaMismatch
+from .store import write_atomic
 
 FUNCTIONALITY_COLUMNS = (
     "Filename",
@@ -136,7 +137,7 @@ def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int
     if hasattr(destination, "write"):
         destination.write(data)
     else:
-        Path(destination).write_bytes(data)
+        write_atomic(destination, data)
     return len(data)
 
 

@@ -193,3 +193,139 @@ def random_script(seed: int) -> RepoScript:
     )
     script.checkpoints.append((len(steps) - 1, "final"))
     return script
+
+
+PRUNE_MAX_FILE_BYTES = 1000  # the size limit random_pruning_script is built around
+
+
+def random_pruning_script(seed: int) -> RepoScript:
+    """`random_script(seed)` followed by the paths that pruned blame replay
+    must get right, their steps interleaved in a seeded random order:
+
+    * `vendor/` files and a `package-lock.json` a bot edits;
+    * renames from an excluded path to a kept one and back, and a
+      deleted path that a rename later fills again;
+    * a merged side branch that renames a vendored file into a kept path;
+    * one file over PRUNE_MAX_FILE_BYTES mid-history but small at the
+      head, one the other way round, and a binary file.
+    """
+    script = random_script(seed)
+    rng = random.Random(10_000 + seed)
+    counter = 0
+    sizes: dict[str, int] = {}
+
+    def fresh(n: int) -> tuple[str, ...]:
+        nonlocal counter
+        lines = []
+        for _ in range(n):
+            counter += 1
+            lines.append(f"pruned_{seed}_{counter} = {counter}  # padding to about 40 bytes")
+        return tuple(lines)
+
+    def set_file(path: str, n: int) -> SetFile:
+        sizes[path] = n
+        return SetFile(path, fresh(n))
+
+    def insert(path: str, n: int) -> Insert:
+        at = rng.randint(1, sizes[path] + 1)
+        sizes[path] += n
+        return Insert(path, at, fresh(n))
+
+    def replace(path: str) -> Replace:
+        return Replace(path, rng.randint(1, sizes[path]), fresh(1))
+
+    def delete(path: str, count: int) -> Delete:
+        at = rng.randint(1, sizes[path] - count + 1)
+        sizes[path] -= count
+        return Delete(path, at, count)
+
+    def rename(old: str, new: str) -> Rename:
+        sizes[new] = sizes.pop(old)
+        return Rename(old, new)
+
+    # each feature is a list of units; a unit is a run of steps kept
+    # together, each step given as (step options, ops factory)
+    def one(factory) -> list:
+        return [({}, factory)]
+
+    features = [
+        [  # excluded -> kept
+            one(lambda: (set_file("vendor/widget.py", rng.randint(2, 6)),)),
+            one(lambda: (insert("vendor/widget.py", rng.randint(1, 3)),)),
+            one(lambda: (rename("vendor/widget.py", "app/widget.py"),)),
+            one(lambda: (insert("app/widget.py", rng.randint(1, 2)),)),
+        ],
+        [  # kept -> excluded, then renamed back into the path it left
+            one(lambda: (set_file("app/tool.py", rng.randint(2, 6)),)),
+            one(lambda: (replace("app/tool.py"),)),
+            one(lambda: (rename("app/tool.py", "vendor/tool.py"),)),
+            one(lambda: (insert("vendor/tool.py", rng.randint(1, 3)),)),
+            one(lambda: (rename("vendor/tool.py", "app/tool.py"),)),
+        ],
+        [  # a deleted path later filled by a rename from an excluded path
+            one(lambda: (set_file("app/gone.py", rng.randint(2, 5)),)),
+            one(lambda: (Remove("app/gone.py"),)),
+            one(lambda: (set_file("dist/bundle.py", rng.randint(2, 5)),)),
+            one(lambda: (replace("dist/bundle.py"),)),
+            one(lambda: (rename("dist/bundle.py", "app/gone.py"),)),
+        ],
+        [  # generated files that stay excluded
+            one(lambda: (set_file("package-lock.json", rng.randint(5, 15)),)),
+            one(lambda: (replace("package-lock.json"), insert("package-lock.json", 2))),
+            one(lambda: (set_file("vendor/keep.js", rng.randint(1, 4)),)),
+            one(lambda: (replace("package-lock.json"), insert("vendor/keep.js", 1))),
+        ],
+        [  # over the size limit mid-history, small at the head
+            one(lambda: (set_file("app/shrinks.py", rng.randint(2, 5)),)),
+            one(lambda: (insert("app/shrinks.py", 40),)),
+            one(lambda: (replace("app/shrinks.py"),)),
+            one(lambda: (delete("app/shrinks.py", 38),)),
+        ],
+        [  # small mid-history, over the size limit at the head
+            one(lambda: (set_file("app/grows.py", rng.randint(2, 5)),)),
+            one(lambda: (replace("app/grows.py"),)),
+            one(lambda: (insert("app/grows.py", 40),)),
+        ],
+        [  # binary content
+            one(lambda: (SetFile("assets/logo.bin", (f"\x00\x01{seed}binary",)),)),
+            one(lambda: (Replace("assets/logo.bin", 1, (f"\x00\x02{seed}binary",)),)),
+        ],
+        [  # a side branch renames a vendored file into a kept path, then merges
+            one(lambda: (set_file("vendor/shared.js", rng.randint(2, 4)),)),
+            [
+                (
+                    {"create_branch": "topic"},
+                    lambda: (
+                        rename("vendor/shared.js", "app/shared.js"),
+                        set_file("app/topic.py", rng.randint(1, 4)),
+                    ),
+                ),
+                ({}, lambda: (insert("app/topic.py", 1),)),
+                ({"checkout": "main"}, lambda: (set_file("app/mainline.py", rng.randint(1, 3)),)),
+                ({"merge": "topic"}, lambda: ()),
+            ],
+        ],
+    ]
+
+    when = script.steps[-1].date
+    pending = features
+    while pending:
+        feature = rng.choice(pending)
+        for options, factory in feature.pop(0):
+            when += timedelta(hours=1)
+            name, email = _UNKNOWN if rng.random() < 0.1 else rng.choice(_AUTHORS)
+            script.steps.append(
+                Step(
+                    author_name=name,
+                    author_email=email,
+                    message=f"step {len(script.steps)} work",
+                    date=when,
+                    ops=factory(),
+                    **options,
+                )
+            )
+        if not feature:
+            pending.remove(feature)
+    script.name = f"pruning-{seed}"
+    script.checkpoints = [(len(script.steps) - 1, "final")]
+    return script

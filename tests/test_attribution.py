@@ -6,8 +6,8 @@ from datetime import datetime, timezone
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT
-from contribsum import synthfix
+from conftest import JUNE, PRUNE_MAX_FILE_BYTES, ROSTER_TEXT, random_pruning_script
+from contribsum import attribution, gitio, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
@@ -15,6 +15,8 @@ from contribsum.attribution import (
     branch_extra_attributions,
     build_contribution_set,
     churn_stats,
+    is_blamable,
+    is_excluded,
 )
 from contribsum.errors import UnknownCommit
 from contribsum.identity import UNMAPPED
@@ -156,6 +158,97 @@ class TestExclusions:
             handle, handle.head_ref, truth.roster, excludes=(), max_file_bytes=500
         )
         assert {a.path for a in attrs} == {"ok.py"}
+
+
+class TestPrunedReplay:
+    """Replay covers only paths that reach a kept snapshot file; the result
+    must equal a replay of every path, filtered afterwards."""
+
+    def test_pruned_blame_equals_filtered_full_blame(self, tmp_path):
+        for seed in range(100):  # the partition sweep's seeds
+            handle, truth = synthfix.build(random_pruning_script(seed), tmp_path / f"h{seed}")
+            pruned = blame_snapshot(
+                handle, handle.head_ref, truth.roster,
+                excludes=DEFAULT_EXCLUDE_GLOBS, max_file_bytes=PRUNE_MAX_FILE_BYTES,
+            )
+            full = blame_snapshot(
+                handle, handle.head_ref, truth.roster,
+                excludes=(), max_file_bytes=PRUNE_MAX_FILE_BYTES,
+            )
+            assert pruned == [
+                a for a in full if not is_excluded(a.path, DEFAULT_EXCLUDE_GLOBS)
+            ], f"seed {seed}"
+
+            got: dict[str, list] = {}
+            for a in pruned:
+                got.setdefault(a.path, []).append((a.content, a.commit))
+            want = {
+                path: [(tl.content, truth.hash_of(tl.step)) for tl in lines]
+                for path, lines in truth.expected_lines("final").items()
+                if not is_excluded(path, DEFAULT_EXCLUDE_GLOBS)
+                and is_blamable(
+                    ("".join(tl.content + "\n" for tl in lines)).encode(), PRUNE_MAX_FILE_BYTES
+                )
+            }
+            assert got == want, f"seed {seed}: blame deviates from oracle"
+            assert {"app/widget.py", "app/tool.py", "app/gone.py", "app/shared.js"} <= set(got)
+            assert "app/shrinks.py" in got and "app/grows.py" not in got
+
+
+class TestReplayBound:
+    """Blame work does not grow with edits to excluded files."""
+
+    @staticmethod
+    def _history(lock_edits: int) -> RepoScript:
+        lock = tuple(f'    "dep-{i}": "1.{i}.0",' for i in range(5000))
+        steps = [
+            Step("Alice Lee", "alice@campus.edu", "scaffold",
+                 ops=(SetFile("app.py", ("a = 1",)), SetFile("package-lock.json", lock))),
+            Step("Bob Roy", "bob@campus.edu", "app work", ops=(Insert("app.py", 2, ("b = 2",)),)),
+        ]
+        for n in range(lock_edits):
+            steps.append(
+                Step("CI Bot", "bot@nowhere.invalid", f"bump {n}",
+                     ops=(Replace("package-lock.json", 1 + 200 * n, (f'    "dep-x{n}": "2.0",',)),))
+            )
+        steps.append(
+            Step("Alice Lee", "alice@campus.edu", "more app", ops=(Insert("app.py", 1, ("c = 3",)),))
+        )
+        return RepoScript(name=f"lock-{lock_edits}", roster_text=ROSTER_TEXT, steps=steps)
+
+    def test_work_independent_of_lockfile_edits(self, tmp_path, monkeypatch):
+        read: list[str] = []
+        matched: list[int] = []
+        real_blob = gitio.ObjectReader.blob
+
+        def counting_blob(self, sha):
+            read.append(sha)
+            return real_blob(self, sha)
+
+        class CountingMatcher(attribution.SequenceMatcher):
+            def __init__(self, isjunk=None, a="", b="", autojunk=True):
+                matched.append(len(a) + len(b))
+                super().__init__(isjunk, a, b, autojunk)
+
+        monkeypatch.setattr(gitio.ObjectReader, "blob", counting_blob)
+        monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
+        work = {}
+        for edits in (2, 20):
+            handle, truth = synthfix.build(self._history(edits), tmp_path / f"lock-{edits}")
+            lock_blobs = {
+                blob
+                for commit in handle.history.commits
+                for change in commit.changes
+                if change.path == "package-lock.json"
+                for blob in (change.old_blob, change.new_blob)
+            }
+            read.clear()
+            matched.clear()
+            cset = build_contribution_set(handle, JUNE, truth.roster)
+            assert sum(ev.lines_owned for ev in cset.evidence_for("alice")) == 2
+            assert not lock_blobs & set(read), "a blob of an excluded path was read"
+            work[edits] = (len(read), sum(matched))
+        assert work[2] == work[20]
 
 
 class TestPartitionInvariant:

@@ -1,6 +1,6 @@
 """Per-team pipeline: git process counts, per-team branch warnings, the
-run-wide send pool, an endpoint that refuses concurrent requests and the
-choice of the prior window."""
+run-wide send pool, an endpoint that refuses concurrent requests, the
+choice of the prior window, kept files and artifact writes."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import JUNE, ROSTER_TEXT
-from contribsum import pipeline, synthfix
+from contribsum import pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
 from contribsum.agents.provider import (
@@ -454,3 +454,74 @@ class TestPriorState:
         # 01:00+02:00 on the 11th is 23:00 UTC on the 10th: earlier than the window
         _write_state(team_dir, "eve", "2024-03-11T01:00:00+02:00")
         assert pipeline._find_prior_state(cfg, "team").window_label == "eve"
+
+
+def _analyze(tmp_path: Path, repo_path: str):
+    cfg = _config(tmp_path, [("team", repo_path)])
+    with pipeline.send_pool(cfg) as sends:
+        return pipeline.analyze_team(
+            "team", repo_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
+            Store(tmp_path / "cache"), CostLedger(), sends,
+        )
+
+
+class TestKeptFiles:
+    def test_over_size_file_gets_no_lines_and_no_row(self, tmp_path):
+        # 600k characters, 1,194,000 bytes: over the 1 MB limit, which counts bytes
+        script = RepoScript(
+            name="wide",
+            roster_text=ROSTER_TEXT,
+            steps=[
+                Step(*AUTHORS[0], message="wide text",
+                     ops=(SetFile("big.py", ("é" * 99,) * 6000), SetFile("ok.py", ("x = 1",)))),
+            ],
+        )
+        handle, _ = synthfix.build(script, tmp_path / "repo")
+        result = _analyze(tmp_path, handle.root_path)
+        assert result.ok, result.error
+        cset = json.loads(Path(result.artifacts["contribution_set.json"]).read_text("utf-8"))
+        owned = {
+            row["path"] for rows in cset["per_student"].values() for row in rows if row["lines_owned"]
+        }
+        assert owned == {"ok.py"}
+        functionality = Path(result.artifacts["functionality.csv"]).read_text("utf-8")
+        assert "ok.py" in functionality and "big.py" not in functionality
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicArtifacts:
+    def test_failed_report_write_keeps_previous_artifacts(self, tmp_path, monkeypatch):
+        handle, _ = synthfix.build_standard_fixture("sole_author", tmp_path / "repo")
+        first = _analyze(tmp_path, handle.root_path)
+        assert first.ok, first.error
+        out_dir = Path(first.artifacts["report.md"]).parent
+        kept = ("report.md", "contribution_set.json")
+        before = {name: (out_dir / name).read_bytes() for name in kept}
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return _HalfWriter(fh) if Path(file).name.startswith(".report.md.") else fh
+
+        monkeypatch.setattr(store_module, "open", failing_open, raising=False)
+        second = _analyze(tmp_path, handle.root_path)
+        assert not second.ok
+        assert "No space left on device" in second.error
+        assert {name: (out_dir / name).read_bytes() for name in kept} == before
+        assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]
