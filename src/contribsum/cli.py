@@ -1,5 +1,9 @@
 """Command-line entry point: analyze, check, cost, render.
 
+`render` rewrites each team's `report.md` from the `report_state.json`
+that `analyze` saved beside it, byte for byte as `analyze` wrote it,
+without reading the roster or calling the provider.
+
 Exit codes: 0 success, 1 partial failure (some team failed or a check
 found problems), 2 configuration error.
 """
@@ -7,7 +11,7 @@ found problems), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,9 +20,8 @@ from .agents import chain
 from .agents.provider import HttpProvider, MockProvider, ReplayProvider, TokenBucket
 from .config import RunConfig, load_config
 from .errors import ConfigError, ContribSumError
-from .identity import load_roster, resolve
-from .pipeline import STATE_NAME
-from .report import ReportDocument, RunMeta, render
+from .identity import load_roster, unmapped_signatures
+from .report import ReportState
 from .store import CostLedger, Store, ledger_report, resolve_state_dir, write_atomic
 
 
@@ -42,19 +45,11 @@ def _effective_config(cfg: RunConfig) -> RunConfig:
     # mock calls are free by definition; zero the rates so ledger totals
     # stay honest no matter what the config file says
     if cfg.provider_mode == "mock":
-        cfg.analysis_tier = type(cfg.analysis_tier)(
-            tier="analysis",
-            model_id=cfg.analysis_tier.model_id,
-            max_input_tokens=cfg.analysis_tier.max_input_tokens,
-            cost_per_1k_input=0.0,
-            cost_per_1k_output=0.0,
+        cfg.analysis_tier = dataclasses.replace(
+            cfg.analysis_tier, cost_per_1k_input=0.0, cost_per_1k_output=0.0
         )
-        cfg.synthesis_tier = type(cfg.synthesis_tier)(
-            tier="synthesis",
-            model_id=cfg.synthesis_tier.model_id,
-            max_input_tokens=cfg.synthesis_tier.max_input_tokens,
-            cost_per_1k_input=0.0,
-            cost_per_1k_output=0.0,
+        cfg.synthesis_tier = dataclasses.replace(
+            cfg.synthesis_tier, cost_per_1k_input=0.0, cost_per_1k_output=0.0
         )
     return cfg
 
@@ -105,13 +100,7 @@ def cmd_check(cfg: RunConfig) -> int:
             problems += 1
             print(f"[fail] {team}: {exc}")
             continue
-        unmapped: list[str] = []
-        if roster is not None:
-            for commit in repo.history.commits:
-                if resolve(roster, commit.author_name, commit.author_email) is None:
-                    signature = f"{commit.author_name} <{commit.author_email}>"
-                    if signature not in unmapped:
-                        unmapped.append(signature)
+        unmapped = unmapped_signatures(roster, repo.history.commits) if roster else []
         if unmapped:
             print(f"[warn] {team}: unmapped authors: {', '.join(unmapped)}")
         else:
@@ -139,52 +128,22 @@ def cmd_cost(state_dir_arg: str | None) -> int:
 
 
 def cmd_render(cfg: RunConfig) -> int:
-    """Rebuild report.md from persisted state, without provider calls."""
+    """Rewrite report.md from the saved state, without roster or provider."""
     failed = 0
     for team, _path in cfg.repos:
-        out_dir = Path(cfg.out_dir) / team / (cfg.window.label or "window")
-        state_path = out_dir / STATE_NAME
+        out_dir = pipeline.window_dir(cfg, team)
+        state_path = out_dir / pipeline.STATE_NAME
         if not state_path.exists():
             print(f"[fail] {team}: no saved state at {state_path}; run analyze first")
             failed += 1
             continue
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        roster = load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
-        by_id = {s.id: s for s in roster.students}
-        summaries = []
-        for item in state["summaries"]:
-            student = by_id.get(item["id"])
-            if student is None:
-                continue
-            summary = chain.StudentSummary(
-                student=student,
-                headline=item["headline"],
-                per_file_bullets=[tuple(b) for b in item["bullets"]],
-                role=chain.RoleAssignment(role=item["role"][1], seniority=item["role"][0])
-                if item.get("role")
-                else None,
-                validation=chain.ValidationReport(
-                    status="flagged" if item["flags"] else "clean",
-                    flags=tuple(tuple(f) for f in item["flags"]),
-                ),
-            )
-            summaries.append(summary)
-        team_summary = chain.TeamSummary(
-            window=cfg.window,
-            narrative=state["team_summary"]["narrative"],
-            progress_bullets=tuple(state["team_summary"]["bullets"]),
-        )
-        meta = RunMeta(
-            team=team,
-            window=cfg.window,
-            roles_enabled=state.get("roles_enabled", False),
-            evidence={
-                sid: {p: tuple(v) for p, v in paths.items()}
-                for sid, paths in state["student_files"].items()
-            },
-        )
-        document = render(summaries, team_summary, meta)
-        write_atomic(out_dir / "report.md", document.markdown)
+        try:
+            state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"[fail] {team}: unreadable saved state at {state_path}: {exc!r}")
+            failed += 1
+            continue
+        write_atomic(out_dir / "report.md", state.render().markdown)
         print(f"[ok]   {team}: re-rendered {out_dir / 'report.md'}")
     return 0 if failed == 0 else 1
 
@@ -253,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, help_text in (
         ("analyze", "run the full pipeline and write reports"),
         ("check", "validate configuration, repos, and identities without provider calls"),
-        ("render", "re-render reports from cached state without provider calls"),
+        ("render", "rewrite report.md as analyze wrote it, without roster or provider"),
     ):
         sub = commands.add_parser(name, help=help_text)
         _add_config_arguments(sub)

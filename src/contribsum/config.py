@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -50,7 +50,6 @@ class RunConfig:
     analysis_workers: int = 8  # provider requests in flight per run
     rate_limit: float = 0.0  # provider requests/second, 0 = unlimited
     branch: str | None = None  # explicit default branch override
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if not self.repos:

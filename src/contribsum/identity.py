@@ -10,9 +10,11 @@ is not silently dropped.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DuplicateAlias, MalformedRoster
+from .gitio import Commit
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,15 @@ def resolve(roster: Roster, name: str, email: str) -> StudentId | None:
         if student_id:
             return roster.by_id(student_id)
     return None
+
+
+def unmapped_signatures(roster: Roster, commits: Iterable[Commit]) -> list[str]:
+    """`Name <email>` of each author no roster alias matches, in first-seen order."""
+    unmapped: dict[str, None] = {}
+    for commit in commits:
+        if resolve(roster, commit.author_name, commit.author_email) is None:
+            unmapped.setdefault(f"{commit.author_name} <{commit.author_email}>")
+    return list(unmapped)
 
 
 _COAUTHOR_RE = re.compile(

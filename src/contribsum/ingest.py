@@ -68,7 +68,9 @@ class History:
         self.by_sha = {c.hash: c for c in commits}
 
     def window_head(self, window: AnalysisWindow) -> str | None:
-        """Last commit in topological order authored before the window end."""
+        """Commit whose tree is the window-end snapshot: the last one in
+        topological order authored before the window end (a merge can be
+        the branch tip). None when no commit predates the window end."""
         head = None
         for commit in self.commits:
             if commit.authored_at < window.end:
@@ -123,16 +125,6 @@ def list_commits(repo: RepoHandle, window: AnalysisWindow) -> list[Commit]:
     carry no authorship credit. Ordered oldest first by (authored_at, hash).
     """
     return sorted(repo.history.in_window(window), key=lambda c: (c.authored_at, c.hash))
-
-
-def window_head(repo: RepoHandle, window: AnalysisWindow) -> str | None:
-    """Commit whose tree is the window-end snapshot.
-
-    Defined as the last commit in parents-first topological order whose
-    author date precedes the window end (merges included: a merge can be
-    the branch tip). None when no commit predates the window end.
-    """
-    return repo.history.window_head(window)
 
 
 def snapshot(

@@ -23,7 +23,6 @@ import json
 import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 from . import attribution, ingest, metrics, tables
@@ -31,8 +30,8 @@ from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
 from .errors import BranchNotFound, ContribSumError
-from .identity import UNMAPPED, Roster, resolve
-from .report import ReportDocument, RunMeta, diff_windows, render
+from .identity import UNMAPPED, Roster, unmapped_signatures
+from .report import ReportDocument, ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
 
 logger = logging.getLogger(__name__)
@@ -50,7 +49,7 @@ class TeamResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _window_dir(cfg: RunConfig, team: str) -> Path:
+def window_dir(cfg: RunConfig, team: str) -> Path:
     return Path(cfg.out_dir) / team / (cfg.window.label or "window")
 
 
@@ -166,13 +165,7 @@ def _analyze_team(
     for summary in summaries:
         summary.validation = chain.validate_summary(summary, cset)
 
-    # unmapped author warnings from window commits
-    unmapped: list[str] = []
-    for commit in ingest.list_commits(repo, cfg.window):
-        if resolve(roster, commit.author_name, commit.author_email) is None:
-            signature = f"{commit.author_name} <{commit.author_email}>"
-            if signature not in unmapped:
-                unmapped.append(signature)
+    unmapped = unmapped_signatures(roster, ingest.list_commits(repo, cfg.window))
     if UNMAPPED.id in cset.per_student:
         owned = sum(ev.lines_owned for ev in cset.per_student[UNMAPPED.id])
         if owned:
@@ -210,10 +203,11 @@ def _analyze_team(
         branch_sections=tuple(branch_sections),
         evidence=evidence_map,
     )
-    document = render(summaries, team_summary, meta)
+    state = ReportState(tuple(summaries), team_summary, meta)
+    document = state.render()
     result.warnings.extend(document.warnings)
 
-    out_dir = _window_dir(cfg, team)
+    out_dir = window_dir(cfg, team)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     functionality_table = tables.FunctionalityTable(
@@ -247,7 +241,7 @@ def _analyze_team(
     tables.write_csv(contribution_table, out_dir / "contribution.csv")
     write_atomic(out_dir / "report.md", document.markdown)
     write_atomic(out_dir / "contribution_set.json", cset.to_json())
-    _write_report_state(out_dir, cfg, document, summaries, team_summary)
+    write_atomic(out_dir / STATE_NAME, state.to_json())
 
     prior = _find_prior_state(cfg, team)
     if prior is not None:
@@ -284,75 +278,22 @@ def _analyze_team(
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
 
 
-def _write_report_state(
-    out_dir: Path, cfg: RunConfig, document: ReportDocument, summaries, team_summary
-) -> None:
-    """Persist what `render` needs, so `contribsum render` can re-render
-    and later windows can compute deltas, all without provider calls."""
-    state = {
-        "team": document.team,
-        "window_label": document.window_label,
-        "window_start": cfg.window.start.isoformat(),
-        "student_files": {
-            sid: {p: list(v) for p, v in paths.items()}
-            for sid, paths in document.student_files.items()
-        },
-        "student_names": document.student_names,
-        "roles_enabled": cfg.roles_enabled,
-        "summaries": [
-            {
-                "id": s.student.id,
-                "name": s.student.display_name,
-                "headline": s.headline,
-                "bullets": [[p, t] for p, t in s.per_file_bullets],
-                "role": [s.role.seniority, s.role.role] if s.role else None,
-                "flags": [[c, r] for c, r in (s.validation.flags if s.validation else ())],
-            }
-            for s in summaries
-        ],
-        "team_summary": {
-            "narrative": team_summary.narrative,
-            "bullets": list(team_summary.progress_bullets),
-        },
-    }
-    write_atomic(out_dir / STATE_NAME, json.dumps(state, indent=2, sort_keys=True) + "\n")
-
-
-def _document_from_state(state: dict) -> ReportDocument:
-    return ReportDocument(
-        team=state["team"],
-        window_label=state["window_label"],
-        student_sections=[],
-        team_section="",
-        warnings=[],
-        markdown="",
-        student_files={
-            sid: {p: tuple(v) for p, v in paths.items()}
-            for sid, paths in state["student_files"].items()
-        },
-        student_names=state["student_names"],
-    )
-
-
 def _find_prior_state(cfg: RunConfig, team: str) -> ReportDocument | None:
     """Most recent earlier window's report state for this team, if any."""
     team_dir = Path(cfg.out_dir) / team
     if not team_dir.exists():
         return None
     # window starts may carry different UTC offsets: compare instants, not strings
-    best: tuple[datetime, dict] | None = None
+    best: ReportState | None = None
     for state_path in team_dir.glob(f"*/{STATE_NAME}"):
         try:
-            state = json.loads(state_path.read_text(encoding="utf-8"))
-            start = datetime.fromisoformat(state["window_start"])
-            earlier = start < cfg.window.start
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
+            state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
+        except (OSError, KeyError, TypeError, ValueError):
             continue
-        if earlier and (best is None or start > best[0]):
-            best = (start, state)
-    if best is None:
-        return None
-    return _document_from_state(best[1])
+        start = state.meta.window.start
+        if start < cfg.window.start and (best is None or start > best.meta.window.start):
+            best = state
+    return None if best is None else best.render()
 
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:

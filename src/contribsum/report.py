@@ -9,10 +9,13 @@ erode trust in the reports.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
-from .agents.chain import StudentSummary, TeamSummary
+from .agents.chain import RoleAssignment, StudentSummary, TeamSummary, ValidationReport
 from .errors import TeamMismatch
+from .identity import StudentId
 from .ingest import AnalysisWindow
 
 TEAM_SECTION_TITLE = "Overall contribution of the team"
@@ -133,6 +136,100 @@ def render(
         student_files={sid: dict(paths) for sid, paths in meta.evidence.items()},
         student_names={s.student.id: s.student.display_name for s in summaries},
     )
+
+
+@dataclass(frozen=True)
+class ReportState:
+    """Exactly what `render` takes, saved as `report_state.json` by `analyze`
+    and loaded back by `contribsum render` and the next window's delta.
+
+    A state saved without `window_end`, `unmapped_authors` or
+    `branch_sections` loads with an open-ended window and none of them.
+    """
+
+    summaries: tuple[StudentSummary, ...]
+    team_summary: TeamSummary
+    meta: RunMeta
+
+    def render(self) -> ReportDocument:
+        return render(list(self.summaries), self.team_summary, self.meta)
+
+    def to_json(self) -> str:
+        meta = self.meta
+        state = {
+            "team": meta.team,
+            "window_label": meta.window.label,
+            "window_start": meta.window.start.isoformat(),
+            "window_end": meta.window.end.isoformat(),
+            "roles_enabled": meta.roles_enabled,
+            "unmapped_authors": list(meta.unmapped_authors),
+            "branch_sections": [
+                [branch, [list(count) for count in per_student], list(files)]
+                for branch, per_student, files in meta.branch_sections
+            ],
+            "student_files": {
+                sid: {p: list(v) for p, v in paths.items()} for sid, paths in meta.evidence.items()
+            },
+            # also in "summaries"; kept so readers of the older format still load it
+            "student_names": {s.student.id: s.student.display_name for s in self.summaries},
+            "summaries": [
+                {
+                    "id": s.student.id,
+                    "name": s.student.display_name,
+                    "headline": s.headline,
+                    "bullets": [[p, t] for p, t in s.per_file_bullets],
+                    "role": [s.role.seniority, s.role.role] if s.role else None,
+                    "flags": [[c, r] for c, r in (s.validation.flags if s.validation else ())],
+                }
+                for s in self.summaries
+            ],
+            "team_summary": {
+                "narrative": self.team_summary.narrative,
+                "bullets": list(self.team_summary.progress_bullets),
+            },
+        }
+        return json.dumps(state, indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> ReportState:
+        state = json.loads(text)
+        start = datetime.fromisoformat(state["window_start"])
+        end = state.get("window_end")
+        window = AnalysisWindow(
+            start=start,
+            end=datetime.fromisoformat(end) if end else datetime.max.replace(tzinfo=timezone.utc),
+            label=state["window_label"],
+        )
+        summaries = tuple(
+            StudentSummary(
+                student=StudentId(id=item["id"], display_name=item["name"]),
+                headline=item["headline"],
+                per_file_bullets=[tuple(b) for b in item["bullets"]],
+                role=RoleAssignment(*reversed(item["role"])) if item["role"] else None,
+                validation=ValidationReport(
+                    status="flagged" if item["flags"] else "clean",
+                    flags=tuple(tuple(f) for f in item["flags"]),
+                ),
+            )
+            for item in state["summaries"]
+        )
+        team = state["team_summary"]
+        team_summary = TeamSummary(window, team["narrative"], tuple(team["bullets"]))
+        meta = RunMeta(
+            team=state["team"],
+            window=window,
+            roles_enabled=state["roles_enabled"],
+            unmapped_authors=tuple(state.get("unmapped_authors", ())),
+            branch_sections=tuple(
+                (branch, tuple(tuple(count) for count in per_student), tuple(files))
+                for branch, per_student, files in state.get("branch_sections", ())
+            ),
+            evidence={
+                sid: {p: tuple(v) for p, v in paths.items()}
+                for sid, paths in state["student_files"].items()
+            },
+        )
+        return cls(summaries, team_summary, meta)
 
 
 def diff_windows(earlier: ReportDocument, later: ReportDocument) -> str:

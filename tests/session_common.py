@@ -16,7 +16,7 @@ from contribsum import synthfix
 from contribsum.agents import chain
 from contribsum.agents.provider import ModelTier
 from contribsum.attribution import build_contribution_set
-from contribsum.ingest import AnalysisWindow, snapshot, window_head
+from contribsum.ingest import AnalysisWindow, snapshot
 from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
@@ -182,7 +182,7 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
     handle, truth = synthfix.build(session_script(), workdir / "security_focus")
     roster = truth.roster
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
-    head = window_head(handle, SESSION_WINDOW)
+    head = handle.history.window_head(SESSION_WINDOW)
 
     functionality = []
     for path, content in snapshot(handle, head):

@@ -307,10 +307,10 @@ def test_report_shape(tmp_path):
         mock = MockProvider()
         functionality = []
         contribution_rows = []
-        from contribsum.ingest import snapshot, window_head
+        from contribsum.ingest import snapshot
         from contribsum.metrics import compute_file_metrics
 
-        head = window_head(handle, window)
+        head = handle.history.window_head(window)
         for path, content in snapshot(handle, head):
             functionality.append(
                 chain.summarize_file(

@@ -300,17 +300,164 @@ class TestCost:
         assert "(no entries)" not in out  # calls were made, they were just free
 
 
+# a report_state.json in the format saved before `window_end`,
+# `unmapped_authors` and `branch_sections` were kept
+OLD_FORMAT_STATE = """\
+{
+  "roles_enabled": false,
+  "student_files": {
+    "alice": {"parser.py": [5, 5]},
+    "carol": {"notes.py": [4, 4]}
+  },
+  "student_names": {"alice": "Alice Lee", "carol": "Carol Weiss"},
+  "summaries": [
+    {
+      "bullets": [["parser.py", "Alice Lee started the parser."]],
+      "flags": [],
+      "headline": "Alice Lee started the parser.",
+      "id": "alice",
+      "name": "Alice Lee",
+      "role": null
+    },
+    {
+      "bullets": [["notes.py", "Carol Weiss kept notes."]],
+      "flags": [["notes.py: Carol Weiss kept notes.", "zero-lines"]],
+      "headline": "Carol Weiss kept notes.",
+      "id": "carol",
+      "name": "Carol Weiss",
+      "role": null
+    }
+  ],
+  "team": "team-alpha",
+  "team_summary": {"bullets": ["Parser begun."], "narrative": "The team set up the parser."},
+  "window_label": "week-0",
+  "window_start": "2024-05-01T00:00:00+00:00"
+}
+"""
+
+# what the state above gives as the prior window of `interleaved_edits` in June
+OLD_FORMAT_DELTA = """\
+Changes for team-alpha from week-0 to week-1:
+
+Alice Lee:
+- `parser.py`: lines owned 5 -> 7
+
+Bob Roy:
+- touched new file `parser.py` (3 lines owned)
+
+Carol Weiss:
+- no longer owns lines in `notes.py`
+"""
+
+OLD_FORMAT_REPORT = """\
+# Contribution report: team-alpha (week-0)
+
+## Alice Lee
+
+Summary: Alice Lee started the parser.
+
+Contributions:
+
+- `parser.py`: Alice Lee started the parser.
+
+## Carol Weiss
+
+Summary: Carol Weiss kept notes.
+
+Contributions:
+
+- `notes.py`: Carol Weiss kept notes. **[caution: zero-lines]**
+
+## Overall contribution of the team
+
+The team set up the parser.
+
+- Parser begun.
+
+## Warnings
+
+- Carol Weiss: claim about `notes.py` is unsupported (zero-lines)
+"""
+
+
 class TestRender:
-    def test_rerender_matches_original_report(self, tmp_path):
-        config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})
-        assert main(["analyze", "--config", str(config)]) == 0
-        report_path = tmp_path / "out" / "team-alpha" / "week-1" / "report.md"
+    def _rerendered(self, root: Path, config: Path, *args: str, between=None) -> str:
+        """Analyze, clobber report.md, render; assert the bytes came back."""
+        assert main(["analyze", "--config", str(config), *args]) == 0
+        report_path = root / "out" / "team-alpha" / "week-1" / "report.md"
         original = report_path.read_bytes()
         report_path.write_bytes(b"clobbered\n")
-        assert main(["render", "--config", str(config)]) == 0
+        if between is not None:
+            between()
+        assert main(["render", "--config", str(config), *args]) == 0
         assert report_path.read_bytes() == original
+        return original.decode("utf-8")
+
+    def test_rerender_matches_original_report(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})
+        self._rerendered(tmp_path, config)
+
+    @pytest.mark.parametrize("fixture", synthfix.STANDARD_FIXTURES)
+    @pytest.mark.parametrize("args", [(), ("--include-branch", "experiment", "--roles")])
+    def test_rerender_matches_on_every_fixture(self, tmp_path, fixture, args):
+        config = make_workspace(tmp_path, {"team-alpha": fixture})
+        self._rerendered(tmp_path, config, *args)
+
+    def test_rerender_keeps_unmerged_branch_section(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "unmerged_branch"})
+        report = self._rerendered(tmp_path, config, "--include-branch", "experiment")
+        assert "## Unmerged branch: experiment" in report
+        assert "- included unmerged branch: experiment" in report
+
+    def test_rerender_keeps_unmapped_author_warning(self, tmp_path):
+        from contribsum.synthfix import RepoScript, SetFile, Step, build
+
+        config = make_workspace(tmp_path, {})
+        dest = tmp_path / "repos" / "team-alpha"
+        steps = [
+            Step("Alice Lee", "alice@campus.edu", "start", ops=(SetFile("app.py", ("x = 1",)),)),
+            Step("CI Bot", "bot@nowhere.invalid", "gen", ops=(SetFile("gen.py", ("y = 2",)),)),
+        ]
+        build(RepoScript("bot", ROSTER, steps), dest)
+        text = config.read_text().replace("[repos]\n", f"[repos]\nteam-alpha = {dest}\n")
+        config.write_text(text)
+        report = self._rerendered(tmp_path, config)
+        assert "- unmapped author signature: CI Bot <bot@nowhere.invalid>" in report
+
+    def test_rerender_ignores_roster_edits(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})
+
+        def edit_roster():
+            # rename one student, drop another
+            (tmp_path / "roster.txt").write_text(
+                "alice | Alicia Lee | alice@campus.edu\ncarol | Carol Weiss | carol@campus.edu\n"
+            )
+
+        report = self._rerendered(tmp_path, config, between=edit_roster)
+        assert "## Alice Lee" in report and "## Bob Roy" in report
+
+    def test_old_format_state_is_still_the_prior_window(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "interleaved_edits"})
+        old_dir = tmp_path / "out" / "team-alpha" / "week-0"
+        old_dir.mkdir(parents=True)
+        (old_dir / "report_state.json").write_text(OLD_FORMAT_STATE, encoding="utf-8")
+        assert main(["analyze", "--config", str(config)]) == 0
+        delta = tmp_path / "out" / "team-alpha" / "week-1" / "delta.md"
+        assert delta.read_text(encoding="utf-8") == OLD_FORMAT_DELTA
+        week_0 = ["--window-label", "week-0", "--window-start", "2024-05-01T00:00:00+00:00",
+                  "--window-end", "2024-06-01T00:00:00+00:00"]
+        assert main(["render", "--config", str(config), *week_0]) == 0
+        assert (old_dir / "report.md").read_text(encoding="utf-8") == OLD_FORMAT_REPORT
 
     def test_render_without_state_fails(self, tmp_path, capsys):
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
         assert main(["render", "--config", str(config)]) == 1
         assert "run analyze first" in capsys.readouterr().out
+
+    def test_render_with_unreadable_state_fails(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        assert main(["analyze", "--config", str(config)]) == 0
+        state = tmp_path / "out" / "team-alpha" / "week-1" / "report_state.json"
+        state.write_text(state.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        assert main(["render", "--config", str(config)]) == 1
+        assert "unreadable saved state" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import JUNE
 from contribsum.errors import BranchNotFound, NotARepository, UnknownCommit
-from contribsum.ingest import AnalysisWindow, list_commits, open_repo, snapshot, window_head
+from contribsum.ingest import AnalysisWindow, list_commits, open_repo, snapshot
 from contribsum import synthfix
 
 
@@ -136,17 +136,17 @@ class TestWindowHead:
             end=datetime(2020, 2, 1, tzinfo=timezone.utc),
             label="prehistory",
         )
-        assert window_head(handle, window) is None
+        assert handle.history.window_head(window) is None
 
     def test_full_window_is_branch_head(self, built_fixtures):
         handle, _ = built_fixtures["merged_branch"]
-        assert window_head(handle, JUNE) == handle.head_ref
+        assert handle.history.window_head(JUNE) == handle.head_ref
 
     def test_partial_window_stops_at_cutoff(self, built_fixtures):
         handle, truth = built_fixtures["interleaved_edits"]
         cutoff = truth.steps[1].authored_at  # exclusive: second commit outside
         window = AnalysisWindow(start=JUNE.start, end=cutoff, label="early")
-        assert window_head(handle, window) == truth.hash_of(0)
+        assert handle.history.window_head(window) == truth.hash_of(0)
 
 
 class TestReplayConsistency:

@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 import types
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,7 @@ from contribsum.config import RunConfig
 from contribsum.errors import ProviderError
 from contribsum.identity import load_roster
 from contribsum.ingest import AnalysisWindow
+from contribsum.report import ReportState, RunMeta
 from contribsum.store import CostLedger, Store
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
@@ -428,14 +429,10 @@ class TestThrottlingEndpoint:
 
 def _write_state(team_dir: Path, label: str, start: str) -> None:
     (team_dir / label).mkdir(parents=True)
-    state = {
-        "team": "team",
-        "window_label": label,
-        "window_start": start,
-        "student_files": {},
-        "student_names": {},
-    }
-    (team_dir / label / pipeline.STATE_NAME).write_text(json.dumps(state), encoding="utf-8")
+    begin = datetime.fromisoformat(start)
+    window = AnalysisWindow(start=begin, end=begin + timedelta(days=7), label=label)
+    state = ReportState((), chain.TeamSummary(window, "narrative"), RunMeta("team", window))
+    (team_dir / label / pipeline.STATE_NAME).write_text(state.to_json(), encoding="utf-8")
 
 
 class TestPriorState:

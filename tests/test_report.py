@@ -1,12 +1,17 @@
-"""Report rendering shape and window-to-window diffs."""
+"""Report rendering shape, the saved report state and window-to-window diffs."""
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import JUNE
 from contribsum.agents.chain import (
     NO_CONTRIBUTION_TEXT,
+    ROLES,
+    SENIORITIES,
     RoleAssignment,
     StudentSummary,
     TeamSummary,
@@ -14,7 +19,8 @@ from contribsum.agents.chain import (
 )
 from contribsum.errors import TeamMismatch
 from contribsum.identity import StudentId
-from contribsum.report import ROLE_DISCLAIMER, RunMeta, diff_windows, render
+from contribsum.ingest import AnalysisWindow
+from contribsum.report import ROLE_DISCLAIMER, ReportState, RunMeta, diff_windows, render
 
 ALICE = StudentId("alice", "Alice Lee")
 BOB = StudentId("bob", "Bob Roy")
@@ -126,6 +132,83 @@ def _doc(team="t", label="week-1", files=None):
         _team(),
         RunMeta(team=team, window=JUNE, evidence=files or {}),
     )
+
+
+# any text, non-ASCII and control characters included
+texts = st.text(max_size=12)
+pairs = st.tuples(texts, texts)
+
+
+@st.composite
+def windows(draw):
+    offset = timezone(timedelta(minutes=draw(st.integers(-12 * 60, 14 * 60))))
+    start = draw(st.datetimes(datetime(2000, 1, 1), datetime(2100, 1, 1))).replace(tzinfo=offset)
+    length = draw(st.timedeltas(timedelta(microseconds=1), timedelta(days=400)))
+    return AnalysisWindow(start=start, end=start + length, label=draw(texts))
+
+
+@st.composite
+def summaries(draw, student):
+    flags = draw(st.lists(pairs, max_size=3).map(tuple))
+    return StudentSummary(
+        student=student,
+        headline=draw(texts),
+        per_file_bullets=draw(st.lists(pairs, max_size=3)),
+        role=draw(
+            st.none() | st.builds(RoleAssignment, st.sampled_from(ROLES), st.sampled_from(SENIORITIES))
+        ),
+        validation=ValidationReport(status="flagged" if flags else "clean", flags=flags),
+    )
+
+
+@st.composite
+def report_states(draw):
+    window = draw(windows())
+    students = draw(
+        st.lists(st.builds(StudentId, texts, texts), max_size=4, unique_by=lambda s: s.id)
+    )
+    sids = st.sampled_from([s.id for s in students]) if students else texts
+    owned = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+    meta = RunMeta(
+        team=draw(texts),
+        window=window,
+        roles_enabled=draw(st.booleans()),
+        unmapped_authors=tuple(draw(st.lists(texts, max_size=3))),
+        branch_sections=tuple(
+            draw(
+                st.lists(
+                    st.tuples(
+                        texts,
+                        st.lists(st.tuples(texts, st.integers(0, 10**6)), max_size=3).map(tuple),
+                        st.lists(texts, max_size=3).map(tuple),
+                    ),
+                    max_size=2,
+                )
+            )
+        ),
+        evidence=draw(st.dictionaries(sids, st.dictionaries(texts, owned, max_size=3), max_size=4)),
+    )
+    team = TeamSummary(window, draw(texts), tuple(draw(st.lists(texts, max_size=3))))
+    return ReportState(tuple(draw(summaries(s)) for s in students), team, meta)
+
+
+class TestReportState:
+    @settings(max_examples=100, deadline=None)
+    @given(report_states())
+    def test_json_round_trip_renders_the_same(self, state):
+        loaded = ReportState.from_json(state.to_json())
+        assert loaded == state
+        assert loaded.render() == state.render()
+        assert loaded.to_json() == state.to_json()
+
+    def test_state_without_window_end_loads_open_ended(self):
+        state = ReportState((), _team(), RunMeta(team="team-x", window=JUNE))
+        text = state.to_json().replace(f'  "window_end": "{JUNE.end.isoformat()}",\n', "")
+        assert "window_end" not in text
+        loaded = ReportState.from_json(text)
+        assert loaded.meta.window.start == JUNE.start
+        assert loaded.meta.window.end == datetime.max.replace(tzinfo=timezone.utc)
+        assert loaded.render().markdown == state.render().markdown
 
 
 class TestDiffWindows:
