@@ -19,7 +19,7 @@ from .attribution import (
 )
 from .identity import CoAuthorTag, Roster, StudentId, load_roster, parse_coauthors, resolve
 from .gitio import Commit
-from .ingest import AnalysisWindow, RepoHandle, list_commits, open_repo, snapshot
+from .ingest import AnalysisWindow, RepoHandle, list_commits, open_repo
 from .metrics import (
     ComplexityReport,
     FileMetrics,
@@ -57,6 +57,5 @@ __all__ = [
     "open_repo",
     "parse_coauthors",
     "resolve",
-    "snapshot",
     "tag_count",
 ]

@@ -245,7 +245,7 @@ def extract_data_block(prompt: str) -> dict | None:
 
 
 class MockProvider:
-    """Deterministic offline provider: hashed request -> canned text.
+    """Deterministic offline provider: hashed request -> generated text.
 
     Responses are pure functions of the request, so the whole pipeline
     becomes reproducible byte for byte. When constructed with per-model
@@ -255,12 +255,7 @@ class MockProvider:
 
     def __init__(self, budgets: dict[str, int] | None = None):
         self.budgets = budgets or {}
-        self.canned: dict[str, str] = {}
         self.calls: list[dict] = []
-
-    def stub(self, messages: list[dict], model_id: str, text: str) -> None:
-        """Pin an exact response for one request (failure injection)."""
-        self.canned[request_digest(messages, model_id)] = text
 
     def send(self, messages: list[dict], model_id: str) -> ProviderResponse:
         joined = "".join(m.get("content", "") for m in messages)
@@ -272,11 +267,8 @@ class MockProvider:
             )
         self.calls.append({"model": model_id, "messages": messages})
         digest = request_digest(messages, model_id)
-        if digest in self.canned:
-            text = self.canned[digest]
-        else:
-            data = extract_data_block(joined)
-            text = _generate(data, digest) if data else f"[mock:{digest[:12]}]"
+        data = extract_data_block(joined)
+        text = _generate(data, digest) if data else f"[mock:{digest[:12]}]"
         return ProviderResponse(
             text=text,
             input_tokens=estimate_tokens(joined),

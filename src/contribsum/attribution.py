@@ -10,9 +10,12 @@ Replay covers only the paths that can reach a kept snapshot file: the
 files at the snapshot that are not excluded, not binary and not over
 the byte limit, plus every path a rename (merges included) carried into
 one of them, so a file keeps its authors even when it moved in from an
-excluded or deleted path. Changes to other paths are never read or
-diffed, and each commit's state is freed once its last child is
-replayed. Semantics:
+excluded or deleted path. Symlinks and gitlinks (submodules) are never
+kept, and a gitlink is never read. Changes to other paths are never
+read or diffed, and each commit's state is freed once its last child is
+replayed. Replay hands back the kept files with their head bytes; the
+`ContributionSet` carries them with their metrics, computed once, so
+the pipeline reads no blob of its own. Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -90,6 +93,15 @@ class ContributionEvidence:
     comment_only: bool = False
 
 
+@dataclass(frozen=True)
+class KeptFile:
+    """A window-end snapshot file that is blamed, measured and summarized."""
+
+    path: str
+    content: bytes  # the head blob
+    metrics: metrics.FileMetrics
+
+
 @dataclass
 class ContributionSet:
     window: AnalysisWindow
@@ -97,6 +109,7 @@ class ContributionSet:
     zero_commit_students: list[StudentId]
     students: dict[str, StudentId]
     head: str | None = None  # window-end snapshot commit; None before any commit
+    files: tuple[KeptFile, ...] = ()  # kept files at `head`, bytewise path order; not serialized
 
     def evidence_for(self, student_id: str) -> list[ContributionEvidence]:
         return self.per_student.get(student_id, [])
@@ -259,14 +272,15 @@ def is_excluded(path: str, globs: tuple[str, ...]) -> bool:
 def is_blamable(blob: bytes, max_file_bytes: int) -> bool:
     """Text (no NUL in the first 8 KiB) of at most `max_file_bytes` bytes.
 
-    With `is_excluded`, this decides which snapshot files are blamed and
-    which get metrics and table rows.
+    With `is_excluded` and the tree mode (no symlink, no gitlink), this
+    decides which snapshot files are kept: blamed, measured and given
+    table rows.
     """
     return len(blob) <= max_file_bytes and b"\0" not in blob[:8192]
 
 
-def _tree_at(history: History, at: str) -> dict[str, str]:
-    """path -> blob sha at `at`, from first-parent changes alone."""
+def _tree_at(history: History, at: str) -> dict[str, tuple[str, str]]:
+    """path -> (mode, blob sha) at `at`, from first-parent changes alone."""
     chain: list[Commit] = []
     sha: str | None = at
     while sha is not None:
@@ -281,7 +295,7 @@ def _tree_at(history: History, at: str) -> dict[str, str]:
             if change.status == "D":
                 tree.pop(change.path, None)
             else:
-                tree[change.path] = change.new_blob
+                tree[change.path] = (change.new_mode, change.new_blob)
     return tree
 
 
@@ -305,25 +319,31 @@ def _rename_closure(history: History, kept: set[str]) -> set[str]:
 def _needed_changes(
     changes: tuple[gitio.TreeChange, ...], needed: set[str]
 ) -> list[gitio.TreeChange]:
-    """The changes that touch a needed path; a rename out of one deletes it."""
+    """The changes that touch a needed path. A rename out of one deletes
+    it, and so does a change into a gitlink, which has no blob to read."""
     out: list[gitio.TreeChange] = []
     for change in changes:
-        if change.path in needed:
+        if change.path in needed and change.new_mode != gitio.GITLINK_MODE:
             out.append(change)
-        elif change.old_path in needed:
-            out.append(gitio.TreeChange("D", change.old_path, None, change.old_blob, ""))
+        elif change.path in needed or change.old_path in needed:
+            gone = change.path if change.path in needed else change.old_path
+            out.append(
+                gitio.TreeChange("D", gone, None, change.old_mode, "000000", change.old_blob, "")
+            )
     return out
 
 
 def _ownership_at(
     root: str, history: History, at: str, excludes: tuple[str, ...], max_file_bytes: int
-) -> tuple[list[str], _State]:
-    """(kept paths in bytewise order, ownership at `at`).
+) -> tuple[dict[str, bytes], set[str], _State]:
+    """(kept files -> head bytes in bytewise path order, skipped paths,
+    ownership at `at`).
 
-    Kept paths are the files at `at` that are not excluded and whose blob
-    passes `is_blamable`. Replay runs parents first over `at`'s ancestors
-    and applies only changes to the kept paths and their rename sources;
-    each commit's state is dropped after its last child is replayed.
+    A path at `at` that is not excluded is kept when it is no symlink or
+    gitlink and its blob passes `is_blamable`, else skipped. Replay runs
+    parents first over `at`'s ancestors and applies only changes to the
+    kept paths and their rename sources; each commit's state is dropped
+    after its last child is replayed.
     """
     ancestors = history.ancestors(at)
     children = Counter(p for commit in ancestors.commits for p in commit.parents)
@@ -333,15 +353,18 @@ def _ownership_at(
         def read(sha: str) -> bytes:
             return head_blobs[sha] if sha in head_blobs else reader.blob(sha)
 
-        kept: list[str] = []
-        for path, sha in _tree_at(ancestors, at).items():
+        kept: dict[str, bytes] = {}
+        skipped: set[str] = set()
+        tree = _tree_at(ancestors, at)
+        for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
+            mode, sha = tree[path]
             if is_excluded(path, excludes):
                 continue
-            blob = read(sha)
-            if is_blamable(blob, max_file_bytes):
-                kept.append(path)
-                head_blobs[sha] = blob
-        kept.sort(key=lambda p: p.encode("utf-8", "replace"))
+            blob = None if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE) else read(sha)
+            if blob is not None and is_blamable(blob, max_file_bytes):
+                kept[path] = head_blobs[sha] = blob
+            else:
+                skipped.add(path)
         needed = _rename_closure(ancestors, set(kept))
 
         states: dict[str, _State] = {}
@@ -358,7 +381,7 @@ def _ownership_at(
                 children[parent] -= 1
                 if not children[parent]:
                     del states[parent]
-    return kept, states[at]
+    return kept, skipped, states[at]
 
 
 def _blame(
@@ -368,9 +391,10 @@ def _blame(
     roster: Roster,
     excludes: tuple[str, ...],
     max_file_bytes: int,
-) -> list[LineAttribution]:
-    """Replay up to `at`, then one attribution per line of each kept file."""
-    kept, state = _ownership_at(root, history, at, excludes, max_file_bytes)
+) -> tuple[dict[str, bytes], set[str], list[LineAttribution]]:
+    """Replay up to `at`: `_ownership_at`'s kept files and skipped paths,
+    then one attribution per line of each kept file."""
+    kept, skipped, state = _ownership_at(root, history, at, excludes, max_file_bytes)
     commits = history.by_sha
     resolved: dict[str, StudentId | None] = {}
 
@@ -393,7 +417,7 @@ def _blame(
                     authored_at=commits[line.commit].authored_at,
                 )
             )
-    return out
+    return kept, skipped, out
 
 
 def blame_snapshot(
@@ -409,7 +433,7 @@ def blame_snapshot(
     co-author splitting is applied later, during evidence aggregation.
     """
     history = repo.history if at in repo.history.by_sha else History(gitio.log(repo.root_path, at))
-    return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
+    return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)[2]
 
 
 def _credit_list(commit: Commit, roster: Roster, split: bool) -> list[StudentId]:
@@ -477,17 +501,23 @@ def build_contribution_set(
             evidence[key] = ContributionEvidence(student=student, path=path)
         return evidence[key]
 
+    files: tuple[KeptFile, ...] = ()
+    skipped: set[str] = set()
     if head is not None:
-        attributions = _blame(
+        kept, skipped, attributions = _blame(
             repo.root_path, history, head, roster, tuple(options.exclude_globs),
             options.max_file_bytes,
         )
+        files = tuple(
+            KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
+            for path, blob in kept.items()
+        )
+        kinds = {file.path: file.metrics.kind for file in files}
 
         credit_cache: dict[str, list[StudentId]] = {}
         credit_counter: dict[str, int] = defaultdict(int)
         credited: list[tuple[LineAttribution, StudentId]] = []
         noncomment_lines: dict[tuple[str, str], int] = defaultdict(int)
-        kind_cache: dict[str, str] = {}
         for attr in attributions:  # already in (path, line_no) order
             commit = history.by_sha[attr.commit]
             if attr.commit not in credit_cache:
@@ -502,9 +532,7 @@ def build_contribution_set(
             row.lines_owned += 1
             if window.contains(attr.authored_at) and not commit.is_merge:
                 row.lines_added_in_window += 1
-            if attr.path not in kind_cache:
-                kind_cache[attr.path] = metrics.classify_file(attr.path, attr.content.encode())
-            if not _is_comment_line(kind_cache[attr.path], attr.content):
+            if not _is_comment_line(kinds[attr.path], attr.content):
                 noncomment_lines[(student.id, attr.path)] += 1
 
         for row in evidence.values():
@@ -512,7 +540,7 @@ def build_contribution_set(
                 row.lines_owned > 0 and noncomment_lines[(row.student.id, row.path)] == 0
             )
 
-        _attach_solo_functions(credited, evidence_row)
+        _attach_solo_functions(files, credited, evidence_row)
 
     for commit in window_commits:
         credits = _credit_list(commit, roster, options.split_coauthors)
@@ -520,7 +548,9 @@ def build_contribution_set(
             p for change in commit.changes for p in (change.path, change.old_path) if p is not None
         }
         for path in sorted(touched):
-            if is_excluded(path, tuple(options.exclude_globs)):
+            # a head file that is not kept gets no row; a path gone by the
+            # head keeps the messages that touched it
+            if path in skipped or is_excluded(path, tuple(options.exclude_globs)):
                 continue
             for student in credits:
                 evidence_row(student, path).commit_messages.append(commit.message)
@@ -539,21 +569,21 @@ def build_contribution_set(
         zero_commit_students=zero_commit,
         students=students,
         head=head,
+        files=files,
     )
 
 
-def _attach_solo_functions(credited, evidence_row) -> None:
+def _attach_solo_functions(files: tuple[KeptFile, ...], credited, evidence_row) -> None:
     """Mark functions whose every line (innermost span) one student wrote."""
-    by_path: dict[str, list[tuple[LineAttribution, StudentId]]] = defaultdict(list)
+    owner_by_path: dict[str, dict[int, StudentId]] = defaultdict(dict)
     for attr, student in credited:
-        by_path[attr.path].append((attr, student))
-    for path, rows in by_path.items():
-        if metrics.classify_file(path, b"") != "script":
+        owner_by_path[attr.path][attr.line_no] = student
+    for file in files:
+        if file.metrics.kind != "script":
             continue
-        source = "\n".join(attr.content for attr, _ in rows)
-        report = metrics.cyclomatic(source)
-        spans = [(f.name, f.start, f.end, f.score) for f in report.functions]
-        owner_by_line = {attr.line_no: student for attr, student in rows}
+        path = file.path
+        owner_by_line = owner_by_path[path]
+        spans = [(f.name, f.start, f.end, f.score) for f in file.metrics.complexity.functions]
         for name, start, end, score in spans:
             lines = set(range(start, end + 1))
             for _, other_start, other_end, _ in spans:
@@ -621,6 +651,6 @@ def branch_extra_attributions(
         for attr in _blame(
             repo.root_path, history, bhead, roster, tuple(options.exclude_globs),
             options.max_file_bytes,
-        )
+        )[2]
         if attr.commit not in repo.history.by_sha
     ]

@@ -226,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_cost(args.state_dir)
 
     try:
-        cfg = load_config(args.config, _overrides_from(args))
+        # render reads only saved state: no roster, no provider
+        cfg = load_config(args.config, _overrides_from(args), inputs=args.command != "render")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

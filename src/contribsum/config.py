@@ -51,7 +51,10 @@ class RunConfig:
     rate_limit: float = 0.0  # provider requests/second, 0 = unlimited
     branch: str | None = None  # explicit default branch override
 
-    def validate(self) -> None:
+    def validate(self, inputs: bool = True) -> None:
+        """Reject an unusable configuration; with `inputs`, also require what
+        `analyze` and `check` read and `render` does not: the roster and
+        instruction files, the provider's endpoint, key or replay directory."""
         if not self.repos:
             raise ConfigError("no repositories configured ([repos] section empty)")
         paths = [p for _, p in self.repos]
@@ -59,6 +62,14 @@ class RunConfig:
             raise ConfigError("repository paths must be distinct")
         if self.provider_mode not in PROVIDER_MODES:
             raise ConfigError(f"provider must be one of {PROVIDER_MODES}, got {self.provider_mode!r}")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
+        if not 1 <= self.analysis_workers <= MAX_ANALYSIS_WORKERS:
+            raise ConfigError(f"analysis_workers must be between 1 and {MAX_ANALYSIS_WORKERS}")
+        if not 0 <= self.rate_limit < math.inf:
+            raise ConfigError("rate_limit must be a finite, non-negative number")
+        if not inputs:
+            return
         if self.provider_mode == "live":
             if not self.endpoint:
                 raise ConfigError("live provider requires [provider] endpoint")
@@ -74,12 +85,6 @@ class RunConfig:
             value = getattr(self, key)
             if value and not Path(value).exists():
                 raise ConfigError(f"{key.replace('_path', '')} file not found: {value}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        if not 1 <= self.analysis_workers <= MAX_ANALYSIS_WORKERS:
-            raise ConfigError(f"analysis_workers must be between 1 and {MAX_ANALYSIS_WORKERS}")
-        if not 0 <= self.rate_limit < math.inf:
-            raise ConfigError("rate_limit must be a finite, non-negative number")
 
     def resolved_api_key(self) -> str:
         return os.environ.get(API_KEY_ENV_VAR) or self.api_key
@@ -151,11 +156,12 @@ def resolve_window(
     return AnalysisWindow(start=start, end=end, label=window_label or "window")
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = True) -> RunConfig:
     """Parse and validate the run configuration file.
 
     `overrides` carries CLI flag values (same key names as [run] options,
-    plus `week`); only non-None entries take effect.
+    plus `week`); only non-None entries take effect. `inputs` is passed
+    to `RunConfig.validate`.
     """
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     config_path = Path(path)
@@ -236,5 +242,5 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         rate_limit=_parse_number(run_opt("rate_limit") or "0", float, "[run] rate_limit"),
         branch=run_opt("branch"),
     )
-    cfg.validate()
+    cfg.validate(inputs)
     return cfg

@@ -7,7 +7,7 @@ porcelain, no working tree, no network):
   carry their file changes against the first parent;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
   blob contents;
-* short one-off commands (ref lookups, `ls-tree`) through `git`.
+* short one-off commands (ref lookups) through `git`.
 
 Higher modules (ingest, attribution) build on these primitives.
 """
@@ -39,6 +39,11 @@ def git(root: str, *args: str, check: bool = True) -> bytes | None:
     )
 
 
+# Tree entry modes that name no file content: a symlink's blob is its
+# target path, a gitlink's "blob" is a submodule commit absent here.
+SYMLINK_MODE, GITLINK_MODE = "120000", "160000"
+
+
 @dataclass(frozen=True)
 class TreeChange:
     """One file-level change between two trees (a raw diff entry)."""
@@ -46,6 +51,8 @@ class TreeChange:
     status: str  # one of "A", "M", "D", "R"
     path: str  # post-image path (pre-image path for deletions)
     old_path: str | None  # set for renames only
+    old_mode: str  # octal tree mode, "000000" when absent
+    new_mode: str
     old_blob: str
     new_blob: str
 
@@ -103,16 +110,16 @@ def log(root: str, tip: str) -> list[Commit]:
         i += 6
         changes: list[TreeChange] = []
         while i < len(fields) and fields[i].lstrip("\n").startswith(":"):
-            # :oldmode newmode oldsha newsha status
-            _, _, old_blob, new_blob, status = fields[i].lstrip("\n:").split()
+            # :oldmode newmode oldsha newsha status, in TreeChange field order
+            *raw, status = fields[i].lstrip("\n:").split()
             kind = status[0]
             if kind in ("R", "C"):
-                changes.append(TreeChange("R", fields[i + 2], fields[i + 1], old_blob, new_blob))
+                changes.append(TreeChange("R", fields[i + 2], fields[i + 1], *raw))
                 i += 3
             else:
                 if kind not in ("A", "M", "D"):
                     kind = "M"  # type changes (T) and friends: treat as modify
-                changes.append(TreeChange(kind, fields[i + 1], None, old_blob, new_blob))
+                changes.append(TreeChange(kind, fields[i + 1], None, *raw))
                 i += 2
         commits.append(
             Commit(
@@ -134,8 +141,7 @@ class ObjectReader:
     """Persistent `git cat-file --batch` process for cheap blob reads.
 
     One subprocess serves every blob fetch for a repository, which keeps
-    snapshot and blame replay fast. Not thread-safe; use one reader per
-    thread.
+    blame replay fast. Not thread-safe; use one reader per thread.
     """
 
     def __init__(self, root: str):
@@ -189,16 +195,3 @@ class ObjectReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def ls_tree(root: str, commit: str) -> list[tuple[str, str]]:
-    """(path, blob sha) for every blob in the commit's tree, path-sorted."""
-    entries: list[tuple[str, str]] = []
-    for record in git(root, "ls-tree", "-r", "-z", commit).split(b"\0"):
-        if not record:
-            continue
-        meta, _, path = record.partition(b"\t")
-        parts = meta.decode().split()
-        if len(parts) >= 3 and parts[1] == "blob":
-            entries.append((path.decode("utf-8", "replace"), parts[2]))
-    entries.sort(key=lambda e: e[0].encode("utf-8", "replace"))
-    return entries

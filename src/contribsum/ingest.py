@@ -1,4 +1,4 @@
-"""Immutable views over local git clones: history, snapshots, windows.
+"""Immutable views over local git clones: history and windows.
 
 A ref's history is read once, from one `git log` stream, into a
 `History`: every reachable commit with its first-parent file changes.
@@ -12,13 +12,12 @@ already-present object store.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 
 from . import gitio
-from .errors import BranchNotFound, NotARepository, UnknownCommit
+from .errors import BranchNotFound, NotARepository
 from .gitio import Commit
 
 
@@ -126,18 +125,3 @@ def list_commits(repo: RepoHandle, window: AnalysisWindow) -> list[Commit]:
     """
     return sorted(repo.history.in_window(window), key=lambda c: (c.authored_at, c.hash))
 
-
-def snapshot(
-    repo: RepoHandle, at: str, wanted: Callable[[str], bool] = lambda path: True
-) -> list[tuple[str, bytes]]:
-    """File tree at a commit as (path, content), bytewise path order.
-
-    Only paths for which `wanted(path)` holds are listed, and only their
-    blobs are read.
-    """
-    with gitio.ObjectReader(repo.root_path) as reader:
-        obj_type, _ = reader.get(at)
-        if obj_type != "commit":
-            raise UnknownCommit(at)
-        entries = gitio.ls_tree(repo.root_path, at)
-        return [(path, reader.blob(blob)) for path, blob in entries if wanted(path)]

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import attribution, ingest, metrics, tables
+from . import attribution, ingest, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
@@ -33,8 +32,6 @@ from .errors import BranchNotFound, ContribSumError
 from .identity import UNMAPPED, Roster, unmapped_signatures
 from .report import ReportDocument, ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
-
-logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
 STATE_NAME = "report_state.json"
@@ -109,24 +106,17 @@ def _analyze_team(
     cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
     head = cset.head
 
-    # per-file metrics and analysis-tier functionality rows, in snapshot order
-    files: list[tuple[str, metrics.FileMetrics, chain.Call | None]] = []
-    if head is not None:
-        for path, content in ingest.snapshot(
-            repo, head, lambda path: not attribution.is_excluded(path, cfg.exclude_globs)
-        ):
-            if not attribution.is_blamable(content, options.max_file_bytes):
-                continue
-            text = content.decode("utf-8", "replace")
-            file_metrics = metrics.compute_file_metrics(path, content)
-            call = chain.file_call(cfg.analysis_tier, path, text, file_metrics, store=store)
-            files.append((path, file_metrics, call))
-    answers = chain.answer_all(
-        provider, [call for _, _, call in files], pool, ledger=ledger, store=store
-    )
+    # analysis-tier functionality rows for the kept files, in snapshot order
+    calls = [
+        chain.file_call(
+            cfg.analysis_tier, f.path, f.content.decode("utf-8", "replace"), f.metrics, store=store
+        )
+        for f in cset.files
+    ]
+    answers = chain.answer_all(provider, calls, pool, ledger=ledger, store=store)
     functionality_rows = [
-        chain.functionality_row(path, file_metrics, answer)
-        for (path, file_metrics, _), answer in zip(files, answers)
+        chain.functionality_row(f.path, f.metrics, answer)
+        for f, answer in zip(cset.files, answers)
     ]
     rows_by_path = {row.path: row for row in functionality_rows}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import subprocess
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -37,6 +38,39 @@ def _isolated_env(monkeypatch):
 @pytest.fixture
 def june_window() -> AnalysisWindow:
     return JUNE
+
+
+def tree_files(handle, at: str) -> list[tuple[str, bytes]]:
+    """(path, content) of every blob in commit `at`'s tree, bytewise path
+    order: `git ls-tree` plus one `git cat-file --batch`, a reader
+    independent of blame replay."""
+    root = handle.root_path
+    listing = subprocess.run(
+        ["git", "-C", root, "ls-tree", "-r", "-z", at], capture_output=True, check=True
+    ).stdout
+    entries = []
+    for record in listing.split(b"\0"):
+        if not record:
+            continue
+        meta, _, path = record.partition(b"\t")
+        _mode, kind, sha = meta.decode().split()
+        if kind == "blob":
+            entries.append((path.decode("utf-8", "replace"), sha))
+    entries.sort(key=lambda e: e[0].encode("utf-8", "replace"))
+    batch = subprocess.run(
+        ["git", "-C", root, "cat-file", "--batch"],
+        input="".join(sha + "\n" for _, sha in entries).encode(),
+        capture_output=True,
+        check=True,
+    ).stdout
+    files = []
+    pos = 0
+    for path, _ in entries:
+        header_end = batch.index(b"\n", pos)
+        size = int(batch[pos:header_end].split()[2])
+        files.append((path, batch[header_end + 1:header_end + 1 + size]))
+        pos = header_end + 2 + size  # payload and its trailing newline
+    return files
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,12 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from pathlib import Path
 
+from conftest import tree_files
 from contribsum import synthfix
 from contribsum.agents import chain
 from contribsum.agents.provider import ModelTier
 from contribsum.attribution import build_contribution_set
-from contribsum.ingest import AnalysisWindow, snapshot
+from contribsum.ingest import AnalysisWindow
 from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
@@ -185,7 +186,7 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
     head = handle.history.window_head(SESSION_WINDOW)
 
     functionality = []
-    for path, content in snapshot(handle, head):
+    for path, content in tree_files(handle, head):
         text = content.decode()
         functionality.append(
             chain.summarize_file(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from complexity_corpus import CORPUS, total_functions
-from conftest import JUNE, random_script
+from conftest import JUNE, random_script, tree_files
 from contribsum import synthfix
 from contribsum.agents import chain
 from contribsum.agents.provider import MockProvider, ModelTier
@@ -307,11 +307,10 @@ def test_report_shape(tmp_path):
         mock = MockProvider()
         functionality = []
         contribution_rows = []
-        from contribsum.ingest import snapshot
         from contribsum.metrics import compute_file_metrics
 
         head = handle.history.window_head(window)
-        for path, content in snapshot(handle, head):
+        for path, content in tree_files(handle, head):
             functionality.append(
                 chain.summarize_file(
                     mock,

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import JUNE, PRUNE_MAX_FILE_BYTES, ROSTER_TEXT, random_pruning_script
+from conftest import JUNE, PRUNE_MAX_FILE_BYTES, ROSTER_TEXT, random_pruning_script, tree_files
 from contribsum import attribution, gitio, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
+    MAX_BLAME_FILE_BYTES,
     blame_snapshot,
     branch_extra_attributions,
     build_contribution_set,
@@ -20,6 +21,8 @@ from contribsum.attribution import (
 )
 from contribsum.errors import UnknownCommit
 from contribsum.identity import UNMAPPED
+from contribsum.ingest import AnalysisWindow
+from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
 
 
@@ -193,6 +196,70 @@ class TestPrunedReplay:
             assert got == want, f"seed {seed}: blame deviates from oracle"
             assert {"app/widget.py", "app/tool.py", "app/gone.py", "app/shared.js"} <= set(got)
             assert "app/shrinks.py" in got and "app/grows.py" not in got
+
+
+def _reference_kept(handle, at, excludes, max_file_bytes) -> list[tuple[str, bytes]]:
+    """The kept files by an independent tree reader and the same predicate."""
+    return [
+        (path, content)
+        for path, content in tree_files(handle, at)
+        if not is_excluded(path, excludes) and is_blamable(content, max_file_bytes)
+    ]
+
+
+def _kept(cset) -> list[tuple[str, bytes]]:
+    for file in cset.files:
+        assert file.metrics == compute_file_metrics(file.path, file.content), file.path
+    return [(file.path, file.content) for file in cset.files]
+
+
+class TestKeptFiles:
+    """`ContributionSet.files`, the kept files replay hands back, equal an
+    `ls-tree` + `cat-file` listing of the window-end snapshot filtered by
+    `is_excluded` + `is_blamable`."""
+
+    def test_standard_fixtures(self, built_fixtures):
+        for name, (handle, truth) in built_fixtures.items():
+            cset = build_contribution_set(handle, JUNE, truth.roster)
+            assert cset.head == handle.head_ref, name
+            want = _reference_kept(handle, cset.head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
+            assert _kept(cset) == want, name
+
+    def test_pruning_scripts(self, tmp_path):
+        options = AttributionOptions(max_file_bytes=PRUNE_MAX_FILE_BYTES)
+        for seed in range(100):
+            handle, truth = synthfix.build(random_pruning_script(seed), tmp_path / f"k{seed}")
+            cset = build_contribution_set(handle, JUNE, truth.roster, options)
+            assert cset.head == handle.head_ref, f"seed {seed}"
+            want = _reference_kept(handle, cset.head, DEFAULT_EXCLUDE_GLOBS, PRUNE_MAX_FILE_BYTES)
+            assert _kept(cset) == want, f"seed {seed}"
+
+    @staticmethod
+    def _files_after(handle, truth, step: int) -> list[tuple[str, bytes]]:
+        """Kept files of a window that ends just after `step`."""
+        end = truth.steps[step].authored_at + timedelta(seconds=1)
+        window = AnalysisWindow(start=JUNE.start, end=end, label="cut")
+        cset = build_contribution_set(handle, window, truth.roster)
+        assert cset.head == truth.hash_of(step)
+        return _kept(cset)
+
+    def test_initial_commit_single_file(self, built_fixtures):
+        handle, truth = built_fixtures["sole_author"]
+        files = self._files_after(handle, truth, 0)
+        assert [path for path, _ in files] == ["app.py"]
+        assert b"booting application" in files[0][1]
+
+    def test_rename_shows_new_path_only(self, built_fixtures):
+        handle, truth = built_fixtures["rename_keeps_authors"]
+        files = dict(self._files_after(handle, truth, 1))
+        assert "helpers.py" in files
+        assert "util.py" not in files
+
+    def test_paths_bytewise_sorted(self, built_fixtures):
+        handle, truth = built_fixtures["generated_file_exclusion"]
+        cset = build_contribution_set(handle, JUNE, truth.roster)
+        paths = [file.path for file in cset.files]
+        assert paths == sorted(paths, key=lambda p: p.encode())
 
 
 class TestReplayBound:

@@ -436,6 +436,26 @@ class TestRender:
         report = self._rerendered(tmp_path, config, between=edit_roster)
         assert "## Alice Lee" in report and "## Bob Roy" in report
 
+    def test_rerender_without_roster(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})
+        roster = tmp_path / "roster.txt"
+
+        def move_roster():
+            roster.rename(tmp_path / "roster.moved")
+
+        self._rerendered(tmp_path, config, between=move_roster)
+        assert main(["analyze", "--config", str(config)]) == 2  # analyze still needs it
+
+    def test_rerender_needs_no_provider_credentials(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+
+        def go_live():
+            # a live provider with neither endpoint nor API key
+            config.write_text(config.read_text().replace("provider = mock", "provider = live"))
+
+        self._rerendered(tmp_path, config, between=go_live)
+        assert main(["analyze", "--config", str(config)]) == 2
+
     def test_old_format_state_is_still_the_prior_window(self, tmp_path):
         config = make_workspace(tmp_path, {"team-alpha": "interleaved_edits"})
         old_dir = tmp_path / "out" / "team-alpha" / "week-0"

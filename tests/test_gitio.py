@@ -24,14 +24,15 @@ def _reference_changes(root: str, commit: str, parent: str | None) -> tuple[Tree
     changes = []
     i = 0
     while i < len(fields) and fields[i]:
-        _, _, old_blob, new_blob, status = fields[i].decode().lstrip(":").split()
+        old_mode, new_mode, old_blob, new_blob, status = fields[i].decode().lstrip(":").split()
+        modes_blobs = (old_mode, new_mode, old_blob, new_blob)
         if status[0] in ("R", "C"):
             old_path, path = fields[i + 1].decode(), fields[i + 2].decode()
-            changes.append(TreeChange("R", path, old_path, old_blob, new_blob))
+            changes.append(TreeChange("R", path, old_path, *modes_blobs))
             i += 3
         else:
             kind = status[0] if status[0] in ("A", "M", "D") else "M"
-            changes.append(TreeChange(kind, fields[i + 1].decode(), None, old_blob, new_blob))
+            changes.append(TreeChange(kind, fields[i + 1].decode(), None, *modes_blobs))
             i += 2
     return tuple(changes)
 

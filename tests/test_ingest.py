@@ -1,4 +1,4 @@
-"""Repository opening, history listing, snapshots."""
+"""Repository opening, history listing, window heads."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ from datetime import datetime, timezone
 
 import pytest
 
-from conftest import JUNE
-from contribsum.errors import BranchNotFound, NotARepository, UnknownCommit
-from contribsum.ingest import AnalysisWindow, list_commits, open_repo, snapshot
+from conftest import JUNE, tree_files
+from contribsum.errors import BranchNotFound, NotARepository
+from contribsum.ingest import AnalysisWindow, list_commits, open_repo
 from contribsum import synthfix
 
 
@@ -102,32 +102,6 @@ class TestListCommits:
         assert any("Co-authored-by: Bob Roy" in r.message for r in records)
 
 
-class TestSnapshot:
-    def test_initial_commit_single_file(self, built_fixtures):
-        handle, truth = built_fixtures["sole_author"]
-        first = truth.hash_of(0)
-        files = snapshot(handle, first)
-        assert [path for path, _ in files] == ["app.py"]
-        assert b"booting application" in files[0][1]
-
-    def test_rename_shows_new_path_only(self, built_fixtures):
-        handle, truth = built_fixtures["rename_keeps_authors"]
-        files = dict(snapshot(handle, truth.hash_of(1)))
-        assert "helpers.py" in files
-        assert "util.py" not in files
-
-    def test_unknown_commit(self, built_fixtures):
-        handle, _ = built_fixtures["sole_author"]
-        with pytest.raises(UnknownCommit):
-            snapshot(handle, "0" * 40)
-
-    def test_paths_bytewise_sorted(self, built_fixtures):
-        handle, _ = built_fixtures["generated_file_exclusion"]
-        files = snapshot(handle, handle.head_ref)
-        paths = [p for p, _ in files]
-        assert paths == sorted(paths, key=lambda p: p.encode())
-
-
 class TestWindowHead:
     def test_none_before_any_commit(self, built_fixtures):
         handle, _ = built_fixtures["sole_author"]
@@ -158,8 +132,8 @@ class TestReplayConsistency:
             for record in list_commits(handle, JUNE):
                 if not record.parents:
                     continue
-                parent_files = dict(snapshot(handle, record.parents[0]))
-                child_files = dict(snapshot(handle, record.hash))
+                parent_files = dict(tree_files(handle, record.parents[0]))
+                child_files = dict(tree_files(handle, record.hash))
                 expected = dict(parent_files)
                 for change in record.changes:
                     if change.status == "D":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from complexity_corpus import CORPUS
 from contribsum.errors import MalformedNotebook
@@ -103,6 +104,41 @@ class TestCyclomatic:
         }
         combined = {f.name: f.score for f in cyclomatic(first + "\n" + second).functions}
         assert combined == separate
+
+
+# every line boundary that str.splitlines splits on
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+_CODE_PIECES = (
+    "def f(a):", "    if a and b:", "        return 1", "    elif c or d:", "    for x in y:",
+    "    while z:", "    try:", "    except E:", "    v = 1 if a else 2",
+    "    w = [i for i in a if i]", "class K:", "    def m(self):", "        def inner():",
+    "@wrap", "x = 1", "# note", '"""', "'''", "    s = 'it' + \"s\"", '    t = """open',
+    "    match a:", "        case 1:", "", "    ", "\t",
+)
+
+
+class TestBlameJoinedSource:
+    """Blame replay holds a file as its `splitlines` lines; joining them
+    with "\\n" must score exactly as the file's own text does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_CODE_PIECES), st.text(max_size=12)),
+                st.sampled_from(_LINE_BREAKS),
+            ),
+            max_size=30,
+        ),
+        st.booleans(),
+    )
+    def test_cyclomatic_of_joined_lines_equals_cyclomatic(self, lines, trailing_break):
+        text = "".join(piece + brk for piece, brk in lines)
+        if lines and not trailing_break:
+            text = text[: -len(lines[-1][1])]
+        assert cyclomatic(text) == cyclomatic("\n".join(text.splitlines()))
 
 
 class TestFunctionSpans:

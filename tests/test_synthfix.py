@@ -6,10 +6,10 @@ import subprocess
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT, random_script
+from conftest import JUNE, ROSTER_TEXT, random_script, tree_files
 from contribsum import synthfix
 from contribsum.errors import ScriptError
-from contribsum.ingest import list_commits, snapshot
+from contribsum.ingest import list_commits
 from contribsum.synthfix import (
     Delete,
     Insert,
@@ -175,7 +175,7 @@ class TestBuiltRepoMatchesGitView:
 
     def test_snapshot_equals_truth_content(self, built_fixtures):
         for name, (handle, truth) in built_fixtures.items():
-            files = dict(snapshot(handle, handle.head_ref))
+            files = dict(tree_files(handle, handle.head_ref))
             want = {
                 path: ("\n".join(t.content for t in lines) + "\n").encode()
                 for path, lines in truth.expected_lines("final").items()
@@ -199,6 +199,6 @@ class TestRandomScripts:
             script = random_script(seed)
             handle, truth = build(script, tmp_path / f"r{seed}")
             assert truth.step_hashes
-            files = dict(snapshot(handle, handle.head_ref))
+            files = dict(tree_files(handle, handle.head_ref))
             want_files = set(truth.expected_lines("final"))
             assert set(files) == want_files
