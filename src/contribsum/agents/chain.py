@@ -9,6 +9,7 @@ responses.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -103,12 +104,15 @@ class SynthesisBundle:
     template_instructions: str = ""  # defaults to the shipped synthesize template
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """A shipped prompt template, read once per process."""
     return resources.files("contribsum.agents.prompts").joinpath(f"{name}.txt").read_text(
         encoding="utf-8"
     )
 
 
+@functools.cache
 def template_hash(name: str) -> str:
     return hashlib.sha256(load_template(name).encode()).hexdigest()
 

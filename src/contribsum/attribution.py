@@ -24,6 +24,11 @@ the pipeline reads no blob of its own. Semantics:
 * rename-following at the 50% content-similarity threshold;
 * whitespace-only line changes (trailing whitespace) never transfer
   ownership, so reformatting earns no credit;
+* ties between identical repeated lines break at the ends: an edit's
+  common prefix and suffix keep their owners, and only the lines between
+  are aligned, as git's xdiff trims common ends before diffing
+  (`xdl_trim_ends`, https://github.com/git/git/blob/master/xdiff/xprepare.c),
+  so the line matcher sees only the edited region, not the whole file;
 * ownership depends on commit history alone, never on file contents
   claiming authorship, which defuses comment injection.
 """
@@ -37,6 +42,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import fnmatch
+from itertools import compress, count, islice
+from operator import attrgetter, ne
 
 from . import gitio, metrics
 from .errors import BranchNotFound, UnknownCommit
@@ -78,7 +85,6 @@ class LineAttribution:
 class AttributionOptions:
     split_coauthors: bool = True
     exclude_globs: tuple[str, ...] = DEFAULT_EXCLUDE_GLOBS
-    include_branches: tuple[str, ...] = ()
     max_file_bytes: int = MAX_BLAME_FILE_BYTES
 
 
@@ -153,22 +159,73 @@ def _split_lines(blob: bytes) -> list[str]:
     return blob.decode("utf-8", "replace").splitlines()
 
 
-def _apply_line_diff(old: list[_OwnedLine], new_lines: list[str], commit: str) -> list[_OwnedLine]:
-    """Carry ownership across an edit; comparison ignores trailing whitespace."""
-    matcher = SequenceMatcher(
-        a=[l.content.rstrip() for l in old],
-        b=[l.rstrip() for l in new_lines],
-        autojunk=False,
-    )
-    out: list[_OwnedLine] = []
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            for k in range(j2 - j1):
-                out.append(_OwnedLine(new_lines[j1 + k], old[i1 + k].commit))
-        elif tag in ("replace", "insert"):
-            for j in range(j1, j2):
-                out.append(_OwnedLine(new_lines[j], commit))
+_CONTENT = attrgetter("content")
+
+
+def _equal_run(
+    old: list[_OwnedLine], new: list[str], limit: int, backward: bool
+) -> tuple[int, list[int]]:
+    """(length, whitespace-only steps) of the run of at most `limit` lines at
+    the front of `old` and `new` (the back when `backward`) that are equal
+    once trailing whitespace is stripped. A step indexes both lists where
+    the contents differ in trailing whitespace alone."""
+    n, steps = 0, []
+    while n < limit:
+        # byte-equal lines are compared at C speed, up to the first difference
+        olds = islice(reversed(old) if backward else old, n, limit)
+        news = islice(reversed(new) if backward else new, n, limit)
+        n += next(compress(count(), map(ne, map(_CONTENT, olds), news)), limit - n)
+        k = -1 - n if backward else n
+        if n == limit or old[k].content.rstrip() != new[k].rstrip():
+            break
+        steps.append(k)
+        n += 1
+    return n, steps
+
+
+def _carry_lines(
+    old: list[_OwnedLine], new_lines: list[str], fresh: Callable[[list[str]], list[_OwnedLine]]
+) -> list[_OwnedLine]:
+    """Ownership of `new_lines` after an edit of `old`: matched lines keep
+    their owner, and `fresh` owns each run of unmatched new lines.
+
+    Lines compare with trailing whitespace stripped. The common prefix and
+    suffix match first and are carried over as slices, reusing each
+    `_OwnedLine` whose content is byte-equal; `SequenceMatcher` aligns only
+    the middle.
+    """
+    limit = min(len(old), len(new_lines))
+    head, head_steps = _equal_run(old, new_lines, limit, backward=False)
+    tail, tail_steps = _equal_run(old, new_lines, limit - head, backward=True)
+    out = old[:head]
+    for k in head_steps:
+        out[k] = _OwnedLine(new_lines[k], old[k].commit)
+    suffix = old[len(old) - tail:]
+    for k in tail_steps:
+        suffix[k] = _OwnedLine(new_lines[k], old[k].commit)
+    a = old[head:len(old) - tail]
+    b = new_lines[head:len(new_lines) - tail]
+    if a and b:
+        matcher = SequenceMatcher(
+            a=[l.content.rstrip() for l in a], b=[l.rstrip() for l in b], autojunk=False
+        )
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag == "equal":
+                out += [
+                    o if o.content == line else _OwnedLine(line, o.commit)
+                    for o, line in zip(a[i1:i2], b[j1:j2])
+                ]
+            elif tag in ("replace", "insert"):
+                out += fresh(b[j1:j2])
+    elif b:
+        out += fresh(b)
+    out += suffix
     return out
+
+
+def _apply_line_diff(old: list[_OwnedLine], new_lines: list[str], commit: str) -> list[_OwnedLine]:
+    """Carry ownership across an edit; `commit` owns the lines it wrote."""
+    return _carry_lines(old, new_lines, lambda lines: [_OwnedLine(l, commit) for l in lines])
 
 
 def _count_line_churn(old: list[str], new: list[str]) -> tuple[int, int]:
@@ -243,22 +300,15 @@ def _merge_state(
             for other in others:
                 for line in other.get(change.path, []):
                     pool[line.content.rstrip()].append(line)
-            matcher = SequenceMatcher(
-                a=[l.content.rstrip() for l in base], b=stripped, autojunk=False
-            )
-            out: list[_OwnedLine] = []
-            for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-                if tag == "equal":
-                    for k in range(j2 - j1):
-                        out.append(_OwnedLine(new_lines[j1 + k], base[i1 + k].commit))
-                elif tag in ("replace", "insert"):
-                    for j in range(j1, j2):
-                        queue = pool.get(stripped[j])
-                        if queue:
-                            out.append(_OwnedLine(new_lines[j], queue.popleft().commit))
-                        else:
-                            out.append(_OwnedLine(new_lines[j], commit))
-            adopted = out
+
+            def from_pool(lines: list[str]) -> list[_OwnedLine]:
+                out: list[_OwnedLine] = []
+                for line in lines:
+                    queue = pool.get(line.rstrip())
+                    out.append(_OwnedLine(line, queue.popleft().commit if queue else commit))
+                return out
+
+            adopted = _carry_lines(base, new_lines, from_pool)
         state[change.path] = adopted
     return state
 
@@ -596,6 +646,9 @@ def _attach_solo_functions(files: tuple[KeptFile, ...], credited, evidence_row) 
                 )
 
 
+_NO_LINES_MODES = ("000000", gitio.SYMLINK_MODE, gitio.GITLINK_MODE)
+
+
 def churn_stats(
     repo: RepoHandle, window: AnalysisWindow, roster: Roster
 ) -> dict[StudentId | None, tuple[int, int]]:
@@ -606,21 +659,20 @@ def churn_stats(
     """
     totals: dict[StudentId | None, tuple[int, int]] = {s: (0, 0) for s in roster.students}
     with gitio.ObjectReader(repo.root_path) as reader:
+
+        def lines(mode: str, sha: str) -> list[str]:
+            # an absent side ("000000"), a symlink or a gitlink has no lines
+            return [] if mode in _NO_LINES_MODES else _split_lines(reader.blob(sha))
+
         for commit in repo.history.in_window(window):
             student = resolve(roster, commit.author_name, commit.author_email)
             added = deleted = 0
             for change in commit.changes:
-                if change.status == "A":
-                    added += len(_split_lines(reader.blob(change.new_blob)))
-                elif change.status == "D":
-                    deleted += len(_split_lines(reader.blob(change.old_blob)))
-                else:
-                    a, d = _count_line_churn(
-                        _split_lines(reader.blob(change.old_blob)),
-                        _split_lines(reader.blob(change.new_blob)),
-                    )
-                    added += a
-                    deleted += d
+                a, d = _count_line_churn(
+                    lines(change.old_mode, change.old_blob), lines(change.new_mode, change.new_blob)
+                )
+                added += a
+                deleted += d
             prev = totals.get(student, (0, 0))
             totals[student] = (prev[0] + added, prev[1] + deleted)
     return totals

@@ -96,25 +96,29 @@ def open_repo(path: str, branch: str | None = None) -> RepoHandle:
     """Open a local clone (bare or working tree) and pin its default branch.
 
     Branch resolution: the requested branch if given, else the branch HEAD
-    points at, else "main", else "master".
+    points at, else "main", else "master". One `git for-each-ref` lists
+    every branch with its tip and marks HEAD's; a detached or unborn HEAD
+    marks none.
     """
-    if gitio.git(path, "rev-parse", "--git-dir", check=False) is None:
+    listing = gitio.git(
+        path, "for-each-ref", "--format=%(HEAD) %(refname) %(objectname)", "refs/heads",
+        check=False,
+    )
+    if listing is None:
         raise NotARepository(f"not a git repository: {path}")
-    candidates: list[str]
-    if branch:
-        candidates = [branch]
-    else:
-        configured = gitio.git(path, "symbolic-ref", "--quiet", "--short", "HEAD", check=False)
-        candidates = [configured.decode().strip()] if configured else []
-        candidates += ["main", "master"]
+    tips: dict[str, str] = {}
+    current: list[str] = []
+    for line in listing.decode("utf-8", "replace").splitlines():
+        ref, sha = line[2:].rsplit(" ", 1)
+        name = ref.removeprefix("refs/heads/")
+        tips[name] = sha
+        if line[0] == "*":
+            current = [name]
+    candidates = [branch] if branch else [*current, "main", "master"]
     for name in candidates:
-        ref = f"refs/heads/{name}"
-        head = gitio.git(path, "rev-parse", "--verify", "--quiet", ref, check=False)
-        if head:
-            return RepoHandle(root_path=path, default_branch=name, head_ref=head.decode().strip())
-    if branch:
-        raise BranchNotFound(branch)
-    raise BranchNotFound(" / ".join(c for c in candidates if c))
+        if name in tips:
+            return RepoHandle(root_path=path, default_branch=name, head_ref=tips[name])
+    raise BranchNotFound(" / ".join(candidates))
 
 
 def list_commits(repo: RepoHandle, window: AnalysisWindow) -> list[Commit]:

@@ -64,6 +64,11 @@ def classify_file(path: str, content: bytes) -> str:
     return "other"
 
 
+_SPECIAL_RE = re.compile(r"[#\"']")  # the characters that open a comment or a string
+# the rest of a one-line string through its closing quote; a backslash escapes one character
+_STRING_END_RE = {q: re.compile(rf"(?:[^\\{q}]|\\.)*{q}", re.DOTALL) for q in "\"'"}
+
+
 @dataclass
 class _ScanLine:
     no: int
@@ -91,29 +96,20 @@ def _scan(source: str) -> list[_ScanLine]:
                     i = j + 3
                     triple = None
                 continue
-            ch = raw[i]
-            if ch == "#":
+            special = _SPECIAL_RE.search(raw, i)
+            j = special.start() if special else n
+            buf.append(raw[i:j])  # plain code up to the next special character
+            if special is None or raw[j] == "#":
                 break
-            if raw.startswith('"""', i) or raw.startswith("'''", i):
-                triple = raw[i] * 3
-                opens_string = True
-                i += 3
+            quote = raw[j]
+            opens_string = True
+            if raw.startswith(quote * 3, j):
+                triple = quote * 3
+                i = j + 3
                 continue
-            if ch in "\"'":
-                opens_string = True
-                j = i + 1
-                while j < n:
-                    if raw[j] == "\\":
-                        j += 2
-                        continue
-                    if raw[j] == ch:
-                        break
-                    j += 1
-                i = j + 1 if j < n else n
-                buf.append(" ")
-                continue
-            buf.append(ch)
-            i += 1
+            end = _STRING_END_RE[quote].match(raw, j + 1)
+            i = end.end() if end else n
+            buf.append(" ")
         code = "".join(buf)
         expanded = raw.expandtabs()
         indent = len(expanded) - len(expanded.lstrip())

@@ -101,7 +101,6 @@ def _analyze_team(
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
-        include_branches=cfg.include_branches,
     )
     cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
     head = cset.head

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 from datetime import datetime, timedelta, timezone
@@ -95,6 +96,45 @@ _AUTHORS = (
     ("Carol Weiss", "carol@campus.edu"),
 )
 _UNKNOWN = ("CI Bot", "bot@nowhere.invalid")
+
+
+def with_tree_entries(tmp_path, *entries: tuple[str, str, str | bytes]) -> str:
+    """Root of a two-file repo by Alice plus one commit by Bob, on
+    2024-06-20, per raw tree entry (mode, path, object): an object id, or
+    bytes written as a blob first."""
+    script = RepoScript(
+        name="entry",
+        roster_text=ROSTER_TEXT,
+        steps=[Step(*_AUTHORS[0], message="start",
+                    ops=(SetFile("ok.py", ("x = 1",)), SetFile("app.py", ("y = 2",))))],
+    )
+    handle, _ = synthfix.build(script, tmp_path / "repo")
+    root = handle.root_path
+    env = {
+        **os.environ,
+        "GIT_INDEX_FILE": str(tmp_path / "entry.index"),
+        "GIT_AUTHOR_NAME": _AUTHORS[1][0],
+        "GIT_AUTHOR_EMAIL": _AUTHORS[1][1],
+        "GIT_AUTHOR_DATE": "2024-06-20T12:00:00+00:00",
+        "GIT_COMMITTER_NAME": _AUTHORS[1][0],
+        "GIT_COMMITTER_EMAIL": _AUTHORS[1][1],
+        "GIT_COMMITTER_DATE": "2024-06-20T12:00:00+00:00",
+    }
+
+    def git(*args: str, stdin: bytes = b"") -> str:
+        out = subprocess.run(
+            ["git", "-C", root, *args], env=env, input=stdin, capture_output=True, check=True
+        ).stdout
+        return out.decode().strip()
+
+    for mode, path, obj in entries:
+        if isinstance(obj, bytes):
+            obj = git("hash-object", "-w", "--stdin", stdin=obj)
+        git("read-tree", "refs/heads/main")
+        git("update-index", "--add", "--cacheinfo", f"{mode},{obj},{path}")
+        commit = git("commit-tree", git("write-tree"), "-p", "refs/heads/main", "-m", path)
+        git("update-ref", "refs/heads/main", commit)
+    return root
 
 
 def random_script(seed: int) -> RepoScript:

@@ -5,8 +5,16 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import JUNE, PRUNE_MAX_FILE_BYTES, ROSTER_TEXT, random_pruning_script, tree_files
+from conftest import (
+    JUNE,
+    PRUNE_MAX_FILE_BYTES,
+    ROSTER_TEXT,
+    random_pruning_script,
+    tree_files,
+    with_tree_entries,
+)
 from contribsum import attribution, gitio, synthfix
 from contribsum.attribution import (
     AttributionOptions,
@@ -20,8 +28,8 @@ from contribsum.attribution import (
     is_excluded,
 )
 from contribsum.errors import UnknownCommit
-from contribsum.identity import UNMAPPED
-from contribsum.ingest import AnalysisWindow
+from contribsum.identity import UNMAPPED, load_roster
+from contribsum.ingest import AnalysisWindow, open_repo
 from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
 
@@ -263,7 +271,8 @@ class TestKeptFiles:
 
 
 class TestReplayBound:
-    """Blame work does not grow with edits to excluded files."""
+    """Blame work does not grow with edits to excluded files, nor with the
+    length of an edited file."""
 
     @staticmethod
     def _history(lock_edits: int) -> RepoScript:
@@ -292,13 +301,8 @@ class TestReplayBound:
             read.append(sha)
             return real_blob(self, sha)
 
-        class CountingMatcher(attribution.SequenceMatcher):
-            def __init__(self, isjunk=None, a="", b="", autojunk=True):
-                matched.append(len(a) + len(b))
-                super().__init__(isjunk, a, b, autojunk)
-
         monkeypatch.setattr(gitio.ObjectReader, "blob", counting_blob)
-        monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
+        self._count_matched(monkeypatch, matched)
         work = {}
         for edits in (2, 20):
             handle, truth = synthfix.build(self._history(edits), tmp_path / f"lock-{edits}")
@@ -316,6 +320,140 @@ class TestReplayBound:
             assert not lock_blobs & set(read), "a blob of an excluded path was read"
             work[edits] = (len(read), sum(matched))
         assert work[2] == work[20]
+
+    def test_matcher_lines_independent_of_file_length(self, tmp_path, monkeypatch):
+        """A one-line edit hands the matcher the same few lines whatever the
+        file's length: the common prefix and suffix never reach it."""
+        matched: list[int] = []
+        self._count_matched(monkeypatch, matched)
+        work = {}
+        for size in (100, 10_000):
+            script = RepoScript(
+                name=f"long-{size}",
+                roster_text=ROSTER_TEXT,
+                steps=[
+                    Step("Alice Lee", "alice@campus.edu", "write",
+                         ops=(SetFile("long.py", tuple(f"v{i} = {i}" for i in range(size))),)),
+                    Step("Bob Roy", "bob@campus.edu", "edit one line",
+                         ops=(Replace("long.py", size // 2, ("v = 'edited'",)),)),
+                ],
+            )
+            handle, truth = synthfix.build(script, tmp_path / f"long-{size}")
+            matched.clear()
+            cset = build_contribution_set(handle, JUNE, truth.roster)
+            assert [ev.lines_owned for ev in cset.evidence_for("bob")] == [1]
+            work[size] = sum(matched)
+        assert work[100] == work[10_000]
+        assert 0 < work[100] <= 4
+
+    @staticmethod
+    def _count_matched(monkeypatch, matched: list[int]) -> None:
+        """Record the lines each SequenceMatcher built by replay is handed."""
+
+        class CountingMatcher(attribution.SequenceMatcher):
+            def __init__(self, isjunk=None, a="", b="", autojunk=True):
+                matched.append(len(a) + len(b))
+                super().__init__(isjunk, a, b, autojunk)
+
+        monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
+
+
+# A small vocabulary, blank and whitespace-only lines included, so edits
+# meet many equal lines and the tie rule decides which one an old line is.
+_VOCAB = ("", "    ", "x = 1", "return x", "pass", "# note", "    y = 2", "else:", "}", "z = 3")
+
+
+@st.composite
+def _edit_history(draw):
+    """(ops, versions, whitespace_only) for one file `f.py`: a first version,
+    then one insert, delete, replace or trailing-whitespace rewrite per step."""
+    lines = draw(st.lists(st.sampled_from(_VOCAB), max_size=20))
+    ops, versions, whitespace_only = [SetFile("f.py", tuple(lines))], [lines], [False]
+    for _ in range(draw(st.integers(1, 5))):
+        cur = versions[-1]
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "whitespace")) if cur
+                    else st.just("insert"))
+        at = draw(st.integers(1, len(cur) + (kind == "insert")))
+        if kind == "insert":
+            new = draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4))
+            ops.append(Insert("f.py", at, tuple(new)))
+            cur = cur[:at - 1] + new + cur[at - 1:]
+        else:
+            span = draw(st.integers(1, len(cur) - at + 1))
+            if kind == "delete":
+                ops.append(Delete("f.py", at, span))
+                cur = cur[:at - 1] + cur[at - 1 + span:]
+            else:
+                if kind == "replace":
+                    new = draw(st.lists(st.sampled_from(_VOCAB), min_size=span, max_size=span))
+                else:
+                    pad = draw(st.sampled_from((" ", "\t", "  ")))
+                    new = [l.rstrip() if l != l.rstrip() else l + pad for l in cur[at - 1:at - 1 + span]]
+                ops.append(Replace("f.py", at, tuple(new)))
+                cur = cur[:at - 1] + new + cur[at - 1 + span:]
+        versions.append(cur)
+        whitespace_only.append(kind == "whitespace")
+    return ops, versions, whitespace_only
+
+
+def _check_edit(old: list[tuple[str, str]], new: list[str], got: list[tuple[str, str]],
+                commit: str, whitespace_only: bool) -> None:
+    """The tie rule on one edit, `old` and `got` as (content, owner) lines:
+    the common prefix and suffix, compared with trailing whitespace
+    stripped, keep their owners; everything else is an old owner or `commit`."""
+    assert [content for content, _ in got] == new  # one owner per line, none lost
+    a, b = [c.rstrip() for c, _ in old], [c.rstrip() for c in new]
+    head = 0
+    while head < min(len(a), len(b)) and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < min(len(a), len(b)) - head and a[-1 - tail] == b[-1 - tail]:
+        tail += 1
+    owners = [owner for _, owner in got]
+    before = [owner for _, owner in old]
+    assert owners[:head] == before[:head]
+    assert owners[len(owners) - tail:] == before[len(before) - tail:]
+    assert set(owners) <= set(before) | {commit}
+    if whitespace_only:
+        assert owners == before
+
+
+class TestTieRule:
+    """Repeated lines tie; the common ends of an edit keep their owners, as
+    in git's xdiff (`xdl_trim_ends`), and the partition stays exact."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_edit_history())
+    def test_line_diff(self, history):
+        _, versions, whitespace_only = history
+        owned = [attribution._OwnedLine(line, "c0") for line in versions[0]]
+        for k, new in enumerate(versions[1:], start=1):
+            out = attribution._apply_line_diff(owned, new, f"c{k}")
+            _check_edit([(l.content, l.commit) for l in owned], new,
+                        [(l.content, l.commit) for l in out], f"c{k}", whitespace_only[k])
+            owned = out
+
+    @settings(max_examples=60, deadline=None)
+    @given(history=_edit_history())
+    def test_replayed_history(self, history, tmp_path_factory):
+        ops, versions, whitespace_only = history
+        authors = (("Alice Lee", "alice@campus.edu"), ("Bob Roy", "bob@campus.edu"))
+        script = RepoScript(
+            name="ties",
+            roster_text=ROSTER_TEXT,
+            steps=[Step(*authors[k % 2], f"step {k}", ops=(op,)) for k, op in enumerate(ops)],
+            checkpoints=[(len(ops) - 1, "final")],
+        )
+        handle, truth = synthfix.build(script, tmp_path_factory.mktemp("ties"))
+        blamed = []
+        for k in range(len(ops)):
+            attrs = blame_snapshot(handle, truth.hash_of(k), truth.roster, excludes=())
+            blamed.append([(a.content, a.commit) for a in attrs])
+        for k in range(1, len(ops)):
+            _check_edit(blamed[k - 1], versions[k], blamed[k], truth.hash_of(k), whitespace_only[k])
+        # the partition invariant: every line of the file owned exactly once
+        final = truth.expected_lines("final").get("f.py", [])
+        assert [content for content, _ in blamed[-1]] == [tl.content for tl in final]
 
 
 class TestPartitionInvariant:
@@ -550,6 +688,17 @@ class TestChurnStats:
             by_id = {s.id: v for s, v in stats.items() if s is not None}
             want = {k: v for k, v in truth.expected_churn().items() if k is not None}
             assert by_id == want, name
+
+
+    @pytest.mark.parametrize("mode, obj", [("160000", "1" * 40), ("120000", b"ok.py")])
+    def test_gitlink_or_symlink_counts_nothing(self, tmp_path, mode, obj):
+        """A submodule commit or a symlink target is no text to count, and a
+        gitlink's commit is not in this repository to read."""
+        handle = open_repo(with_tree_entries(tmp_path, (mode, "libs/thing", obj)))
+        stats = churn_stats(handle, JUNE, load_roster(ROSTER_TEXT))
+        by_id = {s.id: v for s, v in stats.items() if s is not None}
+        assert by_id["bob"] == (0, 0)
+        assert by_id["alice"] == (2, 0)
 
 
 class TestUnmergedBranch:

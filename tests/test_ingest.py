@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import subprocess
 from datetime import datetime, timezone
 
 import pytest
@@ -53,6 +54,65 @@ class TestOpenRepo:
         experiment = open_repo(handle.root_path, "experiment")
         assert experiment.default_branch == "experiment"
         assert experiment.head_ref != handle.head_ref
+
+
+    @staticmethod
+    def _repo(tmp_path):
+        """The unmerged_branch fixture (branches main and experiment), a git
+        runner for it and every branch's tip."""
+        handle, _ = synthfix.build_standard_fixture("unmerged_branch", tmp_path / "repo")
+        root = handle.root_path
+
+        def git(*args: str) -> str:
+            return subprocess.run(
+                ["git", "-C", root, *args], capture_output=True, check=True, text=True
+            ).stdout.strip()
+
+        tips = {name: git("rev-parse", f"refs/heads/{name}") for name in ("main", "experiment")}
+        return root, git, tips
+
+    def test_head_on_another_branch(self, tmp_path):
+        root, git, tips = self._repo(tmp_path)
+        git("symbolic-ref", "HEAD", "refs/heads/experiment")
+        handle = open_repo(root)
+        assert (handle.default_branch, handle.head_ref) == ("experiment", tips["experiment"])
+
+    def test_detached_head_falls_back_to_main(self, tmp_path):
+        root, git, tips = self._repo(tmp_path)
+        git("update-ref", "--no-deref", "HEAD", tips["experiment"])
+        handle = open_repo(root)
+        assert (handle.default_branch, handle.head_ref) == ("main", tips["main"])
+
+    def test_unborn_head_falls_back_to_main_then_master(self, tmp_path):
+        root, git, tips = self._repo(tmp_path)
+        git("symbolic-ref", "HEAD", "refs/heads/trunk")
+        handle = open_repo(root)
+        assert (handle.default_branch, handle.head_ref) == ("main", tips["main"])
+        git("branch", "-m", "main", "master")
+        handle = open_repo(root)
+        assert (handle.default_branch, handle.head_ref) == ("master", tips["main"])
+        git("branch", "-m", "master", "other")
+        with pytest.raises(BranchNotFound) as err:
+            open_repo(root)
+        assert err.value.branch == "main / master"
+
+    def test_one_git_process(self, built_fixtures, monkeypatch):
+        handle, _ = built_fixtures["unmerged_branch"]
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        for branch in (None, "experiment", "grading"):
+            spawned.clear()
+            try:
+                open_repo(handle.root_path, branch)
+            except BranchNotFound:
+                assert branch == "grading"
+            assert len(spawned) == 1, spawned
 
 
 class TestListCommits:

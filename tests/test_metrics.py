@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from complexity_corpus import CORPUS
+from contribsum import metrics
 from contribsum.errors import MalformedNotebook
 from contribsum.metrics import (
     classify_file,
@@ -139,6 +141,85 @@ class TestBlameJoinedSource:
         if lines and not trailing_break:
             text = text[: -len(lines[-1][1])]
         assert cyclomatic(text) == cyclomatic("\n".join(text.splitlines()))
+
+
+def _scan_per_character(source: str) -> list[metrics._ScanLine]:
+    """Reference scanner: the one-character-at-a-time form of `metrics._scan`."""
+    out: list[metrics._ScanLine] = []
+    triple: str | None = None
+    for no, raw in enumerate(source.splitlines(), start=1):
+        started_inside = triple is not None
+        opens_string = False
+        buf: list[str] = []
+        i, n = 0, len(raw)
+        while i < n:
+            if triple:
+                j = raw.find(triple, i)
+                if j < 0:
+                    i = n
+                else:
+                    i = j + 3
+                    triple = None
+                continue
+            ch = raw[i]
+            if ch == "#":
+                break
+            if raw.startswith('"""', i) or raw.startswith("'''", i):
+                triple = raw[i] * 3
+                opens_string = True
+                i += 3
+                continue
+            if ch in "\"'":
+                opens_string = True
+                j = i + 1
+                while j < n:
+                    if raw[j] == "\\":
+                        j += 2
+                        continue
+                    if raw[j] == ch:
+                        break
+                    j += 1
+                i = j + 1 if j < n else n
+                buf.append(" ")
+                continue
+            buf.append(ch)
+            i += 1
+        code = "".join(buf)
+        expanded = raw.expandtabs()
+        indent = len(expanded) - len(expanded.lstrip())
+        continuation_only = started_inside and not code.strip() and not opens_string
+        out.append(metrics._ScanLine(no, indent, code, opens_string, continuation_only))
+    return out
+
+
+# quotes and backslashes weigh most: escapes matter only next to a quote
+_SCAN_TOKENS = ('"', "'", "\\") * 3 + (
+    "#", '"""', "'''", "\t", " ", "    ", "x", "def f(a):", " if ", " and ", ":",
+)
+
+
+class TestScanner:
+    """`_scan` jumps to the next `#` or quote; it must equal the scanner that
+    steps one character at a time, and so must `cyclomatic` built on it."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_SCAN_TOKENS), st.sampled_from(_LINE_BREAKS), st.text(max_size=4)
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    def test_equals_per_character_scanner(self, source):
+        assert metrics._scan(source) == _scan_per_character(source)
+        with mock.patch.object(metrics, "_scan", _scan_per_character):
+            reference = cyclomatic(source)
+        assert cyclomatic(source) == reference
+
+    def test_corpus(self):
+        for source, _ in CORPUS:
+            assert metrics._scan(source) == _scan_per_character(source)
 
 
 class TestFunctionSpans:

@@ -5,7 +5,6 @@ choice of the prior window, kept files and artifact writes."""
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT
+from conftest import JUNE, ROSTER_TEXT, with_tree_entries
 from contribsum import pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -109,8 +108,8 @@ class TestGitSpawns:
         assert counts[30, ()] == counts[300, ()]
         assert counts[30, ("side",)] == counts[300, ("side",)]
         assert counts[30, ("side",)] > counts[30, ()]
-        # three open_repo probes, one log stream, one cat-file reader
-        assert counts[30, ()] == 5
+        # one open_repo branch listing, one log stream, one cat-file reader
+        assert counts[30, ()] == 3
 
 
 class TestIncludeBranch:
@@ -489,44 +488,6 @@ class TestKeptFiles:
         assert _evidence_paths(result) == {"ok.py"}  # no commit-message row either
 
     @staticmethod
-    def _with_entries(tmp_path: Path, *entries: tuple[str, str, str | bytes]) -> str:
-        """A two-file repo plus one commit per raw tree entry (mode, path,
-        object): an object id, or bytes written as a blob first."""
-        script = RepoScript(
-            name="entry",
-            roster_text=ROSTER_TEXT,
-            steps=[Step(*AUTHORS[0], message="start",
-                        ops=(SetFile("ok.py", ("x = 1",)), SetFile("app.py", ("y = 2",))))],
-        )
-        handle, _ = synthfix.build(script, tmp_path / "repo")
-        root = handle.root_path
-        env = {
-            **os.environ,
-            "GIT_INDEX_FILE": str(tmp_path / "entry.index"),
-            "GIT_AUTHOR_NAME": AUTHORS[1][0],
-            "GIT_AUTHOR_EMAIL": AUTHORS[1][1],
-            "GIT_AUTHOR_DATE": "2024-06-20T12:00:00+00:00",
-            "GIT_COMMITTER_NAME": AUTHORS[1][0],
-            "GIT_COMMITTER_EMAIL": AUTHORS[1][1],
-            "GIT_COMMITTER_DATE": "2024-06-20T12:00:00+00:00",
-        }
-
-        def git(*args: str, stdin: bytes = b"") -> str:
-            out = subprocess.run(
-                ["git", "-C", root, *args], env=env, input=stdin, capture_output=True, check=True
-            ).stdout
-            return out.decode().strip()
-
-        for mode, path, obj in entries:
-            if isinstance(obj, bytes):
-                obj = git("hash-object", "-w", "--stdin", stdin=obj)
-            git("read-tree", "refs/heads/main")
-            git("update-index", "--add", "--cacheinfo", f"{mode},{obj},{path}")
-            commit = git("commit-tree", git("write-tree"), "-p", "refs/heads/main", "-m", path)
-            git("update-ref", "refs/heads/main", commit)
-        return root
-
-    @staticmethod
     def _outputs(tmp_path: Path, root: str) -> tuple[str, set[str]]:
         """functionality.csv and the paths of contribution_set.json rows."""
         result = _analyze(tmp_path, root)
@@ -535,13 +496,13 @@ class TestKeptFiles:
         return functionality, _evidence_paths(result)
 
     def test_gitlink_is_skipped_not_read(self, tmp_path):
-        root = self._with_entries(tmp_path, ("160000", "libs/thing", "1" * 40))
+        root = with_tree_entries(tmp_path, ("160000", "libs/thing", "1" * 40))
         functionality, paths = self._outputs(tmp_path, root)
         assert "ok.py" in functionality and "libs/thing" not in functionality
         assert paths == {"ok.py", "app.py"}
 
     def test_gitlink_replaced_by_a_file_is_kept(self, tmp_path):
-        root = self._with_entries(
+        root = with_tree_entries(
             tmp_path, ("160000", "libs/thing", "1" * 40), ("100644", "libs/thing", b"z = 3\n")
         )
         functionality, paths = self._outputs(tmp_path, root)
@@ -549,7 +510,7 @@ class TestKeptFiles:
         assert paths == {"ok.py", "app.py", "libs/thing"}
 
     def test_symlink_is_skipped(self, tmp_path):
-        root = self._with_entries(tmp_path, ("120000", "link.py", b"ok.py"))
+        root = with_tree_entries(tmp_path, ("120000", "link.py", b"ok.py"))
         functionality, paths = self._outputs(tmp_path, root)
         assert "ok.py" in functionality and "link.py" not in functionality
         assert paths == {"ok.py", "app.py"}
