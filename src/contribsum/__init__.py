@@ -15,7 +15,6 @@ from .attribution import (
     LineAttribution,
     blame_snapshot,
     build_contribution_set,
-    churn_stats,
 )
 from .identity import CoAuthorTag, Roster, StudentId, load_roster, parse_coauthors, resolve
 from .gitio import Commit
@@ -46,7 +45,6 @@ __all__ = [
     "StudentId",
     "blame_snapshot",
     "build_contribution_set",
-    "churn_stats",
     "classify_file",
     "compute_file_metrics",
     "cyclomatic",

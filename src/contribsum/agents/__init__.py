@@ -8,9 +8,7 @@ from .chain import (
     SynthesisBundle,
     TeamSummary,
     ValidationReport,
-    describe_contribution,
     record_usage,
-    summarize_file,
     synthesize,
     validate_summary,
 )
@@ -38,10 +36,8 @@ __all__ = [
     "TeamSummary",
     "TokenBucket",
     "ValidationReport",
-    "describe_contribution",
     "estimate_tokens",
     "record_usage",
-    "summarize_file",
     "synthesize",
     "validate_summary",
 ]

@@ -5,6 +5,12 @@ compressed evidence (tables, counts, messages). Prompts are versioned
 template files shipped with the package and referenced by hash in the
 cache key, so editing a template invalidates exactly the affected
 responses.
+
+Every request goes one way: `prepare` renders it, checks the tier budget
+and looks it up in the cache, and `answer_all` sends the misses on the
+run's send pool and records their usage and cache entries. Table rows
+and synthesis, with its repair retry, all take that path, so the pool's
+size caps every request of a run.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ class SynthesisBundle:
     roster: Roster
     window: AnalysisWindow
     contribution_set: ContributionSet
-    template_instructions: str = ""  # defaults to the shipped synthesize template
 
 
 @functools.cache
@@ -149,7 +154,6 @@ def prepare(
     data: dict,
     *,
     store: Store | None = None,
-    scope: str = "",
     prompt_override: str | None = None,
 ) -> Call:
     """Render one request, check it against the tier budget, look it up in the cache."""
@@ -161,7 +165,8 @@ def prepare(
             f"estimated {estimate} tokens exceeds budget {tier.input_budget} "
             f"for {tier.model_id}"
         )
-    key = cache_key(scope, template_hash(template_name), tier.model_id, prompt)
+    # the commit scope is empty: one key per template, model and prompt
+    key = cache_key("", template_hash(template_name), tier.model_id, prompt)
     hit = store.get(key) if store is not None else None
     if hit is not None:
         return Call(tier, key, None, hit["text"])
@@ -187,28 +192,6 @@ def _record(call: Call, response, *, ledger: CostLedger | None, store: Store | N
         )
     call.text = response.text
     call.messages = None  # answered: the prompt is not kept
-
-
-class _Inline(Executor):
-    """Runs each submitted function at once, on the submitting thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-_INLINE = _Inline()
-
-
-def _answer(
-    provider, call: Call | None, *, ledger: CostLedger | None, store: Store | None
-) -> str | None:
-    """Response text of one call, sent on this thread on a cache miss."""
-    return answer_all(provider, [call], _INLINE, ledger=ledger, store=store)[0]
 
 
 def answer_all(
@@ -284,7 +267,6 @@ def file_call(
     metrics: FileMetrics,
     *,
     store: Store | None = None,
-    scope: str = "",
 ) -> Call | None:
     """The request behind one Functionality Table row; None for an empty file.
 
@@ -308,7 +290,7 @@ def file_call(
         if clip <= 4:
             raise BudgetExceeded(f"{path}: content cannot fit tier budget even fully clipped")
         clip //= 2
-    return prepare(tier, "summarize_file", data, store=store, scope=scope, prompt_override=prompt)
+    return prepare(tier, "summarize_file", data, store=store, prompt_override=prompt)
 
 
 def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityRow:
@@ -317,27 +299,6 @@ def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> Func
         return FunctionalityRow(path=path, functionality="empty file", difficulty="none", metrics=metrics)
     functionality, difficulty = _parse_two_fields(text)
     return FunctionalityRow(path=path, functionality=functionality, difficulty=difficulty, metrics=metrics)
-
-
-def summarize_file(
-    provider,
-    tier: ModelTier,
-    path: str,
-    content: str,
-    metrics: FileMetrics,
-    *,
-    ledger: CostLedger | None = None,
-    store: Store | None = None,
-    scope: str = "",
-) -> FunctionalityRow:
-    """Analysis-tier call producing one Functionality Table row, sent inline.
-
-    A single-row wrapper over `file_call` and `answer_all`; the pipeline
-    batches its rows instead. Empty files short-circuit without a
-    provider call.
-    """
-    call = file_call(tier, path, content, metrics, store=store, scope=scope)
-    return functionality_row(path, metrics, _answer(provider, call, ledger=ledger, store=store))
 
 
 def _parse_two_fields(text: str) -> tuple[str, str]:
@@ -361,7 +322,6 @@ def contribution_call(
     evidence: ContributionEvidence,
     *,
     store: Store | None = None,
-    scope: str = "",
 ) -> Call:
     """The request behind one Contribution Table row."""
     if evidence.lines_owned + evidence.lines_added_in_window <= 0:
@@ -380,7 +340,7 @@ def contribution_call(
         "commit_messages": evidence.commit_messages[:20],
         "solo_functions": [[n, s] for n, s in evidence.solo_functions],
     }
-    return prepare(tier, "describe_contribution", data, store=store, scope=scope)
+    return prepare(tier, "describe_contribution", data, store=store)
 
 
 def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionRow:
@@ -388,25 +348,6 @@ def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionR
     return ContributionRow(
         student=evidence.student, path=evidence.path, description=text.strip(), evidence=evidence
     )
-
-
-def describe_contribution(
-    provider,
-    tier: ModelTier,
-    row: FunctionalityRow,
-    evidence: ContributionEvidence,
-    *,
-    ledger: CostLedger | None = None,
-    store: Store | None = None,
-    scope: str = "",
-) -> ContributionRow:
-    """Analysis-tier call producing one Contribution Table row, sent inline.
-
-    A single-row wrapper over `contribution_call` and `answer_all`; the
-    pipeline batches its rows instead.
-    """
-    call = contribution_call(tier, row, evidence, store=store, scope=scope)
-    return contribution_row(evidence, _answer(provider, call, ledger=ledger, store=store))
 
 
 def _has_positive_evidence(rows: list[ContributionEvidence]) -> bool:
@@ -417,13 +358,14 @@ def synthesize(
     provider,
     tier: ModelTier,
     bundle: SynthesisBundle,
+    pool: Executor,
     *,
     ledger: CostLedger | None = None,
     store: Store | None = None,
-    scope: str = "",
 ) -> tuple[list[StudentSummary], TeamSummary]:
     """Synthesis-tier call producing every student summary plus the team's.
 
+    The request, like its repair retry, is sent on `pool` by `answer_all`.
     Students without window evidence get a fixed no-contribution summary
     without touching the provider. A malformed response triggers exactly
     one corrective repair retry before TemplateViolation is raised.
@@ -483,11 +425,11 @@ def synthesize(
         "sprint_instructions": bundle.sprint_instructions,
         "project_description": bundle.project_description,
         "roles_requested": bundle.roles_enabled,
-        "template_instructions": bundle.template_instructions,
+        "template_instructions": load_template("synthesize"),
     }
 
-    call = prepare(tier, "synthesize", data, store=store, scope=scope)
-    text = _answer(provider, call, ledger=ledger, store=store)
+    call = prepare(tier, "synthesize", data, store=store)
+    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
     try:
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
     except TemplateViolation as first_error:
@@ -495,8 +437,8 @@ def synthesize(
         prompt = repair.replace("<<PROBLEMS>>", str(first_error)).replace(
             "<<ORIGINAL>>", _render("synthesize", data)
         )
-        call = prepare(tier, "repair", data, store=store, scope=scope, prompt_override=prompt)
-        text = _answer(provider, call, ledger=ledger, store=store)
+        call = prepare(tier, "repair", data, store=store, prompt_override=prompt)
+        [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
 
     summaries.extend(parsed)

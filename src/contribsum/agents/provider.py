@@ -66,12 +66,11 @@ def request_digest(messages: list[dict], model_id: str) -> str:
 
 
 class TokenBucket:
-    """Simple token-bucket rate limiter shared by concurrent workers."""
+    """Token-bucket rate limiter of capacity one, shared by concurrent workers."""
 
-    def __init__(self, rate_per_second: float, burst: int = 1):
+    def __init__(self, rate_per_second: float):
         self.rate = rate_per_second
-        self.capacity = max(1, burst)
-        self._tokens = float(self.capacity)
+        self._tokens = 1.0
         self._last = time.monotonic()
         self._lock = threading.Lock()
 
@@ -79,7 +78,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
+                self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
                 self._last = now
                 if self._tokens >= 1:
                     self._tokens -= 1
@@ -88,6 +87,10 @@ class TokenBucket:
             time.sleep(wait)
 
 
+# Seconds one HTTP request may take before it counts as a transport failure.
+REQUEST_TIMEOUT = 120.0
+# Attempts per request, the first one included.
+MAX_ATTEMPTS = 3
 # Longest server-requested wait honored between two attempts, in seconds.
 MAX_RETRY_AFTER = 60.0
 
@@ -114,14 +117,10 @@ class HttpProvider:
         self,
         endpoint: str,
         api_key: str,
-        timeout: float = 120.0,
-        max_retries: int = 3,
         rate_limiter: TokenBucket | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
         self.rate_limiter = rate_limiter
         self.one_at_a_time = False
         self._in_flight = 0
@@ -146,7 +145,7 @@ class HttpProvider:
 
         last_error = "no attempt made"
         delay = 0.0  # before the next attempt; none after the last
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             if attempt > 1:
                 time.sleep(delay)
             if self.rate_limiter:
@@ -157,7 +156,7 @@ class HttpProvider:
                         self.endpoint,
                         json={"model": model_id, "messages": messages},
                         headers={"Authorization": f"Bearer {self.api_key}"},
-                        timeout=self.timeout,
+                        timeout=REQUEST_TIMEOUT,
                     )
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
@@ -183,7 +182,7 @@ class HttpProvider:
                 )
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ProviderError(f"malformed provider response: {exc}", attempt)
-        raise ProviderError(last_error, self.max_retries)
+        raise ProviderError(last_error, MAX_ATTEMPTS)
 
 
 class ReplayProvider:

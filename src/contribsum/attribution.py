@@ -228,21 +228,6 @@ def _apply_line_diff(old: list[_OwnedLine], new_lines: list[str], commit: str) -
     return _carry_lines(old, new_lines, lambda lines: [_OwnedLine(l, commit) for l in lines])
 
 
-def _count_line_churn(old: list[str], new: list[str]) -> tuple[int, int]:
-    matcher = SequenceMatcher(
-        a=[l.rstrip() for l in old],
-        b=[l.rstrip() for l in new],
-        autojunk=False,
-    )
-    added = deleted = 0
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag in ("replace", "insert"):
-            added += j2 - j1
-        if tag in ("replace", "delete"):
-            deleted += i2 - i1
-    return added, deleted
-
-
 _State = dict[str, list[_OwnedLine]]
 
 
@@ -644,38 +629,6 @@ def _attach_solo_functions(files: tuple[KeptFile, ...], credited, evidence_row) 
                 evidence_row(owner_by_line[min(lines)], path).solo_functions.append(
                     (name, score)
                 )
-
-
-_NO_LINES_MODES = ("000000", gitio.SYMLINK_MODE, gitio.GITLINK_MODE)
-
-
-def churn_stats(
-    repo: RepoHandle, window: AnalysisWindow, roster: Roster
-) -> dict[StudentId | None, tuple[int, int]]:
-    """(lines added, lines deleted) per author over non-merge window commits.
-
-    Counts work erased before the window end, which snapshot blame cannot
-    see. Rename-only and trailing-whitespace-only changes count nothing.
-    """
-    totals: dict[StudentId | None, tuple[int, int]] = {s: (0, 0) for s in roster.students}
-    with gitio.ObjectReader(repo.root_path) as reader:
-
-        def lines(mode: str, sha: str) -> list[str]:
-            # an absent side ("000000"), a symlink or a gitlink has no lines
-            return [] if mode in _NO_LINES_MODES else _split_lines(reader.blob(sha))
-
-        for commit in repo.history.in_window(window):
-            student = resolve(roster, commit.author_name, commit.author_email)
-            added = deleted = 0
-            for change in commit.changes:
-                a, d = _count_line_churn(
-                    lines(change.old_mode, change.old_blob), lines(change.new_mode, change.new_blob)
-                )
-                added += a
-                deleted += d
-            prev = totals.get(student, (0, 0))
-            totals[student] = (prev[0] + added, prev[1] + deleted)
-    return totals
 
 
 def branch_extra_attributions(

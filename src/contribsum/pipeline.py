@@ -13,7 +13,8 @@ contribution rows that quote them. Prompt rendering, budget checks,
 cache reads and writes, ledger entries and response parsing stay on the
 team's own thread in row order, so outputs and the ledger are the same
 for any pool size, and a fully cached run starts no send thread.
-Synthesis and its repair retry are sent inline.
+Synthesis and its repair retry go to the same pool, so `analysis_workers`
+caps every provider request of the run.
 """
 
 from __future__ import annotations
@@ -146,10 +147,9 @@ def _analyze_team(
         roster=roster,
         window=cfg.window,
         contribution_set=cset,
-        template_instructions=chain.load_template("synthesize"),
     )
     summaries, team_summary = chain.synthesize(
-        provider, cfg.synthesis_tier, bundle, ledger=ledger, store=store
+        provider, cfg.synthesis_tier, bundle, pool, ledger=ledger, store=store
     )
     for summary in summaries:
         summary.validation = chain.validate_summary(summary, cset)

@@ -115,8 +115,6 @@ class StepMeta:
     coauthor_ids: tuple[str, ...]
     authored_at: datetime
     is_merge: bool
-    added: int
-    deleted: int
 
 
 @dataclass
@@ -166,22 +164,6 @@ class GroundTruth:
                 student = credits[idx % len(credits)]
                 counts[(student, path)] = counts.get((student, path), 0) + 1
         return counts
-
-    def expected_churn(self) -> dict[str | None, tuple[int, int]]:
-        """Per-student (added, deleted) over main-reachable non-merge steps.
-
-        Work on never-merged branches is invisible to the default branch,
-        so it counts nothing here, mirroring the documented behavior.
-        """
-        totals: dict[str | None, tuple[int, int]] = {
-            s.id: (0, 0) for s in self.roster.students
-        }
-        for meta in self.steps:
-            if meta.is_merge or meta.index not in self.main_steps:
-                continue
-            prev = totals.get(meta.student_id, (0, 0))
-            totals[meta.student_id] = (prev[0] + meta.added, prev[1] + meta.deleted)
-        return totals
 
     def zero_commit_ids(self) -> set[str]:
         """Roster students with no main-reachable commits or co-author credit."""
@@ -248,7 +230,6 @@ class _Replay:
             self.current = step.create_branch
 
         state = self.branches[self.current]
-        added = deleted = 0
         touched: dict[str, list[str] | None] = {}
 
         if step.merge is not None:
@@ -263,9 +244,7 @@ class _Replay:
             self.branch_steps[self.current] |= self.branch_steps[step.merge]
         else:
             for op in step.ops:
-                a, d = self._apply_op(index, state, op, touched)
-                added += a
-                deleted += d
+                self._apply_op(index, state, op, touched)
 
         student = resolve(self.roster, step.author_name, step.author_email)
         coauthor_ids = []
@@ -280,23 +259,18 @@ class _Replay:
                 coauthor_ids=tuple(coauthor_ids),
                 authored_at=step.date or (_BASE_DATE + timedelta(hours=index)),
                 is_merge=step.merge is not None,
-                added=added,
-                deleted=deleted,
             )
         )
         self.branch_steps[self.current].add(index)
         self.touched_per_step.append(touched)
 
-    def _apply_op(
-        self, index: int, state: _BranchState, op: LineOp, touched: dict
-    ) -> tuple[int, int]:
+    def _apply_op(self, index: int, state: _BranchState, op: LineOp, touched: dict) -> None:
         if isinstance(op, SetFile):
             if op.path in state:
                 raise ScriptError(index, f"set on existing file {op.path!r}; use insert/replace")
             state[op.path] = [TruthLine(l, index) for l in op.lines]
             touched[op.path] = list(op.lines)
-            return len(op.lines), 0
-        if isinstance(op, Insert):
+        elif isinstance(op, Insert):
             lines = state.get(op.path)
             if lines is None or not 1 <= op.at <= len(lines) + 1:
                 raise ScriptError(index, f"insert out of range in {op.path!r}")
@@ -306,32 +280,26 @@ class _Replay:
                 + lines[op.at - 1:]
             )
             touched[op.path] = [t.content for t in state[op.path]]
-            return len(op.lines), 0
-        if isinstance(op, Delete):
+        elif isinstance(op, Delete):
             lines = state.get(op.path)
             if lines is None or not 1 <= op.at <= len(lines) - op.count + 1:
                 raise ScriptError(index, f"delete out of range in {op.path!r}")
             del lines[op.at - 1: op.at - 1 + op.count]
             touched[op.path] = [t.content for t in lines]
-            return 0, op.count
-        if isinstance(op, Replace):
+        elif isinstance(op, Replace):
             lines = state.get(op.path)
             if lines is None or not 1 <= op.at <= len(lines) - len(op.lines) + 1:
                 raise ScriptError(index, f"replace out of range in {op.path!r}")
-            added = deleted = 0
             for offset, new in enumerate(op.lines):
                 pos = op.at - 1 + offset
                 old = lines[pos]
                 if new.rstrip() != old.content.rstrip():
                     lines[pos] = TruthLine(new, index)
-                    added += 1
-                    deleted += 1
                 else:
                     # whitespace-only change: text updates, ownership stays
                     lines[pos] = TruthLine(new, old.step)
             touched[op.path] = [t.content for t in lines]
-            return added, deleted
-        if isinstance(op, Rename):
+        elif isinstance(op, Rename):
             if op.old not in state:
                 raise ScriptError(index, f"rename of missing file {op.old!r}")
             if op.new in state:
@@ -339,14 +307,13 @@ class _Replay:
             state[op.new] = state.pop(op.old)
             touched[op.old] = None
             touched[op.new] = [t.content for t in state[op.new]]
-            return 0, 0
-        if isinstance(op, Remove):
+        elif isinstance(op, Remove):
             lines = state.pop(op.path, None)
             if lines is None:
                 raise ScriptError(index, f"remove of missing file {op.path!r}")
             touched[op.path] = None
-            return 0, len(lines)
-        raise ScriptError(index, f"unknown operation {op!r}")
+        else:
+            raise ScriptError(index, f"unknown operation {op!r}")
 
     def _merge(
         self, index: int, ours: _BranchState, theirs: _BranchState, base: _BranchState

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -39,6 +40,13 @@ def _isolated_env(monkeypatch):
 @pytest.fixture
 def june_window() -> AnalysisWindow:
     return JUNE
+
+
+@pytest.fixture
+def pool():
+    """A send pool for `chain.answer_all` and `chain.synthesize`, as a run has."""
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="test-send") as sends:
+        yield sends
 
 
 def tree_files(handle, at: str) -> list[tuple[str, bytes]]:

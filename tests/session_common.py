@@ -9,6 +9,7 @@ so the recorded request digests always line up.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -178,43 +179,54 @@ def session_script() -> RepoScript:
     )
 
 
+def analysis_rows(provider, pool, handle, cset, roster):
+    """Functionality and contribution rows at the session window's head,
+    sent as the pipeline sends them: one `answer_all` batch of file rows,
+    then one of the contribution rows that quote them."""
+    head = handle.history.window_head(SESSION_WINDOW)
+    files = [
+        (path, content.decode(), compute_file_metrics(path, content))
+        for path, content in tree_files(handle, head)
+    ]
+    calls = [chain.file_call(ANALYSIS_TIER, path, text, metrics) for path, text, metrics in files]
+    functionality = [
+        chain.functionality_row(path, metrics, answer)
+        for (path, _, metrics), answer in zip(files, chain.answer_all(provider, calls, pool))
+    ]
+    rows_by_path = {row.path: row for row in functionality}
+
+    evidence = [
+        ev
+        for student in roster.students
+        for ev in cset.evidence_for(student.id)
+        if ev.lines_owned + ev.lines_added_in_window > 0
+    ]
+    calls = [chain.contribution_call(ANALYSIS_TIER, rows_by_path[ev.path], ev) for ev in evidence]
+    contribution_rows = [
+        chain.contribution_row(ev, answer)
+        for ev, answer in zip(evidence, chain.answer_all(provider, calls, pool))
+    ]
+    return functionality, contribution_rows
+
+
 def run_session(provider, workdir: Path) -> dict[str, int]:
     """Drive the full chain once; returns aggregate token totals."""
     handle, truth = synthfix.build(session_script(), workdir / "security_focus")
     roster = truth.roster
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
-    head = handle.history.window_head(SESSION_WINDOW)
 
-    functionality = []
-    for path, content in tree_files(handle, head):
-        text = content.decode()
-        functionality.append(
-            chain.summarize_file(
-                provider, ANALYSIS_TIER, path, text, compute_file_metrics(path, content)
-            )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        functionality, contribution_rows = analysis_rows(provider, pool, handle, cset, roster)
+        bundle = chain.SynthesisBundle(
+            functionality_rows=functionality,
+            contribution_rows=contribution_rows,
+            sprint_instructions="Ship login and recovery flows.",
+            project_description="A clinical trials portal with secure access.",
+            roles_enabled=False,
+            roster=roster,
+            window=SESSION_WINDOW,
+            contribution_set=cset,
         )
-    rows_by_path = {row.path: row for row in functionality}
-
-    contribution_rows = []
-    for student in roster.students:
-        for ev in cset.evidence_for(student.id):
-            if ev.lines_owned + ev.lines_added_in_window <= 0:
-                continue
-            contribution_rows.append(
-                chain.describe_contribution(provider, ANALYSIS_TIER, rows_by_path[ev.path], ev)
-            )
-
-    bundle = chain.SynthesisBundle(
-        functionality_rows=functionality,
-        contribution_rows=contribution_rows,
-        sprint_instructions="Ship login and recovery flows.",
-        project_description="A clinical trials portal with secure access.",
-        roles_enabled=False,
-        roster=roster,
-        window=SESSION_WINDOW,
-        contribution_set=cset,
-        template_instructions=chain.load_template("synthesize"),
-    )
-    chain.synthesize(provider, SYNTHESIS_TIER, bundle)
+        chain.synthesize(provider, SYNTHESIS_TIER, bundle, pool)
 
     return {"summaries": sum(1 for s in roster.students)}

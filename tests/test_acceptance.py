@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from complexity_corpus import CORPUS, total_functions
-from conftest import JUNE, random_script, tree_files
+from conftest import JUNE, random_script
 from contribsum import synthfix
 from contribsum.agents import chain
 from contribsum.agents.provider import MockProvider, ModelTier
@@ -80,7 +80,7 @@ def test_attribution_oracle_equivalence(tmp_path):
 
 
 @criterion("failure-mode suite: comment injection, unmerged branch, zero-commit, co-author")
-def test_failure_mode_suite(tmp_path):
+def test_failure_mode_suite(tmp_path, pool):
     # (a) comment injection: committer credited; fabricated claim flagged
     handle, truth = synthfix.build_standard_fixture("comment_injection", tmp_path / "ci")
     attrs = blame_snapshot(handle, handle.head_ref, truth.roster, excludes=())
@@ -128,7 +128,7 @@ def test_failure_mode_suite(tmp_path):
         window=JUNE,
         contribution_set=cset,
     )
-    summaries, team_summary = chain.synthesize(mock, tier, bundle)
+    summaries, team_summary = chain.synthesize(mock, tier, bundle, pool)
     carol_summary = next(s for s in summaries if s.student.id == "carol")
     assert carol_summary.headline == chain.NO_CONTRIBUTION_TEXT
     doc = render(summaries, team_summary, RunMeta(team="t", window=JUNE))
@@ -295,7 +295,7 @@ def test_cost_ledger_replay(tmp_path):
 
 
 @criterion("report shape: Table-style skeleton, roles only when enabled, closed enum")
-def test_report_shape(tmp_path):
+def test_report_shape(tmp_path, pool):
     import re
 
     handle, truth = synthfix.build(session_common.session_script(), tmp_path / "jd")
@@ -305,30 +305,9 @@ def test_report_shape(tmp_path):
 
     def run(roles_enabled):
         mock = MockProvider()
-        functionality = []
-        contribution_rows = []
-        from contribsum.metrics import compute_file_metrics
-
-        head = handle.history.window_head(window)
-        for path, content in tree_files(handle, head):
-            functionality.append(
-                chain.summarize_file(
-                    mock,
-                    session_common.ANALYSIS_TIER,
-                    path,
-                    content.decode(),
-                    compute_file_metrics(path, content),
-                )
-            )
-        rows_by_path = {r.path: r for r in functionality}
-        for student in roster.students:
-            for ev in cset.evidence_for(student.id):
-                if ev.lines_owned + ev.lines_added_in_window > 0:
-                    contribution_rows.append(
-                        chain.describe_contribution(
-                            mock, session_common.ANALYSIS_TIER, rows_by_path[ev.path], ev
-                        )
-                    )
+        functionality, contribution_rows = session_common.analysis_rows(
+            mock, pool, handle, cset, roster
+        )
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
             contribution_rows=contribution_rows,
@@ -340,7 +319,7 @@ def test_report_shape(tmp_path):
             contribution_set=cset,
         )
         summaries, team_summary = chain.synthesize(
-            mock, session_common.SYNTHESIS_TIER, bundle
+            mock, session_common.SYNTHESIS_TIER, bundle, pool
         )
         for s in summaries:
             s.validation = chain.validate_summary(s, cset)

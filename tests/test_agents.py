@@ -14,9 +14,12 @@ from contribsum.agents.chain import (
     ROLES,
     SENIORITIES,
     SynthesisBundle,
-    describe_contribution,
+    answer_all,
+    contribution_call,
+    contribution_row,
+    file_call,
+    functionality_row,
     record_usage,
-    summarize_file,
     synthesize,
     validate_summary,
 )
@@ -67,6 +70,19 @@ def _mock() -> MockProvider:
     return MockProvider(budgets={t.model_id: t.max_input_tokens for t in (ANALYSIS, SYNTHESIS)})
 
 
+def _file_row(provider, tier, path, content, metrics, pool, *, ledger=None, store=None):
+    """One Functionality Table row, sent as the pipeline sends its batch."""
+    call = file_call(tier, path, content, metrics, store=store)
+    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
+    return functionality_row(path, metrics, text)
+
+
+def _contribution_row(provider, tier, row, evidence, pool):
+    """One Contribution Table row, sent as the pipeline sends its batch."""
+    [text] = answer_all(provider, [contribution_call(tier, row, evidence)], pool)
+    return contribution_row(evidence, text)
+
+
 def _evidence(student, path, owned=5, added=3, messages=None, solos=None, comment_only=False):
     return ContributionEvidence(
         student=student,
@@ -102,83 +118,83 @@ class TestModelTier:
 
 
 class TestSummarizeFile:
-    def test_flask_like_file_mentions_moving_parts(self):
+    def test_flask_like_file_mentions_moving_parts(self, pool):
         mock = _mock()
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        row = summarize_file(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics)
+        row = _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
         lowered = row.functionality.lower()
         for expected in ("server", "route", "database", "cache"):
             assert expected in lowered
         assert row.difficulty
         assert row.metrics == metrics
 
-    def test_empty_file_short_circuits(self):
+    def test_empty_file_short_circuits(self, pool):
         mock = _mock()
         metrics = compute_file_metrics("empty.py", b"")
-        row = summarize_file(mock, ANALYSIS, "empty.py", "", metrics)
+        row = _file_row(mock, ANALYSIS, "empty.py", "", metrics, pool)
         assert row.functionality == "empty file"
         assert row.difficulty == "none"
         assert mock.calls == []
 
-    def test_deterministic_across_runs(self):
+    def test_deterministic_across_runs(self, pool):
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
         rows = [
-            summarize_file(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics)
+            _file_row(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
             for _ in range(2)
         ]
         assert rows[0] == rows[1]
 
-    def test_oversized_content_clipped_to_budget(self):
+    def test_oversized_content_clipped_to_budget(self, pool):
         tiny = ModelTier("analysis", "tiny", 2000, 0, 0)
         mock = MockProvider(budgets={"tiny": 2000})
         big = "\n".join(f"statement_{i} = {i}" for i in range(5000))
         metrics = compute_file_metrics("big.py", big.encode())
-        row = summarize_file(mock, tiny, "big.py", big, metrics)
+        row = _file_row(mock, tiny, "big.py", big, metrics, pool)
         assert row.functionality  # call went through clipped
         sent = mock.calls[0]["messages"][1]["content"]
         assert "lines clipped" in sent
         assert estimate_tokens(sent) <= tiny.input_budget
 
-    def test_budget_exceeded_when_even_clipping_cannot_fit(self):
+    def test_budget_exceeded_when_even_clipping_cannot_fit(self, pool):
         micro = ModelTier("analysis", "micro", 200, 0, 0)
         mock = MockProvider(budgets={"micro": 200})
         wide = "x" * 100_000  # one unsplittable enormous line
         metrics = compute_file_metrics("wide.py", wide.encode())
         with pytest.raises(BudgetExceeded):
-            summarize_file(mock, micro, "wide.py", wide, metrics)
+            _file_row(mock, micro, "wide.py", wide, metrics, pool)
         assert mock.calls == []  # guarded before any provider call
 
 
 class TestDescribeContribution:
-    def _row(self):
+    def _row(self, pool):
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        return summarize_file(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics)
+        return _file_row(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
 
-    def test_strong_contributor_description(self):
+    def test_strong_contributor_description(self, pool):
         evidence = _evidence(
             ALICE, "app.py", owned=40, added=25,
             messages=["add login route", "add admin route"],
         )
-        row = describe_contribution(_mock(), ANALYSIS, self._row(), evidence)
+        row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
         assert "Alice Lee" in row.description
         assert "40" in row.description
         assert row.evidence is evidence
 
-    def test_solo_function_complexities_mentioned(self):
+    def test_solo_function_complexities_mentioned(self, pool):
         evidence = _evidence(ALICE, "app.py", solos=[("login", 3)])
-        row = describe_contribution(_mock(), ANALYSIS, self._row(), evidence)
+        row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
         assert "login" in row.description
         assert "3" in row.description
 
-    def test_zero_line_evidence_never_sent(self):
+    def test_zero_line_evidence_never_sent(self, pool):
         mock = _mock()
         evidence = _evidence(ALICE, "app.py", owned=0, added=0)
         with pytest.raises(ValueError):
-            describe_contribution(mock, ANALYSIS, self._row(), evidence)
+            _contribution_row(mock, ANALYSIS, self._row(pool), evidence, pool)
         assert mock.calls == []
 
 
-def _bundle(per_student, zero=(), roles=False):
+def _bundle(per_student, pool, zero=(), roles=False):
     cset = _cset(per_student, zero)
     functionality = []
     contribution_rows = []
@@ -188,13 +204,11 @@ def _bundle(per_student, zero=(), roles=False):
             if not any(f.path == ev.path for f in functionality):
                 metrics = compute_file_metrics(ev.path, FLASK_LIKE.encode())
                 functionality.append(
-                    summarize_file(mock, ANALYSIS, ev.path, FLASK_LIKE, metrics)
+                    _file_row(mock, ANALYSIS, ev.path, FLASK_LIKE, metrics, pool)
                 )
             if ev.lines_owned + ev.lines_added_in_window > 0:
                 row = next(f for f in functionality if f.path == ev.path)
-                contribution_rows.append(
-                    describe_contribution(mock, ANALYSIS, row, ev)
-                )
+                contribution_rows.append(_contribution_row(mock, ANALYSIS, row, ev, pool))
     return SynthesisBundle(
         functionality_rows=functionality,
         contribution_rows=contribution_rows,
@@ -204,21 +218,21 @@ def _bundle(per_student, zero=(), roles=False):
         roster=ROSTER,
         window=JUNE,
         contribution_set=cset,
-        template_instructions=chain.load_template("synthesize"),
     )
 
 
 class TestSynthesize:
-    def test_one_summary_per_roster_student(self):
+    def test_one_summary_per_roster_student(self, pool):
         bundle = _bundle(
             {
                 "alice": [_evidence(ALICE, "auth.py"), _evidence(ALICE, "login.html")],
                 "bob": [_evidence(BOB, "app.py")],
                 "carol": [],
             },
+            pool,
             zero=(CAROL,),
         )
-        summaries, team = synthesize(_mock(), SYNTHESIS, bundle)
+        summaries, team = synthesize(_mock(), SYNTHESIS, bundle, pool)
         assert [s.student.id for s in summaries] == ["alice", "bob", "carol"]
         carol = summaries[-1]
         assert carol.headline == chain.NO_CONTRIBUTION_TEXT
@@ -226,47 +240,49 @@ class TestSynthesize:
         assert team.narrative
         assert team.progress_bullets
 
-    def test_security_focus_headline(self):
+    def test_security_focus_headline(self, pool):
         evidence = [
             _evidence(ALICE, "auth.py", messages=["add token auth"]),
             _evidence(ALICE, "rec_password.py", messages=["password recovery"]),
         ]
-        bundle = _bundle({"alice": evidence, "bob": [], "carol": []}, zero=(BOB, CAROL))
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle)
+        bundle = _bundle({"alice": evidence, "bob": [], "carol": []}, pool, zero=(BOB, CAROL))
+        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
         alice = summaries[0]
         assert "security and authentication" in alice.headline
         assert {p for p, _ in alice.per_file_bullets} == {"auth.py", "rec_password.py"}
 
-    def test_roles_flag_on_assigns_from_closed_enum(self):
+    def test_roles_flag_on_assigns_from_closed_enum(self, pool):
         bundle = _bundle(
             {"alice": [_evidence(ALICE, "app.py")], "bob": [], "carol": []},
+            pool,
             zero=(BOB, CAROL),
             roles=True,
         )
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle)
+        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
         alice = summaries[0]
         assert alice.role is not None
         assert alice.role.role in ROLES
         assert alice.role.seniority in SENIORITIES
 
-    def test_roles_flag_off_no_role(self):
+    def test_roles_flag_off_no_role(self, pool):
         bundle = _bundle(
             {"alice": [_evidence(ALICE, "app.py")], "bob": [], "carol": []},
+            pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle)
+        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
         assert summaries[0].role is None
 
-    def test_no_active_students_fixed_team_summary(self):
-        bundle = _bundle({"alice": [], "bob": [], "carol": []}, zero=tuple(ROSTER.students))
+    def test_no_active_students_fixed_team_summary(self, pool):
+        bundle = _bundle({"alice": [], "bob": [], "carol": []}, pool, zero=tuple(ROSTER.students))
         mock = _mock()
-        summaries, team = synthesize(mock, SYNTHESIS, bundle)
+        summaries, team = synthesize(mock, SYNTHESIS, bundle, pool)
         assert len(summaries) == 3
         assert all(s.headline == chain.NO_CONTRIBUTION_TEXT for s in summaries)
         assert mock.calls == []
         assert "No recorded team contributions" in team.narrative
 
-    def test_template_violation_repaired_once(self):
+    def test_template_violation_repaired_once(self, pool):
         class FlakyProvider:
             def __init__(self):
                 self.inner = _mock()
@@ -281,13 +297,14 @@ class TestSynthesize:
         flaky = FlakyProvider()
         bundle = _bundle(
             {"alice": [_evidence(ALICE, "app.py")], "bob": [], "carol": []},
+            pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(flaky, SYNTHESIS, bundle)
+        summaries, _ = synthesize(flaky, SYNTHESIS, bundle, pool)
         assert flaky.calls == 2
         assert summaries[0].headline
 
-    def test_template_violation_after_repair_raises(self):
+    def test_template_violation_after_repair_raises(self, pool):
         class BrokenProvider:
             def __init__(self):
                 self.calls = 0
@@ -299,10 +316,11 @@ class TestSynthesize:
         broken = BrokenProvider()
         bundle = _bundle(
             {"alice": [_evidence(ALICE, "app.py")], "bob": [], "carol": []},
+            pool,
             zero=(BOB, CAROL),
         )
         with pytest.raises(TemplateViolation):
-            synthesize(broken, SYNTHESIS, bundle)
+            synthesize(broken, SYNTHESIS, bundle, pool)
         assert broken.calls == 2  # exactly one repair retry
 
 
@@ -386,32 +404,32 @@ class TestRecordUsage:
 
 
 class TestCaching:
-    def test_cached_rerun_zero_calls_zero_entries(self, tmp_path):
+    def test_cached_rerun_zero_calls_zero_entries(self, tmp_path, pool):
         store = Store(tmp_path / "cache")
         ledger = CostLedger()
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
 
         mock1 = _mock()
-        first = summarize_file(
-            mock1, ANALYSIS, "app.py", FLASK_LIKE, metrics, ledger=ledger, store=store
+        first = _file_row(
+            mock1, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger, store=store
         )
         assert len(mock1.calls) == 1
         assert len(ledger.entries) == 1
 
         mock2 = _mock()
-        second = summarize_file(
-            mock2, ANALYSIS, "app.py", FLASK_LIKE, metrics, ledger=ledger, store=store
+        second = _file_row(
+            mock2, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger, store=store
         )
         assert mock2.calls == []  # served from cache
         assert len(ledger.entries) == 1  # no new entry
         assert first == second
 
-    def test_every_provider_call_appends_one_entry(self, tmp_path):
+    def test_every_provider_call_appends_one_entry(self, tmp_path, pool):
         ledger = CostLedger()
         mock = _mock()
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        summarize_file(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, ledger=ledger)
-        summarize_file(mock, ANALYSIS, "app.py", FLASK_LIKE * 2, metrics, ledger=ledger)
+        _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger)
+        _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE * 2, metrics, pool, ledger=ledger)
         assert len(mock.calls) == len(ledger.entries) == 2
 
 

@@ -1,4 +1,4 @@
-"""Blame engine vs the script-replay oracle, evidence aggregation, churn."""
+"""Blame engine vs the script-replay oracle, evidence aggregation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from conftest import (
     ROSTER_TEXT,
     random_pruning_script,
     tree_files,
-    with_tree_entries,
 )
 from contribsum import attribution, gitio, synthfix
 from contribsum.attribution import (
@@ -23,13 +22,12 @@ from contribsum.attribution import (
     blame_snapshot,
     branch_extra_attributions,
     build_contribution_set,
-    churn_stats,
     is_blamable,
     is_excluded,
 )
 from contribsum.errors import UnknownCommit
-from contribsum.identity import UNMAPPED, load_roster
-from contribsum.ingest import AnalysisWindow, open_repo
+from contribsum.identity import UNMAPPED
+from contribsum.ingest import AnalysisWindow
 from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
 
@@ -631,74 +629,6 @@ class TestBuildContributionSet:
         cset = build_contribution_set(handle, JUNE, truth.roster)
         unmapped = cset.per_student[UNMAPPED.id]
         assert sum(ev.lines_owned for ev in unmapped) == 2
-
-
-class TestChurnStats:
-    def test_add_twenty_delete_twenty(self, tmp_path):
-        lines = tuple(f"temp_row_{i} = {i}" for i in range(20))
-        script = RepoScript(
-            name="churny",
-            roster_text=ROSTER_TEXT,
-            steps=[
-                Step(
-                    author_name="Alice Lee",
-                    author_email="alice@campus.edu",
-                    message="seed file",
-                    ops=(SetFile("keep.py", ("anchor = 0",)),),
-                ),
-                Step(
-                    author_name="Bob Roy",
-                    author_email="bob@campus.edu",
-                    message="write twenty lines",
-                    ops=(Insert("keep.py", 2, lines),),
-                ),
-                Step(
-                    author_name="Bob Roy",
-                    author_email="bob@campus.edu",
-                    message="erase them all",
-                    ops=(Delete("keep.py", 2, 20),),
-                ),
-            ],
-        )
-        handle, truth = synthfix.build(script, tmp_path / "churny")
-        stats = churn_stats(handle, JUNE, truth.roster)
-        by_id = {s.id: v for s, v in stats.items() if s is not None}
-        assert by_id["bob"] == (20, 20)
-        assert truth.expected_churn()["bob"] == (20, 20)
-        # nothing survives for bob
-        cset = build_contribution_set(handle, JUNE, truth.roster)
-        assert all(ev.lines_owned == 0 for ev in cset.evidence_for("bob"))
-
-    def test_no_commits_zero(self, built_fixtures):
-        handle, truth = built_fixtures["sole_author"]
-        stats = churn_stats(handle, JUNE, truth.roster)
-        carol_like = [v for s, v in stats.items() if s is not None and s.id != "alice"]
-        assert all(v == (0, 0) for v in carol_like)
-
-    def test_rename_only_commit_counts_nothing(self, built_fixtures):
-        handle, truth = built_fixtures["rename_keeps_authors"]
-        stats = churn_stats(handle, JUNE, truth.roster)
-        by_id = {s.id: v for s, v in stats.items() if s is not None}
-        assert by_id["bob"] == (0, 0)
-        assert by_id == {k: v for k, v in truth.expected_churn().items() if k is not None}
-
-    def test_matches_oracle_on_standard_fixtures(self, built_fixtures):
-        for name, (handle, truth) in built_fixtures.items():
-            stats = churn_stats(handle, JUNE, truth.roster)
-            by_id = {s.id: v for s, v in stats.items() if s is not None}
-            want = {k: v for k, v in truth.expected_churn().items() if k is not None}
-            assert by_id == want, name
-
-
-    @pytest.mark.parametrize("mode, obj", [("160000", "1" * 40), ("120000", b"ok.py")])
-    def test_gitlink_or_symlink_counts_nothing(self, tmp_path, mode, obj):
-        """A submodule commit or a symlink target is no text to count, and a
-        gitlink's commit is not in this repository to read."""
-        handle = open_repo(with_tree_entries(tmp_path, (mode, "libs/thing", obj)))
-        stats = churn_stats(handle, JUNE, load_roster(ROSTER_TEXT))
-        by_id = {s.id: v for s, v in stats.items() if s is not None}
-        assert by_id["bob"] == (0, 0)
-        assert by_id["alice"] == (2, 0)
 
 
 class TestUnmergedBranch:

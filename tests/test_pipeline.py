@@ -156,6 +156,36 @@ class GatedProvider:
                 self.in_flight -= 1
 
 
+class FirstSendHeld:
+    """MockProvider that holds its first send until a second send arrives
+    or `hold` seconds pass, and records the peak of sends in flight."""
+
+    def __init__(self, hold: float):
+        self.inner = MockProvider()
+        self.hold = hold
+        self.second_arrived = threading.Event()
+        self.sends = 0
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, messages, model_id):
+        with self._lock:
+            self.sends += 1
+            first = self.sends == 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if first:
+                self.second_arrived.wait(timeout=self.hold)
+            else:
+                self.second_arrived.set()
+            return self.inner.send(messages, model_id)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
 class ShuffledProvider:
     """MockProvider whose answers take 0-4 ms, fixed per request, so they arrive out of order."""
 
@@ -249,6 +279,32 @@ class TestSendPool:
         assert not thread.is_alive()
         assert len(results) == teams and all(r.ok for r in results), [r.error for r in results]
         assert provider.peak <= workers
+
+    def test_synthesis_sends_count_against_the_cap(self, tmp_path):
+        """With one send thread, a team's synthesis never runs beside another
+        team's row send. Team 0's rows are cached and only its synthesis (new
+        sprint instructions) is sent, while team 1 sends every row: the first
+        send is held until a second one arrives, which only a send beside
+        the pool could do."""
+        roster = load_roster(ROSTER_TEXT)
+        repos = []
+        for n in range(2):
+            handle, _ = synthfix.build(_history(12 + n), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        store = Store(tmp_path / "cache")
+        for sprint, teams, provider in (
+            ("Sprint 1.", repos[:1], MockProvider()),
+            ("Sprint 2.", repos, FirstSendHeld(hold=1.0)),
+        ):
+            (tmp_path / "sprint.txt").write_text(sprint, encoding="utf-8")
+            cfg = _config(tmp_path / sprint, teams)
+            cfg.sprint_instructions_path = str(tmp_path / "sprint.txt")
+            cfg.analysis_workers = 1
+            cfg.jobs = 2
+            results = pipeline.run_analysis(cfg, roster, provider, store, CostLedger())
+            assert all(r.ok for r in results), [r.error for r in results]
+        assert provider.sends > 2  # team 0's synthesis and team 1's rows and synthesis
+        assert provider.peak <= 1
 
     def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
