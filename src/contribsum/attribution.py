@@ -13,9 +13,13 @@ one of them, so a file keeps its authors even when it moved in from an
 excluded or deleted path. Symlinks and gitlinks (submodules) are never
 kept, and a gitlink is never read. Changes to other paths are never
 read or diffed, and each commit's state is freed once its last child is
-replayed. Replay hands back the kept files with their head bytes; the
-`ContributionSet` carries them with their metrics, computed once, so
-the pipeline reads no blob of its own. Semantics:
+replayed. Each distinct head blob is read once, and replay requests
+every blob it reads before it reads the first (the head blobs, then the
+replay's in replay order), so one `cat-file` process streams them back
+without a round trip per blob. Replay hands back the kept files with
+their head bytes; the `ContributionSet` carries them with their
+metrics, computed once, so the pipeline reads no blob of its own.
+Exclude globs are matched as one compiled pattern. Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -36,12 +40,14 @@ the pipeline reads no blob of its own. Semantics:
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from difflib import SequenceMatcher
-from fnmatch import fnmatch
+from fnmatch import translate
+from functools import lru_cache
 from itertools import compress, count, islice
 from operator import attrgetter, ne
 
@@ -298,10 +304,18 @@ def _merge_state(
     return state
 
 
+@lru_cache(maxsize=16)
+def _exclude_pattern(globs: tuple[str, ...]) -> re.Pattern[str] | None:
+    """The `fnmatch` globs as one regex, compiled once per tuple."""
+    return re.compile("|".join(map(translate, globs))) if globs else None
+
+
 def is_excluded(path: str, globs: tuple[str, ...]) -> bool:
-    """Glob match against the full path and the basename."""
-    name = path.rsplit("/", 1)[-1]
-    return any(fnmatch(path, g) or fnmatch(name, g) for g in globs)
+    """Glob match (as `fnmatch`) against the full path and the basename."""
+    pattern = _exclude_pattern(globs)
+    if pattern is None:
+        return False
+    return bool(pattern.match(path) or pattern.match(path.rsplit("/", 1)[-1]))
 
 
 def is_blamable(blob: bytes, max_file_bytes: int) -> bool:
@@ -322,7 +336,7 @@ def _tree_at(history: History, at: str) -> dict[str, tuple[str, str]]:
         commit = history.by_sha[sha]
         chain.append(commit)
         sha = commit.parents[0] if commit.parents else None
-    tree: dict[str, str] = {}
+    tree: dict[str, tuple[str, str]] = {}
     for commit in reversed(chain):
         for change in commit.changes:
             if change.status == "R":
@@ -378,33 +392,53 @@ def _ownership_at(
     gitlink and its blob passes `is_blamable`, else skipped. Replay runs
     parents first over `at`'s ancestors and applies only changes to the
     kept paths and their rename sources; each commit's state is dropped
-    after its last child is replayed.
+    after its last child is replayed. Every blob is requested from the
+    reader before the first one is read, head blobs first and then the
+    replay's in replay order, so the reads share round trips.
     """
     ancestors = history.ancestors(at)
     children = Counter(p for commit in ancestors.commits for p in commit.parents)
     with gitio.ObjectReader(root) as reader:
-        head_blobs: dict[str, bytes] = {}  # blob sha -> content, kept files only
-
-        def read(sha: str) -> bytes:
-            return head_blobs[sha] if sha in head_blobs else reader.blob(sha)
-
-        kept: dict[str, bytes] = {}
         skipped: set[str] = set()
+        candidates: list[tuple[str, str]] = []  # (path, blob sha) to read
         tree = _tree_at(ancestors, at)
         for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
             mode, sha = tree[path]
             if is_excluded(path, excludes):
                 continue
-            blob = None if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE) else read(sha)
-            if blob is not None and is_blamable(blob, max_file_bytes):
-                kept[path] = head_blobs[sha] = blob
+            if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
+                skipped.add(path)
+            else:
+                candidates.append((path, sha))
+        reader.request(dict.fromkeys(sha for _, sha in candidates))
+        head_blobs: dict[str, bytes] = {}  # blob sha -> content, kept files only
+        blamable: dict[str, bool] = {}  # blob sha -> verdict; each head blob is read once
+        kept: dict[str, bytes] = {}
+        for path, sha in candidates:
+            if sha not in blamable:
+                blob = reader.blob(sha)
+                blamable[sha] = is_blamable(blob, max_file_bytes)
+                if blamable[sha]:
+                    head_blobs[sha] = blob
+            if blamable[sha]:
+                kept[path] = head_blobs[sha]
             else:
                 skipped.add(path)
+
         needed = _rename_closure(ancestors, set(kept))
+        plan = [(commit, _needed_changes(commit.changes, needed)) for commit in ancestors.commits]
+        reader.request(
+            change.new_blob
+            for _, changes in plan
+            for change in changes
+            if change.status != "D" and change.new_blob not in head_blobs
+        )
+
+        def read(sha: str) -> bytes:
+            return head_blobs[sha] if sha in head_blobs else reader.blob(sha)
 
         states: dict[str, _State] = {}
-        for commit in ancestors.commits:
-            changes = _needed_changes(commit.changes, needed)
+        for commit, changes in plan:
             if commit.is_merge:
                 parents = [states[p] for p in commit.parents]
                 state = _merge_state(parents, changes, commit.hash, read)

@@ -6,7 +6,9 @@ porcelain, no working tree, no network):
 * one `git log` stream per ref, parsed by `log` into `Commit`s that each
   carry their file changes against the first parent;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
-  blob contents;
+  blob contents: requests are written ahead in batches of at most 4 KiB,
+  which one pipe page always holds, and answers are read back in order
+  with a `_GIT_TIMEOUT` poll before each read;
 * short one-off commands (ref lookups) through `git`.
 
 Higher modules (ingest, attribution) build on these primitives.
@@ -14,22 +16,36 @@ Higher modules (ingest, attribution) build on these primitives.
 
 from __future__ import annotations
 
+import os
+import select
 import subprocess
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import GitError, UnknownCommit
 
 _GIT_TIMEOUT = 120  # seconds; local plumbing should never take this long
+# Unanswered `cat-file` request bytes: one pipe page, about 100 SHAs
+# (see ObjectReader).
+_WRITE_AHEAD = 4096
+_READ_SIZE = 65536  # one default pipe's capacity
 
 
 def git(root: str, *args: str, check: bool = True) -> bytes | None:
     """Run one git command against `root` and return its stdout.
 
     A non-zero exit raises GitError, or returns None when `check` is
-    False (for probes such as "does this ref exist").
+    False (for probes such as "does this ref exist"). A command still
+    running after `_GIT_TIMEOUT` seconds is killed and raises GitError.
     """
-    result = subprocess.run(["git", "-C", root, *args], capture_output=True, timeout=_GIT_TIMEOUT)
+    try:
+        result = subprocess.run(
+            ["git", "-C", root, *args], capture_output=True, timeout=_GIT_TIMEOUT
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise GitError(f"git {args[0]} in {root} did not finish in {_GIT_TIMEOUT} s") from exc
     if result.returncode == 0:
         return result.stdout
     if not check:
@@ -138,10 +154,26 @@ def log(root: str, tip: str) -> list[Commit]:
 
 
 class ObjectReader:
-    """Persistent `git cat-file --batch` process for cheap blob reads.
+    """Persistent `git cat-file --batch` process for blob reads.
 
-    One subprocess serves every blob fetch for a repository, which keeps
-    blame replay fast. Not thread-safe; use one reader per thread.
+    One subprocess serves every blob fetch for a repository, and `cat-file`
+    answers its requests in order on one pipe, so a reader that knows its
+    reads in advance `request`s them and the round trips overlap: `get`
+    writes queued requests ahead in batches of at most `_WRITE_AHEAD`
+    bytes, one batch at a time, and reads the answers back in order.
+
+    The bound keeps the pipes from deadlocking. A batch is written only
+    once every earlier answer is read, and one batch fits into a pipe even
+    at its smallest (one page), so the write completes while `cat-file`
+    is blocked on a stdout pipe full of blobs not yet read. Were every
+    request written at once, a long plan (about 1,600 SHAs fill the
+    default 64 KiB stdin pipe) would block here on stdin while `cat-file`
+    blocked on stdout.
+
+    Answers are read from the pipe into a buffer, with a poll of
+    `_GIT_TIMEOUT` before each read, so a `cat-file` that hangs raises
+    GitError rather than blocking the run. POSIX only (`select.poll`).
+    Not thread-safe; use one reader per thread.
     """
 
     def __init__(self, root: str):
@@ -150,28 +182,41 @@ class ObjectReader:
             ["git", "-C", root, "cat-file", "--batch"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
+            bufsize=0,
         )
+        assert self._proc.stdin is not None and self._proc.stdout is not None
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        self._poll = select.poll()
+        self._poll.register(self._stdout, select.POLLIN)
+        self._buffer = bytearray()  # answer bytes read but not yet consumed
+        self._queued: deque[str] = deque()  # requested, not yet written
+        self._unanswered: deque[str] = deque()  # written, answer not yet read
+
+    def request(self, refs: Iterable[str]) -> None:
+        """Queue `refs`, in the order `get` will be asked for them."""
+        self._queued.extend(refs)
 
     def get(self, ref: str) -> tuple[str, bytes]:
         """Fetch one object as (type, payload).
 
-        Raises UnknownCommit for a missing object, GitError when the
-        `cat-file` process has died.
+        `ref` is normally the next requested one. Any other ref is written
+        alone, after the answers in flight are read and dropped and the
+        queue is emptied. Raises UnknownCommit for a missing object,
+        GitError when the `cat-file` process has died or sent nothing for
+        `_GIT_TIMEOUT` seconds.
         """
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        try:
-            self._proc.stdin.write(ref.encode() + b"\n")
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # the empty header read below reports the dead process
-        header = self._proc.stdout.readline().decode().strip()
-        if not header:
-            raise GitError(f"git cat-file for {self.root} exited; cannot read {ref}")
-        if header.endswith("missing"):
+        if self._unanswered and self._unanswered[0] != ref:
+            self._queued.clear()
+            while self._unanswered:
+                self._answer()
+        if not self._unanswered:
+            if not self._queued or self._queued[0] != ref:
+                self._queued = deque([ref])
+            self._write_batch()
+        obj_type, payload = self._answer()
+        if obj_type == "missing":
             raise UnknownCommit(ref)
-        sha, obj_type, size = header.split()
-        payload = self._proc.stdout.read(int(size))
-        self._proc.stdout.read(1)  # trailing newline
         return obj_type, payload
 
     def blob(self, sha: str) -> bytes:
@@ -180,13 +225,64 @@ class ObjectReader:
             raise UnknownCommit(sha)
         return payload
 
-    def close(self) -> None:
-        assert self._proc.stdin is not None and self._proc.stdout is not None
+    def _write_batch(self) -> None:
+        """Write queued requests, at most `_WRITE_AHEAD` bytes (one at least)."""
+        batch = bytearray()
+        while self._queued and (
+            not batch or len(batch) + len(self._queued[0]) < _WRITE_AHEAD
+        ):
+            ref = self._queued.popleft()
+            batch += ref.encode() + b"\n"
+            self._unanswered.append(ref)
+        view = memoryview(batch)
         try:
-            self._proc.stdin.close()
+            while view:
+                view = view[os.write(self._stdin, view):]
         except BrokenPipeError:
-            pass  # the process already exited; its unread request is moot
-        self._proc.wait(timeout=10)
+            pass  # the process died; reading its answer reports that
+
+    def _answer(self) -> tuple[str, bytes]:
+        """(type, payload) answering the oldest unanswered request; the
+        type is "missing" when git has no such object."""
+        buffer = self._buffer
+        searched = 0
+        while (end := buffer.find(b"\n", searched)) < 0:
+            searched = len(buffer)
+            self._read()
+        header = buffer[:end].decode()
+        if header.endswith(" missing"):
+            del buffer[:end + 1]
+            self._unanswered.popleft()
+            return "missing", b""
+        _sha, obj_type, size = header.split()
+        start = end + 1
+        stop = start + int(size)
+        while len(buffer) <= stop:  # the payload and its trailing newline
+            self._read()
+        payload = bytes(buffer[start:stop])
+        del buffer[:stop + 1]
+        self._unanswered.popleft()
+        return obj_type, payload
+
+    def _read(self) -> None:
+        """Append what `cat-file` sends next to the buffer."""
+        if not self._poll.poll(_GIT_TIMEOUT * 1000):
+            raise GitError(f"git cat-file in {self.root} sent nothing for {_GIT_TIMEOUT} s")
+        chunk = os.read(self._stdout, _READ_SIZE)
+        if not chunk:
+            raise GitError(
+                f"git cat-file for {self.root} exited; cannot read {self._unanswered[0]}"
+            )
+        self._buffer += chunk
+
+    def close(self) -> None:
+        """Kill the process and reap it. `cat-file` only reads, so nothing
+        is lost; an end-of-input would not end a process blocked on a
+        stdout pipe full of answers left unread after an error, nor one
+        that hangs."""
+        self._proc.kill()
+        self._proc.wait()
+        self._proc.stdin.close()
         self._proc.stdout.close()
 
     def __enter__(self) -> "ObjectReader":
@@ -194,4 +290,3 @@ class ObjectReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import shlex
+import shutil
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
@@ -11,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from contribsum.ingest import AnalysisWindow
-from contribsum import synthfix
+from contribsum import gitio, synthfix
 from contribsum.synthfix import (
     Delete,
     Insert,
@@ -107,9 +109,7 @@ _UNKNOWN = ("CI Bot", "bot@nowhere.invalid")
 
 
 def with_tree_entries(tmp_path, *entries: tuple[str, str, str | bytes]) -> str:
-    """Root of a two-file repo by Alice plus one commit by Bob, on
-    2024-06-20, per raw tree entry (mode, path, object): an object id, or
-    bytes written as a blob first."""
+    """Root of a two-file repo by Alice plus `commit_tree_entries(entries)`."""
     script = RepoScript(
         name="entry",
         roster_text=ROSTER_TEXT,
@@ -117,16 +117,25 @@ def with_tree_entries(tmp_path, *entries: tuple[str, str, str | bytes]) -> str:
                     ops=(SetFile("ok.py", ("x = 1",)), SetFile("app.py", ("y = 2",))))],
     )
     handle, _ = synthfix.build(script, tmp_path / "repo")
-    root = handle.root_path
+    commit_tree_entries(handle.root_path, tmp_path / "entry.index", *entries)
+    return handle.root_path
+
+
+def commit_tree_entries(
+    root: str, index, *entries: tuple[str, str, str | bytes], date: str = "2024-06-20T12:00:00+00:00"
+) -> None:
+    """On `refs/heads/main` of `root`, one commit by Bob at `date` per raw
+    tree entry (mode, path, object): an object id, or bytes written as a
+    blob first. `index` is a scratch index file."""
     env = {
         **os.environ,
-        "GIT_INDEX_FILE": str(tmp_path / "entry.index"),
+        "GIT_INDEX_FILE": str(index),
         "GIT_AUTHOR_NAME": _AUTHORS[1][0],
         "GIT_AUTHOR_EMAIL": _AUTHORS[1][1],
-        "GIT_AUTHOR_DATE": "2024-06-20T12:00:00+00:00",
+        "GIT_AUTHOR_DATE": date,
         "GIT_COMMITTER_NAME": _AUTHORS[1][0],
         "GIT_COMMITTER_EMAIL": _AUTHORS[1][1],
-        "GIT_COMMITTER_DATE": "2024-06-20T12:00:00+00:00",
+        "GIT_COMMITTER_DATE": date,
     }
 
     def git(*args: str, stdin: bytes = b"") -> str:
@@ -142,7 +151,28 @@ def with_tree_entries(tmp_path, *entries: tuple[str, str, str | bytes]) -> str:
         git("update-index", "--add", "--cacheinfo", f"{mode},{obj},{path}")
         commit = git("commit-tree", git("write-tree"), "-p", "refs/heads/main", "-m", path)
         git("update-ref", "refs/heads/main", commit)
-    return root
+
+
+def hang_cat_file(tmp_path, monkeypatch, root: str, timeout: float = 0.5) -> None:
+    """Put a fake `git` first on PATH: `git -C <root> cat-file ...` sleeps
+    without a word, every other command runs the real git. `gitio`'s
+    timeout drops to `timeout` seconds."""
+    real_git = shutil.which("git")
+    assert real_git is not None
+    bin_dir = tmp_path / "fake-bin"
+    bin_dir.mkdir()
+    fake = bin_dir / "git"
+    fake.write_text(
+        "#!/bin/sh\n"
+        f'if [ "$1" = -C ] && [ "$2" = {shlex.quote(root)} ] && [ "$3" = cat-file ]; then\n'
+        "    exec sleep 60\n"
+        "fi\n"
+        f'exec {shlex.quote(real_git)} "$@"\n',
+        encoding="utf-8",
+    )
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    monkeypatch.setattr(gitio, "_GIT_TIMEOUT", timeout)
 
 
 def random_script(seed: int) -> RepoScript:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from datetime import datetime, timedelta, timezone
+from fnmatch import fnmatch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,45 @@ class TestExclusions:
             handle, handle.head_ref, truth.roster, excludes=(), max_file_bytes=500
         )
         assert {a.path for a in attrs} == {"ok.py"}
+
+
+_GLOB_ALPHABET = ("a", "b", "x", "/", ".", "*", "?", "[", "]", "!", "-", "é", "ß", "日")
+_PATH_PARTS = ("node_modules", "vendor", "dist", "build", "src", "a.min.js", "b.min.css",
+               "package-lock.json", "yarn.lock", ".ipynb_checkpoints", "x.py", "é.py")
+
+
+@st.composite
+def _paths(draw, parts=_PATH_PARTS) -> str:
+    """Path-like text: "/"-joined parts, each a sampled one or random text."""
+    return "/".join(draw(st.lists(
+        st.one_of(st.sampled_from(parts), st.text(st.sampled_from(_GLOB_ALPHABET), max_size=6)),
+        min_size=1, max_size=4,
+    )))
+
+
+_GLOBS = st.lists(_paths(_PATH_PARTS + ("*", "?", "*.py", "[a-x]*", "[!a]", "src/*")), max_size=4)
+
+
+class TestExcludeMatcher:
+    """The one compiled pattern answers as the per-glob `fnmatch` form."""
+
+    @staticmethod
+    def _per_glob(path: str, globs: tuple[str, ...]) -> bool:
+        name = path.rsplit("/", 1)[-1]
+        return any(fnmatch(path, g) or fnmatch(name, g) for g in globs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=_paths())
+    def test_default_globs(self, path):
+        assert is_excluded(path, DEFAULT_EXCLUDE_GLOBS) == self._per_glob(path, DEFAULT_EXCLUDE_GLOBS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=_paths(),
+        globs=_GLOBS.map(tuple),
+    )
+    def test_random_globs(self, path, globs):
+        assert is_excluded(path, globs) == self._per_glob(path, globs)
 
 
 class TestPrunedReplay:
@@ -354,6 +395,46 @@ class TestReplayBound:
                 super().__init__(isjunk, a, b, autojunk)
 
         monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
+
+
+class TestBlobRequests:
+    """Replay requests its blobs up front, so writes to `cat-file` grow with
+    the request bytes, not with the number of blobs."""
+
+    def test_writes_grow_with_request_bytes(self, tmp_path, monkeypatch):
+        files = tuple(f"src/mod_{i}.py" for i in range(5))
+        steps = [Step("Alice Lee", "alice@campus.edu", "scaffold",
+                      ops=tuple(SetFile(p, ("x = 0",)) for p in files))]
+        for n in range(1, 600):
+            steps.append(Step("Bob Roy", "bob@campus.edu", f"edit {n}",
+                              ops=(Insert(files[n % 5], 1, (f"v_{n} = {n}",)),)))
+        handle, truth = synthfix.build(
+            RepoScript(name="six-hundred", roster_text=ROSTER_TEXT, steps=steps), tmp_path / "repo"
+        )
+        stdin_writes: list[int] = []
+        reads: list[str] = []
+
+        class CountingOs:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def write(self, fd, data):
+                stdin_writes.append(len(data))
+                return os.write(fd, data)
+
+        real_get = gitio.ObjectReader.get
+
+        def counting_get(self, ref):
+            reads.append(ref)
+            return real_get(self, ref)
+
+        monkeypatch.setattr(gitio, "os", CountingOs())
+        monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
+        cset = build_contribution_set(handle, JUNE, truth.roster)
+        assert sum(ev.lines_owned for ev in cset.evidence_for("bob")) == 599
+        assert len(reads) >= 595
+        assert sum(stdin_writes) == 41 * len(reads)  # each read requested once
+        assert len(stdin_writes) <= 15
 
 
 # A small vocabulary, blank and whitespace-only lines included, so edits

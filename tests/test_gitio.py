@@ -1,13 +1,15 @@
-"""The one-stream history reader against a per-commit reference, and git errors."""
+"""The one-stream history reader against a per-commit reference, git errors
+and the streamed blob reader."""
 
 from __future__ import annotations
 
 import subprocess
+import time
 from datetime import datetime, timezone
 
 import pytest
 
-from conftest import random_script
+from conftest import hang_cat_file, random_script
 from contribsum import gitio, synthfix
 from contribsum.errors import GitError, UnknownCommit
 from contribsum.gitio import Commit, TreeChange
@@ -126,3 +128,97 @@ class TestGitErrors:
             reader.blob(blob)
         assert handle.root_path in str(err.value)
         reader.close()
+
+
+def _blob_repo(tmp_path, sizes: tuple[int, ...]) -> tuple[str, list[tuple[str, bytes]]]:
+    """A one-commit repo plus loose blobs of the given sizes: (root, [(sha, content)])."""
+    handle, _ = synthfix.build(
+        synthfix.RepoScript(
+            name="blobs",
+            roster_text="",
+            steps=[synthfix.Step("Alice Lee", "alice@campus.edu", "start",
+                                 ops=(synthfix.SetFile("a.py", ("x = 1",)),))],
+        ),
+        tmp_path / "repo",
+    )
+    root = handle.root_path
+    blobs = []
+    for n, size in enumerate(sizes):
+        content = (f"{n:04d}" * size)[:size].encode()
+        sha = subprocess.run(
+            ["git", "-C", root, "hash-object", "-w", "--stdin"],
+            input=content, capture_output=True, check=True,
+        ).stdout.decode().strip()
+        blobs.append((sha, content))
+    return root, blobs
+
+
+def _closes_quickly(reader: gitio.ObjectReader) -> float:
+    start = time.monotonic()
+    reader.close()
+    return time.monotonic() - start
+
+
+class TestStreamedReader:
+    """Requests written ahead and answers read back in order, and the ways
+    that can fail."""
+
+    def test_requested_reads_equal_single_reads(self, tmp_path):
+        root, blobs = _blob_repo(tmp_path, (10, 0, 70_000, 3, 5_000) * 60)
+        with gitio.ObjectReader(root) as reader:
+            reader.request(sha for sha, _ in blobs)
+            assert [reader.get(sha) for sha, _ in blobs] == [("blob", c) for _, c in blobs]
+        with gitio.ObjectReader(root) as reader:  # nothing requested: one write per read
+            assert [reader.blob(sha) for sha, _ in blobs[:5]] == [c for _, c in blobs[:5]]
+
+    def test_read_out_of_order_drops_the_rest(self, tmp_path):
+        root, blobs = _blob_repo(tmp_path, (10, 20, 30, 40))
+        (a, a_bytes), (b, b_bytes), (c, c_bytes), (d, d_bytes) = blobs
+        with gitio.ObjectReader(root) as reader:
+            reader.request([a, b, c])
+            assert reader.blob(a) == a_bytes
+            assert reader.blob(c) == c_bytes  # b's answer is read and dropped
+            assert reader.blob(d) == d_bytes  # never requested
+            assert reader.blob(b) == b_bytes
+
+    def test_missing_blob_mid_batch(self, tmp_path):
+        root, blobs = _blob_repo(tmp_path, (10, 100_000, 100_000, 100_000))
+        missing = "1" * 40
+        reader = gitio.ObjectReader(root)
+        reader.request([blobs[0][0], missing, *(sha for sha, _ in blobs[1:])])
+        assert reader.blob(blobs[0][0]) == blobs[0][1]
+        with pytest.raises(UnknownCommit) as err:
+            reader.blob(missing)
+        assert missing in str(err.value)
+        # 300 kB of answers unread: more than the stdout pipe holds
+        assert _closes_quickly(reader) < 1.0
+
+    def test_non_blob_answer(self, tmp_path):
+        root, blobs = _blob_repo(tmp_path, (100_000, 100_000))
+        head = _git(root, "rev-parse", "HEAD").decode().strip()
+        reader = gitio.ObjectReader(root)
+        reader.request([head, *(sha for sha, _ in blobs)])
+        with pytest.raises(UnknownCommit) as err:
+            reader.blob(head)
+        assert head in str(err.value)
+        assert _closes_quickly(reader) < 1.0
+
+    def test_silent_cat_file_times_out(self, tmp_path, monkeypatch):
+        root, blobs = _blob_repo(tmp_path, (10, 20))
+        hang_cat_file(tmp_path, monkeypatch, root)
+        reader = gitio.ObjectReader(root)
+        reader.request(sha for sha, _ in blobs)
+        start = time.monotonic()
+        with pytest.raises(GitError) as err:
+            reader.blob(blobs[0][0])
+        assert time.monotonic() - start < 5.0
+        assert "git cat-file" in str(err.value) and root in str(err.value)
+        assert _closes_quickly(reader) < 1.0
+        assert _closes_quickly(gitio.ObjectReader(root)) < 1.0  # never asked anything
+
+    def test_hung_command_raises_git_error(self, tmp_path, monkeypatch):
+        root, _ = _blob_repo(tmp_path, ())
+        hang_cat_file(tmp_path, monkeypatch, root)
+        with pytest.raises(GitError) as err:
+            gitio.git(root, "cat-file", "--batch-all-objects", "--batch-check")
+        assert "git cat-file" in str(err.value) and root in str(err.value)

@@ -1,6 +1,7 @@
 """Per-team pipeline: git process counts, per-team branch warnings, the
 run-wide send pool, an endpoint that refuses concurrent requests, the
-choice of the prior window, kept files and artifact writes."""
+choice of the prior window, kept files, artifact writes and the fault
+matrix."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT, with_tree_entries
+from conftest import JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, with_tree_entries
 from contribsum import pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -613,3 +614,132 @@ class TestAtomicArtifacts:
         assert "No space left on device" in second.error
         assert {name: (out_dir / name).read_bytes() for name in kept} == before
         assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]
+
+
+def _tree_bytes(directory: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()
+    }
+
+
+class TestFaultMatrix:
+    """One fault at a time, injected into the `victim` of two teams, ends as
+    the victim's failure or warning, or as a correct analysis where the
+    pipeline absorbs it; the `bystander`'s `out/` is byte-equal to a clean
+    run's either way."""
+
+    TEAMS = ("victim", "bystander")
+
+    def _run(self, tmp_path: Path, name: str, fault=None, monkeypatch=None, ledger=None):
+        """(results by team, out dir) of one run over freshly built repos;
+        `fault(base, roots, monkeypatch)` changes the repos or the process
+        first."""
+        base = tmp_path / name
+        roots = {}
+        for n, team in enumerate(self.TEAMS):
+            handle, _ = synthfix.build(_history(12 + n), base / "repos" / team)
+            roots[team] = handle.root_path
+        if fault is not None:
+            fault(base, roots, monkeypatch)
+        cfg = _config(base, [(team, roots[team]) for team in self.TEAMS], ("side",))
+        cfg.jobs = 2
+        results = pipeline.run_analysis(
+            cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(base / "cache"),
+            ledger or CostLedger(),
+        )
+        return {r.team: r for r in results}, Path(cfg.out_dir)
+
+    @staticmethod
+    def _killed_write(base, roots, monkeypatch):
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            path = Path(file)
+            if path.name.startswith(".report.md.") and "victim" in path.parts:
+                return _HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(store_module, "open", failing_open, raising=False)
+
+    @staticmethod
+    def _missing_branch(base, roots, monkeypatch):
+        subprocess.run(
+            ["git", "-C", roots["victim"], "update-ref", "-d", "refs/heads/side"], check=True
+        )
+
+    @staticmethod
+    def _mixed_offsets(base, roots, monkeypatch):
+        # instants either side of the UTC window bounds, written with offsets
+        # whose local time reads the other way
+        for path, date in (
+            ("before.py", "2024-06-01T00:30:00+02:00"),  # 2024-05-31 22:30 UTC
+            ("late.py", "2024-07-01T01:30:00+02:00"),  # 2024-06-30 23:30 UTC
+            ("after.py", "2024-06-30T20:30:00-05:00"),  # 2024-07-01 01:30 UTC
+        ):
+            commit_tree_entries(
+                roots["victim"], base / "entry.index", ("100644", path, b"w = 1\n"), date=date
+            )
+
+    @staticmethod
+    def _lockfile(base, roots, monkeypatch):
+        lock = "".join(f'    "dep-{i}": "1.{i}.0",\n' for i in range(20_000)).encode()
+        commit_tree_entries(roots["victim"], base / "entry.index", ("100644", "package-lock.json", lock))
+
+    @staticmethod
+    def _hung_git(base, roots, monkeypatch):
+        hang_cat_file(base, monkeypatch, roots["victim"])
+
+    @staticmethod
+    def _gitlink(base, roots, monkeypatch):
+        commit_tree_entries(roots["victim"], base / "entry.index", ("160000", "libs/thing", "1" * 40))
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["killed_write", "truncated_ledger", "missing_branch", "mixed_offsets", "lockfile",
+         "hung_git", "gitlink"],
+    )
+    def test_fault_stays_with_its_team(self, tmp_path, monkeypatch, caplog, fault):
+        clean, clean_out = self._run(tmp_path, "clean")
+        assert all(r.ok for r in clean.values()), [r.error for r in clean.values()]
+
+        ledger = None
+        if fault == "truncated_ledger":
+            ledger_path = tmp_path / "ledger.jsonl"
+            ledger_path.write_text(
+                json.dumps({"timestamp": 1.0, "tier": "analysis", "model_id": "m",
+                            "input_tokens": 1, "output_tokens": 1, "cost": 0.0})
+                + '\n{"timestamp": 2.0, "tier": "anal',
+                encoding="utf-8",
+            )
+            ledger = CostLedger(ledger_path)
+        inject = getattr(self, f"_{fault}", None)
+        start = time.monotonic()
+        results, out = self._run(tmp_path, "faulted", inject, monkeypatch, ledger)
+        assert time.monotonic() - start < 30  # nothing hung
+        monkeypatch.undo()
+
+        assert results["bystander"].ok, results["bystander"].error
+        assert _tree_bytes(out / "bystander") == _tree_bytes(clean_out / "bystander")
+        victim = results["victim"]
+        victim_out = out / "victim" / JUNE.label
+        if fault == "killed_write":
+            assert not victim.ok and "No space left on device" in victim.error
+        elif fault == "hung_git":
+            assert not victim.ok
+            assert "git cat-file" in victim.error and "victim" in victim.error
+        else:
+            assert victim.ok, victim.error
+        if fault == "truncated_ledger":
+            assert "truncated ledger line 2 skipped" in caplog.text
+            assert _tree_bytes(out / "victim") == _tree_bytes(clean_out / "victim")
+        elif fault == "missing_branch":
+            assert "branch side not found; no section for it" in victim.warnings
+        elif fault == "mixed_offsets":
+            cset = json.loads((victim_out / "contribution_set.json").read_text("utf-8"))
+            rows = {row["path"]: row for row in cset["per_student"]["bob"]}
+            assert (rows["before.py"]["lines_owned"], rows["before.py"]["lines_added_in_window"]) == (1, 0)
+            assert (rows["late.py"]["lines_owned"], rows["late.py"]["lines_added_in_window"]) == (1, 1)
+            assert "after.py" not in rows
+        elif fault in ("lockfile", "gitlink"):
+            absent = "package-lock.json" if fault == "lockfile" else "libs/thing"
+            for name in ("functionality.csv", "contribution.csv", "contribution_set.json", "report.md"):
+                assert absent not in (victim_out / name).read_text("utf-8"), name
