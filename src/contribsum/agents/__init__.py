@@ -1,8 +1,6 @@
 """LLM agent chain: tiered providers, analysis rows, synthesis, validation."""
 
 from .chain import (
-    ContributionRow,
-    FunctionalityRow,
     RoleAssignment,
     StudentSummary,
     SynthesisBundle,
@@ -23,8 +21,6 @@ from .provider import (
 )
 
 __all__ = [
-    "ContributionRow",
-    "FunctionalityRow",
     "HttpProvider",
     "MockProvider",
     "ModelTier",

@@ -11,6 +11,11 @@ and looks it up in the cache, and `answer_all` sends the misses on the
 run's send pool and records their usage and cache entries. Table rows
 and synthesis, with its repair retry, all take that path, so the pool's
 size caps every request of a run.
+
+`fill_tables` is the one place the Functionality and Contribution Tables
+are filled: two `answer_all` batches, the file rows and then the
+contribution rows that quote them, each answer parsed straight into a
+`tables` row.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ..identity import Roster, StudentId
 from ..ingest import AnalysisWindow
 from ..metrics import FileMetrics
 from ..store import CostLedger, Store, cache_key
+from ..tables import ContributionTableRow, FunctionalityTableRow, solo_functions_text
 from .provider import ModelTier, estimate_tokens
 
 ROLES = (
@@ -45,22 +51,6 @@ SENIORITIES = ("Junior", "Senior")
 NO_CONTRIBUTION_TEXT = "No recorded contributions in this window."
 
 DEFAULT_CLIP_LINES = 200  # head and tail lines kept when clipping file content
-
-
-@dataclass(frozen=True)
-class FunctionalityRow:
-    path: str
-    functionality: str
-    difficulty: str
-    metrics: FileMetrics
-
-
-@dataclass(frozen=True)
-class ContributionRow:
-    student: StudentId
-    path: str
-    description: str
-    evidence: ContributionEvidence
 
 
 @dataclass(frozen=True)
@@ -99,13 +89,12 @@ class TeamSummary:
 
 @dataclass
 class SynthesisBundle:
-    functionality_rows: list[FunctionalityRow]
-    contribution_rows: list[ContributionRow]
+    functionality_rows: list[FunctionalityTableRow]
+    contribution_rows: list[ContributionTableRow]
     sprint_instructions: str
     project_description: str
     roles_enabled: bool
     roster: Roster
-    window: AnalysisWindow
     contribution_set: ContributionSet
 
 
@@ -165,8 +154,7 @@ def prepare(
             f"estimated {estimate} tokens exceeds budget {tier.input_budget} "
             f"for {tier.model_id}"
         )
-    # the commit scope is empty: one key per template, model and prompt
-    key = cache_key("", template_hash(template_name), tier.model_id, prompt)
+    key = cache_key(template_hash(template_name), tier.model_id, prompt)
     hit = store.get(key) if store is not None else None
     if hit is not None:
         return Call(tier, key, None, hit["text"])
@@ -293,12 +281,21 @@ def file_call(
     return prepare(tier, "summarize_file", data, store=store, prompt_override=prompt)
 
 
-def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityRow:
+def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityTableRow:
     """Functionality Table row from the answer to `file_call` (None: empty file)."""
     if text is None:
-        return FunctionalityRow(path=path, functionality="empty file", difficulty="none", metrics=metrics)
-    functionality, difficulty = _parse_two_fields(text)
-    return FunctionalityRow(path=path, functionality=functionality, difficulty=difficulty, metrics=metrics)
+        functionality, difficulty = "empty file", "none"
+    else:
+        functionality, difficulty = _parse_two_fields(text)
+    return FunctionalityTableRow(
+        filename=path,
+        functionality=functionality,
+        difficulty=difficulty,
+        byte_size=metrics.byte_size,
+        line_count=metrics.line_count,
+        complexity=metrics.complexity.file_score if metrics.complexity else None,
+        tag_count=metrics.tag_count,
+    )
 
 
 def _parse_two_fields(text: str) -> tuple[str, str]:
@@ -318,12 +315,13 @@ def _parse_two_fields(text: str) -> tuple[str, str]:
 
 def contribution_call(
     tier: ModelTier,
-    row: FunctionalityRow,
+    functionality: str,
     evidence: ContributionEvidence,
     *,
     store: Store | None = None,
 ) -> Call:
-    """The request behind one Contribution Table row."""
+    """The request behind one Contribution Table row; `functionality` is
+    the file's Functionality Table text."""
     if evidence.lines_owned + evidence.lines_added_in_window <= 0:
         raise ValueError(
             f"no measurable lines for {evidence.student.id} in {evidence.path}; "
@@ -334,7 +332,7 @@ def contribution_call(
         "student_id": evidence.student.id,
         "student_name": evidence.student.display_name,
         "path": evidence.path,
-        "file_functionality": row.functionality,
+        "file_functionality": functionality,
         "lines_owned": evidence.lines_owned,
         "lines_added_in_window": evidence.lines_added_in_window,
         "commit_messages": evidence.commit_messages[:20],
@@ -343,11 +341,55 @@ def contribution_call(
     return prepare(tier, "describe_contribution", data, store=store)
 
 
-def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionRow:
+def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionTableRow:
     """Contribution Table row from the answer to `contribution_call`."""
-    return ContributionRow(
-        student=evidence.student, path=evidence.path, description=text.strip(), evidence=evidence
+    return ContributionTableRow(
+        student=evidence.student.id,
+        file=evidence.path,
+        description=text.strip(),
+        lines_owned=evidence.lines_owned,
+        lines_added_in_window=evidence.lines_added_in_window,
+        solo_functions=solo_functions_text(evidence.solo_functions),
     )
+
+
+def fill_tables(
+    provider,
+    tier: ModelTier,
+    cset: ContributionSet,
+    roster: Roster,
+    pool: Executor,
+    *,
+    ledger: CostLedger | None = None,
+    store: Store | None = None,
+) -> tuple[list[FunctionalityTableRow], list[ContributionTableRow]]:
+    """Functionality and Contribution Table rows of one contribution set.
+
+    One `answer_all` batch of file rows, in `cset.files` order, then one
+    of contribution rows, in roster order, for every evidence entry with
+    lines; each of those names a kept file, so its row quotes that file's
+    functionality.
+    """
+    calls = [
+        file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics, store=store)
+        for f in cset.files
+    ]
+    answers = answer_all(provider, calls, pool, ledger=ledger, store=store)
+    functionality_rows = [
+        functionality_row(f.path, f.metrics, answer) for f, answer in zip(cset.files, answers)
+    ]
+    functionality = {row.filename: row.functionality for row in functionality_rows}
+
+    evidence = [
+        ev
+        for student in roster.students
+        for ev in cset.evidence_for(student.id)
+        if ev.lines_owned + ev.lines_added_in_window > 0
+    ]
+    calls = [contribution_call(tier, functionality[ev.path], ev, store=store) for ev in evidence]
+    answers = answer_all(provider, calls, pool, ledger=ledger, store=store)
+    contribution_rows = [contribution_row(ev, answer) for ev, answer in zip(evidence, answers)]
+    return functionality_rows, contribution_rows
 
 
 def _has_positive_evidence(rows: list[ContributionEvidence]) -> bool:
@@ -385,13 +427,13 @@ def synthesize(
 
     if not active:
         team = TeamSummary(
-            window=bundle.window,
+            window=bundle.contribution_set.window,
             narrative="No recorded team contributions in this window.",
             progress_bullets=(),
         )
         return _in_roster_order(summaries, bundle.roster), team
 
-    described = {(r.student.id, r.path): r.description for r in bundle.contribution_rows}
+    described = {(r.student, r.file): r.description for r in bundle.contribution_rows}
     students_payload = []
     for student in active:
         files = []
@@ -415,11 +457,7 @@ def synthesize(
         "task": "synthesize",
         "students": students_payload,
         "functionality": [
-            {
-                "path": r.path,
-                "functionality": r.functionality,
-                "complexity": r.metrics.complexity.file_score if r.metrics.complexity else None,
-            }
+            {"path": r.filename, "functionality": r.functionality, "complexity": r.complexity}
             for r in bundle.functionality_rows
         ],
         "sprint_instructions": bundle.sprint_instructions,
@@ -503,9 +541,7 @@ def _parse_synthesis(
     narrative = " ".join(l.strip() for l in narrative_lines).strip()
     if not narrative:
         raise TemplateViolation("TEAM section has no narrative paragraph")
-    team = TeamSummary(
-        window=bundle.window, narrative=narrative, progress_bullets=tuple(bullet_lines)
-    )
+    team = TeamSummary(bundle.contribution_set.window, narrative, tuple(bullet_lines))
     return summaries, team
 
 

@@ -553,15 +553,6 @@ def build_contribution_set(
     replayed = history.ancestors(head) if head else History([])
     window_commits = sorted(replayed.in_window(window), key=lambda c: (c.authored_at, c.hash))
 
-    # zero-commit bookkeeping is independent of the splitting flag
-    active_ids: set[str] = set()
-    for commit in window_commits:
-        for student in _credit_list(commit, roster, split=True):
-            active_ids.add(student.id)
-    zero_commit = sorted(
-        (s for s in roster.students if s.id not in active_ids), key=lambda s: s.id
-    )
-
     evidence: dict[tuple[str, str], ContributionEvidence] = {}
 
     def evidence_row(student: StudentId, path: str) -> ContributionEvidence:
@@ -611,8 +602,14 @@ def build_contribution_set(
 
         _attach_solo_functions(files, credited, evidence_row)
 
+    # a co-author counts as active whatever the splitting flag; the flag
+    # only picks who is credited with the commit's message
+    active_ids: set[str] = set()
     for commit in window_commits:
-        credits = _credit_list(commit, roster, options.split_coauthors)
+        credits = _credit_list(commit, roster, split=True)
+        active_ids.update(student.id for student in credits)
+        if not options.split_coauthors:
+            credits = credits[:1]
         touched = {
             p for change in commit.changes for p in (change.path, change.old_path) if p is not None
         }
@@ -624,6 +621,9 @@ def build_contribution_set(
             for student in credits:
                 evidence_row(student, path).commit_messages.append(commit.message)
 
+    zero_commit = sorted(
+        (s for s in roster.students if s.id not in active_ids), key=lambda s: s.id
+    )
     per_student.setdefault(UNMAPPED.id, [])
     for (sid, _path), row in sorted(evidence.items()):
         per_student.setdefault(sid, []).append(row)

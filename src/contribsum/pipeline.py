@@ -7,14 +7,16 @@ hashes so a run can be reproduced and verified exactly.
 
 Provider round trips overlap: `run_analysis` owns one ThreadPoolExecutor
 of `analysis_workers` threads that every team shares, and only
-`provider.send` of a cache miss runs on it. Each team sends its
-analysis-tier calls in two batches, the file rows and then the
-contribution rows that quote them. Prompt rendering, budget checks,
-cache reads and writes, ledger entries and response parsing stay on the
-team's own thread in row order, so outputs and the ledger are the same
-for any pool size, and a fully cached run starts no send thread.
-Synthesis and its repair retry go to the same pool, so `analysis_workers`
-caps every provider request of the run.
+`provider.send` of a cache miss runs on it. A team's tables are filled in
+one place, `chain.fill_tables`, which sends the analysis-tier calls in two
+batches, the file rows and then the contribution rows that quote them;
+the pipeline wraps its rows in `tables.FunctionalityTable` and
+`tables.ContributionTable` where it writes the CSVs. Prompt rendering,
+budget checks, cache reads and writes, ledger entries and response
+parsing stay on the team's own thread in row order, so outputs and the
+ledger are the same for any pool size, and a fully cached run starts no
+send thread. Synthesis and its repair retry go to the same pool, so
+`analysis_workers` caps every provider request of the run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .agents.chain import SynthesisBundle
 from .config import RunConfig
 from .errors import BranchNotFound, ContribSumError
 from .identity import UNMAPPED, Roster, unmapped_signatures
-from .report import ReportDocument, ReportState, RunMeta, diff_windows
+from .report import ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
 
 MANIFEST_NAME = "run_manifest.json"
@@ -104,40 +106,10 @@ def _analyze_team(
         exclude_globs=cfg.exclude_globs,
     )
     cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
-    head = cset.head
 
-    # analysis-tier functionality rows for the kept files, in snapshot order
-    calls = [
-        chain.file_call(
-            cfg.analysis_tier, f.path, f.content.decode("utf-8", "replace"), f.metrics, store=store
-        )
-        for f in cset.files
-    ]
-    answers = chain.answer_all(provider, calls, pool, ledger=ledger, store=store)
-    functionality_rows = [
-        chain.functionality_row(f.path, f.metrics, answer)
-        for f, answer in zip(cset.files, answers)
-    ]
-    rows_by_path = {row.path: row for row in functionality_rows}
-
-    # analysis-tier contribution rows for every evidence entry with lines,
-    # in roster order; evidence for a file the snapshot no longer carries
-    # gets no row
-    evidence = [
-        ev
-        for student in roster.students
-        for ev in cset.evidence_for(student.id)
-        if ev.lines_owned + ev.lines_added_in_window > 0 and ev.path in rows_by_path
-    ]
-    calls = [
-        chain.contribution_call(cfg.analysis_tier, rows_by_path[ev.path], ev, store=store)
-        for ev in evidence
-    ]
-    answers = chain.answer_all(provider, calls, pool, ledger=ledger, store=store)
-    contribution_rows = [
-        chain.contribution_row(ev, answer) for ev, answer in zip(evidence, answers)
-    ]
-
+    functionality_rows, contribution_rows = chain.fill_tables(
+        provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store
+    )
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
         contribution_rows=contribution_rows,
@@ -145,7 +117,6 @@ def _analyze_team(
         project_description=_read_optional(cfg.project_description_path),
         roles_enabled=cfg.roles_enabled,
         roster=roster,
-        window=cfg.window,
         contribution_set=cset,
     )
     summaries, team_summary = chain.synthesize(
@@ -199,33 +170,8 @@ def _analyze_team(
     out_dir = window_dir(cfg, team)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    functionality_table = tables.FunctionalityTable(
-        rows=tuple(
-            tables.FunctionalityTableRow(
-                filename=row.path,
-                functionality=row.functionality,
-                difficulty=row.difficulty,
-                byte_size=row.metrics.byte_size,
-                line_count=row.metrics.line_count,
-                complexity=row.metrics.complexity.file_score if row.metrics.complexity else None,
-                tag_count=row.metrics.tag_count,
-            )
-            for row in functionality_rows
-        )
-    )
-    contribution_table = tables.ContributionTable(
-        rows=tuple(
-            tables.ContributionTableRow(
-                student=row.student.id,
-                file=row.path,
-                description=row.description,
-                lines_owned=row.evidence.lines_owned,
-                lines_added_in_window=row.evidence.lines_added_in_window,
-                solo_functions=tables.solo_functions_text(row.evidence.solo_functions),
-            )
-            for row in contribution_rows
-        )
-    )
+    functionality_table = tables.FunctionalityTable(tuple(functionality_rows))
+    contribution_table = tables.ContributionTable(tuple(contribution_rows))
     tables.write_csv(functionality_table, out_dir / "functionality.csv")
     tables.write_csv(contribution_table, out_dir / "contribution.csv")
     write_atomic(out_dir / "report.md", document.markdown)
@@ -234,7 +180,7 @@ def _analyze_team(
 
     prior = _find_prior_state(cfg, team)
     if prior is not None:
-        delta = diff_windows(prior, document)
+        delta = diff_windows(prior, state)
         write_atomic(out_dir / "delta.md", delta or "No changes between windows.\n")
 
     artifact_names = ["functionality.csv", "contribution.csv", "report.md", "contribution_set.json"]
@@ -248,7 +194,7 @@ def _analyze_team(
             "label": cfg.window.label,
         },
         "repo_head": repo.head_ref,
-        "window_head": head,
+        "window_head": cset.head,
         "provider_mode": cfg.provider_mode,
         "roles": cfg.roles_enabled,
         "coauthor_split": cfg.coauthor_split,
@@ -267,7 +213,7 @@ def _analyze_team(
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
 
 
-def _find_prior_state(cfg: RunConfig, team: str) -> ReportDocument | None:
+def _find_prior_state(cfg: RunConfig, team: str) -> ReportState | None:
     """Most recent earlier window's report state for this team, if any."""
     team_dir = Path(cfg.out_dir) / team
     if not team_dir.exists():
@@ -282,7 +228,7 @@ def _find_prior_state(cfg: RunConfig, team: str) -> ReportDocument | None:
         start = state.meta.window.start
         if start < cfg.window.start and (best is None or start > best.meta.window.start):
             best = state
-    return None if best is None else best.render()
+    return best
 
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:

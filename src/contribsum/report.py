@@ -47,9 +47,6 @@ class ReportDocument:
     team_section: str
     warnings: list[str]
     markdown: str
-    # diff support: student id -> {path: (owned, added)} plus display names
-    student_files: dict[str, dict[str, tuple[int, int]]] = field(default_factory=dict)
-    student_names: dict[str, str] = field(default_factory=dict)
 
 
 def _student_section(summary: StudentSummary, meta: RunMeta) -> tuple[str, list[str]]:
@@ -133,8 +130,6 @@ def render(
         team_section=team_section,
         warnings=warnings,
         markdown=markdown,
-        student_files={sid: dict(paths) for sid, paths in meta.evidence.items()},
-        student_names={s.student.id: s.student.display_name for s in summaries},
     )
 
 
@@ -232,19 +227,24 @@ class ReportState:
         return cls(summaries, team_summary, meta)
 
 
-def diff_windows(earlier: ReportDocument, later: ReportDocument) -> str:
+def diff_windows(earlier: ReportState, later: ReportState) -> str:
     """Per-student digest of new files and evidence deltas between windows."""
-    if earlier.team != later.team:
-        raise TeamMismatch(f"cannot diff {earlier.team!r} against {later.team!r}")
+    before_meta, after_meta = earlier.meta, later.meta
+    if before_meta.team != after_meta.team:
+        raise TeamMismatch(f"cannot diff {before_meta.team!r} against {after_meta.team!r}")
+    before_names, after_names = (
+        {s.student.id: s.student.display_name for s in state.summaries}
+        for state in (earlier, later)
+    )
     lines: list[str] = []
     ids = sorted(
-        set(earlier.student_files) | set(later.student_files),
-        key=lambda sid: later.student_names.get(sid, earlier.student_names.get(sid, sid)),
+        set(before_meta.evidence) | set(after_meta.evidence),
+        key=lambda sid: after_names.get(sid, before_names.get(sid, sid)),
     )
     for sid in ids:
-        before = earlier.student_files.get(sid, {})
-        after = later.student_files.get(sid, {})
-        name = later.student_names.get(sid) or earlier.student_names.get(sid) or sid
+        before = before_meta.evidence.get(sid, {})
+        after = after_meta.evidence.get(sid, {})
+        name = after_names.get(sid) or before_names.get(sid) or sid
         entries: list[str] = []
         for path in sorted(set(before) | set(after)):
             b_owned, _ = before.get(path, (0, 0))
@@ -264,7 +264,7 @@ def diff_windows(earlier: ReportDocument, later: ReportDocument) -> str:
     if not lines:
         return ""
     header = (
-        f"Changes for {later.team} from {earlier.window_label or 'previous window'} "
-        f"to {later.window_label or 'this window'}:\n"
+        f"Changes for {after_meta.team} from {before_meta.window.label or 'previous window'} "
+        f"to {after_meta.window.label or 'this window'}:\n"
     )
     return header + "\n" + "\n".join(lines).rstrip() + "\n"

@@ -29,10 +29,11 @@ def resolve_state_dir(configured: str | None = None) -> Path:
     return Path(env or configured or DEFAULT_STATE_DIR)
 
 
-def cache_key(commit_scope: str, template_hash: str, model_id: str, payload: str) -> str:
+def cache_key(template_hash: str, model_id: str, payload: str) -> str:
     """Collision-resistant digest over everything that shapes a response."""
     material = "\x1f".join(
-        [commit_scope, template_hash, model_id, hashlib.sha256(payload.encode()).hexdigest()]
+        # the empty first field keeps the keys of existing caches
+        ["", template_hash, model_id, hashlib.sha256(payload.encode()).hexdigest()]
     )
     return hashlib.sha256(material.encode()).hexdigest()
 

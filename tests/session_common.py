@@ -13,13 +13,11 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-from conftest import tree_files
 from contribsum import synthfix
 from contribsum.agents import chain
 from contribsum.agents.provider import ModelTier
 from contribsum.attribution import build_contribution_set
 from contribsum.ingest import AnalysisWindow
-from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
 SESSION_DIR_NAME = "replay_session"
@@ -179,34 +177,10 @@ def session_script() -> RepoScript:
     )
 
 
-def analysis_rows(provider, pool, handle, cset, roster):
-    """Functionality and contribution rows at the session window's head,
-    sent as the pipeline sends them: one `answer_all` batch of file rows,
-    then one of the contribution rows that quote them."""
-    head = handle.history.window_head(SESSION_WINDOW)
-    files = [
-        (path, content.decode(), compute_file_metrics(path, content))
-        for path, content in tree_files(handle, head)
-    ]
-    calls = [chain.file_call(ANALYSIS_TIER, path, text, metrics) for path, text, metrics in files]
-    functionality = [
-        chain.functionality_row(path, metrics, answer)
-        for (path, _, metrics), answer in zip(files, chain.answer_all(provider, calls, pool))
-    ]
-    rows_by_path = {row.path: row for row in functionality}
-
-    evidence = [
-        ev
-        for student in roster.students
-        for ev in cset.evidence_for(student.id)
-        if ev.lines_owned + ev.lines_added_in_window > 0
-    ]
-    calls = [chain.contribution_call(ANALYSIS_TIER, rows_by_path[ev.path], ev) for ev in evidence]
-    contribution_rows = [
-        chain.contribution_row(ev, answer)
-        for ev, answer in zip(evidence, chain.answer_all(provider, calls, pool))
-    ]
-    return functionality, contribution_rows
+def analysis_rows(provider, pool, cset, roster):
+    """Functionality and contribution rows of the session window, filled
+    as the pipeline fills them."""
+    return chain.fill_tables(provider, ANALYSIS_TIER, cset, roster, pool)
 
 
 def run_session(provider, workdir: Path) -> dict[str, int]:
@@ -216,7 +190,7 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        functionality, contribution_rows = analysis_rows(provider, pool, handle, cset, roster)
+        functionality, contribution_rows = analysis_rows(provider, pool, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
             contribution_rows=contribution_rows,
@@ -224,7 +198,6 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
             project_description="A clinical trials portal with secure access.",
             roles_enabled=False,
             roster=roster,
-            window=SESSION_WINDOW,
             contribution_set=cset,
         )
         chain.synthesize(provider, SYNTHESIS_TIER, bundle, pool)

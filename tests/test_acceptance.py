@@ -125,7 +125,6 @@ def test_failure_mode_suite(tmp_path, pool):
         project_description="",
         roles_enabled=False,
         roster=truth.roster,
-        window=JUNE,
         contribution_set=cset,
     )
     summaries, team_summary = chain.synthesize(mock, tier, bundle, pool)
@@ -305,9 +304,7 @@ def test_report_shape(tmp_path, pool):
 
     def run(roles_enabled):
         mock = MockProvider()
-        functionality, contribution_rows = session_common.analysis_rows(
-            mock, pool, handle, cset, roster
-        )
+        functionality, contribution_rows = session_common.analysis_rows(mock, pool, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
             contribution_rows=contribution_rows,
@@ -315,7 +312,6 @@ def test_report_shape(tmp_path, pool):
             project_description="A clinical trials portal with secure access.",
             roles_enabled=roles_enabled,
             roster=roster,
-            window=window,
             contribution_set=cset,
         )
         summaries, team_summary = chain.synthesize(

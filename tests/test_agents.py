@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import types
 
 import pytest
 
+import contribsum
+import contribsum.agents
 from conftest import JUNE
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -32,7 +35,7 @@ from contribsum.agents.provider import (
     TokenBucket,
     estimate_tokens,
 )
-from contribsum.attribution import ContributionEvidence, ContributionSet
+from contribsum.attribution import ContributionEvidence, ContributionSet, build_contribution_set
 from contribsum.errors import BudgetExceeded, ProviderError, TemplateViolation
 from contribsum.identity import StudentId, load_roster
 from contribsum.metrics import compute_file_metrics
@@ -79,7 +82,7 @@ def _file_row(provider, tier, path, content, metrics, pool, *, ledger=None, stor
 
 def _contribution_row(provider, tier, row, evidence, pool):
     """One Contribution Table row, sent as the pipeline sends its batch."""
-    [text] = answer_all(provider, [contribution_call(tier, row, evidence)], pool)
+    [text] = answer_all(provider, [contribution_call(tier, row.functionality, evidence)], pool)
     return contribution_row(evidence, text)
 
 
@@ -126,7 +129,10 @@ class TestSummarizeFile:
         for expected in ("server", "route", "database", "cache"):
             assert expected in lowered
         assert row.difficulty
-        assert row.metrics == metrics
+        assert (row.filename, row.byte_size, row.line_count, row.tag_count) == (
+            "app.py", metrics.byte_size, metrics.line_count, metrics.tag_count
+        )
+        assert row.complexity == metrics.complexity.file_score
 
     def test_empty_file_short_circuits(self, pool):
         mock = _mock()
@@ -178,13 +184,16 @@ class TestDescribeContribution:
         row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
         assert "Alice Lee" in row.description
         assert "40" in row.description
-        assert row.evidence is evidence
+        assert (row.student, row.file, row.lines_owned, row.lines_added_in_window) == (
+            "alice", "app.py", 40, 25
+        )
 
     def test_solo_function_complexities_mentioned(self, pool):
         evidence = _evidence(ALICE, "app.py", solos=[("login", 3)])
         row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
         assert "login" in row.description
         assert "3" in row.description
+        assert row.solo_functions == "login:3"
 
     def test_zero_line_evidence_never_sent(self, pool):
         mock = _mock()
@@ -194,6 +203,32 @@ class TestDescribeContribution:
         assert mock.calls == []
 
 
+class TestFillTables:
+    def test_row_order_and_quoted_functionality(self, built_fixtures, pool):
+        # alice's only file sorts after bob's: roster order is not path order
+        handle, truth = built_fixtures["comment_injection"]
+        cset = build_contribution_set(handle, JUNE, truth.roster)
+        mock = _mock()
+        files, contributions = chain.fill_tables(mock, ANALYSIS, cset, truth.roster, pool)
+        assert [row.filename for row in files] == [f.path for f in cset.files]
+        evidence = [
+            ev
+            for student in truth.roster.students
+            for ev in cset.evidence_for(student.id)
+            if ev.lines_owned + ev.lines_added_in_window > 0
+        ]
+        assert evidence
+        assert [(row.student, row.file) for row in contributions] == [
+            (ev.student.id, ev.path) for ev in evidence
+        ]
+        assert len(mock.calls) == len(files) + len(evidence)
+        # each contribution request quotes its file's Functionality Table text
+        functionality = {row.filename: row.functionality for row in files}
+        prompts = [call["messages"][1]["content"] for call in mock.calls[len(files):]]
+        for ev, prompt in zip(evidence, prompts):
+            assert json.dumps(functionality[ev.path], ensure_ascii=False) in prompt
+
+
 def _bundle(per_student, pool, zero=(), roles=False):
     cset = _cset(per_student, zero)
     functionality = []
@@ -201,13 +236,13 @@ def _bundle(per_student, pool, zero=(), roles=False):
     mock = _mock()
     for sid, rows in per_student.items():
         for ev in rows:
-            if not any(f.path == ev.path for f in functionality):
+            if not any(f.filename == ev.path for f in functionality):
                 metrics = compute_file_metrics(ev.path, FLASK_LIKE.encode())
                 functionality.append(
                     _file_row(mock, ANALYSIS, ev.path, FLASK_LIKE, metrics, pool)
                 )
             if ev.lines_owned + ev.lines_added_in_window > 0:
-                row = next(f for f in functionality if f.path == ev.path)
+                row = next(f for f in functionality if f.filename == ev.path)
                 contribution_rows.append(_contribution_row(mock, ANALYSIS, row, ev, pool))
     return SynthesisBundle(
         functionality_rows=functionality,
@@ -216,7 +251,6 @@ def _bundle(per_student, pool, zero=(), roles=False):
         project_description="A portal to manage and query clinical trial information.",
         roles_enabled=roles,
         roster=ROSTER,
-        window=JUNE,
         contribution_set=cset,
     )
 
@@ -571,3 +605,11 @@ class TestHttpRetries:
         live = HttpProvider("http://localhost/v1", "key")
         assert live.send(self.MESSAGES, "m").text == "ok"
         assert not live.one_at_a_time
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module", [contribsum, contribsum.agents])
+    def test_every_exported_name_resolves(self, module):
+        assert module.__all__
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []

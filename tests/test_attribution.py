@@ -14,6 +14,7 @@ from conftest import (
     PRUNE_MAX_FILE_BYTES,
     ROSTER_TEXT,
     random_pruning_script,
+    random_script,
     tree_files,
 )
 from contribsum import attribution, gitio, synthfix
@@ -309,6 +310,30 @@ class TestKeptFiles:
         assert paths == sorted(paths, key=lambda p: p.encode())
 
 
+class TestEvidenceNamesKeptFiles:
+    """Every evidence entry with lines names a kept file, so the Contribution
+    Table can quote each one's Functionality Table row by path."""
+
+    def test_random_histories(self, tmp_path):
+        checked = 0
+        kept_files = {MAX_BLAME_FILE_BYTES: 0, 100: 0}
+        for seed in range(25):
+            for kind, script in (("r", random_script), ("p", random_pruning_script)):
+                handle, truth = synthfix.build(script(seed), tmp_path / f"{kind}{seed}")
+                for max_file_bytes in kept_files:
+                    options = AttributionOptions(max_file_bytes=max_file_bytes)
+                    cset = build_contribution_set(handle, JUNE, truth.roster, options)
+                    kept = {file.path for file in cset.files}
+                    kept_files[max_file_bytes] += len(kept)
+                    for rows in cset.per_student.values():
+                        for ev in rows:
+                            if ev.lines_owned + ev.lines_added_in_window > 0:
+                                assert ev.path in kept, (kind, seed, max_file_bytes, ev.path)
+                                checked += 1
+        assert checked > 500
+        assert kept_files[100] < kept_files[MAX_BLAME_FILE_BYTES]  # the small limit skips files
+
+
 class TestReplayBound:
     """Blame work does not grow with edits to excluded files, nor with the
     length of an edited file."""
@@ -590,6 +615,12 @@ class TestBuildContributionSet:
         assert bob_rows == []
         alice = next(ev for ev in cset.evidence_for("alice") if ev.path == "query.py")
         assert alice.lines_owned == 10
+        # the co-author gets no message row either, yet counts as active
+        assert cset.evidence_for("bob") == []
+        assert alice.commit_messages == [
+            "build query screen together\n\nCo-authored-by: Bob Roy <bob@campus.edu>"
+        ]
+        assert cset.zero_commit_students == []
 
     def test_lines_added_in_window_only_counts_window_commits(self, tmp_path):
         may = datetime(2024, 5, 10, tzinfo=timezone.utc)

@@ -506,10 +506,10 @@ class TestPriorState:
             end=datetime(2024, 3, 18, tzinfo=timezone.utc),
             label="current",
         )
-        assert pipeline._find_prior_state(cfg, "team").window_label == "later"
+        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "later"
         # 01:00+02:00 on the 11th is 23:00 UTC on the 10th: earlier than the window
         _write_state(team_dir, "eve", "2024-03-11T01:00:00+02:00")
-        assert pipeline._find_prior_state(cfg, "team").window_label == "eve"
+        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "eve"
 
 
 def _analyze(tmp_path: Path, repo_path: str):

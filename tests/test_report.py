@@ -126,11 +126,9 @@ class TestRender:
         assert first == second
 
 
-def _doc(team="t", label="week-1", files=None):
-    return render(
-        [_summary(ALICE)],
-        _team(),
-        RunMeta(team=team, window=JUNE, evidence=files or {}),
+def _state(team="t", files=None):
+    return ReportState(
+        (_summary(ALICE),), _team(), RunMeta(team=team, window=JUNE, evidence=files or {})
     )
 
 
@@ -214,23 +212,34 @@ class TestReportState:
 class TestDiffWindows:
     def test_identical_documents_empty_digest(self):
         files = {"alice": {"a.py": (10, 2)}}
-        earlier = _doc(files=files)
-        later = _doc(files=files)
+        earlier = _state(files=files)
+        later = _state(files=files)
         assert diff_windows(earlier, later) == ""
 
     def test_new_file_listed(self):
-        earlier = _doc(files={"alice": {"a.py": (10, 2)}})
-        later = _doc(files={"alice": {"a.py": (10, 0), "new.py": (5, 5)}})
+        earlier = _state(files={"alice": {"a.py": (10, 2)}})
+        later = _state(files={"alice": {"a.py": (10, 0), "new.py": (5, 5)}})
         digest = diff_windows(earlier, later)
         assert "touched new file `new.py` (5 lines owned)" in digest
         assert "Alice Lee" in digest
 
     def test_owned_delta_listed(self):
-        earlier = _doc(files={"alice": {"a.py": (10, 2)}})
-        later = _doc(files={"alice": {"a.py": (14, 4)}})
+        earlier = _state(files={"alice": {"a.py": (10, 2)}})
+        later = _state(files={"alice": {"a.py": (14, 4)}})
         digest = diff_windows(earlier, later)
         assert "`a.py`: lines owned 10 -> 14" in digest
 
+    def test_later_display_name_wins(self):
+        earlier = _state(files={"alice": {"a.py": (10, 2)}})
+        renamed = StudentId("alice", "Alice Lee-Roy")
+        later = ReportState(
+            (_summary(renamed),),
+            _team(),
+            RunMeta(team="t", window=JUNE, evidence={"alice": {"a.py": (14, 4)}}),
+        )
+        assert "Alice Lee-Roy:" in diff_windows(earlier, later)
+        assert "Alice Lee:" in diff_windows(later, earlier)
+
     def test_team_mismatch(self):
         with pytest.raises(TeamMismatch):
-            diff_windows(_doc(team="one"), _doc(team="two"))
+            diff_windows(_state(team="one"), _state(team="two"))

@@ -18,16 +18,21 @@ from contribsum.store import (
 
 class TestCacheKey:
     def test_equal_inputs_equal_keys(self):
-        a = cache_key("scope", "tmpl", "model", "payload")
-        b = cache_key("scope", "tmpl", "model", "payload")
+        a = cache_key("tmpl", "model", "payload")
+        b = cache_key("tmpl", "model", "payload")
         assert a == b and len(a) == 64
 
     def test_any_input_change_changes_key(self):
-        base = cache_key("scope", "tmpl", "model", "payload")
-        assert cache_key("scope2", "tmpl", "model", "payload") != base
-        assert cache_key("scope", "tmpl2", "model", "payload") != base
-        assert cache_key("scope", "tmpl", "model2", "payload") != base
-        assert cache_key("scope", "tmpl", "model", "payload2") != base
+        base = cache_key("tmpl", "model", "payload")
+        assert cache_key("tmpl2", "model", "payload") != base
+        assert cache_key("tmpl", "model2", "payload") != base
+        assert cache_key("tmpl", "model", "payload2") != base
+
+    def test_keys_of_existing_caches_kept(self):
+        # the key an older release wrote for the same request
+        assert cache_key("tmpl", "model", "payload") == (
+            "82c23456c618f28310cb30e198ae4a7907a3ba7cf1b3fe3448a500c67b55f998"
+        )
 
 
 class TestStore:
@@ -36,14 +41,14 @@ class TestStore:
 
     def test_put_then_get_identical(self, tmp_path):
         store = Store(tmp_path / "cache")
-        key = cache_key("s", "t", "m", "p")
+        key = cache_key("t", "m", "p")
         payload = {"text": "hello", "input_tokens": 10, "output_tokens": 3}
         store.put(key, payload)
         assert store.get(key) == payload
 
     def test_put_idempotent(self, tmp_path):
         store = Store(tmp_path / "cache")
-        key = cache_key("s", "t", "m", "p")
+        key = cache_key("t", "m", "p")
         store.put(key, {"text": "same"})
         before = list(store.directory.rglob("*.json"))[0].read_bytes()
         store.put(key, {"text": "same"})
@@ -52,7 +57,7 @@ class TestStore:
 
     def test_tampered_entry_treated_as_absent(self, tmp_path):
         store = Store(tmp_path / "cache")
-        key = cache_key("s", "t", "m", "p")
+        key = cache_key("t", "m", "p")
         store.put(key, {"text": "authentic"})
         entry_path = list(store.directory.rglob("*.json"))[0]
         raw = json.loads(entry_path.read_text())
@@ -61,7 +66,7 @@ class TestStore:
         assert store.get(key) is None
 
     def test_survives_reopen(self, tmp_path):
-        key = cache_key("s", "t", "m", "p")
+        key = cache_key("t", "m", "p")
         Store(tmp_path / "cache").put(key, {"text": "durable"})
         assert Store(tmp_path / "cache").get(key) == {"text": "durable"}
 
