@@ -2,9 +2,12 @@
 
 The engine replays history forward: every commit's per-file line ownership
 is derived from its parent's ownership plus the commit's diff, so the
-window-end snapshot ends up with one owning commit per line. Commits,
-their order and their file changes come from the ref's `History` (one
-`git log` stream); only blob contents are read through an ObjectReader.
+window-end snapshot ends up with one owning commit per line. A state maps
+each path to the file's lines and a parallel list of owning commit shas;
+evidence is credited in one walk over the kept files' lines and owners.
+Commits, their order and their file changes come from the ref's `History`
+(one `git log` stream); only blob contents are read through an
+ObjectReader.
 
 Replay covers only the paths that can reach a kept snapshot file: the
 files at the snapshot that are not excluded, not binary and not over
@@ -42,14 +45,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, defaultdict, deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import translate
 from functools import lru_cache
 from itertools import compress, count, islice
-from operator import attrgetter, ne
+from operator import ne
 
 from . import gitio, metrics
 from .errors import BranchNotFound, UnknownCommit
@@ -153,88 +156,74 @@ class ContributionSet:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-class _OwnedLine:
-    __slots__ = ("content", "commit")
-
-    def __init__(self, content: str, commit: str):
-        self.content = content
-        self.commit = commit
-
-
 def _split_lines(blob: bytes) -> list[str]:
     return blob.decode("utf-8", "replace").splitlines()
 
 
-_CONTENT = attrgetter("content")
+# A file's ownership: its lines and, in a parallel list, the sha of the
+# commit owning each one. Owner lists are shared between commit states,
+# so they are never changed in place.
+_Owned = tuple[list[str], list[str]]
+_NONE: _Owned = ([], [])
 
 
-def _equal_run(
-    old: list[_OwnedLine], new: list[str], limit: int, backward: bool
-) -> tuple[int, list[int]]:
-    """(length, whitespace-only steps) of the run of at most `limit` lines at
-    the front of `old` and `new` (the back when `backward`) that are equal
-    once trailing whitespace is stripped. A step indexes both lists where
-    the contents differ in trailing whitespace alone."""
-    n, steps = 0, []
+def _equal_run(old: list[str], new: list[str], limit: int, backward: bool) -> int:
+    """Length of the run of at most `limit` lines at the front of `old` and
+    `new` (the back when `backward`) that are equal once trailing
+    whitespace is stripped."""
+    n = 0
     while n < limit:
         # byte-equal lines are compared at C speed, up to the first difference
         olds = islice(reversed(old) if backward else old, n, limit)
         news = islice(reversed(new) if backward else new, n, limit)
-        n += next(compress(count(), map(ne, map(_CONTENT, olds), news)), limit - n)
+        n += next(compress(count(), map(ne, olds, news)), limit - n)
         k = -1 - n if backward else n
-        if n == limit or old[k].content.rstrip() != new[k].rstrip():
+        if n == limit or old[k].rstrip() != new[k].rstrip():
             break
-        steps.append(k)
         n += 1
-    return n, steps
+    return n
 
 
 def _carry_lines(
-    old: list[_OwnedLine], new_lines: list[str], fresh: Callable[[list[str]], list[_OwnedLine]]
-) -> list[_OwnedLine]:
-    """Ownership of `new_lines` after an edit of `old`: matched lines keep
-    their owner, and `fresh` owns each run of unmatched new lines.
+    old: _Owned, new_lines: list[str], fresh: Callable[[list[str]], list[str]]
+) -> _Owned:
+    """`(new_lines, owners)` after an edit of `old`: matched lines keep
+    their owner, and `fresh` gives the owners of each run of unmatched new
+    lines.
 
     Lines compare with trailing whitespace stripped. The common prefix and
-    suffix match first and are carried over as slices, reusing each
-    `_OwnedLine` whose content is byte-equal; `SequenceMatcher` aligns only
-    the middle.
+    suffix match first and their owners are carried over as slices;
+    `SequenceMatcher` aligns only the middle. The lines are always the new
+    ones, so a trailing-whitespace edit keeps its owner and its bytes.
     """
-    limit = min(len(old), len(new_lines))
-    head, head_steps = _equal_run(old, new_lines, limit, backward=False)
-    tail, tail_steps = _equal_run(old, new_lines, limit - head, backward=True)
-    out = old[:head]
-    for k in head_steps:
-        out[k] = _OwnedLine(new_lines[k], old[k].commit)
-    suffix = old[len(old) - tail:]
-    for k in tail_steps:
-        suffix[k] = _OwnedLine(new_lines[k], old[k].commit)
-    a = old[head:len(old) - tail]
+    old_lines, old_owners = old
+    limit = min(len(old_lines), len(new_lines))
+    head = _equal_run(old_lines, new_lines, limit, backward=False)
+    tail = _equal_run(old_lines, new_lines, limit - head, backward=True)
+    owners = old_owners[:head]
+    a = old_lines[head:len(old_lines) - tail]
     b = new_lines[head:len(new_lines) - tail]
     if a and b:
         matcher = SequenceMatcher(
-            a=[l.content.rstrip() for l in a], b=[l.rstrip() for l in b], autojunk=False
+            a=[l.rstrip() for l in a], b=[l.rstrip() for l in b], autojunk=False
         )
         for tag, i1, i2, j1, j2 in matcher.get_opcodes():
             if tag == "equal":
-                out += [
-                    o if o.content == line else _OwnedLine(line, o.commit)
-                    for o, line in zip(a[i1:i2], b[j1:j2])
-                ]
+                owners += old_owners[head + i1:head + i2]
             elif tag in ("replace", "insert"):
-                out += fresh(b[j1:j2])
+                owners += fresh(b[j1:j2])
     elif b:
-        out += fresh(b)
-    out += suffix
-    return out
+        owners += fresh(b)
+    owners += old_owners[len(old_owners) - tail:]
+    return new_lines, owners
 
 
-def _apply_line_diff(old: list[_OwnedLine], new_lines: list[str], commit: str) -> list[_OwnedLine]:
+def _apply_line_diff(old: _Owned, new_lines: list[str], commit: str) -> _Owned:
     """Carry ownership across an edit; `commit` owns the lines it wrote."""
-    return _carry_lines(old, new_lines, lambda lines: [_OwnedLine(l, commit) for l in lines])
+    return _carry_lines(old, new_lines, lambda lines: [commit] * len(lines))
 
 
-_State = dict[str, list[_OwnedLine]]
+_State = dict[str, _Owned]
 
 
 def _apply_changes(
@@ -246,12 +235,12 @@ def _apply_changes(
             continue
         new_lines = _split_lines(read(change.new_blob))
         if change.status == "A":
-            state[change.path] = [_OwnedLine(l, commit) for l in new_lines]
+            state[change.path] = (new_lines, [commit] * len(new_lines))
         elif change.status == "R":
-            old = state.pop(change.old_path or "", [])
+            old = state.pop(change.old_path or "", _NONE)
             state[change.path] = _apply_line_diff(old, new_lines, commit)
         else:  # M
-            old = state.get(change.path, [])
+            old = state.get(change.path, _NONE)
             state[change.path] = _apply_line_diff(old, new_lines, commit)
 
 
@@ -265,8 +254,12 @@ def _merge_state(
 
     The merge tree is diffed against the first parent; changed files are
     matched against the remaining parents, first wholesale, then line by
-    line. Only lines matching no parent at all (conflict resolutions)
-    become owned by the merge commit itself.
+    line. A file equal to another parent's once trailing whitespace is
+    stripped takes that parent's owner list beside the merge's own lines.
+    Otherwise the edit from the first parent is carried, and each new line
+    takes the next owner queued for its stripped content in the other
+    parents' files. Only lines matching no parent at all (conflict
+    resolutions) become owned by the merge commit itself.
     """
     state: _State = dict(parent_states[0])
     others = parent_states[1:]
@@ -277,26 +270,26 @@ def _merge_state(
         new_lines = _split_lines(read(change.new_blob))
         stripped = [l.rstrip() for l in new_lines]
         if change.status == "R":
-            base = state.pop(change.old_path or "", [])
+            base = state.pop(change.old_path or "", _NONE)
         else:
-            base = state.get(change.path, [])
-        adopted: list[_OwnedLine] | None = None
+            base = state.get(change.path, _NONE)
+        adopted: _Owned | None = None
         for other in others:
             candidate = other.get(change.path)
-            if candidate is not None and [c.content.rstrip() for c in candidate] == stripped:
-                adopted = [_OwnedLine(nl, c.commit) for nl, c in zip(new_lines, candidate)]
+            if candidate is not None and [l.rstrip() for l in candidate[0]] == stripped:
+                adopted = (new_lines, candidate[1])
                 break
         if adopted is None:
-            pool: dict[str, deque[_OwnedLine]] = defaultdict(deque)
+            pool: dict[str, deque[str]] = defaultdict(deque)
             for other in others:
-                for line in other.get(change.path, []):
-                    pool[line.content.rstrip()].append(line)
+                for line, owner in zip(*other.get(change.path, _NONE)):
+                    pool[line.rstrip()].append(owner)
 
-            def from_pool(lines: list[str]) -> list[_OwnedLine]:
-                out: list[_OwnedLine] = []
+            def from_pool(lines: list[str]) -> list[str]:
+                out: list[str] = []
                 for line in lines:
                     queue = pool.get(line.rstrip())
-                    out.append(_OwnedLine(line, queue.popleft().commit if queue else commit))
+                    out.append(queue.popleft() if queue else commit)
                 return out
 
             adopted = _carry_lines(base, new_lines, from_pool)
@@ -453,6 +446,23 @@ def _ownership_at(
     return kept, skipped, states[at]
 
 
+def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
+    """sha -> the commit's credit list: its primary author (UNMAPPED when no
+    alias matches), then each co-author trailer that resolves to another
+    student. Each commit's signatures are resolved once."""
+    out: dict[str, list[StudentId]] = {}
+    for commit in commits:
+        if commit.hash in out:
+            continue
+        credits = [resolve(roster, commit.author_name, commit.author_email) or UNMAPPED]
+        for tag in parse_coauthors(commit.message, commit.hash):
+            student = resolve(roster, tag.name, tag.email)
+            if student is not None and student not in credits:
+                credits.append(student)
+        out[commit.hash] = credits
+    return out
+
+
 def _blame(
     root: str,
     history: History,
@@ -460,33 +470,21 @@ def _blame(
     roster: Roster,
     excludes: tuple[str, ...],
     max_file_bytes: int,
-) -> tuple[dict[str, bytes], set[str], list[LineAttribution]]:
-    """Replay up to `at`: `_ownership_at`'s kept files and skipped paths,
-    then one attribution per line of each kept file."""
-    kept, skipped, state = _ownership_at(root, history, at, excludes, max_file_bytes)
+) -> list[LineAttribution]:
+    """Replay up to `at`, then one attribution per line of each kept file,
+    credited to the owning commit's primary author."""
+    kept, _, state = _ownership_at(root, history, at, excludes, max_file_bytes)
     commits = history.by_sha
-    resolved: dict[str, StudentId | None] = {}
-
-    def student_of(sha: str) -> StudentId | None:
-        if sha not in resolved:
-            commit = commits[sha]
-            resolved[sha] = resolve(roster, commit.author_name, commit.author_email)
-        return resolved[sha]
-
+    owning = set().union(*(state[path][1] for path in kept))
+    credit_lists = _credit_lists((commits[sha] for sha in owning), roster)
     out: list[LineAttribution] = []
     for path in kept:
-        for no, line in enumerate(state[path], start=1):
-            out.append(
-                LineAttribution(
-                    path=path,
-                    line_no=no,
-                    content=line.content,
-                    student=student_of(line.commit),
-                    commit=line.commit,
-                    authored_at=commits[line.commit].authored_at,
-                )
-            )
-    return kept, skipped, out
+        lines, owners = state[path]
+        for no, (line, sha) in enumerate(zip(lines, owners), start=1):
+            primary = credit_lists[sha][0]
+            student = None if primary is UNMAPPED else primary
+            out.append(LineAttribution(path, no, line, student, sha, commits[sha].authored_at))
+    return out
 
 
 def blame_snapshot(
@@ -502,19 +500,7 @@ def blame_snapshot(
     co-author splitting is applied later, during evidence aggregation.
     """
     history = repo.history if at in repo.history.by_sha else History(gitio.log(repo.root_path, at))
-    return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)[2]
-
-
-def _credit_list(commit: Commit, roster: Roster, split: bool) -> list[StudentId]:
-    primary = resolve(roster, commit.author_name, commit.author_email) or UNMAPPED
-    if not split:
-        return [primary]
-    credits = [primary]
-    for tag in parse_coauthors(commit.message, commit.hash):
-        student = resolve(roster, tag.name, tag.email)
-        if student is not None and student not in credits:
-            credits.append(student)
-    return credits
+    return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
 
 
 _COMMENT_PREFIXES = {
@@ -544,7 +530,8 @@ def build_contribution_set(
     list (primary author plus resolved co-authors when splitting is on).
     Multi-credit commits distribute their lines round-robin, walking the
     snapshot in (path, line number) order, so credit splits equally and
-    the per-file partition invariant stays exact.
+    the per-file partition invariant stays exact. The line walk and the
+    message loop share one credit list per commit.
     """
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
@@ -552,6 +539,7 @@ def build_contribution_set(
     head = history.window_head(window)
     replayed = history.ancestors(head) if head else History([])
     window_commits = sorted(replayed.in_window(window), key=lambda c: (c.authored_at, c.hash))
+    split = options.split_coauthors
 
     evidence: dict[tuple[str, str], ContributionEvidence] = {}
 
@@ -563,52 +551,54 @@ def build_contribution_set(
 
     files: tuple[KeptFile, ...] = ()
     skipped: set[str] = set()
+    state: _State = {}
     if head is not None:
-        kept, skipped, attributions = _blame(
-            repo.root_path, history, head, roster, tuple(options.exclude_globs),
-            options.max_file_bytes,
+        kept, skipped, state = _ownership_at(
+            repo.root_path, history, head, tuple(options.exclude_globs), options.max_file_bytes
         )
         files = tuple(
             KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
             for path, blob in kept.items()
         )
-        kinds = {file.path: file.metrics.kind for file in files}
+    owning = set().union(*(state[file.path][1] for file in files))
+    credit_lists = _credit_lists(
+        [*window_commits, *(history.by_sha[sha] for sha in owning)], roster
+    )
+    # every owner is an ancestor of the head, so its lines are added in
+    # the window exactly when it is one of the window commits
+    added = {commit.hash for commit in window_commits}
 
-        credit_cache: dict[str, list[StudentId]] = {}
-        credit_counter: dict[str, int] = defaultdict(int)
-        credited: list[tuple[LineAttribution, StudentId]] = []
-        noncomment_lines: dict[tuple[str, str], int] = defaultdict(int)
-        for attr in attributions:  # already in (path, line_no) order
-            commit = history.by_sha[attr.commit]
-            if attr.commit not in credit_cache:
-                credit_cache[attr.commit] = _credit_list(commit, roster, options.split_coauthors)
-            credits = credit_cache[attr.commit]
-            idx = credit_counter[attr.commit]
-            credit_counter[attr.commit] += 1
-            student = credits[idx % len(credits)]
-            credited.append((attr, student))
-
-            row = evidence_row(student, attr.path)
+    credit_counter: dict[str, int] = defaultdict(int)
+    noncomment_lines: dict[tuple[str, str], int] = defaultdict(int)
+    for file in files:  # bytewise path order, then line order
+        path, kind = file.path, file.metrics.kind
+        lines, owners = state[path]
+        credited: list[StudentId] = []
+        for line, sha in zip(lines, owners):
+            credits = credit_lists[sha]
+            student = credits[credit_counter[sha] % len(credits)] if split else credits[0]
+            credit_counter[sha] += 1
+            credited.append(student)
+            row = evidence_row(student, path)
             row.lines_owned += 1
-            if window.contains(attr.authored_at) and not commit.is_merge:
+            if sha in added:
                 row.lines_added_in_window += 1
-            if not _is_comment_line(kinds[attr.path], attr.content):
-                noncomment_lines[(student.id, attr.path)] += 1
+            if not _is_comment_line(kind, line):
+                noncomment_lines[(student.id, path)] += 1
+        _attach_solo_functions(file, credited, evidence_row)
 
-        for row in evidence.values():
-            row.comment_only = (
-                row.lines_owned > 0 and noncomment_lines[(row.student.id, row.path)] == 0
-            )
-
-        _attach_solo_functions(files, credited, evidence_row)
+    for row in evidence.values():
+        row.comment_only = (
+            row.lines_owned > 0 and noncomment_lines[(row.student.id, row.path)] == 0
+        )
 
     # a co-author counts as active whatever the splitting flag; the flag
     # only picks who is credited with the commit's message
     active_ids: set[str] = set()
     for commit in window_commits:
-        credits = _credit_list(commit, roster, split=True)
+        credits = credit_lists[commit.hash]
         active_ids.update(student.id for student in credits)
-        if not options.split_coauthors:
+        if not split:
             credits = credits[:1]
         touched = {
             p for change in commit.changes for p in (change.path, change.old_path) if p is not None
@@ -642,27 +632,24 @@ def build_contribution_set(
     )
 
 
-def _attach_solo_functions(files: tuple[KeptFile, ...], credited, evidence_row) -> None:
-    """Mark functions whose every line (innermost span) one student wrote."""
-    owner_by_path: dict[str, dict[int, StudentId]] = defaultdict(dict)
-    for attr, student in credited:
-        owner_by_path[attr.path][attr.line_no] = student
-    for file in files:
-        if file.metrics.kind != "script":
-            continue
-        path = file.path
-        owner_by_line = owner_by_path[path]
-        spans = [(f.name, f.start, f.end, f.score) for f in file.metrics.complexity.functions]
-        for name, start, end, score in spans:
-            lines = set(range(start, end + 1))
-            for _, other_start, other_end, _ in spans:
-                if start < other_start and other_end <= end:
-                    lines -= set(range(other_start, other_end + 1))
-            owners = {owner_by_line[n].id for n in lines if n in owner_by_line}
-            if len(owners) == 1:
-                evidence_row(owner_by_line[min(lines)], path).solo_functions.append(
-                    (name, score)
-                )
+def _attach_solo_functions(
+    file: KeptFile,
+    credited: list[StudentId],
+    evidence_row: Callable[[StudentId, str], ContributionEvidence],
+) -> None:
+    """Mark the functions of `file` whose every line (innermost span) one
+    student wrote; `credited` holds each line's credited student."""
+    if file.metrics.kind != "script":
+        return
+    spans = [(f.name, f.start, f.end, f.score) for f in file.metrics.complexity.functions]
+    for name, start, end, score in spans:
+        lines = set(range(start, end + 1))
+        for _, other_start, other_end, _ in spans:
+            if start < other_start and other_end <= end:
+                lines -= set(range(other_start, other_end + 1))
+        owners = {credited[n - 1].id for n in lines if n <= len(credited)}
+        if len(owners) == 1:
+            evidence_row(credited[min(lines) - 1], file.path).solo_functions.append((name, score))
 
 
 def branch_extra_attributions(
@@ -690,6 +677,6 @@ def branch_extra_attributions(
         for attr in _blame(
             repo.root_path, history, bhead, roster, tuple(options.exclude_globs),
             options.max_file_bytes,
-        )[2]
+        )
         if attr.commit not in repo.history.by_sha
     ]

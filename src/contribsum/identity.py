@@ -115,12 +115,14 @@ def resolve(roster: Roster, name: str, email: str) -> StudentId | None:
 
 
 def unmapped_signatures(roster: Roster, commits: Iterable[Commit]) -> list[str]:
-    """`Name <email>` of each author no roster alias matches, in first-seen order."""
-    unmapped: dict[str, None] = {}
+    """`Name <email>` of each author no roster alias matches, in first-seen
+    order. Each distinct signature is resolved once."""
+    unmapped: dict[tuple[str, str], bool] = {}
     for commit in commits:
-        if resolve(roster, commit.author_name, commit.author_email) is None:
-            unmapped.setdefault(f"{commit.author_name} <{commit.author_email}>")
-    return list(unmapped)
+        signature = (commit.author_name, commit.author_email)
+        if signature not in unmapped:
+            unmapped[signature] = resolve(roster, *signature) is None
+    return [f"{name} <{email}>" for (name, email), missing in unmapped.items() if missing]
 
 
 _COAUTHOR_RE = re.compile(

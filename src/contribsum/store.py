@@ -65,16 +65,19 @@ class Store:
         return self.directory / key[:2] / f"{key[2:]}.json"
 
     def get(self, key: str) -> dict | None:
-        """Cached payload, or None when absent or corrupt (corrupt warns)."""
+        """Cached payload, or None when absent or corrupt (corrupt warns).
+        An entry that is valid JSON of the wrong shape is corrupt too."""
         path = self._path(key)
         try:
             wrapped = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError):
+            wrapped = None
+        payload_text = wrapped.get("payload_json") if isinstance(wrapped, dict) else None
+        if not isinstance(payload_text, str):
             logger.warning("corrupt cache entry dropped: %s", path)
             return None
-        payload_text = wrapped.get("payload_json", "")
         digest = hashlib.sha256(payload_text.encode()).hexdigest()
         if digest != wrapped.get("digest"):
             logger.warning("cache digest mismatch, entry dropped: %s", path)
@@ -108,9 +111,10 @@ class CostLedger:
 
     When constructed with a path, every append is persisted immediately;
     without one the ledger is memory-only (handy in tests). Appends are
-    safe from several threads. A line cut short by a killed run is skipped
-    with a warning, and the next append starts on a fresh line so the
-    fragment never fuses with an entry.
+    safe from several threads. A line cut short by a killed run, or one
+    that is valid JSON but no entry, is skipped with a warning, and the
+    next append starts on a fresh line so a fragment never fuses with an
+    entry.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -125,11 +129,9 @@ class CostLedger:
                 if not line.strip():
                     continue
                 try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
+                    self.entries.append(LedgerEntry(**json.loads(line)))
+                except (json.JSONDecodeError, TypeError):
                     logger.warning("truncated ledger line %d skipped: %s", no, self.path)
-                    continue
-                self.entries.append(LedgerEntry(**raw))
 
     def add(
         self,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import subprocess
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatch
 
@@ -17,7 +18,7 @@ from conftest import (
     random_script,
     tree_files,
 )
-from contribsum import attribution, gitio, synthfix
+from contribsum import attribution, gitio, ingest, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
@@ -29,7 +30,7 @@ from contribsum.attribution import (
     is_excluded,
 )
 from contribsum.errors import UnknownCommit
-from contribsum.identity import UNMAPPED
+from contribsum.identity import UNMAPPED, load_roster
 from contribsum.ingest import AnalysisWindow
 from contribsum.metrics import compute_file_metrics
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
@@ -119,6 +120,92 @@ class TestBlameOracleEquivalence:
         assert not any(a.commit in merge_hashes for a in attrs)
         pages = [a for a in attrs if a.path == "pages.html"]
         assert pages and all(a.student.id == "bob" for a in pages)
+
+
+class _PlumbingRepo:
+    """A repository whose commits are written with `git commit-tree`, so a
+    merge's tree and parents are exactly what a test asks for."""
+
+    def __init__(self, root):
+        self.root = str(root)
+        subprocess.run(["git", "init", "-q", self.root], check=True)
+        self.hour = 0
+
+    def _git(self, *args: str, stdin: bytes = b"", env=None) -> str:
+        out = subprocess.run(
+            ["git", "-C", self.root, *args], input=stdin, env=env,
+            capture_output=True, check=True,
+        ).stdout
+        return out.decode().strip()
+
+    def commit(self, author: tuple[str, str], files: dict[str, list[str]], *parents: str) -> str:
+        """A commit by `author` whose tree is `files` (path -> lines)."""
+        entries = "".join(
+            f"100644 blob {self._git('hash-object', '-w', '--stdin', stdin=text)}\t{path}\n"
+            for path, text in (
+                (path, "".join(line + "\n" for line in lines).encode())
+                for path, lines in sorted(files.items())
+            )
+        )
+        tree = self._git("mktree", stdin=entries.encode())
+        self.hour += 1
+        date = f"2024-06-10T{self.hour:02d}:00:00+00:00"
+        env = {
+            **os.environ,
+            "GIT_AUTHOR_NAME": author[0], "GIT_AUTHOR_EMAIL": author[1],
+            "GIT_AUTHOR_DATE": date,
+            "GIT_COMMITTER_NAME": author[0], "GIT_COMMITTER_EMAIL": author[1],
+            "GIT_COMMITTER_DATE": date,
+        }
+        parent_args = [arg for parent in parents for arg in ("-p", parent)]
+        return self._git("commit-tree", tree, *parent_args, "-m", "work", env=env)
+
+    def blame(self, tip: str) -> dict[str, list[tuple[str, str]]]:
+        """path -> (content, owning commit) per line at `tip`, the tip of main."""
+        self._git("update-ref", "refs/heads/main", tip)
+        handle = ingest.open_repo(self.root, "main")
+        roster = load_roster(ROSTER_TEXT)
+        got: dict[str, list[tuple[str, str]]] = {}
+        for a in blame_snapshot(handle, tip, roster, excludes=()):
+            got.setdefault(a.path, []).append((a.content, a.commit))
+        return got
+
+
+ALICE = ("Alice Lee", "alice@campus.edu")
+BOB = ("Bob Roy", "bob@campus.edu")
+CAROL = ("Carol Weiss", "carol@campus.edu")
+
+
+class TestMergeAdoption:
+    """The two ways a merge's changed file finds owners in its other parents."""
+
+    def test_whitespace_equal_file_keeps_side_owners(self, tmp_path):
+        repo = _PlumbingRepo(tmp_path / "repo")
+        base = repo.commit(ALICE, {"f.py": ["def f():", "    return 0"]})
+        # main and side both append `x = 1`; the merge takes the side's
+        # file, which differs from main's only in trailing whitespace
+        main = repo.commit(CAROL, {"f.py": ["def f():", "    return 0", "", "x = 1"]}, base)
+        side = repo.commit(BOB, {"f.py": ["def f():", "    return 0  ", "", "x = 1"]}, base)
+        merge = repo.commit(
+            CAROL, {"f.py": ["def f():", "    return 0\t", "", "x = 1 "]}, main, side
+        )
+        assert repo.blame(merge)["f.py"] == [
+            ("def f():", base), ("    return 0\t", base), ("", side), ("x = 1 ", side),
+        ]
+
+    def test_line_by_line_adoption(self, tmp_path):
+        repo = _PlumbingRepo(tmp_path / "repo")
+        lines = [f"v{n} = {n}" for n in range(10)]
+        base = repo.commit(ALICE, {"f.py": lines})
+        main_lines = lines[:1] + ["v1 = 'main'"] + lines[2:]
+        side_lines = lines[:7] + ["v7 = 'side'"] + lines[8:]
+        main = repo.commit(ALICE, {"f.py": main_lines}, base)
+        side = repo.commit(BOB, {"f.py": side_lines}, base)
+        merged = main_lines[:7] + ["v7 = 'side'"] + main_lines[8:] + ["resolved = True"]
+        merge = repo.commit(CAROL, {"f.py": merged}, main, side)
+        owners = [base] * 11
+        owners[1], owners[7], owners[10] = main, side, merge
+        assert repo.blame(merge)["f.py"] == list(zip(merged, owners))
 
 
 class TestExclusions:
@@ -530,11 +617,11 @@ class TestTieRule:
     @given(_edit_history())
     def test_line_diff(self, history):
         _, versions, whitespace_only = history
-        owned = [attribution._OwnedLine(line, "c0") for line in versions[0]]
+        owned = (versions[0], ["c0"] * len(versions[0]))
         for k, new in enumerate(versions[1:], start=1):
             out = attribution._apply_line_diff(owned, new, f"c{k}")
-            _check_edit([(l.content, l.commit) for l in owned], new,
-                        [(l.content, l.commit) for l in out], f"c{k}", whitespace_only[k])
+            _check_edit(list(zip(*owned)), new, list(zip(*out, strict=True)), f"c{k}",
+                        whitespace_only[k])
             owned = out
 
     @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, with_tree_entries
-from contribsum import pipeline, store as store_module, synthfix
+from contribsum import attribution, identity, pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
 from contribsum.agents.provider import (
@@ -29,7 +29,7 @@ from contribsum.agents.provider import (
 )
 from contribsum.config import RunConfig
 from contribsum.errors import ProviderError
-from contribsum.identity import load_roster
+from contribsum.identity import load_roster, parse_coauthors
 from contribsum.ingest import AnalysisWindow
 from contribsum.report import ReportState, RunMeta
 from contribsum.store import CostLedger, Store
@@ -111,6 +111,59 @@ class TestGitSpawns:
         assert counts[30, ("side",)] > counts[30, ()]
         # one open_repo branch listing, one log stream, one cat-file reader
         assert counts[30, ()] == 3
+
+
+class TestIdentityResolution:
+    def test_each_signature_resolved_once_per_team(self, tmp_path, monkeypatch):
+        signatures = (*AUTHORS, ("Carol Weiss", "carol@campus.edu"), ("CI Bot", "bot@ci.invalid"))
+        steps = [
+            Step(*AUTHORS[0], message="scaffold", ops=tuple(SetFile(p, ("x = 0",)) for p in FILES))
+        ]
+        for n in range(1, 60):
+            pair = (signatures[(n + 1) % 3],) if n % 4 == 0 else ()
+            steps.append(
+                Step(*signatures[n % 4], message=f"edit {n}", coauthors=pair,
+                     ops=(Insert(FILES[n % len(FILES)], 1, (f"v_{n} = {n}",)),))
+            )
+        steps += [
+            Step(*AUTHORS[1], message="side work", create_branch="side",
+                 ops=(SetFile("side.py", ("y = 1",)),)),
+            Step(*AUTHORS[0], message="main work", checkout="main",
+                 ops=(Insert(FILES[0], 1, ("z = 1",)),)),
+            Step(*AUTHORS[0], message="merge side", merge="side"),
+        ]
+        handle, _ = synthfix.build(
+            RepoScript(name="identities", roster_text=ROSTER_TEXT, steps=steps), tmp_path / "repo"
+        )
+        commits = handle.history.commits
+        in_window = [c for c in commits if not c.is_merge and JUNE.contains(c.authored_at)]
+        assert len(in_window) == len(commits) - 1
+        trailers = sum(len(parse_coauthors(c.message)) for c in commits)
+        window_signatures = {(c.author_name, c.author_email) for c in in_window}
+
+        calls = []
+        real_resolve = identity.resolve
+
+        def counting_resolve(*args):
+            calls.append(args)
+            return real_resolve(*args)
+
+        monkeypatch.setattr(identity, "resolve", counting_resolve)
+        monkeypatch.setattr(attribution, "resolve", counting_resolve)
+        cfg = _config(tmp_path / "run", [])
+        with pipeline.send_pool(cfg) as sends:
+            result = pipeline.analyze_team(
+                "team", handle.root_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
+                Store(tmp_path / "cache"), CostLedger(), sends,
+            )
+        assert result.ok, result.error
+        state = ReportState.from_json(
+            (Path(result.artifacts["report.md"]).parent / pipeline.STATE_NAME).read_text()
+        )
+        assert state.meta.unmapped_authors == ("CI Bot <bot@ci.invalid>",)
+        # one credit list per commit, each trailer resolved with it, and one
+        # lookup per distinct signature for the unmapped-author list
+        assert len(calls) <= len(commits) + trailers + len(window_signatures)
 
 
 class TestIncludeBranch:

@@ -6,6 +6,8 @@ import json
 import sys
 import threading
 
+import pytest
+
 from contribsum.cli import main
 from contribsum.store import (
     CostLedger,
@@ -64,6 +66,20 @@ class TestStore:
         raw["payload_json"] = raw["payload_json"].replace("authentic", "tampered!")
         entry_path.write_text(json.dumps(raw))
         assert store.get(key) is None
+
+    @pytest.mark.parametrize(
+        "entry", ["[]", '"str"', '{"payload_json": 5, "digest": 1}'],
+        ids=["list", "string", "non-text-payload"],
+    )
+    def test_wrong_shape_entry_warns_and_reads_absent(self, tmp_path, caplog, entry):
+        store = Store(tmp_path / "cache")
+        key = cache_key("t", "m", "p")
+        store.put(key, {"text": "x"})
+        entry_path = list(store.directory.rglob("*.json"))[0]
+        entry_path.write_text(entry)
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            assert store.get(key) is None
+        assert f"corrupt cache entry dropped: {entry_path}" in caplog.text
 
     def test_survives_reopen(self, tmp_path):
         key = cache_key("t", "m", "p")
@@ -126,6 +142,20 @@ class TestCostLedger:
         assert [e.cost for e in again.entries] == [0.25, 0.5]
         assert main(["cost", "--state", str(tmp_path)]) == 0
         assert "total: $0.75" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "line", ["[]", '{"tier": "analysis"}'], ids=["list", "missing-fields"]
+    )
+    def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
+        path = tmp_path / "ledger.jsonl"
+        CostLedger(path).add("analysis", "m", 1, 2, 0.25)
+        path.write_text(path.read_text() + line + "\n")
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            ledger = CostLedger(path)
+        assert [e.cost for e in ledger.entries] == [0.25]
+        assert "truncated ledger line 2" in caplog.text
+        assert main(["cost", "--state", str(tmp_path)]) == 0
+        assert "total: $0.25" in capsys.readouterr().out
 
     def test_concurrent_adds_all_land_whole(self, tmp_path, caplog):
         path = tmp_path / "ledger.jsonl"
