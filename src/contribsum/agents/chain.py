@@ -24,7 +24,8 @@ import functools
 import hashlib
 import json
 import re
-from concurrent.futures import Executor, Future
+import threading
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -182,6 +183,57 @@ def _record(call: Call, response, *, ledger: CostLedger | None, store: Store | N
     call.messages = None  # answered: the prompt is not kept
 
 
+class _Flights:
+    """Sends in flight by cache key, and the keys whose answer was stored."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._sending: dict[str, Future] = {}
+        self._answered: set[str] = set()
+
+    def join(
+        self, pool: Executor, provider, call: Call, store: Store | None
+    ) -> tuple[Future, bool] | None:
+        """The send that answers `call`: `(future, True)` when `call` makes
+        it, `(future, False)` when it waits for another call's. None when
+        another call stored the answer since `call` was prepared; it is
+        then read back into `call`."""
+        with self._lock:
+            future = self._sending.get(call.key)
+            if future is not None and not (
+                future.cancelled() or (future.done() and future.exception() is not None)
+            ):
+                return future, False
+            hit = store.get(call.key) if store is not None and call.key in self._answered else None
+            if hit is not None:
+                call.text, call.messages = hit["text"], None
+                return None
+            future = pool.submit(provider.send, call.messages, call.tier.model_id)
+            self._sending[call.key] = future
+            return future, True
+
+    def land(self, call: Call, future: Future) -> None:
+        """`call`'s own send is over; its answer is stored if it has one."""
+        with self._lock:
+            if self._sending.get(call.key) is future:
+                del self._sending[call.key]
+            if call.text is not None:
+                self._answered.add(call.key)
+
+
+class SendPool(ThreadPoolExecutor):
+    """The run's send threads, with its sends in flight by cache key.
+
+    A request whose key is already being sent waits for that send instead
+    of sending it again, so teams that need one answer at once make one
+    provider call and one ledger entry, as they would one after another.
+    """
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
+        self.flights = _Flights()
+
+
 def answer_all(
     provider,
     calls: list[Call | None],
@@ -192,39 +244,53 @@ def answer_all(
 ) -> list[str | None]:
     """Response text of every call, in order; a None call stays None.
 
-    Only `provider.send` of the cache misses runs on `pool`. Usage and
-    cache entries are recorded here, on the calling thread and in call
-    order, so ledger and cache come out the same for any pool size. When
-    a send fails, the sends not yet started are cancelled, the answers
-    already in are still recorded, and the first error is raised.
+    Only `provider.send` of the cache misses runs on `pool`, and a key
+    already in flight there (on a `SendPool`: from any team) is sent once.
+    Usage and cache entries are recorded by the call that sent the
+    request, on the calling thread and in call order, so ledger and cache
+    come out the same for any pool size. A call whose shared send failed
+    or was cancelled sends on its own. When a send fails, this call's
+    sends not yet started are cancelled, the answers already in are still
+    recorded, and the first error is raised.
     """
-    futures = [
-        pool.submit(provider.send, call.messages, call.tier.model_id)
+    flights = pool.flights if isinstance(pool, SendPool) else _Flights()
+    sends = [
+        flights.join(pool, provider, call, store)
         if call is not None and call.text is None
         else None
         for call in calls
     ]
     error = None
     try:
-        for call, future in zip(calls, futures):
-            if future is None or future.cancelled():
+        for i, call in enumerate(calls):
+            while sends[i] is not None and not sends[i][1] and error is None:
+                try:  # another call's send of the same request
+                    call.text, call.messages = sends[i][0].result().text, None
+                    sends[i] = None
+                except Exception:  # it failed or was cancelled: send it here
+                    sends[i] = flights.join(pool, provider, call, store)
+            if sends[i] is None or not sends[i][1] or sends[i][0].cancelled():
                 continue
             try:
-                _record(call, future.result(), ledger=ledger, store=store)
+                _record(call, sends[i][0].result(), ledger=ledger, store=store)
             except Exception as exc:
                 error = error or exc
-                _cancel(futures)
+                _cancel(sends)
     finally:
-        _cancel(futures)  # an interrupt, too, must not leave queued sends behind
+        _cancel(sends)  # an interrupt, too, must not leave queued sends behind
+        for call, send in zip(calls, sends):
+            if send is not None and send[1]:
+                flights.land(call, send[0])
     if error is not None:
         raise error
     return [call and call.text for call in calls]
 
 
-def _cancel(futures: list[Future | None]) -> None:
-    for future in futures:
-        if future is not None:
-            future.cancel()
+def _cancel(sends: list[tuple[Future, bool] | None]) -> None:
+    """Cancel the sends this call makes that have not started."""
+    for send in sends:
+        if send is not None and send[1]:
+            send[0].cancel()
 
 
 def record_usage(

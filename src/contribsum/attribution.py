@@ -5,9 +5,11 @@ is derived from its parent's ownership plus the commit's diff, so the
 window-end snapshot ends up with one owning commit per line. A state maps
 each path to the file's lines and a parallel list of owning commit shas;
 evidence is credited in one walk over the kept files' lines and owners.
-Commits, their order and their file changes come from the ref's `History`
-(one `git log` stream); only blob contents are read through an
-ObjectReader.
+Commits, their order and their file changes come from each ref's
+`History` (one `git log` stream per ref); only blob contents are read
+through an ObjectReader. One replay on one reader serves the default
+branch's window head and every included branch's, so a commit they share
+is replayed once.
 
 Replay covers only the paths that can reach a kept snapshot file: the
 files at the snapshot that are not excluded, not binary and not over
@@ -55,7 +57,6 @@ from itertools import compress, count, islice
 from operator import ne
 
 from . import gitio, metrics
-from .errors import BranchNotFound, UnknownCommit
 from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
 from .ingest import AnalysisWindow, History, RepoHandle
@@ -125,6 +126,8 @@ class ContributionSet:
     students: dict[str, StudentId]
     head: str | None = None  # window-end snapshot commit; None before any commit
     files: tuple[KeptFile, ...] = ()  # kept files at `head`, bytewise path order; not serialized
+    # included branch -> `_branch_section`, None when the repository lacks it; not serialized
+    branches: dict[str, tuple | None] = field(default_factory=dict)
 
     def evidence_for(self, student_id: str) -> list[ContributionEvidence]:
         return self.per_student.get(student_id, [])
@@ -376,59 +379,64 @@ def _needed_changes(
 
 
 def _ownership_at(
-    root: str, history: History, at: str, excludes: tuple[str, ...], max_file_bytes: int
-) -> tuple[dict[str, bytes], set[str], _State]:
-    """(kept files -> head bytes in bytewise path order, skipped paths,
-    ownership at `at`).
+    root: str, heads: Iterable[tuple[History, str | None]], excludes: tuple[str, ...],
+    max_file_bytes: int,
+) -> dict[str, tuple[dict[str, bytes], set[str], _State]]:
+    """head -> (kept files -> head bytes in bytewise path order, skipped
+    paths, ownership at the head), for each `(history, head)` with a head.
 
-    A path at `at` that is not excluded is kept when it is no symlink or
+    A path at a head that is not excluded is kept when it is no symlink or
     gitlink and its blob passes `is_blamable`, else skipped. Replay runs
-    parents first over `at`'s ancestors and applies only changes to the
-    kept paths and their rename sources; each commit's state is dropped
-    after its last child is replayed. Every blob is requested from the
-    reader before the first one is read, head blobs first and then the
-    replay's in replay order, so the reads share round trips.
+    parents first over the union of the heads' ancestors (the first head's
+    in its order, then each later head's unseen ones) and applies only
+    changes to the kept paths and their rename sources; a commit's state
+    is dropped after its last child is replayed, unless it is a head. Every
+    blob is requested from one reader before the first one is read, head
+    blobs first and then the replay's in replay order.
     """
-    ancestors = history.ancestors(at)
-    children = Counter(p for commit in ancestors.commits for p in commit.parents)
+    lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
+    if not lineages:
+        return {}
+    plan_commits = {c.hash: c for ancestors in lineages.values() for c in ancestors.commits}
+    children = Counter(p for commit in plan_commits.values() for p in commit.parents)
+    children.update(lineages.keys())  # a head's state outlives its children
     with gitio.ObjectReader(root) as reader:
-        skipped: set[str] = set()
-        candidates: list[tuple[str, str]] = []  # (path, blob sha) to read
-        tree = _tree_at(ancestors, at)
-        for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
-            mode, sha = tree[path]
-            if is_excluded(path, excludes):
-                continue
-            if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
-                skipped.add(path)
-            else:
-                candidates.append((path, sha))
-        reader.request(dict.fromkeys(sha for _, sha in candidates))
-        head_blobs: dict[str, bytes] = {}  # blob sha -> content, kept files only
-        blamable: dict[str, bool] = {}  # blob sha -> verdict; each head blob is read once
-        kept: dict[str, bytes] = {}
-        for path, sha in candidates:
-            if sha not in blamable:
-                blob = reader.blob(sha)
-                blamable[sha] = is_blamable(blob, max_file_bytes)
-                if blamable[sha]:
-                    head_blobs[sha] = blob
-            if blamable[sha]:
-                kept[path] = head_blobs[sha]
-            else:
-                skipped.add(path)
+        candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
+        skipped: dict[str, set[str]] = {}
+        for at, ancestors in lineages.items():
+            candidates[at], skipped[at] = [], set()
+            tree = _tree_at(ancestors, at)
+            for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
+                mode, sha = tree[path]
+                if is_excluded(path, excludes):
+                    continue
+                if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
+                    skipped[at].add(path)
+                else:
+                    candidates[at].append((path, sha))
+        reader.request(dict.fromkeys(sha for pairs in candidates.values() for _, sha in pairs))
+        head_blobs: dict[str, bytes | None] = {}  # blob sha -> content, None when not blamable
+        kept: dict[str, dict[str, bytes]] = {}
+        for at, pairs in candidates.items():
+            for _, sha in pairs:
+                if sha not in head_blobs:  # each distinct head blob is read once
+                    blob = reader.blob(sha)
+                    head_blobs[sha] = blob if is_blamable(blob, max_file_bytes) else None
+            kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
+            skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
 
-        needed = _rename_closure(ancestors, set(kept))
-        plan = [(commit, _needed_changes(commit.changes, needed)) for commit in ancestors.commits]
+        needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in lineages))
+        plan = [(c, _needed_changes(c.changes, needed)) for c in plan_commits.values()]
         reader.request(
             change.new_blob
             for _, changes in plan
             for change in changes
-            if change.status != "D" and change.new_blob not in head_blobs
+            if change.status != "D" and head_blobs.get(change.new_blob) is None
         )
 
         def read(sha: str) -> bytes:
-            return head_blobs[sha] if sha in head_blobs else reader.blob(sha)
+            blob = head_blobs.get(sha)
+            return blob if blob is not None else reader.blob(sha)
 
         states: dict[str, _State] = {}
         for commit, changes in plan:
@@ -443,7 +451,7 @@ def _ownership_at(
                 children[parent] -= 1
                 if not children[parent]:
                     del states[parent]
-    return kept, skipped, states[at]
+    return {at: (kept[at], skipped[at], states[at]) for at in lineages}
 
 
 def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
@@ -473,7 +481,7 @@ def _blame(
 ) -> list[LineAttribution]:
     """Replay up to `at`, then one attribution per line of each kept file,
     credited to the owning commit's primary author."""
-    kept, _, state = _ownership_at(root, history, at, excludes, max_file_bytes)
+    kept, _, state = _ownership_at(root, [(history, at)], excludes, max_file_bytes)[at]
     commits = history.by_sha
     owning = set().union(*(state[path][1] for path in kept))
     credit_lists = _credit_lists((commits[sha] for sha in owning), roster)
@@ -523,6 +531,7 @@ def build_contribution_set(
     window: AnalysisWindow,
     roster: Roster,
     options: AttributionOptions = AttributionOptions(),
+    branches: Iterable[str] = (),
 ) -> ContributionSet:
     """Aggregate per-(student, file) evidence over the window-end snapshot.
 
@@ -532,6 +541,8 @@ def build_contribution_set(
     snapshot in (path, line number) order, so credit splits equally and
     the per-file partition invariant stays exact. The line walk and the
     message loop share one credit list per commit.
+    Each of `branches` costs one `git log`; its window head is replayed
+    with the default branch's, and `_branch_section` filters it.
     """
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
@@ -549,17 +560,24 @@ def build_contribution_set(
             evidence[key] = ContributionEvidence(student=student, path=path)
         return evidence[key]
 
-    files: tuple[KeptFile, ...] = ()
-    skipped: set[str] = set()
-    state: _State = {}
-    if head is not None:
-        kept, skipped, state = _ownership_at(
-            repo.root_path, history, head, tuple(options.exclude_globs), options.max_file_bytes
-        )
-        files = tuple(
-            KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
-            for path, blob in kept.items()
-        )
+    # one History per included branch; None for a branch the repository lacks
+    branch_histories = {
+        branch: History(gitio.log(repo.root_path, repo.tips[branch]))
+        if branch in repo.tips else None
+        for branch in branches
+    }
+
+    owned = _ownership_at(
+        repo.root_path,
+        [(h, h.window_head(window)) for h in (history, *branch_histories.values()) if h],
+        tuple(options.exclude_globs),
+        options.max_file_bytes,
+    )
+    kept, skipped, state = owned[head] if head else ({}, set(), {})
+    files = tuple(
+        KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
+        for path, blob in kept.items()
+    )
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(
         [*window_commits, *(history.by_sha[sha] for sha in owning)], roster
@@ -629,6 +647,10 @@ def build_contribution_set(
         students=students,
         head=head,
         files=files,
+        branches={
+            branch: h and _branch_section(history, h, owned.get(h.window_head(window)), roster)
+            for branch, h in branch_histories.items()
+        },
     )
 
 
@@ -652,31 +674,18 @@ def _attach_solo_functions(
             evidence_row(credited[min(lines) - 1], file.path).solo_functions.append((name, score))
 
 
-def branch_extra_attributions(
-    repo: RepoHandle,
-    branch: str,
-    window: AnalysisWindow,
+def _branch_section(
+    history: History,
+    branch_history: History,
+    at_head: tuple[dict[str, bytes], set[str], _State] | None,
     roster: Roster,
-    options: AttributionOptions = AttributionOptions(),
-) -> list[LineAttribution]:
-    """Lines on an unmerged branch that the default branch never saw.
-
-    Blames the branch's window-end snapshot, then keeps only lines whose
-    owning commit is unreachable from the default branch head. Feeds the
-    clearly-labeled supplementary report section behind --include-branch.
-    """
-    try:
-        history = History(gitio.log(repo.root_path, f"refs/heads/{branch}"))
-    except UnknownCommit as exc:
-        raise BranchNotFound(branch) from exc
-    bhead = history.window_head(window)
-    if bhead is None:
-        return []
-    return [
-        attr
-        for attr in _blame(
-            repo.root_path, history, bhead, roster, tuple(options.exclude_globs),
-            options.max_file_bytes,
-        )
-        if attr.commit not in repo.history.by_sha
-    ]
+) -> tuple[tuple[tuple[str, int], ...], tuple[str, ...]]:
+    """(primary author's display name, line count) pairs and the files of
+    the lines at a branch's window head (`at_head`, None before any commit)
+    whose owning commit `history` never saw, both sorted."""
+    kept, _, state = at_head or ({}, set(), {})
+    extra = {path: [sha for sha in state[path][1] if sha not in history.by_sha] for path in kept}
+    shas = [sha for path_shas in extra.values() for sha in path_shas]
+    credit_lists = _credit_lists((branch_history.by_sha[sha] for sha in shas), roster)
+    lines = Counter(credit_lists[sha][0].display_name for sha in shas)
+    return tuple(sorted(lines.items())), tuple(sorted(path for path in extra if extra[path]))

@@ -208,7 +208,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         raise ConfigError("[run] roster is required")
 
     include_raw = run_opt("include_branches", "") or ""
-    include_branches = tuple(b.strip() for b in include_raw.split(",") if b.strip())
+    # the first of each name, in order
+    include_branches = tuple(dict.fromkeys(b.strip() for b in include_raw.split(",") if b.strip()))
     exclude_raw = run_opt("exclude_globs", "") or ""
     if exclude_raw.strip():
         exclude_globs = tuple(g.strip() for g in exclude_raw.split(",") if g.strip())

@@ -12,7 +12,7 @@ already-present object store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 
@@ -46,6 +46,8 @@ class RepoHandle:
     root_path: str
     default_branch: str
     head_ref: str
+    # every branch `open_repo` listed -> its tip sha
+    tips: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def history(self) -> History:
@@ -117,7 +119,7 @@ def open_repo(path: str, branch: str | None = None) -> RepoHandle:
     candidates = [branch] if branch else [*current, "main", "master"]
     for name in candidates:
         if name in tips:
-            return RepoHandle(root_path=path, default_branch=name, head_ref=tips[name])
+            return RepoHandle(path, name, tips[name], tips)
     raise BranchNotFound(" / ".join(candidates))
 
 

@@ -3,9 +3,10 @@
 One team's failure never aborts the others; the CLI collects TeamResult
 objects and reports per-team outcomes. All artifacts land under
 out/<team>/<window-label>/ and every run writes a manifest with artifact
-hashes so a run can be reproduced and verified exactly.
+hashes so a run can be reproduced and verified exactly. A team's default
+and included branches are replayed once, together, on one `cat-file` reader.
 
-Provider round trips overlap: `run_analysis` owns one ThreadPoolExecutor
+Provider round trips overlap: `run_analysis` owns one `chain.SendPool`
 of `analysis_workers` threads that every team shares, and only
 `provider.send` of a cache miss runs on it. A team's tables are filled in
 one place, `chain.fill_tables`, which sends the analysis-tier calls in two
@@ -16,7 +17,8 @@ budget checks, cache reads and writes, ledger entries and response
 parsing stay on the team's own thread in row order, so outputs and the
 ledger are the same for any pool size, and a fully cached run starts no
 send thread. Synthesis and its repair retry go to the same pool, so
-`analysis_workers` caps every provider request of the run.
+`analysis_workers` caps every provider request of the run, and a request
+in flight for one team is not sent again for another.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import attribution, ingest, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
-from .errors import BranchNotFound, ContribSumError
+from .errors import ContribSumError
 from .identity import UNMAPPED, Roster, unmapped_signatures
 from .report import ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
@@ -59,11 +61,9 @@ def _read_optional(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def send_pool(cfg: RunConfig) -> ThreadPoolExecutor:
+def send_pool(cfg: RunConfig) -> chain.SendPool:
     """The pool of `cfg.analysis_workers` threads that provider sends run on."""
-    return ThreadPoolExecutor(
-        max_workers=cfg.analysis_workers, thread_name_prefix="contribsum-send"
-    )
+    return chain.SendPool(cfg.analysis_workers)
 
 
 def analyze_team(
@@ -105,7 +105,9 @@ def _analyze_team(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
     )
-    cset = attribution.build_contribution_set(repo, cfg.window, roster, options)
+    cset = attribution.build_contribution_set(
+        repo, cfg.window, roster, options, cfg.include_branches
+    )
 
     functionality_rows, contribution_rows = chain.fill_tables(
         provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store
@@ -131,24 +133,9 @@ def _analyze_team(
         if owned:
             result.warnings.append(f"{owned} lines owned by unmapped authors")
 
-    branch_sections = []
-    for branch in cfg.include_branches:
-        try:
-            extra = attribution.branch_extra_attributions(
-                repo, branch, cfg.window, roster, options
-            )
-        except BranchNotFound:
+    for branch, section in cset.branches.items():
+        if section is None:
             result.warnings.append(f"branch {branch} not found; no section for it")
-            continue
-        per_student: dict[str, int] = {}
-        files: set[str] = set()
-        for attr in extra:
-            name = attr.student.display_name if attr.student else UNMAPPED.display_name
-            per_student[name] = per_student.get(name, 0) + 1
-            files.add(attr.path)
-        branch_sections.append(
-            (branch, tuple(sorted(per_student.items())), tuple(sorted(files)))
-        )
 
     evidence_map = {
         sid: {ev.path: (ev.lines_owned, ev.lines_added_in_window) for ev in rows}
@@ -160,7 +147,7 @@ def _analyze_team(
         window=cfg.window,
         roles_enabled=cfg.roles_enabled,
         unmapped_authors=tuple(unmapped),
-        branch_sections=tuple(branch_sections),
+        branch_sections=tuple((b, *section) for b, section in cset.branches.items() if section),
         evidence=evidence_map,
     )
     state = ReportState(tuple(summaries), team_summary, meta)

@@ -106,15 +106,26 @@ class LedgerEntry:
     cost: float
 
 
+# the types a ledger line's fields must have to load as a LedgerEntry
+_FIELD_TYPES = {
+    "timestamp": (int, float),
+    "tier": str,
+    "model_id": str,
+    "input_tokens": int,
+    "output_tokens": int,
+    "cost": (int, float),
+}
+
+
 class CostLedger:
     """Append-only usage ledger with running totals per tier.
 
     When constructed with a path, every append is persisted immediately;
     without one the ledger is memory-only (handy in tests). Appends are
     safe from several threads. A line cut short by a killed run, or one
-    that is valid JSON but no entry, is skipped with a warning, and the
-    next append starts on a fresh line so a fragment never fuses with an
-    entry.
+    that is valid JSON but no entry (a field missing or of the wrong type),
+    is skipped with a warning, and the next append starts on a fresh line
+    so a fragment never fuses with an entry.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -129,7 +140,10 @@ class CostLedger:
                 if not line.strip():
                     continue
                 try:
-                    self.entries.append(LedgerEntry(**json.loads(line)))
+                    entry = LedgerEntry(**json.loads(line))
+                    if not all(isinstance(getattr(entry, f), t) for f, t in _FIELD_TYPES.items()):
+                        raise TypeError(f"ledger line {no} has a field of the wrong type")
+                    self.entries.append(entry)
                 except (json.JSONDecodeError, TypeError):
                     logger.warning("truncated ledger line %d skipped: %s", no, self.path)
 

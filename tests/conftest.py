@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import shlex
@@ -304,6 +305,86 @@ def random_script(seed: int) -> RepoScript:
         name=f"random-{seed}", roster_text=ROSTER_TEXT, steps=steps
     )
     script.checkpoints.append((len(steps) - 1, "final"))
+    return script
+
+
+def random_branch_script(seed: int) -> RepoScript:
+    """`random_script(seed)` with an unmerged `feature` branch forked after a
+    random step that leaves `main` checked out. Checkpoint "final" stays at
+    main's head and checkpoint "branch" marks the branch head. On every
+    fourth seed the fork follows main's last step, so main's head is an
+    ancestor of the branch head.
+
+    The branch's one to four steps insert, replace and delete lines of
+    main's files, rename files and add files of their own, all with lines
+    no other step wrote.
+    """
+    script = random_script(seed)
+    rng = random.Random(20_000 + seed)
+    forks = []
+    current = "main"
+    for index, step in enumerate(script.steps):
+        current = step.create_branch or step.checkout or current
+        if current == "main":
+            forks.append(index)
+    fork = forks[-1] if seed % 4 == 0 else rng.choice(forks)
+    prefix = RepoScript("prefix", ROSTER_TEXT, script.steps[:fork + 1], [(fork, "fork")])
+    at_fork = synthfix.replay_truth(prefix).expected_lines("fork")
+    files = {path: len(lines) for path, lines in at_fork.items()}  # path -> line count
+    counter = 0
+    names: list[str] = []  # branch paths handed out
+
+    def fresh(n: int) -> tuple[str, ...]:
+        nonlocal counter
+        counter += n
+        return tuple(f"branch_{seed}_{k} = {k}" for k in range(counter - n + 1, counter + 1))
+
+    def op(kind: str):
+        path = rng.choice(sorted(files)) if files else ""
+        if kind == "insert" and files:
+            lines = fresh(rng.randint(1, 3))
+            at = rng.randint(1, files[path] + 1)
+            files[path] += len(lines)
+            return Insert(path, at, lines)
+        if kind == "replace" and files:
+            return Replace(path, rng.randint(1, files[path]), fresh(1))
+        if kind == "delete" and files.get(path, 0) >= 2:
+            files[path] -= 1
+            return Delete(path, rng.randint(1, files[path] + 1), 1)
+        new = f"feature/file_{len(names)}.py"
+        names.append(new)
+        if kind == "rename" and files:
+            files[new] = files.pop(path)
+            return Rename(path, new)
+        lines = fresh(rng.randint(1, 4))
+        files[new] = len(lines)
+        return SetFile(new, lines)
+
+    def ops() -> tuple:
+        # a rename is a step of its own, so git sees the unchanged content move
+        if rng.random() < 0.2:
+            return (op("rename"),)
+        return tuple(
+            op(rng.choice(("new", "insert", "replace", "delete")))
+            for _ in range(rng.randint(1, 3))
+        )
+
+    when = script.steps[fork].date
+    branch = []
+    for n in range(rng.randint(1, 4)):
+        name, email = _UNKNOWN if rng.random() < 0.1 else rng.choice(_AUTHORS)
+        branch.append(
+            Step(name, email, f"feature {n}", date=when + timedelta(minutes=n + 1),
+                 create_branch="feature" if n == 0 else None,
+                 ops=ops())
+        )
+    rest = script.steps[fork + 1:]
+    if rest:
+        rest[0] = dataclasses.replace(rest[0], checkout=rest[0].checkout or "main")
+    script.steps = [*script.steps[:fork + 1], *branch, *rest]
+    final = len(script.steps) - 1 if rest else fork
+    script.checkpoints = [(final, "final"), (fork + len(branch), "branch")]
+    script.name = f"branch-{seed}"
     return script
 
 

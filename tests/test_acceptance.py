@@ -20,7 +20,6 @@ from contribsum.agents import chain
 from contribsum.agents.provider import MockProvider, ModelTier
 from contribsum.attribution import (
     blame_snapshot,
-    branch_extra_attributions,
     build_contribution_set,
     AttributionOptions,
 )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+import threading
 import types
 
 import pytest
@@ -465,6 +467,125 @@ class TestCaching:
         _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger)
         _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE * 2, metrics, pool, ledger=ledger)
         assert len(mock.calls) == len(ledger.entries) == 2
+
+
+class TestSingleFlight:
+    """A request that several calls need at once is sent once."""
+
+    @staticmethod
+    def _call(store=None):
+        metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
+        return file_call(ANALYSIS, "app.py", FLASK_LIKE, metrics, store=store)
+
+    def test_answer_stored_meanwhile_is_read_back(self, tmp_path):
+        store, ledger, mock = Store(tmp_path / "cache"), CostLedger(), _mock()
+        first, second = self._call(store), self._call(store)  # both missed the cache
+        with chain.SendPool(2) as pool:
+            [a] = answer_all(mock, [first], pool, ledger=ledger, store=store)
+            [b] = answer_all(mock, [second], pool, ledger=ledger, store=store)
+        assert a == b
+        assert len(mock.calls) == len(ledger.entries) == 1
+
+    def test_repeated_request_in_one_batch_sent_once(self, pool):
+        ledger, mock = CostLedger(), _mock()
+        a, b = answer_all(mock, [self._call(), self._call()], pool, ledger=ledger)
+        assert a == b
+        assert len(mock.calls) == len(ledger.entries) == 1
+
+    def test_each_request_sent_once_under_contention(self, tmp_path):
+        """Eight threads ask for the same ten requests in shuffled batches;
+        with a store, each request reaches the provider and the ledger once."""
+        store, ledger = Store(tmp_path / "cache"), CostLedger()
+        lock = threading.Lock()
+        sent: list[str] = []
+
+        class Counting:
+            inner = _mock()
+
+            def send(self, messages, model_id):
+                with lock:
+                    sent.append(messages[-1]["content"])
+                return self.inner.send(messages, model_id)
+
+        contents = [FLASK_LIKE + f"\nVERSION = {n}\n" for n in range(10)]
+        metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
+        answers: list[tuple[str, str]] = []
+
+        def work(seed: int) -> None:
+            order = random.Random(seed).sample(contents, len(contents))
+            for start in range(0, len(order), 3):
+                batch = order[start:start + 3]
+                calls = [file_call(ANALYSIS, "app.py", c, metrics, store=store) for c in batch]
+                texts = answer_all(Counting(), calls, pool, ledger=ledger, store=store)
+                with lock:
+                    answers.extend(zip(batch, texts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with chain.SendPool(4) as pool:
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sent) == len(set(sent)) == len(ledger.entries) == len(contents)
+        assert len(answers) == 8 * len(contents)
+        assert len(set(answers)) == len(contents)  # one answer per request
+
+    def test_failed_shared_send_is_sent_again(self, monkeypatch):
+        """A call waiting for another call's send, which fails, sends the
+        request itself; only the failing call sees the error."""
+        started, joined, release = threading.Event(), threading.Event(), threading.Event()
+        real_join = chain._Flights.join
+
+        def signalling_join(self, *args):
+            send = real_join(self, *args)
+            if send is not None and not send[1]:
+                joined.set()
+            return send
+
+        monkeypatch.setattr(chain._Flights, "join", signalling_join)
+
+        class FailFirst:
+            def __init__(self):
+                self.inner = _mock()
+                self.sends = 0
+
+            def send(self, messages, model_id):
+                self.sends += 1
+                if self.sends == 1:
+                    started.set()
+                    assert release.wait(timeout=30)
+                    raise ProviderError("HTTP 503")
+                return self.inner.send(messages, model_id)
+
+        provider, ledger = FailFirst(), CostLedger()
+        outcomes: dict[str, object] = {}
+
+        def run(name):
+            try:
+                outcomes[name] = answer_all(provider, [self._call()], pool, ledger=ledger)
+            except ProviderError as exc:
+                outcomes[name] = exc
+
+        with chain.SendPool(2) as pool:
+            failing = threading.Thread(target=run, args=("failing",))
+            failing.start()
+            assert started.wait(timeout=30)
+            waiting = threading.Thread(target=run, args=("waiting",))
+            waiting.start()
+            assert joined.wait(timeout=30)
+            release.set()
+            for thread in (failing, waiting):
+                thread.join(timeout=30)
+        assert isinstance(outcomes["failing"], ProviderError)
+        call = self._call()
+        assert outcomes["waiting"] == [_mock().send(call.messages, ANALYSIS.model_id).text]
+        assert provider.sends == 2 and len(ledger.entries) == 1
 
 
 class TestReplayProvider:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatch
 
@@ -14,6 +15,7 @@ from conftest import (
     JUNE,
     PRUNE_MAX_FILE_BYTES,
     ROSTER_TEXT,
+    random_branch_script,
     random_pruning_script,
     random_script,
     tree_files,
@@ -24,7 +26,6 @@ from contribsum.attribution import (
     DEFAULT_EXCLUDE_GLOBS,
     MAX_BLAME_FILE_BYTES,
     blame_snapshot,
-    branch_extra_attributions,
     build_contribution_set,
     is_blamable,
     is_excluded,
@@ -838,6 +839,97 @@ class TestUnmergedBranch:
 
     def test_include_branch_surfaces_extra_lines(self, built_fixtures):
         handle, truth = built_fixtures["unmerged_branch"]
-        extra = branch_extra_attributions(handle, "experiment", JUNE, truth.roster)
-        assert {a.path for a in extra} == {"cache.py"}
-        assert all(a.student.id == "bob" for a in extra)
+        cset = build_contribution_set(handle, JUNE, truth.roster, branches=("experiment",))
+        lines, files = cset.branches["experiment"]
+        assert set(files) == {"cache.py"}
+        assert [name for name, _ in lines] == [truth.roster.by_id("bob").display_name]
+
+
+@pytest.fixture(scope="module")
+def branch_repos(tmp_path_factory):
+    """(handle, truth, feature branch History) of 24 `random_branch_script` seeds."""
+    root = tmp_path_factory.mktemp("branch-repos")
+    built = []
+    for seed in range(24):
+        handle, truth = synthfix.build(random_branch_script(seed), root / f"b{seed}")
+        feature = ingest.History(gitio.log(handle.root_path, handle.tips["feature"]))
+        built.append((handle, truth, feature))
+    return built
+
+
+class TestBranchReplay:
+    """One replay serves every head of a team: each head comes out as if
+    replayed alone, and a commit the heads share is replayed once."""
+
+    def test_each_head_as_replayed_alone(self, branch_repos):
+        ancestor_cases = 0
+        for seed, (handle, truth, feature) in enumerate(branch_repos):
+            main = handle.history
+            heads = [(main, main.window_head(JUNE)), (feature, feature.window_head(JUNE))]
+            together = attribution._ownership_at(
+                handle.root_path, heads, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES
+            )
+            for history, at in heads:
+                kept, skipped, state = attribution._ownership_at(
+                    handle.root_path, [(history, at)], DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES
+                )[at]
+                assert together[at][:2] == (kept, skipped), f"seed {seed}"
+                assert {p: together[at][2][p] for p in kept} == {p: state[p] for p in kept}
+            ancestor_cases += heads[0][1] in feature.ancestors(heads[1][1]).by_sha
+
+            kept, _, state = together[heads[1][1]]
+            lines = {path: list(zip(*state[path])) for path in kept}
+            assert lines == _truth_map(truth, "branch"), f"seed {seed}"
+            owners = [sha for path in kept for sha in state[path][1]]
+            credits = attribution._credit_lists(
+                (feature.by_sha[sha] for sha in owners), truth.roster
+            )
+            owned = Counter(
+                (credits[sha][0].id, path) for path in kept for sha in state[path][1]
+            )
+            assert owned == truth.expected_owned_counts("branch"), f"seed {seed}"
+        assert ancestor_cases >= 6  # main's head is an ancestor of the branch head
+
+    def test_shared_commits_replayed_once(self, branch_repos, monkeypatch):
+        replayed: list[str] = []
+        readers: list[str] = []
+        real_apply, real_merge = attribution._apply_changes, attribution._merge_state
+        real_reader = gitio.ObjectReader.__init__
+
+        def counting_apply(state, changes, commit, read):
+            replayed.append(commit)
+            return real_apply(state, changes, commit, read)
+
+        def counting_merge(parents, changes, commit, read):
+            replayed.append(commit)
+            return real_merge(parents, changes, commit, read)
+
+        def counting_reader(self, root):
+            readers.append(root)
+            real_reader(self, root)
+
+        monkeypatch.setattr(attribution, "_apply_changes", counting_apply)
+        monkeypatch.setattr(attribution, "_merge_state", counting_merge)
+        monkeypatch.setattr(gitio.ObjectReader, "__init__", counting_reader)
+        for seed, (handle, truth, feature) in enumerate(branch_repos):
+            replayed.clear()
+            readers.clear()
+            cset = build_contribution_set(handle, JUNE, truth.roster, branches=("feature",))
+            main = handle.history
+            union = set(main.ancestors(main.window_head(JUNE)).by_sha)
+            union |= set(feature.ancestors(feature.window_head(JUNE)).by_sha)
+            assert sorted(replayed) == sorted(union), f"seed {seed}"
+            assert len(readers) == 1
+
+            # the section: lines at the branch head that main never saw
+            names = Counter()
+            files = set()
+            for path, truth_lines in truth.expected_lines("branch").items():
+                for line in truth_lines:
+                    if line.step not in truth.main_steps:
+                        student = truth.roster.by_id(truth.credit_list(line.step, False)[0])
+                        names[(student or UNMAPPED).display_name] += 1
+                        files.add(path)
+            assert cset.branches["feature"] == (
+                tuple(sorted(names.items())), tuple(sorted(files))
+            ), f"seed {seed}"

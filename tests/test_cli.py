@@ -183,6 +183,21 @@ class TestAnalyze:
         assert "## Unmerged branch: experiment" in report
         assert "cache.py" in report
 
+    def test_repeated_include_branch_kept_once(self, tmp_path):
+        config = make_workspace(tmp_path, {"team-alpha": "unmerged_branch"})
+        listed = "include_branches = experiment, main, experiment\n"
+        text = config.read_text().replace("provider = mock\n", "provider = mock\n" + listed)
+        config.write_text(text)
+        assert load_config(config).include_branches == ("experiment", "main")
+        repeated = ["--include-branch", "experiment"] * 2
+        assert main(["analyze", "--config", str(config), *repeated]) == 0
+        out = tmp_path / "out" / "team-alpha" / "week-1"
+        report = (out / "report.md").read_text()
+        assert report.count("## Unmerged branch: experiment") == 1
+        assert report.count("- included unmerged branch: experiment") == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["include_branches"] == ["experiment"]
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(

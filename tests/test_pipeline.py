@@ -11,13 +11,14 @@ import sys
 import threading
 import time
 import types
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
 from conftest import JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, with_tree_entries
-from contribsum import attribution, identity, pipeline, store as store_module, synthfix
+from contribsum import attribution, gitio, identity, pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
 from contribsum.agents.provider import (
@@ -29,7 +30,7 @@ from contribsum.agents.provider import (
 )
 from contribsum.config import RunConfig
 from contribsum.errors import ProviderError
-from contribsum.identity import load_roster, parse_coauthors
+from contribsum.identity import UNMAPPED, load_roster, parse_coauthors
 from contribsum.ingest import AnalysisWindow
 from contribsum.report import ReportState, RunMeta
 from contribsum.store import CostLedger, Store
@@ -54,7 +55,8 @@ def _config(tmp_path: Path, repos: list[tuple[str, str]], branches=()) -> RunCon
 
 
 def _history(commits: int) -> RepoScript:
-    """`commits` main-line commits over the same five files, plus a `side` branch."""
+    """`commits` main-line commits over the same five files, plus a `side`
+    branch and a `topic` branch forked from it."""
     steps = [
         Step(*AUTHORS[0], message="scaffold", ops=tuple(SetFile(p, ("x = 0",)) for p in FILES))
     ]
@@ -70,10 +72,14 @@ def _history(commits: int) -> RepoScript:
         Step(*AUTHORS[1], message="side work", create_branch="side",
              ops=(SetFile("side.py", ("y = 1",)),))
     )
+    steps.append(
+        Step(*AUTHORS[0], message="topic work", create_branch="topic",
+             ops=(SetFile("topic.py", ("t = 1",)),))
+    )
     return RepoScript(name=f"spawns-{commits}", roster_text=ROSTER_TEXT, steps=steps)
 
 
-def _git_spawns(monkeypatch, run) -> int:
+def _git_spawns(monkeypatch, run) -> list:
     spawns = []
 
     class CountingPopen(subprocess.Popen):
@@ -85,7 +91,7 @@ def _git_spawns(monkeypatch, run) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(subprocess, "Popen", CountingPopen)
         run()
-    return len(spawns)
+    return spawns
 
 
 class TestGitSpawns:
@@ -94,8 +100,8 @@ class TestGitSpawns:
         counts = {}
         for commits in (30, 300):
             handle, _ = synthfix.build(_history(commits), tmp_path / f"repo-{commits}")
-            for branches in ((), ("side",)):
-                cfg = _config(tmp_path / f"run-{commits}-{len(branches)}", [], branches)
+            for branches in ((), ("side",), ("side", "topic"), ("absent",)):
+                cfg = _config(tmp_path / f"run-{commits}-{'-'.join(branches)}", [], branches)
 
                 def run():
                     with pipeline.send_pool(cfg) as sends:
@@ -105,42 +111,40 @@ class TestGitSpawns:
                         )
                     assert result.ok, result.error
 
-                counts[commits, branches] = _git_spawns(monkeypatch, run)
-        assert counts[30, ()] == counts[300, ()]
-        assert counts[30, ("side",)] == counts[300, ("side",)]
-        assert counts[30, ("side",)] > counts[30, ()]
-        # one open_repo branch listing, one log stream, one cat-file reader
-        assert counts[30, ()] == 3
+                spawns = _git_spawns(monkeypatch, run)
+                counts[commits, branches] = len(spawns)
+                assert sum("cat-file" in args for args in spawns) == 1  # one reader per team
+        # one open_repo branch listing, one log stream and one cat-file
+        # reader, plus one log stream per included branch that exists
+        for commits in (30, 300):
+            assert counts[commits, ()] == 3
+            assert counts[commits, ("side",)] == 4
+            assert counts[commits, ("side", "topic")] == 5
+            assert counts[commits, ("absent",)] == 3
 
 
 class TestIdentityResolution:
-    def test_each_signature_resolved_once_per_team(self, tmp_path, monkeypatch):
-        signatures = (*AUTHORS, ("Carol Weiss", "carol@campus.edu"), ("CI Bot", "bot@ci.invalid"))
+    SIGNATURES = (*AUTHORS, ("Carol Weiss", "carol@campus.edu"), ("CI Bot", "bot@ci.invalid"))
+
+    def _steps(self) -> list[Step]:
+        """60 main-line commits by four signatures, one unmapped, with
+        co-author trailers on every fourth."""
         steps = [
             Step(*AUTHORS[0], message="scaffold", ops=tuple(SetFile(p, ("x = 0",)) for p in FILES))
         ]
         for n in range(1, 60):
-            pair = (signatures[(n + 1) % 3],) if n % 4 == 0 else ()
+            pair = (self.SIGNATURES[(n + 1) % 3],) if n % 4 == 0 else ()
             steps.append(
-                Step(*signatures[n % 4], message=f"edit {n}", coauthors=pair,
+                Step(*self.SIGNATURES[n % 4], message=f"edit {n}", coauthors=pair,
                      ops=(Insert(FILES[n % len(FILES)], 1, (f"v_{n} = {n}",)),))
             )
-        steps += [
-            Step(*AUTHORS[1], message="side work", create_branch="side",
-                 ops=(SetFile("side.py", ("y = 1",)),)),
-            Step(*AUTHORS[0], message="main work", checkout="main",
-                 ops=(Insert(FILES[0], 1, ("z = 1",)),)),
-            Step(*AUTHORS[0], message="merge side", merge="side"),
-        ]
+        return steps
+
+    def _resolve_calls(self, tmp_path, monkeypatch, steps, branches=()):
+        """(handle, team result, every `identity.resolve` call) of one run."""
         handle, _ = synthfix.build(
             RepoScript(name="identities", roster_text=ROSTER_TEXT, steps=steps), tmp_path / "repo"
         )
-        commits = handle.history.commits
-        in_window = [c for c in commits if not c.is_merge and JUNE.contains(c.authored_at)]
-        assert len(in_window) == len(commits) - 1
-        trailers = sum(len(parse_coauthors(c.message)) for c in commits)
-        window_signatures = {(c.author_name, c.author_email) for c in in_window}
-
         calls = []
         real_resolve = identity.resolve
 
@@ -150,20 +154,61 @@ class TestIdentityResolution:
 
         monkeypatch.setattr(identity, "resolve", counting_resolve)
         monkeypatch.setattr(attribution, "resolve", counting_resolve)
-        cfg = _config(tmp_path / "run", [])
+        cfg = _config(tmp_path / "run", [], branches)
         with pipeline.send_pool(cfg) as sends:
             result = pipeline.analyze_team(
                 "team", handle.root_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
                 Store(tmp_path / "cache"), CostLedger(), sends,
             )
         assert result.ok, result.error
-        state = ReportState.from_json(
+        return handle, result, calls
+
+    @staticmethod
+    def _state(result) -> ReportState:
+        return ReportState.from_json(
             (Path(result.artifacts["report.md"]).parent / pipeline.STATE_NAME).read_text()
         )
-        assert state.meta.unmapped_authors == ("CI Bot <bot@ci.invalid>",)
+
+    def test_each_signature_resolved_once_per_team(self, tmp_path, monkeypatch):
+        steps = self._steps() + [
+            Step(*AUTHORS[1], message="side work", create_branch="side",
+                 ops=(SetFile("side.py", ("y = 1",)),)),
+            Step(*AUTHORS[0], message="main work", checkout="main",
+                 ops=(Insert(FILES[0], 1, ("z = 1",)),)),
+            Step(*AUTHORS[0], message="merge side", merge="side"),
+        ]
+        handle, result, calls = self._resolve_calls(tmp_path, monkeypatch, steps)
+        commits = handle.history.commits
+        in_window = [c for c in commits if not c.is_merge and JUNE.contains(c.authored_at)]
+        assert len(in_window) == len(commits) - 1
+        trailers = sum(len(parse_coauthors(c.message)) for c in commits)
+        window_signatures = {(c.author_name, c.author_email) for c in in_window}
+        assert self._state(result).meta.unmapped_authors == ("CI Bot <bot@ci.invalid>",)
         # one credit list per commit, each trailer resolved with it, and one
         # lookup per distinct signature for the unmapped-author list
         assert len(calls) <= len(commits) + trailers + len(window_signatures)
+
+    def test_each_signature_resolved_once_with_a_branch(self, tmp_path, monkeypatch):
+        """An included branch adds one credit list per commit of its own."""
+        steps = self._steps() + [
+            Step(*AUTHORS[1], message="feature start", create_branch="feature",
+                 coauthors=(self.SIGNATURES[2],), ops=(SetFile("feature.py", ("f = 1",)),)),
+            Step(*self.SIGNATURES[3], message="feature bump",
+                 ops=(Insert("feature.py", 1, ("g = 2",)), Insert(FILES[1], 1, ("h = 3",)))),
+            Step(*AUTHORS[0], message="main work", checkout="main",
+                 ops=(Insert(FILES[0], 1, ("z = 1",)),)),
+        ]
+        handle, result, calls = self._resolve_calls(tmp_path, monkeypatch, steps, ("feature",))
+        union = {c.hash: c for c in handle.history.commits}
+        union.update((c.hash, c) for c in gitio.log(handle.root_path, "refs/heads/feature"))
+        in_window = [c for c in handle.history.commits if JUNE.contains(c.authored_at)]
+        trailers = sum(len(parse_coauthors(c.message)) for c in union.values())
+        window_signatures = {(c.author_name, c.author_email) for c in in_window}
+        assert len(union) == len(handle.history.commits) + 2
+        assert self._state(result).meta.branch_sections == (
+            ("feature", (("Bob Roy", 1), (UNMAPPED.display_name, 2)), ("feature.py", FILES[1])),
+        )
+        assert len(calls) <= len(union) + trailers + len(window_signatures)
 
 
 class TestIncludeBranch:
@@ -240,6 +285,32 @@ class FirstSendHeld:
                 self.in_flight -= 1
 
 
+class SharedFileHeld:
+    """MockProvider that counts its sends and holds a send of `shared.py`'s
+    file row until a second one arrives or `hold` seconds pass."""
+
+    def __init__(self, hold: float):
+        self.inner = MockProvider()
+        self.hold = hold
+        self.second_arrived = threading.Event()
+        self.sends = 0
+        self.shared_sends = 0
+        self._lock = threading.Lock()
+
+    def send(self, messages, model_id):
+        data = extract_data_block(messages[-1]["content"]) or {}
+        shared = data.get("task") == "summarize-file" and data["path"] == "shared.py"
+        with self._lock:
+            self.sends += 1
+            self.shared_sends += shared
+            second = self.shared_sends == 2
+        if second:
+            self.second_arrived.set()
+        elif shared:
+            self.second_arrived.wait(timeout=self.hold)
+        return self.inner.send(messages, model_id)
+
+
 class ShuffledProvider:
     """MockProvider whose answers take 0-4 ms, fixed per request, so they arrive out of order."""
 
@@ -297,6 +368,41 @@ class TestSendPool:
         assert len(ledgers[1]) > 4 * 5  # more than one analysis call per team
         assert outputs[4] == outputs[1] and outputs[16] == outputs[1]
         assert ledgers[4] == ledgers[1] and ledgers[16] == ledgers[1]
+
+    def test_key_in_flight_sent_once_across_teams(self, tmp_path):
+        """Two teams at once need one file row: its send is held until a
+        second send of it arrives, so each team sending its own miss would
+        show. Provider calls and ledger entries equal the one-team-at-a-time run."""
+        roster = load_roster(ROSTER_TEXT)
+        repos = []
+        for team, own in (("team-a", "a.py"), ("team-b", "b.py")):
+            script = RepoScript(
+                name=team,
+                roster_text=ROSTER_TEXT,
+                steps=[
+                    Step(*AUTHORS[0], message="shared",
+                         ops=(SetFile("shared.py", ("x = 1", "y = 2")),)),
+                    Step(*AUTHORS[1], message=f"{team} work",
+                         ops=(SetFile(own, (f"z = {team!r}",)),)),
+                ],
+            )
+            handle, _ = synthfix.build(script, tmp_path / team)
+            repos.append((team, handle.root_path))
+        runs = {}
+        for jobs, hold in ((1, 0.0), (2, 2.0)):
+            cfg = _config(tmp_path / f"jobs-{jobs}", repos)
+            cfg.jobs = jobs
+            provider = SharedFileHeld(hold)
+            ledger = CostLedger()
+            store = Store(tmp_path / f"jobs-{jobs}" / "cache")
+            results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
+            assert all(r.ok for r in results), [r.error for r in results]
+            entries = Counter(
+                (e.tier, e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries
+            )
+            runs[jobs] = (provider.sends, provider.shared_sends, entries)
+        assert runs[1][1] == 1
+        assert runs[2] == runs[1]
 
     def _gated_run(self, tmp_path, workers: int, jobs: int, teams: int):
         roster = load_roster(ROSTER_TEXT)

@@ -144,7 +144,14 @@ class TestCostLedger:
         assert "total: $0.75" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "line", ["[]", '{"tier": "analysis"}'], ids=["list", "missing-fields"]
+        "line",
+        [
+            "[]",
+            '{"tier": "analysis"}',
+            '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            ' "output_tokens": 2, "cost": "0.25"}',
+        ],
+        ids=["list", "missing-fields", "wrong-type"],
     )
     def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
         path = tmp_path / "ledger.jsonl"
