@@ -8,9 +8,11 @@ responses.
 
 Every request goes one way: `prepare` renders it, checks the tier budget
 and looks it up in the cache, and `answer_all` sends the misses on the
-run's send pool and records their usage and cache entries. Table rows
+run's `SendPool` and records their usage and cache entries. Table rows
 and synthesis, with its repair retry, all take that path, so the pool's
-size caps every request of a run.
+size caps every request of a run. The pool keeps its sends in flight by
+cache key, so a request that teams running at once both need is sent
+once, and its ledger entry names the team whose call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two `answer_all` batches, the file rows and then the
@@ -25,7 +27,7 @@ import hashlib
 import json
 import re
 import threading
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -166,10 +168,12 @@ def prepare(
     return Call(tier, key, messages)
 
 
-def _record(call: Call, response, *, ledger: CostLedger | None, store: Store | None) -> None:
-    """Ledger and cache one provider response to `call`."""
+def _record(
+    call: Call, response, *, ledger: CostLedger | None, store: Store | None, team: str
+) -> None:
+    """Ledger and cache one provider response to `call`, sent for `team`."""
     if ledger is not None:
-        record_usage(ledger, call.tier, response.input_tokens, response.output_tokens)
+        record_usage(ledger, call.tier, response.input_tokens, response.output_tokens, team)
     if store is not None:
         store.put(
             call.key,
@@ -183,17 +187,22 @@ def _record(call: Call, response, *, ledger: CostLedger | None, store: Store | N
     call.messages = None  # answered: the prompt is not kept
 
 
-class _Flights:
-    """Sends in flight by cache key, and the keys whose answer was stored."""
+class SendPool(ThreadPoolExecutor):
+    """The run's send threads, with its sends in flight by cache key.
 
-    def __init__(self):
+    A request whose key is already being sent waits for that send instead
+    of sending it again, so teams that need one answer at once make one
+    provider call and one ledger entry, as they would one after another.
+    Once the pool is shut down, a new send raises `RuntimeError`.
+    """
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
         self._lock = threading.Lock()
         self._sending: dict[str, Future] = {}
-        self._answered: set[str] = set()
+        self._answered: set[str] = set()  # keys whose answer was stored
 
-    def join(
-        self, pool: Executor, provider, call: Call, store: Store | None
-    ) -> tuple[Future, bool] | None:
+    def join(self, provider, call: Call, store: Store | None) -> tuple[Future, bool] | None:
         """The send that answers `call`: `(future, True)` when `call` makes
         it, `(future, False)` when it waits for another call's. None when
         another call stored the answer since `call` was prepared; it is
@@ -208,7 +217,7 @@ class _Flights:
             if hit is not None:
                 call.text, call.messages = hit["text"], None
                 return None
-            future = pool.submit(provider.send, call.messages, call.tier.model_id)
+            future = self.submit(provider.send, call.messages, call.tier.model_id)
             self._sending[call.key] = future
             return future, True
 
@@ -221,43 +230,28 @@ class _Flights:
                 self._answered.add(call.key)
 
 
-class SendPool(ThreadPoolExecutor):
-    """The run's send threads, with its sends in flight by cache key.
-
-    A request whose key is already being sent waits for that send instead
-    of sending it again, so teams that need one answer at once make one
-    provider call and one ledger entry, as they would one after another.
-    """
-
-    def __init__(self, workers: int):
-        super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
-        self.flights = _Flights()
-
-
 def answer_all(
     provider,
     calls: list[Call | None],
-    pool: Executor,
+    pool: SendPool,
     *,
     ledger: CostLedger | None = None,
     store: Store | None = None,
+    team: str = "",
 ) -> list[str | None]:
     """Response text of every call, in order; a None call stays None.
 
     Only `provider.send` of the cache misses runs on `pool`, and a key
-    already in flight there (on a `SendPool`: from any team) is sent once.
-    Usage and cache entries are recorded by the call that sent the
-    request, on the calling thread and in call order, so ledger and cache
-    come out the same for any pool size. A call whose shared send failed
-    or was cancelled sends on its own. When a send fails, this call's
-    sends not yet started are cancelled, the answers already in are still
-    recorded, and the first error is raised.
+    already in flight there, from any team, is sent once. Usage and cache
+    entries are recorded by the call that sent the request, on the calling
+    thread and in call order, so ledger and cache come out the same for
+    any pool size; ledger entries name `team`. A call whose shared send
+    failed or was cancelled sends on its own. When a send fails or is
+    cancelled, this call's sends not yet started are cancelled, the
+    answers already in are still recorded, and the first error is raised.
     """
-    flights = pool.flights if isinstance(pool, SendPool) else _Flights()
     sends = [
-        flights.join(pool, provider, call, store)
-        if call is not None and call.text is None
-        else None
+        pool.join(provider, call, store) if call is not None and call.text is None else None
         for call in calls
     ]
     error = None
@@ -268,19 +262,19 @@ def answer_all(
                     call.text, call.messages = sends[i][0].result().text, None
                     sends[i] = None
                 except Exception:  # it failed or was cancelled: send it here
-                    sends[i] = flights.join(pool, provider, call, store)
-            if sends[i] is None or not sends[i][1] or sends[i][0].cancelled():
+                    sends[i] = pool.join(provider, call, store)
+            if sends[i] is None or not sends[i][1]:
                 continue
             try:
-                _record(call, sends[i][0].result(), ledger=ledger, store=store)
-            except Exception as exc:
+                _record(call, sends[i][0].result(), ledger=ledger, store=store, team=team)
+            except Exception as exc:  # a cancelled send raises CancelledError
                 error = error or exc
                 _cancel(sends)
     finally:
         _cancel(sends)  # an interrupt, too, must not leave queued sends behind
         for call, send in zip(calls, sends):
             if send is not None and send[1]:
-                flights.land(call, send[0])
+                pool.land(call, send[0])
     if error is not None:
         raise error
     return [call and call.text for call in calls]
@@ -294,14 +288,14 @@ def _cancel(sends: list[tuple[Future, bool] | None]) -> None:
 
 
 def record_usage(
-    ledger: CostLedger, tier: ModelTier, input_tokens: int, output_tokens: int
+    ledger: CostLedger, tier: ModelTier, input_tokens: int, output_tokens: int, team: str = ""
 ):
-    """Append one usage entry priced at the tier's per-1k rates."""
+    """Append one usage entry, for `team`, priced at the tier's per-1k rates."""
     cost = (
         input_tokens / 1000.0 * tier.cost_per_1k_input
         + output_tokens / 1000.0 * tier.cost_per_1k_output
     )
-    return ledger.add(tier.tier, tier.model_id, input_tokens, output_tokens, cost)
+    return ledger.add(tier.tier, tier.model_id, input_tokens, output_tokens, cost, team=team)
 
 
 def _metrics_payload(metrics: FileMetrics) -> dict:
@@ -424,10 +418,11 @@ def fill_tables(
     tier: ModelTier,
     cset: ContributionSet,
     roster: Roster,
-    pool: Executor,
+    pool: SendPool,
     *,
     ledger: CostLedger | None = None,
     store: Store | None = None,
+    team: str = "",
 ) -> tuple[list[FunctionalityTableRow], list[ContributionTableRow]]:
     """Functionality and Contribution Table rows of one contribution set.
 
@@ -440,7 +435,7 @@ def fill_tables(
         file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics, store=store)
         for f in cset.files
     ]
-    answers = answer_all(provider, calls, pool, ledger=ledger, store=store)
+    answers = answer_all(provider, calls, pool, ledger=ledger, store=store, team=team)
     functionality_rows = [
         functionality_row(f.path, f.metrics, answer) for f, answer in zip(cset.files, answers)
     ]
@@ -453,7 +448,7 @@ def fill_tables(
         if ev.lines_owned + ev.lines_added_in_window > 0
     ]
     calls = [contribution_call(tier, functionality[ev.path], ev, store=store) for ev in evidence]
-    answers = answer_all(provider, calls, pool, ledger=ledger, store=store)
+    answers = answer_all(provider, calls, pool, ledger=ledger, store=store, team=team)
     contribution_rows = [contribution_row(ev, answer) for ev, answer in zip(evidence, answers)]
     return functionality_rows, contribution_rows
 
@@ -466,10 +461,11 @@ def synthesize(
     provider,
     tier: ModelTier,
     bundle: SynthesisBundle,
-    pool: Executor,
+    pool: SendPool,
     *,
     ledger: CostLedger | None = None,
     store: Store | None = None,
+    team: str = "",
 ) -> tuple[list[StudentSummary], TeamSummary]:
     """Synthesis-tier call producing every student summary plus the team's.
 
@@ -533,7 +529,7 @@ def synthesize(
     }
 
     call = prepare(tier, "synthesize", data, store=store)
-    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
+    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store, team=team)
     try:
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
     except TemplateViolation as first_error:
@@ -542,7 +538,7 @@ def synthesize(
             "<<ORIGINAL>>", _render("synthesize", data)
         )
         call = prepare(tier, "repair", data, store=store, prompt_override=prompt)
-        [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
+        [text] = answer_all(provider, [call], pool, ledger=ledger, store=store, team=team)
         parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
 
     summaries.extend(parsed)

@@ -2,10 +2,11 @@
 
 `render` rewrites each team's `report.md` from the `report_state.json`
 that `analyze` saved beside it, byte for byte as `analyze` wrote it,
-without reading the roster or calling the provider.
+without reading the roster or calling the provider. `cost` prints the
+ledger's calls and spend per tier and per team.
 
 Exit codes: 0 success, 1 partial failure (some team failed or a check
-found problems), 2 configuration error.
+found problems), 2 configuration error or unknown flag.
 """
 
 from __future__ import annotations
@@ -158,7 +159,6 @@ def _add_config_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--roster")
     sub.add_argument("--out", dest="out_dir")
     sub.add_argument("--state", dest="state_dir")
-    sub.add_argument("--jobs", type=int)
     sub.add_argument("--branch", help="analyze this branch instead of the default")
     sub.add_argument(
         "--roles", action="store_const", const="on", help="enable role classification"
@@ -190,7 +190,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         "roster": args.roster,
         "out_dir": args.out_dir,
         "state_dir": args.state_dir,
-        "jobs": args.jobs,
         "branch": args.branch,
         "roles": args.roles,
         "coauthor_split": args.coauthor_split,

@@ -3,12 +3,15 @@
 Sections: [run] (paths, window, flags), [repos] (team = clone path),
 [analysis_model] / [synthesis_model] (tiers with rates), [provider]
 (endpoint, replay directory). LLM_API_KEY overrides any configured key;
-CONTRIBSUM_STATE overrides the state directory.
+CONTRIBSUM_STATE overrides the state directory. A [run] key that no
+option reads loads with a warning, so an old config still runs and a
+misspelt key shows.
 """
 
 from __future__ import annotations
 
 import configparser
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -19,6 +22,8 @@ from .agents.provider import ModelTier
 from .attribution import DEFAULT_EXCLUDE_GLOBS
 from .errors import ConfigError
 from .ingest import AnalysisWindow
+
+logger = logging.getLogger(__name__)
 
 API_KEY_ENV_VAR = "LLM_API_KEY"
 
@@ -46,8 +51,7 @@ class RunConfig:
     replay_dir: str = ""
     out_dir: str = "out"
     state_dir: str = ".contribsum"
-    jobs: int = 1  # teams processed in parallel
-    analysis_workers: int = 8  # provider requests in flight per run
+    analysis_workers: int = 8  # provider requests in flight per run, and teams sending at once
     rate_limit: float = 0.0  # provider requests/second, 0 = unlimited
     branch: str | None = None  # explicit default branch override
 
@@ -62,8 +66,6 @@ class RunConfig:
             raise ConfigError("repository paths must be distinct")
         if self.provider_mode not in PROVIDER_MODES:
             raise ConfigError(f"provider must be one of {PROVIDER_MODES}, got {self.provider_mode!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if not 1 <= self.analysis_workers <= MAX_ANALYSIS_WORKERS:
             raise ConfigError(f"analysis_workers must be between 1 and {MAX_ANALYSIS_WORKERS}")
         if not 0 <= self.rate_limit < math.inf:
@@ -161,7 +163,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
 
     `overrides` carries CLI flag values (same key names as [run] options,
     plus `week`); only non-None entries take effect. `inputs` is passed
-    to `RunConfig.validate`.
+    to `RunConfig.validate`. Each [run] key that no option reads, such as
+    a misspelt one or the removed `jobs`, is logged as a warning.
     """
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     config_path = Path(path)
@@ -183,7 +186,10 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         p = Path(value)
         return str(p if p.is_absolute() else base / p)
 
+    read: set[str] = set()
+
     def run_opt(key: str, fallback: str | None = None) -> str | None:
+        read.add(key)
         if key in overrides:
             return str(overrides[key])
         return parser.get("run", key, fallback=fallback)
@@ -234,7 +240,6 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         replay_dir=rel(parser.get("provider", "replay_dir", fallback="")) or "",
         out_dir=rel(run_opt("out_dir", "out")) or "out",
         state_dir=rel(run_opt("state_dir", ".contribsum")) or ".contribsum",
-        jobs=_parse_number(run_opt("jobs") or "1", int, "[run] jobs"),
         analysis_workers=_parse_number(
             run_opt("analysis_workers") or str(RunConfig.analysis_workers),
             int,
@@ -243,5 +248,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         rate_limit=_parse_number(run_opt("rate_limit") or "0", float, "[run] rate_limit"),
         branch=run_opt("branch"),
     )
+    for key in parser.options("run"):
+        if key not in read:
+            logger.warning("[run] %s is not a known option; ignored", key)
     cfg.validate(inputs)
     return cfg

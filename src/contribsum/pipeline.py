@@ -6,26 +6,31 @@ out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly. A team's default
 and included branches are replayed once, together, on one `cat-file` reader.
 
-Provider round trips overlap: `run_analysis` owns one `chain.SendPool`
-of `analysis_workers` threads that every team shares, and only
-`provider.send` of a cache miss runs on it. A team's tables are filled in
-one place, `chain.fill_tables`, which sends the analysis-tier calls in two
-batches, the file rows and then the contribution rows that quote them;
-the pipeline wraps its rows in `tables.FunctionalityTable` and
-`tables.ContributionTable` where it writes the CSVs. Prompt rendering,
-budget checks, cache reads and writes, ledger entries and response
-parsing stay on the team's own thread in row order, so outputs and the
-ledger are the same for any pool size, and a fully cached run starts no
-send thread. Synthesis and its repair retry go to the same pool, so
-`analysis_workers` caps every provider request of the run, and a request
-in flight for one team is not sent again for another.
+Teams overlap: `run_analysis` replays one team at a time on the calling
+thread, in `cfg.repos` order, and hands the rest of each team to one of
+`min(teams, analysis_workers)` team threads, so a replay overlaps the
+earlier teams' provider waits while one replay's memory is held at a
+time. Every team shares one `chain.SendPool` of `analysis_workers`
+threads, and only `provider.send` of a cache miss runs on it. A team's
+tables are filled in one place, `chain.fill_tables`, which sends the
+analysis-tier calls in two batches, the file rows and then the
+contribution rows that quote them; the pipeline wraps its rows in
+`tables.FunctionalityTable` and `tables.ContributionTable` where it
+writes the CSVs. Prompt rendering, budget checks, cache reads and
+writes, ledger entries and response parsing stay on the team's own
+thread in row order, so outputs and each team's ledger entries are the
+same for any pool size (across teams the ledger follows completion
+order), and a fully cached team starts no send thread. Synthesis and its
+repair retry go to the same pool, so `analysis_workers` caps every
+provider request of the run, and a request in flight for one team is not
+sent again for another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,11 +66,6 @@ def _read_optional(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def send_pool(cfg: RunConfig) -> chain.SendPool:
-    """The pool of `cfg.analysis_workers` threads that provider sends run on."""
-    return chain.SendPool(cfg.analysis_workers)
-
-
 def analyze_team(
     team: str,
     repo_path: str,
@@ -74,32 +74,33 @@ def analyze_team(
     provider,
     store: Store,
     ledger: CostLedger,
-    pool: Executor,
+    pool: chain.SendPool,
 ) -> TeamResult:
-    """Analyze one team; its provider sends go to `pool` (see `send_pool`)."""
+    """Analyze one team; its provider sends go to `pool`."""
     result = TeamResult(team=team, ok=True)
+    loaded = _recorded(result, _load_team, repo_path, cfg, roster)
+    if loaded is not None:
+        _recorded(result, _finish_team, result, *loaded, cfg, roster, provider, store, ledger, pool)
+    return result
+
+
+def _recorded(result: TeamResult, step, *args):
+    """`step(*args)`, or None with its failure recorded in `result`."""
     try:
-        _analyze_team(result, team, repo_path, cfg, roster, provider, store, ledger, pool)
+        return step(*args)
     except ContribSumError as exc:
         result.ok = False
         result.error = str(exc)
     except Exception as exc:  # corrupt repos raise plumbing errors
         result.ok = False
         result.error = f"{type(exc).__name__}: {exc}"
-    return result
+    return None
 
 
-def _analyze_team(
-    result: TeamResult,
-    team: str,
-    repo_path: str,
-    cfg: RunConfig,
-    roster: Roster,
-    provider,
-    store: Store,
-    ledger: CostLedger,
-    pool: Executor,
-) -> None:
+def _load_team(
+    repo_path: str, cfg: RunConfig, roster: Roster
+) -> tuple[ingest.RepoHandle, attribution.ContributionSet]:
+    """The team's history and its replay: the repo handle and contribution set."""
     repo = ingest.open_repo(repo_path, cfg.branch)
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,
@@ -108,9 +109,17 @@ def _analyze_team(
     cset = attribution.build_contribution_set(
         repo, cfg.window, roster, options, cfg.include_branches
     )
+    return repo, cset
 
+
+def _finish_team(
+    result: TeamResult, repo: ingest.RepoHandle, cset: attribution.ContributionSet, cfg: RunConfig,
+    roster: Roster, provider, store: Store, ledger: CostLedger, pool: chain.SendPool,
+) -> None:
+    """Tables, synthesis, validation, render and write of a replayed team."""
+    team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
-        provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store
+        provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store, team=team
     )
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
@@ -122,7 +131,7 @@ def _analyze_team(
         contribution_set=cset,
     )
     summaries, team_summary = chain.synthesize(
-        provider, cfg.synthesis_tier, bundle, pool, ledger=ledger, store=store
+        provider, cfg.synthesis_tier, bundle, pool, ledger=ledger, store=store, team=team
     )
     for summary in summaries:
         summary.validation = chain.validate_summary(summary, cset)
@@ -219,20 +228,26 @@ def _find_prior_state(cfg: RunConfig, team: str) -> ReportState | None:
 
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:
-    """Analyze every configured team, `cfg.jobs` of them at a time.
-
-    All teams share one pool of `cfg.analysis_workers` send threads, so
-    the cap on provider requests in flight holds for the whole run.
-    """
-    with send_pool(cfg) as sends:
-        if cfg.jobs <= 1 or len(cfg.repos) <= 1:
-            return [
-                analyze_team(team, path, cfg, roster, provider, store, ledger, sends)
-                for team, path in cfg.repos
-            ]
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [
-                pool.submit(analyze_team, team, path, cfg, roster, provider, store, ledger, sends)
-                for team, path in cfg.repos
-            ]
-            return [f.result() for f in futures]
+    """Analyze every configured team, as the module docstring describes;
+    results in `cfg.repos` order. On an interrupt no team or send that has
+    not started runs, a team thread's next send raises, and the interrupt
+    is raised once the sends in flight are back."""
+    sends = chain.SendPool(cfg.analysis_workers)
+    teams = ThreadPoolExecutor(
+        max_workers=min(len(cfg.repos), cfg.analysis_workers), thread_name_prefix="contribsum-team"
+    )
+    results = [TeamResult(team=team, ok=True) for team, _ in cfg.repos]
+    try:
+        finishing = []
+        for result, (_, path) in zip(results, cfg.repos):
+            loaded = _recorded(result, _load_team, path, cfg, roster)
+            if loaded is not None:
+                args = (result, *loaded, cfg, roster, provider, store, ledger, sends)
+                finishing.append(teams.submit(_recorded, result, _finish_team, *args))
+        for future in finishing:
+            future.result()
+    finally:
+        sends.shutdown(wait=False, cancel_futures=True)  # a later send raises
+        teams.shutdown(cancel_futures=True)
+        sends.shutdown()
+    return results

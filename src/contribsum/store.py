@@ -104,6 +104,7 @@ class LedgerEntry:
     input_tokens: int
     output_tokens: int
     cost: float
+    team: str = ""  # the team whose call sent the request; "" in ledgers written without it
 
 
 # the types a ledger line's fields must have to load as a LedgerEntry
@@ -114,6 +115,7 @@ _FIELD_TYPES = {
     "input_tokens": int,
     "output_tokens": int,
     "cost": (int, float),
+    "team": str,
 }
 
 
@@ -155,6 +157,7 @@ class CostLedger:
         output_tokens: int,
         cost: float,
         timestamp: float | None = None,
+        team: str = "",
     ) -> LedgerEntry:
         if input_tokens < 0 or output_tokens < 0:
             raise ValueError("token counts must be non-negative")
@@ -165,9 +168,10 @@ class CostLedger:
             input_tokens=input_tokens,
             output_tokens=output_tokens,
             cost=cost,
+            team=team,
         )
-        # team threads share one ledger: the list, the file and the
-        # fresh-line flag change together
+        # every team thread of a run records into one ledger: the list, the
+        # file and the fresh-line flag change together
         with self._lock:
             self.entries.append(entry)
             if self.path:
@@ -191,7 +195,8 @@ class CostLedger:
 
 
 def ledger_report(ledger: CostLedger) -> str:
-    """Human-readable per-tier and grand-total cost summary."""
+    """Human-readable per-tier, per-team and grand-total cost summary; entries
+    that name no team are listed as `(no team)`."""
     lines = ["Cost ledger"]
     totals = ledger.totals_by_tier()
     tokens_in = sum(e.input_tokens for e in ledger.entries)
@@ -199,6 +204,10 @@ def ledger_report(ledger: CostLedger) -> str:
     for tier in sorted(totals):
         count = sum(1 for e in ledger.entries if e.tier == tier)
         lines.append(f"  {tier}: {count} calls, ${totals[tier]:.2f}")
+    for team in sorted({e.team for e in ledger.entries}):
+        entries = [e for e in ledger.entries if e.team == team]
+        cost = sum(e.cost for e in entries)
+        lines.append(f"  team {team or '(no team)'}: {len(entries)} calls, ${cost:.2f}")
     if not totals:
         lines.append("  (no entries)")
     lines.append(f"  tokens: {tokens_in} in / {tokens_out} out")

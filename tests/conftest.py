@@ -8,13 +8,13 @@ import random
 import shlex
 import shutil
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from contribsum.ingest import AnalysisWindow
 from contribsum import gitio, synthfix
+from contribsum.agents import chain
 from contribsum.synthfix import (
     Delete,
     Insert,
@@ -48,7 +48,7 @@ def june_window() -> AnalysisWindow:
 @pytest.fixture
 def pool():
     """A send pool for `chain.answer_all` and `chain.synthesize`, as a run has."""
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="test-send") as sends:
+    with chain.SendPool(2) as sends:
         yield sends
 
 

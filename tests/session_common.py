@@ -9,7 +9,6 @@ so the recorded request digests always line up.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -189,7 +188,7 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
     roster = truth.roster
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with chain.SendPool(2) as pool:
         functionality, contribution_rows = analysis_rows(provider, pool, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,

@@ -540,7 +540,7 @@ class TestSingleFlight:
         """A call waiting for another call's send, which fails, sends the
         request itself; only the failing call sees the error."""
         started, joined, release = threading.Event(), threading.Event(), threading.Event()
-        real_join = chain._Flights.join
+        real_join = chain.SendPool.join
 
         def signalling_join(self, *args):
             send = real_join(self, *args)
@@ -548,7 +548,7 @@ class TestSingleFlight:
                 joined.set()
             return send
 
-        monkeypatch.setattr(chain._Flights, "join", signalling_join)
+        monkeypatch.setattr(chain.SendPool, "join", signalling_join)
 
         class FailFirst:
             def __init__(self):

@@ -202,7 +202,7 @@ class TestAnalyze:
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "option, value",
-        [("jobs", "many"), ("analysis_workers", "2.5"), ("rate_limit", "fast")],
+        [("analysis_workers", "2.5"), ("rate_limit", "fast")],
     )
     def test_non_numeric_option_is_config_error(self, tmp_path, capsys, option, value):
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
@@ -211,6 +211,23 @@ class TestConfigErrors:
         assert main(["analyze", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"config error: [run] {option}: expected a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("line", ["jobs = 3", "coauthor_splt = off"])
+    def test_unread_run_key_loads_with_a_warning(self, tmp_path, caplog, line):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        config.write_text(config.read_text().replace("provider = mock\n", f"provider = mock\n{line}\n"))
+        with caplog.at_level("WARNING", logger="contribsum.config"):
+            cfg = load_config(config)
+        key = line.split(" = ")[0]
+        assert caplog.messages == [f"[run] {key} is not a known option; ignored"]
+        assert cfg.coauthor_split  # the misspelt key changed nothing
+
+    def test_jobs_flag_is_rejected(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--config", str(config), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_analysis_workers_bounded(self, tmp_path):
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})

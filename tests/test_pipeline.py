@@ -5,6 +5,7 @@ matrix."""
 
 from __future__ import annotations
 
+import _thread
 import json
 import subprocess
 import sys
@@ -104,7 +105,7 @@ class TestGitSpawns:
                 cfg = _config(tmp_path / f"run-{commits}-{'-'.join(branches)}", [], branches)
 
                 def run():
-                    with pipeline.send_pool(cfg) as sends:
+                    with chain.SendPool(cfg.analysis_workers) as sends:
                         result = pipeline.analyze_team(
                             "team", handle.root_path, cfg, roster, MockProvider(),
                             Store(tmp_path / "cache"), CostLedger(), sends,
@@ -155,7 +156,7 @@ class TestIdentityResolution:
         monkeypatch.setattr(identity, "resolve", counting_resolve)
         monkeypatch.setattr(attribution, "resolve", counting_resolve)
         cfg = _config(tmp_path / "run", [], branches)
-        with pipeline.send_pool(cfg) as sends:
+        with chain.SendPool(cfg.analysis_workers) as sends:
             result = pipeline.analyze_team(
                 "team", handle.root_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
                 Store(tmp_path / "cache"), CostLedger(), sends,
@@ -255,14 +256,15 @@ class GatedProvider:
                 self.in_flight -= 1
 
 
-class FirstSendHeld:
-    """MockProvider that holds its first send until a second send arrives
+class SendsHeld:
+    """MockProvider that holds each send until `crowd` sends are in flight
     or `hold` seconds pass, and records the peak of sends in flight."""
 
-    def __init__(self, hold: float):
+    def __init__(self, hold: float, crowd: int):
         self.inner = MockProvider()
         self.hold = hold
-        self.second_arrived = threading.Event()
+        self.crowd = crowd
+        self.crowded = threading.Event()
         self.sends = 0
         self.in_flight = 0
         self.peak = 0
@@ -271,14 +273,12 @@ class FirstSendHeld:
     def send(self, messages, model_id):
         with self._lock:
             self.sends += 1
-            first = self.sends == 1
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            if self.in_flight >= self.crowd:
+                self.crowded.set()
         try:
-            if first:
-                self.second_arrived.wait(timeout=self.hold)
-            else:
-                self.second_arrived.set()
+            self.crowded.wait(timeout=self.hold)
             return self.inner.send(messages, model_id)
         finally:
             with self._lock:
@@ -361,18 +361,26 @@ class TestSendPool:
             outputs[workers] = {
                 str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
             }
-            ledgers[workers] = [
-                (e.tier, e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries
-            ]
+            assert {e.team for e in ledger.entries} == {team for team, _ in repos}
+            # each team's entries in order; teams interleave as they complete
+            ledgers[workers] = {
+                team: [
+                    (e.tier, e.model_id, e.input_tokens, e.output_tokens)
+                    for e in ledger.entries
+                    if e.team == team
+                ]
+                for team, _ in repos
+            }
         assert len(outputs[1]) >= 4 * 6
-        assert len(ledgers[1]) > 4 * 5  # more than one analysis call per team
+        assert sum(map(len, ledgers[1].values())) > 4 * 5  # more than one analysis call per team
         assert outputs[4] == outputs[1] and outputs[16] == outputs[1]
         assert ledgers[4] == ledgers[1] and ledgers[16] == ledgers[1]
 
     def test_key_in_flight_sent_once_across_teams(self, tmp_path):
         """Two teams at once need one file row: its send is held until a
         second send of it arrives, so each team sending its own miss would
-        show. Provider calls and ledger entries equal the one-team-at-a-time run."""
+        show. Provider calls and ledger entries equal those of a run with one
+        send thread, which runs one team at a time."""
         roster = load_roster(ROSTER_TEXT)
         repos = []
         for team, own in (("team-a", "a.py"), ("team-b", "b.py")):
@@ -389,22 +397,22 @@ class TestSendPool:
             handle, _ = synthfix.build(script, tmp_path / team)
             repos.append((team, handle.root_path))
         runs = {}
-        for jobs, hold in ((1, 0.0), (2, 2.0)):
-            cfg = _config(tmp_path / f"jobs-{jobs}", repos)
-            cfg.jobs = jobs
+        for workers, hold in ((1, 0.0), (8, 2.0)):
+            cfg = _config(tmp_path / f"w{workers}", repos)
+            cfg.analysis_workers = workers
             provider = SharedFileHeld(hold)
             ledger = CostLedger()
-            store = Store(tmp_path / f"jobs-{jobs}" / "cache")
+            store = Store(tmp_path / f"w{workers}" / "cache")
             results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
             assert all(r.ok for r in results), [r.error for r in results]
             entries = Counter(
                 (e.tier, e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries
             )
-            runs[jobs] = (provider.sends, provider.shared_sends, entries)
+            runs[workers] = (provider.sends, provider.shared_sends, entries)
         assert runs[1][1] == 1
-        assert runs[2] == runs[1]
+        assert runs[8] == runs[1]
 
-    def _gated_run(self, tmp_path, workers: int, jobs: int, teams: int):
+    def _gated_run(self, tmp_path, workers: int, teams: int):
         roster = load_roster(ROSTER_TEXT)
         repos = []
         for n in range(teams):
@@ -412,7 +420,6 @@ class TestSendPool:
             repos.append((f"team-{n}", handle.root_path))
         cfg = _config(tmp_path, repos)
         cfg.analysis_workers = workers
-        cfg.jobs = jobs
         provider = GatedProvider()
         thread, results = _run_in_background(
             lambda: pipeline.run_analysis(cfg, roster, provider, Store(tmp_path / "cache"), CostLedger())
@@ -420,15 +427,15 @@ class TestSendPool:
         return provider, thread, results
 
     @pytest.mark.parametrize(
-        "workers, jobs, teams, expected",
+        "workers, teams, expected",
         [
-            (2, 1, 1, 2),  # more misses than workers: the pool is full
-            (3, 2, 2, 3),  # two teams at once share the run's cap
-            (16, 1, 1, len(FILES)),  # fewer misses than workers: every miss is in flight
+            (2, 1, 2),  # more misses than workers: the pool is full
+            (3, 2, 3),  # two teams at once share the run's cap
+            (16, 1, len(FILES)),  # fewer misses than workers: every miss is in flight
         ],
     )
-    def test_in_flight_sends_capped_per_run(self, tmp_path, workers, jobs, teams, expected):
-        provider, thread, results = self._gated_run(tmp_path, workers, jobs, teams)
+    def test_in_flight_sends_capped_per_run(self, tmp_path, workers, teams, expected):
+        provider, thread, results = self._gated_run(tmp_path, workers, teams)
         try:
             assert _wait_for(lambda: provider.in_flight == expected), provider.in_flight
             time.sleep(0.2)  # room for a send beyond the cap to show up
@@ -441,37 +448,43 @@ class TestSendPool:
         assert provider.peak <= workers
 
     def test_synthesis_sends_count_against_the_cap(self, tmp_path):
-        """With one send thread, a team's synthesis never runs beside another
-        team's row send. Team 0's rows are cached and only its synthesis (new
-        sprint instructions) is sent, while team 1 sends every row: the first
-        send is held until a second one arrives, which only a send beside
-        the pool could do."""
+        """With two send threads, a team's synthesis and another team's row
+        sends are never more than two in flight. Team 0's rows are cached and
+        only its synthesis (new sprint instructions) is sent, while team 1
+        sends every row, of files team 0 does not have: each send is held
+        until three are in flight, which only a send beside the pool could
+        make, or a while passes."""
         roster = load_roster(ROSTER_TEXT)
+        other = RepoScript(
+            name="other",
+            roster_text=ROSTER_TEXT,
+            steps=[Step(*AUTHORS[1], message="parts",
+                        ops=tuple(SetFile(f"lib/part_{i}.py", (f"p = {i}",)) for i in range(4)))],
+        )
         repos = []
-        for n in range(2):
-            handle, _ = synthfix.build(_history(12 + n), tmp_path / f"repo-{n}")
+        for n, script in enumerate((_history(12), other)):
+            handle, _ = synthfix.build(script, tmp_path / f"repo-{n}")
             repos.append((f"team-{n}", handle.root_path))
         store = Store(tmp_path / "cache")
         for sprint, teams, provider in (
             ("Sprint 1.", repos[:1], MockProvider()),
-            ("Sprint 2.", repos, FirstSendHeld(hold=1.0)),
+            ("Sprint 2.", repos, SendsHeld(hold=0.3, crowd=3)),
         ):
             (tmp_path / "sprint.txt").write_text(sprint, encoding="utf-8")
             cfg = _config(tmp_path / sprint, teams)
             cfg.sprint_instructions_path = str(tmp_path / "sprint.txt")
-            cfg.analysis_workers = 1
-            cfg.jobs = 2
+            cfg.analysis_workers = 2
             results = pipeline.run_analysis(cfg, roster, provider, store, CostLedger())
             assert all(r.ok for r in results), [r.error for r in results]
         assert provider.sends > 2  # team 0's synthesis and team 1's rows and synthesis
-        assert provider.peak <= 1
+        assert provider.peak <= 2
 
     def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
         cfg = _config(tmp_path, [])
         roster = load_roster(ROSTER_TEXT)
         store = Store(tmp_path / "cache")
-        with pipeline.send_pool(cfg) as sends:
+        with chain.SendPool(cfg.analysis_workers) as sends:
             cold = pipeline.analyze_team(
                 "team", handle.root_path, cfg, roster, MockProvider(), store, CostLedger(), sends
             )
@@ -489,7 +502,7 @@ class TestSendPool:
             original_start(thread)
 
         ledger = CostLedger()
-        with pipeline.send_pool(cfg) as sends:
+        with chain.SendPool(cfg.analysis_workers) as sends:
             monkeypatch.setattr(threading.Thread, "start", counting_start)
             warm = pipeline.analyze_team(
                 "team", handle.root_path, cfg, roster, NoProvider(), store, ledger, sends
@@ -549,6 +562,95 @@ class TestSendPool:
         # the failed send plus at most the one already taken up; the rest were cancelled
         assert provider.sent[0] == FILES[0]
         assert len(provider.sent) <= 2 < len(FILES)
+
+
+class InterruptingProvider:
+    """MockProvider whose first send interrupts the main thread, as Ctrl-C
+    does, and is then held for `hold` seconds; it counts the sends started."""
+
+    def __init__(self, hold: float):
+        self.inner = MockProvider()
+        self.hold = hold
+        self.starts = 0
+        self._lock = threading.Lock()
+
+    def send(self, messages, model_id):
+        with self._lock:
+            self.starts += 1
+            first = self.starts == 1
+        if first:
+            _thread.interrupt_main()
+            time.sleep(self.hold)
+        return self.inner.send(messages, model_id)
+
+
+class TestSchedule:
+    """Teams overlap in their provider stages, replays do not."""
+
+    @staticmethod
+    def _repos(tmp_path, commits) -> list[tuple[str, str]]:
+        repos = []
+        for n, count in enumerate(commits):
+            handle, _ = synthfix.build(_history(count), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        return repos
+
+    def test_two_teams_send_at_once_by_default(self, tmp_path):
+        """One team's first batch is its len(FILES) file rows, and its next
+        batch waits for them: more sends in flight than that are two teams'."""
+        cfg = _config(tmp_path, self._repos(tmp_path, (12, 13)))
+        provider = GatedProvider()
+        thread, results = _run_in_background(
+            lambda: pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), provider, Store(tmp_path / "cache"), CostLedger()
+            )
+        )
+        try:
+            assert _wait_for(lambda: provider.in_flight > len(FILES)), provider.in_flight
+        finally:
+            provider.gate.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(results) == 2 and all(r.ok for r in results), [r.error for r in results]
+
+    def test_replays_one_at_a_time_in_repos_order(self, tmp_path, monkeypatch):
+        repos = self._repos(tmp_path, (12, 13, 14))
+        replayed: list[str] = []
+        running = []
+        real_build = attribution.build_contribution_set
+
+        def tracking_build(repo, *args):
+            running.append(repo.root_path)
+            replayed.append(repo.root_path if len(running) == 1 else "overlap")
+            try:
+                time.sleep(0.05)  # room for a second replay to start beside this one
+                return real_build(repo, *args)
+            finally:
+                running.remove(repo.root_path)
+
+        monkeypatch.setattr(attribution, "build_contribution_set", tracking_build)
+        results = pipeline.run_analysis(
+            _config(tmp_path, repos), load_roster(ROSTER_TEXT), ShuffledProvider(),
+            Store(tmp_path / "cache"), CostLedger(),
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert [r.team for r in results] == [team for team, _ in repos]
+        assert replayed == [path for _, path in repos]
+
+    def test_interrupt_stops_the_run_promptly(self, tmp_path):
+        """Ctrl-C while a team sends and the next team replays: the run
+        raises it once the send in flight is back. With one send thread a
+        send started after the interrupt would be a second start."""
+        cfg = _config(tmp_path, self._repos(tmp_path, (12, 120, 120)))
+        cfg.analysis_workers = 1
+        provider = InterruptingProvider(hold=0.5)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), provider, Store(tmp_path / "cache"), CostLedger()
+            )
+        assert provider.starts == 1
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("contribsum-")]
+        assert not list(Path(cfg.out_dir).rglob("report.md"))
 
 
 class OneAtATimeEndpoint:
@@ -673,7 +775,7 @@ class TestPriorState:
 
 def _analyze(tmp_path: Path, repo_path: str):
     cfg = _config(tmp_path, [("team", repo_path)])
-    with pipeline.send_pool(cfg) as sends:
+    with chain.SendPool(cfg.analysis_workers) as sends:
         return pipeline.analyze_team(
             "team", repo_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
             Store(tmp_path / "cache"), CostLedger(), sends,
@@ -801,7 +903,6 @@ class TestFaultMatrix:
         if fault is not None:
             fault(base, roots, monkeypatch)
         cfg = _config(base, [(team, roots[team]) for team in self.TEAMS], ("side",))
-        cfg.jobs = 2
         results = pipeline.run_analysis(
             cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(base / "cache"),
             ledger or CostLedger(),

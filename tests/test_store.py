@@ -150,8 +150,10 @@ class TestCostLedger:
             '{"tier": "analysis"}',
             '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
             ' "output_tokens": 2, "cost": "0.25"}',
+            '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            ' "output_tokens": 2, "cost": 0.25, "team": 7}',
         ],
-        ids=["list", "missing-fields", "wrong-type"],
+        ids=["list", "missing-fields", "wrong-type", "wrong-type-team"],
     )
     def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
         path = tmp_path / "ledger.jsonl"
@@ -163,6 +165,20 @@ class TestCostLedger:
         assert "truncated ledger line 2" in caplog.text
         assert main(["cost", "--state", str(tmp_path)]) == 0
         assert "total: $0.25" in capsys.readouterr().out
+
+    def test_line_without_team_loads_with_no_team(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(
+            '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            ' "output_tokens": 2, "cost": 0.25}\n'
+        )
+        ledger = CostLedger(path)
+        ledger.add("synthesis", "n", 3, 4, 0.5, team="alpha")
+        assert [e.team for e in CostLedger(path).entries] == ["", "alpha"]
+        assert main(["cost", "--state", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "team (no team): 1 calls, $0.25" in out
+        assert "team alpha: 1 calls, $0.50" in out
 
     def test_concurrent_adds_all_land_whole(self, tmp_path, caplog):
         path = tmp_path / "ledger.jsonl"
@@ -217,6 +233,17 @@ class TestLedgerReport:
         assert "$1.25" in text
         assert "$2.75" in text
         assert "total: $4.00" in text
+
+    def test_one_line_per_team(self):
+        ledger = CostLedger()
+        ledger.add("analysis", "m", 1000, 1000, 1.25, team="beta")
+        ledger.add("synthesis", "big", 1000, 500, 2.75, team="alpha")
+        ledger.add("analysis", "m", 10, 10, 0.5, team="beta")
+        lines = ledger_report(ledger).splitlines()
+        assert [line for line in lines if line.lstrip().startswith("team ")] == [
+            "  team alpha: 1 calls, $2.75",
+            "  team beta: 2 calls, $1.75",
+        ]
 
 
 class TestStateDir:
