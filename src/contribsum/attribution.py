@@ -24,7 +24,21 @@ replay's in replay order), so one `cat-file` process streams them back
 without a round trip per blob. Replay hands back the kept files with
 their head bytes; the `ContributionSet` carries them with their
 metrics, computed once, so the pipeline reads no blob of its own.
-Exclude globs are matched as one compiled pattern. Semantics:
+Exclude globs are matched as one compiled pattern.
+
+Ownership at a head sha never changes: it depends on commit history
+alone. Given the run's `Store`, replay remembers each head's kept-file
+owners as run lengths (kept path -> `[[owner sha, run length], ...]`)
+under a key over a digest of this module's, `gitio`'s and `ingest`'s
+sources, the head sha, the byte limit and the exclude globs in order.
+Git's rename pairing is not in the key, so an entry written before a git
+upgrade that pairs renames differently is still trusted. A remembered
+head is not replayed: its head blobs are still read and sorted into kept
+and skipped files, and each kept file's owners are laid beside its head
+lines. An entry is trusted only when it covers exactly the kept paths,
+every run is a (sha, positive length) pair, each file's runs sum to its
+head line count and every sha is in the head's ancestry; otherwise it is
+dropped with a warning and the head is replayed. Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -44,7 +58,9 @@ Exclude globs are matched as one compiled pattern. Semantics:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable
@@ -53,13 +69,17 @@ from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import translate
 from functools import lru_cache
-from itertools import compress, count, islice
+from importlib import resources
+from itertools import compress, count, groupby, islice, repeat
 from operator import ne
 
 from . import gitio, metrics
 from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
 from .ingest import AnalysisWindow, History, RepoHandle
+from .store import Store, cache_key
+
+logger = logging.getLogger(__name__)
 
 # Paths that routinely contain generated or vendored content; crediting
 # them inflates minor work, so they are excluded from blame by default.
@@ -378,28 +398,90 @@ def _needed_changes(
     return out
 
 
+@lru_cache(maxsize=1)
+def _ownership_code_digest() -> str:
+    """sha256 over the sources that decide ownership, read once per process:
+    an edit to any of them retires every remembered head."""
+    digest = hashlib.sha256()
+    for name in ("attribution.py", "gitio.py", "ingest.py"):
+        digest.update(resources.files(__package__).joinpath(name).read_bytes())
+    return digest.hexdigest()
+
+
+def _memo_key(at: str, excludes: tuple[str, ...], max_file_bytes: int) -> str:
+    payload = json.dumps([at, max_file_bytes, list(excludes)])
+    return cache_key(_ownership_code_digest(), "replay-memo", payload)
+
+
+def _owner_runs(owners: list[str]) -> list[list]:
+    """`owners` as `[sha, run length]` pairs."""
+    return [[sha, sum(1 for _ in run)] for sha, run in groupby(owners)]
+
+
+def _remembered_state(entry: object, ancestry: History, kept: dict[str, bytes]) -> _State:
+    """The kept files' ownership that a memo entry holds, each owner list
+    laid beside the file's head lines. ValueError says why the entry is not
+    trusted."""
+    if not isinstance(entry, dict) or entry.keys() != kept.keys():
+        raise ValueError("paths differ from the kept files")
+    state: _State = {}
+    for path, blob in kept.items():
+        runs = entry[path]
+        if not isinstance(runs, list) or not all(
+            isinstance(run, list) and len(run) == 2 and isinstance(run[0], str)
+            and type(run[1]) is int and run[1] > 0
+            for run in runs
+        ):
+            raise ValueError(f"malformed runs for {path}")
+        lines = _split_lines(blob)
+        if sum(n for _, n in runs) != len(lines):
+            raise ValueError(f"runs do not cover the lines of {path}")
+        if not all(sha in ancestry.by_sha for sha, _ in runs):
+            raise ValueError(f"owner outside the head's ancestry in {path}")
+        state[path] = (lines, [owner for sha, n in runs for owner in repeat(sha, n)])
+    return state
+
+
+def _recall(
+    store: Store, lineages: dict[str, History], kept: dict[str, dict[str, bytes]],
+    excludes: tuple[str, ...], max_file_bytes: int,
+) -> dict[str, _State]:
+    """head -> its ownership, for each head of which `store` holds a
+    trusted entry; an entry not trusted is dropped with a warning."""
+    remembered: dict[str, _State] = {}
+    for at, ancestry in lineages.items():
+        entry = store.get(_memo_key(at, excludes, max_file_bytes))
+        if entry is None:
+            continue
+        try:
+            remembered[at] = _remembered_state(entry, ancestry, kept[at])
+        except ValueError as exc:
+            logger.warning("replay memo entry dropped: %s (%s)", at, exc)
+    return remembered
+
+
 def _ownership_at(
     root: str, heads: Iterable[tuple[History, str | None]], excludes: tuple[str, ...],
-    max_file_bytes: int,
+    max_file_bytes: int, store: Store | None = None,
 ) -> dict[str, tuple[dict[str, bytes], set[str], _State]]:
     """head -> (kept files -> head bytes in bytewise path order, skipped
     paths, ownership at the head), for each `(history, head)` with a head.
 
     A path at a head that is not excluded is kept when it is no symlink or
-    gitlink and its blob passes `is_blamable`, else skipped. Replay runs
-    parents first over the union of the heads' ancestors (the first head's
-    in its order, then each later head's unseen ones) and applies only
-    changes to the kept paths and their rename sources; a commit's state
-    is dropped after its last child is replayed, unless it is a head. Every
-    blob is requested from one reader before the first one is read, head
-    blobs first and then the replay's in replay order.
+    gitlink and its blob passes `is_blamable`, else skipped. With a
+    `store`, a head whose ownership it remembers (see the module
+    docstring) is not replayed, and each replayed head's is stored once
+    the replay ends. Replay runs parents first over the union of the
+    replayed heads' ancestors (the first head's in its order, then each
+    later head's unseen ones) and applies only changes to their kept paths
+    and rename sources; a commit's state is dropped after its last child is
+    replayed, unless it is a replayed head. Every blob is requested from
+    one reader before the first one is read, head blobs first and then the
+    replay's in replay order.
     """
     lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
     if not lineages:
         return {}
-    plan_commits = {c.hash: c for ancestors in lineages.values() for c in ancestors.commits}
-    children = Counter(p for commit in plan_commits.values() for p in commit.parents)
-    children.update(lineages.keys())  # a head's state outlives its children
     with gitio.ObjectReader(root) as reader:
         candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
         skipped: dict[str, set[str]] = {}
@@ -425,7 +507,14 @@ def _ownership_at(
             kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
             skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
 
-        needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in lineages))
+        remembered = {}
+        if store is not None:
+            remembered = _recall(store, lineages, kept, excludes, max_file_bytes)
+        missed = [at for at in lineages if at not in remembered]
+        plan_commits = {c.hash: c for at in missed for c in lineages[at].commits}
+        children = Counter(p for commit in plan_commits.values() for p in commit.parents)
+        children.update(missed)  # a replayed head's state outlives its children
+        needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in missed))
         plan = [(c, _needed_changes(c.changes, needed)) for c in plan_commits.values()]
         reader.request(
             change.new_blob
@@ -451,6 +540,11 @@ def _ownership_at(
                 children[parent] -= 1
                 if not children[parent]:
                     del states[parent]
+    if store is not None:
+        for at in missed:
+            runs = {path: _owner_runs(states[at][path][1]) for path in kept[at]}
+            store.put(_memo_key(at, excludes, max_file_bytes), runs)
+    states.update(remembered)
     return {at: (kept[at], skipped[at], states[at]) for at in lineages}
 
 
@@ -532,6 +626,7 @@ def build_contribution_set(
     roster: Roster,
     options: AttributionOptions = AttributionOptions(),
     branches: Iterable[str] = (),
+    store: Store | None = None,
 ) -> ContributionSet:
     """Aggregate per-(student, file) evidence over the window-end snapshot.
 
@@ -542,7 +637,8 @@ def build_contribution_set(
     the per-file partition invariant stays exact. The line walk and the
     message loop share one credit list per commit.
     Each of `branches` costs one `git log`; its window head is replayed
-    with the default branch's, and `_branch_section` filters it.
+    with the default branch's, and `_branch_section` filters it. A head
+    whose ownership `store` remembers is not replayed.
     """
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
@@ -572,6 +668,7 @@ def build_contribution_set(
         [(h, h.window_head(window)) for h in (history, *branch_histories.values()) if h],
         tuple(options.exclude_globs),
         options.max_file_bytes,
+        store,
     )
     kept, skipped, state = owned[head] if head else ({}, set(), {})
     files = tuple(

@@ -123,23 +123,47 @@ _DECISION_RE = re.compile(r"\b(?:if|elif|for|while|and|or|except)\b")
 _CASE_RE = re.compile(r"^case\b.*:\s*$")
 
 
-def _find_spans(lines: list[_ScanLine]) -> list[tuple[str, int, int]]:
-    spans: list[tuple[str, int, int]] = []
-    for idx, line in enumerate(lines):
-        match = _DEF_RE.match(line.code.strip())
-        if not match:
+@dataclass
+class _Span:
+    name: str
+    start: int  # line of the def
+    indent: int
+    end: int = 0  # last line with code or a string before the def's body closes
+    score: int = 1
+
+
+def _sweep(lines: list[_ScanLine]) -> tuple[list[_Span], bool]:
+    """Every function's span and score, in def order, and whether any
+    statement lies outside all of them, in one pass over the lines.
+
+    Only lines with code or a string count. Such a line closes each open
+    def indented as deep as it or deeper: the def's span ends at the line
+    before it that counts. Open defs form a stack ordered by indent, so a
+    line closes a run of them on top, and its decision points belong to
+    the innermost def left open, or to none.
+    """
+    spans: list[_Span] = []
+    enclosing: list[_Span] = []  # open defs, innermost last
+    last = 0  # the last line that counts
+    top_level = False
+    for line in lines:
+        code = line.code.strip()
+        if line.continuation_only or not (code or line.opens_string):
             continue
-        end = line.no
-        for later in lines[idx + 1:]:
-            if later.continuation_only:
-                continue
-            if not later.code.strip() and not later.opens_string:
-                continue  # blank or comment-only line
-            if later.indent <= line.indent:
-                break
-            end = later.no
-        spans.append((match.group(1), line.no, end))
-    return spans
+        while enclosing and enclosing[-1].indent >= line.indent:
+            enclosing.pop().end = last
+        match = _DEF_RE.match(code)
+        if match:
+            spans.append(_Span(match.group(1), line.no, line.indent))
+            enclosing.append(spans[-1])
+        if enclosing:
+            enclosing[-1].score += _decision_points(line)
+        elif code and not code.startswith("@"):
+            top_level = True
+        last = line.no
+    for span in enclosing:
+        span.end = last
+    return spans, top_level
 
 
 def _decision_points(line: _ScanLine) -> int:
@@ -151,38 +175,14 @@ def _decision_points(line: _ScanLine) -> int:
 
 def function_spans(source: str) -> list[tuple[str, int, int]]:
     """(name, start line, end line) for every function, nested ones included."""
-    return _find_spans(_scan(source))
+    return [(span.name, span.start, span.end) for span in _sweep(_scan(source))[0]]
 
 
 def cyclomatic(source: str) -> ComplexityReport:
     """Score a script. Never raises: unsegmentable input scores 1, flagged."""
-    lines = _scan(source)
-    spans = _find_spans(lines)
-
-    def innermost(line_no: int) -> int | None:
-        best: int | None = None
-        for i, (_, start, end) in enumerate(spans):
-            if start <= line_no <= end:
-                if best is None or start > spans[best][1]:
-                    best = i
-        return best
-
-    scores = [1] * len(spans)
-    has_top_level_statement = False
-    for line in lines:
-        if line.continuation_only:
-            continue
-        owner = innermost(line.no)
-        if owner is not None:
-            scores[owner] += _decision_points(line)
-        elif line.code.strip() and not line.code.strip().startswith("@"):
-            has_top_level_statement = True
-
-    functions = tuple(
-        FunctionComplexity(name, start, end, score)
-        for (name, start, end), score in zip(spans, scores)
-    )
-    file_score = sum(scores) + (1 if has_top_level_statement else 0)
+    spans, has_top_level_statement = _sweep(_scan(source))
+    functions = tuple(FunctionComplexity(s.name, s.start, s.end, s.score) for s in spans)
+    file_score = sum(s.score for s in spans) + (1 if has_top_level_statement else 0)
     has_content = any(raw.strip() for raw in source.splitlines())
     unparseable = has_content and not spans and not has_top_level_statement
     return ComplexityReport(

@@ -4,23 +4,29 @@ One team's failure never aborts the others; the CLI collects TeamResult
 objects and reports per-team outcomes. All artifacts land under
 out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly. A team's default
-and included branches are replayed once, together, on one `cat-file` reader.
+and included branches are replayed once, together, on one `cat-file` reader,
+and a window head replayed before is not replayed again: its line owners
+are remembered in the run's `Store` (see `attribution`).
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
-thread, in `cfg.repos` order, and hands the rest of each team to one of
-`min(teams, analysis_workers)` team threads, so a replay overlaps the
-earlier teams' provider waits while one replay's memory is held at a
-time. Every team shares one `chain.SendPool` of `analysis_workers`
-threads, and only `provider.send` of a cache miss runs on it. A team's
-tables are filled in one place, `chain.fill_tables`, which sends the
-analysis-tier calls in two batches, the file rows and then the
-contribution rows that quote them; the pipeline wraps its rows in
-`tables.FunctionalityTable` and `tables.ContributionTable` where it
-writes the CSVs. Prompt rendering, budget checks, cache reads and
-writes, ledger entries and response parsing stay on the team's own
-thread in row order, so outputs and each team's ledger entries are the
-same for any pool size (across teams the ledger follows completion
-order), and a fully cached team starts no send thread. Synthesis and its
+thread, in `cfg.repos` order, and hands the rest of each team but the
+last to one of at most `min(teams - 1, analysis_workers)` team threads,
+so a replay overlaps the earlier teams' provider waits while one
+replay's memory is held at a time. The calling thread finishes the last
+team itself once fewer than `analysis_workers` others are unfinished, so
+at most `analysis_workers` teams are in their provider stages and a
+one-team run starts no team thread. Every team shares one
+`chain.SendPool` of `analysis_workers` threads, and only `provider.send`
+of a cache miss runs on it. A team's tables are filled in one place,
+`chain.fill_tables`, which sends the analysis-tier calls in two batches,
+the file rows and then the contribution rows that quote them; the
+pipeline wraps its rows in `tables.FunctionalityTable` and
+`tables.ContributionTable` where it writes the CSVs. Prompt rendering,
+budget checks, cache reads and writes, ledger entries and response
+parsing stay on the team's own thread in row order, so outputs and each
+team's ledger entries are the same for any pool size (across teams the
+ledger follows completion order), and a fully cached team starts no send
+thread. Synthesis and its
 repair retry go to the same pool, so `analysis_workers` caps every
 provider request of the run, and a request in flight for one team is not
 sent again for another.
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +84,7 @@ def analyze_team(
 ) -> TeamResult:
     """Analyze one team; its provider sends go to `pool`."""
     result = TeamResult(team=team, ok=True)
-    loaded = _recorded(result, _load_team, repo_path, cfg, roster)
+    loaded = _recorded(result, _load_team, repo_path, cfg, roster, store)
     if loaded is not None:
         _recorded(result, _finish_team, result, *loaded, cfg, roster, provider, store, ledger, pool)
     return result
@@ -98,16 +104,17 @@ def _recorded(result: TeamResult, step, *args):
 
 
 def _load_team(
-    repo_path: str, cfg: RunConfig, roster: Roster
+    repo_path: str, cfg: RunConfig, roster: Roster, store: Store
 ) -> tuple[ingest.RepoHandle, attribution.ContributionSet]:
-    """The team's history and its replay: the repo handle and contribution set."""
+    """The team's history and its replay: the repo handle and contribution
+    set. A window head whose ownership `store` remembers is not replayed."""
     repo = ingest.open_repo(repo_path, cfg.branch)
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
     )
     cset = attribution.build_contribution_set(
-        repo, cfg.window, roster, options, cfg.include_branches
+        repo, cfg.window, roster, options, cfg.include_branches, store
     )
     return repo, cset
 
@@ -233,17 +240,26 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     not started runs, a team thread's next send raises, and the interrupt
     is raised once the sends in flight are back."""
     sends = chain.SendPool(cfg.analysis_workers)
+    # threads start on demand, so a one-team run starts none
     teams = ThreadPoolExecutor(
-        max_workers=min(len(cfg.repos), cfg.analysis_workers), thread_name_prefix="contribsum-team"
+        max_workers=max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)),
+        thread_name_prefix="contribsum-team",
     )
     results = [TeamResult(team=team, ok=True) for team, _ in cfg.repos]
     try:
         finishing = []
-        for result, (_, path) in zip(results, cfg.repos):
-            loaded = _recorded(result, _load_team, path, cfg, roster)
-            if loaded is not None:
-                args = (result, *loaded, cfg, roster, provider, store, ledger, sends)
+        for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
+            loaded = _recorded(result, _load_team, path, cfg, roster, store)
+            if loaded is None:
+                continue
+            args = (result, *loaded, cfg, roster, provider, store, ledger, sends)
+            if n < len(cfg.repos):
                 finishing.append(teams.submit(_recorded, result, _finish_team, *args))
+            else:  # the last team, once fewer than `analysis_workers` others are unfinished
+                pending = finishing
+                while len(pending) >= cfg.analysis_workers:
+                    pending = wait(pending, return_when=FIRST_COMPLETED).not_done
+                _recorded(result, _finish_team, *args)
         for future in finishing:
             future.result()
     finally:

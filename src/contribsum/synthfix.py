@@ -16,7 +16,6 @@ same file on both sides of a merge).
 
 from __future__ import annotations
 
-import copy
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -182,6 +181,12 @@ class GroundTruth:
 _BranchState = dict[str, list[TruthLine]]
 
 
+def _copy_state(state: _BranchState) -> _BranchState:
+    """A copy whose line lists can change apart; `TruthLine`s are frozen,
+    so they are shared."""
+    return {path: list(lines) for path, lines in state.items()}
+
+
 class _Replay:
     """Pure line-operation replay over the script; produces ground truth."""
 
@@ -213,7 +218,7 @@ class _Replay:
         )
 
     def checkpoint(self, label: str) -> None:
-        self.checkpoints[label] = copy.deepcopy(self.branches[self.current])
+        self.checkpoints[label] = _copy_state(self.branches[self.current])
 
     def apply_step(self, index: int, step: Step) -> None:
         if step.checkout is not None:
@@ -223,9 +228,9 @@ class _Replay:
         if step.create_branch is not None:
             if step.create_branch in self.branches:
                 raise ScriptError(index, f"branch {step.create_branch!r} already exists")
-            snapshot = copy.deepcopy(self.branches[self.current])
+            snapshot = _copy_state(self.branches[self.current])
             self.branches[step.create_branch] = snapshot
-            self.fork_base[step.create_branch] = copy.deepcopy(snapshot)
+            self.fork_base[step.create_branch] = _copy_state(snapshot)
             self.branch_steps[step.create_branch] = set(self.branch_steps[self.current])
             self.current = step.create_branch
 
@@ -337,7 +342,7 @@ class _Replay:
                     f"both sides of the merge touched {path!r}; scripts must keep merges clean",
                 )
             if pick is not None:
-                merged[path] = copy.deepcopy(pick)
+                merged[path] = list(pick)
         return merged, touched
 
 

@@ -34,6 +34,7 @@ from contribsum.errors import UnknownCommit
 from contribsum.identity import UNMAPPED, load_roster
 from contribsum.ingest import AnalysisWindow
 from contribsum.metrics import compute_file_metrics
+from contribsum.store import Store
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
 
 
@@ -933,3 +934,193 @@ class TestBranchReplay:
             assert cset.branches["feature"] == (
                 tuple(sorted(names.items())), tuple(sorted(files))
             ), f"seed {seed}"
+
+
+@pytest.fixture(scope="module")
+def script_repos(tmp_path_factory):
+    """(handle, truth) of 24 `random_script` seeds."""
+    root = tmp_path_factory.mktemp("script-repos")
+    return [synthfix.build(random_script(seed), root / f"r{seed}") for seed in range(24)]
+
+
+def _heads(handle, window, branches) -> list[tuple[ingest.History, str | None]]:
+    """(history, window head) of the default branch and each of `branches`."""
+    histories = [handle.history]
+    histories += [ingest.History(gitio.log(handle.root_path, handle.tips[b])) for b in branches]
+    return [(history, history.window_head(window)) for history in histories]
+
+
+def _head_blobs(handle, heads, excludes) -> int:
+    """Distinct blobs at the heads outside `excludes`, by an independent tree reader."""
+    return len({
+        content
+        for _, at in heads
+        for path, content in tree_files(handle, at)
+        if not is_excluded(path, excludes)
+    })
+
+
+class TestReplayMemo:
+    """A window head replayed once is remembered in the run's Store: a
+    second run replays nothing and hands on exactly what a run without a
+    store does. An entry that is not trusted is replayed, with a warning."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The commits replayed and the objects read since the last clear."""
+        replayed: list[str] = []
+        reads: list[str] = []
+        real_apply, real_merge = attribution._apply_changes, attribution._merge_state
+        real_get = gitio.ObjectReader.get
+
+        def counting_apply(state, changes, commit, read):
+            replayed.append(commit)
+            return real_apply(state, changes, commit, read)
+
+        def counting_merge(parents, changes, commit, read):
+            replayed.append(commit)
+            return real_merge(parents, changes, commit, read)
+
+        def counting_get(self, ref):
+            reads.append(ref)
+            return real_get(self, ref)
+
+        monkeypatch.setattr(attribution, "_apply_changes", counting_apply)
+        monkeypatch.setattr(attribution, "_merge_state", counting_merge)
+        monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
+        return replayed, reads
+
+    @staticmethod
+    def _handed_on(cset) -> tuple:
+        return cset.to_json(), _kept(cset), cset.branches
+
+    @staticmethod
+    def _owned(handle, heads, options, store=None) -> dict:
+        """head -> (kept files, skipped paths, the kept files' ownership)."""
+        owned = attribution._ownership_at(
+            handle.root_path, heads, options.exclude_globs, options.max_file_bytes, store
+        )
+        return {
+            at: (kept, skipped, {path: state[path] for path in kept})
+            for at, (kept, skipped, state) in owned.items()
+        }
+
+    def _check_second_run(self, handle, truth, branches, store, work) -> None:
+        replayed, reads = work
+        options = AttributionOptions(exclude_globs=())  # the oracle blames every path
+        heads = _heads(handle, JUNE, branches)
+        plain = build_contribution_set(handle, JUNE, truth.roster, options, branches)
+        plain_owned = self._owned(handle, heads, options)
+        build_contribution_set(handle, JUNE, truth.roster, options, branches, store)
+        replayed.clear()
+        reads.clear()
+        again = build_contribution_set(handle, JUNE, truth.roster, options, branches, store)
+        assert replayed == []
+        assert len(reads) == len(set(reads)) == _head_blobs(handle, heads, ())
+        assert self._handed_on(again) == self._handed_on(plain)
+        assert self._owned(handle, heads, options, store) == plain_owned
+        assert {
+            (sid, ev.path): ev.lines_owned
+            for sid, rows in again.per_student.items()
+            for ev in rows
+            if ev.lines_owned
+        } == truth.expected_owned_counts("final", split=True)
+
+    def test_standard_fixtures(self, built_fixtures, tmp_path, work):
+        for name, (handle, truth) in built_fixtures.items():
+            branches = tuple(sorted(set(handle.tips) - {handle.default_branch}))
+            self._check_second_run(handle, truth, branches, Store(tmp_path / name), work)
+
+    def test_random_histories(self, script_repos, branch_repos, tmp_path, work):
+        for seed, (handle, truth) in enumerate(script_repos):
+            self._check_second_run(handle, truth, (), Store(tmp_path / f"r{seed}"), work)
+        for seed, (handle, truth, _) in enumerate(branch_repos):
+            store = Store(tmp_path / f"b{seed}")
+            self._check_second_run(handle, truth, ("feature",), store, work)
+
+    def test_other_options_or_head_miss(self, script_repos, tmp_path, work):
+        replayed, _ = work
+        handle, truth = script_repos[5]
+        middle = handle.history.commits[len(handle.history.commits) // 2]
+        earlier = AnalysisWindow(start=JUNE.start, end=middle.authored_at, label="earlier")
+        assert handle.history.window_head(earlier) != handle.history.window_head(JUNE)
+        store = Store(tmp_path / "cache")
+        build_contribution_set(handle, JUNE, truth.roster, AttributionOptions(), (), store)
+        for window, options in (
+            (JUNE, AttributionOptions(exclude_globs=())),
+            (JUNE, AttributionOptions(exclude_globs=DEFAULT_EXCLUDE_GLOBS[::-1])),
+            (JUNE, AttributionOptions(max_file_bytes=100)),
+            (earlier, AttributionOptions()),
+        ):
+            plain = build_contribution_set(handle, window, truth.roster, options)
+            replayed.clear()
+            cset = build_contribution_set(handle, window, truth.roster, options, (), store)
+            assert replayed, (window.label, options)
+            assert self._handed_on(cset) == self._handed_on(plain)
+
+    def test_new_branch_head_replays_its_ancestry_alone(self, branch_repos, tmp_path, work):
+        replayed, _ = work
+        for seed, (handle, truth, feature) in enumerate(branch_repos):
+            store = Store(tmp_path / f"b{seed}")
+            build_contribution_set(handle, JUNE, truth.roster, store=store)
+            plain = build_contribution_set(handle, JUNE, truth.roster, branches=("feature",))
+            replayed.clear()
+            cset = build_contribution_set(
+                handle, JUNE, truth.roster, branches=("feature",), store=store
+            )
+            head = feature.window_head(JUNE)
+            assert sorted(replayed) == sorted(feature.ancestors(head).by_sha), f"seed {seed}"
+            assert self._handed_on(cset) == self._handed_on(plain), f"seed {seed}"
+
+    @staticmethod
+    def _spoilt(entry: dict, head: str, foreign: str) -> dict[str, object]:
+        """Name -> `entry` spoilt one way; `foreign` is a commit outside the
+        head's ancestry."""
+        path = next(p for p in entry if len(entry[p]) > 1)
+        runs = entry[path]
+        (first_sha, first_length), (last_sha, last_length) = runs[0], runs[-1]
+        shorter = [[last_sha, last_length - 1]] if last_length > 1 else []
+        spoilt_runs = {
+            "one line more": runs[:-1] + [[last_sha, last_length + 1]],
+            "one line less": runs[:-1] + shorter,
+            "unknown sha": [["f" * 40, first_length]] + runs[1:],
+            "sha of another branch": [[foreign, first_length]] + runs[1:],
+            "length as text": [[first_sha, str(first_length)]] + runs[1:],
+            "length as float": [[first_sha, float(first_length)]] + runs[1:],
+            "zero length": runs + [[head, 0]],
+            "length as bool": runs + [[head, True]],
+            "sha as number": [[7, first_length]] + runs[1:],
+            "three fields": [[first_sha, first_length, 0]] + runs[1:],
+            "runs as text": "runs",
+        }
+        spoilt: dict[str, object] = {name: {**entry, path: r} for name, r in spoilt_runs.items()}
+        spoilt["missing path"] = {p: r for p, r in entry.items() if p != path}
+        spoilt["extra path"] = {**entry, "ghost.py": [[head, 1]]}
+        spoilt["not a dict"] = [[head, 1]]
+        return spoilt
+
+    def test_untrusted_entry_dropped_and_replayed(self, branch_repos, tmp_path, work, caplog):
+        replayed, _ = work
+        handle, truth, feature = next(
+            (h, t, f) for h, t, f in branch_repos
+            if f.window_head(JUNE) not in h.history.ancestors(h.history.window_head(JUNE)).by_sha
+        )
+        head = handle.history.window_head(JUNE)
+        key = attribution._memo_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
+        plain = build_contribution_set(handle, JUNE, truth.roster)
+        warm = Store(tmp_path / "warm")
+        build_contribution_set(handle, JUNE, truth.roster, store=warm)
+        entry = warm.get(key)
+        for name, spoilt in self._spoilt(entry, head, feature.window_head(JUNE)).items():
+            store = Store(tmp_path / "spoilt" / name)
+            store.put(key, spoilt)
+            replayed.clear()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="contribsum.attribution"):
+                cset = build_contribution_set(handle, JUNE, truth.roster, store=store)
+            assert [m.split(" (")[0] for m in caplog.messages] == [
+                f"replay memo entry dropped: {head}"
+            ], name
+            assert replayed, name
+            assert self._handed_on(cset) == self._handed_on(plain), name
+            assert store.get(key) == entry, name  # the replay's entry replaces it

@@ -222,6 +222,84 @@ class TestScanner:
             assert metrics._scan(source) == _scan_per_character(source)
 
 
+def _quadratic_cyclomatic(source: str) -> metrics.ComplexityReport:
+    """Reference scorer: each def's span found by a scan of the lines after
+    it, and each line's owner by a scan of every span."""
+    lines = metrics._scan(source)
+    spans: list[tuple[str, int, int]] = []
+    for idx, line in enumerate(lines):
+        match = metrics._DEF_RE.match(line.code.strip())
+        if not match:
+            continue
+        end = line.no
+        for later in lines[idx + 1:]:
+            if later.continuation_only:
+                continue
+            if not later.code.strip() and not later.opens_string:
+                continue  # blank or comment-only line
+            if later.indent <= line.indent:
+                break
+            end = later.no
+        spans.append((match.group(1), line.no, end))
+
+    def innermost(line_no: int) -> int | None:
+        best: int | None = None
+        for i, (_, start, end) in enumerate(spans):
+            if start <= line_no <= end:
+                if best is None or start > spans[best][1]:
+                    best = i
+        return best
+
+    scores = [1] * len(spans)
+    has_top_level_statement = False
+    for line in lines:
+        if line.continuation_only:
+            continue
+        owner = innermost(line.no)
+        if owner is not None:
+            scores[owner] += metrics._decision_points(line)
+        elif line.code.strip() and not line.code.strip().startswith("@"):
+            has_top_level_statement = True
+    has_content = any(raw.strip() for raw in source.splitlines())
+    return metrics.ComplexityReport(
+        functions=tuple(
+            metrics.FunctionComplexity(name, start, end, score)
+            for (name, start, end), score in zip(spans, scores)
+        ),
+        file_score=max(1, sum(scores) + (1 if has_top_level_statement else 0)),
+        unparseable=has_content and not spans and not has_top_level_statement,
+    )
+
+
+class TestSweep:
+    """`cyclomatic` finds spans and owners in one stack sweep; it must score
+    exactly as the rule that rescans the file for each def and every span
+    for each line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("", "  ", "    ", "        ", "\t", " \t")),
+                st.one_of(
+                    st.sampled_from([piece.strip() for piece in _CODE_PIECES]),
+                    st.sampled_from(("def g():", "async def h(x):", "def k(): return a or b")),
+                    st.text(max_size=6),
+                ),
+                st.sampled_from(_LINE_BREAKS),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_quadratic_rule(self, lines):
+        source = "".join(indent + piece + brk for indent, piece, brk in lines)
+        assert cyclomatic(source) == _quadratic_cyclomatic(source)
+
+    def test_corpus(self):
+        for source, _ in CORPUS:
+            assert cyclomatic(source) == _quadratic_cyclomatic(source)
+
+
 class TestFunctionSpans:
     def test_single_function_span(self):
         spans = function_spans("def f(x):\n    a = x\n    return a\n")

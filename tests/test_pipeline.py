@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, with_tree_entries
+from conftest import (
+    JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, tree_files, with_tree_entries,
+)
 from contribsum import attribution, gitio, identity, pipeline, store as store_module, synthfix
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -35,7 +37,7 @@ from contribsum.identity import UNMAPPED, load_roster, parse_coauthors
 from contribsum.ingest import AnalysisWindow
 from contribsum.report import ReportState, RunMeta
 from contribsum.store import CostLedger, Store
-from contribsum.synthfix import Insert, RepoScript, SetFile, Step
+from contribsum.synthfix import Insert, Replace, RepoScript, SetFile, Step
 
 ANALYSIS = ModelTier("analysis", "mini-model", 128_000, 0.0, 0.0)
 SYNTHESIS = ModelTier("synthesis", "big-model", 128_000, 0.0, 0.0)
@@ -97,31 +99,86 @@ def _git_spawns(monkeypatch, run) -> list:
 
 class TestGitSpawns:
     def test_spawns_do_not_grow_with_commit_count(self, tmp_path, monkeypatch):
+        """Every run shares one store, so each configuration runs once with
+        its branch heads new (the first run with every head new) and once
+        with every head remembered."""
         roster = load_roster(ROSTER_TEXT)
+        store = Store(tmp_path / "cache")
         counts = {}
         for commits in (30, 300):
             handle, _ = synthfix.build(_history(commits), tmp_path / f"repo-{commits}")
             for branches in ((), ("side",), ("side", "topic"), ("absent",)):
-                cfg = _config(tmp_path / f"run-{commits}-{'-'.join(branches)}", [], branches)
+                for warm in (False, True):
+                    name = f"run-{commits}-{'-'.join(branches)}-{warm}"
+                    cfg = _config(tmp_path / name, [], branches)
 
-                def run():
-                    with chain.SendPool(cfg.analysis_workers) as sends:
-                        result = pipeline.analyze_team(
-                            "team", handle.root_path, cfg, roster, MockProvider(),
-                            Store(tmp_path / "cache"), CostLedger(), sends,
-                        )
-                    assert result.ok, result.error
+                    def run():
+                        with chain.SendPool(cfg.analysis_workers) as sends:
+                            result = pipeline.analyze_team(
+                                "team", handle.root_path, cfg, roster, MockProvider(),
+                                store, CostLedger(), sends,
+                            )
+                        assert result.ok, result.error
 
-                spawns = _git_spawns(monkeypatch, run)
-                counts[commits, branches] = len(spawns)
-                assert sum("cat-file" in args for args in spawns) == 1  # one reader per team
+                    spawns = _git_spawns(monkeypatch, run)
+                    counts[commits, branches, warm] = len(spawns)
+                    assert sum("cat-file" in args for args in spawns) == 1  # one reader per team
         # one open_repo branch listing, one log stream and one cat-file
         # reader, plus one log stream per included branch that exists
         for commits in (30, 300):
-            assert counts[commits, ()] == 3
-            assert counts[commits, ("side",)] == 4
-            assert counts[commits, ("side", "topic")] == 5
-            assert counts[commits, ("absent",)] == 3
+            for warm in (False, True):
+                assert counts[commits, (), warm] == 3
+                assert counts[commits, ("side",), warm] == 4
+                assert counts[commits, ("side", "topic"), warm] == 5
+                assert counts[commits, ("absent",), warm] == 3
+
+
+class TestReplayMemoBound:
+    def test_warm_rerun_reads_head_blobs_and_diffs_nothing(self, tmp_path, monkeypatch):
+        """Re-running a window with a warm store reads each distinct head blob
+        once and builds no line matcher, at 30 and at 300 commits."""
+        roster = load_roster(ROSTER_TEXT)
+        reads: list[str] = []
+        matchers: list[int] = []
+        real_get = gitio.ObjectReader.get
+
+        def counting_get(self, ref):
+            reads.append(ref)
+            return real_get(self, ref)
+
+        class CountingMatcher(attribution.SequenceMatcher):
+            def __init__(self, *args, **kwargs):
+                matchers.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
+        monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
+        for commits in (30, 300):
+            steps = [Step(*AUTHORS[0], message="scaffold",
+                          ops=tuple(SetFile(p, ("a = 0", "b = 0", "c = 0")) for p in FILES))]
+            for n in range(1, commits):  # a middle line changes: the line matcher runs
+                steps.append(Step(*AUTHORS[n % 2], message=f"edit {n}",
+                                  ops=(Replace(FILES[n % len(FILES)], 2, (f"b = {n}",)),)))
+            script = RepoScript(name=f"middle-{commits}", roster_text=ROSTER_TEXT, steps=steps)
+            handle, _ = synthfix.build(script, tmp_path / f"repo-{commits}")
+            store = Store(tmp_path / f"cache-{commits}")
+            cfg = _config(tmp_path / f"run-{commits}", [])
+            head_blobs = {
+                content for path, content in tree_files(handle, handle.history.window_head(JUNE))
+            }
+            work = []
+            for _ in range(2):
+                reads.clear()
+                matchers.clear()
+                with chain.SendPool(cfg.analysis_workers) as sends:
+                    result = pipeline.analyze_team(
+                        "team", handle.root_path, cfg, roster, MockProvider(), store,
+                        CostLedger(), sends,
+                    )
+                assert result.ok, result.error
+                work.append((len(reads), len(matchers)))
+            assert work[0][0] > len(head_blobs) and work[0][1] > 0  # the first run replays
+            assert work[1] == (len(head_blobs), 0)
 
 
 class TestIdentityResolution:
@@ -651,6 +708,52 @@ class TestSchedule:
         assert provider.starts == 1
         assert not [t.name for t in threading.enumerate() if t.name.startswith("contribsum-")]
         assert not list(Path(cfg.out_dir).rglob("report.md"))
+
+    def test_one_team_run_starts_no_team_thread(self, tmp_path, monkeypatch):
+        threads: list[list[str]] = []
+        real_finish = pipeline._finish_team
+
+        def tracking_finish(*args):
+            threads.append([t.name for t in threading.enumerate()])
+            return real_finish(*args)
+
+        monkeypatch.setattr(pipeline, "_finish_team", tracking_finish)
+        results = pipeline.run_analysis(
+            _config(tmp_path, self._repos(tmp_path, (12,))), load_roster(ROSTER_TEXT),
+            MockProvider(), Store(tmp_path / "cache"), CostLedger(),
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert len(threads) == 1
+        assert not [name for name in threads[0] if name.startswith("contribsum-team")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_teams_in_provider_stages_capped_by_workers(self, tmp_path, monkeypatch, workers):
+        """Team threads and the calling thread together finish at most
+        `analysis_workers` teams at once, and two workers finish two."""
+        finishing: list[str] = []
+        peak = []
+        lock = threading.Lock()
+        real_finish = pipeline._finish_team
+
+        def tracking_finish(result, *args):
+            with lock:
+                finishing.append(result.team)
+                peak.append(len(finishing))
+            try:
+                time.sleep(0.2)  # room for another team to start beside this one
+                return real_finish(result, *args)
+            finally:
+                with lock:
+                    finishing.remove(result.team)
+
+        monkeypatch.setattr(pipeline, "_finish_team", tracking_finish)
+        cfg = _config(tmp_path, self._repos(tmp_path, (12, 13, 14)))
+        cfg.analysis_workers = workers
+        results = pipeline.run_analysis(
+            cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert len(peak) == 3 and max(peak) == workers
 
 
 class OneAtATimeEndpoint:
