@@ -27,18 +27,30 @@ metrics, computed once, so the pipeline reads no blob of its own.
 Exclude globs are matched as one compiled pattern.
 
 Ownership at a head sha never changes: it depends on commit history
-alone. Given the run's `Store`, replay remembers each head's kept-file
-owners as run lengths (kept path -> `[[owner sha, run length], ...]`)
-under a key over a digest of this module's, `gitio`'s and `ingest`'s
-sources, the head sha, the byte limit and the exclude globs in order.
-Git's rename pairing is not in the key, so an entry written before a git
-upgrade that pairs renames differently is still trusted. A remembered
-head is not replayed: its head blobs are still read and sorted into kept
-and skipped files, and each kept file's owners are laid beside its head
-lines. An entry is trusted only when it covers exactly the kept paths,
-every run is a (sha, positive length) pair, each file's runs sum to its
-head line count and every sha is in the head's ancestry; otherwise it is
-dropped with a warning and the head is replayed. Semantics:
+alone, and the metrics of the files kept at it on their bytes alone.
+Given the run's `Store`, replay remembers each head's kept-file owners as
+run lengths (kept path -> `[[owner sha, run length], ...]`), and the
+default window head's kept-file `FileMetrics` as rows (kept path ->
+`_metrics_row`). Both keys cover `ingest.memo_code_digest` (a digest of
+this module's, `gitio`'s, `ingest`'s and `metrics`' sources), the kind of
+entry, the head sha, the byte limit and the exclude globs in order;
+branch heads are never measured, so they have no metrics entry. Git's
+rename pairing and `git replace` objects are not in the key, so an entry
+written before a git upgrade that pairs renames differently is still
+trusted. A remembered head is not replayed: its head blobs are still
+read and sorted into kept and skipped files, and each kept file's owners
+are laid beside its head lines. An owners entry is trusted only when it
+covers exactly the kept paths, every run is a (sha, positive length)
+pair, each file's runs sum to its head line count and every sha is in
+the head's ancestry; a metrics entry only when it covers exactly the
+kept paths and each row builds a `FileMetrics` with the kind the file's
+path and bytes give and the byte size of its head blob. Otherwise the
+entry is dropped with a warning, and the head is replayed or its files
+measured. Entries are written after the replay by `ingest.remember`,
+with the log slots of the histories read from git, and only when
+no root commit of such a history is grafted: a shallow clone's boundary
+commits own every line they hold, so nothing learnt from one may outlive
+its deepening. Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -58,7 +70,6 @@ dropped with a warning and the head is replayed. Semantics:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -69,11 +80,10 @@ from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import translate
 from functools import lru_cache
-from importlib import resources
 from itertools import compress, count, groupby, islice, repeat
 from operator import ne
 
-from . import gitio, metrics
+from . import gitio, ingest, metrics
 from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
 from .ingest import AnalysisWindow, History, RepoHandle
@@ -398,19 +408,13 @@ def _needed_changes(
     return out
 
 
-@lru_cache(maxsize=1)
-def _ownership_code_digest() -> str:
-    """sha256 over the sources that decide ownership, read once per process:
-    an edit to any of them retires every remembered head."""
-    digest = hashlib.sha256()
-    for name in ("attribution.py", "gitio.py", "ingest.py"):
-        digest.update(resources.files(__package__).joinpath(name).read_bytes())
-    return digest.hexdigest()
-
-
-def _memo_key(at: str, excludes: tuple[str, ...], max_file_bytes: int) -> str:
+def _memo_key(
+    at: str, excludes: tuple[str, ...], max_file_bytes: int, kind: str = "replay-memo"
+) -> str:
+    """The key of head `at`'s owners ("replay-memo") or kept-file metrics
+    ("kept-metrics")."""
     payload = json.dumps([at, max_file_bytes, list(excludes)])
-    return cache_key(_ownership_code_digest(), "replay-memo", payload)
+    return cache_key(ingest.memo_code_digest(), kind, payload)
 
 
 def _owner_runs(owners: list[str]) -> list[list]:
@@ -461,91 +465,144 @@ def _recall(
 
 
 def _ownership_at(
-    root: str, heads: Iterable[tuple[History, str | None]], excludes: tuple[str, ...],
-    max_file_bytes: int, store: Store | None = None,
-) -> dict[str, tuple[dict[str, bytes], set[str], _State]]:
+    reader: gitio.ObjectReader, heads: Iterable[tuple[History, str | None]],
+    excludes: tuple[str, ...], max_file_bytes: int, store: Store | None = None,
+) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, dict]]:
     """head -> (kept files -> head bytes in bytewise path order, skipped
-    paths, ownership at the head), for each `(history, head)` with a head.
+    paths, ownership at the head), for each `(history, head)` with a head,
+    and the memo entries of the heads replayed, by key, still to be written.
 
     A path at a head that is not excluded is kept when it is no symlink or
     gitlink and its blob passes `is_blamable`, else skipped. With a
     `store`, a head whose ownership it remembers (see the module
-    docstring) is not replayed, and each replayed head's is stored once
-    the replay ends. Replay runs parents first over the union of the
-    replayed heads' ancestors (the first head's in its order, then each
+    docstring) is not replayed. Replay runs parents first over the union of
+    the replayed heads' ancestors (the first head's in its order, then each
     later head's unseen ones) and applies only changes to their kept paths
     and rename sources; a commit's state is dropped after its last child is
     replayed, unless it is a replayed head. Every blob is requested from
-    one reader before the first one is read, head blobs first and then the
+    `reader` before the first one is read, head blobs first and then the
     replay's in replay order.
     """
     lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
-    if not lineages:
-        return {}
-    with gitio.ObjectReader(root) as reader:
-        candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
-        skipped: dict[str, set[str]] = {}
-        for at, ancestors in lineages.items():
-            candidates[at], skipped[at] = [], set()
-            tree = _tree_at(ancestors, at)
-            for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
-                mode, sha = tree[path]
-                if is_excluded(path, excludes):
-                    continue
-                if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
-                    skipped[at].add(path)
-                else:
-                    candidates[at].append((path, sha))
-        reader.request(dict.fromkeys(sha for pairs in candidates.values() for _, sha in pairs))
-        head_blobs: dict[str, bytes | None] = {}  # blob sha -> content, None when not blamable
-        kept: dict[str, dict[str, bytes]] = {}
-        for at, pairs in candidates.items():
-            for _, sha in pairs:
-                if sha not in head_blobs:  # each distinct head blob is read once
-                    blob = reader.blob(sha)
-                    head_blobs[sha] = blob if is_blamable(blob, max_file_bytes) else None
-            kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
-            skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
-
-        remembered = {}
-        if store is not None:
-            remembered = _recall(store, lineages, kept, excludes, max_file_bytes)
-        missed = [at for at in lineages if at not in remembered]
-        plan_commits = {c.hash: c for at in missed for c in lineages[at].commits}
-        children = Counter(p for commit in plan_commits.values() for p in commit.parents)
-        children.update(missed)  # a replayed head's state outlives its children
-        needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in missed))
-        plan = [(c, _needed_changes(c.changes, needed)) for c in plan_commits.values()]
-        reader.request(
-            change.new_blob
-            for _, changes in plan
-            for change in changes
-            if change.status != "D" and head_blobs.get(change.new_blob) is None
-        )
-
-        def read(sha: str) -> bytes:
-            blob = head_blobs.get(sha)
-            return blob if blob is not None else reader.blob(sha)
-
-        states: dict[str, _State] = {}
-        for commit, changes in plan:
-            if commit.is_merge:
-                parents = [states[p] for p in commit.parents]
-                state = _merge_state(parents, changes, commit.hash, read)
+    candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
+    skipped: dict[str, set[str]] = {}
+    for at, ancestors in lineages.items():
+        candidates[at], skipped[at] = [], set()
+        tree = _tree_at(ancestors, at)
+        for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
+            mode, sha = tree[path]
+            if is_excluded(path, excludes):
+                continue
+            if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
+                skipped[at].add(path)
             else:
-                state = dict(states[commit.parents[0]]) if commit.parents else {}
-                _apply_changes(state, changes, commit.hash, read)
-            states[commit.hash] = state
-            for parent in commit.parents:
-                children[parent] -= 1
-                if not children[parent]:
-                    del states[parent]
+                candidates[at].append((path, sha))
+    reader.request(dict.fromkeys(sha for pairs in candidates.values() for _, sha in pairs))
+    head_blobs: dict[str, bytes | None] = {}  # blob sha -> content, None when not blamable
+    kept: dict[str, dict[str, bytes]] = {}
+    for at, pairs in candidates.items():
+        for _, sha in pairs:
+            if sha not in head_blobs:  # each distinct head blob is read once
+                blob = reader.blob(sha)
+                head_blobs[sha] = blob if is_blamable(blob, max_file_bytes) else None
+        kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
+        skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
+
+    remembered = {}
+    if store is not None:
+        remembered = _recall(store, lineages, kept, excludes, max_file_bytes)
+    missed = [at for at in lineages if at not in remembered]
+    plan_commits = {c.hash: c for at in missed for c in lineages[at].commits}
+    children = Counter(p for commit in plan_commits.values() for p in commit.parents)
+    children.update(missed)  # a replayed head's state outlives its children
+    needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in missed))
+    plan = [(c, _needed_changes(c.changes, needed)) for c in plan_commits.values()]
+    reader.request(
+        change.new_blob
+        for _, changes in plan
+        for change in changes
+        if change.status != "D" and head_blobs.get(change.new_blob) is None
+    )
+
+    def read(sha: str) -> bytes:
+        blob = head_blobs.get(sha)
+        return blob if blob is not None else reader.blob(sha)
+
+    states: dict[str, _State] = {}
+    for commit, changes in plan:
+        if commit.is_merge:
+            parents = [states[p] for p in commit.parents]
+            state = _merge_state(parents, changes, commit.hash, read)
+        else:
+            state = dict(states[commit.parents[0]]) if commit.parents else {}
+            _apply_changes(state, changes, commit.hash, read)
+        states[commit.hash] = state
+        for parent in commit.parents:
+            children[parent] -= 1
+            if not children[parent]:
+                del states[parent]
+    fresh = {}
     if store is not None:
         for at in missed:
             runs = {path: _owner_runs(states[at][path][1]) for path in kept[at]}
-            store.put(_memo_key(at, excludes, max_file_bytes), runs)
+            fresh[_memo_key(at, excludes, max_file_bytes)] = runs
     states.update(remembered)
-    return {at: (kept[at], skipped[at], states[at]) for at in lineages}
+    return {at: (kept[at], skipped[at], states[at]) for at in lineages}, fresh
+
+
+def _metrics_row(measured: metrics.FileMetrics) -> list:
+    """`measured` as a metrics memo row: `[byte size, line count, kind,
+    complexity or None, tag count or None]`, complexity as
+    `[[[name, start, end, score], ...], file score, unparseable]`."""
+    report = measured.complexity and [
+        [[f.name, f.start, f.end, f.score] for f in measured.complexity.functions],
+        measured.complexity.file_score,
+        measured.complexity.unparseable,
+    ]
+    return [measured.byte_size, measured.line_count, measured.kind, report, measured.tag_count]
+
+
+def _remembered_metrics(entry: object, kept: dict[str, bytes]) -> dict[str, metrics.FileMetrics]:
+    """The kept files' metrics that a metrics memo entry holds. ValueError
+    says why the entry is not trusted."""
+    if not isinstance(entry, dict) or entry.keys() != kept.keys():
+        raise ValueError("paths differ from the kept files")
+    out: dict[str, metrics.FileMetrics] = {}
+    try:
+        for path, blob in kept.items():
+            size, line_count, kind, complexity, tag = entry[path]
+            if size != len(blob) or kind != metrics.classify_file(path, blob):
+                raise ValueError(f"metrics differ from the head blob of {path}")
+            report = complexity and metrics.ComplexityReport(
+                tuple(metrics.FunctionComplexity(*f) for f in complexity[0]), *complexity[1:]
+            )
+            out[path] = metrics.FileMetrics(path, size, line_count, kind, report, tag)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed metrics: {exc}") from exc
+    return out
+
+
+def _measured(
+    at: str, kept: dict[str, bytes], excludes: tuple[str, ...], max_file_bytes: int,
+    store: Store | None, fresh: dict[str, dict],
+) -> tuple[KeptFile, ...]:
+    """The kept files at head `at` with their metrics: remembered in
+    `store` when it holds a trusted entry, else computed, and then their
+    entry added to `fresh`. An entry not trusted is dropped with a
+    warning."""
+    key = _memo_key(at, excludes, max_file_bytes, "kept-metrics")
+    entry = store.get(key) if store is not None else None
+    measured = None
+    if entry is not None:
+        try:
+            measured = _remembered_metrics(entry, kept)
+        except ValueError as exc:
+            logger.warning("metrics memo entry dropped: %s (%s)", at, exc)
+    if measured is None:
+        measured = {path: metrics.compute_file_metrics(path, blob) for path, blob in kept.items()}
+        if store is not None:
+            fresh[key] = {path: _metrics_row(m) for path, m in measured.items()}
+    return tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
 
 
 def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
@@ -575,7 +632,9 @@ def _blame(
 ) -> list[LineAttribution]:
     """Replay up to `at`, then one attribution per line of each kept file,
     credited to the owning commit's primary author."""
-    kept, _, state = _ownership_at(root, [(history, at)], excludes, max_file_bytes)[at]
+    with gitio.ObjectReader(root) as reader:
+        owned, _ = _ownership_at(reader, [(history, at)], excludes, max_file_bytes)
+    kept, _, state = owned[at]
     commits = history.by_sha
     owning = set().union(*(state[path][1] for path in kept))
     credit_lists = _credit_lists((commits[sha] for sha in owning), roster)
@@ -601,7 +660,9 @@ def blame_snapshot(
     Lines are credited to the primary author of the owning commit;
     co-author splitting is applied later, during evidence aggregation.
     """
-    history = repo.history if at in repo.history.by_sha else History(gitio.log(repo.root_path, at))
+    history = repo.history
+    if at not in history.by_sha:
+        history, _ = ingest.load_history(repo.root_path, at, at)
     return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
 
 
@@ -626,7 +687,6 @@ def build_contribution_set(
     roster: Roster,
     options: AttributionOptions = AttributionOptions(),
     branches: Iterable[str] = (),
-    store: Store | None = None,
 ) -> ContributionSet:
     """Aggregate per-(student, file) evidence over the window-end snapshot.
 
@@ -637,9 +697,16 @@ def build_contribution_set(
     the per-file partition invariant stays exact. The line walk and the
     message loop share one credit list per commit.
     Each of `branches` costs one `git log`; its window head is replayed
-    with the default branch's, and `_branch_section` filters it. A head
-    whose ownership `store` remembers is not replayed.
+    with the default branch's, and `_branch_section` filters it.
+
+    The store `repo` was opened with is the run's memo (see the module
+    docstring): a branch whose log it holds for the branch's tip spawns no
+    `git log`, a head whose ownership it remembers is not replayed, and
+    the default window head's kept files are not measured again. What was
+    loaded or computed anew is written to it once no history read from
+    git turns out to be grafted.
     """
+    store = repo.store
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
     history = repo.history
@@ -656,25 +723,25 @@ def build_contribution_set(
             evidence[key] = ContributionEvidence(student=student, path=path)
         return evidence[key]
 
-    # one History per included branch; None for a branch the repository lacks
-    branch_histories = {
-        branch: History(gitio.log(repo.root_path, repo.tips[branch]))
-        if branch in repo.tips else None
+    # (History, log slot to write) per included branch the repository has
+    loaded = {
+        branch: ingest.load_history(repo.root_path, branch, repo.tips[branch], store)
         for branch in branches
+        if branch in repo.tips
     }
-
-    owned = _ownership_at(
-        repo.root_path,
-        [(h, h.window_head(window)) for h in (history, *branch_histories.values()) if h],
-        tuple(options.exclude_globs),
-        options.max_file_bytes,
-        store,
-    )
-    kept, skipped, state = owned[head] if head else ({}, set(), {})
-    files = tuple(
-        KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
-        for path, blob in kept.items()
-    )
+    # one History per included branch; None for a branch the repository lacks
+    branch_histories = {branch: loaded[branch][0] if branch in loaded else None for branch in branches}
+    histories = [history, *(h for h, _ in loaded.values())]
+    excludes, max_file_bytes = tuple(options.exclude_globs), options.max_file_bytes
+    with gitio.ObjectReader(repo.root_path) as reader:
+        owned, fresh = _ownership_at(
+            reader, [(h, h.window_head(window)) for h in histories], excludes, max_file_bytes,
+            store,
+        )
+        kept, skipped, state = owned[head] if head else ({}, set(), {})
+        files = _measured(head, kept, excludes, max_file_bytes, store, fresh) if head else ()
+        if store is not None:
+            ingest.remember(store, reader, [repo.loaded, *loaded.values()], fresh)
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(
         [*window_commits, *(history.by_sha[sha] for sha in owning)], roster
@@ -721,7 +788,7 @@ def build_contribution_set(
         for path in sorted(touched):
             # a head file that is not kept gets no row; a path gone by the
             # head keeps the messages that touched it
-            if path in skipped or is_excluded(path, tuple(options.exclude_globs)):
+            if path in skipped or is_excluded(path, excludes):
                 continue
             for student in credits:
                 evidence_row(student, path).commit_messages.append(commit.message)

@@ -3,12 +3,19 @@
 Three kinds of git process, all against a local object store (no
 porcelain, no working tree, no network):
 
-* one `git log` stream per ref, parsed by `log` into `Commit`s that each
-  carry their file changes against the first parent;
+* one `git log` stream per ref, read whole by `raw_log` and parsed by
+  `parse_log` into `Commit`s that each carry their file changes against
+  the first parent (`log` does both). The raw output is kept apart so a
+  caller can remember it: the run's `Store` holds one per ref, keyed by
+  repository and ref name and trusted only for the tip it was read at
+  (see `ingest.load_history`), so a ref whose tip has not moved spawns
+  no `git log`. A git upgrade that prints the log differently and a
+  `git replace` are not in that key;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
-  blob contents: requests are written ahead in batches of at most 4 KiB,
-  which one pipe page always holds, and answers are read back in order
-  with a `_GIT_TIMEOUT` poll before each read;
+  blob and commit contents, started on the first read: requests are
+  written ahead in batches of at most 4 KiB, which one pipe page always
+  holds, and answers are read back in order with a `_GIT_TIMEOUT` poll
+  before each read;
 * short one-off commands (ref lookups) through `git`.
 
 Higher modules (ingest, attribution) build on these primitives.
@@ -103,12 +110,14 @@ RENAME_THRESHOLD = "-M50%"
 _LOG_FORMAT = "--format=%x01%H%x00%P%x00%an%x00%ae%x00%at%x00%B"
 
 
-def log(root: str, tip: str) -> list[Commit]:
-    """Every commit reachable from `tip`, parents-first (topological order).
+def raw_log(root: str, tip: str) -> bytes:
+    """The `git log` output `parse_log` reads: every commit reachable from
+    `tip`, parents-first (topological order).
 
     One `git log` process: merges are diffed against their first parent,
     root commits against the empty tree, renames detected at the 50%
-    threshold, raw -z output so arbitrary path bytes survive.
+    threshold, raw -z output so arbitrary path bytes survive. Raises
+    UnknownCommit when `tip` names no commit.
     """
     try:
         out = git(
@@ -118,6 +127,13 @@ def log(root: str, tip: str) -> list[Commit]:
         )
     except GitError as exc:
         raise UnknownCommit(tip) from exc
+    if not out:  # git log accepts a blob or tree and prints nothing
+        raise UnknownCommit(tip)
+    return out
+
+
+def parse_log(out: bytes) -> list[Commit]:
+    """The commits of `raw_log` output, in its order."""
     fields = [f.decode("utf-8", "replace") for f in out.split(b"\0")]
     commits: list[Commit] = []
     i = 0
@@ -148,19 +164,24 @@ def log(root: str, tip: str) -> list[Commit]:
                 changes=tuple(changes),
             )
         )
-    if not commits:  # git log accepts a blob or tree and prints nothing
-        raise UnknownCommit(tip)
     return commits
 
 
-class ObjectReader:
-    """Persistent `git cat-file --batch` process for blob reads.
+def log(root: str, tip: str) -> list[Commit]:
+    """Every commit reachable from `tip`, parents-first, from one `git log`."""
+    return parse_log(raw_log(root, tip))
 
-    One subprocess serves every blob fetch for a repository, and `cat-file`
-    answers its requests in order on one pipe, so a reader that knows its
-    reads in advance `request`s them and the round trips overlap: `get`
-    writes queued requests ahead in batches of at most `_WRITE_AHEAD`
-    bytes, one batch at a time, and reads the answers back in order.
+
+class ObjectReader:
+    """Persistent `git cat-file --batch` process for object reads.
+
+    The process starts on the first read, so a reader that reads nothing
+    spawns nothing. It then serves every object fetch for a repository,
+    and `cat-file` answers its requests in order on one pipe, so a reader
+    that knows its reads in advance `request`s them and the round trips
+    overlap: `get` writes queued requests ahead in batches of at most
+    `_WRITE_AHEAD` bytes, one batch at a time, and reads the answers back
+    in order.
 
     The bound keeps the pipes from deadlocking. A batch is written only
     once every earlier answer is read, and one batch fits into a pipe even
@@ -178,8 +199,14 @@ class ObjectReader:
 
     def __init__(self, root: str):
         self.root = root
+        self._proc: subprocess.Popen | None = None  # started by the first write
+        self._buffer = bytearray()  # answer bytes read but not yet consumed
+        self._queued: deque[str] = deque()  # requested, not yet written
+        self._unanswered: deque[str] = deque()  # written, answer not yet read
+
+    def _start(self) -> None:
         self._proc = subprocess.Popen(
-            ["git", "-C", root, "cat-file", "--batch"],
+            ["git", "-C", self.root, "cat-file", "--batch"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             bufsize=0,
@@ -189,9 +216,6 @@ class ObjectReader:
         self._stdout = self._proc.stdout.fileno()
         self._poll = select.poll()
         self._poll.register(self._stdout, select.POLLIN)
-        self._buffer = bytearray()  # answer bytes read but not yet consumed
-        self._queued: deque[str] = deque()  # requested, not yet written
-        self._unanswered: deque[str] = deque()  # written, answer not yet read
 
     def request(self, refs: Iterable[str]) -> None:
         """Queue `refs`, in the order `get` will be asked for them."""
@@ -227,6 +251,8 @@ class ObjectReader:
 
     def _write_batch(self) -> None:
         """Write queued requests, at most `_WRITE_AHEAD` bytes (one at least)."""
+        if self._proc is None:
+            self._start()
         batch = bytearray()
         while self._queued and (
             not batch or len(batch) + len(self._queued[0]) < _WRITE_AHEAD
@@ -280,6 +306,8 @@ class ObjectReader:
         is lost; an end-of-input would not end a process blocked on a
         stdout pipe full of answers left unread after an error, nor one
         that hangs."""
+        if self._proc is None:
+            return
         self._proc.kill()
         self._proc.wait()
         self._proc.stdin.close()

@@ -4,9 +4,13 @@ One team's failure never aborts the others; the CLI collects TeamResult
 objects and reports per-team outcomes. All artifacts land under
 out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly. A team's default
-and included branches are replayed once, together, on one `cat-file` reader,
-and a window head replayed before is not replayed again: its line owners
-are remembered in the run's `Store` (see `attribution`).
+and included branches are replayed once, together, on one `cat-file` reader.
+Re-running a window repeats no git log, replay or measurement: each
+ref's `git log` output, each replayed head's line owners and the window
+head's file metrics are remembered in the run's `Store`, keyed by what
+they derive from and checked before they are trusted (see `ingest` and
+`attribution`), so a fully remembered team spawns two git processes,
+the branch listing and the reader of its head blobs.
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -107,14 +111,18 @@ def _load_team(
     repo_path: str, cfg: RunConfig, roster: Roster, store: Store
 ) -> tuple[ingest.RepoHandle, attribution.ContributionSet]:
     """The team's history and its replay: the repo handle and contribution
-    set. A window head whose ownership `store` remembers is not replayed."""
-    repo = ingest.open_repo(repo_path, cfg.branch)
+    set. The repository is opened with `store`, the run's memo: a ref whose
+    log it holds for the ref's tip spawns no `git log`, a window head whose
+    ownership it remembers is not replayed, and a window head whose kept
+    files' metrics it remembers is not measured (see `ingest` and
+    `attribution`)."""
+    repo = ingest.open_repo(repo_path, cfg.branch, store)
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
     )
     cset = attribution.build_contribution_set(
-        repo, cfg.window, roster, options, cfg.include_branches, store
+        repo, cfg.window, roster, options, cfg.include_branches
     )
     return repo, cset
 

@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from contribsum.ingest import AnalysisWindow
-from contribsum import gitio, synthfix
+from contribsum import gitio, ingest, synthfix
 from contribsum.agents import chain
 from contribsum.synthfix import (
     Delete,
@@ -306,6 +306,18 @@ def random_script(seed: int) -> RepoScript:
     )
     script.checkpoints.append((len(steps) - 1, "final"))
     return script
+
+
+@pytest.fixture(scope="session")
+def branch_repos(tmp_path_factory):
+    """(handle, truth, feature branch History) of 24 `random_branch_script` seeds."""
+    root = tmp_path_factory.mktemp("branch-repos")
+    built = []
+    for seed in range(24):
+        handle, truth = synthfix.build(random_branch_script(seed), root / f"b{seed}")
+        feature = ingest.History(gitio.log(handle.root_path, handle.tips["feature"]))
+        built.append((handle, truth, feature))
+    return built
 
 
 def random_branch_script(seed: int) -> RepoScript:

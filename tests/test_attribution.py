@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 from collections import Counter
@@ -11,16 +12,16 @@ from fnmatch import fnmatch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complexity_corpus import CORPUS
 from conftest import (
     JUNE,
     PRUNE_MAX_FILE_BYTES,
     ROSTER_TEXT,
-    random_branch_script,
     random_pruning_script,
     random_script,
     tree_files,
 )
-from contribsum import attribution, gitio, ingest, synthfix
+from contribsum import attribution, gitio, ingest, metrics as metrics_module, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
@@ -846,16 +847,17 @@ class TestUnmergedBranch:
         assert [name for name, _ in lines] == [truth.roster.by_id("bob").display_name]
 
 
-@pytest.fixture(scope="module")
-def branch_repos(tmp_path_factory):
-    """(handle, truth, feature branch History) of 24 `random_branch_script` seeds."""
-    root = tmp_path_factory.mktemp("branch-repos")
-    built = []
-    for seed in range(24):
-        handle, truth = synthfix.build(random_branch_script(seed), root / f"b{seed}")
-        feature = ingest.History(gitio.log(handle.root_path, handle.tips["feature"]))
-        built.append((handle, truth, feature))
-    return built
+def _opened(handle, store: Store) -> ingest.RepoHandle:
+    """`handle`'s repository opened anew with `store` as the run's memo."""
+    return ingest.open_repo(handle.root_path, handle.default_branch, store)
+
+
+def _ownership_at(root, heads, excludes, max_file_bytes, store=None) -> dict:
+    """`attribution._ownership_at` on a reader of its own, without the
+    memo entries it would write."""
+    with gitio.ObjectReader(root) as reader:
+        owned, _ = attribution._ownership_at(reader, heads, excludes, max_file_bytes, store)
+    return owned
 
 
 class TestBranchReplay:
@@ -867,11 +869,11 @@ class TestBranchReplay:
         for seed, (handle, truth, feature) in enumerate(branch_repos):
             main = handle.history
             heads = [(main, main.window_head(JUNE)), (feature, feature.window_head(JUNE))]
-            together = attribution._ownership_at(
+            together = _ownership_at(
                 handle.root_path, heads, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES
             )
             for history, at in heads:
-                kept, skipped, state = attribution._ownership_at(
+                kept, skipped, state = _ownership_at(
                     handle.root_path, [(history, at)], DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES
                 )[at]
                 assert together[at][:2] == (kept, skipped), f"seed {seed}"
@@ -997,7 +999,7 @@ class TestReplayMemo:
     @staticmethod
     def _owned(handle, heads, options, store=None) -> dict:
         """head -> (kept files, skipped paths, the kept files' ownership)."""
-        owned = attribution._ownership_at(
+        owned = _ownership_at(
             handle.root_path, heads, options.exclude_globs, options.max_file_bytes, store
         )
         return {
@@ -1011,10 +1013,10 @@ class TestReplayMemo:
         heads = _heads(handle, JUNE, branches)
         plain = build_contribution_set(handle, JUNE, truth.roster, options, branches)
         plain_owned = self._owned(handle, heads, options)
-        build_contribution_set(handle, JUNE, truth.roster, options, branches, store)
+        build_contribution_set(_opened(handle, store), JUNE, truth.roster, options, branches)
         replayed.clear()
         reads.clear()
-        again = build_contribution_set(handle, JUNE, truth.roster, options, branches, store)
+        again = build_contribution_set(_opened(handle, store), JUNE, truth.roster, options, branches)
         assert replayed == []
         assert len(reads) == len(set(reads)) == _head_blobs(handle, heads, ())
         assert self._handed_on(again) == self._handed_on(plain)
@@ -1045,7 +1047,7 @@ class TestReplayMemo:
         earlier = AnalysisWindow(start=JUNE.start, end=middle.authored_at, label="earlier")
         assert handle.history.window_head(earlier) != handle.history.window_head(JUNE)
         store = Store(tmp_path / "cache")
-        build_contribution_set(handle, JUNE, truth.roster, AttributionOptions(), (), store)
+        build_contribution_set(_opened(handle, store), JUNE, truth.roster)
         for window, options in (
             (JUNE, AttributionOptions(exclude_globs=())),
             (JUNE, AttributionOptions(exclude_globs=DEFAULT_EXCLUDE_GLOBS[::-1])),
@@ -1054,7 +1056,7 @@ class TestReplayMemo:
         ):
             plain = build_contribution_set(handle, window, truth.roster, options)
             replayed.clear()
-            cset = build_contribution_set(handle, window, truth.roster, options, (), store)
+            cset = build_contribution_set(_opened(handle, store), window, truth.roster, options)
             assert replayed, (window.label, options)
             assert self._handed_on(cset) == self._handed_on(plain)
 
@@ -1062,11 +1064,11 @@ class TestReplayMemo:
         replayed, _ = work
         for seed, (handle, truth, feature) in enumerate(branch_repos):
             store = Store(tmp_path / f"b{seed}")
-            build_contribution_set(handle, JUNE, truth.roster, store=store)
+            build_contribution_set(_opened(handle, store), JUNE, truth.roster)
             plain = build_contribution_set(handle, JUNE, truth.roster, branches=("feature",))
             replayed.clear()
             cset = build_contribution_set(
-                handle, JUNE, truth.roster, branches=("feature",), store=store
+                _opened(handle, store), JUNE, truth.roster, branches=("feature",)
             )
             head = feature.window_head(JUNE)
             assert sorted(replayed) == sorted(feature.ancestors(head).by_sha), f"seed {seed}"
@@ -1109,7 +1111,7 @@ class TestReplayMemo:
         key = attribution._memo_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
         plain = build_contribution_set(handle, JUNE, truth.roster)
         warm = Store(tmp_path / "warm")
-        build_contribution_set(handle, JUNE, truth.roster, store=warm)
+        build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
         entry = warm.get(key)
         for name, spoilt in self._spoilt(entry, head, feature.window_head(JUNE)).items():
             store = Store(tmp_path / "spoilt" / name)
@@ -1117,10 +1119,133 @@ class TestReplayMemo:
             replayed.clear()
             caplog.clear()
             with caplog.at_level("WARNING", logger="contribsum.attribution"):
-                cset = build_contribution_set(handle, JUNE, truth.roster, store=store)
+                cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
             assert [m.split(" (")[0] for m in caplog.messages] == [
                 f"replay memo entry dropped: {head}"
             ], name
             assert replayed, name
             assert self._handed_on(cset) == self._handed_on(plain), name
             assert store.get(key) == entry, name  # the replay's entry replaces it
+
+
+def _measured_script() -> RepoScript:
+    """Files of every kind the metrics tell apart: each corpus source as a
+    script, notebooks (one malformed), markup and plain text."""
+    notebook = json.dumps({"cells": [
+        {"cell_type": "markdown", "source": ["# title\n"]},
+        {"cell_type": "code", "source": ["def f(x):\n", "    return 1 if x else 2\n"]},
+    ]})
+    files = [SetFile(f"corpus/case_{n}.py", tuple(source.strip("\n").splitlines()))
+             for n, (source, _) in enumerate(CORPUS)]
+    files += [
+        SetFile("nb/ok.ipynb", (notebook,)),
+        SetFile("nb/broken.ipynb", ("{not json",)),
+        SetFile("web/index.html", ("<html><body>", "<!-- <p> -->", "<p>hi</p>", "</body></html>")),
+        SetFile("notes.md", ("# notes", "text")),
+        SetFile("empty.py", ("",)),
+    ]
+    return RepoScript(
+        name="measured", roster_text=ROSTER_TEXT,
+        steps=[Step("Alice Lee", "alice@campus.edu", message="start", ops=tuple(files))],
+    )
+
+
+class TestMetricsMemo:
+    """The default window head's kept-file metrics are remembered in the
+    run's Store: a second run measures nothing and hands on what
+    `compute_file_metrics` gives. An entry that is not trusted is dropped
+    with a warning, and the files are measured again."""
+
+    @pytest.fixture
+    def measured(self, tmp_path):
+        handle, truth = synthfix.build(_measured_script(), tmp_path / "measured")
+        return handle, truth
+
+    @pytest.fixture
+    def scans(self, monkeypatch) -> list[str]:
+        scanned: list[str] = []
+        real = metrics_module.compute_file_metrics
+
+        def counting(path, content):
+            scanned.append(path)
+            return real(path, content)
+
+        monkeypatch.setattr(metrics_module, "compute_file_metrics", counting)
+        return scanned
+
+    def _check_second_run(self, handle, truth, store, scans) -> None:
+        plain = build_contribution_set(handle, JUNE, truth.roster)
+        build_contribution_set(_opened(handle, store), JUNE, truth.roster)
+        scans.clear()
+        again = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
+        assert scans == []
+        assert [(f.path, f.metrics) for f in again.files] == [
+            (f.path, compute_file_metrics(f.path, f.content)) for f in plain.files
+        ]
+        assert again.to_json() == plain.to_json()
+
+    def test_remembered_metrics_equal_computed(
+        self, measured, built_fixtures, tmp_path, scans
+    ):
+        handle, truth = measured
+        kinds = {f.metrics.kind for f in build_contribution_set(handle, JUNE, truth.roster).files}
+        assert kinds == {"script", "notebook", "markup", "other"}
+        self._check_second_run(handle, truth, Store(tmp_path / "measured-cache"), scans)
+        for name, (handle, truth) in built_fixtures.items():
+            self._check_second_run(handle, truth, Store(tmp_path / name), scans)
+
+    def test_rows_round_trip_over_the_corpus(self):
+        kept = {f"case_{n}.py": source.encode() for n, (source, _) in enumerate(CORPUS)}
+        computed = {path: compute_file_metrics(path, blob) for path, blob in kept.items()}
+        rows = {path: attribution._metrics_row(m) for path, m in computed.items()}
+        entry = json.loads(json.dumps(rows))
+        assert attribution._remembered_metrics(entry, kept) == computed
+
+    @staticmethod
+    def _spoilt(entry: dict) -> dict[str, object]:
+        """Name -> `entry` spoilt one way."""
+        script = next(p for p, row in entry.items() if row[2] == "script" and row[3][0])
+        row = entry[script]
+        size, lines, kind, (functions, score, unparseable), tag = row
+        name, start, end, _ = functions[0]
+        spoilt_rows = {
+            "row too short": row[:4],
+            "row as text": "row",
+            "one byte more": [size + 1, *row[1:]],
+            "kind of another file": [size, lines, "markup", None, 3],
+            "function with three fields": [
+                size, lines, kind, [[[name, start, end]], score, unparseable], tag
+            ],
+        }
+        spoilt: dict[str, object] = {label: {**entry, script: r} for label, r in spoilt_rows.items()}
+        spoilt["missing path"] = {p: r for p, r in entry.items() if p != script}
+        spoilt["extra path"] = {**entry, "ghost.py": row}
+        spoilt["not a dict"] = [row]
+        return spoilt
+
+    def test_untrusted_entry_dropped_and_measured(self, measured, tmp_path, scans, caplog):
+        handle, truth = measured
+        head = handle.history.window_head(JUNE)
+        key = attribution._memo_key(
+            head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES, "kept-metrics"
+        )
+        plain = build_contribution_set(handle, JUNE, truth.roster)
+        warm = Store(tmp_path / "warm")
+        build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
+        entry = warm.get(key)
+        assert entry.keys() == {f.path for f in plain.files}
+        for name, spoilt in self._spoilt(entry).items():
+            store = Store(tmp_path / "spoilt" / name)
+            store.put(key, spoilt)
+            scans.clear()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="contribsum.attribution"):
+                cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
+            assert [m.split(" (")[0] for m in caplog.messages] == [
+                f"metrics memo entry dropped: {head}"
+            ], name
+            assert len(scans) == len(plain.files), name
+            assert [(f.path, f.metrics) for f in cset.files] == [
+                (f.path, f.metrics) for f in plain.files
+            ], name
+            assert store.get(key) == entry, name  # the measured entry replaces it

@@ -99,18 +99,17 @@ def _git_spawns(monkeypatch, run) -> list:
 
 class TestGitSpawns:
     def test_spawns_do_not_grow_with_commit_count(self, tmp_path, monkeypatch):
-        """Every run shares one store, so each configuration runs once with
-        its branch heads new (the first run with every head new) and once
-        with every head remembered."""
+        """Each configuration runs twice on a store of its own: first with
+        every ref and head new, then with every one remembered."""
         roster = load_roster(ROSTER_TEXT)
-        store = Store(tmp_path / "cache")
         counts = {}
         for commits in (30, 300):
             handle, _ = synthfix.build(_history(commits), tmp_path / f"repo-{commits}")
             for branches in ((), ("side",), ("side", "topic"), ("absent",)):
+                name = f"run-{commits}-{'-'.join(branches)}"
+                store = Store(tmp_path / name / "cache")
                 for warm in (False, True):
-                    name = f"run-{commits}-{'-'.join(branches)}-{warm}"
-                    cfg = _config(tmp_path / name, [], branches)
+                    cfg = _config(tmp_path / name / str(warm), [], branches)
 
                     def run():
                         with chain.SendPool(cfg.analysis_workers) as sends:
@@ -123,14 +122,16 @@ class TestGitSpawns:
                     spawns = _git_spawns(monkeypatch, run)
                     counts[commits, branches, warm] = len(spawns)
                     assert sum("cat-file" in args for args in spawns) == 1  # one reader per team
-        # one open_repo branch listing, one log stream and one cat-file
-        # reader, plus one log stream per included branch that exists
+        # new: one open_repo branch listing, one log stream and one cat-file
+        # reader, plus one log stream per included branch that exists;
+        # remembered: the branch listing and the reader of the head blobs
         for commits in (30, 300):
-            for warm in (False, True):
-                assert counts[commits, (), warm] == 3
-                assert counts[commits, ("side",), warm] == 4
-                assert counts[commits, ("side", "topic"), warm] == 5
-                assert counts[commits, ("absent",), warm] == 3
+            assert counts[commits, (), False] == 3
+            assert counts[commits, ("side",), False] == 4
+            assert counts[commits, ("side", "topic"), False] == 5
+            assert counts[commits, ("absent",), False] == 3
+            for branches in ((), ("side",), ("side", "topic"), ("absent",)):
+                assert counts[commits, branches, True] == 2, branches
 
 
 class TestReplayMemoBound:
