@@ -27,30 +27,10 @@ metrics, computed once, so the pipeline reads no blob of its own.
 Exclude globs are matched as one compiled pattern.
 
 Ownership at a head sha never changes: it depends on commit history
-alone, and the metrics of the files kept at it on their bytes alone.
-Given the run's `Store`, replay remembers each head's kept-file owners as
-run lengths (kept path -> `[[owner sha, run length], ...]`), and the
-default window head's kept-file `FileMetrics` as rows (kept path ->
-`_metrics_row`). Both keys cover `ingest.memo_code_digest` (a digest of
-this module's, `gitio`'s, `ingest`'s and `metrics`' sources), the kind of
-entry, the head sha, the byte limit and the exclude globs in order;
-branch heads are never measured, so they have no metrics entry. Git's
-rename pairing and `git replace` objects are not in the key, so an entry
-written before a git upgrade that pairs renames differently is still
-trusted. A remembered head is not replayed: its head blobs are still
-read and sorted into kept and skipped files, and each kept file's owners
-are laid beside its head lines. An owners entry is trusted only when it
-covers exactly the kept paths, every run is a (sha, positive length)
-pair, each file's runs sum to its head line count and every sha is in
-the head's ancestry; a metrics entry only when it covers exactly the
-kept paths and each row builds a `FileMetrics` with the kind the file's
-path and bytes give and the byte size of its head blob. Otherwise the
-entry is dropped with a warning, and the head is replayed or its files
-measured. Entries are written after the replay by `ingest.remember`,
-with the log slots of the histories read from git, and only when
-no root commit of such a history is grafted: a shallow clone's boundary
-commits own every line they hold, so nothing learnt from one may outlive
-its deepening. Semantics:
+alone, and the metrics of the files kept at it on their bytes alone. So
+a head the run's `memo` remembers is not replayed or measured: its head
+blobs are still read and sorted into kept and skipped files.
+Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
 * merge commits are transparent: their lines keep the original authors
@@ -71,7 +51,6 @@ its deepening. Semantics:
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable
@@ -80,16 +59,14 @@ from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import translate
 from functools import lru_cache
-from itertools import compress, count, groupby, islice, repeat
+from itertools import compress, count, islice
 from operator import ne
 
-from . import gitio, ingest, metrics
+from . import gitio, ingest, memo, metrics
 from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
 from .ingest import AnalysisWindow, History, RepoHandle
-from .store import Store, cache_key
-
-logger = logging.getLogger(__name__)
+from .store import Store
 
 # Paths that routinely contain generated or vendored content; crediting
 # them inflates minor work, so they are excluded from blame by default.
@@ -189,10 +166,6 @@ class ContributionSet:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _split_lines(blob: bytes) -> list[str]:
-    return blob.decode("utf-8", "replace").splitlines()
-
-
 # A file's ownership: its lines and, in a parallel list, the sha of the
 # commit owning each one. Owner lists are shared between commit states,
 # so they are never changed in place.
@@ -266,7 +239,7 @@ def _apply_changes(
         if change.status == "D":
             state.pop(change.path, None)
             continue
-        new_lines = _split_lines(read(change.new_blob))
+        new_lines = metrics.text_lines(read(change.new_blob))
         if change.status == "A":
             state[change.path] = (new_lines, [commit] * len(new_lines))
         elif change.status == "R":
@@ -300,7 +273,7 @@ def _merge_state(
         if change.status == "D":
             state.pop(change.path, None)
             continue
-        new_lines = _split_lines(read(change.new_blob))
+        new_lines = metrics.text_lines(read(change.new_blob))
         stripped = [l.rstrip() for l in new_lines]
         if change.status == "R":
             base = state.pop(change.old_path or "", _NONE)
@@ -408,74 +381,19 @@ def _needed_changes(
     return out
 
 
-def _memo_key(
-    at: str, excludes: tuple[str, ...], max_file_bytes: int, kind: str = "replay-memo"
-) -> str:
-    """The key of head `at`'s owners ("replay-memo") or kept-file metrics
-    ("kept-metrics")."""
-    payload = json.dumps([at, max_file_bytes, list(excludes)])
-    return cache_key(ingest.memo_code_digest(), kind, payload)
-
-
-def _owner_runs(owners: list[str]) -> list[list]:
-    """`owners` as `[sha, run length]` pairs."""
-    return [[sha, sum(1 for _ in run)] for sha, run in groupby(owners)]
-
-
-def _remembered_state(entry: object, ancestry: History, kept: dict[str, bytes]) -> _State:
-    """The kept files' ownership that a memo entry holds, each owner list
-    laid beside the file's head lines. ValueError says why the entry is not
-    trusted."""
-    if not isinstance(entry, dict) or entry.keys() != kept.keys():
-        raise ValueError("paths differ from the kept files")
-    state: _State = {}
-    for path, blob in kept.items():
-        runs = entry[path]
-        if not isinstance(runs, list) or not all(
-            isinstance(run, list) and len(run) == 2 and isinstance(run[0], str)
-            and type(run[1]) is int and run[1] > 0
-            for run in runs
-        ):
-            raise ValueError(f"malformed runs for {path}")
-        lines = _split_lines(blob)
-        if sum(n for _, n in runs) != len(lines):
-            raise ValueError(f"runs do not cover the lines of {path}")
-        if not all(sha in ancestry.by_sha for sha, _ in runs):
-            raise ValueError(f"owner outside the head's ancestry in {path}")
-        state[path] = (lines, [owner for sha, n in runs for owner in repeat(sha, n)])
-    return state
-
-
-def _recall(
-    store: Store, lineages: dict[str, History], kept: dict[str, dict[str, bytes]],
-    excludes: tuple[str, ...], max_file_bytes: int,
-) -> dict[str, _State]:
-    """head -> its ownership, for each head of which `store` holds a
-    trusted entry; an entry not trusted is dropped with a warning."""
-    remembered: dict[str, _State] = {}
-    for at, ancestry in lineages.items():
-        entry = store.get(_memo_key(at, excludes, max_file_bytes))
-        if entry is None:
-            continue
-        try:
-            remembered[at] = _remembered_state(entry, ancestry, kept[at])
-        except ValueError as exc:
-            logger.warning("replay memo entry dropped: %s (%s)", at, exc)
-    return remembered
-
-
 def _ownership_at(
     reader: gitio.ObjectReader, heads: Iterable[tuple[History, str | None]],
     excludes: tuple[str, ...], max_file_bytes: int, store: Store | None = None,
-) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, dict]]:
+    measured_head: str | None = None,
+) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, dict | None]]:
     """head -> (kept files -> head bytes in bytewise path order, skipped
     paths, ownership at the head), for each `(history, head)` with a head,
-    and the memo entries of the heads replayed, by key, still to be written.
+    and head -> the kept files' remembered metrics (None unless it is
+    `measured_head`) for each head `memo` recalls from `store`.
 
     A path at a head that is not excluded is kept when it is no symlink or
-    gitlink and its blob passes `is_blamable`, else skipped. With a
-    `store`, a head whose ownership it remembers (see the module
-    docstring) is not replayed. Replay runs parents first over the union of
+    gitlink and its blob passes `is_blamable`, else skipped. A recalled
+    head is not replayed. Replay runs parents first over the union of
     the replayed heads' ancestors (the first head's in its order, then each
     later head's unseen ones) and applies only changes to their kept paths
     and rename sources; a commit's state is dropped after its last child is
@@ -510,7 +428,7 @@ def _ownership_at(
 
     remembered = {}
     if store is not None:
-        remembered = _recall(store, lineages, kept, excludes, max_file_bytes)
+        remembered = memo.recall(store, lineages, kept, measured_head, excludes, max_file_bytes)
     missed = [at for at in lineages if at not in remembered]
     plan_commits = {c.hash: c for at in missed for c in lineages[at].commits}
     children = Counter(p for commit in plan_commits.values() for p in commit.parents)
@@ -541,68 +459,9 @@ def _ownership_at(
             children[parent] -= 1
             if not children[parent]:
                 del states[parent]
-    fresh = {}
-    if store is not None:
-        for at in missed:
-            runs = {path: _owner_runs(states[at][path][1]) for path in kept[at]}
-            fresh[_memo_key(at, excludes, max_file_bytes)] = runs
-    states.update(remembered)
-    return {at: (kept[at], skipped[at], states[at]) for at in lineages}, fresh
-
-
-def _metrics_row(measured: metrics.FileMetrics) -> list:
-    """`measured` as a metrics memo row: `[byte size, line count, kind,
-    complexity or None, tag count or None]`, complexity as
-    `[[[name, start, end, score], ...], file score, unparseable]`."""
-    report = measured.complexity and [
-        [[f.name, f.start, f.end, f.score] for f in measured.complexity.functions],
-        measured.complexity.file_score,
-        measured.complexity.unparseable,
-    ]
-    return [measured.byte_size, measured.line_count, measured.kind, report, measured.tag_count]
-
-
-def _remembered_metrics(entry: object, kept: dict[str, bytes]) -> dict[str, metrics.FileMetrics]:
-    """The kept files' metrics that a metrics memo entry holds. ValueError
-    says why the entry is not trusted."""
-    if not isinstance(entry, dict) or entry.keys() != kept.keys():
-        raise ValueError("paths differ from the kept files")
-    out: dict[str, metrics.FileMetrics] = {}
-    try:
-        for path, blob in kept.items():
-            size, line_count, kind, complexity, tag = entry[path]
-            if size != len(blob) or kind != metrics.classify_file(path, blob):
-                raise ValueError(f"metrics differ from the head blob of {path}")
-            report = complexity and metrics.ComplexityReport(
-                tuple(metrics.FunctionComplexity(*f) for f in complexity[0]), *complexity[1:]
-            )
-            out[path] = metrics.FileMetrics(path, size, line_count, kind, report, tag)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed metrics: {exc}") from exc
-    return out
-
-
-def _measured(
-    at: str, kept: dict[str, bytes], excludes: tuple[str, ...], max_file_bytes: int,
-    store: Store | None, fresh: dict[str, dict],
-) -> tuple[KeptFile, ...]:
-    """The kept files at head `at` with their metrics: remembered in
-    `store` when it holds a trusted entry, else computed, and then their
-    entry added to `fresh`. An entry not trusted is dropped with a
-    warning."""
-    key = _memo_key(at, excludes, max_file_bytes, "kept-metrics")
-    entry = store.get(key) if store is not None else None
-    measured = None
-    if entry is not None:
-        try:
-            measured = _remembered_metrics(entry, kept)
-        except ValueError as exc:
-            logger.warning("metrics memo entry dropped: %s (%s)", at, exc)
-    if measured is None:
-        measured = {path: metrics.compute_file_metrics(path, blob) for path, blob in kept.items()}
-        if store is not None:
-            fresh[key] = {path: _metrics_row(m) for path, m in measured.items()}
-    return tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
+    states.update((at, state) for at, (state, _) in remembered.items())
+    owned = {at: (kept[at], skipped[at], states[at]) for at in lineages}
+    return owned, {at: rows for at, (_, rows) in remembered.items()}
 
 
 def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
@@ -699,12 +558,11 @@ def build_contribution_set(
     Each of `branches` costs one `git log`; its window head is replayed
     with the default branch's, and `_branch_section` filters it.
 
-    The store `repo` was opened with is the run's memo (see the module
-    docstring): a branch whose log it holds for the branch's tip spawns no
-    `git log`, a head whose ownership it remembers is not replayed, and
-    the default window head's kept files are not measured again. What was
-    loaded or computed anew is written to it once no history read from
-    git turns out to be grafted.
+    The store `repo` was opened with is the run's memo (see `memo`): a
+    branch whose log it holds for the branch's tip spawns no `git log`, a
+    head it remembers is not replayed, and the default window head's kept
+    files are not measured again. `memo` writes what was loaded or
+    computed anew.
     """
     store = repo.store
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
@@ -734,14 +592,24 @@ def build_contribution_set(
     histories = [history, *(h for h, _ in loaded.values())]
     excludes, max_file_bytes = tuple(options.exclude_globs), options.max_file_bytes
     with gitio.ObjectReader(repo.root_path) as reader:
-        owned, fresh = _ownership_at(
+        owned, remembered = _ownership_at(
             reader, [(h, h.window_head(window)) for h in histories], excludes, max_file_bytes,
-            store,
+            store, head,
         )
         kept, skipped, state = owned[head] if head else ({}, set(), {})
-        files = _measured(head, kept, excludes, max_file_bytes, store, fresh) if head else ()
+        measured = remembered.get(head)
+        if measured is None:
+            measured = {path: metrics.compute_file_metrics(path, b) for path, b in kept.items()}
         if store is not None:
-            ingest.remember(store, reader, [repo.loaded, *loaded.values()], fresh)
+            entries = [
+                memo.head_entry(
+                    at, paths, owners, measured if at == head else None, excludes, max_file_bytes
+                )
+                for at, (paths, _, owners) in owned.items()
+                if at not in remembered
+            ]
+            memo.remember(store, reader, [repo.loaded, *loaded.values()], entries)
+    files = tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(
         [*window_commits, *(history.by_sha[sha] for sha in owning)], roster

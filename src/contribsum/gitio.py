@@ -5,12 +5,9 @@ porcelain, no working tree, no network):
 
 * one `git log` stream per ref, read whole by `raw_log` and parsed by
   `parse_log` into `Commit`s that each carry their file changes against
-  the first parent (`log` does both). The raw output is kept apart so a
-  caller can remember it: the run's `Store` holds one per ref, keyed by
-  repository and ref name and trusted only for the tip it was read at
-  (see `ingest.load_history`), so a ref whose tip has not moved spawns
-  no `git log`. A git upgrade that prints the log differently and a
-  `git replace` are not in that key;
+  the first parent (`log` does both). The raw output is kept apart so
+  `memo` can remember it, one per ref, so a ref whose tip has not moved
+  spawns no `git log`;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
   blob and commit contents, started on the first read: requests are
   written ahead in batches of at most 4 KiB, which one pipe page always
@@ -18,7 +15,7 @@ porcelain, no working tree, no network):
   before each read;
 * short one-off commands (ref lookups) through `git`.
 
-Higher modules (ingest, attribution) build on these primitives.
+Higher modules (ingest, memo, attribution) build on these primitives.
 """
 
 from __future__ import annotations

@@ -236,6 +236,11 @@ def tag_count(markup: str) -> int:
     return len(_OPEN_TAG_RE.findall(stripped))
 
 
+def text_lines(content: bytes) -> list[str]:
+    """A blob's lines, decoded as UTF-8 with undecodable bytes replaced."""
+    return content.decode("utf-8", "replace").splitlines()
+
+
 def compute_file_metrics(path: str, content: bytes) -> FileMetrics:
     """Classify one snapshot file and attach the measures its kind calls for."""
     kind = classify_file(path, content)
@@ -243,7 +248,7 @@ def compute_file_metrics(path: str, content: bytes) -> FileMetrics:
     if kind == "other" and b"\0" in content[:8192]:
         line_count = 0
     else:
-        line_count = len(content.decode("utf-8", "replace").splitlines())
+        line_count = len(text_lines(content))
     complexity: ComplexityReport | None = None
     tag: int | None = None
     if kind == "script":

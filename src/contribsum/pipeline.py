@@ -6,11 +6,10 @@ out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly. A team's default
 and included branches are replayed once, together, on one `cat-file` reader.
 Re-running a window repeats no git log, replay or measurement: each
-ref's `git log` output, each replayed head's line owners and the window
-head's file metrics are remembered in the run's `Store`, keyed by what
-they derive from and checked before they are trusted (see `ingest` and
-`attribution`), so a fully remembered team spawns two git processes,
-the branch listing and the reader of its head blobs.
+ref's `git log` output and each window head's line owners and file
+metrics are remembered in the run's `Store` (see `memo`), so a fully
+remembered team spawns two git processes, the branch listing and the
+reader of its head blobs.
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -76,24 +75,6 @@ def _read_optional(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def analyze_team(
-    team: str,
-    repo_path: str,
-    cfg: RunConfig,
-    roster: Roster,
-    provider,
-    store: Store,
-    ledger: CostLedger,
-    pool: chain.SendPool,
-) -> TeamResult:
-    """Analyze one team; its provider sends go to `pool`."""
-    result = TeamResult(team=team, ok=True)
-    loaded = _recorded(result, _load_team, repo_path, cfg, roster, store)
-    if loaded is not None:
-        _recorded(result, _finish_team, result, *loaded, cfg, roster, provider, store, ledger, pool)
-    return result
-
-
 def _recorded(result: TeamResult, step, *args):
     """`step(*args)`, or None with its failure recorded in `result`."""
     try:
@@ -111,11 +92,8 @@ def _load_team(
     repo_path: str, cfg: RunConfig, roster: Roster, store: Store
 ) -> tuple[ingest.RepoHandle, attribution.ContributionSet]:
     """The team's history and its replay: the repo handle and contribution
-    set. The repository is opened with `store`, the run's memo: a ref whose
-    log it holds for the ref's tip spawns no `git log`, a window head whose
-    ownership it remembers is not replayed, and a window head whose kept
-    files' metrics it remembers is not measured (see `ingest` and
-    `attribution`)."""
+    set. The repository is opened with `store`, the run's memo (see
+    `memo`)."""
     repo = ingest.open_repo(repo_path, cfg.branch, store)
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,

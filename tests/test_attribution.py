@@ -21,7 +21,7 @@ from conftest import (
     random_script,
     tree_files,
 )
-from contribsum import attribution, gitio, ingest, metrics as metrics_module, synthfix
+from contribsum import attribution, gitio, ingest, memo, metrics as metrics_module, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
@@ -962,6 +962,20 @@ def _head_blobs(handle, heads, excludes) -> int:
     })
 
 
+@pytest.fixture
+def scans(monkeypatch) -> list[str]:
+    """The paths measured since the last clear."""
+    scanned: list[str] = []
+    real = metrics_module.compute_file_metrics
+
+    def counting(path, content):
+        scanned.append(path)
+        return real(path, content)
+
+    monkeypatch.setattr(metrics_module, "compute_file_metrics", counting)
+    return scanned
+
+
 class TestReplayMemo:
     """A window head replayed once is remembered in the run's Store: a
     second run replays nothing and hands on exactly what a run without a
@@ -1076,10 +1090,11 @@ class TestReplayMemo:
 
     @staticmethod
     def _spoilt(entry: dict, head: str, foreign: str) -> dict[str, object]:
-        """Name -> `entry` spoilt one way; `foreign` is a commit outside the
-        head's ancestry."""
-        path = next(p for p in entry if len(entry[p]) > 1)
-        runs = entry[path]
+        """Name -> `entry` with its owners spoilt one way; `foreign` is a
+        commit outside the head's ancestry."""
+        owners = entry["owners"]
+        path = next(p for p in owners if len(owners[p]) > 1)
+        runs = owners[path]
         (first_sha, first_length), (last_sha, last_length) = runs[0], runs[-1]
         shorter = [[last_sha, last_length - 1]] if last_length > 1 else []
         spoilt_runs = {
@@ -1095,9 +1110,13 @@ class TestReplayMemo:
             "three fields": [[first_sha, first_length, 0]] + runs[1:],
             "runs as text": "runs",
         }
-        spoilt: dict[str, object] = {name: {**entry, path: r} for name, r in spoilt_runs.items()}
-        spoilt["missing path"] = {p: r for p, r in entry.items() if p != path}
-        spoilt["extra path"] = {**entry, "ghost.py": [[head, 1]]}
+        spoilt: dict[str, object] = {
+            name: {**entry, "owners": {**owners, path: r}} for name, r in spoilt_runs.items()
+        }
+        spoilt["missing path"] = {
+            **entry, "owners": {p: r for p, r in owners.items() if p != path}
+        }
+        spoilt["extra path"] = {**entry, "owners": {**owners, "ghost.py": [[head, 1]]}}
         spoilt["not a dict"] = [[head, 1]]
         return spoilt
 
@@ -1108,7 +1127,7 @@ class TestReplayMemo:
             if f.window_head(JUNE) not in h.history.ancestors(h.history.window_head(JUNE)).by_sha
         )
         head = handle.history.window_head(JUNE)
-        key = attribution._memo_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
+        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
         plain = build_contribution_set(handle, JUNE, truth.roster)
         warm = Store(tmp_path / "warm")
         build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
@@ -1118,14 +1137,54 @@ class TestReplayMemo:
             store.put(key, spoilt)
             replayed.clear()
             caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.attribution"):
+            with caplog.at_level("WARNING", logger="contribsum.memo"):
                 cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
             assert [m.split(" (")[0] for m in caplog.messages] == [
-                f"replay memo entry dropped: {head}"
+                f"window head memo entry dropped: {head}"
             ], name
             assert replayed, name
             assert self._handed_on(cset) == self._handed_on(plain), name
             assert store.get(key) == entry, name  # the replay's entry replaces it
+
+    def test_branch_head_entry_read_for_the_default_head(
+        self, branch_repos, tmp_path, work, scans, caplog
+    ):
+        """A head first remembered as an included branch's window head has
+        an entry without metrics. Analysed later as the default window head
+        it is a plain miss: replayed and measured once, its entry rewritten,
+        and then it serves a fully remembered run."""
+        replayed, _ = work
+        handle, truth, feature = next(
+            (h, t, f) for h, t, f in branch_repos
+            if f.window_head(JUNE) != h.history.window_head(JUNE)
+        )
+        head = feature.window_head(JUNE)
+        store = Store(tmp_path / "cache")
+        build_contribution_set(_opened(handle, store), JUNE, truth.roster, branches=("feature",))
+        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
+        assert store.get(key).keys() == {"owners"}
+        plain = build_contribution_set(
+            ingest.open_repo(handle.root_path, "feature"), JUNE, truth.roster
+        )
+        caplog.clear()
+        for rerun in (False, True):
+            replayed.clear()
+            scans.clear()
+            with caplog.at_level("WARNING"):
+                cset = build_contribution_set(
+                    ingest.open_repo(handle.root_path, "feature", store), JUNE, truth.roster
+                )
+            assert cset.to_json() == plain.to_json(), rerun
+            assert [(f.path, f.metrics) for f in cset.files] == [
+                (f.path, f.metrics) for f in plain.files
+            ], rerun
+            if rerun:
+                assert replayed == [] and scans == []
+            else:
+                assert sorted(replayed) == sorted(feature.ancestors(head).by_sha)
+                assert len(scans) == len(plain.files)
+                assert store.get(key).keys() == {"owners", "metrics"}
+        assert caplog.messages == []
 
 
 def _measured_script() -> RepoScript:
@@ -1161,18 +1220,6 @@ class TestMetricsMemo:
         handle, truth = synthfix.build(_measured_script(), tmp_path / "measured")
         return handle, truth
 
-    @pytest.fixture
-    def scans(self, monkeypatch) -> list[str]:
-        scanned: list[str] = []
-        real = metrics_module.compute_file_metrics
-
-        def counting(path, content):
-            scanned.append(path)
-            return real(path, content)
-
-        monkeypatch.setattr(metrics_module, "compute_file_metrics", counting)
-        return scanned
-
     def _check_second_run(self, handle, truth, store, scans) -> None:
         plain = build_contribution_set(handle, JUNE, truth.roster)
         build_contribution_set(_opened(handle, store), JUNE, truth.roster)
@@ -1197,15 +1244,16 @@ class TestMetricsMemo:
     def test_rows_round_trip_over_the_corpus(self):
         kept = {f"case_{n}.py": source.encode() for n, (source, _) in enumerate(CORPUS)}
         computed = {path: compute_file_metrics(path, blob) for path, blob in kept.items()}
-        rows = {path: attribution._metrics_row(m) for path, m in computed.items()}
+        rows = {path: memo._metrics_row(m) for path, m in computed.items()}
         entry = json.loads(json.dumps(rows))
-        assert attribution._remembered_metrics(entry, kept) == computed
+        assert memo._remembered_metrics(entry, kept) == computed
 
     @staticmethod
     def _spoilt(entry: dict) -> dict[str, object]:
-        """Name -> `entry` spoilt one way."""
-        script = next(p for p, row in entry.items() if row[2] == "script" and row[3][0])
-        row = entry[script]
+        """Name -> `entry` with its metrics spoilt one way."""
+        rows = entry["metrics"]
+        script = next(p for p, row in rows.items() if row[2] == "script" and row[3][0])
+        row = rows[script]
         size, lines, kind, (functions, score, unparseable), tag = row
         name, start, end, _ = functions[0]
         spoilt_rows = {
@@ -1217,32 +1265,34 @@ class TestMetricsMemo:
                 size, lines, kind, [[[name, start, end]], score, unparseable], tag
             ],
         }
-        spoilt: dict[str, object] = {label: {**entry, script: r} for label, r in spoilt_rows.items()}
-        spoilt["missing path"] = {p: r for p, r in entry.items() if p != script}
-        spoilt["extra path"] = {**entry, "ghost.py": row}
-        spoilt["not a dict"] = [row]
+        spoilt: dict[str, object] = {
+            label: {**entry, "metrics": {**rows, script: r}} for label, r in spoilt_rows.items()
+        }
+        spoilt["missing path"] = {
+            **entry, "metrics": {p: r for p, r in rows.items() if p != script}
+        }
+        spoilt["extra path"] = {**entry, "metrics": {**rows, "ghost.py": row}}
+        spoilt["not a dict"] = {**entry, "metrics": [row]}
         return spoilt
 
     def test_untrusted_entry_dropped_and_measured(self, measured, tmp_path, scans, caplog):
         handle, truth = measured
         head = handle.history.window_head(JUNE)
-        key = attribution._memo_key(
-            head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES, "kept-metrics"
-        )
+        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
         plain = build_contribution_set(handle, JUNE, truth.roster)
         warm = Store(tmp_path / "warm")
         build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
         entry = warm.get(key)
-        assert entry.keys() == {f.path for f in plain.files}
+        assert entry["metrics"].keys() == {f.path for f in plain.files}
         for name, spoilt in self._spoilt(entry).items():
             store = Store(tmp_path / "spoilt" / name)
             store.put(key, spoilt)
             scans.clear()
             caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.attribution"):
+            with caplog.at_level("WARNING", logger="contribsum.memo"):
                 cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
             assert [m.split(" (")[0] for m in caplog.messages] == [
-                f"metrics memo entry dropped: {head}"
+                f"window head memo entry dropped: {head}"
             ], name
             assert len(scans) == len(plain.files), name
             assert [(f.path, f.metrics) for f in cset.files] == [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -12,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from conftest import JUNE, ROSTER_TEXT, random_branch_script, tree_files, with_tree_entries
-from contribsum import gitio, ingest, synthfix
+from contribsum import gitio, memo, synthfix
 from contribsum.attribution import build_contribution_set
 from contribsum.errors import BranchNotFound, NotARepository
 from contribsum.identity import load_roster
-from contribsum.ingest import AnalysisWindow, list_commits, load_history, log_key, open_repo
+from contribsum.ingest import AnalysisWindow, list_commits, load_history, open_repo
 from contribsum.store import Store
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
@@ -253,6 +254,16 @@ def _advance(root: str, ref: str, n: int) -> str:
     return tip
 
 
+def _memo_lines(caplog) -> list[tuple[str, str]]:
+    """(level, message up to its reason) of each warning and each history
+    memo line logged."""
+    return [
+        (r.levelname, r.getMessage().split(" (")[0])
+        for r in caplog.records
+        if r.levelno >= logging.WARNING or r.getMessage().startswith("history memo")
+    ]
+
+
 def _analysed(root: str, roster, store: Store | None, branches=()) -> str:
     """`to_json()` of the June contribution set of a freshly opened `root`."""
     repo = open_repo(root, store=store)
@@ -261,8 +272,9 @@ def _analysed(root: str, roster, store: Store | None, branches=()) -> str:
 
 class TestHistoryMemo:
     """Each ref's `git log` is remembered in one slot of the run's Store:
-    a slot read at the ref's tip stands in for `git log`; any other slot is
-    dropped with a warning, and the log is read and the slot rewritten."""
+    a slot read at the ref's tip stands in for `git log`. A slot read at
+    another tip is stale, logged at INFO; any other slot is dropped with a
+    warning. Either way the log is read and the slot rewritten."""
 
     @staticmethod
     def _remembered_logs(handle, store: Store, monkeypatch) -> None:
@@ -341,18 +353,21 @@ class TestHistoryMemo:
         plain = _analysed(root, roster, None, ("feature",))
         warm = Store(tmp_path / "warm")
         _analysed(root, roster, warm, ("feature",))
-        key = log_key(root, "main")
+        key = memo._log_key(root, "main")
         good = warm.get(key)
         assert good == {"tip": tip, "log": gitio.raw_log(root, tip).decode("latin-1")}
         for name, spoilt in self._spoilt(root, tip, feature_tip).items():
             store = Store(tmp_path / "spoilt" / name)
             store.put(key, spoilt)
             caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.ingest"):
+            with caplog.at_level("INFO", logger="contribsum.memo"):
                 assert _analysed(root, roster, store, ("feature",)) == plain, name
-            assert [m.split(" (")[0] for m in caplog.messages] == [
-                "history memo entry dropped: main"
-            ], name
+            # a slot read at another tip cannot be told from a ref that moved
+            stale = name in ("wrong tip", "slot of another ref")
+            assert _memo_lines(caplog) == (
+                [("INFO", "history memo slot stale: main")] if stale
+                else [("WARNING", "history memo entry dropped: main")]
+            ), name
             assert store.get(key) == good, name  # the log just read replaces it
 
     def test_roots_read_only_for_a_log_read_from_git(self, branch_repos, tmp_path, monkeypatch):
@@ -389,16 +404,16 @@ class TestHistoryMemo:
         for n in range(3):
             tips = {ref: _advance(root, ref, n) for ref in ("main", "feature")}
             caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.ingest"):
+            with caplog.at_level("INFO", logger="contribsum.memo"):
                 got = _analysed(root, truth.roster, store, ("feature",))
             assert got == _analysed(root, truth.roster, None, ("feature",))
-            dropped = sorted(m.split(" (")[0] for m in caplog.messages)
-            assert dropped == ([] if n == 0 else [
-                "history memo entry dropped: feature", "history memo entry dropped: main"
+            assert sorted(_memo_lines(caplog)) == ([] if n == 0 else [
+                ("INFO", "history memo slot stale: feature"),
+                ("INFO", "history memo slot stale: main"),
             ])
             slots = _log_slots(store)
             assert sorted(slot["tip"] for slot in slots) == sorted(tips.values())
-            assert {ref: store.get(log_key(root, ref))["tip"] for ref in tips} == tips
+            assert {ref: store.get(memo._log_key(root, ref))["tip"] for ref in tips} == tips
 
 
 def _clone_steps(commits: int) -> RepoScript:
@@ -437,7 +452,7 @@ class TestShallowClone:
         assert full != shallow  # the boundary commit no longer owns the older lines
         assert full == _analysed(handle.root_path, truth.roster, None)
         assert _analysed(clone, truth.roster, store) == full
-        assert len(_store_files(store)) == 3  # the log slot, the owners and the metrics
+        assert len(_store_files(store)) == 2  # the log slot and the head's entry
         assert _analysed(clone, truth.roster, store) == full
 
     def test_reclone_at_the_same_tip_trusts_no_slot(self, tmp_path):
@@ -451,7 +466,7 @@ class TestShallowClone:
         store = Store(tmp_path / "cache")
         _analysed(clone, truth.roster, store)
         written = {path: path.read_bytes() for path in _store_files(store)}
-        assert len(written) == 3  # the log slot, the owners and the metrics
+        assert len(written) == 2  # the log slot and the head's entry
         shutil.rmtree(clone)
         subprocess.run(
             ["git", "clone", "-q", "--depth", "10", url, clone], check=True, capture_output=True
@@ -479,7 +494,7 @@ class TestShallowClone:
                 f"file://{handle.root_path}", str(clone))
             git("-C", str(clone), "worktree", "add", "-q", "--detach", str(clone) + "-tree")
             for root in (clone, Path(str(clone) + "-tree")):
-                assert ingest._may_be_shallow(str(root)) == bool(depth), root
-        assert not ingest._may_be_shallow(handle.root_path)
+                assert memo._may_be_shallow(str(root)) == bool(depth), root
+        assert not memo._may_be_shallow(handle.root_path)
         (tmp_path / "clone-None" / "sub").mkdir()
-        assert ingest._may_be_shallow(str(tmp_path / "clone-None" / "sub"))
+        assert memo._may_be_shallow(str(tmp_path / "clone-None" / "sub"))

@@ -21,7 +21,9 @@ import pytest
 from conftest import (
     JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, tree_files, with_tree_entries,
 )
-from contribsum import attribution, gitio, identity, pipeline, store as store_module, synthfix
+from contribsum import (
+    attribution, gitio, identity, ingest, memo, pipeline, store as store_module, synthfix,
+)
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
 from contribsum.agents.provider import (
@@ -109,14 +111,14 @@ class TestGitSpawns:
                 name = f"run-{commits}-{'-'.join(branches)}"
                 store = Store(tmp_path / name / "cache")
                 for warm in (False, True):
-                    cfg = _config(tmp_path / name / str(warm), [], branches)
+                    cfg = _config(
+                        tmp_path / name / str(warm), [("team", handle.root_path)], branches
+                    )
 
                     def run():
-                        with chain.SendPool(cfg.analysis_workers) as sends:
-                            result = pipeline.analyze_team(
-                                "team", handle.root_path, cfg, roster, MockProvider(),
-                                store, CostLedger(), sends,
-                            )
+                        (result,) = pipeline.run_analysis(
+                            cfg, roster, MockProvider(), store, CostLedger()
+                        )
                         assert result.ok, result.error
 
                     spawns = _git_spawns(monkeypatch, run)
@@ -132,6 +134,53 @@ class TestGitSpawns:
             assert counts[commits, ("absent",), False] == 3
             for branches in ((), ("side",), ("side", "topic"), ("absent",)):
                 assert counts[commits, branches, True] == 2, branches
+
+
+class TestStoreTraffic:
+    def test_one_get_per_log_slot_and_head(self, tmp_path, monkeypatch):
+        """The memo's store calls, told from the provider cache's by their
+        caller: a new team gets and puts each log slot and each distinct
+        window head's entry once, and a fully remembered one gets each once
+        and puts nothing, at 30 and 300 commits with 0, 1 or 2 branches."""
+        roster = load_roster(ROSTER_TEXT)
+        gets, puts = Counter(), Counter()
+
+        def counted(calls: Counter, real):
+            def call(self, key, *args):
+                if sys._getframe(1).f_globals["__name__"] != chain.__name__:
+                    calls[key] += 1
+                return real(self, key, *args)
+            return call
+
+        monkeypatch.setattr(Store, "get", counted(gets, Store.get))
+        monkeypatch.setattr(Store, "put", counted(puts, Store.put))
+        for commits in (30, 300):
+            handle, _ = synthfix.build(_history(commits), tmp_path / f"repo-{commits}")
+            root = handle.root_path
+            for branches in ((), ("side",), ("side", "topic")):
+                name = f"run-{commits}-{'-'.join(branches)}"
+                store = Store(tmp_path / name / "cache")
+                cfg = _config(tmp_path / name, [("team", root)], branches)
+                refs = (handle.default_branch, *branches)
+                heads = {
+                    ingest.History(gitio.log(root, handle.tips[ref])).window_head(JUNE)
+                    for ref in refs
+                }
+                assert len(heads) == len(refs)
+                slots = Counter(memo._log_key(root, ref) for ref in refs)
+                slots.update(
+                    memo._head_key(at, tuple(cfg.exclude_globs), attribution.MAX_BLAME_FILE_BYTES)
+                    for at in heads
+                )
+                for warm in (False, True):
+                    gets.clear()
+                    puts.clear()
+                    (result,) = pipeline.run_analysis(
+                        cfg, roster, MockProvider(), store, CostLedger()
+                    )
+                    assert result.ok, result.error
+                    assert gets == slots, (commits, branches, warm)
+                    assert puts == (Counter() if warm else slots), (commits, branches, warm)
 
 
 class TestReplayMemoBound:
@@ -163,7 +212,7 @@ class TestReplayMemoBound:
             script = RepoScript(name=f"middle-{commits}", roster_text=ROSTER_TEXT, steps=steps)
             handle, _ = synthfix.build(script, tmp_path / f"repo-{commits}")
             store = Store(tmp_path / f"cache-{commits}")
-            cfg = _config(tmp_path / f"run-{commits}", [])
+            cfg = _config(tmp_path / f"run-{commits}", [("team", handle.root_path)])
             head_blobs = {
                 content for path, content in tree_files(handle, handle.history.window_head(JUNE))
             }
@@ -171,11 +220,7 @@ class TestReplayMemoBound:
             for _ in range(2):
                 reads.clear()
                 matchers.clear()
-                with chain.SendPool(cfg.analysis_workers) as sends:
-                    result = pipeline.analyze_team(
-                        "team", handle.root_path, cfg, roster, MockProvider(), store,
-                        CostLedger(), sends,
-                    )
+                (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
                 assert result.ok, result.error
                 work.append((len(reads), len(matchers)))
             assert work[0][0] > len(head_blobs) and work[0][1] > 0  # the first run replays
@@ -213,12 +258,10 @@ class TestIdentityResolution:
 
         monkeypatch.setattr(identity, "resolve", counting_resolve)
         monkeypatch.setattr(attribution, "resolve", counting_resolve)
-        cfg = _config(tmp_path / "run", [], branches)
-        with chain.SendPool(cfg.analysis_workers) as sends:
-            result = pipeline.analyze_team(
-                "team", handle.root_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
-                Store(tmp_path / "cache"), CostLedger(), sends,
-            )
+        cfg = _config(tmp_path / "run", [("team", handle.root_path)], branches)
+        (result,) = pipeline.run_analysis(
+            cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
+        )
         assert result.ok, result.error
         return handle, result, calls
 
@@ -539,13 +582,10 @@ class TestSendPool:
 
     def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
-        cfg = _config(tmp_path, [])
+        cfg = _config(tmp_path, [("team", handle.root_path)])
         roster = load_roster(ROSTER_TEXT)
         store = Store(tmp_path / "cache")
-        with chain.SendPool(cfg.analysis_workers) as sends:
-            cold = pipeline.analyze_team(
-                "team", handle.root_path, cfg, roster, MockProvider(), store, CostLedger(), sends
-            )
+        (cold,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert cold.ok, cold.error
 
         class NoProvider:
@@ -560,12 +600,9 @@ class TestSendPool:
             original_start(thread)
 
         ledger = CostLedger()
-        with chain.SendPool(cfg.analysis_workers) as sends:
-            monkeypatch.setattr(threading.Thread, "start", counting_start)
-            warm = pipeline.analyze_team(
-                "team", handle.root_path, cfg, roster, NoProvider(), store, ledger, sends
-            )
-            monkeypatch.undo()
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        (warm,) = pipeline.run_analysis(cfg, roster, NoProvider(), store, ledger)
+        monkeypatch.undo()
         assert warm.ok, warm.error
         assert starts == []
         assert ledger.entries == []
@@ -879,11 +916,10 @@ class TestPriorState:
 
 def _analyze(tmp_path: Path, repo_path: str):
     cfg = _config(tmp_path, [("team", repo_path)])
-    with chain.SendPool(cfg.analysis_workers) as sends:
-        return pipeline.analyze_team(
-            "team", repo_path, cfg, load_roster(ROSTER_TEXT), MockProvider(),
-            Store(tmp_path / "cache"), CostLedger(), sends,
-        )
+    (result,) = pipeline.run_analysis(
+        cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
+    )
+    return result
 
 
 class TestKeptFiles:
