@@ -521,7 +521,7 @@ def blame_snapshot(
     """
     history = repo.history
     if at not in history.by_sha:
-        history, _ = ingest.load_history(repo.root_path, at, at)
+        history = ingest.load_history(repo.root_path, at, at)
     return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
 
 
@@ -558,11 +558,11 @@ def build_contribution_set(
     Each of `branches` costs one `git log`; its window head is replayed
     with the default branch's, and `_branch_section` filters it.
 
-    The store `repo` was opened with is the run's memo (see `memo`): a
-    branch whose log it holds for the branch's tip spawns no `git log`, a
-    head it remembers is not replayed, and the default window head's kept
-    files are not measured again. `memo` writes what was loaded or
-    computed anew.
+    The store `repo` keeps is the run's memo (see `memo`): a branch
+    whose log it holds for the branch's tip spawns no `git log`, a head it
+    remembers is not replayed, and the default window head's kept files
+    are not measured again. Each head replayed anew is written to it after
+    the replay.
     """
     store = repo.store
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
@@ -581,15 +581,13 @@ def build_contribution_set(
             evidence[key] = ContributionEvidence(student=student, path=path)
         return evidence[key]
 
-    # (History, log slot to write) per included branch the repository has
-    loaded = {
-        branch: ingest.load_history(repo.root_path, branch, repo.tips[branch], store)
-        for branch in branches
-        if branch in repo.tips
-    }
     # one History per included branch; None for a branch the repository lacks
-    branch_histories = {branch: loaded[branch][0] if branch in loaded else None for branch in branches}
-    histories = [history, *(h for h, _ in loaded.values())]
+    branch_histories = {
+        branch: ingest.load_history(repo.root_path, branch, repo.tips[branch], store)
+        if branch in repo.tips else None
+        for branch in branches
+    }
+    histories = [history, *(h for h in branch_histories.values() if h is not None)]
     excludes, max_file_bytes = tuple(options.exclude_globs), options.max_file_bytes
     with gitio.ObjectReader(repo.root_path) as reader:
         owned, remembered = _ownership_at(
@@ -600,15 +598,12 @@ def build_contribution_set(
         measured = remembered.get(head)
         if measured is None:
             measured = {path: metrics.compute_file_metrics(path, b) for path, b in kept.items()}
-        if store is not None:
-            entries = [
-                memo.head_entry(
+    if store is not None:
+        for at, (paths, _, owners) in owned.items():
+            if at not in remembered:
+                store.put(*memo.head_entry(
                     at, paths, owners, measured if at == head else None, excludes, max_file_bytes
-                )
-                for at, (paths, _, owners) in owned.items()
-                if at not in remembered
-            ]
-            memo.remember(store, reader, [repo.loaded, *loaded.values()], entries)
+                ))
     files = tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(

@@ -140,7 +140,7 @@ def cmd_render(cfg: RunConfig) -> int:
             continue
         try:
             state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"[fail] {team}: unreadable saved state at {state_path}: {exc!r}")
             failed += 1
             continue

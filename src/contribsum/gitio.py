@@ -9,7 +9,7 @@ porcelain, no working tree, no network):
   `memo` can remember it, one per ref, so a ref whose tip has not moved
   spawns no `git log`;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
-  blob and commit contents, started on the first read: requests are
+  blob contents, started on the first read: requests are
   written ahead in batches of at most 4 KiB, which one pipe page always
   holds, and answers are read back in order with a `_GIT_TIMEOUT` poll
   before each read;

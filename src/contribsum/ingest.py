@@ -6,9 +6,11 @@ A `RepoHandle` loads its default branch's History once, on first use,
 and window heads, window commits and replay order all come from it.
 
 Every History of a run is loaded by `load_history`. Given the run's
-`Store`, `memo` remembers each ref's `git log` output, so a ref whose tip
-has not moved spawns no `git log`; what it keeps and when it trusts it
-are `memo`'s.
+`Store`, `memo` remembers each ref's `git log` output as soon as it is
+read, so a ref whose tip has not moved spawns no `git log`; what it
+keeps and when it trusts it are `memo`'s. `open_repo` asks `memo.gate`
+once whether the repository may be remembered at all, and keeps no
+store on a handle whose repository may not.
 
 This module never mutates a repository. Cloning (network transport) is a
 CLI pre-step that shells out to git; everything here reads an
@@ -54,19 +56,14 @@ class RepoHandle:
     head_ref: str
     # every branch `open_repo` listed -> its tip sha
     tips: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
-    store: Store | None = field(default=None, repr=False, compare=False)  # the run's memo
+    # the run's memo, unless `memo.gate` kept it off this repository
+    store: Store | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def loaded(self) -> tuple[History, memo.LogSlot | None]:
-        """The default branch's History, loaded on first use, and its log
-        slot still to be written (see `load_history`)."""
-        return load_history(self.root_path, self.default_branch, self.head_ref, self.store)
-
-    @property
     def history(self) -> History:
-        """The default branch's History, shared by every default-branch
-        consumer."""
-        return self.loaded[0]
+        """The default branch's History, loaded on first use and shared by
+        every default-branch consumer."""
+        return load_history(self.root_path, self.default_branch, self.head_ref, self.store)
 
 
 class History:
@@ -107,13 +104,10 @@ class History:
         return [c for c in self.commits if not c.is_merge and window.contains(c.authored_at)]
 
 
-def load_history(
-    root: str, ref: str, tip: str, store: Store | None = None
-) -> tuple[History, memo.LogSlot | None]:
-    """The History of branch `ref` at `tip`, and the log slot still to be
-    written for it (see `memo.log`)."""
-    commits, slot = memo.log(root, ref, tip, store)
-    return History(commits), slot
+def load_history(root: str, ref: str, tip: str, store: Store | None = None) -> History:
+    """The History of branch `ref` at `tip`, through the memo `store` (see
+    `memo.log`)."""
+    return History(memo.log(root, ref, tip, store))
 
 
 def open_repo(path: str, branch: str | None = None, store: Store | None = None) -> RepoHandle:
@@ -122,8 +116,9 @@ def open_repo(path: str, branch: str | None = None, store: Store | None = None) 
     Branch resolution: the requested branch if given, else the branch HEAD
     points at, else "main", else "master". One `git for-each-ref` lists
     every branch with its tip and marks HEAD's; a detached or unborn HEAD
-    marks none. The handle's histories are loaded through `store`, the
-    run's memo, when one is given.
+    marks none. The handle keeps `store`, the run's memo, when one is
+    given and `memo.gate` admits the repository; its histories are loaded
+    through it.
     """
     listing = gitio.git(
         path, "for-each-ref", "--format=%(HEAD) %(refname) %(objectname)", "refs/heads",
@@ -142,7 +137,7 @@ def open_repo(path: str, branch: str | None = None, store: Store | None = None) 
     candidates = [branch] if branch else [*current, "main", "master"]
     for name in candidates:
         if name in tips:
-            return RepoHandle(path, name, tips[name], tips, store)
+            return RepoHandle(path, name, tips[name], tips, memo.gate(path, store))
     raise BranchNotFound(" / ".join(candidates))
 
 

@@ -11,9 +11,8 @@ differently) and `git replace` objects.
   sha, "log": <raw git log output as latin-1>}`. A slot read at another
   tip (the ref moved, the normal weekly case) is a plain miss, logged at
   INFO. Any other slot is trusted when it is a dict whose log is text
-  that parses, ends at the tip and names no parent it lacks. No slot is
-  read while the repository may be shallow (`_may_be_shallow`): its log
-  may name commits whose objects the clone lacks.
+  that parses, ends at the tip and names no parent it lacks. A log read
+  from git is written to its slot at once.
 * One entry per (window head sha, byte limit, exclude globs in order),
   payload `{"owners": {kept path: [[owner sha, run length], ...]},
   "metrics": {kept path: _metrics_row}}`. Only the default window head
@@ -27,12 +26,16 @@ differently) and `git replace` objects.
   match, so row fields get no further shape checks.
 
 Any other entry not trusted is dropped with a warning. A miss reads the
-log, or replays and measures the head, anew, and `remember` writes what
-was read or computed once the replay is done, unless a root commit of a
-history read from git is grafted (`_grafted`): a shallow clone's
-boundary commits own every line they hold, so nothing learnt from one
-may outlive its deepening. A history read from its slot had its roots
-checked when the slot was written.
+log, or replays and measures the head, anew; the replay's caller writes
+each replayed head's entry (`head_entry`).
+
+One gate per repository (`gate`), read from its git directory with no
+git process, decides whether anything of it is remembered: nothing is
+read or written for a shallow clone or a repository with a graft file
+(`_may_be_shallow`). Such a history is cut short: its boundary commits
+show no parents and own every line they hold, so nothing learnt from it
+may outlive its deepening, and a slot or entry learnt from a full clone
+names commits it lacks.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# (key, payload) of a log slot read from git and not yet written
-LogSlot = tuple[str, dict]
 # kept path -> (head lines, owning sha of each line), as replay holds it
 State = dict[str, tuple[list[str], list[str]]]
 
@@ -81,9 +82,10 @@ def _head_key(at: str, excludes: tuple[str, ...], max_file_bytes: int) -> str:
 
 
 def _may_be_shallow(root: str) -> bool:
-    """Whether the repository at `root` is a shallow clone, or its git
-    directory is not where a plain clone, a linked worktree or a bare
-    repository keeps it. Read from the file system, with no git process."""
+    """Whether the repository at `root` is a shallow clone or has a graft
+    file, or its git directory is not where a plain clone, a linked
+    worktree or a bare repository keeps it. Read from the file system, with
+    no git process."""
     git_dir = os.path.join(root, ".git")
     if os.path.isfile(git_dir):  # a linked worktree or submodule: "gitdir: <path>"
         with open(git_dir, encoding="utf-8") as f:
@@ -96,7 +98,16 @@ def _may_be_shallow(root: str) -> bool:
     if os.path.isfile(common):
         with open(common, encoding="utf-8") as f:
             git_dir = os.path.join(git_dir, f.read().strip())
-    return os.path.exists(os.path.join(git_dir, "shallow"))
+    return any(os.path.exists(os.path.join(git_dir, name)) for name in ("shallow", "info/grafts"))
+
+
+def gate(root: str, store: Store | None) -> Store | None:
+    """`store`, the run's memo, for the repository at `root`, or None when
+    its history may not be remembered (`_may_be_shallow`)."""
+    if store is None or not _may_be_shallow(root):
+        return store
+    logger.info("history in %s may be shallow or grafted: nothing remembered", root)
+    return None
 
 
 def _remembered_log(entry: object, tip: str) -> list[Commit]:
@@ -120,24 +131,25 @@ def _remembered_log(entry: object, tip: str) -> list[Commit]:
     return commits
 
 
-def log(root: str, ref: str, tip: str, store: Store | None) -> tuple[list[Commit], LogSlot | None]:
-    """The commits of branch `ref` at `tip`, and the log slot still to be
-    written for them. With `store`, a trusted slot stands in for `git log`
-    and nothing is left to write; otherwise `git log` runs and its output
-    is the slot to write, by `remember`."""
+def log(root: str, ref: str, tip: str, store: Store | None) -> list[Commit]:
+    """The commits of branch `ref` at `tip`. With `store`, a trusted slot
+    stands in for `git log`; otherwise `git log` runs and its output is
+    written to the slot."""
     if store is None:
-        return gitio.log(root, tip), None
+        return gitio.log(root, tip)
     key = _log_key(root, ref)
-    entry = None if _may_be_shallow(root) else store.get(key)
+    entry = store.get(key)
     if isinstance(entry, dict) and entry.get("tip") != tip:
         logger.info("history memo slot stale: %s", ref)
     elif entry is not None:
         try:
-            return _remembered_log(entry, tip), None
+            return _remembered_log(entry, tip)
         except ValueError as exc:
             logger.warning("history memo entry dropped: %s (%s)", ref, exc)
     out = gitio.raw_log(root, tip)
-    return gitio.parse_log(out), (key, {"tip": tip, "log": out.decode("latin-1")})
+    commits = gitio.parse_log(out)
+    store.put(key, {"tip": tip, "log": out.decode("latin-1")})
+    return commits
 
 
 def _remembered_state(entry: object, ancestry: History, kept: dict[str, bytes]) -> State:
@@ -238,33 +250,3 @@ def head_entry(
     if measured is not None:
         payload["metrics"] = {path: _metrics_row(m) for path, m in measured.items()}
     return _head_key(at, excludes, max_file_bytes), payload
-
-
-def _grafted(histories: Iterable[History], reader: gitio.ObjectReader) -> bool:
-    """Whether a commit without parents in `histories` names one in its raw
-    object, read on `reader` once per distinct root. `git log` shows a
-    shallow clone's boundary commits without their parents, so such a
-    history is not the commits' real history, and nothing derived from it
-    may be remembered: once the clone is deepened, the same head shas have
-    other owners."""
-    roots = list(dict.fromkeys(c.hash for h in histories for c in h.commits if not c.parents))
-    reader.request(roots)
-    return any(b"\nparent " in reader.get(sha)[1].partition(b"\n\n")[0] for sha in roots)
-
-
-def remember(
-    store: Store, reader: gitio.ObjectReader,
-    loaded: Iterable[tuple[History, LogSlot | None]], entries: Iterable[tuple[str, dict]],
-) -> None:
-    """Write `entries`, (key, payload) pairs derived from the `loaded`
-    histories, and the log slots of those read from git, unless a root of
-    one read from git is grafted: then nothing they shaped is written."""
-    from_git = [(history, slot) for history, slot in loaded if slot is not None]
-    writes = [*entries, *(slot for _, slot in from_git)]
-    if not writes:
-        return
-    if _grafted((history for history, _ in from_git), reader):
-        logger.info("grafted history in %s: nothing remembered", reader.root)
-        return
-    for key, payload in writes:
-        store.put(key, payload)

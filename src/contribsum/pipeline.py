@@ -212,7 +212,7 @@ def _find_prior_state(cfg: RunConfig, team: str) -> ReportState | None:
     for state_path in team_dir.glob(f"*/{STATE_NAME}"):
         try:
             state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
-        except (OSError, KeyError, TypeError, ValueError):
+        except (OSError, ValueError):
             continue
         start = state.meta.window.start
         if start < cfg.window.start and (best is None or start > best.meta.window.start):

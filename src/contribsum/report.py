@@ -187,7 +187,15 @@ class ReportState:
 
     @classmethod
     def from_json(cls, text: str) -> ReportState:
-        state = json.loads(text)
+        """The state `to_json` saved as `text`. ValueError when it is not
+        JSON or a field is missing or of the wrong shape."""
+        try:
+            return cls._from_saved(json.loads(text))
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed report state: {exc!r}") from exc
+
+    @classmethod
+    def _from_saved(cls, state) -> ReportState:
         start = datetime.fromisoformat(state["window_start"])
         end = state.get("window_end")
         window = AnalysisWindow(
@@ -220,11 +228,19 @@ class ReportState:
                 for branch, per_student, files in state.get("branch_sections", ())
             ),
             evidence={
-                sid: {p: tuple(v) for p, v in paths.items()}
+                sid: {p: _line_counts(v) for p, v in paths.items()}
                 for sid, paths in state["student_files"].items()
             },
         )
         return cls(summaries, team_summary, meta)
+
+
+def _line_counts(saved) -> tuple[int, int]:
+    """A saved (lines owned, lines added) pair, checked to be two integers."""
+    owned, added = saved
+    if type(owned) is not int or type(added) is not int:
+        raise ValueError(f"line counts are not integers: {saved!r}")
+    return owned, added
 
 
 def diff_windows(earlier: ReportState, later: ReportState) -> str:

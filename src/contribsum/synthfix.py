@@ -358,7 +358,8 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
     Deterministic: fixed author/committer timestamps from the script make
     commit hashes identical across runs.
     """
-    dest = Path(destination)
+    # absolute: `git -C dest` would resolve a relative marks path against dest
+    dest = Path(destination).absolute()
     if dest.exists() and any(dest.iterdir()):
         raise ScriptError("build", f"destination not empty: {dest}")
     if not script.steps:

@@ -513,3 +513,15 @@ class TestRender:
         state.write_text(state.read_text(encoding="utf-8")[:40], encoding="utf-8")
         assert main(["render", "--config", str(config)]) == 1
         assert "unreadable saved state" in capsys.readouterr().out
+
+    def test_render_with_misshapen_state_fails(self, tmp_path, capsys):
+        """A field of the wrong shape fails the team, not the command."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        assert main(["analyze", "--config", str(config)]) == 0
+        state = tmp_path / "out" / "team-alpha" / "week-1" / "report_state.json"
+        saved = json.loads(state.read_text(encoding="utf-8"))
+        saved["student_files"][next(iter(saved["student_files"]))] = [1, 2]
+        state.write_text(json.dumps(saved), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["render", "--config", str(config)]) == 1
+        assert capsys.readouterr().out.startswith("[fail] team-alpha: unreadable saved state")

@@ -278,21 +278,20 @@ class TestHistoryMemo:
 
     @staticmethod
     def _remembered_logs(handle, store: Store, monkeypatch) -> None:
-        """Every branch of `handle` loads from its slot with no `git log`,
-        into the commits a fresh `gitio.log` gives."""
+        """Every branch of `handle` loads from its slot with no `git log`
+        and no write, into the commits a fresh `gitio.log` gives."""
         branches = tuple(sorted(set(handle.tips) - {handle.default_branch}))
         repo = open_repo(handle.root_path, handle.default_branch, store)
         build_contribution_set(repo, JUNE, load_roster(ROSTER_TEXT), branches=branches)
         with monkeypatch.context() as patch:
             patch.setattr(gitio, "raw_log", None)  # a `git log` would fail
+            patch.setattr(Store, "put", None)  # so would a write
             remembered = {
                 ref: load_history(handle.root_path, ref, tip, store)
                 for ref, tip in handle.tips.items()
             }
         for ref, tip in handle.tips.items():
-            history, slot = remembered[ref]
-            assert slot is None, ref  # nothing left to write
-            assert history.commits == gitio.log(handle.root_path, tip), ref
+            assert remembered[ref].commits == gitio.log(handle.root_path, tip), ref
 
     def test_slot_hit_equals_a_fresh_log(self, built_fixtures, branch_repos, tmp_path, monkeypatch):
         for name, (handle, _) in built_fixtures.items():
@@ -370,10 +369,11 @@ class TestHistoryMemo:
             ), name
             assert store.get(key) == good, name  # the log just read replaces it
 
-    def test_roots_read_only_for_a_log_read_from_git(self, branch_repos, tmp_path, monkeypatch):
-        """Before anything is remembered the roots of each history read from
-        git are read, once; a history read from its slot has none read,
-        even when a new window head is replayed and remembered."""
+    def test_no_root_read_for_a_log_from_git_or_its_slot(self, branch_repos, tmp_path, monkeypatch):
+        """Whether anything is remembered is decided from the git directory,
+        so no root commit is read, neither for a history read from git nor
+        for one read from its slot, even when a new window head is replayed
+        and remembered; no object is read twice."""
         reads: list[str] = []
         real_get = gitio.ObjectReader.get
 
@@ -387,11 +387,11 @@ class TestHistoryMemo:
         middle = handle.history.commits[len(handle.history.commits) // 2]
         earlier = AnalysisWindow(start=JUNE.start, end=middle.authored_at, label="earlier")
         store = Store(tmp_path / "cache")
-        for window, read_roots in ((JUNE, True), (earlier, False), (JUNE, False)):
+        for window in (JUNE, earlier, JUNE):
             reads.clear()
             repo = open_repo(handle.root_path, store=store)
             build_contribution_set(repo, window, truth.roster, branches=("feature",))
-            assert roots <= set(reads) if read_roots else not roots & set(reads), window.label
+            assert not roots & set(reads), window.label
             assert len(reads) == len(set(reads)), window.label
         assert len(_log_slots(store)) == 2
 
@@ -480,9 +480,74 @@ class TestShallowClone:
             assert got.to_json() == plain.to_json(), window.label
         assert {path: path.read_bytes() for path in _store_files(store)} == written
 
+    @staticmethod
+    def _untouched(store: Store, monkeypatch, run):
+        """`run()`, which makes no `Store.get` and no `Store.put` on `store`."""
+        calls = []
+
+        def counted(real):
+            def call(self, *args):
+                if self is store:
+                    calls.append(real.__name__)
+                return real(self, *args)
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Store, "get", counted(Store.get))
+            patch.setattr(Store, "put", counted(Store.put))
+            result = run()
+        assert calls == []
+        return result
+
+    def test_shallow_clone_beside_a_full_one_reads_nothing(self, tmp_path, monkeypatch, caplog):
+        """A full clone and a `--depth` clone at the same head share one
+        store: the full clone's head entry names owners the shallow clone
+        lacks, and the shallow run neither reads nor writes it, nor warns."""
+        handle, truth = synthfix.build(_clone_steps(30), tmp_path / "origin")
+        url = f"file://{handle.root_path}"
+        full, shallow = str(tmp_path / "full"), str(tmp_path / "shallow")
+        subprocess.run(["git", "clone", "-q", url, full], check=True, capture_output=True)
+        subprocess.run(
+            ["git", "clone", "-q", "--depth", "10", url, shallow], check=True, capture_output=True
+        )
+        assert open_repo(shallow).head_ref == open_repo(full).head_ref
+        store = Store(tmp_path / "cache")
+        _analysed(full, truth.roster, store)
+        written = {path: path.read_bytes() for path in _store_files(store)}
+        plain = _analysed(shallow, truth.roster, None)
+        with caplog.at_level("WARNING"):
+            got = self._untouched(
+                store, monkeypatch, lambda: _analysed(shallow, truth.roster, store)
+            )
+        assert got == plain
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert {path: path.read_bytes() for path in _store_files(store)} == written
+
+    def test_graft_file_remembers_nothing(self, tmp_path, monkeypatch):
+        """A full clone whose graft file makes a middle commit a root: a run
+        with a store reads and writes nothing and equals one without."""
+        handle, truth = synthfix.build(_clone_steps(30), tmp_path / "origin")
+        clone = str(tmp_path / "clone")
+        subprocess.run(
+            ["git", "clone", "-q", f"file://{handle.root_path}", clone],
+            check=True, capture_output=True,
+        )
+        full = _analysed(clone, truth.roster, None)
+        middle = open_repo(clone).history.commits[15].hash
+        (Path(clone) / ".git" / "info").mkdir(exist_ok=True)
+        (Path(clone) / ".git" / "info" / "grafts").write_text(middle + "\n", encoding="utf-8")
+        assert open_repo(clone).history.commits[0].hash == middle
+        grafted = _analysed(clone, truth.roster, None)
+        assert grafted != full  # the middle commit now owns every older line
+        store = Store(tmp_path / "cache")
+        for _ in range(2):
+            got = self._untouched(store, monkeypatch, lambda: _analysed(clone, truth.roster, store))
+            assert got == grafted
+
     def test_shallow_told_from_the_git_directory(self, tmp_path):
         """Bare, plain and linked-worktree layouts, each full and shallow; a
-        directory whose git directory is elsewhere counts as shallow."""
+        graft file counts as shallow, as does a directory whose git
+        directory is elsewhere."""
         handle, _ = synthfix.build(_clone_steps(3), tmp_path / "origin")
 
         def git(*args: str) -> None:
@@ -496,5 +561,13 @@ class TestShallowClone:
             for root in (clone, Path(str(clone) + "-tree")):
                 assert memo._may_be_shallow(str(root)) == bool(depth), root
         assert not memo._may_be_shallow(handle.root_path)
+        (Path(handle.root_path) / "info").mkdir(exist_ok=True)
+        (Path(handle.root_path) / "info" / "grafts").write_text(handle.head_ref + "\n")
+        assert memo._may_be_shallow(handle.root_path)
+        full = tmp_path / "clone-None"
+        (full / ".git" / "info").mkdir(exist_ok=True)
+        (full / ".git" / "info" / "grafts").write_text(handle.head_ref + "\n")
+        for root in (full, Path(str(full) + "-tree")):
+            assert memo._may_be_shallow(str(root)), root
         (tmp_path / "clone-None" / "sub").mkdir()
         assert memo._may_be_shallow(str(tmp_path / "clone-None" / "sub"))

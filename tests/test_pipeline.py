@@ -913,6 +913,23 @@ class TestPriorState:
         _write_state(team_dir, "eve", "2024-03-11T01:00:00+02:00")
         assert pipeline._find_prior_state(cfg, "team").meta.window.label == "eve"
 
+    def test_misshapen_state_skipped(self, tmp_path):
+        """A later state with a field of the wrong shape is passed over."""
+        team_dir = tmp_path / "out" / "team"
+        _write_state(team_dir, "earlier", "2024-03-04T00:00:00+00:00")
+        _write_state(team_dir, "later", "2024-03-05T00:00:00+00:00")
+        path = team_dir / "later" / pipeline.STATE_NAME
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        saved["student_files"] = {"alice": [1, 2]}
+        path.write_text(json.dumps(saved), encoding="utf-8")
+        cfg = _config(tmp_path, [])
+        cfg.window = AnalysisWindow(
+            start=datetime(2024, 3, 11, tzinfo=timezone.utc),
+            end=datetime(2024, 3, 18, tzinfo=timezone.utc),
+            label="current",
+        )
+        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "earlier"
+
 
 def _analyze(tmp_path: Path, repo_path: str):
     cfg = _config(tmp_path, [("team", repo_path)])

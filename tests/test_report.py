@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -207,6 +208,22 @@ class TestReportState:
         assert loaded.meta.window.start == JUNE.start
         assert loaded.meta.window.end == datetime.max.replace(tzinfo=timezone.utc)
         assert loaded.render().markdown == state.render().markdown
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("student_files", {"alice": [1, 2]}),
+        ("student_files", {"alice": {"a.py": ["5", "5"]}}),
+        ("student_files", {"alice": {"a.py": [5, 5, 5]}}),
+        ("student_files", {"alice": {"a.py": 5}}),
+        ("summaries", [{"id": "alice"}]),
+        ("team_summary", ["narrative"]),
+        ("window_start", 7),
+    ])
+    def test_misshapen_field_raises_value_error(self, field, value):
+        state = json.loads(_state(files={"alice": {"a.py": (5, 5)}}).to_json())
+        state[field] = value
+        with pytest.raises(ValueError):
+            ReportState.from_json(json.dumps(state))
 
 
 class TestDiffWindows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 
 import pytest
@@ -58,6 +59,19 @@ class TestBuildDeterminism:
         _, truth_a = build(script_a, tmp_path / "one")
         _, truth_b = build(script_b, tmp_path / "two")
         assert truth_a.step_hashes == truth_b.step_hashes
+
+    def test_relative_destination(self, tmp_path, monkeypatch):
+        """A destination relative to the working directory builds what an
+        absolute one does, and the handle names it by its absolute path."""
+        expected, expected_truth = synthfix.build_standard_fixture(
+            "merged_branch", tmp_path / "absolute"
+        )
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        handle, truth = synthfix.build_standard_fixture("merged_branch", "origin")
+        assert truth == expected_truth
+        assert handle == dataclasses.replace(expected, root_path=str(tmp_path / "cwd" / "origin"))
+        assert handle.tips == expected.tips
 
     def test_nonempty_destination_rejected(self, tmp_path):
         dest = tmp_path / "occupied"
