@@ -9,7 +9,11 @@ Re-running a window repeats no git log, replay or measurement: each
 ref's `git log` output and each window head's line owners and file
 metrics are remembered in the run's `Store` (see `memo`), so a fully
 remembered team spawns two git processes, the branch listing and the
-reader of its head blobs.
+reader of its head blobs. A team whose inputs and outputs are both
+unchanged since its last run of the window is not run at all: its
+outputs slot (see `memo`) is checked right after the branch listing, and
+the team's result comes from it, so such a team spawns one git process
+and loads, sends, renders and writes nothing.
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -37,13 +41,15 @@ sent again for another.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 import json
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import attribution, ingest, tables
+from . import attribution, ingest, memo, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
@@ -54,6 +60,10 @@ from .store import CostLedger, Store, write_atomic
 
 MANIFEST_NAME = "run_manifest.json"
 STATE_NAME = "report_state.json"
+# every artifact a team may write, in write order; delta.md only after a prior window
+ARTIFACT_NAMES = (
+    "functionality.csv", "contribution.csv", "report.md", "contribution_set.json", "delta.md"
+)
 
 
 @dataclass
@@ -88,13 +98,62 @@ def _recorded(result: TeamResult, step, *args):
     return None
 
 
+@dataclass(frozen=True)
+class TeamInputs:
+    """What a team's outputs are made from besides its replay, read once per
+    team before its load, and `digest` over all of it (`_inputs_digest`)."""
+
+    sprint_instructions: str
+    project_description: str
+    prior: ReportState | None  # the most recent earlier window's saved state
+    digest: str
+
+
+def _inputs_digest(
+    cfg: RunConfig, roster: Roster, repo: ingest.RepoHandle, texts: tuple[str, str],
+    prior: ReportState | None,
+) -> str:
+    """sha256 over what the team's outputs are made from, as `memo`'s outputs
+    slot describes; the window and the repository are in the slot's key."""
+    material = {
+        "default_branch": [repo.default_branch, repo.head_ref],
+        "include_branches": [[b, repo.tips.get(b)] for b in cfg.include_branches],
+        "tiers": [dataclasses.asdict(cfg.analysis_tier), dataclasses.asdict(cfg.synthesis_tier)],
+        "provider_mode": cfg.provider_mode,
+        "roles_enabled": cfg.roles_enabled,
+        "coauthor_split": cfg.coauthor_split,
+        "exclude_globs": list(cfg.exclude_globs),
+        "roster": [[[s.id, s.display_name] for s in roster.students], sorted(roster.aliases.items())],
+        "texts": list(texts),
+        "prior": prior.to_json() if prior is not None else None,
+    }
+    return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+
+
 def _load_team(
-    repo_path: str, cfg: RunConfig, roster: Roster, store: Store
-) -> tuple[ingest.RepoHandle, attribution.ContributionSet]:
-    """The team's history and its replay: the repo handle and contribution
-    set. The repository is opened with `store`, the run's memo (see
+    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, store: Store
+) -> tuple[ingest.RepoHandle, TeamInputs, attribution.ContributionSet] | None:
+    """The team's repo handle, inputs and replay; or None, with `result`
+    taken from the team's outputs slot, when its inputs and outputs are
+    unchanged. The repository is opened with `store`, the run's memo (see
     `memo`)."""
     repo = ingest.open_repo(repo_path, cfg.branch, store)
+    texts = (
+        _read_optional(cfg.sprint_instructions_path),
+        _read_optional(cfg.project_description_path),
+    )
+    prior = _find_prior_state(cfg, result.team)
+    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, texts, prior))
+    if repo.store is not None:
+        out_dir = window_dir(cfg, result.team)
+        remembered = memo.team_outputs(
+            repo.store, repo.root_path, result.team, cfg.window, inputs.digest, out_dir,
+            ARTIFACT_NAMES, (STATE_NAME, MANIFEST_NAME),
+        )
+        if remembered is not None:
+            artifacts, result.warnings = remembered
+            result.artifacts = {name: str(out_dir / name) for name in artifacts}
+            return None
     options = attribution.AttributionOptions(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
@@ -102,14 +161,16 @@ def _load_team(
     cset = attribution.build_contribution_set(
         repo, cfg.window, roster, options, cfg.include_branches
     )
-    return repo, cset
+    return repo, inputs, cset
 
 
 def _finish_team(
-    result: TeamResult, repo: ingest.RepoHandle, cset: attribution.ContributionSet, cfg: RunConfig,
-    roster: Roster, provider, store: Store, ledger: CostLedger, pool: chain.SendPool,
+    result: TeamResult, repo: ingest.RepoHandle, inputs: TeamInputs,
+    cset: attribution.ContributionSet, cfg: RunConfig, roster: Roster, provider, store: Store,
+    ledger: CostLedger, pool: chain.SendPool,
 ) -> None:
-    """Tables, synthesis, validation, render and write of a replayed team."""
+    """Tables, synthesis, validation, render and write of a replayed team;
+    its outputs slot is written last."""
     team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
         provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store, team=team
@@ -117,8 +178,8 @@ def _finish_team(
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
         contribution_rows=contribution_rows,
-        sprint_instructions=_read_optional(cfg.sprint_instructions_path),
-        project_description=_read_optional(cfg.project_description_path),
+        sprint_instructions=inputs.sprint_instructions,
+        project_description=inputs.project_description,
         roles_enabled=cfg.roles_enabled,
         roster=roster,
         contribution_set=cset,
@@ -159,22 +220,30 @@ def _finish_team(
     out_dir = window_dir(cfg, team)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    functionality_table = tables.FunctionalityTable(tuple(functionality_rows))
-    contribution_table = tables.ContributionTable(tuple(contribution_rows))
-    tables.write_csv(functionality_table, out_dir / "functionality.csv")
-    tables.write_csv(contribution_table, out_dir / "contribution.csv")
-    write_atomic(out_dir / "report.md", document.markdown)
-    write_atomic(out_dir / "contribution_set.json", cset.to_json())
-    write_atomic(out_dir / STATE_NAME, state.to_json())
+    # name -> sha256 of the bytes written, each file written as soon as it is made
+    written: dict[str, str] = {}
 
-    prior = _find_prior_state(cfg, team)
-    if prior is not None:
-        delta = diff_windows(prior, state)
-        write_atomic(out_dir / "delta.md", delta or "No changes between windows.\n")
+    def write(name: str, data: bytes | str) -> None:
+        data = data.encode("utf-8") if isinstance(data, str) else data
+        write_atomic(out_dir / name, data)
+        written[name] = hashlib.sha256(data).hexdigest()
 
-    artifact_names = ["functionality.csv", "contribution.csv", "report.md", "contribution_set.json"]
-    if prior is not None:
-        artifact_names.append("delta.md")
+    for name, table in (
+        ("functionality.csv", tables.FunctionalityTable(tuple(functionality_rows))),
+        ("contribution.csv", tables.ContributionTable(tuple(contribution_rows))),
+    ):
+        csv = io.BytesIO()
+        tables.write_csv(table, csv)
+        write(name, csv.getvalue())
+    write("report.md", document.markdown)
+    write("contribution_set.json", cset.to_json())
+    write(STATE_NAME, state.to_json())
+    if inputs.prior is not None:
+        write("delta.md", diff_windows(inputs.prior, state) or "No changes between windows.\n")
+    else:  # a delta left by a run that found a prior window since removed
+        (out_dir / "delta.md").unlink(missing_ok=True)
+
+    artifact_names = [name for name in ARTIFACT_NAMES if name in written]
     manifest = {
         "team": team,
         "window": {
@@ -193,23 +262,30 @@ def _finish_team(
             "analysis": cfg.analysis_tier.model_id,
             "synthesis": cfg.synthesis_tier.model_id,
         },
-        "artifacts": {
-            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in artifact_names
-        },
+        "artifacts": {name: written[name] for name in artifact_names},
     }
-    write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write(MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
+    if repo.store is not None:
+        repo.store.put(*memo.outputs_entry(
+            repo.root_path, team, cfg.window, inputs.digest, artifact_names, result.warnings,
+            written,
+        ))
 
 
 def _find_prior_state(cfg: RunConfig, team: str) -> ReportState | None:
-    """Most recent earlier window's report state for this team, if any."""
+    """Most recent earlier window's report state for this team, if any; the
+    state in the window's own directory is never one, as this run replaces
+    it."""
     team_dir = Path(cfg.out_dir) / team
     if not team_dir.exists():
         return None
+    own = window_dir(cfg, team)
     # window starts may carry different UTC offsets: compare instants, not strings
     best: ReportState | None = None
     for state_path in team_dir.glob(f"*/{STATE_NAME}"):
+        if state_path.parent == own:
+            continue
         try:
             state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
@@ -235,8 +311,8 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     try:
         finishing = []
         for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
-            loaded = _recorded(result, _load_team, path, cfg, roster, store)
-            if loaded is None:
+            loaded = _recorded(result, _load_team, result, path, cfg, roster, store)
+            if loaded is None:  # failed, or its outputs are unchanged
                 continue
             args = (result, *loaded, cfg, roster, provider, store, ledger, sends)
             if n < len(cfg.repos):

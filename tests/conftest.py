@@ -123,9 +123,10 @@ def with_tree_entries(tmp_path, *entries: tuple[str, str, str | bytes]) -> str:
 
 
 def commit_tree_entries(
-    root: str, index, *entries: tuple[str, str, str | bytes], date: str = "2024-06-20T12:00:00+00:00"
+    root: str, index, *entries: tuple[str, str, str | bytes], date: str = "2024-06-20T12:00:00+00:00",
+    branch: str = "main",
 ) -> None:
-    """On `refs/heads/main` of `root`, one commit by Bob at `date` per raw
+    """On `refs/heads/<branch>` of `root`, one commit by Bob at `date` per raw
     tree entry (mode, path, object): an object id, or bytes written as a
     blob first. `index` is a scratch index file."""
     env = {
@@ -148,10 +149,10 @@ def commit_tree_entries(
     for mode, path, obj in entries:
         if isinstance(obj, bytes):
             obj = git("hash-object", "-w", "--stdin", stdin=obj)
-        git("read-tree", "refs/heads/main")
+        git("read-tree", f"refs/heads/{branch}")
         git("update-index", "--add", "--cacheinfo", f"{mode},{obj},{path}")
-        commit = git("commit-tree", git("write-tree"), "-p", "refs/heads/main", "-m", path)
-        git("update-ref", "refs/heads/main", commit)
+        commit = git("commit-tree", git("write-tree"), "-p", f"refs/heads/{branch}", "-m", path)
+        git("update-ref", f"refs/heads/{branch}", commit)
 
 
 def hang_cat_file(tmp_path, monkeypatch, root: str, timeout: float = 0.5) -> None:

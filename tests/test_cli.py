@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import commit_tree_entries
 from contribsum import synthfix
 from contribsum.agents.provider import HttpProvider, TokenBucket
 from contribsum.cli import build_provider, main
@@ -197,6 +198,52 @@ class TestAnalyze:
         assert report.count("- included unmerged branch: experiment") == 1
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["include_branches"] == ["experiment"]
+
+
+class TestUnchangedRerun:
+    def test_unchanged_teams_are_skipped(self, tmp_path, capsys, caplog):
+        """A second `analyze` prints the same, rewrites nothing and adds no
+        ledger line; `render` in between changes nothing of that; after one
+        team's new commit only that team runs again."""
+        config = make_workspace(
+            tmp_path, {"team-alpha": "merged_branch", "team-beta": "zero_commit_student"}
+        )
+        out, ledger = tmp_path / "out", tmp_path / "state" / "ledger.jsonl"
+
+        def files() -> dict:
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+
+        def analyze() -> tuple[str, list[str]]:
+            caplog.clear()
+            with caplog.at_level("INFO", logger="contribsum.memo"):
+                assert main(["analyze", "--config", str(config)]) == 0
+            return capsys.readouterr().out, [
+                m for m in caplog.messages if m.startswith("team outputs")
+            ]
+
+        printed, _ = analyze()
+        first, lines = files(), ledger.read_text()
+        assert lines
+        both = ["team outputs unchanged: team-alpha", "team outputs unchanged: team-beta"]
+        assert analyze() == (printed, both)
+        assert files() == first and ledger.read_text() == lines
+
+        assert main(["render", "--config", str(config)]) == 0
+        capsys.readouterr()
+        rendered = files()
+        assert analyze() == (printed, both)
+        assert files() == rendered and ledger.read_text() == lines
+
+        entry = ("100644", "more.py", b"m = 1\n")
+        commit_tree_entries(str(tmp_path / "repos" / "team-alpha"), tmp_path / "index", entry)
+        assert analyze()[1] == [
+            "team outputs slot stale: team-alpha (inputs)", "team outputs unchanged: team-beta"
+        ]
+        after = files()
+        beta = {p: v for p, v in rendered.items() if "team-beta" in p.parts}
+        assert {p: v for p, v in after.items() if "team-beta" in p.parts} == beta
+        manifest = out / "team-alpha" / "week-1" / "run_manifest.json"
+        assert after[manifest] != rendered[manifest]  # a new window head
 
 
 class TestConfigErrors:

@@ -6,7 +6,10 @@ matrix."""
 from __future__ import annotations
 
 import _thread
+import dataclasses
 import json
+import logging
+import shutil
 import subprocess
 import sys
 import threading
@@ -19,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, tree_files, with_tree_entries,
+    JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, tree_files,
+    with_tree_entries,
 )
 from contribsum import (
     attribution, gitio, identity, ingest, memo, pipeline, store as store_module, synthfix,
@@ -99,6 +103,41 @@ def _git_spawns(monkeypatch, run) -> list:
     return spawns
 
 
+def _slot_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipeline.TeamResult:
+    """The result of re-running `cfg`'s one team unchanged: its outputs slot
+    stands in for it, so the run makes one store get and no put, spawns one
+    git process (the branch listing), starts no thread, records no ledger
+    entry and writes no file."""
+    def files() -> dict:
+        out = Path(cfg.out_dir)
+        return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+
+    before = files()
+    calls, results = [], []
+    ledger = CostLedger()
+
+    def logged(name: str, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    def run():
+        with monkeypatch.context() as patch:
+            for owner, name in ((Store, "get"), (Store, "put"), (threading.Thread, "start")):
+                patch.setattr(owner, name, logged(name, getattr(owner, name)))
+            results.extend(pipeline.run_analysis(
+                cfg, roster or load_roster(ROSTER_TEXT), MockProvider(), store, ledger
+            ))
+
+    spawns = _git_spawns(monkeypatch, run)
+    (result,) = results
+    assert result.ok, result.error
+    assert (calls, len(spawns), ledger.entries) == (["get"], 1, [])
+    assert files() == before
+    return result
+
+
 class TestGitSpawns:
     def test_spawns_do_not_grow_with_commit_count(self, tmp_path, monkeypatch):
         """Each configuration runs twice on a store of its own: first with
@@ -139,9 +178,11 @@ class TestGitSpawns:
 class TestStoreTraffic:
     def test_one_get_per_log_slot_and_head(self, tmp_path, monkeypatch):
         """The memo's store calls, told from the provider cache's by their
-        caller: a new team gets and puts each log slot and each distinct
-        window head's entry once, and a fully remembered one gets each once
-        and puts nothing, at 30 and 300 commits with 0, 1 or 2 branches."""
+        caller: a new team gets and puts each log slot, each distinct window
+        head's entry and its outputs slot once; a fully remembered one run
+        into a fresh out dir gets each once and puts only its outputs slot;
+        run again unchanged it gets only its outputs slot. At 30 and 300
+        commits with 0, 1 or 2 branches."""
         roster = load_roster(ROSTER_TEXT)
         gets, puts = Counter(), Counter()
 
@@ -161,6 +202,7 @@ class TestStoreTraffic:
                 name = f"run-{commits}-{'-'.join(branches)}"
                 store = Store(tmp_path / name / "cache")
                 cfg = _config(tmp_path / name, [("team", root)], branches)
+                outputs = memo._outputs_key(root, "team", JUNE)
                 refs = (handle.default_branch, *branches)
                 heads = {
                     ingest.History(gitio.log(root, handle.tips[ref])).window_head(JUNE)
@@ -172,7 +214,10 @@ class TestStoreTraffic:
                     memo._head_key(at, tuple(cfg.exclude_globs), attribution.MAX_BLAME_FILE_BYTES)
                     for at in heads
                 )
+                slots[outputs] += 1
                 for warm in (False, True):
+                    # a fresh out dir: the outputs slot's files are missing
+                    cfg = _config(tmp_path / name / str(warm), [("team", root)], branches)
                     gets.clear()
                     puts.clear()
                     (result,) = pipeline.run_analysis(
@@ -180,13 +225,17 @@ class TestStoreTraffic:
                     )
                     assert result.ok, result.error
                     assert gets == slots, (commits, branches, warm)
-                    assert puts == (Counter() if warm else slots), (commits, branches, warm)
+                    assert puts == (Counter([outputs]) if warm else slots), (commits, branches, warm)
+                gets.clear()
+                _slot_hit(monkeypatch, cfg, store)
+                assert gets == Counter([outputs]), (commits, branches)
 
 
 class TestReplayMemoBound:
     def test_warm_rerun_reads_head_blobs_and_diffs_nothing(self, tmp_path, monkeypatch):
-        """Re-running a window with a warm store reads each distinct head blob
-        once and builds no line matcher, at 30 and at 300 commits."""
+        """Re-running a window with a warm store into a fresh out dir reads
+        each distinct head blob once and builds no line matcher, at 30 and at
+        300 commits; re-running it unchanged reads no blob at all."""
         roster = load_roster(ROSTER_TEXT)
         reads: list[str] = []
         matchers: list[int] = []
@@ -212,12 +261,12 @@ class TestReplayMemoBound:
             script = RepoScript(name=f"middle-{commits}", roster_text=ROSTER_TEXT, steps=steps)
             handle, _ = synthfix.build(script, tmp_path / f"repo-{commits}")
             store = Store(tmp_path / f"cache-{commits}")
-            cfg = _config(tmp_path / f"run-{commits}", [("team", handle.root_path)])
             head_blobs = {
                 content for path, content in tree_files(handle, handle.history.window_head(JUNE))
             }
             work = []
-            for _ in range(2):
+            for n in range(2):
+                cfg = _config(tmp_path / f"run-{commits}-{n}", [("team", handle.root_path)])
                 reads.clear()
                 matchers.clear()
                 (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
@@ -225,6 +274,9 @@ class TestReplayMemoBound:
                 work.append((len(reads), len(matchers)))
             assert work[0][0] > len(head_blobs) and work[0][1] > 0  # the first run replays
             assert work[1] == (len(head_blobs), 0)
+            reads.clear()
+            _slot_hit(monkeypatch, cfg, store)
+            assert (reads, matchers) == ([], [])
 
 
 class TestIdentityResolution:
@@ -581,12 +633,16 @@ class TestSendPool:
         assert provider.peak <= 2
 
     def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
+        """A run into a fresh out dir whose every answer is cached sends
+        nothing and starts no thread; so does its unchanged re-run, which
+        its outputs slot stands in for."""
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
-        cfg = _config(tmp_path, [("team", handle.root_path)])
         roster = load_roster(ROSTER_TEXT)
         store = Store(tmp_path / "cache")
-        (cold,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        cold_cfg = _config(tmp_path / "cold", [("team", handle.root_path)])
+        (cold,) = pipeline.run_analysis(cold_cfg, roster, MockProvider(), store, CostLedger())
         assert cold.ok, cold.error
+        cfg = _config(tmp_path / "warm", [("team", handle.root_path)])
 
         class NoProvider:
             def send(self, messages, model_id):
@@ -606,6 +662,7 @@ class TestSendPool:
         assert warm.ok, warm.error
         assert starts == []
         assert ledger.entries == []
+        assert _slot_hit(monkeypatch, cfg, store) == warm
 
     def test_failed_send_fails_only_its_team(self, tmp_path, monkeypatch):
         roster = load_roster(ROSTER_TEXT)
@@ -931,10 +988,54 @@ class TestPriorState:
         assert pipeline._find_prior_state(cfg, "team").meta.window.label == "earlier"
 
 
-def _analyze(tmp_path: Path, repo_path: str):
+    def test_delta_removed_when_no_prior_window(self, tmp_path, built_fixtures):
+        """A re-run that no longer finds the window it once diffed against
+        writes no delta and leaves none behind."""
+        cfg = _config(tmp_path, [("team", built_fixtures["merged_branch"][0].root_path)])
+        july = AnalysisWindow(
+            start=JUNE.end, end=datetime(2024, 8, 1, tzinfo=timezone.utc), label="week-2"
+        )
+        roster = load_roster(ROSTER_TEXT)
+        for window in (JUNE, july):
+            cfg.window = window
+            (result,) = pipeline.run_analysis(
+                cfg, roster, MockProvider(), Store(tmp_path / "cache"), CostLedger()
+            )
+            assert result.ok, result.error
+        assert "delta.md" in result.artifacts
+        shutil.rmtree(Path(cfg.out_dir) / "team" / JUNE.label)
+        (result,) = pipeline.run_analysis(
+            cfg, roster, MockProvider(), Store(tmp_path / "fresh"), CostLedger()
+        )
+        assert result.ok, result.error
+        out = pipeline.window_dir(cfg, "team")
+        manifest = json.loads((out / pipeline.MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert "delta.md" not in result.artifacts and "delta.md" not in manifest["artifacts"]
+        assert not (out / "delta.md").exists()
+
+    def test_window_sharing_a_directory_is_not_prior(self, tmp_path, monkeypatch, built_fixtures):
+        """Windows given by their bounds alone are all labelled "window" and
+        share one directory, so a later one replaces the earlier one's
+        state: it writes no delta against it, and its unchanged re-run is
+        skipped."""
+        cfg = _config(tmp_path, [("team", built_fixtures["merged_branch"][0].root_path)])
+        july = AnalysisWindow(JUNE.end, datetime(2024, 8, 1, tzinfo=timezone.utc), "window")
+        store = Store(tmp_path / "cache")
+        for window in (dataclasses.replace(july, start=JUNE.start, end=JUNE.end), july):
+            cfg.window = window
+            (result,) = pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+            )
+            assert result.ok, result.error
+            assert "delta.md" not in result.artifacts
+        assert not (pipeline.window_dir(cfg, "team") / "delta.md").exists()
+        _slot_hit(monkeypatch, cfg, store)
+
+
+def _analyze(tmp_path: Path, repo_path: str, cache: str = "cache"):
     cfg = _config(tmp_path, [("team", repo_path)])
     (result,) = pipeline.run_analysis(
-        cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
+        cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / cache), CostLedger()
     )
     return result
 
@@ -1027,11 +1128,16 @@ class TestAtomicArtifacts:
             return _HalfWriter(fh) if Path(file).name.startswith(".report.md.") else fh
 
         monkeypatch.setattr(store_module, "open", failing_open, raising=False)
-        second = _analyze(tmp_path, handle.root_path)
+        # a fresh store holds no outputs slot, so the team runs and writes
+        second = _analyze(tmp_path, handle.root_path, cache="cache-2")
         assert not second.ok
         assert "No space left on device" in second.error
         assert {name: (out_dir / name).read_bytes() for name in kept} == before
         assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]
+        # a failed team writes no outputs slot
+        outputs = memo._outputs_key(handle.root_path, "team", JUNE)
+        assert Store(tmp_path / "cache").get(outputs) is not None
+        assert Store(tmp_path / "cache-2").get(outputs) is None
 
 
 def _tree_bytes(directory: Path) -> dict[str, bytes]:
@@ -1160,3 +1266,305 @@ class TestFaultMatrix:
             absent = "package-lock.json" if fault == "lockfile" else "libs/thing"
             for name in ("functionality.csv", "contribution.csv", "contribution_set.json", "report.md"):
                 assert absent not in (victim_out / name).read_text("utf-8"), name
+
+
+# every RunConfig field, with how the outputs slot accounts for it
+KEYED_FIELDS = {
+    "window": "its start, end and label are in the slot's key",
+    "branch": "the resolved default branch and its tip are in the inputs digest",
+    "analysis_tier": "every field is in the inputs digest",
+    "synthesis_tier": "every field is in the inputs digest",
+    "provider_mode": "in the inputs digest",
+    "roles_enabled": "in the inputs digest",
+    "coauthor_split": "in the inputs digest",
+    "include_branches": "each name and its tip, or null, are in the inputs digest",
+    "exclude_globs": "in the inputs digest",
+}
+UNKEYED_FIELDS = {
+    "repos": "the team's name and real path are in the key; the other teams shape nothing of it",
+    "out_dir": "files are checked by content wherever they are",
+    "state_dir": "files are checked by content wherever they are",
+    "analysis_workers": "outputs are equal for any pool size (TestSendPool)",
+    "rate_limit": "paces sends only",
+    "endpoint": "a slot is only written after a run that left every answer in the cache",
+    "api_key": "a slot is only written after a run that left every answer in the cache",
+    "replay_dir": "a slot is only written after a run that left every answer in the cache",
+    "roster_path": "the roster's students and aliases are in the inputs digest",
+    "sprint_instructions_path": "the file's text is in the inputs digest",
+    "project_description_path": "the file's text is in the inputs digest",
+}
+
+
+STATE_FILES = (pipeline.STATE_NAME, pipeline.MANIFEST_NAME)
+
+
+class TestOutputsSlot:
+    """A team whose inputs digest and written files match its outputs slot
+    is not run; any other team runs in full and equals a run without a
+    store."""
+
+    @staticmethod
+    def _primed(tmp_path: Path) -> tuple[RunConfig, Store]:
+        """A one-team course with both instruction files, an included
+        branch and a prior window, analysed once with a store."""
+        handle, _ = synthfix.build(_history(12), tmp_path / "repo")
+        cfg = _config(tmp_path, [("team", handle.root_path)], ("side",))
+        for key, text in (("sprint_instructions_path", "Ship it.\n"),
+                          ("project_description_path", "A portal.\n")):
+            (tmp_path / f"{key}.md").write_text(text, encoding="utf-8")
+            setattr(cfg, key, str(tmp_path / f"{key}.md"))
+        _write_state(Path(cfg.out_dir) / "team", "week-0", "2024-05-01T00:00:00+00:00")
+        store = Store(tmp_path / "cache")
+        (result,) = pipeline.run_analysis(
+            cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+        )
+        assert result.ok, result.error
+        assert "delta.md" in result.artifacts
+        return cfg, store
+
+    @staticmethod
+    def _storeless(cfg: RunConfig, roster, out: Path) -> dict[str, bytes]:
+        """The out dir a run of `cfg` without a store leaves in `out`, a copy
+        of `cfg`'s out dir."""
+        shutil.copytree(cfg.out_dir, out)
+        results = pipeline.run_analysis(
+            dataclasses.replace(cfg, out_dir=str(out)), roster, MockProvider(), None, CostLedger()
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+        return _tree_bytes(out)
+
+    def test_every_config_field_accounted_for(self):
+        """A field added to RunConfig must be keyed or named here as not."""
+        assert not KEYED_FIELDS.keys() & UNKEYED_FIELDS.keys()
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert fields == KEYED_FIELDS.keys() | UNKEYED_FIELDS.keys()
+
+    @pytest.mark.parametrize("field", UNKEYED_FIELDS)
+    def test_unkeyed_field_keeps_the_slot(self, tmp_path, monkeypatch, caplog, field):
+        """Each field left out of the digest, changed alone, still skips
+        the team."""
+        cfg, store = self._primed(tmp_path)
+        if field == "repos":
+            other, _ = synthfix.build(_history(13), tmp_path / "other")
+            cfg.repos = [("other", other.root_path), *cfg.repos]
+            with caplog.at_level("INFO", logger=memo.__name__):
+                results = pipeline.run_analysis(
+                    cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+                )
+            assert all(r.ok for r in results), [r.error for r in results]
+            assert "team outputs unchanged: team" in caplog.messages
+            return
+        if field == "out_dir":  # the same files in another place
+            shutil.copytree(cfg.out_dir, tmp_path / "moved")
+            cfg.out_dir = str(tmp_path / "moved")
+        elif field.endswith("instructions_path") or field.endswith("description_path"):
+            shutil.copy(getattr(cfg, field), tmp_path / "copy")  # the same text elsewhere
+            setattr(cfg, field, str(tmp_path / "copy"))
+        else:
+            setattr(cfg, field, {"analysis_workers": 1, "rate_limit": 5.0}.get(field, "other"))
+        _slot_hit(monkeypatch, cfg, store)
+
+    @pytest.mark.parametrize("change", [
+        "window", "branch", "analysis_tier", "synthesis_tier", "provider_mode", "roles_enabled",
+        "coauthor_split", "include_branches", "exclude_globs", "roster_name", "roster_alias",
+        "sprint_instructions", "project_description", "default_commit", "branch_commit",
+        "prior_changed", "prior_removed",
+    ])
+    def test_each_keyed_input_runs_the_team(self, tmp_path, monkeypatch, caplog, change):
+        """One keyed input changed alone gives a full run whose out dir
+        equals a run without a store with that input."""
+        cfg, store = self._primed(tmp_path)
+        roster = load_roster(ROSTER_TEXT)
+        root = cfg.repos[0][1]
+        prior = Path(cfg.out_dir) / "team" / "week-0"
+        if change == "window":
+            cfg.window = AnalysisWindow(JUNE.start, JUNE.end + timedelta(days=1), JUNE.label)
+        elif change == "branch":
+            cfg.branch = "side"
+        elif change == "analysis_tier":
+            cfg.analysis_tier = dataclasses.replace(ANALYSIS, max_input_tokens=64_000)
+        elif change == "synthesis_tier":
+            cfg.synthesis_tier = dataclasses.replace(SYNTHESIS, cost_per_1k_output=1.0)
+        elif change == "provider_mode":
+            cfg.provider_mode = "replay"
+        elif change == "roles_enabled":
+            cfg.roles_enabled = True
+        elif change == "coauthor_split":
+            cfg.coauthor_split = False
+        elif change == "include_branches":
+            cfg.include_branches = ("side", "topic")
+        elif change == "exclude_globs":
+            cfg.exclude_globs = (*cfg.exclude_globs, FILES[0])
+        elif change == "roster_name":
+            roster = load_roster(ROSTER_TEXT.replace("Carol Weiss", "Carol W."))
+        elif change == "roster_alias":
+            roster = load_roster(ROSTER_TEXT.replace("carol@campus.edu", "carol@campus.edu, cw@x"))
+        elif change in ("sprint_instructions", "project_description"):
+            Path(getattr(cfg, f"{change}_path")).write_text("Other text.\n", encoding="utf-8")
+        elif change in ("default_commit", "branch_commit"):
+            branch = "main" if change == "default_commit" else "side"
+            entry = ("100644", "more.py", b"m = 1\n")
+            commit_tree_entries(root, tmp_path / "entry.index", entry, branch=branch)
+        elif change == "prior_changed":
+            shutil.rmtree(prior)
+            _write_state(prior.parent, "week-0", "2024-05-02T00:00:00+00:00")
+        elif change == "prior_removed":
+            shutil.rmtree(prior)
+        expected = self._storeless(cfg, roster, tmp_path / "storeless")
+        with caplog.at_level("INFO", logger=memo.__name__):
+            (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert result.ok, result.error
+        assert "team outputs unchanged" not in caplog.text
+        if change != "window":  # another window is another slot
+            assert "team outputs slot stale: team (inputs)" in caplog.text
+        assert _tree_bytes(Path(cfg.out_dir)) == expected
+        _slot_hit(monkeypatch, cfg, store, roster)
+
+    @pytest.mark.parametrize("fault", ["edited", "deleted", "corrupted", "extra_delta"])
+    def test_changed_file_is_rewritten(self, tmp_path, caplog, fault):
+        """An artifact edited, deleted or corrupted, or a delta the last run
+        did not write, makes a full run that restores the out dir."""
+        cfg, store = self._primed(tmp_path)
+        out = pipeline.window_dir(cfg, "team")
+        if fault == "extra_delta":  # the last run found no prior window
+            shutil.rmtree(Path(cfg.out_dir) / "team" / "week-0")
+            (result,) = pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+            )
+            assert "delta.md" not in result.artifacts
+        expected = _tree_bytes(Path(cfg.out_dir))
+        name = {"edited": "report.md", "deleted": "contribution.csv",
+                "corrupted": pipeline.MANIFEST_NAME, "extra_delta": "delta.md"}[fault]
+        if fault == "edited":
+            (out / name).write_bytes((out / name).read_bytes() + b"\n")
+        elif fault == "deleted":
+            (out / name).unlink()
+        elif fault == "corrupted":
+            (out / name).write_bytes(b"\0" * len((out / name).read_bytes()))
+        else:
+            (out / name).write_text("stale\n", encoding="utf-8")
+        with caplog.at_level("INFO", logger=memo.__name__):
+            (result,) = pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+            )
+        assert result.ok, result.error
+        assert f"team outputs slot stale: team ({name})" in caplog.text
+        assert _tree_bytes(Path(cfg.out_dir)) == expected
+
+    # a trusted payload but for one field each
+    UNTRUSTED = {
+        "inputs": {"inputs": 1},
+        "path": {"artifacts": ["../report.md"],
+                 "files": {"../report.md": "0" * 64, **{n: "0" * 64 for n in STATE_FILES}}},
+        "repeated": {"artifacts": ["report.md", "report.md"]},
+        "warnings": {"warnings": [3]},
+        "files": {"files": {"report.md": "0" * 64, pipeline.STATE_NAME: "0" * 64}},
+        "hash": {"files": {"report.md": "0" * 63, **{n: "0" * 64 for n in STATE_FILES}}},
+    }
+
+    @pytest.mark.parametrize("payload", ["list", *UNTRUSTED])
+    def test_untrusted_payload_warns_once_and_runs(self, tmp_path, monkeypatch, caplog, payload):
+        cfg, store = self._primed(tmp_path)
+        expected = _tree_bytes(Path(cfg.out_dir))
+        trusted = {"inputs": "x", "artifacts": ["report.md"], "warnings": [],
+                   "files": {n: "0" * 64 for n in ("report.md", *STATE_FILES)}}
+        memo._remembered_outputs(trusted, pipeline.ARTIFACT_NAMES, STATE_FILES)
+        untrusted = ["not", "a", "dict"] if payload == "list" else {
+            **trusted, **self.UNTRUSTED[payload]
+        }
+        store.put(memo._outputs_key(cfg.repos[0][1], "team", JUNE), untrusted)
+        with caplog.at_level("INFO", logger=memo.__name__):
+            (result,) = pipeline.run_analysis(
+                cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+            )
+        assert result.ok, result.error
+        dropped = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage().split(" (")[0] for r in dropped] == [
+            "team outputs entry dropped: team"
+        ]
+        assert _tree_bytes(Path(cfg.out_dir)) == expected
+        _slot_hit(monkeypatch, cfg, store)  # the slot is rewritten
+
+    def test_hit_equals_a_run_without_a_store(self, tmp_path, caplog, built_fixtures, branch_repos):
+        """Every standard fixture, four `random_script` and four
+        `random_branch_script` histories as one course: the re-run skips
+        every team, and its results and out dir equal the first run's and a
+        run without a store's."""
+        repos = [(name, handle.root_path) for name, (handle, _) in sorted(built_fixtures.items())]
+        for seed in range(4):
+            handle, _ = synthfix.build(random_script(seed), tmp_path / f"r{seed}")
+            repos.append((f"random-{seed}", handle.root_path))
+            repos.append((f"branch-{seed}", branch_repos[seed][0].root_path))
+        cfg = _config(tmp_path, repos, ("feature",))
+        roster = load_roster(ROSTER_TEXT)
+        store = Store(tmp_path / "cache")
+        first = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert all(r.ok for r in first), [r.error for r in first]
+        assert any(r.warnings for r in first)
+        before = {p: p.stat().st_mtime_ns for p in Path(cfg.out_dir).rglob("*") if p.is_file()}
+        ledger = CostLedger()
+        with caplog.at_level("INFO", logger=memo.__name__):
+            again = pipeline.run_analysis(cfg, roster, MockProvider(), store, ledger)
+        assert again == first and ledger.entries == []
+        unchanged = [m for m in caplog.messages if m.startswith("team outputs unchanged: ")]
+        assert unchanged == [f"team outputs unchanged: {team}" for team, _ in repos]
+        assert {p: p.stat().st_mtime_ns for p in before} == before
+        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
+
+    def test_rerun_after_a_failed_team_runs_only_that_team(self, tmp_path, monkeypatch, caplog):
+        """A course re-run after one team failed (here on a full disk while
+        writing its report) skips the team that finished and runs the
+        failed one, which wrote no slot."""
+        roots = {}
+        for n, team in enumerate(TestFaultMatrix.TEAMS):
+            handle, _ = synthfix.build(_history(12 + n), tmp_path / "repos" / team)
+            roots[team] = handle.root_path
+        cfg = _config(tmp_path, list(roots.items()), ("side",))
+        roster = load_roster(ROSTER_TEXT)
+        store = Store(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            TestFaultMatrix._killed_write(tmp_path, roots, patch)
+            results = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert [r.ok for r in results] == [False, True]
+        finished = Path(cfg.out_dir) / "bystander"
+        before = {p: p.stat().st_mtime_ns for p in finished.rglob("*") if p.is_file()}
+        with caplog.at_level("INFO", logger=memo.__name__):
+            results = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert all(r.ok for r in results), [r.error for r in results]
+        outcomes = [m for m in caplog.messages if m.startswith("team outputs")]
+        assert outcomes == ["team outputs unchanged: bystander"]
+        assert {p: p.stat().st_mtime_ns for p in before} == before
+        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
+
+    @pytest.mark.parametrize("cut", ["shallow", "grafted"])
+    def test_cut_history_reads_and_writes_no_slot(self, tmp_path, monkeypatch, caplog, cut):
+        handle, _ = synthfix.build(_history(30), tmp_path / "origin")
+        clone = str(tmp_path / "clone")
+        depth = ["--depth", "10"] if cut == "shallow" else []
+        subprocess.run(["git", "clone", "-q", *depth, f"file://{handle.root_path}", clone],
+                       check=True, capture_output=True)
+        if cut == "grafted":
+            middle = ingest.open_repo(clone).history.commits[15].hash
+            (Path(clone) / ".git" / "info").mkdir(exist_ok=True)
+            (Path(clone) / ".git" / "info" / "grafts").write_text(middle + "\n")
+        cfg = _config(tmp_path, [("team", clone)])
+        roster = load_roster(ROSTER_TEXT)
+        calls = []
+
+        def counted(real):
+            def call(self, *args):
+                if sys._getframe(1).f_globals["__name__"] == memo.__name__:
+                    calls.append(real.__name__)
+                return real(self, *args)
+            return call
+
+        monkeypatch.setattr(Store, "get", counted(Store.get))
+        monkeypatch.setattr(Store, "put", counted(Store.put))
+        store = Store(tmp_path / "cache")
+        with caplog.at_level("INFO", logger=memo.__name__):
+            for _ in range(2):
+                (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+                assert result.ok, result.error
+        assert calls == []
+        assert "team outputs" not in caplog.text
+        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
