@@ -10,9 +10,10 @@ Every request goes one way: `prepare` renders it, checks the tier budget
 and looks it up in the cache, and `answer_all` sends the misses on the
 run's `SendPool` and records their usage and cache entries. Table rows
 and synthesis, with its repair retry, all take that path, so the pool's
-size caps every request of a run. The pool keeps its sends in flight by
-cache key, so a request that teams running at once both need is sent
-once, and its ledger entry names the team whose call sent it.
+size caps every request of a run. The pool keeps every send of the run
+by cache key, so a request that several teams need is sent once per run,
+with or without a cache, and its ledger entry names the team whose call
+sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two `answer_all` batches, the file rows and then the
@@ -188,46 +189,32 @@ def _record(
 
 
 class SendPool(ThreadPoolExecutor):
-    """The run's send threads, with its sends in flight by cache key.
+    """The run's send threads, with every send of the run by cache key.
 
-    A request whose key is already being sent waits for that send instead
-    of sending it again, so teams that need one answer at once make one
-    provider call and one ledger entry, as they would one after another.
+    A request whose key was sent before in the run, or is being sent,
+    takes that send's answer instead of sending it again, so teams that
+    need one answer make one provider call and one ledger entry, with or
+    without a cache. A send that failed or was cancelled is made anew.
     Once the pool is shut down, a new send raises `RuntimeError`.
     """
 
     def __init__(self, workers: int):
         super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
         self._lock = threading.Lock()
-        self._sending: dict[str, Future] = {}
-        self._answered: set[str] = set()  # keys whose answer was stored
+        self._sends: dict[str, Future] = {}
 
-    def join(self, provider, call: Call, store: Store | None) -> tuple[Future, bool] | None:
+    def join(self, provider, call: Call) -> tuple[Future, bool]:
         """The send that answers `call`: `(future, True)` when `call` makes
-        it, `(future, False)` when it waits for another call's. None when
-        another call stored the answer since `call` was prepared; it is
-        then read back into `call`."""
+        it, `(future, False)` when another call made it."""
         with self._lock:
-            future = self._sending.get(call.key)
+            future = self._sends.get(call.key)
             if future is not None and not (
                 future.cancelled() or (future.done() and future.exception() is not None)
             ):
                 return future, False
-            hit = store.get(call.key) if store is not None and call.key in self._answered else None
-            if hit is not None:
-                call.text, call.messages = hit["text"], None
-                return None
             future = self.submit(provider.send, call.messages, call.tier.model_id)
-            self._sending[call.key] = future
+            self._sends[call.key] = future
             return future, True
-
-    def land(self, call: Call, future: Future) -> None:
-        """`call`'s own send is over; its answer is stored if it has one."""
-        with self._lock:
-            if self._sending.get(call.key) is future:
-                del self._sending[call.key]
-            if call.text is not None:
-                self._answered.add(call.key)
 
 
 def answer_all(
@@ -242,16 +229,16 @@ def answer_all(
     """Response text of every call, in order; a None call stays None.
 
     Only `provider.send` of the cache misses runs on `pool`, and a key
-    already in flight there, from any team, is sent once. Usage and cache
-    entries are recorded by the call that sent the request, on the calling
-    thread and in call order, so ledger and cache come out the same for
-    any pool size; ledger entries name `team`. A call whose shared send
-    failed or was cancelled sends on its own. When a send fails or is
+    sent there before in the run, by any team, is not sent again. Usage
+    and cache entries are recorded by the call that sent the request, on
+    the calling thread and in call order, so ledger and cache come out the
+    same for any pool size; ledger entries name `team`. A call whose shared
+    send failed or was cancelled sends on its own. When a send fails or is
     cancelled, this call's sends not yet started are cancelled, the
     answers already in are still recorded, and the first error is raised.
     """
     sends = [
-        pool.join(provider, call, store) if call is not None and call.text is None else None
+        pool.join(provider, call) if call is not None and call.text is None else None
         for call in calls
     ]
     error = None
@@ -262,7 +249,7 @@ def answer_all(
                     call.text, call.messages = sends[i][0].result().text, None
                     sends[i] = None
                 except Exception:  # it failed or was cancelled: send it here
-                    sends[i] = pool.join(provider, call, store)
+                    sends[i] = pool.join(provider, call)
             if sends[i] is None or not sends[i][1]:
                 continue
             try:
@@ -272,9 +259,6 @@ def answer_all(
                 _cancel(sends)
     finally:
         _cancel(sends)  # an interrupt, too, must not leave queued sends behind
-        for call, send in zip(calls, sends):
-            if send is not None and send[1]:
-                pool.land(call, send[0])
     if error is not None:
         raise error
     return [call and call.text for call in calls]

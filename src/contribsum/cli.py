@@ -55,10 +55,12 @@ def _effective_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
+    """Run every team; `state_flag`, a `--state` flag's directory, beats
+    CONTRIBSUM_STATE."""
     cfg = _effective_config(cfg)
     roster = load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
-    state_dir = resolve_state_dir(cfg.state_dir)
+    state_dir = resolve_state_dir(cfg.state_dir, state_flag)
     store = Store(state_dir / "cache")
     ledger = CostLedger(state_dir / "ledger.jsonl")
     provider = build_provider(cfg)
@@ -122,7 +124,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_cost(state_dir_arg: str | None) -> int:
-    state_dir = resolve_state_dir(state_dir_arg)
+    state_dir = resolve_state_dir(flag=state_dir_arg)
     ledger = CostLedger(state_dir / "ledger.jsonl")
     print(ledger_report(ledger))
     return 0
@@ -232,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "analyze":
-        return cmd_analyze(cfg)
+        # the flag's value, resolved against the config file, is cfg.state_dir
+        return cmd_analyze(cfg, cfg.state_dir if args.state_dir is not None else None)
     if args.command == "check":
         return cmd_check(cfg)
     if args.command == "render":

@@ -2,10 +2,11 @@
 
 Sections: [run] (paths, window, flags), [repos] (team = clone path),
 [analysis_model] / [synthesis_model] (tiers with rates), [provider]
-(endpoint, replay directory). LLM_API_KEY overrides any configured key;
-CONTRIBSUM_STATE overrides the state directory. A [run] key that no
-option reads loads with a warning, so an old config still runs and a
-misspelt key shows.
+(endpoint, replay directory). LLM_API_KEY overrides any configured key.
+The state directory is a `--state` flag's, else CONTRIBSUM_STATE, else
+[run] state_dir, else `.contribsum`. A [run] key that no option reads
+loads with a warning, so an old config still runs and a misspelt key
+shows.
 """
 
 from __future__ import annotations

@@ -26,14 +26,14 @@ or pairs renames differently) and `git replace` objects.
   blob. `Store.get` already drops an entry whose payload digest does not
   match, so row fields get no further shape checks.
 * One outputs slot per (repository real path, team, window start, end
-  and label), payload `{"inputs": digest, "artifacts": [name, ...],
-  "warnings": [str, ...], "files": {name: sha256}}`, written by the
-  pipeline as the last step of a team that ran (`outputs_entry`). It is
-  trusted when the artifacts are distinct names of `names` and the files
-  are exactly those artifacts plus the `always` ones, each with a sha256.
-  A trusted slot stands in for the whole team (`team_outputs`) while
-  its inputs digest equals the team's current one and every file it
-  lists holds the recorded bytes in the team's window directory;
+  and label), payload `{"inputs": digest, "warnings": [str, ...],
+  "files": {name: sha256}}`, written by the pipeline as the last step of
+  a team that ran (`outputs_entry`). It is trusted when the files are
+  the `always` ones and any artifact names of `names`, each with a
+  sha256; its artifacts are the files named in `names`, in that order. A
+  trusted slot stands in for the whole team (`team_outputs`) while its
+  inputs digest equals the team's current one and every file it lists
+  holds the recorded bytes in the team's window directory;
   otherwise it is a plain miss, logged at INFO, and the slot is rewritten
   once the team has run. The inputs digest (`pipeline`) covers what the
   outputs are made from: the resolved default branch and its tip, each
@@ -67,7 +67,7 @@ import json
 import logging
 import os
 import re
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Sequence
 from functools import lru_cache
 from itertools import groupby, repeat
 from pathlib import Path
@@ -298,32 +298,27 @@ def head_entry(
 
 def _remembered_outputs(
     entry: object, names: Collection[str], always: Collection[str]
-) -> tuple[str, list[str], list[str], dict[str, str]]:
-    """(inputs digest, artifact names, warnings, file name -> sha256) that an
-    outputs slot holds. ValueError says why the slot is not trusted."""
+) -> tuple[str, list[str], dict[str, str]]:
+    """(inputs digest, warnings, file name -> sha256) that an outputs slot
+    holds. ValueError says why the slot is not trusted."""
     if not isinstance(entry, dict):
         raise ValueError("not a dict")
-    inputs, artifacts = entry.get("inputs"), entry.get("artifacts")
-    warnings, files = entry.get("warnings"), entry.get("files")
+    inputs, warnings, files = entry.get("inputs"), entry.get("warnings"), entry.get("files")
     if not isinstance(inputs, str):
         raise ValueError("inputs is not text")
-    # names only, so no file outside the window directory is ever read
-    if not isinstance(artifacts, list) or not all(
-        isinstance(name, str) and name in names for name in artifacts
-    ) or len(set(artifacts)) != len(artifacts):
-        raise ValueError("artifacts are not distinct artifact names")
     if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
         raise ValueError("warnings are not a list of text")
-    if not isinstance(files, dict) or files.keys() != {*artifacts, *always}:
-        raise ValueError("files differ from the artifacts and the saved state")
+    # names only, so no file outside the window directory is ever read
+    if not isinstance(files, dict) or not set(always) <= files.keys() <= {*names, *always}:
+        raise ValueError("files are not the saved state and artifact names")
     if not all(isinstance(sha, str) and _SHA256.fullmatch(sha) for sha in files.values()):
         raise ValueError("a file hash is not a sha256")
-    return inputs, artifacts, warnings, files
+    return inputs, warnings, files
 
 
 def team_outputs(
     store: Store, root: str, team: str, window: AnalysisWindow, inputs: str, directory: Path,
-    names: Collection[str], always: Collection[str],
+    names: Sequence[str], always: Collection[str],
 ) -> tuple[list[str], list[str]] | None:
     """(artifact names in write order, warnings) of `team`'s last run of
     `window`, when its outputs slot is trusted, was written from `inputs`
@@ -334,7 +329,7 @@ def team_outputs(
     if entry is None:
         return None
     try:
-        remembered, artifacts, warnings, files = _remembered_outputs(entry, names, always)
+        remembered, warnings, files = _remembered_outputs(entry, names, always)
     except ValueError as exc:
         logger.warning("team outputs entry dropped: %s (%s)", team, exc)
         return None
@@ -352,19 +347,18 @@ def team_outputs(
             logger.info("team outputs slot stale: %s (%s)", team, name)
             return None
     logger.info("team outputs unchanged: %s", team)
-    return artifacts, warnings
+    return [name for name in names if name in files], warnings
 
 
 def outputs_entry(
-    root: str, team: str, window: AnalysisWindow, inputs: str, artifacts: Iterable[str],
-    warnings: Iterable[str], files: dict[str, str],
+    root: str, team: str, window: AnalysisWindow, inputs: str, warnings: Iterable[str],
+    files: dict[str, str],
 ) -> tuple[str, dict]:
     """The key and payload of `team`'s outputs slot for `window`: its
-    `inputs` digest, `artifacts` names in write order, `warnings`, and
-    `files`, the sha256 of each file written (name -> hex digest)."""
+    `inputs` digest, `warnings`, and `files`, the sha256 of each file
+    written (name -> hex digest)."""
     payload = {
         "inputs": inputs,
-        "artifacts": list(artifacts),
         "warnings": list(warnings),
         "files": files,
     }

@@ -35,8 +35,8 @@ team's ledger entries are the same for any pool size (across teams the
 ledger follows completion order), and a fully cached team starts no send
 thread. Synthesis and its
 repair retry go to the same pool, so `analysis_workers` caps every
-provider request of the run, and a request in flight for one team is not
-sent again for another.
+provider request of the run, and a request sent earlier in the run is
+not sent again, with or without a store.
 """
 
 from __future__ import annotations
@@ -268,8 +268,7 @@ def _finish_team(
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
     if repo.store is not None:
         repo.store.put(*memo.outputs_entry(
-            repo.root_path, team, cfg.window, inputs.digest, artifact_names, result.warnings,
-            written,
+            repo.root_path, team, cfg.window, inputs.digest, result.warnings, written
         ))
 
 

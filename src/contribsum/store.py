@@ -23,10 +23,11 @@ STATE_ENV_VAR = "CONTRIBSUM_STATE"
 DEFAULT_STATE_DIR = ".contribsum"
 
 
-def resolve_state_dir(configured: str | None = None) -> Path:
-    """State directory: CONTRIBSUM_STATE env beats config beats default."""
+def resolve_state_dir(configured: str | None = None, flag: str | None = None) -> Path:
+    """State directory: a `--state` flag beats CONTRIBSUM_STATE env beats
+    config beats default."""
     env = os.environ.get(STATE_ENV_VAR)
-    return Path(env or configured or DEFAULT_STATE_DIR)
+    return Path(flag or env or configured or DEFAULT_STATE_DIR)
 
 
 def cache_key(template_hash: str, model_id: str, payload: str) -> str:

@@ -14,6 +14,7 @@ from contribsum.agents.provider import HttpProvider, TokenBucket
 from contribsum.cli import build_provider, main
 from contribsum.config import load_config
 from contribsum.errors import ConfigError
+from contribsum.store import CostLedger
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -126,6 +127,17 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "[fail] team-bad" in out
         assert "[ok]   team-good" in out
+
+    def test_state_flag_beats_env_var(self, tmp_path, monkeypatch):
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        monkeypatch.setenv("CONTRIBSUM_STATE", str(tmp_path / "from-env"))
+        assert main(["analyze", "--config", str(config), "--state", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "ledger.jsonl").exists()
+        assert not (tmp_path / "from-env").exists()
+        # without the flag, the variable beats [run] state_dir
+        assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "out-2")]) == 0
+        assert (tmp_path / "from-env" / "ledger.jsonl").exists()
+        assert not (tmp_path / "state").exists()
 
     def test_mock_runs_byte_reproducible(self, tmp_path):
         config_a = make_workspace(
@@ -364,6 +376,14 @@ class TestCheck:
 
 
 class TestCost:
+    def test_state_flag_beats_env_var(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "flag").mkdir()
+        ledger = CostLedger(tmp_path / "flag" / "ledger.jsonl")
+        ledger.add("analysis", "m", 10, 10, 0.5, team="alpha")
+        monkeypatch.setenv("CONTRIBSUM_STATE", str(tmp_path / "from-env"))
+        assert main(["cost", "--state", str(tmp_path / "flag")]) == 0
+        assert "team alpha: 1 calls, $0.50" in capsys.readouterr().out
+
     def test_fresh_state_zero_totals(self, tmp_path, capsys):
         assert main(["cost", "--state", str(tmp_path / "state")]) == 0
         out = capsys.readouterr().out

@@ -565,6 +565,34 @@ class TestSendPool:
         assert runs[1][1] == 1
         assert runs[8] == runs[1]
 
+    def test_request_sent_once_per_run_without_a_store(self, tmp_path):
+        """Two teams need one file row and the run has no store: the row is
+        sent once, whether the teams run one after the other or at once, and
+        each provider call has one ledger entry."""
+        roster = load_roster(ROSTER_TEXT)
+        repos = []
+        for team, own in (("team-a", "a.py"), ("team-b", "b.py")):
+            script = RepoScript(
+                name=team,
+                roster_text=ROSTER_TEXT,
+                steps=[
+                    Step(*AUTHORS[0], message="shared",
+                         ops=(SetFile("shared.py", ("x = 1", "y = 2")),)),
+                    Step(*AUTHORS[1], message=f"{team} work",
+                         ops=(SetFile(own, (f"z = {team!r}",)),)),
+                ],
+            )
+            handle, _ = synthfix.build(script, tmp_path / team)
+            repos.append((team, handle.root_path))
+        for workers in (1, 8):
+            cfg = _config(tmp_path / f"w{workers}", repos)
+            cfg.analysis_workers = workers
+            provider, ledger = SharedFileHeld(0.0), CostLedger()
+            results = pipeline.run_analysis(cfg, roster, provider, None, ledger)
+            assert all(r.ok for r in results), [r.error for r in results]
+            assert provider.shared_sends == 1, workers
+            assert provider.sends == len(ledger.entries)
+
     def _gated_run(self, tmp_path, workers: int, teams: int):
         roster = load_roster(ROSTER_TEXT)
         repos = []
@@ -1454,9 +1482,7 @@ class TestOutputsSlot:
     # a trusted payload but for one field each
     UNTRUSTED = {
         "inputs": {"inputs": 1},
-        "path": {"artifacts": ["../report.md"],
-                 "files": {"../report.md": "0" * 64, **{n: "0" * 64 for n in STATE_FILES}}},
-        "repeated": {"artifacts": ["report.md", "report.md"]},
+        "path": {"files": {"../report.md": "0" * 64, **{n: "0" * 64 for n in STATE_FILES}}},
         "warnings": {"warnings": [3]},
         "files": {"files": {"report.md": "0" * 64, pipeline.STATE_NAME: "0" * 64}},
         "hash": {"files": {"report.md": "0" * 63, **{n: "0" * 64 for n in STATE_FILES}}},
@@ -1466,7 +1492,7 @@ class TestOutputsSlot:
     def test_untrusted_payload_warns_once_and_runs(self, tmp_path, monkeypatch, caplog, payload):
         cfg, store = self._primed(tmp_path)
         expected = _tree_bytes(Path(cfg.out_dir))
-        trusted = {"inputs": "x", "artifacts": ["report.md"], "warnings": [],
+        trusted = {"inputs": "x", "warnings": [],
                    "files": {n: "0" * 64 for n in ("report.md", *STATE_FILES)}}
         memo._remembered_outputs(trusted, pipeline.ARTIFACT_NAMES, STATE_FILES)
         untrusted = ["not", "a", "dict"] if payload == "list" else {
