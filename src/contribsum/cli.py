@@ -5,6 +5,10 @@ that `analyze` saved beside it, byte for byte as `analyze` wrote it,
 without reading the roster or calling the provider. `cost` prints the
 ledger's calls and spend per tier and per team.
 
+Every command takes a path given as a flag (`--state`, `--out`,
+`--roster`, `--config`) from the working directory, and a path written
+in the config file from the file's directory.
+
 Exit codes: 0 success, 1 partial failure (some team failed or a check
 found problems), 2 configuration error or unknown flag.
 """
@@ -234,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "analyze":
-        # the flag's value, resolved against the config file, is cfg.state_dir
-        return cmd_analyze(cfg, cfg.state_dir if args.state_dir is not None else None)
+        return cmd_analyze(cfg, args.state_dir)
     if args.command == "check":
         return cmd_check(cfg)
     if args.command == "render":

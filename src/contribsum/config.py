@@ -4,9 +4,10 @@ Sections: [run] (paths, window, flags), [repos] (team = clone path),
 [analysis_model] / [synthesis_model] (tiers with rates), [provider]
 (endpoint, replay directory). LLM_API_KEY overrides any configured key.
 The state directory is a `--state` flag's, else CONTRIBSUM_STATE, else
-[run] state_dir, else `.contribsum`. A [run] key that no option reads
-loads with a warning, so an old config still runs and a misspelt key
-shows.
+[run] state_dir, else `.contribsum`. A path in the file is taken from its
+directory, and a path given as a flag from the working directory. A
+[run] key that no option reads loads with a warning, so an old config
+still runs and a misspelt key shows.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
 
     read: set[str] = set()
 
-    def run_opt(key: str, fallback: str | None = None) -> str | None:
+    def run_opt(key: str, fallback: str | None = None, path: bool = False) -> str | None:
         read.add(key)
         if key in overrides:
-            return str(overrides[key])
-        return parser.get("run", key, fallback=fallback)
+            return str(overrides[key])  # a flag's path is the working directory's
+        value = parser.get("run", key, fallback=fallback)
+        return rel(value) if path else value
 
     repos: list[tuple[str, str]] = []
     if parser.has_section("repos"):
@@ -210,7 +212,7 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         week=overrides.get("week"),
     )
 
-    roster = rel(run_opt("roster"))
+    roster = run_opt("roster", path=True)
     if not roster:
         raise ConfigError("[run] roster is required")
 
@@ -230,8 +232,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         analysis_tier=_tier(parser, "analysis_model", "analysis"),
         synthesis_tier=_tier(parser, "synthesis_model", "synthesis"),
         provider_mode=(run_opt("provider", "mock") or "mock").lower(),
-        sprint_instructions_path=rel(run_opt("sprint_instructions")),
-        project_description_path=rel(run_opt("project_description")),
+        sprint_instructions_path=run_opt("sprint_instructions", path=True),
+        project_description_path=run_opt("project_description", path=True),
         roles_enabled=_parse_bool(run_opt("roles", "off") or "off", "[run] roles"),
         coauthor_split=_parse_bool(run_opt("coauthor_split", "on") or "on", "[run] coauthor_split"),
         include_branches=include_branches,
@@ -239,8 +241,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         endpoint=parser.get("provider", "endpoint", fallback=""),
         api_key=parser.get("provider", "api_key", fallback=""),
         replay_dir=rel(parser.get("provider", "replay_dir", fallback="")) or "",
-        out_dir=rel(run_opt("out_dir", "out")) or "out",
-        state_dir=rel(run_opt("state_dir", ".contribsum")) or ".contribsum",
+        out_dir=run_opt("out_dir", "out", path=True) or "out",
+        state_dir=run_opt("state_dir", ".contribsum", path=True) or ".contribsum",
         analysis_workers=_parse_number(
             run_opt("analysis_workers") or str(RunConfig.analysis_workers),
             int,

@@ -1,12 +1,12 @@
 """The run's memo: what a re-run window remembers, and when it trusts it.
 
-The run's `Store` remembers each ref's `git log`, each window head's
-line owners and file metrics, and each team window's outputs, so a
-re-run window repeats no log, replay or measurement, and an unchanged
-team renders nothing. Every key covers `code_digest`, over every module
-and prompt template of the package, so an edit to any of them retires
-every entry. Not in any key: the git version (a git that prints the log
-or pairs renames differently) and `git replace` objects.
+The run's `Store` remembers two kinds, both derived from git alone: each
+ref's `git log` and each window head's line owners and file metrics, so
+a re-run window repeats no log, replay or measurement. Every key covers
+`code_digest`, over every module and prompt template of the package, so
+an edit to any of them retires every entry. Not in any key: the git
+version (a git that prints the log or pairs renames differently) and
+`git replace` objects.
 
 * One log slot per (repository real path, ref name), payload `{"tip":
   sha, "log": <raw git log output as latin-1>}`. A slot read at another
@@ -25,27 +25,6 @@ or pairs renames differently) and `git replace` objects.
   row builds a `FileMetrics` whose kind and byte size match the head
   blob. `Store.get` already drops an entry whose payload digest does not
   match, so row fields get no further shape checks.
-* One outputs slot per (repository real path, team, window start, end
-  and label), payload `{"inputs": digest, "warnings": [str, ...],
-  "files": {name: sha256}}`, written by the pipeline as the last step of
-  a team that ran (`outputs_entry`). It is trusted when the files are
-  the `always` ones and any artifact names of `names`, each with a
-  sha256; its artifacts are the files named in `names`, in that order. A
-  trusted slot stands in for the whole team (`team_outputs`) while its
-  inputs digest equals the team's current one and every file it lists
-  holds the recorded bytes in the team's window directory;
-  otherwise it is a plain miss, logged at INFO, and the slot is rewritten
-  once the team has run. The inputs digest (`pipeline`) covers what the
-  outputs are made from: the resolved default branch and its tip, each
-  included branch's tip, both model tiers, the provider mode, the
-  roles, co-author and branch and exclude options, the roster, the text
-  of the instruction files and the prior window's saved state. It leaves
-  out what the outputs do not depend on: where they and the state dir
-  are (files are checked by content wherever they are), the pool size and
-  rate limit (outputs are equal for any), the endpoint, key and replay
-  directory (a slot is only written after a run that left every answer
-  in the provider cache), the other teams, and the paths of the roster
-  and instruction files (their content is in it).
 
 Any other entry not trusted is dropped with a warning. A miss reads the
 log, or replays and measures the head, anew; the replay's caller writes
@@ -54,7 +33,7 @@ each replayed head's entry (`head_entry`).
 One gate per repository (`gate`), read from its git directory with no
 git process, decides whether anything of it is remembered: nothing is
 read or written for a shallow clone or a repository with a graft file
-(`_may_be_shallow`). Such a history is cut short: its boundary commits
+(`may_be_shallow`). Such a history is cut short: its boundary commits
 show no parents and own every line they hold, so nothing learnt from it
 may outlive its deepening, and a slot or entry learnt from a full clone
 names commits it lacks.
@@ -66,8 +45,7 @@ import hashlib
 import json
 import logging
 import os
-import re
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import groupby, repeat
 from pathlib import Path
@@ -78,7 +56,7 @@ from .gitio import Commit
 from .store import Store, cache_key
 
 if TYPE_CHECKING:
-    from .ingest import AnalysisWindow, History
+    from .ingest import History
 
 logger = logging.getLogger(__name__)
 
@@ -89,14 +67,12 @@ State = dict[str, tuple[list[str], list[str]]]
 # the package whose modules and prompt templates `code_digest` covers
 PACKAGE = Path(__file__).resolve().parent
 
-_SHA256 = re.compile(r"[0-9a-f]{64}")
-
 
 @lru_cache(maxsize=1)
 def code_digest() -> str:
     """sha256 over the relative path and bytes of every module and prompt
     template of the package, read once per process: an edit to any of them
-    retires every memo entry."""
+    retires every memo entry and every team window's outputs record."""
     digest = hashlib.sha256()
     for path in sorted(PACKAGE.rglob("*")):
         name = path.relative_to(PACKAGE).as_posix()
@@ -118,14 +94,7 @@ def _head_key(at: str, excludes: tuple[str, ...], max_file_bytes: int) -> str:
     return cache_key(code_digest(), "window-head", json.dumps([at, max_file_bytes, list(excludes)]))
 
 
-def _outputs_key(root: str, team: str, window: AnalysisWindow) -> str:
-    bounds = [window.start.isoformat(), window.end.isoformat(), window.label]
-    return cache_key(
-        code_digest(), "team-outputs", json.dumps([os.path.realpath(root), team, *bounds])
-    )
-
-
-def _may_be_shallow(root: str) -> bool:
+def may_be_shallow(root: str) -> bool:
     """Whether the repository at `root` is a shallow clone or has a graft
     file, or its git directory is not where a plain clone, a linked
     worktree or a bare repository keeps it. Read from the file system, with
@@ -147,8 +116,8 @@ def _may_be_shallow(root: str) -> bool:
 
 def gate(root: str, store: Store | None) -> Store | None:
     """`store`, the run's memo, for the repository at `root`, or None when
-    its history may not be remembered (`_may_be_shallow`)."""
-    if store is None or not _may_be_shallow(root):
+    its history may not be remembered (`may_be_shallow`)."""
+    if store is None or not may_be_shallow(root):
         return store
     logger.info("history in %s may be shallow or grafted: nothing remembered", root)
     return None
@@ -295,71 +264,3 @@ def head_entry(
         payload["metrics"] = {path: _metrics_row(m) for path, m in measured.items()}
     return _head_key(at, excludes, max_file_bytes), payload
 
-
-def _remembered_outputs(
-    entry: object, names: Collection[str], always: Collection[str]
-) -> tuple[str, list[str], dict[str, str]]:
-    """(inputs digest, warnings, file name -> sha256) that an outputs slot
-    holds. ValueError says why the slot is not trusted."""
-    if not isinstance(entry, dict):
-        raise ValueError("not a dict")
-    inputs, warnings, files = entry.get("inputs"), entry.get("warnings"), entry.get("files")
-    if not isinstance(inputs, str):
-        raise ValueError("inputs is not text")
-    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
-        raise ValueError("warnings are not a list of text")
-    # names only, so no file outside the window directory is ever read
-    if not isinstance(files, dict) or not set(always) <= files.keys() <= {*names, *always}:
-        raise ValueError("files are not the saved state and artifact names")
-    if not all(isinstance(sha, str) and _SHA256.fullmatch(sha) for sha in files.values()):
-        raise ValueError("a file hash is not a sha256")
-    return inputs, warnings, files
-
-
-def team_outputs(
-    store: Store, root: str, team: str, window: AnalysisWindow, inputs: str, directory: Path,
-    names: Sequence[str], always: Collection[str],
-) -> tuple[list[str], list[str]] | None:
-    """(artifact names in write order, warnings) of `team`'s last run of
-    `window`, when its outputs slot is trusted, was written from `inputs`
-    and every file it lists holds the recorded bytes in `directory`; else
-    None. `names` are the artifact names a slot may list, `always` the
-    files it lists besides its artifacts."""
-    entry = store.get(_outputs_key(root, team, window))
-    if entry is None:
-        return None
-    try:
-        remembered, warnings, files = _remembered_outputs(entry, names, always)
-    except ValueError as exc:
-        logger.warning("team outputs entry dropped: %s (%s)", team, exc)
-        return None
-    if remembered != inputs:
-        logger.info("team outputs slot stale: %s (inputs)", team)
-        return None
-    # every listed file as recorded, and no artifact the last run did not
-    # write, such as an old delta
-    for name in dict.fromkeys([*files, *names]):
-        try:
-            sha = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-        except OSError:
-            sha = None
-        if sha != files.get(name):
-            logger.info("team outputs slot stale: %s (%s)", team, name)
-            return None
-    logger.info("team outputs unchanged: %s", team)
-    return [name for name in names if name in files], warnings
-
-
-def outputs_entry(
-    root: str, team: str, window: AnalysisWindow, inputs: str, warnings: Iterable[str],
-    files: dict[str, str],
-) -> tuple[str, dict]:
-    """The key and payload of `team`'s outputs slot for `window`: its
-    `inputs` digest, `warnings`, and `files`, the sha256 of each file
-    written (name -> hex digest)."""
-    payload = {
-        "inputs": inputs,
-        "warnings": list(warnings),
-        "files": files,
-    }
-    return _outputs_key(root, team, window), payload

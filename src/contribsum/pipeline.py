@@ -9,11 +9,36 @@ Re-running a window repeats no git log, replay or measurement: each
 ref's `git log` output and each window head's line owners and file
 metrics are remembered in the run's `Store` (see `memo`), so a fully
 remembered team spawns two git processes, the branch listing and the
-reader of its head blobs. A team whose inputs and outputs are both
-unchanged since its last run of the window is not run at all: its
-outputs slot (see `memo`) is checked right after the branch listing, and
-the team's result comes from it, so such a team spawns one git process
-and loads, sends, renders and writes nothing.
+reader of its head blobs.
+
+A team whose inputs and outputs are unchanged since its last run of the
+window is not run at all. The window's `run_manifest.json` is its
+outputs record: every run, with or without a store, writes into it, last,
+the team's inputs digest (`_inputs_digest`), its warnings and the sha256
+of each file, so a failed run leaves a record its new files do not match.
+Only a run with a store reads the record (a storeless run stays a full
+run to compare against; `memo.gate` leaves a cut history none), after
+the branch listing. It stands in for the team while its digest is the
+team's and the window directory holds each file it lists with the
+recorded bytes and no artifact it does not list: the team then spawns
+one git process, makes no `Store` call and loads, sends, renders and
+writes nothing. A manifest that is not a JSON object, or a record whose
+names are not artifact names, whose hashes are not sha256 or whose
+warnings are not text, is dropped with a warning; any other miss, such
+as a manifest written before records were, is logged at INFO. Deleting a
+window's directory, not the state dir, forces that window to run again.
+
+The inputs digest covers the code (`memo.code_digest`), the window's
+bounds and label, the default and included branches and their tips,
+whether the history may be cut (`memo.may_be_shallow`: a cut history's
+outputs change when it is deepened, its tips not), both model tiers, the
+provider mode, the roles, co-author and exclude options, the roster, the
+instruction files' text and the prior window's saved state as read. It
+leaves out where the repository (a full history is decided by its tips),
+out dir and state dir are, so the manifest's bytes do not depend on
+them; the pool size and rate limit (outputs are equal for any); the
+endpoint, key and replay directory (the model ids name the answers, as
+in the provider cache's keys); and the other teams.
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -45,6 +70,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
+import re
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,12 +85,16 @@ from .identity import UNMAPPED, Roster, unmapped_signatures
 from .report import ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
 
+logger = logging.getLogger(__name__)
+
 MANIFEST_NAME = "run_manifest.json"
 STATE_NAME = "report_state.json"
 # every artifact a team may write, in write order; delta.md only after a prior window
 ARTIFACT_NAMES = (
     "functionality.csv", "contribution.csv", "report.md", "contribution_set.json", "delta.md"
 )
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -111,13 +142,16 @@ class TeamInputs:
 
 def _inputs_digest(
     cfg: RunConfig, roster: Roster, repo: ingest.RepoHandle, texts: tuple[str, str],
-    prior: ReportState | None,
+    prior_sha: str | None,
 ) -> str:
-    """sha256 over what the team's outputs are made from, as `memo`'s outputs
-    slot describes; the window and the repository are in the slot's key."""
+    """sha256 over what the team's outputs are made from (see the module
+    docstring); `prior_sha` is the prior window's saved state's."""
     material = {
+        "code": memo.code_digest(),
+        "window": [cfg.window.start.isoformat(), cfg.window.end.isoformat(), cfg.window.label],
         "default_branch": [repo.default_branch, repo.head_ref],
         "include_branches": [[b, repo.tips.get(b)] for b in cfg.include_branches],
+        "cut": memo.may_be_shallow(repo.root_path),
         "tiers": [dataclasses.asdict(cfg.analysis_tier), dataclasses.asdict(cfg.synthesis_tier)],
         "provider_mode": cfg.provider_mode,
         "roles_enabled": cfg.roles_enabled,
@@ -125,16 +159,76 @@ def _inputs_digest(
         "exclude_globs": list(cfg.exclude_globs),
         "roster": [[[s.id, s.display_name] for s in roster.students], sorted(roster.aliases.items())],
         "texts": list(texts),
-        "prior": prior.to_json() if prior is not None else None,
+        "prior": prior_sha,
     }
     return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+
+
+def _recorded_outputs(manifest: object) -> tuple[str, list[str], dict[str, str]] | None:
+    """(inputs digest, warnings, file name -> sha256) that a window's
+    manifest records, or None when it holds no record. ValueError says why
+    the record is not trusted."""
+    if not isinstance(manifest, dict):
+        raise ValueError("not a dict")
+    if "inputs_digest" not in manifest:
+        return None
+    inputs, warnings, artifacts = map(manifest.get, ("inputs_digest", "warnings", "artifacts"))
+    if not isinstance(inputs, str):
+        raise ValueError("inputs digest is not text")
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise ValueError("warnings are not a list of text")
+    # names only, so no file outside the window directory is ever read
+    if not isinstance(artifacts, dict) or not artifacts.keys() <= set(ARTIFACT_NAMES):
+        raise ValueError("artifacts are not artifact names")
+    files = {**artifacts, STATE_NAME: manifest.get("state_sha256")}
+    if not all(isinstance(sha, str) and _SHA256.fullmatch(sha) for sha in files.values()):
+        raise ValueError("a file hash is not a sha256")
+    return inputs, warnings, files
+
+
+def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[str], list[str]] | None:
+    """(artifact names in write order, warnings) of `team`'s last run of the
+    window whose outputs are in `directory`, when the manifest there holds a
+    trusted record written from `inputs` and every file it lists holds the
+    recorded bytes; else None."""
+    try:
+        manifest = json.loads((directory / MANIFEST_NAME).read_bytes())
+    except FileNotFoundError:
+        return None  # a window not run before
+    except (OSError, ValueError):
+        logger.info("team outputs stale: %s (%s)", team, MANIFEST_NAME)
+        return None
+    try:
+        record = _recorded_outputs(manifest)
+    except ValueError as exc:
+        logger.warning("team outputs record dropped: %s (%s)", team, exc)
+        return None
+    if record is None:
+        logger.info("team outputs stale: %s (no record)", team)
+        return None
+    recorded, warnings, files = record
+    if recorded != inputs:
+        logger.info("team outputs stale: %s (inputs)", team)
+        return None
+    # every listed file as recorded, and no artifact the last run did not
+    # write, such as an old delta
+    for name in dict.fromkeys([*files, *ARTIFACT_NAMES]):
+        try:
+            sha = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        except OSError:
+            sha = None
+        if sha != files.get(name):
+            logger.info("team outputs stale: %s (%s)", team, name)
+            return None
+    logger.info("team outputs unchanged: %s", team)
+    return [name for name in ARTIFACT_NAMES if name in files], warnings
 
 
 def _load_team(
     result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, store: Store
 ) -> tuple[ingest.RepoHandle, TeamInputs, attribution.ContributionSet] | None:
     """The team's repo handle, inputs and replay; or None, with `result`
-    taken from the team's outputs slot, when its inputs and outputs are
+    taken from the window's outputs record, when its inputs and outputs are
     unchanged. The repository is opened with `store`, the run's memo (see
     `memo`)."""
     repo = ingest.open_repo(repo_path, cfg.branch, store)
@@ -142,14 +236,11 @@ def _load_team(
         _read_optional(cfg.sprint_instructions_path),
         _read_optional(cfg.project_description_path),
     )
-    prior = _find_prior_state(cfg, result.team)
-    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, texts, prior))
+    prior, prior_sha = _find_prior_state(cfg, result.team) or (None, None)
+    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, texts, prior_sha))
     if repo.store is not None:
         out_dir = window_dir(cfg, result.team)
-        remembered = memo.team_outputs(
-            repo.store, repo.root_path, result.team, cfg.window, inputs.digest, out_dir,
-            ARTIFACT_NAMES, (STATE_NAME, MANIFEST_NAME),
-        )
+        remembered = _unchanged_outputs(result.team, out_dir, inputs.digest)
         if remembered is not None:
             artifacts, result.warnings = remembered
             result.artifacts = {name: str(out_dir / name) for name in artifacts}
@@ -170,7 +261,7 @@ def _finish_team(
     ledger: CostLedger, pool: chain.SendPool,
 ) -> None:
     """Tables, synthesis, validation, render and write of a replayed team;
-    its outputs slot is written last."""
+    its manifest, which holds the outputs record, is written last."""
     team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
         provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store, team=team
@@ -263,36 +354,37 @@ def _finish_team(
             "synthesis": cfg.synthesis_tier.model_id,
         },
         "artifacts": {name: written[name] for name in artifact_names},
+        # the outputs record (`_recorded_outputs`)
+        "inputs_digest": inputs.digest,
+        "state_sha256": written[STATE_NAME],
+        "warnings": result.warnings,
     }
     write(MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     result.artifacts = {name: str(out_dir / name) for name in artifact_names}
-    if repo.store is not None:
-        repo.store.put(*memo.outputs_entry(
-            repo.root_path, team, cfg.window, inputs.digest, result.warnings, written
-        ))
 
 
-def _find_prior_state(cfg: RunConfig, team: str) -> ReportState | None:
-    """Most recent earlier window's report state for this team, if any; the
-    state in the window's own directory is never one, as this run replaces
-    it."""
+def _find_prior_state(cfg: RunConfig, team: str) -> tuple[ReportState, str] | None:
+    """Most recent earlier window's report state for this team, if any, and
+    the sha256 of its bytes as read; the state in the window's own directory
+    is never one, as this run replaces it."""
     team_dir = Path(cfg.out_dir) / team
     if not team_dir.exists():
         return None
     own = window_dir(cfg, team)
     # window starts may carry different UTC offsets: compare instants, not strings
-    best: ReportState | None = None
+    best: tuple[ReportState, bytes] | None = None
     for state_path in team_dir.glob(f"*/{STATE_NAME}"):
         if state_path.parent == own:
             continue
         try:
-            state = ReportState.from_json(state_path.read_text(encoding="utf-8"))
+            data = state_path.read_bytes()
+            state = ReportState.from_json(data.decode("utf-8"))
         except (OSError, ValueError):
             continue
         start = state.meta.window.start
-        if start < cfg.window.start and (best is None or start > best.meta.window.start):
-            best = state
-    return best
+        if start < cfg.window.start and (best is None or start > best[0].meta.window.start):
+            best = state, data
+    return best and (best[0], hashlib.sha256(best[1]).hexdigest())
 
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:

@@ -139,6 +139,25 @@ class TestAnalyze:
         assert (tmp_path / "from-env" / "ledger.jsonl").exists()
         assert not (tmp_path / "state").exists()
 
+    def test_path_flags_taken_from_the_working_directory(self, tmp_path, monkeypatch):
+        """`--state`, `--out` and `--roster` are the working directory's;
+        the paths in the config file, one directory down, are the file's."""
+        config = make_workspace(tmp_path / "course", {"team-alpha": "sole_author"})
+        shutil.copy(tmp_path / "course" / "roster.txt", tmp_path / "flag-roster.txt")
+        (tmp_path / "course" / "roster.txt").unlink()
+        monkeypatch.chdir(tmp_path)
+        flags = ["--state", "st", "--out", "o", "--roster", "flag-roster.txt"]
+        assert main(["analyze", "--config", "course/contribsum.ini", *flags]) == 0
+        assert (tmp_path / "st" / "ledger.jsonl").exists()
+        assert (tmp_path / "o" / "team-alpha" / "week-1" / "report.md").exists()
+        assert not (tmp_path / "course" / "st").exists()
+        assert not (tmp_path / "course" / "o").exists()
+        # without flags, the file's own paths
+        shutil.copy(tmp_path / "flag-roster.txt", tmp_path / "course" / "roster.txt")
+        assert main(["analyze", "--config", "course/contribsum.ini"]) == 0
+        assert (tmp_path / "course" / "state" / "ledger.jsonl").exists()
+        assert (tmp_path / "course" / "out" / "team-alpha" / "week-1" / "report.md").exists()
+
     def test_mock_runs_byte_reproducible(self, tmp_path):
         config_a = make_workspace(
             tmp_path / "a", {"team-alpha": "merged_branch"}, out_dir="out"
@@ -148,7 +167,8 @@ class TestAnalyze:
         )
         assert main(["analyze", "--config", str(config_a)]) == 0
         assert main(["analyze", "--config", str(config_b)]) == 0
-        for name in EXPECTED_ARTIFACTS:
+        # the manifest too: its bytes do not depend on where the repository is
+        for name in (*EXPECTED_ARTIFACTS, "run_manifest.json"):
             first = (tmp_path / "a" / "out" / "team-alpha" / "week-1" / name).read_bytes()
             second = (tmp_path / "b" / "out" / "team-alpha" / "week-1" / name).read_bytes()
             assert first == second, f"{name} differs between identical runs"
@@ -227,7 +247,7 @@ class TestUnchangedRerun:
 
         def analyze() -> tuple[str, list[str]]:
             caplog.clear()
-            with caplog.at_level("INFO", logger="contribsum.memo"):
+            with caplog.at_level("INFO", logger="contribsum.pipeline"):
                 assert main(["analyze", "--config", str(config)]) == 0
             return capsys.readouterr().out, [
                 m for m in caplog.messages if m.startswith("team outputs")
@@ -249,7 +269,7 @@ class TestUnchangedRerun:
         entry = ("100644", "more.py", b"m = 1\n")
         commit_tree_entries(str(tmp_path / "repos" / "team-alpha"), tmp_path / "index", entry)
         assert analyze()[1] == [
-            "team outputs slot stale: team-alpha (inputs)", "team outputs unchanged: team-beta"
+            "team outputs stale: team-alpha (inputs)", "team outputs unchanged: team-beta"
         ]
         after = files()
         beta = {p: v for p, v in rendered.items() if "team-beta" in p.parts}
@@ -383,6 +403,17 @@ class TestCost:
         monkeypatch.setenv("CONTRIBSUM_STATE", str(tmp_path / "from-env"))
         assert main(["cost", "--state", str(tmp_path / "flag")]) == 0
         assert "team alpha: 1 calls, $0.50" in capsys.readouterr().out
+
+    def test_state_flag_read_from_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        """`cost --state st` reads the ledger that `analyze --state st` wrote
+        with its config one directory down."""
+        make_workspace(tmp_path / "course", {"team-alpha": "merged_branch"})
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", "course/contribsum.ini", "--state", "st"]) == 0
+        capsys.readouterr()
+        assert main(["cost", "--state", "st"]) == 0
+        out = capsys.readouterr().out
+        assert "(no entries)" not in out and "team team-alpha:" in out
 
     def test_fresh_state_zero_totals(self, tmp_path, capsys):
         assert main(["cost", "--state", str(tmp_path / "state")]) == 0

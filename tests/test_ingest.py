@@ -559,15 +559,15 @@ class TestShallowClone:
                 f"file://{handle.root_path}", str(clone))
             git("-C", str(clone), "worktree", "add", "-q", "--detach", str(clone) + "-tree")
             for root in (clone, Path(str(clone) + "-tree")):
-                assert memo._may_be_shallow(str(root)) == bool(depth), root
-        assert not memo._may_be_shallow(handle.root_path)
+                assert memo.may_be_shallow(str(root)) == bool(depth), root
+        assert not memo.may_be_shallow(handle.root_path)
         (Path(handle.root_path) / "info").mkdir(exist_ok=True)
         (Path(handle.root_path) / "info" / "grafts").write_text(handle.head_ref + "\n")
-        assert memo._may_be_shallow(handle.root_path)
+        assert memo.may_be_shallow(handle.root_path)
         full = tmp_path / "clone-None"
         (full / ".git" / "info").mkdir(exist_ok=True)
         (full / ".git" / "info" / "grafts").write_text(handle.head_ref + "\n")
         for root in (full, Path(str(full) + "-tree")):
-            assert memo._may_be_shallow(str(root)), root
+            assert memo.may_be_shallow(str(root)), root
         (tmp_path / "clone-None" / "sub").mkdir()
-        assert memo._may_be_shallow(str(tmp_path / "clone-None" / "sub"))
+        assert memo.may_be_shallow(str(tmp_path / "clone-None" / "sub"))

@@ -103,11 +103,11 @@ def _git_spawns(monkeypatch, run) -> list:
     return spawns
 
 
-def _slot_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipeline.TeamResult:
-    """The result of re-running `cfg`'s one team unchanged: its outputs slot
-    stands in for it, so the run makes one store get and no put, spawns one
-    git process (the branch listing), starts no thread, records no ledger
-    entry and writes no file."""
+def _record_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipeline.TeamResult:
+    """The result of re-running `cfg`'s one team unchanged: the outputs
+    record in its window's manifest stands in for it, so the run makes no
+    store call, spawns one git process (the branch listing), starts no
+    thread, records no ledger entry and writes no file."""
     def files() -> dict:
         out = Path(cfg.out_dir)
         return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
@@ -133,7 +133,7 @@ def _slot_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipelin
     spawns = _git_spawns(monkeypatch, run)
     (result,) = results
     assert result.ok, result.error
-    assert (calls, len(spawns), ledger.entries) == (["get"], 1, [])
+    assert (calls, len(spawns), ledger.entries) == ([], 1, [])
     assert files() == before
     return result
 
@@ -178,11 +178,10 @@ class TestGitSpawns:
 class TestStoreTraffic:
     def test_one_get_per_log_slot_and_head(self, tmp_path, monkeypatch):
         """The memo's store calls, told from the provider cache's by their
-        caller: a new team gets and puts each log slot, each distinct window
-        head's entry and its outputs slot once; a fully remembered one run
-        into a fresh out dir gets each once and puts only its outputs slot;
-        run again unchanged it gets only its outputs slot. At 30 and 300
-        commits with 0, 1 or 2 branches."""
+        caller: a new team gets and puts each log slot and each distinct
+        window head's entry once; a fully remembered one run into a fresh out
+        dir gets each once and puts nothing; run again unchanged it makes no
+        store call. At 30 and 300 commits with 0, 1 or 2 branches."""
         roster = load_roster(ROSTER_TEXT)
         gets, puts = Counter(), Counter()
 
@@ -202,7 +201,6 @@ class TestStoreTraffic:
                 name = f"run-{commits}-{'-'.join(branches)}"
                 store = Store(tmp_path / name / "cache")
                 cfg = _config(tmp_path / name, [("team", root)], branches)
-                outputs = memo._outputs_key(root, "team", JUNE)
                 refs = (handle.default_branch, *branches)
                 heads = {
                     ingest.History(gitio.log(root, handle.tips[ref])).window_head(JUNE)
@@ -214,9 +212,8 @@ class TestStoreTraffic:
                     memo._head_key(at, tuple(cfg.exclude_globs), attribution.MAX_BLAME_FILE_BYTES)
                     for at in heads
                 )
-                slots[outputs] += 1
                 for warm in (False, True):
-                    # a fresh out dir: the outputs slot's files are missing
+                    # a fresh out dir: no outputs record
                     cfg = _config(tmp_path / name / str(warm), [("team", root)], branches)
                     gets.clear()
                     puts.clear()
@@ -225,10 +222,10 @@ class TestStoreTraffic:
                     )
                     assert result.ok, result.error
                     assert gets == slots, (commits, branches, warm)
-                    assert puts == (Counter([outputs]) if warm else slots), (commits, branches, warm)
+                    assert puts == (Counter() if warm else slots), (commits, branches, warm)
                 gets.clear()
-                _slot_hit(monkeypatch, cfg, store)
-                assert gets == Counter([outputs]), (commits, branches)
+                _record_hit(monkeypatch, cfg, store)
+                assert gets == Counter(), (commits, branches)
 
 
 class TestReplayMemoBound:
@@ -275,7 +272,7 @@ class TestReplayMemoBound:
             assert work[0][0] > len(head_blobs) and work[0][1] > 0  # the first run replays
             assert work[1] == (len(head_blobs), 0)
             reads.clear()
-            _slot_hit(monkeypatch, cfg, store)
+            _record_hit(monkeypatch, cfg, store)
             assert (reads, matchers) == ([], [])
 
 
@@ -663,7 +660,7 @@ class TestSendPool:
     def test_fully_cached_team_starts_no_thread(self, tmp_path, monkeypatch):
         """A run into a fresh out dir whose every answer is cached sends
         nothing and starts no thread; so does its unchanged re-run, which
-        its outputs slot stands in for."""
+        its outputs record stands in for."""
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
         roster = load_roster(ROSTER_TEXT)
         store = Store(tmp_path / "cache")
@@ -690,7 +687,7 @@ class TestSendPool:
         assert warm.ok, warm.error
         assert starts == []
         assert ledger.entries == []
-        assert _slot_hit(monkeypatch, cfg, store) == warm
+        assert _record_hit(monkeypatch, cfg, store) == warm
 
     def test_failed_send_fails_only_its_team(self, tmp_path, monkeypatch):
         roster = load_roster(ROSTER_TEXT)
@@ -993,10 +990,10 @@ class TestPriorState:
             end=datetime(2024, 3, 18, tzinfo=timezone.utc),
             label="current",
         )
-        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "later"
+        assert pipeline._find_prior_state(cfg, "team")[0].meta.window.label == "later"
         # 01:00+02:00 on the 11th is 23:00 UTC on the 10th: earlier than the window
         _write_state(team_dir, "eve", "2024-03-11T01:00:00+02:00")
-        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "eve"
+        assert pipeline._find_prior_state(cfg, "team")[0].meta.window.label == "eve"
 
     def test_misshapen_state_skipped(self, tmp_path):
         """A later state with a field of the wrong shape is passed over."""
@@ -1013,7 +1010,7 @@ class TestPriorState:
             end=datetime(2024, 3, 18, tzinfo=timezone.utc),
             label="current",
         )
-        assert pipeline._find_prior_state(cfg, "team").meta.window.label == "earlier"
+        assert pipeline._find_prior_state(cfg, "team")[0].meta.window.label == "earlier"
 
 
     def test_delta_removed_when_no_prior_window(self, tmp_path, built_fixtures):
@@ -1057,11 +1054,11 @@ class TestPriorState:
             assert result.ok, result.error
             assert "delta.md" not in result.artifacts
         assert not (pipeline.window_dir(cfg, "team") / "delta.md").exists()
-        _slot_hit(monkeypatch, cfg, store)
+        _record_hit(monkeypatch, cfg, store)
 
 
-def _analyze(tmp_path: Path, repo_path: str, cache: str = "cache"):
-    cfg = _config(tmp_path, [("team", repo_path)])
+def _analyze(tmp_path: Path, repo_path: str, cache: str = "cache", **changes):
+    cfg = dataclasses.replace(_config(tmp_path, [("team", repo_path)]), **changes)
     (result,) = pipeline.run_analysis(
         cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / cache), CostLedger()
     )
@@ -1156,16 +1153,16 @@ class TestAtomicArtifacts:
             return _HalfWriter(fh) if Path(file).name.startswith(".report.md.") else fh
 
         monkeypatch.setattr(store_module, "open", failing_open, raising=False)
-        # a fresh store holds no outputs slot, so the team runs and writes
-        second = _analyze(tmp_path, handle.root_path, cache="cache-2")
+        manifest = (out_dir / pipeline.MANIFEST_NAME).read_bytes()
+        # a changed input, so the team runs and writes
+        second = _analyze(tmp_path, handle.root_path, cache="cache-2", coauthor_split=False)
         assert not second.ok
         assert "No space left on device" in second.error
         assert {name: (out_dir / name).read_bytes() for name in kept} == before
         assert not [p.name for p in out_dir.iterdir() if p.name.startswith(".")]
-        # a failed team writes no outputs slot
-        outputs = memo._outputs_key(handle.root_path, "team", JUNE)
-        assert Store(tmp_path / "cache").get(outputs) is not None
-        assert Store(tmp_path / "cache-2").get(outputs) is None
+        # a failed team writes no outputs record: the first run's stays
+        assert json.loads(manifest)["inputs_digest"]
+        assert (out_dir / pipeline.MANIFEST_NAME).read_bytes() == manifest
 
 
 def _tree_bytes(directory: Path) -> dict[str, bytes]:
@@ -1296,9 +1293,9 @@ class TestFaultMatrix:
                 assert absent not in (victim_out / name).read_text("utf-8"), name
 
 
-# every RunConfig field, with how the outputs slot accounts for it
+# every RunConfig field, with how the outputs record accounts for it
 KEYED_FIELDS = {
-    "window": "its start, end and label are in the slot's key",
+    "window": "its start, end and label are in the inputs digest",
     "branch": "the resolved default branch and its tip are in the inputs digest",
     "analysis_tier": "every field is in the inputs digest",
     "synthesis_tier": "every field is in the inputs digest",
@@ -1309,27 +1306,27 @@ KEYED_FIELDS = {
     "exclude_globs": "in the inputs digest",
 }
 UNKEYED_FIELDS = {
-    "repos": "the team's name and real path are in the key; the other teams shape nothing of it",
+    "repos": "the team's tips and whether its history may be cut are in the inputs digest; "
+             "a full history is decided by its tips, so where it lies shapes nothing of it "
+             "(a cut one's record never matches: test_cut_history_reads_and_writes_no_slot), "
+             "nor do the other teams",
     "out_dir": "files are checked by content wherever they are",
     "state_dir": "files are checked by content wherever they are",
     "analysis_workers": "outputs are equal for any pool size (TestSendPool)",
     "rate_limit": "paces sends only",
-    "endpoint": "a slot is only written after a run that left every answer in the cache",
-    "api_key": "a slot is only written after a run that left every answer in the cache",
-    "replay_dir": "a slot is only written after a run that left every answer in the cache",
+    "endpoint": "the model ids name the answers, as in the provider cache's keys",
+    "api_key": "the model ids name the answers, as in the provider cache's keys",
+    "replay_dir": "the model ids name the answers, as in the provider cache's keys",
     "roster_path": "the roster's students and aliases are in the inputs digest",
     "sprint_instructions_path": "the file's text is in the inputs digest",
     "project_description_path": "the file's text is in the inputs digest",
 }
 
 
-STATE_FILES = (pipeline.STATE_NAME, pipeline.MANIFEST_NAME)
-
-
 class TestOutputsSlot:
-    """A team whose inputs digest and written files match its outputs slot
-    is not run; any other team runs in full and equals a run without a
-    store."""
+    """A team whose inputs digest and written files match the outputs
+    record in its window's manifest is not run; any other team runs in full
+    and equals a run without a store."""
 
     @staticmethod
     def _primed(tmp_path: Path) -> tuple[RunConfig, Store]:
@@ -1372,10 +1369,11 @@ class TestOutputsSlot:
         """Each field left out of the digest, changed alone, still skips
         the team."""
         cfg, store = self._primed(tmp_path)
-        if field == "repos":
+        if field == "repos":  # another team first, and the team's repository moved
             other, _ = synthfix.build(_history(13), tmp_path / "other")
-            cfg.repos = [("other", other.root_path), *cfg.repos]
-            with caplog.at_level("INFO", logger=memo.__name__):
+            shutil.copytree(cfg.repos[0][1], tmp_path / "moved")
+            cfg.repos = [("other", other.root_path), ("team", str(tmp_path / "moved"))]
+            with caplog.at_level("INFO", logger=pipeline.__name__):
                 results = pipeline.run_analysis(
                     cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
                 )
@@ -1390,7 +1388,7 @@ class TestOutputsSlot:
             setattr(cfg, field, str(tmp_path / "copy"))
         else:
             setattr(cfg, field, {"analysis_workers": 1, "rate_limit": 5.0}.get(field, "other"))
-        _slot_hit(monkeypatch, cfg, store)
+        _record_hit(monkeypatch, cfg, store)
 
     @pytest.mark.parametrize("change", [
         "window", "branch", "analysis_tier", "synthesis_tier", "provider_mode", "roles_enabled",
@@ -1439,19 +1437,21 @@ class TestOutputsSlot:
         elif change == "prior_removed":
             shutil.rmtree(prior)
         expected = self._storeless(cfg, roster, tmp_path / "storeless")
-        with caplog.at_level("INFO", logger=memo.__name__):
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert result.ok, result.error
         assert "team outputs unchanged" not in caplog.text
-        if change != "window":  # another window is another slot
-            assert "team outputs slot stale: team (inputs)" in caplog.text
+        assert "team outputs stale: team (inputs)" in caplog.text
         assert _tree_bytes(Path(cfg.out_dir)) == expected
-        _slot_hit(monkeypatch, cfg, store, roster)
+        _record_hit(monkeypatch, cfg, store, roster)
 
-    @pytest.mark.parametrize("fault", ["edited", "deleted", "corrupted", "extra_delta"])
+    @pytest.mark.parametrize(
+        "fault", ["edited", "deleted", "corrupted", "extra_delta", "no_record"]
+    )
     def test_changed_file_is_rewritten(self, tmp_path, caplog, fault):
-        """An artifact edited, deleted or corrupted, or a delta the last run
-        did not write, makes a full run that restores the out dir."""
+        """An artifact edited, deleted or corrupted, a delta the last run did
+        not write, or a manifest written before it held the outputs record,
+        makes a full run that restores the out dir and logs no warning."""
         cfg, store = self._primed(tmp_path)
         out = pipeline.window_dir(cfg, "team")
         if fault == "extra_delta":  # the last run found no prior window
@@ -1462,54 +1462,98 @@ class TestOutputsSlot:
             assert "delta.md" not in result.artifacts
         expected = _tree_bytes(Path(cfg.out_dir))
         name = {"edited": "report.md", "deleted": "contribution.csv",
-                "corrupted": pipeline.MANIFEST_NAME, "extra_delta": "delta.md"}[fault]
+                "corrupted": pipeline.MANIFEST_NAME, "extra_delta": "delta.md",
+                "no_record": pipeline.MANIFEST_NAME}[fault]
         if fault == "edited":
             (out / name).write_bytes((out / name).read_bytes() + b"\n")
         elif fault == "deleted":
             (out / name).unlink()
         elif fault == "corrupted":
             (out / name).write_bytes(b"\0" * len((out / name).read_bytes()))
+        elif fault == "no_record":
+            old = json.loads((out / name).read_text(encoding="utf-8"))
+            for field in ("inputs_digest", "state_sha256", "warnings"):
+                del old[field]
+            (out / name).write_text(json.dumps(old, indent=2, sort_keys=True), encoding="utf-8")
         else:
             (out / name).write_text("stale\n", encoding="utf-8")
-        with caplog.at_level("INFO", logger=memo.__name__):
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(
                 cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
             )
         assert result.ok, result.error
-        assert f"team outputs slot stale: team ({name})" in caplog.text
+        reason = "no record" if fault == "no_record" else name
+        assert f"team outputs stale: team ({reason})" in caplog.messages
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert _tree_bytes(Path(cfg.out_dir)) == expected
 
-    # a trusted payload but for one field each
+    # a trusted record but for one field each
     UNTRUSTED = {
-        "inputs": {"inputs": 1},
-        "path": {"files": {"../report.md": "0" * 64, **{n: "0" * 64 for n in STATE_FILES}}},
+        "inputs": {"inputs_digest": 1},
+        "path": {"artifacts": {"../report.md": "0" * 64}},
         "warnings": {"warnings": [3]},
-        "files": {"files": {"report.md": "0" * 64, pipeline.STATE_NAME: "0" * 64}},
-        "hash": {"files": {"report.md": "0" * 63, **{n: "0" * 64 for n in STATE_FILES}}},
+        "files": {"state_sha256": None},
+        "hash": {"artifacts": {"report.md": "0" * 63}},
     }
 
     @pytest.mark.parametrize("payload", ["list", *UNTRUSTED])
     def test_untrusted_payload_warns_once_and_runs(self, tmp_path, monkeypatch, caplog, payload):
         cfg, store = self._primed(tmp_path)
         expected = _tree_bytes(Path(cfg.out_dir))
-        trusted = {"inputs": "x", "warnings": [],
-                   "files": {n: "0" * 64 for n in ("report.md", *STATE_FILES)}}
-        memo._remembered_outputs(trusted, pipeline.ARTIFACT_NAMES, STATE_FILES)
+        manifest = pipeline.window_dir(cfg, "team") / pipeline.MANIFEST_NAME
+        trusted = {**json.loads(manifest.read_text(encoding="utf-8")), "inputs_digest": "x"}
+        pipeline._recorded_outputs(trusted)
         untrusted = ["not", "a", "dict"] if payload == "list" else {
             **trusted, **self.UNTRUSTED[payload]
         }
-        store.put(memo._outputs_key(cfg.repos[0][1], "team", JUNE), untrusted)
-        with caplog.at_level("INFO", logger=memo.__name__):
+        manifest.write_text(json.dumps(untrusted), encoding="utf-8")
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(
                 cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
             )
         assert result.ok, result.error
         dropped = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [r.getMessage().split(" (")[0] for r in dropped] == [
-            "team outputs entry dropped: team"
+            "team outputs record dropped: team"
         ]
         assert _tree_bytes(Path(cfg.out_dir)) == expected
-        _slot_hit(monkeypatch, cfg, store)  # the slot is rewritten
+        _record_hit(monkeypatch, cfg, store)  # the record is rewritten
+
+    def test_fresh_state_dir_skips_an_unchanged_team(self, tmp_path, monkeypatch):
+        """The record lives with the outputs: a re-run with a new, empty
+        state dir sends nothing and writes nothing for an unchanged team."""
+        cfg, _ = self._primed(tmp_path)
+        _record_hit(monkeypatch, cfg, Store(tmp_path / "fresh"))
+
+    def test_failed_manifest_write_leaves_no_stale_record(self, tmp_path, monkeypatch, caplog):
+        """A run for new inputs that rewrites every artifact but fails to
+        write its manifest leaves the last run's record, which its files no
+        longer match: the next run with the new inputs runs in full and its
+        out dir equals a run without a store's."""
+        cfg, store = self._primed(tmp_path)
+        roster = load_roster(ROSTER_TEXT)
+        out = pipeline.window_dir(cfg, "team")
+        before = (out / pipeline.MANIFEST_NAME).read_bytes()
+        Path(cfg.sprint_instructions_path).write_text("Ship it twice.\n", encoding="utf-8")
+        real_write = pipeline.write_atomic
+
+        def failing_write(path, data):
+            if Path(path).name == pipeline.MANIFEST_NAME:
+                raise OSError(28, "No space left on device")
+            real_write(path, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "write_atomic", failing_write)
+            (failed,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert not failed.ok and "No space left on device" in failed.error
+        assert (out / pipeline.MANIFEST_NAME).read_bytes() == before
+        expected = self._storeless(cfg, roster, tmp_path / "storeless")
+        with caplog.at_level("INFO", logger=pipeline.__name__):
+            (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert result.ok, result.error
+        assert "team outputs stale: team (inputs)" in caplog.messages
+        assert _tree_bytes(Path(cfg.out_dir)) == expected
+        _record_hit(monkeypatch, cfg, store)
 
     def test_hit_equals_a_run_without_a_store(self, tmp_path, caplog, built_fixtures, branch_repos):
         """Every standard fixture, four `random_script` and four
@@ -1529,7 +1573,7 @@ class TestOutputsSlot:
         assert any(r.warnings for r in first)
         before = {p: p.stat().st_mtime_ns for p in Path(cfg.out_dir).rglob("*") if p.is_file()}
         ledger = CostLedger()
-        with caplog.at_level("INFO", logger=memo.__name__):
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             again = pipeline.run_analysis(cfg, roster, MockProvider(), store, ledger)
         assert again == first and ledger.entries == []
         unchanged = [m for m in caplog.messages if m.startswith("team outputs unchanged: ")]
@@ -1540,7 +1584,7 @@ class TestOutputsSlot:
     def test_rerun_after_a_failed_team_runs_only_that_team(self, tmp_path, monkeypatch, caplog):
         """A course re-run after one team failed (here on a full disk while
         writing its report) skips the team that finished and runs the
-        failed one, which wrote no slot."""
+        failed one, whose manifest holds no record of its new files."""
         roots = {}
         for n, team in enumerate(TestFaultMatrix.TEAMS):
             handle, _ = synthfix.build(_history(12 + n), tmp_path / "repos" / team)
@@ -1554,7 +1598,7 @@ class TestOutputsSlot:
         assert [r.ok for r in results] == [False, True]
         finished = Path(cfg.out_dir) / "bystander"
         before = {p: p.stat().st_mtime_ns for p in finished.rglob("*") if p.is_file()}
-        with caplog.at_level("INFO", logger=memo.__name__):
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             results = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert all(r.ok for r in results), [r.error for r in results]
         outcomes = [m for m in caplog.messages if m.startswith("team outputs")]
@@ -1587,10 +1631,39 @@ class TestOutputsSlot:
         monkeypatch.setattr(Store, "get", counted(Store.get))
         monkeypatch.setattr(Store, "put", counted(Store.put))
         store = Store(tmp_path / "cache")
-        with caplog.at_level("INFO", logger=memo.__name__):
+        with caplog.at_level("INFO", logger=pipeline.__name__):
             for _ in range(2):
                 (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
                 assert result.ok, result.error
         assert calls == []
         assert "team outputs" not in caplog.text
-        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
+        cut_out = _tree_bytes(Path(cfg.out_dir))
+        assert cut_out == self._storeless(cfg, roster, tmp_path / "plain")
+
+        # the cut run's record matches neither a full clone elsewhere with the
+        # same tips nor the history deepened in place: each is a full run
+        # whose out dir equals a run's without a store
+        def full_run(label: str) -> dict[str, bytes]:
+            caplog.clear()
+            with caplog.at_level("INFO", logger=pipeline.__name__):
+                (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+            assert result.ok, result.error
+            assert "team outputs stale: team (inputs)" in caplog.messages
+            out = _tree_bytes(Path(cfg.out_dir))
+            assert out == self._storeless(cfg, roster, tmp_path / label)
+            return out
+
+        cfg.repos = [("team", handle.root_path)]
+        full = full_run("plain-origin")
+        assert full != cut_out  # the cut history attributes its boundary's lines
+        cfg.repos = [("team", clone)]
+        (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
+        assert result.ok, result.error
+        assert _tree_bytes(Path(cfg.out_dir)) == cut_out
+        if cut == "shallow":
+            subprocess.run(["git", "-C", clone, "fetch", "-q", "--unshallow"],
+                           check=True, capture_output=True)
+        else:
+            (Path(clone) / ".git" / "info" / "grafts").unlink()
+        assert not memo.may_be_shallow(clone)
+        assert full_run("plain-deepened") == full
