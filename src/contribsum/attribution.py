@@ -1,8 +1,11 @@
 """Line-level authorship of window-end snapshots and per-student evidence.
 
-The engine replays history forward: every commit's per-file line ownership
-is derived from its parent's ownership plus the commit's diff, so the
-window-end snapshot ends up with one owning commit per line. A state maps
+The engine replays history forward, one step (`_commit_state`) per
+commit, be it a root, a one-parent commit or a merge: a commit's per-file
+line ownership is derived from its parents' ownership plus its diff
+against its first parent, so the window-end snapshot ends up with one
+owning commit per line. A one-parent commit is a merge with no other
+parents, whose fresh lines all go to the commit. A state maps
 each path to the file's lines and a parallel list of owning commit shas;
 evidence is credited in one walk over the kept files' lines and owners.
 Commits, their order and their file changes come from each ref's
@@ -30,6 +33,9 @@ Ownership at a head sha never changes: it depends on commit history
 alone, and the metrics of the files kept at it on their bytes alone. So
 a head the run's `memo` remembers is not replayed or measured: its head
 blobs are still read and sorted into kept and skipped files.
+`_ownership_at` is the one place that reads and writes head entries: it
+recalls every head before the replay, and writes each replayed head's
+entry once the default window head is measured.
 Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
@@ -224,82 +230,63 @@ def _carry_lines(
     return new_lines, owners
 
 
-def _apply_line_diff(old: _Owned, new_lines: list[str], commit: str) -> _Owned:
-    """Carry ownership across an edit; `commit` owns the lines it wrote."""
-    return _carry_lines(old, new_lines, lambda lines: [commit] * len(lines))
-
-
 _State = dict[str, _Owned]
 
 
-def _apply_changes(
-    state: _State, changes: list[gitio.TreeChange], commit: str, read: Callable[[str], bytes]
-) -> None:
-    for change in changes:
-        if change.status == "D":
-            state.pop(change.path, None)
-            continue
-        new_lines = metrics.text_lines(read(change.new_blob))
-        if change.status == "A":
-            state[change.path] = (new_lines, [commit] * len(new_lines))
-        elif change.status == "R":
-            old = state.pop(change.old_path or "", _NONE)
-            state[change.path] = _apply_line_diff(old, new_lines, commit)
-        else:  # M
-            old = state.get(change.path, _NONE)
-            state[change.path] = _apply_line_diff(old, new_lines, commit)
-
-
-def _merge_state(
+def _commit_state(
     parent_states: list[_State],
     changes: list[gitio.TreeChange],
     commit: str,
     read: Callable[[str], bytes],
 ) -> _State:
-    """Ownership after a merge: lines adopt whichever parent wrote them.
+    """Ownership after `commit`, from its parents' states (none for a root)
+    and its `changes`, the diff against its first parent.
 
-    The merge tree is diffed against the first parent; changed files are
-    matched against the remaining parents, first wholesale, then line by
-    line. A file equal to another parent's once trailing whitespace is
-    stripped takes that parent's owner list beside the merge's own lines.
-    Otherwise the edit from the first parent is carried, and each new line
-    takes the next owner queued for its stripped content in the other
-    parents' files. Only lines matching no parent at all (conflict
-    resolutions) become owned by the merge commit itself.
+    The first parent's state is copied, and each changed file's edit from
+    it is carried (`_carry_lines`); the lines it wrote fresh are the
+    commit's. A merge's changed file first looks at the other parents'
+    files at its path: one equal to it once trailing whitespace is stripped
+    lends its owner list to the merge's lines wholesale; otherwise each
+    fresh line takes the next owner queued for its stripped content in
+    those files. So only lines that match no parent (conflict resolutions)
+    are the merge's own. When no other parent holds the path, as for every
+    change of a one-parent commit, neither is tried.
     """
-    state: _State = dict(parent_states[0])
+    state: _State = dict(parent_states[0]) if parent_states else {}
     others = parent_states[1:]
     for change in changes:
         if change.status == "D":
             state.pop(change.path, None)
             continue
         new_lines = metrics.text_lines(read(change.new_blob))
-        stripped = [l.rstrip() for l in new_lines]
         if change.status == "R":
             base = state.pop(change.old_path or "", _NONE)
         else:
             base = state.get(change.path, _NONE)
-        adopted: _Owned | None = None
-        for other in others:
-            candidate = other.get(change.path)
-            if candidate is not None and [l.rstrip() for l in candidate[0]] == stripped:
-                adopted = (new_lines, candidate[1])
-                break
-        if adopted is None:
-            pool: dict[str, deque[str]] = defaultdict(deque)
-            for other in others:
-                for line, owner in zip(*other.get(change.path, _NONE)):
-                    pool[line.rstrip()].append(owner)
+        theirs = [other[change.path] for other in others if change.path in other]
+        if not theirs:
+            state[change.path] = _carry_lines(base, new_lines, lambda fresh: [commit] * len(fresh))
+            continue
+        stripped = [line.rstrip() for line in new_lines]
+        whole = next(
+            (owners for lines, owners in theirs if [l.rstrip() for l in lines] == stripped), None
+        )
+        if whole is not None:
+            state[change.path] = (new_lines, whole)
+            continue
+        pool: dict[str, deque[str]] = defaultdict(deque)
+        for lines, owners in theirs:
+            for line, owner in zip(lines, owners):
+                pool[line.rstrip()].append(owner)
 
-            def from_pool(lines: list[str]) -> list[str]:
-                out: list[str] = []
-                for line in lines:
-                    queue = pool.get(line.rstrip())
-                    out.append(queue.popleft() if queue else commit)
-                return out
+        def from_pool(lines: list[str]) -> list[str]:
+            out: list[str] = []
+            for line in lines:
+                queue = pool.get(line.rstrip())
+                out.append(queue.popleft() if queue else commit)
+            return out
 
-            adopted = _carry_lines(base, new_lines, from_pool)
-        state[change.path] = adopted
+        state[change.path] = _carry_lines(base, new_lines, from_pool)
     return state
 
 
@@ -385,21 +372,22 @@ def _ownership_at(
     reader: gitio.ObjectReader, heads: Iterable[tuple[History, str | None]],
     excludes: tuple[str, ...], max_file_bytes: int, store: Store | None = None,
     measured_head: str | None = None,
-) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, dict | None]]:
+) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, metrics.FileMetrics]]:
     """head -> (kept files -> head bytes in bytewise path order, skipped
     paths, ownership at the head), for each `(history, head)` with a head,
-    and head -> the kept files' remembered metrics (None unless it is
-    `measured_head`) for each head `memo` recalls from `store`.
+    and the kept files' metrics at `measured_head` (none without one).
 
     A path at a head that is not excluded is kept when it is no symlink or
-    gitlink and its blob passes `is_blamable`, else skipped. A recalled
-    head is not replayed. Replay runs parents first over the union of
-    the replayed heads' ancestors (the first head's in its order, then each
-    later head's unseen ones) and applies only changes to their kept paths
-    and rename sources; a commit's state is dropped after its last child is
-    replayed, unless it is a replayed head. Every blob is requested from
-    `reader` before the first one is read, head blobs first and then the
-    replay's in replay order.
+    gitlink and its blob passes `is_blamable`, else skipped. A head that
+    `memo` recalls from `store` is not replayed, nor measured when it is
+    `measured_head`. Replay runs parents first over the union of the
+    replayed heads' ancestors (the first head's in its order, then each
+    later head's unseen ones), one `_commit_state` per commit, and applies
+    only changes to their kept paths and rename sources; a commit's state
+    is dropped after its last child is replayed, unless it is a replayed
+    head. Every blob is requested from `reader` before the first one is
+    read, head blobs first and then the replay's in replay order. Each
+    replayed head's entry is then written to `store`, in `heads` order.
     """
     lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
     candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
@@ -448,20 +436,28 @@ def _ownership_at(
 
     states: dict[str, _State] = {}
     for commit, changes in plan:
-        if commit.is_merge:
-            parents = [states[p] for p in commit.parents]
-            state = _merge_state(parents, changes, commit.hash, read)
-        else:
-            state = dict(states[commit.parents[0]]) if commit.parents else {}
-            _apply_changes(state, changes, commit.hash, read)
-        states[commit.hash] = state
+        parents = [states[p] for p in commit.parents]
+        states[commit.hash] = _commit_state(parents, changes, commit.hash, read)
         for parent in commit.parents:
             children[parent] -= 1
             if not children[parent]:
                 del states[parent]
     states.update((at, state) for at, (state, _) in remembered.items())
-    owned = {at: (kept[at], skipped[at], states[at]) for at in lineages}
-    return owned, {at: rows for at, (_, rows) in remembered.items()}
+
+    if measured_head in remembered:
+        measured = remembered[measured_head][1]
+    else:
+        measured = {
+            path: metrics.compute_file_metrics(path, blob)
+            for path, blob in kept.get(measured_head, {}).items()
+        }
+    if store is not None:
+        for at in missed:
+            store.put(*memo.head_entry(
+                at, kept[at], states[at], measured if at == measured_head else None,
+                excludes, max_file_bytes,
+            ))
+    return {at: (kept[at], skipped[at], states[at]) for at in lineages}, measured
 
 
 def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
@@ -559,10 +555,8 @@ def build_contribution_set(
     with the default branch's, and `_branch_section` filters it.
 
     The store `repo` keeps is the run's memo (see `memo`): a branch
-    whose log it holds for the branch's tip spawns no `git log`, a head it
-    remembers is not replayed, and the default window head's kept files
-    are not measured again. Each head replayed anew is written to it after
-    the replay.
+    whose log it holds for the branch's tip spawns no `git log`, and
+    `_ownership_at` recalls and remembers the window heads.
     """
     store = repo.store
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
@@ -590,20 +584,11 @@ def build_contribution_set(
     histories = [history, *(h for h in branch_histories.values() if h is not None)]
     excludes, max_file_bytes = tuple(options.exclude_globs), options.max_file_bytes
     with gitio.ObjectReader(repo.root_path) as reader:
-        owned, remembered = _ownership_at(
+        owned, measured = _ownership_at(
             reader, [(h, h.window_head(window)) for h in histories], excludes, max_file_bytes,
             store, head,
         )
-        kept, skipped, state = owned[head] if head else ({}, set(), {})
-        measured = remembered.get(head)
-        if measured is None:
-            measured = {path: metrics.compute_file_metrics(path, b) for path, b in kept.items()}
-    if store is not None:
-        for at, (paths, _, owners) in owned.items():
-            if at not in remembered:
-                store.put(*memo.head_entry(
-                    at, paths, owners, measured if at == head else None, excludes, max_file_bytes
-                ))
+    kept, skipped, state = owned[head] if head else ({}, set(), {})
     files = tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(

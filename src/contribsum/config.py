@@ -201,8 +201,6 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
     if parser.has_section("repos"):
         for team, repo_path in parser.items("repos"):
             repos.append((team, rel(repo_path) or repo_path))
-    if "repos" in overrides:
-        repos = overrides["repos"]
 
     window = resolve_window(
         window_start=run_opt("window_start"),

@@ -27,8 +27,9 @@ version (a git that prints the log or pairs renames differently) and
   match, so row fields get no further shape checks.
 
 Any other entry not trusted is dropped with a warning. A miss reads the
-log, or replays and measures the head, anew; the replay's caller writes
-each replayed head's entry (`head_entry`).
+log, or replays and measures the head, anew; the replay itself
+(`attribution._ownership_at`) writes each replayed head's entry
+(`head_entry`).
 
 One gate per repository (`gate`), read from its git directory with no
 git process, decides whether anything of it is remembered: nothing is

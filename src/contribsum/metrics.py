@@ -196,11 +196,14 @@ def notebook_source(document: str) -> str:
     """Concatenate a notebook's code cells with comment boundary markers.
 
     A single-cell notebook yields its cell source verbatim, so wrapping a
-    script in one cell scores identically to the raw script.
+    script in one cell scores identically to the raw script. Raises
+    MalformedNotebook for a document that is not JSON, nests past the
+    interpreter's recursion limit, has no `cells` list, or has a code cell
+    whose source is neither text nor a list of text.
     """
     try:
         data = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedNotebook(f"not valid notebook JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
         raise MalformedNotebook("missing top-level 'cells' list")
@@ -209,8 +212,11 @@ def notebook_source(document: str) -> str:
         if not isinstance(cell, dict) or cell.get("cell_type") != "code":
             continue
         source = cell.get("source", "")
-        text = "".join(source) if isinstance(source, list) else str(source)
-        pieces.append(text)
+        if isinstance(source, list) and all(isinstance(piece, str) for piece in source):
+            source = "".join(source)
+        if not isinstance(source, str):
+            raise MalformedNotebook("a code cell's source is neither text nor a list of text")
+        pieces.append(source)
     if not pieces:
         return ""
     joined = pieces[0]

@@ -73,7 +73,7 @@ class Store:
             wrapped = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             wrapped = None
         payload_text = wrapped.get("payload_json") if isinstance(wrapped, dict) else None
         if not isinstance(payload_text, str):
@@ -125,10 +125,10 @@ class CostLedger:
 
     When constructed with a path, every append is persisted immediately;
     without one the ledger is memory-only (handy in tests). Appends are
-    safe from several threads. A line cut short by a killed run, or one
-    that is valid JSON but no entry (a field missing or of the wrong type),
-    is skipped with a warning, and the next append starts on a fresh line
-    so a fragment never fuses with an entry.
+    safe from several threads. A line cut short by a killed run, one that
+    is not UTF-8, or one that is valid JSON but no entry (a field missing
+    or of the wrong type), is skipped with a warning, and the next append
+    starts on a fresh line so a fragment never fuses with an entry.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -137,17 +137,17 @@ class CostLedger:
         self._fresh_line = True
         self._lock = threading.Lock()
         if self.path and self.path.exists():
-            text = self.path.read_text(encoding="utf-8")
-            self._fresh_line = not text or text.endswith("\n")
-            for no, line in enumerate(text.splitlines(), start=1):
+            data = self.path.read_bytes()
+            self._fresh_line = not data or data.endswith(b"\n")
+            for no, line in enumerate(data.splitlines(), start=1):
                 if not line.strip():
                     continue
                 try:
-                    entry = LedgerEntry(**json.loads(line))
+                    entry = LedgerEntry(**json.loads(line.decode("utf-8")))
                     if not all(isinstance(getattr(entry, f), t) for f, t in _FIELD_TYPES.items()):
                         raise TypeError(f"ledger line {no} has a field of the wrong type")
                     self.entries.append(entry)
-                except (json.JSONDecodeError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, TypeError):
                     logger.warning("truncated ledger line %d skipped: %s", no, self.path)
 
     def add(

@@ -612,6 +612,16 @@ def _check_edit(old: list[tuple[str, str]], new: list[str], got: list[tuple[str,
         assert owners == before
 
 
+def _step(parent_states: list[dict], lines: list[str], commit: str) -> dict:
+    """`attribution._commit_state` for a commit that writes `lines` to
+    `f.py`: an add when the first parent lacks the file, else an edit."""
+    blob = "".join(f"{line}\n" for line in lines).encode()
+    assert metrics_module.text_lines(blob) == lines
+    status = "M" if parent_states and "f.py" in parent_states[0] else "A"
+    change = gitio.TreeChange(status, "f.py", None, "100644", "100644", "0" * 40, commit)
+    return attribution._commit_state(parent_states, [change], commit, {commit: blob}.__getitem__)
+
+
 class TestTieRule:
     """Repeated lines tie; the common ends of an edit keep their owners, as
     in git's xdiff (`xdl_trim_ends`), and the partition stays exact."""
@@ -622,10 +632,23 @@ class TestTieRule:
         _, versions, whitespace_only = history
         owned = (versions[0], ["c0"] * len(versions[0]))
         for k, new in enumerate(versions[1:], start=1):
-            out = attribution._apply_line_diff(owned, new, f"c{k}")
+            out = _step([{"f.py": owned}], new, f"c{k}")["f.py"]
             _check_edit(list(zip(*owned)), new, list(zip(*out, strict=True)), f"c{k}",
                         whitespace_only[k])
             owned = out
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edit_history())
+    def test_merge_with_empty_other_parent_is_one_parent_step(self, history):
+        """A one-parent commit is a merge whose other parents hold nothing:
+        the root's add and every edit give the same owners both ways."""
+        _, versions, _ = history
+        state: dict = {}
+        for k, lines in enumerate(versions):
+            alone = _step([state] if k else [], lines, f"c{k}")
+            for others in ([{}], [{}, {"g.py": (lines, ["x"] * len(lines))}]):
+                assert _step([state, *others], lines, f"c{k}") == alone, (k, len(others))
+            state = alone
 
     @settings(max_examples=60, deadline=None)
     @given(history=_edit_history())
@@ -853,8 +876,8 @@ def _opened(handle, store: Store) -> ingest.RepoHandle:
 
 
 def _ownership_at(root, heads, excludes, max_file_bytes, store=None) -> dict:
-    """`attribution._ownership_at` on a reader of its own, without the
-    memo entries it would write."""
+    """`attribution._ownership_at` on a reader of its own, measuring no
+    head: head -> (kept files, skipped paths, ownership)."""
     with gitio.ObjectReader(root) as reader:
         owned, _ = attribution._ownership_at(reader, heads, excludes, max_file_bytes, store)
     return owned
@@ -896,23 +919,18 @@ class TestBranchReplay:
     def test_shared_commits_replayed_once(self, branch_repos, monkeypatch):
         replayed: list[str] = []
         readers: list[str] = []
-        real_apply, real_merge = attribution._apply_changes, attribution._merge_state
+        real_step = attribution._commit_state
         real_reader = gitio.ObjectReader.__init__
 
-        def counting_apply(state, changes, commit, read):
+        def counting_step(parents, changes, commit, read):
             replayed.append(commit)
-            return real_apply(state, changes, commit, read)
-
-        def counting_merge(parents, changes, commit, read):
-            replayed.append(commit)
-            return real_merge(parents, changes, commit, read)
+            return real_step(parents, changes, commit, read)
 
         def counting_reader(self, root):
             readers.append(root)
             real_reader(self, root)
 
-        monkeypatch.setattr(attribution, "_apply_changes", counting_apply)
-        monkeypatch.setattr(attribution, "_merge_state", counting_merge)
+        monkeypatch.setattr(attribution, "_commit_state", counting_step)
         monkeypatch.setattr(gitio.ObjectReader, "__init__", counting_reader)
         for seed, (handle, truth, feature) in enumerate(branch_repos):
             replayed.clear()
@@ -986,23 +1004,18 @@ class TestReplayMemo:
         """The commits replayed and the objects read since the last clear."""
         replayed: list[str] = []
         reads: list[str] = []
-        real_apply, real_merge = attribution._apply_changes, attribution._merge_state
+        real_step = attribution._commit_state
         real_get = gitio.ObjectReader.get
 
-        def counting_apply(state, changes, commit, read):
+        def counting_step(parents, changes, commit, read):
             replayed.append(commit)
-            return real_apply(state, changes, commit, read)
-
-        def counting_merge(parents, changes, commit, read):
-            replayed.append(commit)
-            return real_merge(parents, changes, commit, read)
+            return real_step(parents, changes, commit, read)
 
         def counting_get(self, ref):
             reads.append(ref)
             return real_get(self, ref)
 
-        monkeypatch.setattr(attribution, "_apply_changes", counting_apply)
-        monkeypatch.setattr(attribution, "_merge_state", counting_merge)
+        monkeypatch.setattr(attribution, "_commit_state", counting_step)
         monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
         return replayed, reads
 

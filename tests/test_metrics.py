@@ -342,6 +342,17 @@ def _notebook(cells: list[str]) -> str:
     )
 
 
+# documents the notebook reader cannot score: not JSON, nested past the
+# interpreter's recursion limit, a non-text piece in a source list, a null
+# source
+_MALFORMED_NOTEBOOKS = (
+    b"{not json",
+    b"[" * 100_000 + b"]" * 100_000,
+    json.dumps({"cells": [{"cell_type": "code", "source": [1]}]}).encode(),
+    json.dumps({"cells": [{"cell_type": "code", "source": None}]}).encode(),
+)
+
+
 class TestNotebookComplexity:
     def test_no_code_cells(self):
         doc = json.dumps({"cells": [{"cell_type": "markdown", "source": "# hi"}]})
@@ -350,8 +361,9 @@ class TestNotebookComplexity:
         assert report.functions == ()
 
     def test_invalid_json_raises(self):
-        with pytest.raises(MalformedNotebook):
-            notebook_complexity("{not json")
+        for document in _MALFORMED_NOTEBOOKS:
+            with pytest.raises(MalformedNotebook):
+                notebook_complexity(document.decode())
 
     def test_missing_cells_raises(self):
         with pytest.raises(MalformedNotebook):
@@ -436,7 +448,8 @@ class TestComputeFileMetrics:
         assert metrics.byte_size == 3
 
     def test_malformed_notebook_degrades_to_flagged_report(self):
-        metrics = compute_file_metrics("broken.ipynb", b"{nope")
-        assert metrics.kind == "notebook"
-        assert metrics.complexity is not None
-        assert metrics.complexity.unparseable
+        for document in (b"{nope", *_MALFORMED_NOTEBOOKS):
+            metrics = compute_file_metrics("broken.ipynb", document)
+            assert metrics.kind == "notebook"
+            assert metrics.complexity is not None
+            assert metrics.complexity.unparseable, document[:40]

@@ -68,18 +68,20 @@ class TestStore:
         assert store.get(key) is None
 
     @pytest.mark.parametrize(
-        "entry", ["[]", '"str"', '{"payload_json": 5, "digest": 1}'],
-        ids=["list", "string", "non-text-payload"],
+        "entry", [b"[]", b'"str"', b'{"payload_json": 5, "digest": 1}', b"\xff\xfe garbage"],
+        ids=["list", "string", "non-text-payload", "not-utf8"],
     )
     def test_wrong_shape_entry_warns_and_reads_absent(self, tmp_path, caplog, entry):
         store = Store(tmp_path / "cache")
         key = cache_key("t", "m", "p")
         store.put(key, {"text": "x"})
         entry_path = list(store.directory.rglob("*.json"))[0]
-        entry_path.write_text(entry)
+        entry_path.write_bytes(entry)
         with caplog.at_level("WARNING", logger="contribsum.store"):
             assert store.get(key) is None
         assert f"corrupt cache entry dropped: {entry_path}" in caplog.text
+        store.put(key, {"text": "y"})  # the next put replaces it
+        assert store.get(key) == {"text": "y"}
 
     def test_survives_reopen(self, tmp_path):
         key = cache_key("t", "m", "p")
@@ -127,38 +129,44 @@ class TestCostLedger:
             json.loads(line)  # each line independently parseable
 
     def test_truncated_final_line_skipped(self, tmp_path, caplog, capsys):
-        path = tmp_path / "ledger.jsonl"
-        CostLedger(path).add("analysis", "m", 1, 2, 0.25)
-        whole = path.read_text()
-        path.write_text(whole + whole[: len(whole) // 2])  # a killed append
-        with caplog.at_level("WARNING", logger="contribsum.store"):
-            ledger = CostLedger(path)
-        assert [e.cost for e in ledger.entries] == [0.25]
-        assert "truncated ledger line 2" in caplog.text
-        ledger.add("synthesis", "n", 3, 4, 0.5)
-        # the fragment keeps its own line; the new entry is whole
-        assert json.loads(path.read_text().splitlines()[-1])["cost"] == 0.5
-        again = CostLedger(path)
-        assert [e.cost for e in again.entries] == [0.25, 0.5]
-        assert main(["cost", "--state", str(tmp_path)]) == 0
-        assert "total: $0.75" in capsys.readouterr().out
+        # a killed append, and a final line that is not UTF-8
+        for name, cut in (("half", lambda whole: whole[: len(whole) // 2]),
+                          ("not-utf8", lambda _: b'{"tier": "\xff')):
+            path = tmp_path / name / "ledger.jsonl"
+            CostLedger(path).add("analysis", "m", 1, 2, 0.25)
+            whole = path.read_bytes()
+            path.write_bytes(whole + cut(whole))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="contribsum.store"):
+                ledger = CostLedger(path)
+            assert [e.cost for e in ledger.entries] == [0.25], name
+            assert "truncated ledger line 2" in caplog.text, name
+            ledger.add("synthesis", "n", 3, 4, 0.5)
+            # the fragment keeps its own line; the new entry is whole
+            assert json.loads(path.read_bytes().splitlines()[-1])["cost"] == 0.5, name
+            again = CostLedger(path)
+            assert [e.cost for e in again.entries] == [0.25, 0.5], name
+            assert main(["cost", "--state", str(path.parent)]) == 0
+            assert "total: $0.75" in capsys.readouterr().out, name
 
     @pytest.mark.parametrize(
         "line",
         [
-            "[]",
-            '{"tier": "analysis"}',
-            '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
-            ' "output_tokens": 2, "cost": "0.25"}',
-            '{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
-            ' "output_tokens": 2, "cost": 0.25, "team": 7}',
+            b"[]",
+            b'{"tier": "analysis"}',
+            b'{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": "0.25"}',
+            b'{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": 0.25, "team": 7}',
+            b'{"timestamp": 1.0, "tier": "analysis", "model_id": "\xff", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": 0.25}',
         ],
-        ids=["list", "missing-fields", "wrong-type", "wrong-type-team"],
+        ids=["list", "missing-fields", "wrong-type", "wrong-type-team", "not-utf8"],
     )
     def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
         path = tmp_path / "ledger.jsonl"
         CostLedger(path).add("analysis", "m", 1, 2, 0.25)
-        path.write_text(path.read_text() + line + "\n")
+        path.write_bytes(path.read_bytes() + line + b"\n")
         with caplog.at_level("WARNING", logger="contribsum.store"):
             ledger = CostLedger(path)
         assert [e.cost for e in ledger.entries] == [0.25]
