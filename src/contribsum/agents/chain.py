@@ -6,14 +6,16 @@ template files shipped with the package and referenced by hash in the
 cache key, so editing a template invalidates exactly the affected
 responses.
 
-Every request goes one way: `prepare` renders it, checks the tier budget
-and looks it up in the cache, and `answer_all` sends the misses on the
-run's `SendPool` and records their usage and cache entries. Table rows
-and synthesis, with its repair retry, all take that path, so the pool's
-size caps every request of a run. The pool keeps every send of the run
-by cache key, so a request that several teams need is sent once per run,
-with or without a cache, and its ledger entry names the team whose call
-sent it.
+Every request goes one way: `prepare` renders it and checks the tier
+budget, and the run's `SendPool.answer_all` reads the provider cache,
+joins the run's send of the request or sends it, and records the usage
+and cache entries of its own sends. The pool holds the run's provider,
+provider cache and ledger, so nothing else in this module reads or
+writes the cache or the ledger. Table rows and synthesis, with its
+repair retry, all take that path, so the pool's size caps every request
+of a run. The pool keeps every send of the run by cache key, so a
+request that several teams need is sent once per run, with or without a
+cache, and its ledger entry names the team whose call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two `answer_all` batches, the file rows and then the
@@ -133,12 +135,12 @@ def _render(template_name: str, data: dict) -> str:
 
 @dataclass
 class Call:
-    """One budgeted request, answered from the cache or still to be sent."""
+    """One budgeted request; `text` once `SendPool.answer_all` has answered it."""
 
     tier: ModelTier
     key: str
-    messages: list[dict] | None  # only while the request still has to be sent
-    text: str | None = None  # the response text, once known
+    messages: list[dict] | None  # only while the request still has to be answered
+    text: str | None = None
 
 
 def prepare(
@@ -146,10 +148,9 @@ def prepare(
     template_name: str,
     data: dict,
     *,
-    store: Store | None = None,
     prompt_override: str | None = None,
 ) -> Call:
-    """Render one request, check it against the tier budget, look it up in the cache."""
+    """Render one request and check it against the tier budget."""
     prompt = prompt_override if prompt_override is not None else _render(template_name, data)
     system = load_template("system")
     estimate = estimate_tokens(system) + estimate_tokens(prompt)
@@ -158,38 +159,16 @@ def prepare(
             f"estimated {estimate} tokens exceeds budget {tier.input_budget} "
             f"for {tier.model_id}"
         )
-    key = cache_key(template_hash(template_name), tier.model_id, prompt)
-    hit = store.get(key) if store is not None else None
-    if hit is not None:
-        return Call(tier, key, None, hit["text"])
     messages = [
         {"role": "system", "content": system},
         {"role": "user", "content": prompt},
     ]
-    return Call(tier, key, messages)
-
-
-def _record(
-    call: Call, response, *, ledger: CostLedger | None, store: Store | None, team: str
-) -> None:
-    """Ledger and cache one provider response to `call`, sent for `team`."""
-    if ledger is not None:
-        record_usage(ledger, call.tier, response.input_tokens, response.output_tokens, team)
-    if store is not None:
-        store.put(
-            call.key,
-            {
-                "text": response.text,
-                "input_tokens": response.input_tokens,
-                "output_tokens": response.output_tokens,
-            },
-        )
-    call.text = response.text
-    call.messages = None  # answered: the prompt is not kept
+    return Call(tier, cache_key(template_hash(template_name), tier.model_id, prompt), messages)
 
 
 class SendPool(ThreadPoolExecutor):
-    """The run's send threads, with every send of the run by cache key.
+    """The run's one request path: its send threads, its provider, provider
+    cache and ledger, and every send of the run by cache key.
 
     A request whose key was sent before in the run, or is being sent,
     takes that send's answer instead of sending it again, so teams that
@@ -198,12 +177,64 @@ class SendPool(ThreadPoolExecutor):
     Once the pool is shut down, a new send raises `RuntimeError`.
     """
 
-    def __init__(self, workers: int):
+    def __init__(
+        self, workers: int, provider, store: Store | None = None, ledger: CostLedger | None = None
+    ):
         super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
+        self._provider = provider
+        self._store = store
+        self._ledger = ledger
         self._lock = threading.Lock()
         self._sends: dict[str, Future] = {}
 
-    def join(self, provider, call: Call) -> tuple[Future, bool]:
+    def answer_all(self, calls: list[Call | None], team: str = "") -> list[str | None]:
+        """Response text of every call, in order; a None call stays None.
+
+        Each call is looked up in the cache, in call order. Only
+        `provider.send` of the misses runs on the pool's threads, and a key
+        sent there before in the run, by any team, is not sent again. Usage
+        and cache entries are recorded by the call that sent the request, on
+        the calling thread and in call order, so ledger and cache come out
+        the same for any pool size; ledger entries name `team`. A call whose
+        shared send failed or was cancelled sends on its own. When a send
+        fails or is cancelled, this call's sends not yet started are
+        cancelled, the answers already in are still recorded, and the first
+        error is raised.
+        """
+        sends = [
+            self._join(call) if call is not None and not self._cached(call) else None
+            for call in calls
+        ]
+        error = None
+        try:
+            for i, call in enumerate(calls):
+                while sends[i] is not None and not sends[i][1] and error is None:
+                    try:  # another call's send of the same request
+                        call.text, call.messages = sends[i][0].result().text, None
+                        sends[i] = None
+                    except Exception:  # it failed or was cancelled: send it here
+                        sends[i] = self._join(call)
+                if sends[i] is None or not sends[i][1]:
+                    continue
+                try:
+                    self._record(call, sends[i][0].result(), team)
+                except Exception as exc:  # a cancelled send raises CancelledError
+                    error = error or exc
+                    _cancel(sends)
+        finally:
+            _cancel(sends)  # an interrupt, too, must not leave queued sends behind
+        if error is not None:
+            raise error
+        return [call and call.text for call in calls]
+
+    def _cached(self, call: Call) -> bool:
+        """Whether the cache holds the answer to `call`, now taken into it."""
+        hit = self._store.get(call.key) if self._store is not None else None
+        if hit is not None:
+            call.text, call.messages = hit["text"], None
+        return hit is not None
+
+    def _join(self, call: Call) -> tuple[Future, bool]:
         """The send that answers `call`: `(future, True)` when `call` makes
         it, `(future, False)` when another call made it."""
         with self._lock:
@@ -212,56 +243,27 @@ class SendPool(ThreadPoolExecutor):
                 future.cancelled() or (future.done() and future.exception() is not None)
             ):
                 return future, False
-            future = self.submit(provider.send, call.messages, call.tier.model_id)
+            future = self.submit(self._provider.send, call.messages, call.tier.model_id)
             self._sends[call.key] = future
             return future, True
 
-
-def answer_all(
-    provider,
-    calls: list[Call | None],
-    pool: SendPool,
-    *,
-    ledger: CostLedger | None = None,
-    store: Store | None = None,
-    team: str = "",
-) -> list[str | None]:
-    """Response text of every call, in order; a None call stays None.
-
-    Only `provider.send` of the cache misses runs on `pool`, and a key
-    sent there before in the run, by any team, is not sent again. Usage
-    and cache entries are recorded by the call that sent the request, on
-    the calling thread and in call order, so ledger and cache come out the
-    same for any pool size; ledger entries name `team`. A call whose shared
-    send failed or was cancelled sends on its own. When a send fails or is
-    cancelled, this call's sends not yet started are cancelled, the
-    answers already in are still recorded, and the first error is raised.
-    """
-    sends = [
-        pool.join(provider, call) if call is not None and call.text is None else None
-        for call in calls
-    ]
-    error = None
-    try:
-        for i, call in enumerate(calls):
-            while sends[i] is not None and not sends[i][1] and error is None:
-                try:  # another call's send of the same request
-                    call.text, call.messages = sends[i][0].result().text, None
-                    sends[i] = None
-                except Exception:  # it failed or was cancelled: send it here
-                    sends[i] = pool.join(provider, call)
-            if sends[i] is None or not sends[i][1]:
-                continue
-            try:
-                _record(call, sends[i][0].result(), ledger=ledger, store=store, team=team)
-            except Exception as exc:  # a cancelled send raises CancelledError
-                error = error or exc
-                _cancel(sends)
-    finally:
-        _cancel(sends)  # an interrupt, too, must not leave queued sends behind
-    if error is not None:
-        raise error
-    return [call and call.text for call in calls]
+    def _record(self, call: Call, response, team: str) -> None:
+        """Ledger and cache one provider response to `call`, sent for `team`."""
+        if self._ledger is not None:
+            record_usage(
+                self._ledger, call.tier, response.input_tokens, response.output_tokens, team
+            )
+        if self._store is not None:
+            self._store.put(
+                call.key,
+                {
+                    "text": response.text,
+                    "input_tokens": response.input_tokens,
+                    "output_tokens": response.output_tokens,
+                },
+            )
+        call.text = response.text
+        call.messages = None  # answered: the prompt is not kept
 
 
 def _cancel(sends: list[tuple[Future, bool] | None]) -> None:
@@ -297,8 +299,6 @@ def file_call(
     path: str,
     content: str,
     metrics: FileMetrics,
-    *,
-    store: Store | None = None,
 ) -> Call | None:
     """The request behind one Functionality Table row; None for an empty file.
 
@@ -322,7 +322,7 @@ def file_call(
         if clip <= 4:
             raise BudgetExceeded(f"{path}: content cannot fit tier budget even fully clipped")
         clip //= 2
-    return prepare(tier, "summarize_file", data, store=store, prompt_override=prompt)
+    return prepare(tier, "summarize_file", data, prompt_override=prompt)
 
 
 def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityTableRow:
@@ -358,11 +358,7 @@ def _parse_two_fields(text: str) -> tuple[str, str]:
 
 
 def contribution_call(
-    tier: ModelTier,
-    functionality: str,
-    evidence: ContributionEvidence,
-    *,
-    store: Store | None = None,
+    tier: ModelTier, functionality: str, evidence: ContributionEvidence
 ) -> Call:
     """The request behind one Contribution Table row; `functionality` is
     the file's Functionality Table text."""
@@ -382,7 +378,7 @@ def contribution_call(
         "commit_messages": evidence.commit_messages[:20],
         "solo_functions": [[n, s] for n, s in evidence.solo_functions],
     }
-    return prepare(tier, "describe_contribution", data, store=store)
+    return prepare(tier, "describe_contribution", data)
 
 
 def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionTableRow:
@@ -398,17 +394,10 @@ def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionT
 
 
 def fill_tables(
-    provider,
-    tier: ModelTier,
-    cset: ContributionSet,
-    roster: Roster,
-    pool: SendPool,
-    *,
-    ledger: CostLedger | None = None,
-    store: Store | None = None,
-    team: str = "",
+    pool: SendPool, tier: ModelTier, cset: ContributionSet, roster: Roster, team: str = ""
 ) -> tuple[list[FunctionalityTableRow], list[ContributionTableRow]]:
-    """Functionality and Contribution Table rows of one contribution set.
+    """Functionality and Contribution Table rows of one contribution set,
+    answered on `pool` for `team`.
 
     One `answer_all` batch of file rows, in `cset.files` order, then one
     of contribution rows, in roster order, for every evidence entry with
@@ -416,10 +405,10 @@ def fill_tables(
     functionality.
     """
     calls = [
-        file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics, store=store)
+        file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics)
         for f in cset.files
     ]
-    answers = answer_all(provider, calls, pool, ledger=ledger, store=store, team=team)
+    answers = pool.answer_all(calls, team)
     functionality_rows = [
         functionality_row(f.path, f.metrics, answer) for f, answer in zip(cset.files, answers)
     ]
@@ -431,8 +420,8 @@ def fill_tables(
         for ev in cset.evidence_for(student.id)
         if ev.lines_owned + ev.lines_added_in_window > 0
     ]
-    calls = [contribution_call(tier, functionality[ev.path], ev, store=store) for ev in evidence]
-    answers = answer_all(provider, calls, pool, ledger=ledger, store=store, team=team)
+    calls = [contribution_call(tier, functionality[ev.path], ev) for ev in evidence]
+    answers = pool.answer_all(calls, team)
     contribution_rows = [contribution_row(ev, answer) for ev, answer in zip(evidence, answers)]
     return functionality_rows, contribution_rows
 
@@ -442,21 +431,15 @@ def _has_positive_evidence(rows: list[ContributionEvidence]) -> bool:
 
 
 def synthesize(
-    provider,
-    tier: ModelTier,
-    bundle: SynthesisBundle,
-    pool: SendPool,
-    *,
-    ledger: CostLedger | None = None,
-    store: Store | None = None,
-    team: str = "",
+    pool: SendPool, tier: ModelTier, bundle: SynthesisBundle, team: str = ""
 ) -> tuple[list[StudentSummary], TeamSummary]:
     """Synthesis-tier call producing every student summary plus the team's.
 
-    The request, like its repair retry, is sent on `pool` by `answer_all`.
-    Students without window evidence get a fixed no-contribution summary
-    without touching the provider. A malformed response triggers exactly
-    one corrective repair retry before TemplateViolation is raised.
+    The request, like its repair retry, is answered by `pool.answer_all`
+    for `team`. Students without window evidence get a fixed
+    no-contribution summary without touching the provider. A malformed
+    response triggers exactly one corrective repair retry before
+    TemplateViolation is raised.
     """
     active: list[StudentId] = []
     idle: list[StudentId] = []
@@ -472,12 +455,12 @@ def synthesize(
     ]
 
     if not active:
-        team = TeamSummary(
+        team_summary = TeamSummary(
             window=bundle.contribution_set.window,
             narrative="No recorded team contributions in this window.",
             progress_bullets=(),
         )
-        return _in_roster_order(summaries, bundle.roster), team
+        return _in_roster_order(summaries, bundle.roster), team_summary
 
     described = {(r.student, r.file): r.description for r in bundle.contribution_rows}
     students_payload = []
@@ -512,21 +495,19 @@ def synthesize(
         "template_instructions": load_template("synthesize"),
     }
 
-    call = prepare(tier, "synthesize", data, store=store)
-    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store, team=team)
+    [text] = pool.answer_all([prepare(tier, "synthesize", data)], team)
     try:
-        parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
+        parsed, team_summary = _parse_synthesis(text, [s.id for s in active], bundle)
     except TemplateViolation as first_error:
         repair = load_template("repair")
         prompt = repair.replace("<<PROBLEMS>>", str(first_error)).replace(
             "<<ORIGINAL>>", _render("synthesize", data)
         )
-        call = prepare(tier, "repair", data, store=store, prompt_override=prompt)
-        [text] = answer_all(provider, [call], pool, ledger=ledger, store=store, team=team)
-        parsed, team = _parse_synthesis(text, [s.id for s in active], bundle)
+        [text] = pool.answer_all([prepare(tier, "repair", data, prompt_override=prompt)], team)
+        parsed, team_summary = _parse_synthesis(text, [s.id for s in active], bundle)
 
     summaries.extend(parsed)
-    return _in_roster_order(summaries, bundle.roster), team
+    return _in_roster_order(summaries, bundle.roster), team_summary
 
 
 def _in_roster_order(summaries: list[StudentSummary], roster: Roster) -> list[StudentSummary]:

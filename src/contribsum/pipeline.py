@@ -48,8 +48,10 @@ replay's memory is held at a time. The calling thread finishes the last
 team itself once fewer than `analysis_workers` others are unfinished, so
 at most `analysis_workers` teams are in their provider stages and a
 one-team run starts no team thread. Every team shares one
-`chain.SendPool` of `analysis_workers` threads, and only `provider.send`
-of a cache miss runs on it. A team's tables are filled in one place,
+`chain.SendPool` of `analysis_workers` threads, made once per run with
+the run's provider, `Store` and `CostLedger`: its `answer_all` is the
+one path of every request, and only `provider.send` of a cache miss runs
+on its threads. A team's tables are filled in one place,
 `chain.fill_tables`, which sends the analysis-tier calls in two batches,
 the file rows and then the contribution rows that quote them; the
 pipeline wraps its rows in `tables.FunctionalityTable` and
@@ -195,7 +197,7 @@ def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[st
         manifest = json.loads((directory / MANIFEST_NAME).read_bytes())
     except FileNotFoundError:
         return None  # a window not run before
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         logger.info("team outputs stale: %s (%s)", team, MANIFEST_NAME)
         return None
     try:
@@ -257,14 +259,13 @@ def _load_team(
 
 def _finish_team(
     result: TeamResult, repo: ingest.RepoHandle, inputs: TeamInputs,
-    cset: attribution.ContributionSet, cfg: RunConfig, roster: Roster, provider, store: Store,
-    ledger: CostLedger, pool: chain.SendPool,
+    cset: attribution.ContributionSet, cfg: RunConfig, roster: Roster, pool: chain.SendPool,
 ) -> None:
     """Tables, synthesis, validation, render and write of a replayed team;
     its manifest, which holds the outputs record, is written last."""
     team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
-        provider, cfg.analysis_tier, cset, roster, pool, ledger=ledger, store=store, team=team
+        pool, cfg.analysis_tier, cset, roster, team
     )
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
@@ -275,9 +276,7 @@ def _finish_team(
         roster=roster,
         contribution_set=cset,
     )
-    summaries, team_summary = chain.synthesize(
-        provider, cfg.synthesis_tier, bundle, pool, ledger=ledger, store=store, team=team
-    )
+    summaries, team_summary = chain.synthesize(pool, cfg.synthesis_tier, bundle, team)
     for summary in summaries:
         summary.validation = chain.validate_summary(summary, cset)
 
@@ -392,7 +391,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     results in `cfg.repos` order. On an interrupt no team or send that has
     not started runs, a team thread's next send raises, and the interrupt
     is raised once the sends in flight are back."""
-    sends = chain.SendPool(cfg.analysis_workers)
+    sends = chain.SendPool(cfg.analysis_workers, provider, store, ledger)
     # threads start on demand, so a one-team run starts none
     teams = ThreadPoolExecutor(
         max_workers=max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)),
@@ -405,7 +404,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
             loaded = _recorded(result, _load_team, result, path, cfg, roster, store)
             if loaded is None:  # failed, or its outputs are unchanged
                 continue
-            args = (result, *loaded, cfg, roster, provider, store, ledger, sends)
+            args = (result, *loaded, cfg, roster, sends)
             if n < len(cfg.repos):
                 finishing.append(teams.submit(_recorded, result, _finish_team, *args))
             else:  # the last team, once fewer than `analysis_workers` others are unfinished

@@ -188,10 +188,11 @@ class ReportState:
     @classmethod
     def from_json(cls, text: str) -> ReportState:
         """The state `to_json` saved as `text`. ValueError when it is not
-        JSON or a field is missing or of the wrong shape."""
+        JSON, is nested past the interpreter's recursion limit, or a field
+        is missing or of the wrong shape."""
         try:
             return cls._from_saved(json.loads(text))
-        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed report state: {exc!r}") from exc
 
     @classmethod

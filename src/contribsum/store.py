@@ -1,6 +1,8 @@
-"""Content-addressed cache for provider responses, plus the cost ledger.
+"""The run's `Store`, a digest-checked key -> JSON cache, plus the cost ledger.
 
-Cache layout: one JSON file per entry under a two-level hex fanout
+One `Store` holds the provider cache, whose keys `cache_key` derives from
+each request, and the run's memo of what git decides (see `memo`). Cache
+layout: one JSON file per entry under a two-level hex fanout
 (`cache/ab/cdef...json`), each carrying its payload digest so tampering
 is detected on read. The ledger is append-only line-delimited JSON:
 crash-safe appends, trivially auditable.
@@ -67,13 +69,14 @@ class Store:
 
     def get(self, key: str) -> dict | None:
         """Cached payload, or None when absent or corrupt (corrupt warns).
-        An entry that is valid JSON of the wrong shape is corrupt too."""
+        An entry that is valid JSON of the wrong shape, or nested past the
+        interpreter's recursion limit, is corrupt too."""
         path = self._path(key)
         try:
             wrapped = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             wrapped = None
         payload_text = wrapped.get("payload_json") if isinstance(wrapped, dict) else None
         if not isinstance(payload_text, str):
@@ -126,8 +129,9 @@ class CostLedger:
     When constructed with a path, every append is persisted immediately;
     without one the ledger is memory-only (handy in tests). Appends are
     safe from several threads. A line cut short by a killed run, one that
-    is not UTF-8, or one that is valid JSON but no entry (a field missing
-    or of the wrong type), is skipped with a warning, and the next append
+    is not UTF-8, one nested past the interpreter's recursion limit, or
+    one that is valid JSON but no entry (a field missing or of the wrong
+    type), is skipped with a warning, and the next append
     starts on a fresh line so a fragment never fuses with an entry.
     """
 
@@ -147,7 +151,7 @@ class CostLedger:
                     if not all(isinstance(getattr(entry, f), t) for f, t in _FIELD_TYPES.items()):
                         raise TypeError(f"ledger line {no} has a field of the wrong type")
                     self.entries.append(entry)
-                except (UnicodeDecodeError, json.JSONDecodeError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, TypeError, RecursionError):
                     logger.warning("truncated ledger line %d skipped: %s", no, self.path)
 
     def add(

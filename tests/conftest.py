@@ -32,6 +32,9 @@ JUNE = AnalysisWindow(
     label="week-1",
 )
 
+# JSON nested past the interpreter's recursion limit
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
 
 @pytest.fixture(autouse=True)
 def _isolated_env(monkeypatch):
@@ -47,9 +50,18 @@ def june_window() -> AnalysisWindow:
 
 @pytest.fixture
 def pool():
-    """A send pool for `chain.answer_all` and `chain.synthesize`, as a run has."""
-    with chain.SendPool(2) as sends:
-        yield sends
+    """`pool(provider, store=None, ledger=None)`: a send pool over them for
+    `chain.fill_tables` and `chain.synthesize`, as a run has; each is shut
+    down after the test."""
+    pools: list[chain.SendPool] = []
+
+    def make(provider, store=None, ledger=None) -> chain.SendPool:
+        pools.append(chain.SendPool(2, provider, store, ledger))
+        return pools[-1]
+
+    yield make
+    for sends in pools:
+        sends.shutdown()
 
 
 def tree_files(handle, at: str) -> list[tuple[str, bytes]]:

@@ -176,10 +176,10 @@ def session_script() -> RepoScript:
     )
 
 
-def analysis_rows(provider, pool, cset, roster):
+def analysis_rows(pool, cset, roster):
     """Functionality and contribution rows of the session window, filled
     as the pipeline fills them."""
-    return chain.fill_tables(provider, ANALYSIS_TIER, cset, roster, pool)
+    return chain.fill_tables(pool, ANALYSIS_TIER, cset, roster)
 
 
 def run_session(provider, workdir: Path) -> dict[str, int]:
@@ -188,8 +188,8 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
     roster = truth.roster
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
 
-    with chain.SendPool(2) as pool:
-        functionality, contribution_rows = analysis_rows(provider, pool, cset, roster)
+    with chain.SendPool(2, provider) as pool:
+        functionality, contribution_rows = analysis_rows(pool, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
             contribution_rows=contribution_rows,
@@ -199,6 +199,6 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
             roster=roster,
             contribution_set=cset,
         )
-        chain.synthesize(provider, SYNTHESIS_TIER, bundle, pool)
+        chain.synthesize(pool, SYNTHESIS_TIER, bundle)
 
     return {"summaries": sum(1 for s in roster.students)}

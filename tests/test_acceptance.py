@@ -126,7 +126,7 @@ def test_failure_mode_suite(tmp_path, pool):
         roster=truth.roster,
         contribution_set=cset,
     )
-    summaries, team_summary = chain.synthesize(mock, tier, bundle, pool)
+    summaries, team_summary = chain.synthesize(pool(mock), tier, bundle)
     carol_summary = next(s for s in summaries if s.student.id == "carol")
     assert carol_summary.headline == chain.NO_CONTRIBUTION_TEXT
     doc = render(summaries, team_summary, RunMeta(team="t", window=JUNE))
@@ -302,8 +302,8 @@ def test_report_shape(tmp_path, pool):
     cset = build_contribution_set(handle, window, roster)
 
     def run(roles_enabled):
-        mock = MockProvider()
-        functionality, contribution_rows = session_common.analysis_rows(mock, pool, cset, roster)
+        sends = pool(MockProvider())
+        functionality, contribution_rows = session_common.analysis_rows(sends, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
             contribution_rows=contribution_rows,
@@ -313,9 +313,7 @@ def test_report_shape(tmp_path, pool):
             roster=roster,
             contribution_set=cset,
         )
-        summaries, team_summary = chain.synthesize(
-            mock, session_common.SYNTHESIS_TIER, bundle, pool
-        )
+        summaries, team_summary = chain.synthesize(sends, session_common.SYNTHESIS_TIER, bundle)
         for s in summaries:
             s.validation = chain.validate_summary(s, cset)
         return render(

@@ -19,7 +19,6 @@ from contribsum.agents.chain import (
     ROLES,
     SENIORITIES,
     SynthesisBundle,
-    answer_all,
     contribution_call,
     contribution_row,
     file_call,
@@ -75,16 +74,15 @@ def _mock() -> MockProvider:
     return MockProvider(budgets={t.model_id: t.max_input_tokens for t in (ANALYSIS, SYNTHESIS)})
 
 
-def _file_row(provider, tier, path, content, metrics, pool, *, ledger=None, store=None):
-    """One Functionality Table row, sent as the pipeline sends its batch."""
-    call = file_call(tier, path, content, metrics, store=store)
-    [text] = answer_all(provider, [call], pool, ledger=ledger, store=store)
+def _file_row(pool, tier, path, content, metrics):
+    """One Functionality Table row, answered as the pipeline answers its batch."""
+    [text] = pool.answer_all([file_call(tier, path, content, metrics)])
     return functionality_row(path, metrics, text)
 
 
-def _contribution_row(provider, tier, row, evidence, pool):
-    """One Contribution Table row, sent as the pipeline sends its batch."""
-    [text] = answer_all(provider, [contribution_call(tier, row.functionality, evidence)], pool)
+def _contribution_row(pool, tier, row, evidence):
+    """One Contribution Table row, answered as the pipeline answers its batch."""
+    [text] = pool.answer_all([contribution_call(tier, row.functionality, evidence)])
     return contribution_row(evidence, text)
 
 
@@ -126,7 +124,7 @@ class TestSummarizeFile:
     def test_flask_like_file_mentions_moving_parts(self, pool):
         mock = _mock()
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        row = _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
+        row = _file_row(pool(mock), ANALYSIS, "app.py", FLASK_LIKE, metrics)
         lowered = row.functionality.lower()
         for expected in ("server", "route", "database", "cache"):
             assert expected in lowered
@@ -139,7 +137,7 @@ class TestSummarizeFile:
     def test_empty_file_short_circuits(self, pool):
         mock = _mock()
         metrics = compute_file_metrics("empty.py", b"")
-        row = _file_row(mock, ANALYSIS, "empty.py", "", metrics, pool)
+        row = _file_row(pool(mock), ANALYSIS, "empty.py", "", metrics)
         assert row.functionality == "empty file"
         assert row.difficulty == "none"
         assert mock.calls == []
@@ -147,7 +145,7 @@ class TestSummarizeFile:
     def test_deterministic_across_runs(self, pool):
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
         rows = [
-            _file_row(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
+            _file_row(pool(_mock()), ANALYSIS, "app.py", FLASK_LIKE, metrics)
             for _ in range(2)
         ]
         assert rows[0] == rows[1]
@@ -157,7 +155,7 @@ class TestSummarizeFile:
         mock = MockProvider(budgets={"tiny": 2000})
         big = "\n".join(f"statement_{i} = {i}" for i in range(5000))
         metrics = compute_file_metrics("big.py", big.encode())
-        row = _file_row(mock, tiny, "big.py", big, metrics, pool)
+        row = _file_row(pool(mock), tiny, "big.py", big, metrics)
         assert row.functionality  # call went through clipped
         sent = mock.calls[0]["messages"][1]["content"]
         assert "lines clipped" in sent
@@ -169,21 +167,21 @@ class TestSummarizeFile:
         wide = "x" * 100_000  # one unsplittable enormous line
         metrics = compute_file_metrics("wide.py", wide.encode())
         with pytest.raises(BudgetExceeded):
-            _file_row(mock, micro, "wide.py", wide, metrics, pool)
+            _file_row(pool(mock), micro, "wide.py", wide, metrics)
         assert mock.calls == []  # guarded before any provider call
 
 
 class TestDescribeContribution:
     def _row(self, pool):
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        return _file_row(_mock(), ANALYSIS, "app.py", FLASK_LIKE, metrics, pool)
+        return _file_row(pool(_mock()), ANALYSIS, "app.py", FLASK_LIKE, metrics)
 
     def test_strong_contributor_description(self, pool):
         evidence = _evidence(
             ALICE, "app.py", owned=40, added=25,
             messages=["add login route", "add admin route"],
         )
-        row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
+        row = _contribution_row(pool(_mock()), ANALYSIS, self._row(pool), evidence)
         assert "Alice Lee" in row.description
         assert "40" in row.description
         assert (row.student, row.file, row.lines_owned, row.lines_added_in_window) == (
@@ -192,7 +190,7 @@ class TestDescribeContribution:
 
     def test_solo_function_complexities_mentioned(self, pool):
         evidence = _evidence(ALICE, "app.py", solos=[("login", 3)])
-        row = _contribution_row(_mock(), ANALYSIS, self._row(pool), evidence, pool)
+        row = _contribution_row(pool(_mock()), ANALYSIS, self._row(pool), evidence)
         assert "login" in row.description
         assert "3" in row.description
         assert row.solo_functions == "login:3"
@@ -201,7 +199,7 @@ class TestDescribeContribution:
         mock = _mock()
         evidence = _evidence(ALICE, "app.py", owned=0, added=0)
         with pytest.raises(ValueError):
-            _contribution_row(mock, ANALYSIS, self._row(pool), evidence, pool)
+            _contribution_row(pool(mock), ANALYSIS, self._row(pool), evidence)
         assert mock.calls == []
 
 
@@ -211,7 +209,7 @@ class TestFillTables:
         handle, truth = built_fixtures["comment_injection"]
         cset = build_contribution_set(handle, JUNE, truth.roster)
         mock = _mock()
-        files, contributions = chain.fill_tables(mock, ANALYSIS, cset, truth.roster, pool)
+        files, contributions = chain.fill_tables(pool(mock), ANALYSIS, cset, truth.roster)
         assert [row.filename for row in files] == [f.path for f in cset.files]
         evidence = [
             ev
@@ -235,17 +233,17 @@ def _bundle(per_student, pool, zero=(), roles=False):
     cset = _cset(per_student, zero)
     functionality = []
     contribution_rows = []
-    mock = _mock()
+    sends = pool(_mock())
     for sid, rows in per_student.items():
         for ev in rows:
             if not any(f.filename == ev.path for f in functionality):
                 metrics = compute_file_metrics(ev.path, FLASK_LIKE.encode())
                 functionality.append(
-                    _file_row(mock, ANALYSIS, ev.path, FLASK_LIKE, metrics, pool)
+                    _file_row(sends, ANALYSIS, ev.path, FLASK_LIKE, metrics)
                 )
             if ev.lines_owned + ev.lines_added_in_window > 0:
                 row = next(f for f in functionality if f.filename == ev.path)
-                contribution_rows.append(_contribution_row(mock, ANALYSIS, row, ev, pool))
+                contribution_rows.append(_contribution_row(sends, ANALYSIS, row, ev))
     return SynthesisBundle(
         functionality_rows=functionality,
         contribution_rows=contribution_rows,
@@ -268,7 +266,7 @@ class TestSynthesize:
             pool,
             zero=(CAROL,),
         )
-        summaries, team = synthesize(_mock(), SYNTHESIS, bundle, pool)
+        summaries, team = synthesize(pool(_mock()), SYNTHESIS, bundle)
         assert [s.student.id for s in summaries] == ["alice", "bob", "carol"]
         carol = summaries[-1]
         assert carol.headline == chain.NO_CONTRIBUTION_TEXT
@@ -282,7 +280,7 @@ class TestSynthesize:
             _evidence(ALICE, "rec_password.py", messages=["password recovery"]),
         ]
         bundle = _bundle({"alice": evidence, "bob": [], "carol": []}, pool, zero=(BOB, CAROL))
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
         alice = summaries[0]
         assert "security and authentication" in alice.headline
         assert {p for p, _ in alice.per_file_bullets} == {"auth.py", "rec_password.py"}
@@ -294,7 +292,7 @@ class TestSynthesize:
             zero=(BOB, CAROL),
             roles=True,
         )
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
         alice = summaries[0]
         assert alice.role is not None
         assert alice.role.role in ROLES
@@ -306,13 +304,13 @@ class TestSynthesize:
             pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(_mock(), SYNTHESIS, bundle, pool)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
         assert summaries[0].role is None
 
     def test_no_active_students_fixed_team_summary(self, pool):
         bundle = _bundle({"alice": [], "bob": [], "carol": []}, pool, zero=tuple(ROSTER.students))
         mock = _mock()
-        summaries, team = synthesize(mock, SYNTHESIS, bundle, pool)
+        summaries, team = synthesize(pool(mock), SYNTHESIS, bundle)
         assert len(summaries) == 3
         assert all(s.headline == chain.NO_CONTRIBUTION_TEXT for s in summaries)
         assert mock.calls == []
@@ -336,7 +334,7 @@ class TestSynthesize:
             pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(flaky, SYNTHESIS, bundle, pool)
+        summaries, _ = synthesize(pool(flaky), SYNTHESIS, bundle)
         assert flaky.calls == 2
         assert summaries[0].headline
 
@@ -356,7 +354,7 @@ class TestSynthesize:
             zero=(BOB, CAROL),
         )
         with pytest.raises(TemplateViolation):
-            synthesize(broken, SYNTHESIS, bundle, pool)
+            synthesize(pool(broken), SYNTHESIS, bundle)
         assert broken.calls == 2  # exactly one repair retry
 
 
@@ -446,16 +444,12 @@ class TestCaching:
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
 
         mock1 = _mock()
-        first = _file_row(
-            mock1, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger, store=store
-        )
+        first = _file_row(pool(mock1, store, ledger), ANALYSIS, "app.py", FLASK_LIKE, metrics)
         assert len(mock1.calls) == 1
         assert len(ledger.entries) == 1
 
         mock2 = _mock()
-        second = _file_row(
-            mock2, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger, store=store
-        )
+        second = _file_row(pool(mock2, store, ledger), ANALYSIS, "app.py", FLASK_LIKE, metrics)
         assert mock2.calls == []  # served from cache
         assert len(ledger.entries) == 1  # no new entry
         assert first == second
@@ -464,8 +458,9 @@ class TestCaching:
         ledger = CostLedger()
         mock = _mock()
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE, metrics, pool, ledger=ledger)
-        _file_row(mock, ANALYSIS, "app.py", FLASK_LIKE * 2, metrics, pool, ledger=ledger)
+        sends = pool(mock, ledger=ledger)
+        _file_row(sends, ANALYSIS, "app.py", FLASK_LIKE, metrics)
+        _file_row(sends, ANALYSIS, "app.py", FLASK_LIKE * 2, metrics)
         assert len(mock.calls) == len(ledger.entries) == 2
 
 
@@ -473,22 +468,22 @@ class TestSingleFlight:
     """A request that several calls need at once is sent once."""
 
     @staticmethod
-    def _call(store=None):
+    def _call():
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
-        return file_call(ANALYSIS, "app.py", FLASK_LIKE, metrics, store=store)
+        return file_call(ANALYSIS, "app.py", FLASK_LIKE, metrics)
 
     def test_answer_stored_meanwhile_is_read_back(self, tmp_path):
         store, ledger, mock = Store(tmp_path / "cache"), CostLedger(), _mock()
-        first, second = self._call(store), self._call(store)  # both missed the cache
-        with chain.SendPool(2) as pool:
-            [a] = answer_all(mock, [first], pool, ledger=ledger, store=store)
-            [b] = answer_all(mock, [second], pool, ledger=ledger, store=store)
+        first, second = self._call(), self._call()  # both made before either is answered
+        with chain.SendPool(2, mock, store, ledger) as pool:
+            [a] = pool.answer_all([first])
+            [b] = pool.answer_all([second])
         assert a == b
         assert len(mock.calls) == len(ledger.entries) == 1
 
     def test_repeated_request_in_one_batch_sent_once(self, pool):
         ledger, mock = CostLedger(), _mock()
-        a, b = answer_all(mock, [self._call(), self._call()], pool, ledger=ledger)
+        a, b = pool(mock, ledger=ledger).answer_all([self._call(), self._call()])
         assert a == b
         assert len(mock.calls) == len(ledger.entries) == 1
 
@@ -515,15 +510,15 @@ class TestSingleFlight:
             order = random.Random(seed).sample(contents, len(contents))
             for start in range(0, len(order), 3):
                 batch = order[start:start + 3]
-                calls = [file_call(ANALYSIS, "app.py", c, metrics, store=store) for c in batch]
-                texts = answer_all(Counting(), calls, pool, ledger=ledger, store=store)
+                calls = [file_call(ANALYSIS, "app.py", c, metrics) for c in batch]
+                texts = pool.answer_all(calls)
                 with lock:
                     answers.extend(zip(batch, texts))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with chain.SendPool(4) as pool:
+            with chain.SendPool(4, Counting(), store, ledger) as pool:
                 threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
                 for thread in threads:
                     thread.start()
@@ -540,7 +535,7 @@ class TestSingleFlight:
         """A call waiting for another call's send, which fails, sends the
         request itself; only the failing call sees the error."""
         started, joined, release = threading.Event(), threading.Event(), threading.Event()
-        real_join = chain.SendPool.join
+        real_join = chain.SendPool._join
 
         def signalling_join(self, *args):
             send = real_join(self, *args)
@@ -548,7 +543,7 @@ class TestSingleFlight:
                 joined.set()
             return send
 
-        monkeypatch.setattr(chain.SendPool, "join", signalling_join)
+        monkeypatch.setattr(chain.SendPool, "_join", signalling_join)
 
         class FailFirst:
             def __init__(self):
@@ -568,11 +563,11 @@ class TestSingleFlight:
 
         def run(name):
             try:
-                outcomes[name] = answer_all(provider, [self._call()], pool, ledger=ledger)
+                outcomes[name] = pool.answer_all([self._call()])
             except ProviderError as exc:
                 outcomes[name] = exc
 
-        with chain.SendPool(2) as pool:
+        with chain.SendPool(2, provider, ledger=ledger) as pool:
             failing = threading.Thread(target=run, args=("failing",))
             failing.start()
             assert started.wait(timeout=30)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import commit_tree_entries
+from conftest import NESTED, commit_tree_entries
 from contribsum import synthfix
 from contribsum.agents.provider import HttpProvider, TokenBucket
 from contribsum.cli import build_provider, main
@@ -623,3 +623,14 @@ class TestRender:
         capsys.readouterr()
         assert main(["render", "--config", str(config)]) == 1
         assert capsys.readouterr().out.startswith("[fail] team-alpha: unreadable saved state")
+
+    def test_render_with_nested_state_fails_only_that_team(self, tmp_path, capsys):
+        """A state nested past the recursion limit fails its team, not the command."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author", "team-beta": "sole_author"})
+        assert main(["analyze", "--config", str(config)]) == 0
+        (tmp_path / "out" / "team-alpha" / "week-1" / "report_state.json").write_bytes(NESTED)
+        capsys.readouterr()
+        assert main(["render", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[fail] team-alpha: unreadable saved state")
+        assert "[ok]   team-beta: re-rendered" in out

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    JUNE, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, tree_files,
+    JUNE, NESTED, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, tree_files,
     with_tree_entries,
 )
 from contribsum import (
@@ -996,7 +996,8 @@ class TestPriorState:
         assert pipeline._find_prior_state(cfg, "team")[0].meta.window.label == "eve"
 
     def test_misshapen_state_skipped(self, tmp_path):
-        """A later state with a field of the wrong shape is passed over."""
+        """A later state with a field of the wrong shape, or nested past the
+        recursion limit, is passed over."""
         team_dir = tmp_path / "out" / "team"
         _write_state(team_dir, "earlier", "2024-03-04T00:00:00+00:00")
         _write_state(team_dir, "later", "2024-03-05T00:00:00+00:00")
@@ -1004,6 +1005,8 @@ class TestPriorState:
         saved = json.loads(path.read_text(encoding="utf-8"))
         saved["student_files"] = {"alice": [1, 2]}
         path.write_text(json.dumps(saved), encoding="utf-8")
+        _write_state(team_dir, "latest", "2024-03-06T00:00:00+00:00")
+        (team_dir / "latest" / pipeline.STATE_NAME).write_bytes(NESTED)
         cfg = _config(tmp_path, [])
         cfg.window = AnalysisWindow(
             start=datetime(2024, 3, 11, tzinfo=timezone.utc),
@@ -1446,12 +1449,13 @@ class TestOutputsSlot:
         _record_hit(monkeypatch, cfg, store, roster)
 
     @pytest.mark.parametrize(
-        "fault", ["edited", "deleted", "corrupted", "extra_delta", "no_record"]
+        "fault", ["edited", "deleted", "corrupted", "extra_delta", "no_record", "nested"]
     )
     def test_changed_file_is_rewritten(self, tmp_path, caplog, fault):
         """An artifact edited, deleted or corrupted, a delta the last run did
-        not write, or a manifest written before it held the outputs record,
-        makes a full run that restores the out dir and logs no warning."""
+        not write, a manifest written before it held the outputs record, or
+        one nested past the recursion limit, makes a full run that restores
+        the out dir and logs no warning."""
         cfg, store = self._primed(tmp_path)
         out = pipeline.window_dir(cfg, "team")
         if fault == "extra_delta":  # the last run found no prior window
@@ -1463,13 +1467,15 @@ class TestOutputsSlot:
         expected = _tree_bytes(Path(cfg.out_dir))
         name = {"edited": "report.md", "deleted": "contribution.csv",
                 "corrupted": pipeline.MANIFEST_NAME, "extra_delta": "delta.md",
-                "no_record": pipeline.MANIFEST_NAME}[fault]
+                "no_record": pipeline.MANIFEST_NAME, "nested": pipeline.MANIFEST_NAME}[fault]
         if fault == "edited":
             (out / name).write_bytes((out / name).read_bytes() + b"\n")
         elif fault == "deleted":
             (out / name).unlink()
         elif fault == "corrupted":
             (out / name).write_bytes(b"\0" * len((out / name).read_bytes()))
+        elif fault == "nested":
+            (out / name).write_bytes(NESTED)
         elif fault == "no_record":
             old = json.loads((out / name).read_text(encoding="utf-8"))
             for field in ("inputs_digest", "state_sha256", "warnings"):

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from conftest import NESTED
 from contribsum.cli import main
 from contribsum.store import (
     CostLedger,
@@ -68,8 +69,9 @@ class TestStore:
         assert store.get(key) is None
 
     @pytest.mark.parametrize(
-        "entry", [b"[]", b'"str"', b'{"payload_json": 5, "digest": 1}', b"\xff\xfe garbage"],
-        ids=["list", "string", "non-text-payload", "not-utf8"],
+        "entry",
+        [b"[]", b'"str"', b'{"payload_json": 5, "digest": 1}', b"\xff\xfe garbage", NESTED],
+        ids=["list", "string", "non-text-payload", "not-utf8", "nested"],
     )
     def test_wrong_shape_entry_warns_and_reads_absent(self, tmp_path, caplog, entry):
         store = Store(tmp_path / "cache")
@@ -160,8 +162,9 @@ class TestCostLedger:
             b' "output_tokens": 2, "cost": 0.25, "team": 7}',
             b'{"timestamp": 1.0, "tier": "analysis", "model_id": "\xff", "input_tokens": 1,'
             b' "output_tokens": 2, "cost": 0.25}',
+            NESTED,
         ],
-        ids=["list", "missing-fields", "wrong-type", "wrong-type-team", "not-utf8"],
+        ids=["list", "missing-fields", "wrong-type", "wrong-type-team", "not-utf8", "nested"],
     )
     def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
         path = tmp_path / "ledger.jsonl"
