@@ -69,7 +69,10 @@ def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
     ledger = CostLedger(state_dir / "ledger.jsonl")
     provider = build_provider(cfg)
 
-    results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
+    try:
+        results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
+    finally:
+        store.close()
     failed = 0
     for result in results:
         if result.ok:

@@ -2,9 +2,11 @@
 
 The run's `Store` remembers two kinds, both derived from git alone: each
 ref's `git log` and each window head's line owners and file metrics, so
-a re-run window repeats no log, replay or measurement. Every key covers
-`code_digest`, over every module and prompt template of the package, so
-an edit to any of them retires every entry. Not in any key: the git
+a re-run window repeats no log, replay or measurement. Each entry is one
+row of the store's database, beside the provider answers' rows and keyed
+by `cache_key` as they are. Every key covers `code_digest`, over every
+module and prompt template of the package, so an edit to any of them
+retires every entry; a retired row stays in the database. Not in any key: the git
 version (a git that prints the log or pairs renames differently) and
 `git replace` objects.
 

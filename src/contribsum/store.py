@@ -2,10 +2,15 @@
 
 One `Store` holds the provider cache, whose keys `cache_key` derives from
 each request, and the run's memo of what git decides (see `memo`). Cache
-layout: one JSON file per entry under a two-level hex fanout
-(`cache/ab/cdef...json`), each carrying its payload digest so tampering
-is detected on read. The ledger is append-only line-delimited JSON:
-crash-safe appends, trivially auditable.
+layout: one SQLite database per store directory (`cache/store.sqlite3`),
+write-ahead logged, with one row per entry in `entries(key, body)`. Each
+body carries its payload digest, so tampering is detected on read; a put
+is one statement, so a killed run keeps every put that completed. A
+database that is not one, or is cut short, is moved aside with a warning
+and the store starts empty. Entries of the earlier one-file-per-entry
+layout (`cache/ab/cdef...json`) are checked as `get` checks them and
+imported on the first open, and their files removed. The ledger is
+append-only line-delimited JSON: crash-safe appends, trivially auditable.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -58,35 +64,66 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         raise
 
 
+DB_NAME = "store.sqlite3"
+_CACHE_KIB = 64  # the connection's page cache; entries are read once per run
+
+
+def _payload_text(body, where: str) -> str | None:
+    """The payload JSON text of a stored body, or None with a warning when
+    the body is corrupt: not UTF-8 JSON text, of the wrong shape, nested
+    past the interpreter's recursion limit, or not matching its digest."""
+    try:
+        wrapped = json.loads(body.decode("utf-8") if isinstance(body, bytes) else body)
+    except (TypeError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        wrapped = None
+    payload_text = wrapped.get("payload_json") if isinstance(wrapped, dict) else None
+    if not isinstance(payload_text, str):
+        logger.warning("corrupt cache entry dropped: %s", where)
+        return None
+    if hashlib.sha256(payload_text.encode()).hexdigest() != wrapped.get("digest"):
+        logger.warning("cache digest mismatch, entry dropped: %s", where)
+        return None
+    return payload_text
+
+
+def _connect(sqlite3, path: Path):
+    db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    try:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("PRAGMA synchronous=NORMAL")
+        db.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
+        db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, body)")
+    except BaseException:
+        db.close()
+        raise
+    return db
+
+
 class Store:
-    """Durable key → JSON payload cache with digest verification."""
+    """Durable key → JSON payload cache with digest verification.
+
+    The database is opened on the first `get` or `put`, over one
+    connection that the store's threads share under a lock; `close` ends
+    it, and a later call opens it again."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key[2:]}.json"
+        self.path = self.directory / DB_NAME
+        self._lock = threading.Lock()
+        self._db = None
 
     def get(self, key: str) -> dict | None:
         """Cached payload, or None when absent or corrupt (corrupt warns).
         An entry that is valid JSON of the wrong shape, or nested past the
         interpreter's recursion limit, is corrupt too."""
-        path = self._path(key)
-        try:
-            wrapped = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        with self._lock:
+            row = self._connection().execute(
+                "SELECT body FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        if row is None:
             return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-            wrapped = None
-        payload_text = wrapped.get("payload_json") if isinstance(wrapped, dict) else None
-        if not isinstance(payload_text, str):
-            logger.warning("corrupt cache entry dropped: %s", path)
-            return None
-        digest = hashlib.sha256(payload_text.encode()).hexdigest()
-        if digest != wrapped.get("digest"):
-            logger.warning("cache digest mismatch, entry dropped: %s", path)
-            return None
-        return json.loads(payload_text)
+        payload_text = _payload_text(row[0], f"{self.path} [{key}]")
+        return None if payload_text is None else json.loads(payload_text)
 
     def put(self, key: str, payload: dict) -> None:
         """Idempotent store; equal payloads overwrite with identical bytes."""
@@ -95,9 +132,76 @@ class Store:
             "digest": hashlib.sha256(payload_text.encode()).hexdigest(),
             "payload_json": payload_text,
         }
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, json.dumps(wrapped, sort_keys=True))
+        body = json.dumps(wrapped, sort_keys=True)
+        with self._lock:
+            self._connection().execute(
+                "INSERT OR REPLACE INTO entries (key, body) VALUES (?, ?)", (key, body)
+            )
+
+    def close(self) -> None:
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+
+    def _connection(self):
+        """The open connection; the caller holds the lock."""
+        if self._db is None:
+            # imported here, so a run that never reads or writes a store does not load it
+            import sqlite3
+
+            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                db = _connect(sqlite3, self.path)
+            except sqlite3.OperationalError:  # locked, unreadable: not the file's fault
+                raise
+            except sqlite3.DatabaseError:  # not a database, or cut short
+                logger.warning("corrupt cache database moved aside: %s", self.path)
+                os.replace(self.path, self.path.with_name(f"{DB_NAME}.corrupt"))
+                db = _connect(sqlite3, self.path)
+            self._import_files(db)
+            self._db = db
+        return self._db
+
+    def _import_files(self, db) -> None:
+        """Move the entries of the one-file-per-entry layout (`ab/cdef...json`)
+        into `db` in one transaction, each checked as `get` checks it, then
+        remove their files. Rows already in `db` are newer and stay."""
+        fanout = [
+            entry.path for entry in os.scandir(self.directory)
+            if re.fullmatch("[0-9a-f]{2}", entry.name) and entry.is_dir()
+        ]
+        if not fanout:
+            return
+        rows, files = [], []
+        for directory in fanout:
+            for entry in os.scandir(directory):
+                if re.fullmatch(r"\..*\.tmp", entry.name):  # a killed write's temp file
+                    files.append(entry.path)
+                elif entry.name.endswith(".json"):
+                    files.append(entry.path)
+                    try:
+                        body = Path(entry.path).read_bytes()
+                    except OSError:
+                        body = None
+                    if _payload_text(body, entry.path) is not None:
+                        key = os.path.basename(directory) + entry.name.removesuffix(".json")
+                        rows.append((key, body.decode("utf-8")))
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            db.executemany("INSERT OR IGNORE INTO entries (key, body) VALUES (?, ?)", rows)
+            db.execute("COMMIT")
+        except BaseException:
+            db.execute("ROLLBACK")
+            raise
+        for path in files:
+            Path(path).unlink(missing_ok=True)
+        for directory in fanout:
+            try:
+                os.rmdir(directory)
+            except OSError:  # something else lives there
+                pass
+        logger.info("%d cache entries imported into %s", len(rows), self.path)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ import os
 import random
 import shlex
 import shutil
+import sqlite3
 import subprocess
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from contribsum.ingest import AnalysisWindow
 from contribsum import gitio, ingest, synthfix
 from contribsum.agents import chain
+from contribsum.store import DB_NAME
 from contribsum.synthfix import (
     Delete,
     Insert,
@@ -34,6 +37,40 @@ JUNE = AnalysisWindow(
 
 # JSON nested past the interpreter's recursion limit
 NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+def store_rows(directory) -> dict[str, object]:
+    """Every row of the `Store` database in `directory`, key -> body, read
+    past the store's API; {} when there is no database."""
+    path = Path(directory) / DB_NAME
+    if not path.exists():
+        return {}
+    db = sqlite3.connect(path)
+    try:
+        return dict(db.execute("SELECT key, body FROM entries"))
+    finally:
+        db.close()
+
+
+def set_store_row(directory, key: str, body) -> None:
+    """Write one row of the `Store` database in `directory` past the store's
+    API: text as TEXT, bytes as a BLOB."""
+    db = sqlite3.connect(Path(directory) / DB_NAME, isolation_level=None)
+    try:
+        db.execute("INSERT OR REPLACE INTO entries (key, body) VALUES (?, ?)", (key, body))
+    finally:
+        db.close()
+
+
+def write_file_layout(directory, rows: dict[str, str]) -> None:
+    """Write `rows`, key -> body, as a release before the `Store` database
+    kept them: one file each at `<key[:2]>/<key[2:]>.json`, beside a temp
+    file that a killed write left."""
+    for key, body in rows.items():
+        path = Path(directory) / key[:2] / f"{key[2:]}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body, encoding="utf-8")
+        (path.parent / f".{path.name}.123.456.tmp").write_text(body[:10], encoding="utf-8")
 
 
 @pytest.fixture(autouse=True)

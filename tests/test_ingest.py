@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import JUNE, ROSTER_TEXT, random_branch_script, tree_files, with_tree_entries
+from conftest import (
+    JUNE, ROSTER_TEXT, random_branch_script, store_rows, tree_files, with_tree_entries,
+)
 from contribsum import gitio, memo, synthfix
 from contribsum.attribution import build_contribution_set
 from contribsum.errors import BranchNotFound, NotARepository
@@ -215,15 +217,11 @@ class TestReplayConsistency:
                 assert expected == child_files, f"{name}:{record.hash}"
 
 
-def _store_files(store: Store) -> list[Path]:
-    return sorted(store.directory.rglob("*.json")) if store.directory.exists() else []
-
-
 def _log_slots(store: Store) -> list[dict]:
     """The payloads of `store` that are log slots, read past its API."""
     slots = []
-    for path in _store_files(store):
-        payload = json.loads(json.loads(path.read_text(encoding="utf-8"))["payload_json"])
+    for body in store_rows(store.directory).values():
+        payload = json.loads(json.loads(body)["payload_json"])
         if isinstance(payload, dict) and payload.keys() == {"tip", "log"}:
             slots.append(payload)
     return slots
@@ -444,7 +442,7 @@ class TestShallowClone:
         shallow = _analysed(clone, truth.roster, None)
         for _ in range(2):
             assert _analysed(clone, truth.roster, store) == shallow
-            assert _store_files(store) == []
+            assert store_rows(store.directory) == {}
         subprocess.run(
             ["git", "-C", clone, "fetch", "-q", "--unshallow"], check=True, capture_output=True
         )
@@ -452,7 +450,7 @@ class TestShallowClone:
         assert full != shallow  # the boundary commit no longer owns the older lines
         assert full == _analysed(handle.root_path, truth.roster, None)
         assert _analysed(clone, truth.roster, store) == full
-        assert len(_store_files(store)) == 2  # the log slot and the head's entry
+        assert len(store_rows(store.directory)) == 2  # the log slot and the head's entry
         assert _analysed(clone, truth.roster, store) == full
 
     def test_reclone_at_the_same_tip_trusts_no_slot(self, tmp_path):
@@ -465,7 +463,7 @@ class TestShallowClone:
         subprocess.run(["git", "clone", "-q", url, clone], check=True, capture_output=True)
         store = Store(tmp_path / "cache")
         _analysed(clone, truth.roster, store)
-        written = {path: path.read_bytes() for path in _store_files(store)}
+        written = store_rows(store.directory)
         assert len(written) == 2  # the log slot and the head's entry
         shutil.rmtree(clone)
         subprocess.run(
@@ -478,7 +476,7 @@ class TestShallowClone:
             plain = build_contribution_set(open_repo(clone), window, truth.roster)
             got = build_contribution_set(open_repo(clone, store=store), window, truth.roster)
             assert got.to_json() == plain.to_json(), window.label
-        assert {path: path.read_bytes() for path in _store_files(store)} == written
+        assert store_rows(store.directory) == written
 
     @staticmethod
     def _untouched(store: Store, monkeypatch, run):
@@ -513,7 +511,7 @@ class TestShallowClone:
         assert open_repo(shallow).head_ref == open_repo(full).head_ref
         store = Store(tmp_path / "cache")
         _analysed(full, truth.roster, store)
-        written = {path: path.read_bytes() for path in _store_files(store)}
+        written = store_rows(store.directory)
         plain = _analysed(shallow, truth.roster, None)
         with caplog.at_level("WARNING"):
             got = self._untouched(
@@ -521,7 +519,7 @@ class TestShallowClone:
             )
         assert got == plain
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
-        assert {path: path.read_bytes() for path in _store_files(store)} == written
+        assert store_rows(store.directory) == written
 
     def test_graft_file_remembers_nothing(self, tmp_path, monkeypatch):
         """A full clone whose graft file makes a middle commit a root: a run

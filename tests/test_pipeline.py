@@ -9,6 +9,7 @@ import _thread
 import dataclasses
 import json
 import logging
+import random
 import shutil
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    JUNE, NESTED, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, tree_files,
-    with_tree_entries,
+    JUNE, NESTED, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, store_rows,
+    tree_files, with_tree_entries, write_file_layout,
 )
 from contribsum import (
     attribution, gitio, identity, ingest, memo, pipeline, store as store_module, synthfix,
@@ -1294,6 +1295,109 @@ class TestFaultMatrix:
             absent = "package-lock.json" if fault == "lockfile" else "libs/thing"
             for name in ("functionality.csv", "contribution.csv", "contribution_set.json", "report.md"):
                 assert absent not in (victim_out / name).read_text("utf-8"), name
+
+
+class CountingProvider:
+    """MockProvider that counts its sends."""
+
+    def __init__(self):
+        self.inner = MockProvider()
+        self.sends = 0
+        self._lock = threading.Lock()
+
+    def send(self, messages, model_id):
+        with self._lock:
+            self.sends += 1
+        return self.inner.send(messages, model_id)
+
+
+class TestStoreDatabase:
+    """A run over a cache database that is unreadable, and over a state dir
+    in the one-file-per-entry layout that came before the database."""
+
+    TEAMS = ("alpha", "beta")
+
+    def _repos(self, tmp_path: Path) -> list[tuple[str, str]]:
+        return [
+            (team, synthfix.build(_history(12 + n), tmp_path / "repos" / team)[0].root_path)
+            for n, team in enumerate(self.TEAMS)
+        ]
+
+    @staticmethod
+    def _run(base: Path, repos, cache: Path) -> tuple[int, dict[str, bytes]]:
+        """(provider sends, `out/` bytes) of a run, every team ok, with a fresh
+        `out/` under `base` over the store in `cache`, which is closed after."""
+        provider, store = CountingProvider(), Store(cache)
+        try:
+            results = pipeline.run_analysis(
+                _config(base, repos), load_roster(ROSTER_TEXT), provider, store, CostLedger()
+            )
+        finally:
+            store.close()
+        assert all(r.ok for r in results), [r.error for r in results]
+        return provider.sends, _tree_bytes(base / "out")
+
+    @pytest.mark.parametrize("spoil", ["garbage", "cut-in-half", "garbage-beside-its-log"])
+    def test_unreadable_database_moved_aside(self, tmp_path, caplog, spoil):
+        repos = self._repos(tmp_path)
+        fresh_sends, fresh_out = self._run(tmp_path / "fresh", repos, tmp_path / "fresh-cache")
+        cache = tmp_path / "cache"
+        self._run(tmp_path / "primed", repos, cache)
+        db, wal = cache / "store.sqlite3", cache / "store.sqlite3-wal"
+        log = None
+        if spoil == "garbage-beside-its-log":  # the write-ahead log a killed run leaves
+            store = Store(cache)
+            store.put("f" * 64, {"text": "after the priming run"})
+            log = wal.read_bytes()
+            store.close()
+        whole = db.read_bytes()
+        spoilt = (
+            whole[: len(whole) // 2] if spoil == "cut-in-half"
+            else random.Random(7).randbytes(len(whole))
+        )
+        db.write_bytes(spoilt)
+        if log is not None:
+            wal.write_bytes(log)
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            sends, out = self._run(tmp_path / "spoilt", repos, cache)
+        assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
+            f"corrupt cache database moved aside: {db}"
+        ]
+        if log is None:  # closing the failed connection moved a log into the file
+            assert (cache / "store.sqlite3.corrupt").read_bytes() == spoilt
+        assert sorted(p.name for p in cache.iterdir()) == ["store.sqlite3", "store.sqlite3.corrupt"]
+        assert (sends, out) == (fresh_sends, fresh_out)  # an empty store
+        assert self._run(tmp_path / "again", repos, cache)[0] == 0  # the new database is read
+
+    def test_file_layout_imported_once(self, tmp_path, caplog):
+        """Entries a release before the database wrote, one file each, are
+        read without a provider call; a tampered one is dropped as `get`
+        drops it, and no entry file stays."""
+        repos = self._repos(tmp_path)
+        cache = tmp_path / "cache"
+        primed_sends, primed_out = self._run(tmp_path / "primed", repos, cache)
+        assert primed_sends > 0
+        rows = store_rows(cache)
+        for path in cache.iterdir():
+            path.unlink()
+        slot = next(
+            key for key, body in rows.items()
+            if json.loads(json.loads(body)["payload_json"]).keys() == {"tip", "log"}
+        )
+        wrapped = json.loads(rows[slot])
+        tampered = wrapped["payload_json"].replace('"log": "', '"log": "x', 1)
+        assert tampered != wrapped["payload_json"]
+        write_file_layout(cache, {**rows, slot: json.dumps({**wrapped, "payload_json": tampered})})
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            sends, out = self._run(tmp_path / "upgraded", repos, cache)
+        assert sends == 0
+        assert out == primed_out
+        entry = cache / slot[:2] / f"{slot[2:]}.json"
+        assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
+            f"cache digest mismatch, entry dropped: {entry}"
+        ]
+        assert sorted(p.name for p in cache.iterdir()) == ["store.sqlite3"]
+        assert store_rows(cache) == rows  # the slot read from git again
 
 
 # every RunConfig field, with how the outputs record accounts for it

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import signal
+import sqlite3
+import subprocess
 import sys
 import threading
 
 import pytest
 
-from conftest import NESTED
+from conftest import NESTED, set_store_row, store_rows
 from contribsum.cli import main
 from contribsum.store import (
     CostLedger,
@@ -53,35 +58,33 @@ class TestStore:
         store = Store(tmp_path / "cache")
         key = cache_key("t", "m", "p")
         store.put(key, {"text": "same"})
-        before = list(store.directory.rglob("*.json"))[0].read_bytes()
+        before = store_rows(store.directory)
         store.put(key, {"text": "same"})
-        after = list(store.directory.rglob("*.json"))[0].read_bytes()
-        assert before == after
+        assert store_rows(store.directory) == before and list(before) == [key]
 
     def test_tampered_entry_treated_as_absent(self, tmp_path):
         store = Store(tmp_path / "cache")
         key = cache_key("t", "m", "p")
         store.put(key, {"text": "authentic"})
-        entry_path = list(store.directory.rglob("*.json"))[0]
-        raw = json.loads(entry_path.read_text())
+        raw = json.loads(store_rows(store.directory)[key])
         raw["payload_json"] = raw["payload_json"].replace("authentic", "tampered!")
-        entry_path.write_text(json.dumps(raw))
+        set_store_row(store.directory, key, json.dumps(raw))
         assert store.get(key) is None
 
     @pytest.mark.parametrize(
-        "entry",
-        [b"[]", b'"str"', b'{"payload_json": 5, "digest": 1}', b"\xff\xfe garbage", NESTED],
-        ids=["list", "string", "non-text-payload", "not-utf8", "nested"],
+        "body",
+        ["[]", '"str"', '{"payload_json": 5, "digest": 1}', b"\xff\xfe garbage", NESTED.decode(),
+         None, 7],
+        ids=["list", "string", "non-text-payload", "not-utf8", "nested", "null", "integer"],
     )
-    def test_wrong_shape_entry_warns_and_reads_absent(self, tmp_path, caplog, entry):
+    def test_wrong_shape_entry_warns_and_reads_absent(self, tmp_path, caplog, body):
         store = Store(tmp_path / "cache")
         key = cache_key("t", "m", "p")
         store.put(key, {"text": "x"})
-        entry_path = list(store.directory.rglob("*.json"))[0]
-        entry_path.write_bytes(entry)
+        set_store_row(store.directory, key, body)
         with caplog.at_level("WARNING", logger="contribsum.store"):
             assert store.get(key) is None
-        assert f"corrupt cache entry dropped: {entry_path}" in caplog.text
+        assert f"corrupt cache entry dropped: {store.path} [{key}]" in caplog.text
         store.put(key, {"text": "y"})  # the next put replaces it
         assert store.get(key) == {"text": "y"}
 
@@ -90,11 +93,149 @@ class TestStore:
         Store(tmp_path / "cache").put(key, {"text": "durable"})
         assert Store(tmp_path / "cache").get(key) == {"text": "durable"}
 
-    def test_fanout_layout(self, tmp_path):
+    def test_threads_share_a_store_while_another_reads(self, tmp_path):
+        """8 threads put and read 200 keys, 10 of them put by every thread
+        with equal payloads, while a second store on the directory reads."""
+        store, reader = Store(tmp_path / "cache"), Store(tmp_path / "cache")
+        keys = [cache_key("t", "m", str(n)) for n in range(200)]
+
+        def payload(key):
+            return {"text": key * 20}
+
+        errors, done = [], threading.Event()
+
+        def guarded(work):
+            def run():
+                try:
+                    work()
+                except BaseException as exc:  # reported by the assertion below
+                    errors.append(exc)
+            return run
+
+        def write(n):
+            for key in keys[n * 25:(n + 1) * 25] + keys[:10]:
+                store.put(key, payload(key))
+                assert store.get(key) == payload(key)
+
+        def read():
+            while not done.is_set():
+                for key in keys:
+                    assert reader.get(key) in (None, payload(key))
+
+        writers = [threading.Thread(target=guarded(lambda n=n: write(n))) for n in range(8)]
+        reading = threading.Thread(target=guarded(read))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            reading.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reading.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*writers, reading))
+        assert errors == []
+        for key in keys:
+            assert store.get(key) == reader.get(key) == payload(key)
+        store.close()
+        reader.close()
+
+    def test_open_lists_the_directory_once(self, tmp_path, monkeypatch):
+        """Looking for entries of the one-file-per-entry layout costs one
+        listing of the store's directory per open, and none per call."""
+        listed = []
+        real_scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or real_scandir(path))
         store = Store(tmp_path / "cache")
-        key = "ab" + "c" * 62
-        store.put(key, {"text": "x"})
-        assert (tmp_path / "cache" / "ab" / (key[2:] + ".json")).exists()
+        for n in range(3):
+            store.put(cache_key("t", "m", str(n)), {"n": n})
+            store.get(cache_key("t", "m", str(n)))
+        assert listed == [tmp_path / "cache"]
+
+    def test_one_database_file_and_no_entry_files(self, tmp_path):
+        store = Store(tmp_path / "cache")
+        keys = ["ab" + "c" * 62, "cd" + "e" * 62]
+        for key in keys:
+            store.put(key, {"text": key})
+        store.close()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["store.sqlite3"]
+        assert sorted(store_rows(tmp_path / "cache")) == keys
+
+
+# Runs the puts of a JSON file on a `Store`, killing itself with SIGKILL
+# just before or just after the statement of the k-th put:
+# `python -c KILLED_PUTS <store dir> <puts.json> <k> before|after`.
+KILLED_PUTS = r"""
+import json, os, signal, sqlite3, sys
+
+from contribsum.store import Store
+
+directory, puts_path, k, when = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+connect = sqlite3.connect
+
+
+class Killing(sqlite3.Connection):
+    puts = 0
+
+    def execute(self, sql, *args):
+        if not sql.startswith("INSERT"):
+            return super().execute(sql, *args)
+        Killing.puts += 1
+        if (Killing.puts, when) == (k, "before"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        cursor = super().execute(sql, *args)
+        if (Killing.puts, when) == (k, "after"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return cursor
+
+
+sqlite3.connect = lambda *args, **kwargs: connect(*args, factory=Killing, **kwargs)
+store = Store(directory)
+for key, payload in json.loads(open(puts_path, encoding="utf-8").read()):
+    store.put(key, payload)
+"""
+
+
+def _seeded_puts(seed: int, count: int = 40) -> list[tuple[str, dict]]:
+    """`count` puts over 25 keys, so some overwrite; some bodies span many pages."""
+    rng = random.Random(seed)
+    keys = [cache_key("t", "m", str(n)) for n in range(25)]
+    return [
+        (rng.choice(keys), {"n": n, "text": "".join(rng.choices("abcdef\n", k=rng.randint(0, 20_000)))})
+        for n in range(count)
+    ]
+
+
+class TestKilledPuts:
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize("k", [1, 17, 40])
+    def test_every_completed_put_reads_back(self, tmp_path, caplog, k, when):
+        puts = _seeded_puts(seed=k)
+        puts_path = tmp_path / "puts.json"
+        puts_path.write_text(json.dumps(puts), encoding="utf-8")
+        directory = tmp_path / "cache"
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_PUTS, str(directory), str(puts_path), str(k), when],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        completed = dict(puts[: k if when == "after" else k - 1])
+        store = Store(directory)
+        with caplog.at_level("WARNING", logger="contribsum.store"):
+            for key, _ in puts:
+                assert store.get(key) == completed.get(key), key
+        assert caplog.records == []
+        store.close()
+        db = sqlite3.connect(directory / "store.sqlite3")
+        try:
+            assert db.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        finally:
+            db.close()
+        assert [p.name for p in directory.iterdir()] == ["store.sqlite3"]
 
 
 class TestCostLedger:
