@@ -6,16 +6,17 @@ template files shipped with the package and referenced by hash in the
 cache key, so editing a template invalidates exactly the affected
 responses.
 
-Every request goes one way: `prepare` renders it and checks the tier
-budget, and the run's `SendPool.answer_all` reads the provider cache,
-joins the run's send of the request or sends it, and records the usage
-and cache entries of its own sends. The pool holds the run's provider,
-provider cache and ledger, so nothing else in this module reads or
-writes the cache or the ledger. Table rows and synthesis, with its
-repair retry, all take that path, so the pool's size caps every request
-of a run. The pool keeps every send of the run by cache key, so a
-request that several teams need is sent once per run, with or without a
-cache, and its ledger entry names the team whose call sent it.
+Every request goes one way: `prepare` renders it and alone checks the
+tier budget, and the run's `SendPool.answer_all` answers it and records
+the usage and cache entries of its own sends. A key is looked up once
+per run: its first call reads the provider cache, and later calls, of
+any team, join that answer or its send. The pool holds the run's
+provider, provider cache and ledger, so nothing else in this module
+reads or writes the cache or the ledger. Table rows and synthesis, with
+its repair retry, all take that path, so the pool's size caps every
+request of a run, and a request that several teams need is sent once
+per run, with or without a cache; its ledger entry names the team whose
+call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two `answer_all` batches, the file rows and then the
@@ -31,7 +32,7 @@ import json
 import re
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from ..attribution import ContributionEvidence, ContributionSet
@@ -41,7 +42,7 @@ from ..ingest import AnalysisWindow
 from ..metrics import FileMetrics
 from ..store import CostLedger, Store, cache_key
 from ..tables import ContributionTableRow, FunctionalityTableRow, solo_functions_text
-from .provider import ModelTier, estimate_tokens
+from .provider import ModelTier, ProviderResponse, estimate_tokens
 
 ROLES = (
     "Technical Leader",
@@ -159,10 +160,7 @@ def prepare(
             f"estimated {estimate} tokens exceeds budget {tier.input_budget} "
             f"for {tier.model_id}"
         )
-    messages = [
-        {"role": "system", "content": system},
-        {"role": "user", "content": prompt},
-    ]
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": prompt}]
     return Call(tier, cache_key(template_hash(template_name), tier.model_id, prompt), messages)
 
 
@@ -170,11 +168,11 @@ class SendPool(ThreadPoolExecutor):
     """The run's one request path: its send threads, its provider, provider
     cache and ledger, and every send of the run by cache key.
 
-    A request whose key was sent before in the run, or is being sent,
-    takes that send's answer instead of sending it again, so teams that
-    need one answer make one provider call and one ledger entry, with or
-    without a cache. A send that failed or was cancelled is made anew.
-    Once the pool is shut down, a new send raises `RuntimeError`.
+    A request whose key was read or sent before in the run takes that
+    answer, so teams that need one answer make one cache read and at most
+    one provider call and ledger entry. A send that failed or was
+    cancelled is made anew. Once the pool is shut down, a new send raises
+    `RuntimeError`.
     """
 
     def __init__(
@@ -190,9 +188,9 @@ class SendPool(ThreadPoolExecutor):
     def answer_all(self, calls: list[Call | None], team: str = "") -> list[str | None]:
         """Response text of every call, in order; a None call stays None.
 
-        Each call is looked up in the cache, in call order. Only
-        `provider.send` of the misses runs on the pool's threads, and a key
-        sent there before in the run, by any team, is not sent again. Usage
+        Each call is joined to its key's answer in the run (`_join`), in
+        call order. Only `provider.send` of a key the cache did not hold
+        runs on the pool's threads, once per run, whichever team asks. Usage
         and cache entries are recorded by the call that sent the request, on
         the calling thread and in call order, so ledger and cache come out
         the same for any pool size; ledger entries name `team`. A call whose
@@ -201,10 +199,7 @@ class SendPool(ThreadPoolExecutor):
         cancelled, the answers already in are still recorded, and the first
         error is raised.
         """
-        sends = [
-            self._join(call) if call is not None and not self._cached(call) else None
-            for call in calls
-        ]
+        sends = [self._join(call) if call is not None else None for call in calls]
         error = None
         try:
             for i, call in enumerate(calls):
@@ -227,18 +222,17 @@ class SendPool(ThreadPoolExecutor):
             raise error
         return [call and call.text for call in calls]
 
-    def _cached(self, call: Call) -> bool:
-        """Whether the cache holds the answer to `call`, now taken into it."""
-        hit = self._store.get(call.key) if self._store is not None else None
-        if hit is not None:
-            call.text, call.messages = hit["text"], None
-        return hit is not None
-
     def _join(self, call: Call) -> tuple[Future, bool]:
-        """The send that answers `call`: `(future, True)` when `call` makes
-        it, `(future, False)` when another call made it."""
-        with self._lock:
+        """The answer to `call`: `(future, True)` when `call` sends it,
+        `(future, False)` when the cache or another call holds it. Only a
+        key's first call reads the cache, and a hit is kept as a done future
+        that later calls join."""
+        with self._lock:  # two calls never both read or send one key
             future = self._sends.get(call.key)
+            hit = self._store.get(call.key) if future is None and self._store is not None else None
+            if hit is not None:
+                future = self._sends[call.key] = Future()
+                future.set_result(ProviderResponse(**hit))
             if future is not None and not (
                 future.cancelled() or (future.done() and future.exception() is not None)
             ):
@@ -253,15 +247,8 @@ class SendPool(ThreadPoolExecutor):
             record_usage(
                 self._ledger, call.tier, response.input_tokens, response.output_tokens, team
             )
-        if self._store is not None:
-            self._store.put(
-                call.key,
-                {
-                    "text": response.text,
-                    "input_tokens": response.input_tokens,
-                    "output_tokens": response.output_tokens,
-                },
-            )
+        if self._store is not None:  # the payload `_join` reads back
+            self._store.put(call.key, asdict(response))
         call.text = response.text
         call.messages = None  # answered: the prompt is not kept
 
@@ -302,13 +289,12 @@ def file_call(
 ) -> Call | None:
     """The request behind one Functionality Table row; None for an empty file.
 
-    Content is clipped to the first and last N lines; N halves until the
-    request fits the tier budget, or BudgetExceeded is raised.
+    Content is clipped to the first and last N lines; N halves while
+    `prepare` finds the request over budget, down to 3.
     """
     if not content.strip():
         return None
     clip = DEFAULT_CLIP_LINES
-    system_cost = estimate_tokens(load_template("system"))
     while True:
         data = {
             "task": "summarize-file",
@@ -316,13 +302,14 @@ def file_call(
             "metrics": _metrics_payload(metrics),
             "content": clip_content(content, clip, clip),
         }
-        prompt = _render("summarize_file", data)
-        if system_cost + estimate_tokens(prompt) <= tier.input_budget:
-            break
-        if clip <= 4:
-            raise BudgetExceeded(f"{path}: content cannot fit tier budget even fully clipped")
-        clip //= 2
-    return prepare(tier, "summarize_file", data, prompt_override=prompt)
+        try:
+            return prepare(tier, "summarize_file", data)
+        except BudgetExceeded:
+            if clip <= 4:
+                raise BudgetExceeded(
+                    f"{path}: content cannot fit tier budget even fully clipped"
+                ) from None
+            clip //= 2
 
 
 def functionality_row(path: str, metrics: FileMetrics, text: str | None) -> FunctionalityTableRow:
@@ -362,7 +349,7 @@ def contribution_call(
 ) -> Call:
     """The request behind one Contribution Table row; `functionality` is
     the file's Functionality Table text."""
-    if evidence.lines_owned + evidence.lines_added_in_window <= 0:
+    if not evidence.has_lines:
         raise ValueError(
             f"no measurable lines for {evidence.student.id} in {evidence.path}; "
             "caller must not request a description"
@@ -418,16 +405,12 @@ def fill_tables(
         ev
         for student in roster.students
         for ev in cset.evidence_for(student.id)
-        if ev.lines_owned + ev.lines_added_in_window > 0
+        if ev.has_lines
     ]
     calls = [contribution_call(tier, functionality[ev.path], ev) for ev in evidence]
     answers = pool.answer_all(calls, team)
     contribution_rows = [contribution_row(ev, answer) for ev, answer in zip(evidence, answers)]
     return functionality_rows, contribution_rows
-
-
-def _has_positive_evidence(rows: list[ContributionEvidence]) -> bool:
-    return any(r.lines_owned + r.lines_added_in_window > 0 or r.commit_messages for r in rows)
 
 
 def synthesize(
@@ -445,10 +428,7 @@ def synthesize(
     idle: list[StudentId] = []
     for student in bundle.roster.students:
         rows = bundle.contribution_set.evidence_for(student.id)
-        if _has_positive_evidence(rows):
-            active.append(student)
-        else:
-            idle.append(student)
+        (active if any(r.has_lines or r.commit_messages for r in rows) else idle).append(student)
 
     summaries: list[StudentSummary] = [
         StudentSummary(student=s, headline=NO_CONTRIBUTION_TEXT) for s in idle
@@ -467,7 +447,7 @@ def synthesize(
     for student in active:
         files = []
         for ev in bundle.contribution_set.evidence_for(student.id):
-            if ev.lines_owned + ev.lines_added_in_window <= 0 and not ev.commit_messages:
+            if not ev.has_lines and not ev.commit_messages:
                 continue
             files.append(
                 {
@@ -610,7 +590,7 @@ def validate_summary(summary: StudentSummary, contribution_set: ContributionSet)
         ev = evidence.get(path)
         if ev is None:
             flags.append((claim, "file-not-touched"))
-        elif ev.lines_owned == 0 and ev.lines_added_in_window == 0:
+        elif not ev.has_lines:
             flags.append((claim, "zero-lines"))
         elif ev.comment_only:
             flags.append((claim, "comment-only-evidence"))

@@ -121,6 +121,11 @@ class ContributionEvidence:
     solo_functions: list[tuple[str, int]] = field(default_factory=list)
     comment_only: bool = False
 
+    @property
+    def has_lines(self) -> bool:
+        """Whether the student owns or added any line of the file."""
+        return self.lines_owned + self.lines_added_in_window > 0
+
 
 @dataclass(frozen=True)
 class KeptFile:

@@ -49,21 +49,18 @@ team itself once fewer than `analysis_workers` others are unfinished, so
 at most `analysis_workers` teams are in their provider stages and a
 one-team run starts no team thread. Every team shares one
 `chain.SendPool` of `analysis_workers` threads, made once per run with
-the run's provider, `Store` and `CostLedger`: its `answer_all` is the
-one path of every request, and only `provider.send` of a cache miss runs
-on its threads. A team's tables are filled in one place,
-`chain.fill_tables`, which sends the analysis-tier calls in two batches,
-the file rows and then the contribution rows that quote them; the
-pipeline wraps its rows in `tables.FunctionalityTable` and
-`tables.ContributionTable` where it writes the CSVs. Prompt rendering,
-budget checks, cache reads and writes, ledger entries and response
-parsing stay on the team's own thread in row order, so outputs and each
-team's ledger entries are the same for any pool size (across teams the
-ledger follows completion order), and a fully cached team starts no send
-thread. Synthesis and its
-repair retry go to the same pool, so `analysis_workers` caps every
-provider request of the run, and a request sent earlier in the run is
-not sent again, with or without a store.
+the run's provider, `Store` and `CostLedger`. Its `answer_all` answers
+every request of the run, table rows, synthesis and its repair retry
+alike, so `analysis_workers` caps them all. A request key is looked up
+once per run: its first call reads the store, and later calls, of any
+team, join that answer or its send, so a request is sent at most once
+per run, with or without a store. Only `provider.send` runs on the
+pool's threads; rendering, budget checks, cache reads and writes, ledger
+entries and parsing stay on the team's own thread in row order, so
+outputs and each team's ledger entries are the same for any pool size
+(across teams the ledger follows completion order), and a fully cached
+team starts no send thread. `chain.fill_tables` fills a team's tables in two batches,
+the file rows and then the contribution rows that quote them.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ layout: one SQLite database per store directory (`cache/store.sqlite3`),
 write-ahead logged, with one row per entry in `entries(key, body)`. Each
 body carries its payload digest, so tampering is detected on read; a put
 is one statement, so a killed run keeps every put that completed. A
-database that is not one, or is cut short, is moved aside with a warning
-and the store starts empty. Entries of the earlier one-file-per-entry
-layout (`cache/ab/cdef...json`) are checked as `get` checks them and
-imported on the first open, and their files removed. The ledger is
-append-only line-delimited JSON: crash-safe appends, trivially auditable.
+database that is not one, or is cut short, is moved aside with its log,
+both as found, with a warning, and the store starts empty. Entries of
+the earlier one-file-per-entry layout (`cache/ab/cdef...json`) are
+checked as `get` checks them and imported on the first open, and their
+files removed. The ledger is append-only line-delimited JSON: crash-safe
+appends, trivially auditable.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import re
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +86,13 @@ def _payload_text(body, where: str) -> str | None:
         logger.warning("cache digest mismatch, entry dropped: %s", where)
         return None
     return payload_text
+
+
+def _probe(sqlite3, path: Path) -> None:
+    """Read the schema of `path` and its log read-only: closing a writer
+    that failed to read them would fold the log into the file."""
+    with closing(sqlite3.connect(f"{path.absolute().as_uri()}?mode=ro", uri=True)) as db:
+        db.execute("SELECT count(*) FROM sqlite_master")
 
 
 def _connect(sqlite3, path: Path):
@@ -151,14 +160,20 @@ class Store:
             import sqlite3
 
             self.directory.mkdir(parents=True, exist_ok=True)
-            try:
-                db = _connect(sqlite3, self.path)
-            except sqlite3.OperationalError:  # locked, unreadable: not the file's fault
-                raise
-            except sqlite3.DatabaseError:  # not a database, or cut short
-                logger.warning("corrupt cache database moved aside: %s", self.path)
-                os.replace(self.path, self.path.with_name(f"{DB_NAME}.corrupt"))
-                db = _connect(sqlite3, self.path)
+            if self.path.exists():
+                log, index = (self.path.with_name(DB_NAME + end) for end in ("-wal", "-shm"))
+                found = [path for path in (self.path, log) if path.exists()]
+                try:
+                    _probe(sqlite3, self.path)
+                except sqlite3.OperationalError:  # locked, unreadable: not the file's fault
+                    raise
+                except sqlite3.DatabaseError:  # not a database, or cut short
+                    logger.warning("corrupt cache database moved aside: %s", self.path)
+                    for path in found:
+                        os.replace(path, path.with_name(f"{path.name}.corrupt"))
+                    for path in (log, index):  # made by the probe, or the moved file's
+                        path.unlink(missing_ok=True)
+            db = _connect(sqlite3, self.path)
             self._import_files(db)
             self._db = db
         return self._db

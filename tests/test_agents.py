@@ -161,14 +161,48 @@ class TestSummarizeFile:
         assert "lines clipped" in sent
         assert estimate_tokens(sent) <= tiny.input_budget
 
+    def test_clip_halves_until_the_request_fits(self, pool):
+        """At a budget that rejects 200 and 100 head and tail lines, the
+        request sent keeps 50 of each."""
+        small = ModelTier("analysis", "small", 1000, 0, 0)
+        mock = MockProvider(budgets={"small": 1000})
+        big = "\n".join(f"statement_{i} = {i}" for i in range(1000))
+        metrics = compute_file_metrics("big.py", big.encode())
+
+        def prompt(clip: int) -> str:
+            data = {
+                "task": "summarize-file",
+                "path": "big.py",
+                "metrics": chain._metrics_payload(metrics),
+                "content": chain.clip_content(big, clip, clip),
+            }
+            return chain._render("summarize_file", data)
+
+        system = estimate_tokens(chain.load_template("system"))
+        assert system + estimate_tokens(prompt(100)) > small.input_budget
+        _file_row(pool(mock), small, "big.py", big, metrics)
+        [call] = mock.calls
+        assert call["messages"][1]["content"] == prompt(50)
+        assert "... [900 lines clipped] ..." in prompt(50)
+
     def test_budget_exceeded_when_even_clipping_cannot_fit(self, pool):
         micro = ModelTier("analysis", "micro", 200, 0, 0)
         mock = MockProvider(budgets={"micro": 200})
         wide = "x" * 100_000  # one unsplittable enormous line
         metrics = compute_file_metrics("wide.py", wide.encode())
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(
+            BudgetExceeded, match="^wide.py: content cannot fit tier budget even fully clipped$"
+        ):
             _file_row(pool(mock), micro, "wide.py", wide, metrics)
         assert mock.calls == []  # guarded before any provider call
+
+
+class TestEvidenceWithLines:
+    @pytest.mark.parametrize(
+        "owned, added, expected", [(0, 0, False), (3, 0, True), (0, 2, True), (3, 2, True)]
+    )
+    def test_lines_owned_or_added(self, owned, added, expected):
+        assert _evidence(ALICE, "app.py", owned=owned, added=added).has_lines is expected
 
 
 class TestDescribeContribution:
@@ -489,10 +523,13 @@ class TestSingleFlight:
 
     def test_each_request_sent_once_under_contention(self, tmp_path):
         """Eight threads ask for the same ten requests in shuffled batches;
-        with a store, each request reaches the provider and the ledger once."""
-        store, ledger = Store(tmp_path / "cache"), CostLedger()
+        with a store, each request is read from it once and reaches the
+        provider and the ledger once. A second pool over the primed store
+        reads each request once and sends none."""
+        ledger = CostLedger()
         lock = threading.Lock()
         sent: list[str] = []
+        reads: list[str] = []
 
         class Counting:
             inner = _mock()
@@ -502,8 +539,16 @@ class TestSingleFlight:
                     sent.append(messages[-1]["content"])
                 return self.inner.send(messages, model_id)
 
+        class CountingStore(Store):
+            def get(self, key):
+                with lock:
+                    reads.append(key)
+                return super().get(key)
+
+        store = CountingStore(tmp_path / "cache")
         contents = [FLASK_LIKE + f"\nVERSION = {n}\n" for n in range(10)]
         metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
+        keys = sorted(file_call(ANALYSIS, "app.py", c, metrics).key for c in contents)
         answers: list[tuple[str, str]] = []
 
         def work(seed: int) -> None:
@@ -515,20 +560,23 @@ class TestSingleFlight:
                 with lock:
                     answers.extend(zip(batch, texts))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with chain.SendPool(4, Counting(), store, ledger) as pool:
-                threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(sent) == len(set(sent)) == len(ledger.entries) == len(contents)
-        assert len(answers) == 8 * len(contents)
+        for _ in ("cold", "warm"):
+            reads.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with chain.SendPool(4, Counting(), store, ledger) as pool:
+                    threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(reads) == keys
+            assert len(sent) == len(set(sent)) == len(ledger.entries) == len(contents)
+        assert len(answers) == 2 * 8 * len(contents)
         assert len(set(answers)) == len(contents)  # one answer per request
 
     def test_failed_shared_send_is_sent_again(self, monkeypatch):

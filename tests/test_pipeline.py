@@ -971,6 +971,69 @@ class TestThrottlingEndpoint:
         assert ledgers["live"] == ledgers["sequential"]
 
 
+class TestOneLookupPerKey:
+    """Two teams that need the same requests, as in `TestThrottlingEndpoint`:
+    each request key is read from the provider cache once per run, by
+    whichever team asks first, and the other team joins that answer."""
+
+    @staticmethod
+    def _run(monkeypatch, base: Path, repos, cache: Path, workers: int, provider):
+        """(request keys made, provider-cache reads as (key, hit)) of a run."""
+        keys, reads = [], []
+        real_prepare, real_get = chain.prepare, Store.get
+
+        def prepare(*args, **kwargs):
+            call = real_prepare(*args, **kwargs)
+            keys.append(call.key)
+            return call
+
+        def get(self, key):
+            payload = real_get(self, key)
+            reads.append((key, payload is not None))
+            return payload
+
+        cfg = _config(base, repos)
+        cfg.analysis_workers = workers
+        store = Store(cache)
+        with monkeypatch.context() as patch:
+            patch.setattr(chain, "prepare", prepare)
+            patch.setattr(Store, "get", get)
+            try:
+                results = pipeline.run_analysis(
+                    cfg, load_roster(ROSTER_TEXT), provider, store, CostLedger()
+                )
+            finally:
+                store.close()
+        assert all(r.ok for r in results), [r.error for r in results]
+        made = set(keys)
+        return keys, [(key, hit) for key, hit in reads if key in made]
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_each_key_read_once_cold_and_warm(self, tmp_path, monkeypatch, workers):
+        repos = []
+        for n in range(2):
+            handle, _ = synthfix.build(_history(12), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        for attempt in range(3):
+            base = tmp_path / f"w{workers}-{attempt}"
+            provider = CountingProvider()
+            keys, reads = self._run(
+                monkeypatch, base / "cold", repos, base / "cache", workers, provider
+            )
+            distinct = set(keys)
+            assert len(keys) == 2 * len(distinct) > 2 * len(FILES)  # the teams share every key
+            assert sorted(reads) == sorted((key, False) for key in distinct)
+            assert provider.sends == len(distinct)
+
+            provider = CountingProvider()
+            keys, reads = self._run(
+                monkeypatch, base / "warm", repos, base / "cache", workers, provider
+            )
+            assert set(keys) == distinct
+            assert sorted(reads) == sorted((key, True) for key in distinct)
+            assert provider.sends == 0
+
+
 def _write_state(team_dir: Path, label: str, start: str) -> None:
     (team_dir / label).mkdir(parents=True)
     begin = datetime.fromisoformat(start)
@@ -1363,9 +1426,13 @@ class TestStoreDatabase:
         assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
             f"corrupt cache database moved aside: {db}"
         ]
-        if log is None:  # closing the failed connection moved a log into the file
-            assert (cache / "store.sqlite3.corrupt").read_bytes() == spoilt
-        assert sorted(p.name for p in cache.iterdir()) == ["store.sqlite3", "store.sqlite3.corrupt"]
+        # moved aside as found: closing a writer would have folded the log into the file
+        assert (cache / "store.sqlite3.corrupt").read_bytes() == spoilt
+        kept = ["store.sqlite3", "store.sqlite3.corrupt"]
+        if log is not None:
+            assert (cache / "store.sqlite3-wal.corrupt").read_bytes() == log
+            kept.insert(1, "store.sqlite3-wal.corrupt")
+        assert sorted(p.name for p in cache.iterdir()) == kept
         assert (sends, out) == (fresh_sends, fresh_out)  # an empty store
         assert self._run(tmp_path / "again", repos, cache)[0] == 0  # the new database is read
 
