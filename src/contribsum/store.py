@@ -7,7 +7,8 @@ write-ahead logged, with one row per entry in `entries(key, body)`. Each
 body carries its payload digest, so tampering is detected on read; a put
 is one statement, so a killed run keeps every put that completed. A
 database that is not one, or is cut short, is moved aside with its log,
-both as found, with a warning, and the store starts empty. Entries of
+both as found, with a warning, and the store starts empty; so is one
+that SQLite finds malformed on a later `get` or `put`. Entries of
 the earlier one-file-per-entry layout (`cache/ab/cdef...json`) are
 checked as `get` checks them and imported on the first open, and their
 files removed. The ledger is append-only line-delimited JSON: crash-safe
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import threading
 import time
 from contextlib import closing
@@ -118,6 +120,7 @@ class Store:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.path = self.directory / DB_NAME
+        self._log, self._index = (self.path.with_name(DB_NAME + end) for end in ("-wal", "-shm"))
         self._lock = threading.Lock()
         self._db = None
 
@@ -126,9 +129,7 @@ class Store:
         An entry that is valid JSON of the wrong shape, or nested past the
         interpreter's recursion limit, is corrupt too."""
         with self._lock:
-            row = self._connection().execute(
-                "SELECT body FROM entries WHERE key = ?", (key,)
-            ).fetchone()
+            row = self._execute("SELECT body FROM entries WHERE key = ?", (key,))
         if row is None:
             return None
         payload_text = _payload_text(row[0], f"{self.path} [{key}]")
@@ -143,9 +144,7 @@ class Store:
         }
         body = json.dumps(wrapped, sort_keys=True)
         with self._lock:
-            self._connection().execute(
-                "INSERT OR REPLACE INTO entries (key, body) VALUES (?, ?)", (key, body)
-            )
+            self._execute("INSERT OR REPLACE INTO entries (key, body) VALUES (?, ?)", (key, body))
 
     def close(self) -> None:
         with self._lock:
@@ -161,22 +160,49 @@ class Store:
 
             self.directory.mkdir(parents=True, exist_ok=True)
             if self.path.exists():
-                log, index = (self.path.with_name(DB_NAME + end) for end in ("-wal", "-shm"))
-                found = [path for path in (self.path, log) if path.exists()]
+                found = self._found()
                 try:
                     _probe(sqlite3, self.path)
                 except sqlite3.OperationalError:  # locked, unreadable: not the file's fault
                     raise
                 except sqlite3.DatabaseError:  # not a database, or cut short
-                    logger.warning("corrupt cache database moved aside: %s", self.path)
-                    for path in found:
-                        os.replace(path, path.with_name(f"{path.name}.corrupt"))
-                    for path in (log, index):  # made by the probe, or the moved file's
-                        path.unlink(missing_ok=True)
+                    self._set_aside(found)
             db = _connect(sqlite3, self.path)
             self._import_files(db)
             self._db = db
         return self._db
+
+    def _execute(self, sql: str, parameters: tuple):
+        """The first row `sql` yields; the caller holds the lock. A database
+        that SQLite finds malformed (a page cut off past the schema that
+        `_probe` read) is set aside, and `sql` runs again on an empty one."""
+        import sqlite3
+
+        try:
+            return self._connection().execute(sql, parameters).fetchone()
+        except sqlite3.OperationalError:  # locked, unreadable: not the file's fault
+            raise
+        except sqlite3.DatabaseError:
+            self._set_aside(self._found())
+        return self._connection().execute(sql, parameters).fetchone()
+
+    def _found(self) -> list[Path]:
+        return [path for path in (self.path, self._log) if path.exists()]
+
+    def _set_aside(self, found: list[Path]) -> None:
+        """Keep the `found` files as `<name>.corrupt`, with a warning, and
+        remove the database; the caller holds the lock. They are copied
+        before the connection closes, as closing a writer folds the log into
+        the file and deletes the log."""
+        logger.warning("corrupt cache database moved aside: %s", self.path)
+        for path in found:
+            shutil.copyfile(path, path.with_name(f"{path.name}.corrupt"))
+        if self._db is not None:
+            self._db.close()
+            self._db = None
+        # with the log and index the database had, or the probe made
+        for path in (self.path, self._log, self._index):
+            path.unlink(missing_ok=True)
 
     def _import_files(self, db) -> None:
         """Move the entries of the one-file-per-entry layout (`ab/cdef...json`)

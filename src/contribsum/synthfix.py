@@ -5,6 +5,16 @@ line operations, branch/merge directives) plus an embedded roster. The
 builder emits the history through `git fast-import` with pinned
 timestamps and signatures, so fixture repositories are bit-reproducible.
 
+The stream writes each file version once, as a marked `blob`, ahead of
+the commits, which name their files by mark. All versions of one path
+go back to back, paths in the order the script first touches them:
+fast-import deltas a blob only against the blob it stored just before
+(`--depth` in git-fast-import(1)), so each version is stored as a delta
+of the one before. Written inline in each commit, every version of a
+large file would be stored whole, and each small file beside it diffed
+against it. The repository comes from one `git init --initial-branch`,
+which needs git 2.28 or later.
+
 Ground truth is computed by replaying the script's line operations
 directly, an implementation that shares no code with the attribution
 engine: insert splices owned lines in, delete drops them, replace
@@ -372,10 +382,17 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
 
     replay = _Replay(script)
     subprocess.run(
-        ["git", "init", "--quiet", "--bare", str(dest)], check=True, capture_output=True
+        ["git", "init", "--bare", "--quiet", "--template=", f"--initial-branch={DEFAULT_BRANCH}",
+         str(dest)],
+        check=True,
+        capture_output=True,
     )
 
-    stream = bytearray()
+    # commit i is mark i + 1; each file version gets the next mark past the commits
+    commits = bytearray()
+    # path -> (mark, lines) of each version; paths in the order first touched
+    versions: dict[str, list[tuple[int, list[str]]]] = {}
+    blob_mark = len(script.steps)
     branch_marks: dict[str, int] = {}
     current_branch = DEFAULT_BRANCH
 
@@ -399,49 +416,59 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
 
         mark = index + 1
         when = int(meta.authored_at.timestamp())
-        stream += b"commit refs/heads/%s\n" % current_branch.encode()
-        stream += b"mark :%d\n" % mark
-        stream += b"author %s <%s> %d +0000\n" % (
+        commits += b"commit refs/heads/%s\n" % current_branch.encode()
+        commits += b"mark :%d\n" % mark
+        commits += b"author %s <%s> %d +0000\n" % (
             step.author_name.encode(),
             step.author_email.encode(),
             when,
         )
-        stream += b"committer %s %d +0000\n" % (_COMMITTER.encode(), when)
-        stream += _data(message.encode())
+        commits += b"committer %s %d +0000\n" % (_COMMITTER.encode(), when)
+        commits += _data(message.encode())
         parent = branch_marks.get(current_branch, 0)
         if parent:
-            stream += b"from :%d\n" % parent
+            commits += b"from :%d\n" % parent
         if step.merge is not None:
             other = branch_marks.get(step.merge, 0)
             if not other:
                 raise ScriptError(index, f"merge of branch with no commits: {step.merge!r}")
-            stream += b"merge :%d\n" % other
+            commits += b"merge :%d\n" % other
         for path, lines in sorted(touched.items()):
             if lines is None:
-                stream += b"D %s\n" % path.encode()
+                commits += b"D %s\n" % path.encode()
             else:
-                content = ("\n".join(lines) + "\n" if lines else "").encode()
-                stream += b"M 100644 inline %s\n" % path.encode()
-                stream += _data(content)
-        stream += b"\n"
+                blob_mark += 1
+                versions.setdefault(path, []).append((blob_mark, lines))
+                commits += b"M 100644 :%d %s\n" % (blob_mark, path.encode())
+        commits += b"\n"
         branch_marks[current_branch] = mark
 
+    # every version of a path back to back, so each is deltaed against the one before
+    stream = bytearray()
+    for path_versions in versions.values():
+        for blob, lines in path_versions:
+            stream += b"blob\nmark :%d\n" % blob
+            stream += _data(("\n".join(lines) + "\n" if lines else "").encode())
+    stream += commits
+    del commits
     stream += b"done\n"
     marks_file = dest / "fixture-marks.txt"
-    subprocess.run(
+    imported = subprocess.run(
         [
             "git", "-C", str(dest), "fast-import",
             "--quiet", "--done", f"--export-marks={marks_file}",
         ],
-        input=bytes(stream),
-        check=True,
+        input=stream,
         capture_output=True,
     )
-    subprocess.run(
-        ["git", "-C", str(dest), "symbolic-ref", "HEAD", f"refs/heads/{DEFAULT_BRANCH}"],
-        check=True,
-        capture_output=True,
-    )
+    if imported.returncode != 0:
+        for report in dest.glob("fast_import_crash_*"):
+            report.unlink()
+        reason = "; ".join(
+            line for line in imported.stderr.decode("utf-8", "replace").splitlines()
+            if line.strip() and "crash report" not in line
+        )
+        raise ScriptError("build", f"git fast-import refused the history: {reason}")
 
     hashes_by_mark: dict[int, str] = {}
     for line in marks_file.read_text().splitlines():

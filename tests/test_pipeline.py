@@ -1400,22 +1400,28 @@ class TestStoreDatabase:
         assert all(r.ok for r in results), [r.error for r in results]
         return provider.sends, _tree_bytes(base / "out")
 
-    @pytest.mark.parametrize("spoil", ["garbage", "cut-in-half", "garbage-beside-its-log"])
+    @pytest.mark.parametrize(
+        "spoil",
+        ["garbage", "cut-in-half", "garbage-beside-its-log", "cut-past-schema-beside-its-log"],
+    )
     def test_unreadable_database_moved_aside(self, tmp_path, caplog, spoil):
+        """A database the open finds unreadable, or, cut short beside the
+        log a killed run leaves, one whose schema still reads and whose
+        entries fail a later `get`, is kept as found and no team fails."""
         repos = self._repos(tmp_path)
         fresh_sends, fresh_out = self._run(tmp_path / "fresh", repos, tmp_path / "fresh-cache")
         cache = tmp_path / "cache"
         self._run(tmp_path / "primed", repos, cache)
         db, wal = cache / "store.sqlite3", cache / "store.sqlite3-wal"
         log = None
-        if spoil == "garbage-beside-its-log":  # the write-ahead log a killed run leaves
+        if spoil.endswith("beside-its-log"):  # the write-ahead log a killed run leaves
             store = Store(cache)
             store.put("f" * 64, {"text": "after the priming run"})
             log = wal.read_bytes()
             store.close()
         whole = db.read_bytes()
         spoilt = (
-            whole[: len(whole) // 2] if spoil == "cut-in-half"
+            whole[: len(whole) // 2] if spoil.startswith("cut")
             else random.Random(7).randbytes(len(whole))
         )
         db.write_bytes(spoilt)
@@ -1433,7 +1439,13 @@ class TestStoreDatabase:
             assert (cache / "store.sqlite3-wal.corrupt").read_bytes() == log
             kept.insert(1, "store.sqlite3-wal.corrupt")
         assert sorted(p.name for p in cache.iterdir()) == kept
-        assert (sends, out) == (fresh_sends, fresh_out)  # an empty store
+        assert out == fresh_out
+        # an empty store, though one cut past its schema may answer a few
+        # requests before a read reaches a page the cut took
+        if spoil == "cut-past-schema-beside-its-log":
+            assert 0 < sends <= fresh_sends
+        else:
+            assert sends == fresh_sends
         assert self._run(tmp_path / "again", repos, cache)[0] == 0  # the new database is read
 
     def test_file_layout_imported_once(self, tmp_path, caplog):

@@ -143,6 +143,57 @@ class TestStore:
         store.close()
         reader.close()
 
+    def test_malformed_mid_run_set_aside_once(self, tmp_path, caplog):
+        """A database cut short past its schema, beside the log a killed run
+        leaves, opens; the first read that reaches a page the cut took sets
+        it aside as found, once, while 8 threads read, and the store goes on
+        empty: every get reads its payload or None, and a put reads back."""
+        cache = tmp_path / "cache"
+        keys = [cache_key("t", "m", str(n)) for n in range(300)]
+        store = Store(cache)
+        for key in keys:
+            store.put(key, {"text": key * 20})
+        store.close()
+        store = Store(cache)
+        store.put(cache_key("t", "m", "last"), {"text": "in the log"})
+        log = (cache / "store.sqlite3-wal").read_bytes()
+        store.close()
+        whole = store.path.read_bytes()
+        found = whole[: len(whole) // 2]
+        store.path.write_bytes(found)
+        (cache / "store.sqlite3-wal").write_bytes(log)
+
+        store, errors, read = Store(cache), [], []
+
+        def reader(n):
+            try:
+                read.extend(store.get(key) in (None, {"text": key * 20}) for key in keys[n::8])
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level("WARNING", logger="contribsum.store"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and read == [True] * len(keys)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"corrupt cache database moved aside: {store.path}"
+        ]
+        assert (cache / "store.sqlite3.corrupt").read_bytes() == found
+        assert (cache / "store.sqlite3-wal.corrupt").read_bytes() == log
+        assert all(store.get(key) is None for key in keys)
+        store.put(keys[0], {"text": "again"})
+        store.close()
+        assert Store(cache).get(keys[0]) == {"text": "again"}
+
     def test_open_lists_the_directory_once(self, tmp_path, monkeypatch):
         """Looking for entries of the one-file-per-entry layout costs one
         listing of the store's directory per open, and none per call."""

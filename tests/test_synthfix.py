@@ -14,6 +14,7 @@ from contribsum.ingest import list_commits
 from contribsum.synthfix import (
     Delete,
     Insert,
+    Rename,
     RepoScript,
     Replace,
     SetFile,
@@ -23,6 +24,52 @@ from contribsum.synthfix import (
     replay_truth,
     standard_suite,
 )
+
+
+ALICE, BOB = ("Alice Lee", "alice@campus.edu"), ("Bob Roy", "bob@campus.edu")
+TABLE = "data/table.txt"
+
+
+def _long_file_script(lines: int = 5_000, edits: int = 10) -> RepoScript:
+    """A history whose `TABLE` of `lines` lines is edited `edits` times, each
+    edit followed by edits to two small files, with a rename, a co-authored
+    commit and a side branch merged into main."""
+    steps = [
+        Step(*ALICE, "start", ops=(
+            SetFile(TABLE, tuple(f"row {n}: {n * 7919 % 100_003}" for n in range(lines))),
+            SetFile("app/main.py", ("import sys",)),
+            SetFile("app/util.py", ("def util():", "    return 1")),
+        ))
+    ]
+    util = "app/util.py"
+    for edit in range(1, edits + 1):
+        at = 1 + edit * lines // (edits + 1)
+        steps.append(Step(
+            *(ALICE if edit % 2 else BOB), f"table edit {edit}",
+            coauthors=(BOB,) if edit == 3 else (),
+            ops=(Replace(TABLE, at, (f"row {at - 1}: edited {edit}",)),),
+        ))
+        steps.append(
+            Step(*BOB, f"main edit {edit}", ops=(Insert("app/main.py", edit + 1, (f"print({edit})",)),))
+        )
+        if edit == 4:
+            steps.append(Step(*ALICE, "rename util", ops=(Rename(util, "app/helpers.py"),)))
+            util = "app/helpers.py"
+        steps.append(Step(*ALICE, f"util edit {edit}", ops=(Insert(util, 1, (f"# note {edit}",)),)))
+        if edit == 6:
+            steps += [
+                Step(*BOB, "side work", create_branch="side",
+                     ops=(SetFile("side/feature.py", ("def feature():", "    return 2")),)),
+                Step(*BOB, "side more", ops=(Insert("side/feature.py", 3, ("# more",)),)),
+                Step(*ALICE, "Merge branch 'side'", checkout="main", merge="side"),
+            ]
+    return RepoScript("long-file", ROSTER_TEXT, steps, [(len(steps) - 1, "final")])
+
+
+def _one_file_per_step(count: int) -> RepoScript:
+    return RepoScript("flat", ROSTER_TEXT, [
+        Step(*ALICE, f"step {n}", ops=(SetFile(f"f{n}.txt", (str(n),)),)) for n in range(count)
+    ])
 
 
 class TestStandardSuite:
@@ -53,12 +100,43 @@ class TestStandardSuite:
 
 
 class TestBuildDeterminism:
+    # Head hashes, pinned: however `build` writes its stream, the commits
+    # it makes must not move.
+    STANDARD_TIPS = {
+        "sole_author": {"main": "0e9e355e30f8acb063720e7e8eaa44dee68a05df"},
+        "interleaved_edits": {"main": "6e69477fd8a5125ffe99c5723818bd2e1d17ea4f"},
+        "rename_keeps_authors": {"main": "8cd60e4836bf4364f067b7f78ded6234d5dc728f"},
+        "merged_branch": {
+            "feature-pages": "dc76e95566e567fc664d3cbcbde3345a22bd53d8",
+            "main": "8beb6da6e510f3037560d0b34c608db03df4066b",
+        },
+        "coauthored_commit": {"main": "b8c8a047b39e5cbd441a5aa486ec43f8d02da8a7"},
+        "comment_injection": {"main": "428e09470759102f9f91c99368ab2963f3889728"},
+        "unmerged_branch": {
+            "experiment": "9e504823185dd36f9560759c408ef8d2da505d13",
+            "main": "fbacd628287d4d5e54642b7db80a09cad4536df0",
+        },
+        "zero_commit_student": {"main": "61ea837a5c4c61a9354d8bfa1370a90c28345d16"},
+        "whitespace_only_change": {"main": "44f72d675c022858f32111fa1e900aa874676b62"},
+        "generated_file_exclusion": {"main": "ce28dacc608ce0b8835ad302cb7614e039cdbc12"},
+    }
+    LONG_FILE_HEAD = "e9e4f9cdd81d2b5d098b9f48a4944909250dbf4a"
+
     def test_same_script_same_hashes(self, tmp_path):
         script_a = parse_script(synthfix.load_fixture_text("sole_author"), "a")
         script_b = parse_script(synthfix.load_fixture_text("sole_author"), "b")
         _, truth_a = build(script_a, tmp_path / "one")
         _, truth_b = build(script_b, tmp_path / "two")
         assert truth_a.step_hashes == truth_b.step_hashes
+
+    def test_standard_fixture_tips_pinned(self, built_fixtures):
+        assert {name: handle.tips for name, (handle, _) in built_fixtures.items()} == (
+            self.STANDARD_TIPS
+        )
+
+    def test_long_file_history_head_pinned(self, tmp_path):
+        handle, truth = build(_long_file_script(), tmp_path / "long")
+        assert handle.head_ref == truth.step_hashes[-1] == self.LONG_FILE_HEAD
 
     def test_relative_destination(self, tmp_path, monkeypatch):
         """A destination relative to the working directory builds what an
@@ -84,6 +162,57 @@ class TestBuildDeterminism:
     def test_empty_script_rejected(self, tmp_path):
         with pytest.raises(ScriptError):
             build(RepoScript("empty", ROSTER_TEXT, []), tmp_path / "e")
+
+
+class TestBuildBounds:
+    """Structural costs of `build`, counted rather than timed."""
+
+    def test_git_processes_do_not_grow_with_steps(self, tmp_path, monkeypatch):
+        started: list[list[str]] = []
+        real_popen = subprocess.Popen
+
+        def counting_popen(args, *rest, **kwargs):
+            started.append(list(args))
+            return real_popen(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting_popen)
+        counts = []
+        for steps in (10, 200):
+            started.clear()
+            build(_one_file_per_step(steps), tmp_path / f"s{steps}")
+            assert all(args[0] == "git" for args in started), started
+            counts.append(len(started))
+        # init, fast-import, and open_repo's ref listing
+        assert counts[0] == counts[1] <= 3, counts
+
+    def test_each_version_stored_as_a_delta_of_the_one_before(self, tmp_path):
+        """fast-import deltas a blob only against the blob it stored just
+        before, so every later version of a large file must be a small delta."""
+        handle, truth = build(_long_file_script(lines=5_000, edits=10), tmp_path / "long")
+
+        def git(*args: str) -> str:
+            return subprocess.run(
+                ["git", "-C", handle.root_path, *args], capture_output=True, text=True, check=True
+            ).stdout
+
+        versions = {
+            line.split(" ", 1)[0]
+            for line in git("rev-list", "--objects", "--all").splitlines()
+            if line.endswith(f" {TABLE}")
+        }
+        first = git("rev-parse", f"{truth.hash_of(0)}:{TABLE}").strip()
+        assert len(versions) == 11 and first in versions
+        sizes = {}
+        for line in git(
+            "cat-file", "--batch-all-objects",
+            "--batch-check=%(objectname) %(objecttype) %(objectsize) %(objectsize:disk)",
+        ).splitlines():
+            name, kind, size, disk = line.split()
+            sizes[name] = (kind, int(size), int(disk))
+        for version in versions - {first}:
+            kind, size, disk = sizes[version]
+            assert kind == "blob" and size > 5_000 * 10
+            assert disk < 0.05 * size, (version, size, disk)
 
 
 class TestScriptErrors:
@@ -118,6 +247,20 @@ class TestScriptErrors:
         with pytest.raises(ScriptError) as err:
             build(script, tmp_path / "bad2")
         assert err.value.step == 1
+
+    def test_fast_import_refusal_names_gits_reason(self, tmp_path):
+        script = parse_script(
+            "roster alice | Alice Lee | alice@campus.edu\n"
+            "commit\n"
+            "author Alice Lee <alice@campus.edu>\n"
+            "set app//x.py\n"
+            ". x\n"
+        )
+        dest = tmp_path / "bad"
+        with pytest.raises(ScriptError, match="Empty path component found in input") as err:
+            build(script, dest)
+        assert err.value.step == "build"
+        assert not list(dest.glob("fast_import_crash_*"))
 
     def test_conflicting_merge_rejected(self, tmp_path):
         script = RepoScript(
