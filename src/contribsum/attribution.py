@@ -29,13 +29,6 @@ their head bytes; the `ContributionSet` carries them with their
 metrics, computed once, so the pipeline reads no blob of its own.
 Exclude globs are matched as one compiled pattern.
 
-Ownership at a head sha never changes: it depends on commit history
-alone, and the metrics of the files kept at it on their bytes alone. So
-a head the run's `memo` remembers is not replayed or measured: its head
-blobs are still read and sorted into kept and skipped files.
-`_ownership_at` is the one place that reads and writes head entries: it
-recalls every head before the replay, and writes each replayed head's
-entry once the default window head is measured.
 Semantics:
 
 * last-writer-wins over the default branch's window-end snapshot;
@@ -68,11 +61,10 @@ from functools import lru_cache
 from itertools import compress, count, islice
 from operator import ne
 
-from . import gitio, ingest, memo, metrics
+from . import gitio, ingest, metrics
 from .gitio import Commit
 from .identity import UNMAPPED, Roster, StudentId, parse_coauthors, resolve
 from .ingest import AnalysisWindow, History, RepoHandle
-from .store import Store
 
 # Paths that routinely contain generated or vendored content; crediting
 # them inflates minor work, so they are excluded from blame by default.
@@ -375,24 +367,21 @@ def _needed_changes(
 
 def _ownership_at(
     reader: gitio.ObjectReader, heads: Iterable[tuple[History, str | None]],
-    excludes: tuple[str, ...], max_file_bytes: int, store: Store | None = None,
-    measured_head: str | None = None,
+    excludes: tuple[str, ...], max_file_bytes: int, measured_head: str | None = None,
 ) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, metrics.FileMetrics]]:
     """head -> (kept files -> head bytes in bytewise path order, skipped
     paths, ownership at the head), for each `(history, head)` with a head,
     and the kept files' metrics at `measured_head` (none without one).
 
     A path at a head that is not excluded is kept when it is no symlink or
-    gitlink and its blob passes `is_blamable`, else skipped. A head that
-    `memo` recalls from `store` is not replayed, nor measured when it is
-    `measured_head`. Replay runs parents first over the union of the
-    replayed heads' ancestors (the first head's in its order, then each
-    later head's unseen ones), one `_commit_state` per commit, and applies
-    only changes to their kept paths and rename sources; a commit's state
-    is dropped after its last child is replayed, unless it is a replayed
-    head. Every blob is requested from `reader` before the first one is
-    read, head blobs first and then the replay's in replay order. Each
-    replayed head's entry is then written to `store`, in `heads` order.
+    gitlink and its blob passes `is_blamable`, else skipped. Replay runs
+    parents first over the union of the heads' ancestors (the first head's
+    in its order, then each later head's unseen ones), one `_commit_state`
+    per commit, and applies only changes to their kept paths and rename
+    sources; a commit's state is dropped after its last child is replayed,
+    unless it is a head. Every blob is requested from `reader` before the
+    first one is read, head blobs first and then the replay's in replay
+    order.
     """
     lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
     candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
@@ -419,14 +408,10 @@ def _ownership_at(
         kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
         skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
 
-    remembered = {}
-    if store is not None:
-        remembered = memo.recall(store, lineages, kept, measured_head, excludes, max_file_bytes)
-    missed = [at for at in lineages if at not in remembered]
-    plan_commits = {c.hash: c for at in missed for c in lineages[at].commits}
+    plan_commits = {c.hash: c for ancestors in lineages.values() for c in ancestors.commits}
     children = Counter(p for commit in plan_commits.values() for p in commit.parents)
-    children.update(missed)  # a replayed head's state outlives its children
-    needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in missed))
+    children.update(lineages.keys())  # a head's state outlives its children
+    needed = set().union(*(_rename_closure(lineages[at], set(kept[at])) for at in lineages))
     plan = [(c, _needed_changes(c.changes, needed)) for c in plan_commits.values()]
     reader.request(
         change.new_blob
@@ -447,21 +432,11 @@ def _ownership_at(
             children[parent] -= 1
             if not children[parent]:
                 del states[parent]
-    states.update((at, state) for at, (state, _) in remembered.items())
 
-    if measured_head in remembered:
-        measured = remembered[measured_head][1]
-    else:
-        measured = {
-            path: metrics.compute_file_metrics(path, blob)
-            for path, blob in kept.get(measured_head, {}).items()
-        }
-    if store is not None:
-        for at in missed:
-            store.put(*memo.head_entry(
-                at, kept[at], states[at], measured if at == measured_head else None,
-                excludes, max_file_bytes,
-            ))
+    measured = {
+        path: metrics.compute_file_metrics(path, blob)
+        for path, blob in kept.get(measured_head, {}).items()
+    }
     return {at: (kept[at], skipped[at], states[at]) for at in lineages}, measured
 
 
@@ -522,7 +497,7 @@ def blame_snapshot(
     """
     history = repo.history
     if at not in history.by_sha:
-        history = ingest.load_history(repo.root_path, at, at)
+        history = ingest.load_history(repo.root_path, at)
     return _blame(repo.root_path, history, at, roster, tuple(excludes), max_file_bytes)
 
 
@@ -558,12 +533,7 @@ def build_contribution_set(
     message loop share one credit list per commit.
     Each of `branches` costs one `git log`; its window head is replayed
     with the default branch's, and `_branch_section` filters it.
-
-    The store `repo` keeps is the run's memo (see `memo`): a branch
-    whose log it holds for the branch's tip spawns no `git log`, and
-    `_ownership_at` recalls and remembers the window heads.
     """
-    store = repo.store
     students: dict[str, StudentId] = {s.id: s for s in roster.students}
     per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
     history = repo.history
@@ -582,7 +552,7 @@ def build_contribution_set(
 
     # one History per included branch; None for a branch the repository lacks
     branch_histories = {
-        branch: ingest.load_history(repo.root_path, branch, repo.tips[branch], store)
+        branch: ingest.load_history(repo.root_path, repo.tips[branch])
         if branch in repo.tips else None
         for branch in branches
     }
@@ -591,7 +561,7 @@ def build_contribution_set(
     with gitio.ObjectReader(repo.root_path) as reader:
         owned, measured = _ownership_at(
             reader, [(h, h.window_head(window)) for h in histories], excludes, max_file_bytes,
-            store, head,
+            head,
         )
     kept, skipped, state = owned[head] if head else ({}, set(), {})
     files = tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())

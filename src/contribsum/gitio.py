@@ -3,11 +3,8 @@
 Three kinds of git process, all against a local object store (no
 porcelain, no working tree, no network):
 
-* one `git log` stream per ref, read whole by `raw_log` and parsed by
-  `parse_log` into `Commit`s that each carry their file changes against
-  the first parent (`log` does both). The raw output is kept apart so
-  `memo` can remember it, one per ref, so a ref whose tip has not moved
-  spawns no `git log`;
+* one `git log` stream per ref, read whole by `log` into `Commit`s that
+  each carry their file changes against the first parent;
 * one persistent `git cat-file --batch` process per `ObjectReader`, for
   blob contents, started on the first read: requests are
   written ahead in batches of at most 4 KiB, which one pipe page always
@@ -15,7 +12,7 @@ porcelain, no working tree, no network):
   before each read;
 * short one-off commands (ref lookups) through `git`.
 
-Higher modules (ingest, memo, attribution) build on these primitives.
+Higher modules (ingest, attribution) build on these primitives.
 """
 
 from __future__ import annotations
@@ -107,9 +104,8 @@ RENAME_THRESHOLD = "-M50%"
 _LOG_FORMAT = "--format=%x01%H%x00%P%x00%an%x00%ae%x00%at%x00%B"
 
 
-def raw_log(root: str, tip: str) -> bytes:
-    """The `git log` output `parse_log` reads: every commit reachable from
-    `tip`, parents-first (topological order).
+def log(root: str, tip: str) -> list[Commit]:
+    """Every commit reachable from `tip`, parents-first (topological order).
 
     One `git log` process: merges are diffed against their first parent,
     root commits against the empty tree, renames detected at the 50%
@@ -126,11 +122,6 @@ def raw_log(root: str, tip: str) -> bytes:
         raise UnknownCommit(tip) from exc
     if not out:  # git log accepts a blob or tree and prints nothing
         raise UnknownCommit(tip)
-    return out
-
-
-def parse_log(out: bytes) -> list[Commit]:
-    """The commits of `raw_log` output, in its order."""
     fields = [f.decode("utf-8", "replace") for f in out.split(b"\0")]
     commits: list[Commit] = []
     i = 0
@@ -162,11 +153,6 @@ def parse_log(out: bytes) -> list[Commit]:
             )
         )
     return commits
-
-
-def log(root: str, tip: str) -> list[Commit]:
-    """Every commit reachable from `tip`, parents-first, from one `git log`."""
-    return parse_log(raw_log(root, tip))
 
 
 class ObjectReader:

@@ -1,16 +1,10 @@
 """Immutable views over local git clones: history and windows.
 
-A ref's history is read once, from one `git log` stream, into a
-`History`: every reachable commit with its first-parent file changes.
-A `RepoHandle` loads its default branch's History once, on first use,
-and window heads, window commits and replay order all come from it.
-
-Every History of a run is loaded by `load_history`. Given the run's
-`Store`, `memo` remembers each ref's `git log` output as soon as it is
-read, so a ref whose tip has not moved spawns no `git log`; what it
-keeps and when it trusts it are `memo`'s. `open_repo` asks `memo.gate`
-once whether the repository may be remembered at all, and keeps no
-store on a handle whose repository may not.
+A ref's history is read once, by `load_history` from one `git log`
+stream, into a `History`: every reachable commit with its first-parent
+file changes. A `RepoHandle` loads its default branch's History once, on
+first use, and window heads, window commits and replay order all come
+from it.
 
 This module never mutates a repository. Cloning (network transport) is a
 CLI pre-step that shells out to git; everything here reads an
@@ -23,10 +17,9 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 
-from . import gitio, memo
+from . import gitio
 from .errors import BranchNotFound, NotARepository
 from .gitio import Commit
-from .store import Store
 
 
 @dataclass(frozen=True)
@@ -56,14 +49,12 @@ class RepoHandle:
     head_ref: str
     # every branch `open_repo` listed -> its tip sha
     tips: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
-    # the run's memo, unless `memo.gate` kept it off this repository
-    store: Store | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def history(self) -> History:
         """The default branch's History, loaded on first use and shared by
         every default-branch consumer."""
-        return load_history(self.root_path, self.default_branch, self.head_ref, self.store)
+        return load_history(self.root_path, self.head_ref)
 
 
 class History:
@@ -104,21 +95,18 @@ class History:
         return [c for c in self.commits if not c.is_merge and window.contains(c.authored_at)]
 
 
-def load_history(root: str, ref: str, tip: str, store: Store | None = None) -> History:
-    """The History of branch `ref` at `tip`, through the memo `store` (see
-    `memo.log`)."""
-    return History(memo.log(root, ref, tip, store))
+def load_history(root: str, tip: str) -> History:
+    """The History of the commit `tip`, from one `git log`."""
+    return History(gitio.log(root, tip))
 
 
-def open_repo(path: str, branch: str | None = None, store: Store | None = None) -> RepoHandle:
+def open_repo(path: str, branch: str | None = None) -> RepoHandle:
     """Open a local clone (bare or working tree) and pin its default branch.
 
     Branch resolution: the requested branch if given, else the branch HEAD
     points at, else "main", else "master". One `git for-each-ref` lists
     every branch with its tip and marks HEAD's; a detached or unborn HEAD
-    marks none. The handle keeps `store`, the run's memo, when one is
-    given and `memo.gate` admits the repository; its histories are loaded
-    through it.
+    marks none.
     """
     listing = gitio.git(
         path, "for-each-ref", "--format=%(HEAD) %(refname) %(objectname)", "refs/heads",
@@ -137,7 +125,7 @@ def open_repo(path: str, branch: str | None = None, store: Store | None = None) 
     candidates = [branch] if branch else [*current, "main", "master"]
     for name in candidates:
         if name in tips:
-            return RepoHandle(path, name, tips[name], tips, memo.gate(path, store))
+            return RepoHandle(path, name, tips[name], tips)
     raise BranchNotFound(" / ".join(candidates))
 
 

@@ -4,12 +4,11 @@ One team's failure never aborts the others; the CLI collects TeamResult
 objects and reports per-team outcomes. All artifacts land under
 out/<team>/<window-label>/ and every run writes a manifest with artifact
 hashes so a run can be reproduced and verified exactly. A team's default
-and included branches are replayed once, together, on one `cat-file` reader.
-Re-running a window repeats no git log, replay or measurement: each
-ref's `git log` output and each window head's line owners and file
-metrics are remembered in the run's `Store` (see `memo`), so a fully
-remembered team spawns two git processes, the branch listing and the
-reader of its head blobs.
+and included branches are replayed once, together, on one `cat-file`
+reader, so a team spawns three git processes, the branch listing, the
+default branch's `git log` and the reader, and one more `git log` per
+included branch the repository has. The run's `Store` holds only
+provider answers.
 
 A team whose inputs and outputs are unchanged since its last run of the
 window is not run at all. The window's `run_manifest.json` is its
@@ -17,28 +16,29 @@ outputs record: every run, with or without a store, writes into it, last,
 the team's inputs digest (`_inputs_digest`), its warnings and the sha256
 of each file, so a failed run leaves a record its new files do not match.
 Only a run with a store reads the record (a storeless run stays a full
-run to compare against; `memo.gate` leaves a cut history none), after
-the branch listing. It stands in for the team while its digest is the
-team's and the window directory holds each file it lists with the
-recorded bytes and no artifact it does not list: the team then spawns
-one git process, makes no `Store` call and loads, sends, renders and
-writes nothing. A manifest that is not a JSON object, or a record whose
-names are not artifact names, whose hashes are not sha256 or whose
-warnings are not text, is dropped with a warning; any other miss, such
-as a manifest written before records were, is logged at INFO. Deleting a
-window's directory, not the state dir, forces that window to run again.
+run to compare against), and only for a history that is not cut
+(`may_be_shallow`), after the branch listing. It stands in for the team
+while its digest is the team's and the window directory holds each file
+it lists with the recorded bytes and no artifact it does not list: the
+team then spawns one git process, makes no `Store` call and loads,
+sends, renders and writes nothing. A manifest that is not a JSON object,
+or a record whose names are not artifact names, whose hashes are not
+sha256 or whose warnings are not text, is dropped with a warning; any
+other miss, such as a manifest written before records were, is logged at
+INFO. Deleting a window's directory, not the state dir, forces that
+window to run again.
 
-The inputs digest covers the code (`memo.code_digest`), the window's
-bounds and label, the default and included branches and their tips,
-whether the history may be cut (`memo.may_be_shallow`: a cut history's
-outputs change when it is deepened, its tips not), both model tiers, the
-provider mode, the roles, co-author and exclude options, the roster, the
-instruction files' text and the prior window's saved state as read. It
-leaves out where the repository (a full history is decided by its tips),
-out dir and state dir are, so the manifest's bytes do not depend on
-them; the pool size and rate limit (outputs are equal for any); the
-endpoint, key and replay directory (the model ids name the answers, as
-in the provider cache's keys); and the other teams.
+The inputs digest covers the code (`code_digest`), the window's bounds
+and label, the default and included branches and their tips, whether
+the history may be cut (a cut history's outputs change when it is
+deepened, its tips not), both model tiers, the provider mode, the roles,
+co-author and exclude options, the roster, the instruction files' text
+and the prior window's saved state as read. It leaves out where the
+repository (a full history is decided by its tips), out dir and state
+dir are, so the manifest's bytes do not depend on them; the pool size
+and rate limit (outputs are equal for any); the endpoint, key and replay
+directory (the model ids name the answers, as in the provider cache's
+keys); and the other teams.
 
 Teams overlap: `run_analysis` replays one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -70,12 +70,14 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
-from . import attribution, ingest, memo, tables
+from . import attribution, ingest, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
@@ -94,6 +96,9 @@ ARTIFACT_NAMES = (
 )
 
 _SHA256 = re.compile(r"[0-9a-f]{64}")
+
+# the package whose modules and prompt templates `code_digest` covers
+PACKAGE = Path(__file__).resolve().parent
 
 
 @dataclass
@@ -139,18 +144,58 @@ class TeamInputs:
     digest: str
 
 
+@lru_cache(maxsize=1)
+def code_digest() -> str:
+    """sha256 over the relative path and bytes of every module and prompt
+    template of the package, read once per process: an edit to any of them
+    retires every team window's outputs record."""
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE.rglob("*")):
+        name = path.relative_to(PACKAGE).as_posix()
+        if "__pycache__" in name or not (
+            path.suffix == ".py" or name.startswith("agents/prompts/")
+        ):
+            continue
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def may_be_shallow(root: str) -> bool:
+    """Whether the repository at `root` is a shallow clone or has a graft
+    file, or its git directory is not where a plain clone, a linked
+    worktree or a bare repository keeps it. Read from the file system, with
+    no git process. Such a history is cut short: its boundary commits show
+    no parents and own every line they hold."""
+    git_dir = os.path.join(root, ".git")
+    if os.path.isfile(git_dir):  # a linked worktree or submodule: "gitdir: <path>"
+        with open(git_dir, encoding="utf-8") as f:
+            git_dir = os.path.join(root, f.read().partition("gitdir:")[2].strip())
+    elif not os.path.isdir(git_dir):
+        git_dir = root  # a bare repository
+    if not os.path.isfile(os.path.join(git_dir, "HEAD")):
+        return True
+    common = os.path.join(git_dir, "commondir")  # a linked worktree's shared directory
+    if os.path.isfile(common):
+        with open(common, encoding="utf-8") as f:
+            git_dir = os.path.join(git_dir, f.read().strip())
+    return any(os.path.exists(os.path.join(git_dir, name)) for name in ("shallow", "info/grafts"))
+
+
 def _inputs_digest(
-    cfg: RunConfig, roster: Roster, repo: ingest.RepoHandle, texts: tuple[str, str],
+    cfg: RunConfig, roster: Roster, repo: ingest.RepoHandle, cut: bool, texts: tuple[str, str],
     prior_sha: str | None,
 ) -> str:
     """sha256 over what the team's outputs are made from (see the module
-    docstring); `prior_sha` is the prior window's saved state's."""
+    docstring); `cut` is whether its history may be cut (`may_be_shallow`),
+    and `prior_sha` the prior window's saved state's."""
     material = {
-        "code": memo.code_digest(),
+        "code": code_digest(),
         "window": [cfg.window.start.isoformat(), cfg.window.end.isoformat(), cfg.window.label],
         "default_branch": [repo.default_branch, repo.head_ref],
         "include_branches": [[b, repo.tips.get(b)] for b in cfg.include_branches],
-        "cut": memo.may_be_shallow(repo.root_path),
+        "cut": cut,
         "tiers": [dataclasses.asdict(cfg.analysis_tier), dataclasses.asdict(cfg.synthesis_tier)],
         "provider_mode": cfg.provider_mode,
         "roles_enabled": cfg.roles_enabled,
@@ -224,20 +269,21 @@ def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[st
 
 
 def _load_team(
-    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, store: Store
+    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, store: Store | None
 ) -> tuple[ingest.RepoHandle, TeamInputs, attribution.ContributionSet] | None:
     """The team's repo handle, inputs and replay; or None, with `result`
     taken from the window's outputs record, when its inputs and outputs are
-    unchanged. The repository is opened with `store`, the run's memo (see
-    `memo`)."""
-    repo = ingest.open_repo(repo_path, cfg.branch, store)
+    unchanged. The record is read only with a `store` and a history that
+    is not cut."""
+    repo = ingest.open_repo(repo_path, cfg.branch)
+    cut = may_be_shallow(repo_path)
     texts = (
         _read_optional(cfg.sprint_instructions_path),
         _read_optional(cfg.project_description_path),
     )
     prior, prior_sha = _find_prior_state(cfg, result.team) or (None, None)
-    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, texts, prior_sha))
-    if repo.store is not None:
+    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, cut, texts, prior_sha))
+    if store is not None and not cut:
         out_dir = window_dir(cfg, result.team)
         remembered = _unchanged_outputs(result.team, out_dir, inputs.digest)
         if remembered is not None:

@@ -1,8 +1,9 @@
 """The run's `Store`, a digest-checked key -> JSON cache, plus the cost ledger.
 
 One `Store` holds the provider cache, whose keys `cache_key` derives from
-each request, and the run's memo of what git decides (see `memo`). Cache
-layout: one SQLite database per store directory (`cache/store.sqlite3`),
+each request; `chain.SendPool` alone reads and writes it. Rows an earlier
+release wrote for its memo of `git log` output and window heads stay in
+an existing database, and are never read again. Cache layout: one SQLite database per store directory (`cache/store.sqlite3`),
 write-ahead logged, with one row per entry in `entries(key, body)`. Each
 body carries its payload digest, so tampering is detected on read; a put
 is one statement, so a killed run keeps every put that completed. A

@@ -26,6 +26,7 @@ same file on both sides of a merge).
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -366,7 +367,10 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
     """Materialize the script as a bare repository; returns handle + truth.
 
     Deterministic: fixed author/committer timestamps from the script make
-    commit hashes identical across runs.
+    commit hashes identical across runs. The script is replayed and the
+    stream built before the repository is made, and a repository git
+    refuses to make is removed, so a failed build leaves `destination` as
+    it found it: absent or empty.
     """
     # absolute: `git -C dest` would resolve a relative marks path against dest
     dest = Path(destination).absolute()
@@ -374,20 +378,12 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
         raise ScriptError("build", f"destination not empty: {dest}")
     if not script.steps:
         raise ScriptError("build", "script has no steps")
-    dest.mkdir(parents=True, exist_ok=True)
 
     checkpoint_marks: dict[int, list[str]] = {}
     for after_step, label in script.checkpoints:
         checkpoint_marks.setdefault(after_step, []).append(label)
 
     replay = _Replay(script)
-    subprocess.run(
-        ["git", "init", "--bare", "--quiet", "--template=", f"--initial-branch={DEFAULT_BRANCH}",
-         str(dest)],
-        check=True,
-        capture_output=True,
-    )
-
     # commit i is mark i + 1; each file version gets the next mark past the commits
     commits = bytearray()
     # path -> (mark, lines) of each version; paths in the order first touched
@@ -453,22 +449,35 @@ def build(script: RepoScript, destination: str | Path) -> tuple[RepoHandle, Grou
     del commits
     stream += b"done\n"
     marks_file = dest / "fixture-marks.txt"
-    imported = subprocess.run(
-        [
-            "git", "-C", str(dest), "fast-import",
-            "--quiet", "--done", f"--export-marks={marks_file}",
-        ],
-        input=stream,
-        capture_output=True,
-    )
-    if imported.returncode != 0:
-        for report in dest.glob("fast_import_crash_*"):
-            report.unlink()
-        reason = "; ".join(
-            line for line in imported.stderr.decode("utf-8", "replace").splitlines()
-            if line.strip() and "crash report" not in line
+    existed = dest.exists()
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+        subprocess.run(
+            ["git", "init", "--bare", "--quiet", "--template=",
+             f"--initial-branch={DEFAULT_BRANCH}", str(dest)],
+            check=True,
+            capture_output=True,
         )
-        raise ScriptError("build", f"git fast-import refused the history: {reason}")
+        imported = subprocess.run(
+            [
+                "git", "-C", str(dest), "fast-import",
+                "--quiet", "--done", f"--export-marks={marks_file}",
+            ],
+            input=stream,
+            capture_output=True,
+        )
+        if imported.returncode != 0:
+            reason = "; ".join(
+                line for line in imported.stderr.decode("utf-8", "replace").splitlines()
+                if line.strip() and "crash report" not in line
+            )
+            raise ScriptError("build", f"git fast-import refused the history: {reason}")
+    except BaseException:
+        # the entry check found `dest` absent or empty, so all of it is ours
+        shutil.rmtree(dest, ignore_errors=True)
+        if existed:
+            dest.mkdir()
+        raise
 
     hashes_by_mark: dict[int, str] = {}
     for line in marks_file.read_text().splitlines():

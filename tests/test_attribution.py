@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 from collections import Counter
@@ -12,7 +11,6 @@ from fnmatch import fnmatch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexity_corpus import CORPUS
 from conftest import (
     JUNE,
     PRUNE_MAX_FILE_BYTES,
@@ -21,7 +19,7 @@ from conftest import (
     random_script,
     tree_files,
 )
-from contribsum import attribution, gitio, ingest, memo, metrics as metrics_module, synthfix
+from contribsum import attribution, gitio, ingest, metrics as metrics_module, synthfix
 from contribsum.attribution import (
     AttributionOptions,
     DEFAULT_EXCLUDE_GLOBS,
@@ -35,7 +33,6 @@ from contribsum.errors import UnknownCommit
 from contribsum.identity import UNMAPPED, load_roster
 from contribsum.ingest import AnalysisWindow
 from contribsum.metrics import compute_file_metrics
-from contribsum.store import Store
 from contribsum.synthfix import Delete, Insert, RepoScript, Replace, SetFile, Step
 
 
@@ -870,16 +867,11 @@ class TestUnmergedBranch:
         assert [name for name, _ in lines] == [truth.roster.by_id("bob").display_name]
 
 
-def _opened(handle, store: Store) -> ingest.RepoHandle:
-    """`handle`'s repository opened anew with `store` as the run's memo."""
-    return ingest.open_repo(handle.root_path, handle.default_branch, store)
-
-
-def _ownership_at(root, heads, excludes, max_file_bytes, store=None) -> dict:
+def _ownership_at(root, heads, excludes, max_file_bytes) -> dict:
     """`attribution._ownership_at` on a reader of its own, measuring no
     head: head -> (kept files, skipped paths, ownership)."""
     with gitio.ObjectReader(root) as reader:
-        owned, _ = attribution._ownership_at(reader, heads, excludes, max_file_bytes, store)
+        owned, _ = attribution._ownership_at(reader, heads, excludes, max_file_bytes)
     return owned
 
 
@@ -954,361 +946,3 @@ class TestBranchReplay:
             assert cset.branches["feature"] == (
                 tuple(sorted(names.items())), tuple(sorted(files))
             ), f"seed {seed}"
-
-
-@pytest.fixture(scope="module")
-def script_repos(tmp_path_factory):
-    """(handle, truth) of 24 `random_script` seeds."""
-    root = tmp_path_factory.mktemp("script-repos")
-    return [synthfix.build(random_script(seed), root / f"r{seed}") for seed in range(24)]
-
-
-def _heads(handle, window, branches) -> list[tuple[ingest.History, str | None]]:
-    """(history, window head) of the default branch and each of `branches`."""
-    histories = [handle.history]
-    histories += [ingest.History(gitio.log(handle.root_path, handle.tips[b])) for b in branches]
-    return [(history, history.window_head(window)) for history in histories]
-
-
-def _head_blobs(handle, heads, excludes) -> int:
-    """Distinct blobs at the heads outside `excludes`, by an independent tree reader."""
-    return len({
-        content
-        for _, at in heads
-        for path, content in tree_files(handle, at)
-        if not is_excluded(path, excludes)
-    })
-
-
-@pytest.fixture
-def scans(monkeypatch) -> list[str]:
-    """The paths measured since the last clear."""
-    scanned: list[str] = []
-    real = metrics_module.compute_file_metrics
-
-    def counting(path, content):
-        scanned.append(path)
-        return real(path, content)
-
-    monkeypatch.setattr(metrics_module, "compute_file_metrics", counting)
-    return scanned
-
-
-class TestReplayMemo:
-    """A window head replayed once is remembered in the run's Store: a
-    second run replays nothing and hands on exactly what a run without a
-    store does. An entry that is not trusted is replayed, with a warning."""
-
-    @pytest.fixture
-    def work(self, monkeypatch):
-        """The commits replayed and the objects read since the last clear."""
-        replayed: list[str] = []
-        reads: list[str] = []
-        real_step = attribution._commit_state
-        real_get = gitio.ObjectReader.get
-
-        def counting_step(parents, changes, commit, read):
-            replayed.append(commit)
-            return real_step(parents, changes, commit, read)
-
-        def counting_get(self, ref):
-            reads.append(ref)
-            return real_get(self, ref)
-
-        monkeypatch.setattr(attribution, "_commit_state", counting_step)
-        monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
-        return replayed, reads
-
-    @staticmethod
-    def _handed_on(cset) -> tuple:
-        return cset.to_json(), _kept(cset), cset.branches
-
-    @staticmethod
-    def _owned(handle, heads, options, store=None) -> dict:
-        """head -> (kept files, skipped paths, the kept files' ownership)."""
-        owned = _ownership_at(
-            handle.root_path, heads, options.exclude_globs, options.max_file_bytes, store
-        )
-        return {
-            at: (kept, skipped, {path: state[path] for path in kept})
-            for at, (kept, skipped, state) in owned.items()
-        }
-
-    def _check_second_run(self, handle, truth, branches, store, work) -> None:
-        replayed, reads = work
-        options = AttributionOptions(exclude_globs=())  # the oracle blames every path
-        heads = _heads(handle, JUNE, branches)
-        plain = build_contribution_set(handle, JUNE, truth.roster, options, branches)
-        plain_owned = self._owned(handle, heads, options)
-        build_contribution_set(_opened(handle, store), JUNE, truth.roster, options, branches)
-        replayed.clear()
-        reads.clear()
-        again = build_contribution_set(_opened(handle, store), JUNE, truth.roster, options, branches)
-        assert replayed == []
-        assert len(reads) == len(set(reads)) == _head_blobs(handle, heads, ())
-        assert self._handed_on(again) == self._handed_on(plain)
-        assert self._owned(handle, heads, options, store) == plain_owned
-        assert {
-            (sid, ev.path): ev.lines_owned
-            for sid, rows in again.per_student.items()
-            for ev in rows
-            if ev.lines_owned
-        } == truth.expected_owned_counts("final", split=True)
-
-    def test_standard_fixtures(self, built_fixtures, tmp_path, work):
-        for name, (handle, truth) in built_fixtures.items():
-            branches = tuple(sorted(set(handle.tips) - {handle.default_branch}))
-            self._check_second_run(handle, truth, branches, Store(tmp_path / name), work)
-
-    def test_random_histories(self, script_repos, branch_repos, tmp_path, work):
-        for seed, (handle, truth) in enumerate(script_repos):
-            self._check_second_run(handle, truth, (), Store(tmp_path / f"r{seed}"), work)
-        for seed, (handle, truth, _) in enumerate(branch_repos):
-            store = Store(tmp_path / f"b{seed}")
-            self._check_second_run(handle, truth, ("feature",), store, work)
-
-    def test_other_options_or_head_miss(self, script_repos, tmp_path, work):
-        replayed, _ = work
-        handle, truth = script_repos[5]
-        middle = handle.history.commits[len(handle.history.commits) // 2]
-        earlier = AnalysisWindow(start=JUNE.start, end=middle.authored_at, label="earlier")
-        assert handle.history.window_head(earlier) != handle.history.window_head(JUNE)
-        store = Store(tmp_path / "cache")
-        build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-        for window, options in (
-            (JUNE, AttributionOptions(exclude_globs=())),
-            (JUNE, AttributionOptions(exclude_globs=DEFAULT_EXCLUDE_GLOBS[::-1])),
-            (JUNE, AttributionOptions(max_file_bytes=100)),
-            (earlier, AttributionOptions()),
-        ):
-            plain = build_contribution_set(handle, window, truth.roster, options)
-            replayed.clear()
-            cset = build_contribution_set(_opened(handle, store), window, truth.roster, options)
-            assert replayed, (window.label, options)
-            assert self._handed_on(cset) == self._handed_on(plain)
-
-    def test_new_branch_head_replays_its_ancestry_alone(self, branch_repos, tmp_path, work):
-        replayed, _ = work
-        for seed, (handle, truth, feature) in enumerate(branch_repos):
-            store = Store(tmp_path / f"b{seed}")
-            build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-            plain = build_contribution_set(handle, JUNE, truth.roster, branches=("feature",))
-            replayed.clear()
-            cset = build_contribution_set(
-                _opened(handle, store), JUNE, truth.roster, branches=("feature",)
-            )
-            head = feature.window_head(JUNE)
-            assert sorted(replayed) == sorted(feature.ancestors(head).by_sha), f"seed {seed}"
-            assert self._handed_on(cset) == self._handed_on(plain), f"seed {seed}"
-
-    @staticmethod
-    def _spoilt(entry: dict, head: str, foreign: str) -> dict[str, object]:
-        """Name -> `entry` with its owners spoilt one way; `foreign` is a
-        commit outside the head's ancestry."""
-        owners = entry["owners"]
-        path = next(p for p in owners if len(owners[p]) > 1)
-        runs = owners[path]
-        (first_sha, first_length), (last_sha, last_length) = runs[0], runs[-1]
-        shorter = [[last_sha, last_length - 1]] if last_length > 1 else []
-        spoilt_runs = {
-            "one line more": runs[:-1] + [[last_sha, last_length + 1]],
-            "one line less": runs[:-1] + shorter,
-            "unknown sha": [["f" * 40, first_length]] + runs[1:],
-            "sha of another branch": [[foreign, first_length]] + runs[1:],
-            "length as text": [[first_sha, str(first_length)]] + runs[1:],
-            "length as float": [[first_sha, float(first_length)]] + runs[1:],
-            "zero length": runs + [[head, 0]],
-            "length as bool": runs + [[head, True]],
-            "sha as number": [[7, first_length]] + runs[1:],
-            "three fields": [[first_sha, first_length, 0]] + runs[1:],
-            "runs as text": "runs",
-        }
-        spoilt: dict[str, object] = {
-            name: {**entry, "owners": {**owners, path: r}} for name, r in spoilt_runs.items()
-        }
-        spoilt["missing path"] = {
-            **entry, "owners": {p: r for p, r in owners.items() if p != path}
-        }
-        spoilt["extra path"] = {**entry, "owners": {**owners, "ghost.py": [[head, 1]]}}
-        spoilt["not a dict"] = [[head, 1]]
-        return spoilt
-
-    def test_untrusted_entry_dropped_and_replayed(self, branch_repos, tmp_path, work, caplog):
-        replayed, _ = work
-        handle, truth, feature = next(
-            (h, t, f) for h, t, f in branch_repos
-            if f.window_head(JUNE) not in h.history.ancestors(h.history.window_head(JUNE)).by_sha
-        )
-        head = handle.history.window_head(JUNE)
-        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
-        plain = build_contribution_set(handle, JUNE, truth.roster)
-        warm = Store(tmp_path / "warm")
-        build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
-        entry = warm.get(key)
-        for name, spoilt in self._spoilt(entry, head, feature.window_head(JUNE)).items():
-            store = Store(tmp_path / "spoilt" / name)
-            store.put(key, spoilt)
-            replayed.clear()
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.memo"):
-                cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-            assert [m.split(" (")[0] for m in caplog.messages] == [
-                f"window head memo entry dropped: {head}"
-            ], name
-            assert replayed, name
-            assert self._handed_on(cset) == self._handed_on(plain), name
-            assert store.get(key) == entry, name  # the replay's entry replaces it
-
-    def test_branch_head_entry_read_for_the_default_head(
-        self, branch_repos, tmp_path, work, scans, caplog
-    ):
-        """A head first remembered as an included branch's window head has
-        an entry without metrics. Analysed later as the default window head
-        it is a plain miss: replayed and measured once, its entry rewritten,
-        and then it serves a fully remembered run."""
-        replayed, _ = work
-        handle, truth, feature = next(
-            (h, t, f) for h, t, f in branch_repos
-            if f.window_head(JUNE) != h.history.window_head(JUNE)
-        )
-        head = feature.window_head(JUNE)
-        store = Store(tmp_path / "cache")
-        build_contribution_set(_opened(handle, store), JUNE, truth.roster, branches=("feature",))
-        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
-        assert store.get(key).keys() == {"owners"}
-        plain = build_contribution_set(
-            ingest.open_repo(handle.root_path, "feature"), JUNE, truth.roster
-        )
-        caplog.clear()
-        for rerun in (False, True):
-            replayed.clear()
-            scans.clear()
-            with caplog.at_level("WARNING"):
-                cset = build_contribution_set(
-                    ingest.open_repo(handle.root_path, "feature", store), JUNE, truth.roster
-                )
-            assert cset.to_json() == plain.to_json(), rerun
-            assert [(f.path, f.metrics) for f in cset.files] == [
-                (f.path, f.metrics) for f in plain.files
-            ], rerun
-            if rerun:
-                assert replayed == [] and scans == []
-            else:
-                assert sorted(replayed) == sorted(feature.ancestors(head).by_sha)
-                assert len(scans) == len(plain.files)
-                assert store.get(key).keys() == {"owners", "metrics"}
-        assert caplog.messages == []
-
-
-def _measured_script() -> RepoScript:
-    """Files of every kind the metrics tell apart: each corpus source as a
-    script, notebooks (one malformed), markup and plain text."""
-    notebook = json.dumps({"cells": [
-        {"cell_type": "markdown", "source": ["# title\n"]},
-        {"cell_type": "code", "source": ["def f(x):\n", "    return 1 if x else 2\n"]},
-    ]})
-    files = [SetFile(f"corpus/case_{n}.py", tuple(source.strip("\n").splitlines()))
-             for n, (source, _) in enumerate(CORPUS)]
-    files += [
-        SetFile("nb/ok.ipynb", (notebook,)),
-        SetFile("nb/broken.ipynb", ("{not json",)),
-        SetFile("web/index.html", ("<html><body>", "<!-- <p> -->", "<p>hi</p>", "</body></html>")),
-        SetFile("notes.md", ("# notes", "text")),
-        SetFile("empty.py", ("",)),
-    ]
-    return RepoScript(
-        name="measured", roster_text=ROSTER_TEXT,
-        steps=[Step("Alice Lee", "alice@campus.edu", message="start", ops=tuple(files))],
-    )
-
-
-class TestMetricsMemo:
-    """The default window head's kept-file metrics are remembered in the
-    run's Store: a second run measures nothing and hands on what
-    `compute_file_metrics` gives. An entry that is not trusted is dropped
-    with a warning, and the files are measured again."""
-
-    @pytest.fixture
-    def measured(self, tmp_path):
-        handle, truth = synthfix.build(_measured_script(), tmp_path / "measured")
-        return handle, truth
-
-    def _check_second_run(self, handle, truth, store, scans) -> None:
-        plain = build_contribution_set(handle, JUNE, truth.roster)
-        build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-        scans.clear()
-        again = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-        assert scans == []
-        assert [(f.path, f.metrics) for f in again.files] == [
-            (f.path, compute_file_metrics(f.path, f.content)) for f in plain.files
-        ]
-        assert again.to_json() == plain.to_json()
-
-    def test_remembered_metrics_equal_computed(
-        self, measured, built_fixtures, tmp_path, scans
-    ):
-        handle, truth = measured
-        kinds = {f.metrics.kind for f in build_contribution_set(handle, JUNE, truth.roster).files}
-        assert kinds == {"script", "notebook", "markup", "other"}
-        self._check_second_run(handle, truth, Store(tmp_path / "measured-cache"), scans)
-        for name, (handle, truth) in built_fixtures.items():
-            self._check_second_run(handle, truth, Store(tmp_path / name), scans)
-
-    def test_rows_round_trip_over_the_corpus(self):
-        kept = {f"case_{n}.py": source.encode() for n, (source, _) in enumerate(CORPUS)}
-        computed = {path: compute_file_metrics(path, blob) for path, blob in kept.items()}
-        rows = {path: memo._metrics_row(m) for path, m in computed.items()}
-        entry = json.loads(json.dumps(rows))
-        assert memo._remembered_metrics(entry, kept) == computed
-
-    @staticmethod
-    def _spoilt(entry: dict) -> dict[str, object]:
-        """Name -> `entry` with its metrics spoilt one way."""
-        rows = entry["metrics"]
-        script = next(p for p, row in rows.items() if row[2] == "script" and row[3][0])
-        row = rows[script]
-        size, lines, kind, (functions, score, unparseable), tag = row
-        name, start, end, _ = functions[0]
-        spoilt_rows = {
-            "row too short": row[:4],
-            "row as text": "row",
-            "one byte more": [size + 1, *row[1:]],
-            "kind of another file": [size, lines, "markup", None, 3],
-            "function with three fields": [
-                size, lines, kind, [[[name, start, end]], score, unparseable], tag
-            ],
-        }
-        spoilt: dict[str, object] = {
-            label: {**entry, "metrics": {**rows, script: r}} for label, r in spoilt_rows.items()
-        }
-        spoilt["missing path"] = {
-            **entry, "metrics": {p: r for p, r in rows.items() if p != script}
-        }
-        spoilt["extra path"] = {**entry, "metrics": {**rows, "ghost.py": row}}
-        spoilt["not a dict"] = {**entry, "metrics": [row]}
-        return spoilt
-
-    def test_untrusted_entry_dropped_and_measured(self, measured, tmp_path, scans, caplog):
-        handle, truth = measured
-        head = handle.history.window_head(JUNE)
-        key = memo._head_key(head, DEFAULT_EXCLUDE_GLOBS, MAX_BLAME_FILE_BYTES)
-        plain = build_contribution_set(handle, JUNE, truth.roster)
-        warm = Store(tmp_path / "warm")
-        build_contribution_set(_opened(handle, warm), JUNE, truth.roster)
-        entry = warm.get(key)
-        assert entry["metrics"].keys() == {f.path for f in plain.files}
-        for name, spoilt in self._spoilt(entry).items():
-            store = Store(tmp_path / "spoilt" / name)
-            store.put(key, spoilt)
-            scans.clear()
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="contribsum.memo"):
-                cset = build_contribution_set(_opened(handle, store), JUNE, truth.roster)
-            assert [m.split(" (")[0] for m in caplog.messages] == [
-                f"window head memo entry dropped: {head}"
-            ], name
-            assert len(scans) == len(plain.files), name
-            assert [(f.path, f.metrics) for f in cset.files] == [
-                (f.path, f.metrics) for f in plain.files
-            ], name
-            assert store.get(key) == entry, name  # the measured entry replaces it

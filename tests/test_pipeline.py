@@ -11,6 +11,7 @@ import json
 import logging
 import random
 import shutil
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -24,10 +25,10 @@ import pytest
 
 from conftest import (
     JUNE, NESTED, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, store_rows,
-    tree_files, with_tree_entries, write_file_layout,
+    with_tree_entries, write_file_layout,
 )
 from contribsum import (
-    attribution, gitio, identity, ingest, memo, pipeline, store as store_module, synthfix,
+    attribution, gitio, identity, ingest, pipeline, store as store_module, synthfix,
 )
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -35,6 +36,7 @@ from contribsum.agents.provider import (
     HttpProvider,
     MockProvider,
     ModelTier,
+    ProviderResponse,
     extract_data_block,
     request_digest,
 )
@@ -44,7 +46,7 @@ from contribsum.identity import UNMAPPED, load_roster, parse_coauthors
 from contribsum.ingest import AnalysisWindow
 from contribsum.report import ReportState, RunMeta
 from contribsum.store import CostLedger, Store
-from contribsum.synthfix import Insert, Replace, RepoScript, SetFile, Step
+from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
 ANALYSIS = ModelTier("analysis", "mini-model", 128_000, 0.0, 0.0)
 SYNTHESIS = ModelTier("synthesis", "big-model", 128_000, 0.0, 0.0)
@@ -141,8 +143,8 @@ def _record_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipel
 
 class TestGitSpawns:
     def test_spawns_do_not_grow_with_commit_count(self, tmp_path, monkeypatch):
-        """Each configuration runs twice on a store of its own: first with
-        every ref and head new, then with every one remembered."""
+        """Each configuration runs twice on a store of its own: first cold,
+        then with every provider answer in the store."""
         roster = load_roster(ROSTER_TEXT)
         counts = {}
         for commits in (30, 300):
@@ -164,117 +166,44 @@ class TestGitSpawns:
                     spawns = _git_spawns(monkeypatch, run)
                     counts[commits, branches, warm] = len(spawns)
                     assert sum("cat-file" in args for args in spawns) == 1  # one reader per team
-        # new: one open_repo branch listing, one log stream and one cat-file
-        # reader, plus one log stream per included branch that exists;
-        # remembered: the branch listing and the reader of the head blobs
+        # one open_repo branch listing, one log stream and one cat-file
+        # reader, plus one log stream per included branch that exists
         for commits in (30, 300):
-            assert counts[commits, (), False] == 3
-            assert counts[commits, ("side",), False] == 4
-            assert counts[commits, ("side", "topic"), False] == 5
-            assert counts[commits, ("absent",), False] == 3
-            for branches in ((), ("side",), ("side", "topic"), ("absent",)):
-                assert counts[commits, branches, True] == 2, branches
+            for warm in (False, True):
+                assert counts[commits, (), warm] == 3
+                assert counts[commits, ("side",), warm] == 4
+                assert counts[commits, ("side", "topic"), warm] == 5
+                assert counts[commits, ("absent",), warm] == 3
 
 
 class TestStoreTraffic:
-    def test_one_get_per_log_slot_and_head(self, tmp_path, monkeypatch):
-        """The memo's store calls, told from the provider cache's by their
-        caller: a new team gets and puts each log slot and each distinct
-        window head's entry once; a fully remembered one run into a fresh out
-        dir gets each once and puts nothing; run again unchanged it makes no
-        store call. At 30 and 300 commits with 0, 1 or 2 branches."""
+    def test_rows_are_the_provider_answers(self, tmp_path, monkeypatch):
+        """The store holds provider answers alone: after a cold run every row
+        reads back as a `ProviderResponse` and there is one row per provider
+        send; a warm run into a fresh out dir sends nothing and adds no row,
+        and a run again unchanged makes no store call. At 30 and 300 commits
+        with 0, 1 or 2 branches."""
         roster = load_roster(ROSTER_TEXT)
-        gets, puts = Counter(), Counter()
-
-        def counted(calls: Counter, real):
-            def call(self, key, *args):
-                if sys._getframe(1).f_globals["__name__"] != chain.__name__:
-                    calls[key] += 1
-                return real(self, key, *args)
-            return call
-
-        monkeypatch.setattr(Store, "get", counted(gets, Store.get))
-        monkeypatch.setattr(Store, "put", counted(puts, Store.put))
         for commits in (30, 300):
             handle, _ = synthfix.build(_history(commits), tmp_path / f"repo-{commits}")
-            root = handle.root_path
             for branches in ((), ("side",), ("side", "topic")):
                 name = f"run-{commits}-{'-'.join(branches)}"
                 store = Store(tmp_path / name / "cache")
-                cfg = _config(tmp_path / name, [("team", root)], branches)
-                refs = (handle.default_branch, *branches)
-                heads = {
-                    ingest.History(gitio.log(root, handle.tips[ref])).window_head(JUNE)
-                    for ref in refs
-                }
-                assert len(heads) == len(refs)
-                slots = Counter(memo._log_key(root, ref) for ref in refs)
-                slots.update(
-                    memo._head_key(at, tuple(cfg.exclude_globs), attribution.MAX_BLAME_FILE_BYTES)
-                    for at in heads
-                )
+                sends, rows = [], []
                 for warm in (False, True):
                     # a fresh out dir: no outputs record
-                    cfg = _config(tmp_path / name / str(warm), [("team", root)], branches)
-                    gets.clear()
-                    puts.clear()
-                    (result,) = pipeline.run_analysis(
-                        cfg, roster, MockProvider(), store, CostLedger()
-                    )
+                    cfg = _config(tmp_path / name / str(warm), [("team", handle.root_path)],
+                                  branches)
+                    provider = CountingProvider()
+                    (result,) = pipeline.run_analysis(cfg, roster, provider, store, CostLedger())
                     assert result.ok, result.error
-                    assert gets == slots, (commits, branches, warm)
-                    assert puts == (Counter() if warm else slots), (commits, branches, warm)
-                gets.clear()
+                    sends.append(provider.sends)
+                    rows.append(store_rows(store.directory))
+                for body in rows[0].values():
+                    ProviderResponse(**json.loads(json.loads(body)["payload_json"]))
+                assert sends == [len(rows[0]), 0] and rows[0], (commits, branches)
+                assert rows[1] == rows[0], (commits, branches)
                 _record_hit(monkeypatch, cfg, store)
-                assert gets == Counter(), (commits, branches)
-
-
-class TestReplayMemoBound:
-    def test_warm_rerun_reads_head_blobs_and_diffs_nothing(self, tmp_path, monkeypatch):
-        """Re-running a window with a warm store into a fresh out dir reads
-        each distinct head blob once and builds no line matcher, at 30 and at
-        300 commits; re-running it unchanged reads no blob at all."""
-        roster = load_roster(ROSTER_TEXT)
-        reads: list[str] = []
-        matchers: list[int] = []
-        real_get = gitio.ObjectReader.get
-
-        def counting_get(self, ref):
-            reads.append(ref)
-            return real_get(self, ref)
-
-        class CountingMatcher(attribution.SequenceMatcher):
-            def __init__(self, *args, **kwargs):
-                matchers.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(gitio.ObjectReader, "get", counting_get)
-        monkeypatch.setattr(attribution, "SequenceMatcher", CountingMatcher)
-        for commits in (30, 300):
-            steps = [Step(*AUTHORS[0], message="scaffold",
-                          ops=tuple(SetFile(p, ("a = 0", "b = 0", "c = 0")) for p in FILES))]
-            for n in range(1, commits):  # a middle line changes: the line matcher runs
-                steps.append(Step(*AUTHORS[n % 2], message=f"edit {n}",
-                                  ops=(Replace(FILES[n % len(FILES)], 2, (f"b = {n}",)),)))
-            script = RepoScript(name=f"middle-{commits}", roster_text=ROSTER_TEXT, steps=steps)
-            handle, _ = synthfix.build(script, tmp_path / f"repo-{commits}")
-            store = Store(tmp_path / f"cache-{commits}")
-            head_blobs = {
-                content for path, content in tree_files(handle, handle.history.window_head(JUNE))
-            }
-            work = []
-            for n in range(2):
-                cfg = _config(tmp_path / f"run-{commits}-{n}", [("team", handle.root_path)])
-                reads.clear()
-                matchers.clear()
-                (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
-                assert result.ok, result.error
-                work.append((len(reads), len(matchers)))
-            assert work[0][0] > len(head_blobs) and work[0][1] > 0  # the first run replays
-            assert work[1] == (len(head_blobs), 0)
-            reads.clear()
-            _record_hit(monkeypatch, cfg, store)
-            assert (reads, matchers) == ([], [])
 
 
 class TestIdentityResolution:
@@ -1448,6 +1377,113 @@ class TestStoreDatabase:
             assert sends == fresh_sends
         assert self._run(tmp_path / "again", repos, cache)[0] == 0  # the new database is read
 
+    def test_malformed_get_mid_run_keeps_the_pools_answers(self, tmp_path, monkeypatch, caplog):
+        """SQLite finds the database malformed on a `get` of beta's, once
+        alpha's first batch is looked up and while alpha waits on the
+        store's lock to put an answer it sent. The store is set aside once
+        and goes on empty, and the pool loses no answer it holds: no key
+        it already read from the cache is sent, alpha's answer lands in the
+        new database, every team is ok and `out/` equals a fresh run's."""
+        alpha, beta = self._repos(tmp_path)
+        fresh_sends, fresh_out = self._run(
+            tmp_path / "fresh", [alpha, beta], tmp_path / "fresh-cache"
+        )
+        cache = tmp_path / "cache"
+        self._run(tmp_path / "primed", [beta], cache)  # alpha's first batch: hits and a miss
+
+        class WaitedLock:
+            """The store's lock, counting the threads that wait for it."""
+
+            def __init__(self):
+                self._lock, self._count = threading.Lock(), threading.Lock()
+                self.waiting = 0
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    with self._count:
+                        self.waiting += 1
+                    self._lock.acquire()
+                    with self._count:
+                        self.waiting -= 1
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        provider, store, lock = GatedProvider(), Store(cache), WaitedLock()
+        store._lock = lock
+        alpha_joined, failed = threading.Event(), []
+        batch, sent, reads = [], [], []
+        connect = sqlite3.connect
+
+        class MalformedOnce(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if (
+                    sql.startswith("SELECT body") and not failed and alpha_joined.is_set()
+                    and threading.current_thread() is threading.main_thread()
+                ):
+                    failed.append(sql)
+                    provider.gate.set()  # alpha's send answers, and alpha puts it
+                    assert _wait_for(lambda: lock.waiting > 0), "no team waited on the lock"
+                    raise sqlite3.DatabaseError("database disk image is malformed")
+                return super().execute(sql, *args)
+
+        real_answer_all, real_join, real_get = (
+            chain.SendPool.answer_all, chain.SendPool._join, Store.get
+        )
+        real_finish = pipeline._finish_team
+
+        def answer_all(self, calls, team=""):
+            if team == "alpha" and not batch:
+                batch.append(sum(call is not None for call in calls))
+            return real_answer_all(self, calls, team)
+
+        def join(self, call):
+            future, sends = real_join(self, call)
+            if sends:
+                sent.append(call.key)
+            if threading.current_thread() is not threading.main_thread() and batch:
+                batch[0] -= 1
+                if batch[0] == 0:
+                    alpha_joined.set()
+            return future, sends
+
+        def get(self, key):
+            payload = real_get(self, key)
+            reads.append((key, payload is not None, bool(failed)))
+            return payload
+
+        def finish(result, *args):
+            if result.team == "beta":  # beta looks up after alpha's first batch
+                assert alpha_joined.wait(timeout=30), "alpha never looked its batch up"
+            return real_finish(result, *args)
+
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *args, **kw: connect(*args, factory=MalformedOnce, **kw)
+        )
+        monkeypatch.setattr(chain.SendPool, "answer_all", answer_all)
+        monkeypatch.setattr(chain.SendPool, "_join", join)
+        monkeypatch.setattr(Store, "get", get)
+        monkeypatch.setattr(pipeline, "_finish_team", finish)
+        base = tmp_path / "malformed"
+        try:
+            with caplog.at_level("WARNING", logger="contribsum.store"):
+                results = pipeline.run_analysis(
+                    _config(base, [alpha, beta]), load_roster(ROSTER_TEXT), provider, store,
+                    CostLedger(),
+                )
+        finally:
+            store.close()
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert len(failed) == 1
+        assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
+            f"corrupt cache database moved aside: {store.path}"
+        ]
+        held = {key for key, hit, after in reads if hit and not after}
+        assert held and not held & set(sent)
+        assert len(sent) == len(set(sent)) == fresh_sends - len(held)
+        assert set(store_rows(cache)) == set(sent)  # alpha's put, after the set-aside
+        assert _tree_bytes(base / "out") == fresh_out
+
     def test_file_layout_imported_once(self, tmp_path, caplog):
         """Entries a release before the database wrote, one file each, are
         read without a provider call; a tampered one is dropped as `get`
@@ -1459,24 +1495,23 @@ class TestStoreDatabase:
         rows = store_rows(cache)
         for path in cache.iterdir():
             path.unlink()
-        slot = next(
-            key for key, body in rows.items()
-            if json.loads(json.loads(body)["payload_json"]).keys() == {"tip", "log"}
-        )
-        wrapped = json.loads(rows[slot])
-        tampered = wrapped["payload_json"].replace('"log": "', '"log": "x', 1)
+        answer = min(rows)
+        wrapped = json.loads(rows[answer])
+        tampered = wrapped["payload_json"].replace('"text": "', '"text": "x', 1)
         assert tampered != wrapped["payload_json"]
-        write_file_layout(cache, {**rows, slot: json.dumps({**wrapped, "payload_json": tampered})})
+        write_file_layout(
+            cache, {**rows, answer: json.dumps({**wrapped, "payload_json": tampered})}
+        )
         with caplog.at_level("WARNING", logger="contribsum.store"):
             sends, out = self._run(tmp_path / "upgraded", repos, cache)
-        assert sends == 0
+        assert sends == 1
         assert out == primed_out
-        entry = cache / slot[:2] / f"{slot[2:]}.json"
+        entry = cache / answer[:2] / f"{answer[2:]}.json"
         assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
             f"cache digest mismatch, entry dropped: {entry}"
         ]
         assert sorted(p.name for p in cache.iterdir()) == ["store.sqlite3"]
-        assert store_rows(cache) == rows  # the slot read from git again
+        assert store_rows(cache) == rows  # the answer sent again
 
 
 # every RunConfig field, with how the outputs record accounts for it
@@ -1796,7 +1831,7 @@ class TestOutputsSlot:
         assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
 
     @pytest.mark.parametrize("cut", ["shallow", "grafted"])
-    def test_cut_history_reads_and_writes_no_slot(self, tmp_path, monkeypatch, caplog, cut):
+    def test_cut_history_reads_and_writes_no_slot(self, tmp_path, caplog, cut):
         handle, _ = synthfix.build(_history(30), tmp_path / "origin")
         clone = str(tmp_path / "clone")
         depth = ["--depth", "10"] if cut == "shallow" else []
@@ -1808,23 +1843,11 @@ class TestOutputsSlot:
             (Path(clone) / ".git" / "info" / "grafts").write_text(middle + "\n")
         cfg = _config(tmp_path, [("team", clone)])
         roster = load_roster(ROSTER_TEXT)
-        calls = []
-
-        def counted(real):
-            def call(self, *args):
-                if sys._getframe(1).f_globals["__name__"] == memo.__name__:
-                    calls.append(real.__name__)
-                return real(self, *args)
-            return call
-
-        monkeypatch.setattr(Store, "get", counted(Store.get))
-        monkeypatch.setattr(Store, "put", counted(Store.put))
         store = Store(tmp_path / "cache")
         with caplog.at_level("INFO", logger=pipeline.__name__):
             for _ in range(2):
                 (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
                 assert result.ok, result.error
-        assert calls == []
         assert "team outputs" not in caplog.text
         cut_out = _tree_bytes(Path(cfg.out_dir))
         assert cut_out == self._storeless(cfg, roster, tmp_path / "plain")
@@ -1854,5 +1877,52 @@ class TestOutputsSlot:
                            check=True, capture_output=True)
         else:
             (Path(clone) / ".git" / "info" / "grafts").unlink()
-        assert not memo.may_be_shallow(clone)
+        assert not pipeline.may_be_shallow(clone)
         assert full_run("plain-deepened") == full
+
+
+class TestCodeDigest:
+    """`code_digest`, the inputs digest's share of the code."""
+
+    @staticmethod
+    def _digest(monkeypatch, package) -> str:
+        monkeypatch.setattr(pipeline, "PACKAGE", package)
+        pipeline.code_digest.cache_clear()
+        try:
+            return pipeline.code_digest()
+        finally:
+            pipeline.code_digest.cache_clear()
+
+    def test_digest_changes_with_each_source(self, tmp_path, monkeypatch):
+        """One more byte in any one module or prompt template of the package
+        gives another digest, so an edit to it retires every outputs record."""
+        package = tmp_path / "contribsum"
+        shutil.copytree(pipeline.PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        sources = sorted(
+            path for path in package.rglob("*")
+            if path.suffix == ".py" or path.parent.name == "prompts"
+        )
+        names = {path.relative_to(package).as_posix() for path in sources}
+        assert {"pipeline.py", "report.py", "tables.py", "agents/chain.py"} <= names
+        assert {"agents/prompts/synthesize.txt", "agents/prompts/system.txt"} <= names
+        digests = {None: self._digest(monkeypatch, package)}
+        for path in sources:
+            original = path.read_bytes()
+            path.write_bytes(original + b"\n")
+            digests[path] = self._digest(monkeypatch, package)
+            path.write_bytes(original)
+        assert len(set(digests.values())) == len(sources) + 1
+        assert self._digest(monkeypatch, package) == digests[None]
+
+    def test_digest_ignores_caches_and_other_files(self, tmp_path, monkeypatch):
+        """Compiled caches and the fixture scripts shape no output; a renamed
+        module does."""
+        package = tmp_path / "contribsum"
+        shutil.copytree(pipeline.PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        before = self._digest(monkeypatch, package)
+        (package / "__pycache__").mkdir()
+        (package / "__pycache__" / "pipeline.cpython-311.pyc").write_bytes(b"\0")
+        (package / "fixtures" / "extra.repo").write_text("# a fixture\n")
+        assert self._digest(monkeypatch, package) == before
+        (package / "tables.py").rename(package / "tables_renamed.py")
+        assert self._digest(monkeypatch, package) != before

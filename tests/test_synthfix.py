@@ -262,6 +262,53 @@ class TestScriptErrors:
         assert err.value.step == "build"
         assert not list(dest.glob("fast_import_crash_*"))
 
+    def _good(self) -> RepoScript:
+        return RepoScript("good", ROSTER_TEXT, [self._step(ops=(SetFile("a.py", ("one",)),))])
+
+    def test_script_error_leaves_no_repository(self, tmp_path):
+        """A step that fails after others replayed leaves the destination as
+        it was, absent or empty, so a build into it can follow."""
+        script = RepoScript(
+            "late",
+            ROSTER_TEXT,
+            [
+                self._step(ops=(SetFile("a.py", ("one",)),)),
+                self._step(ops=(Insert("a.py", 9, ("x",)),)),
+            ],
+        )
+        absent, empty = tmp_path / "absent", tmp_path / "empty"
+        empty.mkdir()
+        for dest in (absent, empty):
+            with pytest.raises(ScriptError) as err:
+                build(script, dest)
+            assert err.value.step == 1
+        assert not absent.exists()
+        assert list(empty.iterdir()) == []
+        for dest in (absent, empty):
+            handle, _ = build(self._good(), dest)
+            assert handle.head_ref
+
+    def test_fast_import_refusal_leaves_no_repository(self, tmp_path):
+        """What `build` made before git refused the stream is removed, marks
+        file included, so a build into the destination can follow."""
+        script = parse_script(
+            "roster alice | Alice Lee | alice@campus.edu\n"
+            "commit\n"
+            "author Alice Lee <alice@campus.edu>\n"
+            "set app//x.py\n"
+            ". x\n"
+        )
+        absent, empty = tmp_path / "absent", tmp_path / "empty"
+        empty.mkdir()
+        for dest in (absent, empty):
+            with pytest.raises(ScriptError, match="refused the history"):
+                build(script, dest)
+        assert not absent.exists()
+        assert list(empty.iterdir()) == []
+        for dest in (absent, empty):
+            handle, _ = build(self._good(), dest)
+            assert handle.head_ref
+
     def test_conflicting_merge_rejected(self, tmp_path):
         script = RepoScript(
             "conflict",
