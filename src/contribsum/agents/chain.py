@@ -15,8 +15,7 @@ provider, provider cache and ledger, so nothing else in this module
 reads or writes the cache or the ledger. Table rows and synthesis, with
 its repair retry, all take that path, so the pool's size caps every
 request of a run, and a request that several teams need is sent once
-per run, with or without a cache; its ledger entry names the team whose
-call sent it.
+per run; its ledger entry names the team whose call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two `answer_all` batches, the file rows and then the
@@ -118,13 +117,13 @@ def template_hash(name: str) -> str:
     return hashlib.sha256(load_template(name).encode()).hexdigest()
 
 
-def clip_content(text: str, head: int = DEFAULT_CLIP_LINES, tail: int = DEFAULT_CLIP_LINES) -> str:
-    """First and last N lines with an elision marker in between."""
+def clip_content(text: str, clip: int = DEFAULT_CLIP_LINES) -> str:
+    """First and last `clip` lines with an elision marker in between."""
     lines = text.splitlines()
-    if len(lines) <= head + tail:
+    if len(lines) <= 2 * clip:
         return text
-    elided = len(lines) - head - tail
-    kept = lines[:head] + [f"... [{elided} lines clipped] ..."] + lines[len(lines) - tail:]
+    elided = len(lines) - 2 * clip
+    kept = lines[:clip] + [f"... [{elided} lines clipped] ..."] + lines[len(lines) - clip:]
     return "\n".join(kept)
 
 
@@ -175,9 +174,7 @@ class SendPool(ThreadPoolExecutor):
     `RuntimeError`.
     """
 
-    def __init__(
-        self, workers: int, provider, store: Store | None = None, ledger: CostLedger | None = None
-    ):
+    def __init__(self, workers: int, provider, store: Store, ledger: CostLedger):
         super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
         self._provider = provider
         self._store = store
@@ -185,7 +182,7 @@ class SendPool(ThreadPoolExecutor):
         self._lock = threading.Lock()
         self._sends: dict[str, Future] = {}
 
-    def answer_all(self, calls: list[Call | None], team: str = "") -> list[str | None]:
+    def answer_all(self, calls: list[Call | None], team: str) -> list[str | None]:
         """Response text of every call, in order; a None call stays None.
 
         Each call is joined to its key's answer in the run (`_join`), in
@@ -229,7 +226,7 @@ class SendPool(ThreadPoolExecutor):
         that later calls join."""
         with self._lock:  # two calls never both read or send one key
             future = self._sends.get(call.key)
-            hit = self._store.get(call.key) if future is None and self._store is not None else None
+            hit = self._store.get(call.key) if future is None else None
             if hit is not None:
                 future = self._sends[call.key] = Future()
                 future.set_result(ProviderResponse(**hit))
@@ -243,12 +240,8 @@ class SendPool(ThreadPoolExecutor):
 
     def _record(self, call: Call, response, team: str) -> None:
         """Ledger and cache one provider response to `call`, sent for `team`."""
-        if self._ledger is not None:
-            record_usage(
-                self._ledger, call.tier, response.input_tokens, response.output_tokens, team
-            )
-        if self._store is not None:  # the payload `_join` reads back
-            self._store.put(call.key, asdict(response))
+        record_usage(self._ledger, call.tier, response.input_tokens, response.output_tokens, team)
+        self._store.put(call.key, asdict(response))  # the payload `_join` reads back
         call.text = response.text
         call.messages = None  # answered: the prompt is not kept
 
@@ -261,7 +254,7 @@ def _cancel(sends: list[tuple[Future, bool] | None]) -> None:
 
 
 def record_usage(
-    ledger: CostLedger, tier: ModelTier, input_tokens: int, output_tokens: int, team: str = ""
+    ledger: CostLedger, tier: ModelTier, input_tokens: int, output_tokens: int, team: str
 ):
     """Append one usage entry, for `team`, priced at the tier's per-1k rates."""
     cost = (
@@ -300,7 +293,7 @@ def file_call(
             "task": "summarize-file",
             "path": path,
             "metrics": _metrics_payload(metrics),
-            "content": clip_content(content, clip, clip),
+            "content": clip_content(content, clip),
         }
         try:
             return prepare(tier, "summarize_file", data)
@@ -381,7 +374,7 @@ def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionT
 
 
 def fill_tables(
-    pool: SendPool, tier: ModelTier, cset: ContributionSet, roster: Roster, team: str = ""
+    pool: SendPool, tier: ModelTier, cset: ContributionSet, roster: Roster, team: str
 ) -> tuple[list[FunctionalityTableRow], list[ContributionTableRow]]:
     """Functionality and Contribution Table rows of one contribution set,
     answered on `pool` for `team`.
@@ -414,7 +407,7 @@ def fill_tables(
 
 
 def synthesize(
-    pool: SendPool, tier: ModelTier, bundle: SynthesisBundle, team: str = ""
+    pool: SendPool, tier: ModelTier, bundle: SynthesisBundle, team: str
 ) -> tuple[list[StudentSummary], TeamSummary]:
     """Synthesis-tier call producing every student summary plus the team's.
 

@@ -133,7 +133,6 @@ class ContributionSet:
     window: AnalysisWindow
     per_student: dict[str, list[ContributionEvidence]]
     zero_commit_students: list[StudentId]
-    students: dict[str, StudentId]
     head: str | None = None  # window-end snapshot commit; None before any commit
     files: tuple[KeptFile, ...] = ()  # kept files at `head`, bytewise path order; not serialized
     # included branch -> `_branch_section`, None when the repository lacks it; not serialized
@@ -534,8 +533,7 @@ def build_contribution_set(
     Each of `branches` costs one `git log`; its window head is replayed
     with the default branch's, and `_branch_section` filters it.
     """
-    students: dict[str, StudentId] = {s.id: s for s in roster.students}
-    per_student: dict[str, list[ContributionEvidence]] = {sid: [] for sid in students}
+    per_student: dict[str, list[ContributionEvidence]] = {s.id: [] for s in roster.students}
     history = repo.history
     head = history.window_head(window)
     replayed = history.ancestors(head) if head else History([])
@@ -631,7 +629,6 @@ def build_contribution_set(
         window=window,
         per_student=per_student,
         zero_commit_students=zero_commit,
-        students=students,
         head=head,
         files=files,
         branches={

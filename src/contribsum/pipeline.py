@@ -12,20 +12,19 @@ provider answers.
 
 A team whose inputs and outputs are unchanged since its last run of the
 window is not run at all. The window's `run_manifest.json` is its
-outputs record: every run, with or without a store, writes into it, last,
-the team's inputs digest (`_inputs_digest`), its warnings and the sha256
-of each file, so a failed run leaves a record its new files do not match.
-Only a run with a store reads the record (a storeless run stays a full
-run to compare against), and only for a history that is not cut
-(`may_be_shallow`), after the branch listing. It stands in for the team
-while its digest is the team's and the window directory holds each file
-it lists with the recorded bytes and no artifact it does not list: the
-team then spawns one git process, makes no `Store` call and loads,
-sends, renders and writes nothing. A manifest that is not a JSON object,
-or a record whose names are not artifact names, whose hashes are not
-sha256 or whose warnings are not text, is dropped with a warning; any
-other miss, such as a manifest written before records were, is logged at
-INFO. Deleting a window's directory, not the state dir, forces that
+outputs record: every run writes into it, last, the team's inputs digest
+(`_inputs_digest`), its warnings and the sha256 of each file, so a failed
+run leaves a record its new files do not match. The record is read only
+for a history that is not cut (`may_be_shallow`), after the branch
+listing. It stands in for the team while its digest is the team's and
+the window directory holds each file it lists with the recorded bytes
+and no artifact it does not list: the team then spawns one git process,
+makes no `Store` call and loads, sends, renders and writes nothing. A
+manifest that is not a JSON object, or a record whose names are not
+artifact names, whose hashes are not sha256 or whose warnings are not
+text, is dropped with a warning; any other miss, such as a manifest
+written before records were, is logged at INFO. Deleting a window's
+`run_manifest.json` or its directory, not the state dir, forces that
 window to run again.
 
 The inputs digest covers the code (`code_digest`), the window's bounds
@@ -54,13 +53,13 @@ every request of the run, table rows, synthesis and its repair retry
 alike, so `analysis_workers` caps them all. A request key is looked up
 once per run: its first call reads the store, and later calls, of any
 team, join that answer or its send, so a request is sent at most once
-per run, with or without a store. Only `provider.send` runs on the
-pool's threads; rendering, budget checks, cache reads and writes, ledger
-entries and parsing stay on the team's own thread in row order, so
-outputs and each team's ledger entries are the same for any pool size
-(across teams the ledger follows completion order), and a fully cached
-team starts no send thread. `chain.fill_tables` fills a team's tables in two batches,
-the file rows and then the contribution rows that quote them.
+per run. Only `provider.send` runs on the pool's threads; rendering,
+budget checks, cache reads and writes, ledger entries and parsing stay
+on the team's own thread in row order, so outputs and each team's ledger
+entries are the same for any pool size (across teams the ledger follows
+completion order), and a fully cached team starts no send thread.
+`chain.fill_tables` fills a team's tables in two batches, the file rows
+and then the contribution rows that quote them.
 """
 
 from __future__ import annotations
@@ -269,12 +268,11 @@ def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[st
 
 
 def _load_team(
-    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, store: Store | None
+    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster
 ) -> tuple[ingest.RepoHandle, TeamInputs, attribution.ContributionSet] | None:
     """The team's repo handle, inputs and replay; or None, with `result`
     taken from the window's outputs record, when its inputs and outputs are
-    unchanged. The record is read only with a `store` and a history that
-    is not cut."""
+    unchanged. The record is read only for a history that is not cut."""
     repo = ingest.open_repo(repo_path, cfg.branch)
     cut = may_be_shallow(repo_path)
     texts = (
@@ -283,7 +281,7 @@ def _load_team(
     )
     prior, prior_sha = _find_prior_state(cfg, result.team) or (None, None)
     inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, cut, texts, prior_sha))
-    if store is not None and not cut:
+    if not cut:
         out_dir = window_dir(cfg, result.team)
         remembered = _unchanged_outputs(result.team, out_dir, inputs.digest)
         if remembered is not None:
@@ -444,7 +442,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     try:
         finishing = []
         for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
-            loaded = _recorded(result, _load_team, result, path, cfg, roster, store)
+            loaded = _recorded(result, _load_team, result, path, cfg, roster)
             if loaded is None:  # failed, or its outputs are unchanged
                 continue
             args = (result, *loaded, cfg, roster, sends)

@@ -41,8 +41,6 @@ class RunMeta:
 
 @dataclass
 class ReportDocument:
-    team: str
-    window_label: str
     student_sections: list[str]
     team_section: str
     warnings: list[str]
@@ -124,8 +122,6 @@ def render(
     markdown = "\n".join(parts)
 
     return ReportDocument(
-        team=meta.team,
-        window_label=meta.window.label,
         student_sections=student_sections,
         team_section=team_section,
         warnings=warnings,

@@ -3,17 +3,19 @@
 One `Store` holds the provider cache, whose keys `cache_key` derives from
 each request; `chain.SendPool` alone reads and writes it. Rows an earlier
 release wrote for its memo of `git log` output and window heads stay in
-an existing database, and are never read again. Cache layout: one SQLite database per store directory (`cache/store.sqlite3`),
-write-ahead logged, with one row per entry in `entries(key, body)`. Each
-body carries its payload digest, so tampering is detected on read; a put
-is one statement, so a killed run keeps every put that completed. A
-database that is not one, or is cut short, is moved aside with its log,
-both as found, with a warning, and the store starts empty; so is one
-that SQLite finds malformed on a later `get` or `put`. Entries of
-the earlier one-file-per-entry layout (`cache/ab/cdef...json`) are
-checked as `get` checks them and imported on the first open, and their
-files removed. The ledger is append-only line-delimited JSON: crash-safe
-appends, trivially auditable.
+an existing database, and are never read again.
+
+Cache layout: one SQLite database per store directory
+(`cache/store.sqlite3`), write-ahead logged, with one row per entry in
+`entries(key, body)`. Each body carries its payload digest, so tampering
+is detected on read; a put is one statement, so a killed run keeps every
+put that completed. A database that is not one, or is cut short, is
+moved aside with its log, both as found, with a warning, and the store
+starts empty; so is one that SQLite finds malformed on a later `get` or
+`put`. Entries of the earlier one-file-per-entry layout
+(`cache/ab/cdef...json`) are checked as `get` checks them and imported
+on the first open, and their files removed. The ledger is append-only
+line-delimited JSON: crash-safe appends, trivially auditable.
 """
 
 from __future__ import annotations
@@ -307,13 +309,12 @@ class CostLedger:
         input_tokens: int,
         output_tokens: int,
         cost: float,
-        timestamp: float | None = None,
         team: str = "",
     ) -> LedgerEntry:
         if input_tokens < 0 or output_tokens < 0:
             raise ValueError("token counts must be non-negative")
         entry = LedgerEntry(
-            timestamp=time.time() if timestamp is None else timestamp,
+            timestamp=time.time(),
             tier=tier,
             model_id=model_id,
             input_tokens=input_tokens,

@@ -17,7 +17,7 @@ import pytest
 from contribsum.ingest import AnalysisWindow
 from contribsum import gitio, ingest, synthfix
 from contribsum.agents import chain
-from contribsum.store import DB_NAME
+from contribsum.store import DB_NAME, CostLedger, Store
 from contribsum.synthfix import (
     Delete,
     Insert,
@@ -86,19 +86,27 @@ def june_window() -> AnalysisWindow:
 
 
 @pytest.fixture
-def pool():
+def pool(tmp_path_factory):
     """`pool(provider, store=None, ledger=None)`: a send pool over them for
-    `chain.fill_tables` and `chain.synthesize`, as a run has; each is shut
-    down after the test."""
+    `chain.fill_tables` and `chain.synthesize`, as a run has, with a fresh
+    `Store` and `CostLedger` for each one not given. Each pool is shut down
+    after the test, and each store it made closed."""
     pools: list[chain.SendPool] = []
+    stores: list[Store] = []
 
     def make(provider, store=None, ledger=None) -> chain.SendPool:
+        if store is None:
+            store = Store(tmp_path_factory.mktemp("pool-store"))
+            stores.append(store)
+        ledger = CostLedger() if ledger is None else ledger
         pools.append(chain.SendPool(2, provider, store, ledger))
         return pools[-1]
 
     yield make
     for sends in pools:
         sends.shutdown()
+    for store in stores:
+        store.close()
 
 
 def tree_files(handle, at: str) -> list[tuple[str, bytes]]:

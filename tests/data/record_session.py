@@ -21,6 +21,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # session_common lives in tests/
 
 from contribsum.agents.provider import MockProvider, ReplayProvider  # noqa: E402
+from contribsum.store import CostLedger  # noqa: E402
 
 from session_common import SESSION_DIR_NAME, run_session  # noqa: E402
 
@@ -32,7 +33,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         inner = MockProvider()
         recorder = ReplayProvider(session_dir, inner=inner)
-        totals = run_session(recorder, Path(tmp))
+        totals = run_session(recorder, Path(tmp), CostLedger())
     print(f"recorded {len(list(session_dir.glob('*.json')))} requests")
     print(f"session token totals: {totals}")
 

@@ -9,6 +9,7 @@ so the recorded request digests always line up.
 
 from __future__ import annotations
 
+from contextlib import closing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from contribsum.agents import chain
 from contribsum.agents.provider import ModelTier
 from contribsum.attribution import build_contribution_set
 from contribsum.ingest import AnalysisWindow
+from contribsum.store import CostLedger, Store
 from contribsum.synthfix import Insert, RepoScript, SetFile, Step
 
 SESSION_DIR_NAME = "replay_session"
+SESSION_TEAM = "security_focus"
 
 SESSION_WINDOW = AnalysisWindow(
     start=datetime(2024, 6, 1, tzinfo=timezone.utc),
@@ -179,16 +182,18 @@ def session_script() -> RepoScript:
 def analysis_rows(pool, cset, roster):
     """Functionality and contribution rows of the session window, filled
     as the pipeline fills them."""
-    return chain.fill_tables(pool, ANALYSIS_TIER, cset, roster)
+    return chain.fill_tables(pool, ANALYSIS_TIER, cset, roster, SESSION_TEAM)
 
 
-def run_session(provider, workdir: Path) -> dict[str, int]:
-    """Drive the full chain once; returns aggregate token totals."""
-    handle, truth = synthfix.build(session_script(), workdir / "security_focus")
+def run_session(provider, workdir: Path, ledger: CostLedger) -> dict[str, int]:
+    """Drive the full chain once, on a send pool over a fresh `Store` under
+    `workdir` and `ledger`; returns aggregate token totals."""
+    handle, truth = synthfix.build(session_script(), workdir / SESSION_TEAM)
     roster = truth.roster
     cset = build_contribution_set(handle, SESSION_WINDOW, roster)
 
-    with chain.SendPool(2, provider) as pool:
+    store = Store(workdir / "cache")
+    with closing(store), chain.SendPool(2, provider, store, ledger) as pool:
         functionality, contribution_rows = analysis_rows(pool, cset, roster)
         bundle = chain.SynthesisBundle(
             functionality_rows=functionality,
@@ -199,6 +204,6 @@ def run_session(provider, workdir: Path) -> dict[str, int]:
             roster=roster,
             contribution_set=cset,
         )
-        chain.synthesize(pool, SYNTHESIS_TIER, bundle)
+        chain.synthesize(pool, SYNTHESIS_TIER, bundle, SESSION_TEAM)
 
     return {"summaries": sum(1 for s in roster.students)}

@@ -126,7 +126,7 @@ def test_failure_mode_suite(tmp_path, pool):
         roster=truth.roster,
         contribution_set=cset,
     )
-    summaries, team_summary = chain.synthesize(pool(mock), tier, bundle)
+    summaries, team_summary = chain.synthesize(pool(mock), tier, bundle, "t")
     carol_summary = next(s for s in summaries if s.student.id == "carol")
     assert carol_summary.headline == chain.NO_CONTRIBUTION_TEXT
     doc = render(summaries, team_summary, RunMeta(team="t", window=JUNE))
@@ -253,22 +253,7 @@ def test_cost_ledger_replay(tmp_path):
     assert session_dir.exists(), "recorded session fixture missing"
 
     ledger = CostLedger()
-
-    class LedgeredReplay:
-        def __init__(self):
-            self.inner = ReplayProvider(session_dir)
-
-        def send(self, messages, model_id):
-            response = self.inner.send(messages, model_id)
-            tier = (
-                session_common.ANALYSIS_TIER
-                if model_id == session_common.ANALYSIS_TIER.model_id
-                else session_common.SYNTHESIS_TIER
-            )
-            chain.record_usage(ledger, tier, response.input_tokens, response.output_tokens)
-            return response
-
-    session_common.run_session(LedgeredReplay(), tmp_path)
+    session_common.run_session(ReplayProvider(session_dir), tmp_path, ledger)
 
     # hand-computed: read the recorded token counts and multiply explicitly
     expected = 0.0
@@ -313,7 +298,9 @@ def test_report_shape(tmp_path, pool):
             roster=roster,
             contribution_set=cset,
         )
-        summaries, team_summary = chain.synthesize(sends, session_common.SYNTHESIS_TIER, bundle)
+        summaries, team_summary = chain.synthesize(
+            sends, session_common.SYNTHESIS_TIER, bundle, session_common.SESSION_TEAM
+        )
         for s in summaries:
             s.validation = chain.validate_summary(s, cset)
         return render(

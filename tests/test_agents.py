@@ -51,6 +51,7 @@ ROSTER = load_roster(
     "carol | Carol Weiss | carol@campus.edu\n"
 )
 ALICE, BOB, CAROL = ROSTER.students
+TEAM = "team"  # the team every request here is made for
 
 FLASK_LIKE = """from flask import Flask
 import redis
@@ -76,13 +77,13 @@ def _mock() -> MockProvider:
 
 def _file_row(pool, tier, path, content, metrics):
     """One Functionality Table row, answered as the pipeline answers its batch."""
-    [text] = pool.answer_all([file_call(tier, path, content, metrics)])
+    [text] = pool.answer_all([file_call(tier, path, content, metrics)], TEAM)
     return functionality_row(path, metrics, text)
 
 
 def _contribution_row(pool, tier, row, evidence):
     """One Contribution Table row, answered as the pipeline answers its batch."""
-    [text] = pool.answer_all([contribution_call(tier, row.functionality, evidence)])
+    [text] = pool.answer_all([contribution_call(tier, row.functionality, evidence)], TEAM)
     return contribution_row(evidence, text)
 
 
@@ -103,7 +104,6 @@ def _cset(per_student, zero=()):
         window=JUNE,
         per_student=per_student,
         zero_commit_students=list(zero),
-        students={s.id: s for s in ROSTER.students},
     )
 
 
@@ -174,7 +174,7 @@ class TestSummarizeFile:
                 "task": "summarize-file",
                 "path": "big.py",
                 "metrics": chain._metrics_payload(metrics),
-                "content": chain.clip_content(big, clip, clip),
+                "content": chain.clip_content(big, clip),
             }
             return chain._render("summarize_file", data)
 
@@ -243,7 +243,7 @@ class TestFillTables:
         handle, truth = built_fixtures["comment_injection"]
         cset = build_contribution_set(handle, JUNE, truth.roster)
         mock = _mock()
-        files, contributions = chain.fill_tables(pool(mock), ANALYSIS, cset, truth.roster)
+        files, contributions = chain.fill_tables(pool(mock), ANALYSIS, cset, truth.roster, TEAM)
         assert [row.filename for row in files] == [f.path for f in cset.files]
         evidence = [
             ev
@@ -300,7 +300,7 @@ class TestSynthesize:
             pool,
             zero=(CAROL,),
         )
-        summaries, team = synthesize(pool(_mock()), SYNTHESIS, bundle)
+        summaries, team = synthesize(pool(_mock()), SYNTHESIS, bundle, TEAM)
         assert [s.student.id for s in summaries] == ["alice", "bob", "carol"]
         carol = summaries[-1]
         assert carol.headline == chain.NO_CONTRIBUTION_TEXT
@@ -314,7 +314,7 @@ class TestSynthesize:
             _evidence(ALICE, "rec_password.py", messages=["password recovery"]),
         ]
         bundle = _bundle({"alice": evidence, "bob": [], "carol": []}, pool, zero=(BOB, CAROL))
-        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle, TEAM)
         alice = summaries[0]
         assert "security and authentication" in alice.headline
         assert {p for p, _ in alice.per_file_bullets} == {"auth.py", "rec_password.py"}
@@ -326,7 +326,7 @@ class TestSynthesize:
             zero=(BOB, CAROL),
             roles=True,
         )
-        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle, TEAM)
         alice = summaries[0]
         assert alice.role is not None
         assert alice.role.role in ROLES
@@ -338,13 +338,13 @@ class TestSynthesize:
             pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle)
+        summaries, _ = synthesize(pool(_mock()), SYNTHESIS, bundle, TEAM)
         assert summaries[0].role is None
 
     def test_no_active_students_fixed_team_summary(self, pool):
         bundle = _bundle({"alice": [], "bob": [], "carol": []}, pool, zero=tuple(ROSTER.students))
         mock = _mock()
-        summaries, team = synthesize(pool(mock), SYNTHESIS, bundle)
+        summaries, team = synthesize(pool(mock), SYNTHESIS, bundle, TEAM)
         assert len(summaries) == 3
         assert all(s.headline == chain.NO_CONTRIBUTION_TEXT for s in summaries)
         assert mock.calls == []
@@ -368,7 +368,7 @@ class TestSynthesize:
             pool,
             zero=(BOB, CAROL),
         )
-        summaries, _ = synthesize(pool(flaky), SYNTHESIS, bundle)
+        summaries, _ = synthesize(pool(flaky), SYNTHESIS, bundle, TEAM)
         assert flaky.calls == 2
         assert summaries[0].headline
 
@@ -388,7 +388,7 @@ class TestSynthesize:
             zero=(BOB, CAROL),
         )
         with pytest.raises(TemplateViolation):
-            synthesize(pool(broken), SYNTHESIS, bundle)
+            synthesize(pool(broken), SYNTHESIS, bundle, TEAM)
         assert broken.calls == 2  # exactly one repair retry
 
 
@@ -454,20 +454,20 @@ class TestValidateSummary:
 class TestRecordUsage:
     def test_zero_tokens_zero_cost(self):
         ledger = CostLedger()
-        entry = record_usage(ledger, ANALYSIS, 0, 0)
+        entry = record_usage(ledger, ANALYSIS, 0, 0, TEAM)
         assert entry.cost == 0.0
 
     def test_arithmetic(self):
         ledger = CostLedger()
         tier = ModelTier("analysis", "m", 100_000, 0.15, 0.0)
-        entry = record_usage(ledger, tier, 10_000, 0)
+        entry = record_usage(ledger, tier, 10_000, 0, TEAM)
         assert entry.cost == pytest.approx(1.50)
 
     def test_additivity(self):
         ledger = CostLedger()
         tier = ModelTier("analysis", "m", 100_000, 0.15, 0.60)
-        record_usage(ledger, tier, 1000, 0)
-        record_usage(ledger, tier, 0, 1000)
+        record_usage(ledger, tier, 1000, 0, TEAM)
+        record_usage(ledger, tier, 0, 1000, TEAM)
         assert ledger.total == pytest.approx(0.15 + 0.60)
 
 
@@ -510,14 +510,14 @@ class TestSingleFlight:
         store, ledger, mock = Store(tmp_path / "cache"), CostLedger(), _mock()
         first, second = self._call(), self._call()  # both made before either is answered
         with chain.SendPool(2, mock, store, ledger) as pool:
-            [a] = pool.answer_all([first])
-            [b] = pool.answer_all([second])
+            [a] = pool.answer_all([first], TEAM)
+            [b] = pool.answer_all([second], TEAM)
         assert a == b
         assert len(mock.calls) == len(ledger.entries) == 1
 
     def test_repeated_request_in_one_batch_sent_once(self, pool):
         ledger, mock = CostLedger(), _mock()
-        a, b = pool(mock, ledger=ledger).answer_all([self._call(), self._call()])
+        a, b = pool(mock, ledger=ledger).answer_all([self._call(), self._call()], TEAM)
         assert a == b
         assert len(mock.calls) == len(ledger.entries) == 1
 
@@ -556,7 +556,7 @@ class TestSingleFlight:
             for start in range(0, len(order), 3):
                 batch = order[start:start + 3]
                 calls = [file_call(ANALYSIS, "app.py", c, metrics) for c in batch]
-                texts = pool.answer_all(calls)
+                texts = pool.answer_all(calls, TEAM)
                 with lock:
                     answers.extend(zip(batch, texts))
 
@@ -579,7 +579,7 @@ class TestSingleFlight:
         assert len(answers) == 2 * 8 * len(contents)
         assert len(set(answers)) == len(contents)  # one answer per request
 
-    def test_failed_shared_send_is_sent_again(self, monkeypatch):
+    def test_failed_shared_send_is_sent_again(self, tmp_path, monkeypatch):
         """A call waiting for another call's send, which fails, sends the
         request itself; only the failing call sees the error."""
         started, joined, release = threading.Event(), threading.Event(), threading.Event()
@@ -611,11 +611,11 @@ class TestSingleFlight:
 
         def run(name):
             try:
-                outcomes[name] = pool.answer_all([self._call()])
+                outcomes[name] = pool.answer_all([self._call()], TEAM)
             except ProviderError as exc:
                 outcomes[name] = exc
 
-        with chain.SendPool(2, provider, ledger=ledger) as pool:
+        with chain.SendPool(2, provider, Store(tmp_path / "cache"), ledger) as pool:
             failing = threading.Thread(target=run, args=("failing",))
             failing.start()
             assert started.wait(timeout=30)

@@ -18,6 +18,7 @@ import threading
 import time
 import types
 from collections import Counter
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -493,9 +494,10 @@ class TestSendPool:
         assert runs[8] == runs[1]
 
     def test_request_sent_once_per_run_without_a_store(self, tmp_path):
-        """Two teams need one file row and the run has no store: the row is
-        sent once, whether the teams run one after the other or at once, and
-        each provider call has one ledger entry."""
+        """Two teams need one file row and the run's store starts empty: the
+        row is sent once, whether the teams run one after the other or at
+        once, and each provider call has one ledger entry. Each worker count
+        has a store of its own, so the second run's sends are not hits."""
         roster = load_roster(ROSTER_TEXT)
         repos = []
         for team, own in (("team-a", "a.py"), ("team-b", "b.py")):
@@ -515,7 +517,8 @@ class TestSendPool:
             cfg = _config(tmp_path / f"w{workers}", repos)
             cfg.analysis_workers = workers
             provider, ledger = SharedFileHeld(0.0), CostLedger()
-            results = pipeline.run_analysis(cfg, roster, provider, None, ledger)
+            store = Store(tmp_path / f"w{workers}" / "cache")
+            results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
             assert all(r.ok for r in results), [r.error for r in results]
             assert provider.shared_sends == 1, workers
             assert provider.sends == len(ledger.entries)
@@ -1432,7 +1435,7 @@ class TestStoreDatabase:
         )
         real_finish = pipeline._finish_team
 
-        def answer_all(self, calls, team=""):
+        def answer_all(self, calls, team):
             if team == "alpha" and not batch:
                 batch.append(sum(call is not None for call in calls))
             return real_answer_all(self, calls, team)
@@ -1547,7 +1550,7 @@ UNKEYED_FIELDS = {
 class TestOutputsSlot:
     """A team whose inputs digest and written files match the outputs
     record in its window's manifest is not run; any other team runs in full
-    and equals a run without a store."""
+    and equals a full run forced by deleting its window's manifest."""
 
     @staticmethod
     def _primed(tmp_path: Path) -> tuple[RunConfig, Store]:
@@ -1569,13 +1572,16 @@ class TestOutputsSlot:
         return cfg, store
 
     @staticmethod
-    def _storeless(cfg: RunConfig, roster, out: Path) -> dict[str, bytes]:
-        """The out dir a run of `cfg` without a store leaves in `out`, a copy
-        of `cfg`'s out dir."""
+    def _forced_run(cfg: RunConfig, roster, out: Path) -> dict[str, bytes]:
+        """The out dir a full run of `cfg` leaves in `out`, a copy of `cfg`'s
+        out dir whose team windows' manifests are deleted, which forces each
+        team to run; the run has a fresh store beside `out`."""
         shutil.copytree(cfg.out_dir, out)
-        results = pipeline.run_analysis(
-            dataclasses.replace(cfg, out_dir=str(out)), roster, MockProvider(), None, CostLedger()
-        )
+        forced = dataclasses.replace(cfg, out_dir=str(out))
+        for team, _ in cfg.repos:  # a failed team may have written no manifest
+            (pipeline.window_dir(forced, team) / pipeline.MANIFEST_NAME).unlink(missing_ok=True)
+        with closing(Store(out.with_name(f"{out.name}-cache"))) as store:
+            results = pipeline.run_analysis(forced, roster, MockProvider(), store, CostLedger())
         assert all(r.ok for r in results), [r.error for r in results]
         return _tree_bytes(out)
 
@@ -1619,7 +1625,7 @@ class TestOutputsSlot:
     ])
     def test_each_keyed_input_runs_the_team(self, tmp_path, monkeypatch, caplog, change):
         """One keyed input changed alone gives a full run whose out dir
-        equals a run without a store with that input."""
+        equals a forced full run with that input."""
         cfg, store = self._primed(tmp_path)
         roster = load_roster(ROSTER_TEXT)
         root = cfg.repos[0][1]
@@ -1657,7 +1663,7 @@ class TestOutputsSlot:
             _write_state(prior.parent, "week-0", "2024-05-02T00:00:00+00:00")
         elif change == "prior_removed":
             shutil.rmtree(prior)
-        expected = self._storeless(cfg, roster, tmp_path / "storeless")
+        expected = self._forced_run(cfg, roster, tmp_path / "forced")
         with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert result.ok, result.error
@@ -1667,13 +1673,16 @@ class TestOutputsSlot:
         _record_hit(monkeypatch, cfg, store, roster)
 
     @pytest.mark.parametrize(
-        "fault", ["edited", "deleted", "corrupted", "extra_delta", "no_record", "nested"]
+        "fault",
+        ["edited", "deleted", "corrupted", "extra_delta", "no_record", "nested", "manifest_deleted"],
     )
     def test_changed_file_is_rewritten(self, tmp_path, caplog, fault):
         """An artifact edited, deleted or corrupted, a delta the last run did
         not write, a manifest written before it held the outputs record, or
         one nested past the recursion limit, makes a full run that restores
-        the out dir and logs no warning."""
+        the out dir and logs no warning. So does a deleted manifest, the way
+        to force a window to run, which logs no outputs line and, on the
+        warm store, sends nothing."""
         cfg, store = self._primed(tmp_path)
         out = pipeline.window_dir(cfg, "team")
         if fault == "extra_delta":  # the last run found no prior window
@@ -1685,10 +1694,11 @@ class TestOutputsSlot:
         expected = _tree_bytes(Path(cfg.out_dir))
         name = {"edited": "report.md", "deleted": "contribution.csv",
                 "corrupted": pipeline.MANIFEST_NAME, "extra_delta": "delta.md",
-                "no_record": pipeline.MANIFEST_NAME, "nested": pipeline.MANIFEST_NAME}[fault]
+                "no_record": pipeline.MANIFEST_NAME, "nested": pipeline.MANIFEST_NAME,
+                "manifest_deleted": pipeline.MANIFEST_NAME}[fault]
         if fault == "edited":
             (out / name).write_bytes((out / name).read_bytes() + b"\n")
-        elif fault == "deleted":
+        elif fault in ("deleted", "manifest_deleted"):
             (out / name).unlink()
         elif fault == "corrupted":
             (out / name).write_bytes(b"\0" * len((out / name).read_bytes()))
@@ -1701,13 +1711,18 @@ class TestOutputsSlot:
             (out / name).write_text(json.dumps(old, indent=2, sort_keys=True), encoding="utf-8")
         else:
             (out / name).write_text("stale\n", encoding="utf-8")
+        provider = MockProvider()
         with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(
-                cfg, load_roster(ROSTER_TEXT), MockProvider(), store, CostLedger()
+                cfg, load_roster(ROSTER_TEXT), provider, store, CostLedger()
             )
         assert result.ok, result.error
-        reason = "no record" if fault == "no_record" else name
-        assert f"team outputs stale: team ({reason})" in caplog.messages
+        if fault == "manifest_deleted":  # a window not run before, as far as the record goes
+            assert "team outputs" not in caplog.text
+            assert provider.calls == []
+        else:
+            reason = "no record" if fault == "no_record" else name
+            assert f"team outputs stale: team ({reason})" in caplog.messages
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert _tree_bytes(Path(cfg.out_dir)) == expected
 
@@ -1753,7 +1768,7 @@ class TestOutputsSlot:
         """A run for new inputs that rewrites every artifact but fails to
         write its manifest leaves the last run's record, which its files no
         longer match: the next run with the new inputs runs in full and its
-        out dir equals a run without a store's."""
+        out dir equals a forced full run's."""
         cfg, store = self._primed(tmp_path)
         roster = load_roster(ROSTER_TEXT)
         out = pipeline.window_dir(cfg, "team")
@@ -1771,7 +1786,7 @@ class TestOutputsSlot:
             (failed,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert not failed.ok and "No space left on device" in failed.error
         assert (out / pipeline.MANIFEST_NAME).read_bytes() == before
-        expected = self._storeless(cfg, roster, tmp_path / "storeless")
+        expected = self._forced_run(cfg, roster, tmp_path / "forced")
         with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
         assert result.ok, result.error
@@ -1783,7 +1798,7 @@ class TestOutputsSlot:
         """Every standard fixture, four `random_script` and four
         `random_branch_script` histories as one course: the re-run skips
         every team, and its results and out dir equal the first run's and a
-        run without a store's."""
+        forced full run's."""
         repos = [(name, handle.root_path) for name, (handle, _) in sorted(built_fixtures.items())]
         for seed in range(4):
             handle, _ = synthfix.build(random_script(seed), tmp_path / f"r{seed}")
@@ -1803,7 +1818,7 @@ class TestOutputsSlot:
         unchanged = [m for m in caplog.messages if m.startswith("team outputs unchanged: ")]
         assert unchanged == [f"team outputs unchanged: {team}" for team, _ in repos]
         assert {p: p.stat().st_mtime_ns for p in before} == before
-        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
+        assert _tree_bytes(Path(cfg.out_dir)) == self._forced_run(cfg, roster, tmp_path / "plain")
 
     def test_rerun_after_a_failed_team_runs_only_that_team(self, tmp_path, monkeypatch, caplog):
         """A course re-run after one team failed (here on a full disk while
@@ -1828,7 +1843,7 @@ class TestOutputsSlot:
         outcomes = [m for m in caplog.messages if m.startswith("team outputs")]
         assert outcomes == ["team outputs unchanged: bystander"]
         assert {p: p.stat().st_mtime_ns for p in before} == before
-        assert _tree_bytes(Path(cfg.out_dir)) == self._storeless(cfg, roster, tmp_path / "plain")
+        assert _tree_bytes(Path(cfg.out_dir)) == self._forced_run(cfg, roster, tmp_path / "plain")
 
     @pytest.mark.parametrize("cut", ["shallow", "grafted"])
     def test_cut_history_reads_and_writes_no_slot(self, tmp_path, caplog, cut):
@@ -1850,11 +1865,11 @@ class TestOutputsSlot:
                 assert result.ok, result.error
         assert "team outputs" not in caplog.text
         cut_out = _tree_bytes(Path(cfg.out_dir))
-        assert cut_out == self._storeless(cfg, roster, tmp_path / "plain")
+        assert cut_out == self._forced_run(cfg, roster, tmp_path / "plain")
 
         # the cut run's record matches neither a full clone elsewhere with the
         # same tips nor the history deepened in place: each is a full run
-        # whose out dir equals a run's without a store
+        # whose out dir equals a forced full run's
         def full_run(label: str) -> dict[str, bytes]:
             caplog.clear()
             with caplog.at_level("INFO", logger=pipeline.__name__):
@@ -1862,7 +1877,7 @@ class TestOutputsSlot:
             assert result.ok, result.error
             assert "team outputs stale: team (inputs)" in caplog.messages
             out = _tree_bytes(Path(cfg.out_dir))
-            assert out == self._storeless(cfg, roster, tmp_path / label)
+            assert out == self._forced_run(cfg, roster, tmp_path / label)
             return out
 
         cfg.repos = [("team", handle.root_path)]
