@@ -4,6 +4,11 @@ All three expose one call, `send(messages, model_id) -> ProviderResponse`.
 The wire format of the live provider is a JSON chat completion: POST
 {model, messages:[{role, content}]}, response carrying the text plus
 input/output token counts.
+
+The mock costs near-zero CPU per call (tens of microseconds), so when a
+benchmark puts a fixed delay in front of it to stand in for a live
+endpoint, that delay is what a send costs, and the send threads leave
+the interpreter lock to the threads that replay and record.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ProviderError
+from ..store import write_atomic
 
 ANALYSIS_TIER = "analysis"
 SYNTHESIS_TIER = "synthesis"
@@ -189,9 +195,10 @@ class ReplayProvider:
     """Record/replay fixture provider.
 
     In record mode it forwards to an inner provider and writes one JSON
-    file per request into the replay directory. In replay mode (no inner
-    provider) a missing recording is an error, so tests never silently
-    hit the network.
+    file per request into the replay directory, each by an atomic rename.
+    In replay mode (no inner provider) a missing recording is an error, so
+    tests never silently hit the network; so is a recording that is not
+    JSON or holds no response, such as one cut short.
     """
 
     def __init__(self, directory: str | Path, inner=None):
@@ -205,14 +212,20 @@ class ReplayProvider:
         digest = request_digest(messages, model_id)
         path = self._path(digest)
         if path.exists():
-            saved = json.loads(path.read_text(encoding="utf-8"))
-            r = saved["response"]
-            return ProviderResponse(r["text"], r["input_tokens"], r["output_tokens"])
+            try:
+                r = json.loads(path.read_text(encoding="utf-8"))["response"]
+                return ProviderResponse(r["text"], r["input_tokens"], r["output_tokens"])
+            except (ValueError, KeyError, TypeError) as exc:
+                # not JSON text, or no response in it: a recording cut short
+                raise ProviderError(
+                    f"unreadable recording {digest[:12]} in {self.directory}"
+                ) from exc
         if self.inner is None:
             raise ProviderError(f"no recording for request {digest[:12]} in {self.directory}")
         response = self.inner.send(messages, model_id)
         self.directory.mkdir(parents=True, exist_ok=True)
-        path.write_text(
+        write_atomic(
+            path,
             json.dumps(
                 {
                     "request": {"model": model_id, "messages": messages},
@@ -225,7 +238,6 @@ class ReplayProvider:
                 sort_keys=True,
                 indent=2,
             ),
-            encoding="utf-8",
         )
         return response
 
@@ -250,6 +262,10 @@ class MockProvider:
     becomes reproducible byte for byte. When constructed with per-model
     budgets it asserts the documented budget rule on every call, which
     is how the acceptance suite enforces the invariant.
+
+    A call costs near-zero CPU: each theme's regex runs only on a text
+    holding one of its literals, and the request digest is computed only
+    for the `[mock:<digest>]` answer to a request with no known task.
     """
 
     def __init__(self, budgets: dict[str, int] | None = None):
@@ -265,9 +281,10 @@ class MockProvider:
                 f"{BUDGET_FRACTION:.0%} budget {limit} for {model_id}"
             )
         self.calls.append({"model": model_id, "messages": messages})
-        digest = request_digest(messages, model_id)
         data = extract_data_block(joined)
-        text = _generate(data, digest) if data else f"[mock:{digest[:12]}]"
+        text = _generate(data) if data else None
+        if text is None:
+            text = f"[mock:{request_digest(messages, model_id)[:12]}]"
         return ProviderResponse(
             text=text,
             input_tokens=estimate_tokens(joined),
@@ -277,29 +294,34 @@ class MockProvider:
 
 # Mock text generation: keyword-driven so dry runs read plausibly and so
 # deterministic fixtures can assert on meaningful phrases. Word-anchored
-# patterns: "auth" must not fire inside "author".
+# patterns: "auth" must not fire inside "author". Each pattern is the
+# theme's rule; beside it stand literals that every match of the pattern
+# contains, so a text holding none of them cannot match and the regex is
+# run only on a text that holds one.
 
 _THEMES = (
-    (r"\bflask\b|\bfastapi\b|\bserver", "server setup"),
-    (r"\broute|\bendpoint", "route registration"),
-    (r"\bmongo|\bsql|\bdatabase", "database initialization"),
-    (r"\bredis\b|\bcache", "cache initialization"),
-    (r"\bauth(?!or)|\blogin", "authentication"),
-    (r"\bpassword", "password handling"),
-    (r"\btoken", "token handling"),
-    (r"\bsecret", "secrets handling"),
-    (r"\brecover", "account recovery"),
-    (r"<form|\bforms?\b", "form handling"),
-    (r"\bbutton", "interface controls"),
-    (r"\bparagraph", "page content"),
-    (r"<html|<div|\bhtml\b", "page structure"),
-    (r"\bpandas\b|\bdataframe", "data analysis"),
-    (r"\bplot", "data visualization"),
-    (r"\btest", "tests"),
-    (r"\breadme\b", "documentation"),
+    (r"\bflask\b|\bfastapi\b|\bserver", ("flask", "fastapi", "server"), "server setup"),
+    (r"\broute|\bendpoint", ("route", "endpoint"), "route registration"),
+    (r"\bmongo|\bsql|\bdatabase", ("mongo", "sql", "database"), "database initialization"),
+    (r"\bredis\b|\bcache", ("redis", "cache"), "cache initialization"),
+    (r"\bauth(?!or)|\blogin", ("auth", "login"), "authentication"),
+    (r"\bpassword", ("password",), "password handling"),
+    (r"\btoken", ("token",), "token handling"),
+    (r"\bsecret", ("secret",), "secrets handling"),
+    (r"\brecover", ("recover",), "account recovery"),
+    (r"<form|\bforms?\b", ("form",), "form handling"),
+    (r"\bbutton", ("button",), "interface controls"),
+    (r"\bparagraph", ("paragraph",), "page content"),
+    (r"<html|<div|\bhtml\b", ("html", "<div"), "page structure"),
+    (r"\bpandas\b|\bdataframe", ("pandas", "dataframe"), "data analysis"),
+    (r"\bplot", ("plot",), "data visualization"),
+    (r"\btest", ("test",), "tests"),
+    (r"\breadme\b", ("readme",), "documentation"),
 )
 
-_THEME_RES = tuple((re.compile(pattern), theme) for pattern, theme in _THEMES)
+_THEME_RULES = tuple(
+    (re.compile(pattern), literals, theme) for pattern, literals, theme in _THEMES
+)
 
 _SECURITY_THEMES = {
     "authentication",
@@ -311,15 +333,17 @@ _SECURITY_THEMES = {
 
 
 def _themes_of(text: str) -> list[str]:
+    """The themes whose patterns match the lowered text, in `_THEMES` order."""
     lower = text.lower()
-    found: list[str] = []
-    for pattern, theme in _THEME_RES:
-        if theme not in found and pattern.search(lower):
-            found.append(theme)
-    return found
+    return [
+        theme
+        for pattern, literals, theme in _THEME_RULES
+        if any(literal in lower for literal in literals) and pattern.search(lower)
+    ]
 
 
-def _generate(data: dict, digest: str) -> str:
+def _generate(data: dict) -> str | None:
+    """The text for a `[[DATA]]` block's task; None for a task it does not know."""
     task = data.get("task", "")
     if task == "summarize-file":
         return _gen_summary(data)
@@ -327,7 +351,7 @@ def _generate(data: dict, digest: str) -> str:
         return _gen_description(data)
     if task == "synthesize":
         return _gen_synthesis(data)
-    return f"[mock:{digest[:12]}]"
+    return None
 
 
 def _gen_summary(data: dict) -> str:

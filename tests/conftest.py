@@ -62,6 +62,25 @@ def set_store_row(directory, key: str, body) -> None:
         db.close()
 
 
+
+class HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
 def write_file_layout(directory, rows: dict[str, str]) -> None:
     """Write `rows`, key -> body, as a release before the `Store` database
     kept them: one file each at `<key[:2]>/<key[2:]>.json`, beside a temp

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import threading
 import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import contribsum
 import contribsum.agents
-from conftest import JUNE
+from conftest import JUNE, HalfWriter
+from contribsum import store as store_module
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
 from contribsum.agents.chain import (
@@ -632,20 +635,192 @@ class TestSingleFlight:
 
 
 class TestReplayProvider:
+    MESSAGES = [{"role": "user", "content": "[[DATA]]\n{\"task\": \"x\"}\n[[/DATA]]"}]
+
     def test_record_then_replay_identical(self, tmp_path):
         inner = _mock()
         recorder = ReplayProvider(tmp_path / "replays", inner=inner)
-        messages = [{"role": "user", "content": "[[DATA]]\n{\"task\": \"x\"}\n[[/DATA]]"}]
-        recorded = recorder.send(messages, "mini-model")
+        recorded = recorder.send(self.MESSAGES, "mini-model")
 
         replayer = ReplayProvider(tmp_path / "replays")
-        replayed = replayer.send(messages, "mini-model")
+        replayed = replayer.send(self.MESSAGES, "mini-model")
         assert recorded == replayed
 
     def test_replay_miss_is_an_error(self, tmp_path):
         replayer = ReplayProvider(tmp_path / "empty")
         with pytest.raises(ProviderError):
             replayer.send([{"role": "user", "content": "never recorded"}], "m")
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "",
+            lambda text: json.dumps({"request": json.loads(text)["request"]}),
+            lambda text: json.dumps([json.loads(text)["response"]]),
+            lambda text: json.dumps({"response": {"text": "only text"}}),
+        ],
+        ids=["cut-in-half", "empty", "no-response", "not-an-object", "response-cut"],
+    )
+    def test_unreadable_recording_is_a_clear_error(self, tmp_path, spoil):
+        directory = tmp_path / "replays"
+        ReplayProvider(directory, inner=_mock()).send(self.MESSAGES, "mini-model")
+        [recording] = directory.glob("*.json")
+        recording.write_text(spoil(recording.read_text(encoding="utf-8")), encoding="utf-8")
+        digest = recording.stem
+        message = rf"^unreadable recording {digest[:12]} in {re.escape(str(directory))} "
+        with pytest.raises(ProviderError, match=message):
+            ReplayProvider(directory).send(self.MESSAGES, "mini-model")
+
+    def test_failed_recording_write_leaves_no_recording(self, tmp_path, monkeypatch):
+        """A recording whose write fails half-way, as on a full disk, leaves
+        no file, so a later recording run records that request afresh."""
+        directory = tmp_path / "replays"
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                store_module, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False
+            )
+            with pytest.raises(OSError, match="No space left"):
+                ReplayProvider(directory, inner=_mock()).send(self.MESSAGES, "mini-model")
+        assert list(directory.iterdir()) == []
+        recorded = ReplayProvider(directory, inner=_mock()).send(self.MESSAGES, "mini-model")
+        assert ReplayProvider(directory).send(self.MESSAGES, "mini-model") == recorded
+
+
+# The theme rule with no literal gate, the reference `_themes_of` must
+# equal: all 17 patterns, in order, each run on the lowered text.
+REFERENCE_THEMES = (
+    (r"\bflask\b|\bfastapi\b|\bserver", "server setup"),
+    (r"\broute|\bendpoint", "route registration"),
+    (r"\bmongo|\bsql|\bdatabase", "database initialization"),
+    (r"\bredis\b|\bcache", "cache initialization"),
+    (r"\bauth(?!or)|\blogin", "authentication"),
+    (r"\bpassword", "password handling"),
+    (r"\btoken", "token handling"),
+    (r"\bsecret", "secrets handling"),
+    (r"\brecover", "account recovery"),
+    (r"<form|\bforms?\b", "form handling"),
+    (r"\bbutton", "interface controls"),
+    (r"\bparagraph", "page content"),
+    (r"<html|<div|\bhtml\b", "page structure"),
+    (r"\bpandas\b|\bdataframe", "data analysis"),
+    (r"\bplot", "data visualization"),
+    (r"\btest", "tests"),
+    (r"\breadme\b", "documentation"),
+)
+
+
+def _reference_themes(text: str) -> list[str]:
+    lower = text.lower()
+    found: list[str] = []
+    for pattern, theme in REFERENCE_THEMES:
+        if theme not in found and re.search(pattern, lower):
+            found.append(theme)
+    return found
+
+
+# every literal of the theme patterns, then near-misses and edge cases
+THEME_WORDS = (
+    "flask", "fastapi", "server", "route", "endpoint", "mongo", "sql", "database",
+    "redis", "cache", "auth", "login", "password", "token", "secret", "recover",
+    "<form", "form", "forms", "button", "paragraph", "<html", "<div", "html",
+    "pandas", "dataframe", "plot", "test", "readme",
+    "author", "authority", "Authorize", "formula", "formsy", "html5", "sqlalchemy",
+    "mysql", "_login", "testing", "unittest", "flasks", "xform", "div", "<di",
+    "READMEs", "Redis", "FastAPI", "DataFrame", "<FORM", "auth0", "re", "or",
+)
+SEPARATORS = ("", " ", "_", "-", "<", ">", "0", "7", ".", "/", "\n", "\u0130")
+
+
+@st.composite
+def _theme_texts(draw) -> str:
+    parts = draw(st.lists(st.one_of(st.sampled_from(THEME_WORDS), st.text(max_size=3)), max_size=8))
+    text = draw(st.sampled_from(SEPARATORS))
+    for part in parts:
+        case = draw(st.sampled_from((str, str.upper, str.title)))
+        text += case(part) + draw(st.sampled_from(SEPARATORS))
+    return text
+
+
+class TestMockThemes:
+    """The literal gate in front of each theme's regex changes no theme."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_theme_texts())
+    @example(text="fastapi")
+    @example(text="author authority formula")
+    @example(text="<form_login-html5 sqlalchemy")
+    def test_gate_matches_the_plain_patterns(self, text):
+        assert provider_module._themes_of(text) == _reference_themes(text)
+
+    def test_every_word_alone_and_between_separators(self):
+        for word in THEME_WORDS:
+            for sep in SEPARATORS:
+                for text in (word, sep + word + sep, word.upper() + sep + word):
+                    assert provider_module._themes_of(text) == _reference_themes(text), text
+
+    def test_patterns_are_the_reference_rule(self):
+        assert [(p, t) for p, _, t in provider_module._THEMES] == list(REFERENCE_THEMES)
+
+
+class TestMockCost:
+    """The mock computes a request digest only for its `[mock:<digest>]` answer."""
+
+    @staticmethod
+    def _data_prompt(data: dict) -> list[dict]:
+        block = "[[DATA]]\n" + json.dumps(data, sort_keys=True, indent=1) + "\n[[/DATA]]"
+        return [
+            {"role": "system", "content": "You summarize code."},
+            {"role": "user", "content": f"Answer from the data.\n{block}"},
+        ]
+
+    def test_digest_only_without_a_data_block(self, monkeypatch):
+        digests = []
+        real = provider_module.request_digest
+
+        def counting(messages, model_id):
+            digests.append(model_id)
+            return real(messages, model_id)
+
+        monkeypatch.setattr(provider_module, "request_digest", counting)
+        mock = MockProvider()
+        tasks = [
+            {"task": "summarize-file", "path": "app/login.py", "content": FLASK_LIKE},
+            {
+                "task": "describe-contribution",
+                "student_name": "Alice Lee",
+                "path": "app/login.py",
+                "lines_owned": 12,
+                "lines_added_in_window": 4,
+                "file_functionality": "login routes",
+                "commit_messages": ["add login form"],
+                "solo_functions": [["login", 2]],
+            },
+            {
+                "task": "synthesize",
+                "students": [{"id": "alice", "name": "Alice Lee", "files": [
+                    {"path": "app/login.py", "description": "Alice wrote the login.", "lines_owned": 12}
+                ]}],
+                "project_description": "a web app",
+                "roles_requested": True,
+            },
+        ]
+        for n in range(30):
+            data = dict(tasks[n % 3], n=n)
+            mock.send(self._data_prompt(data), "mini-model")
+        assert digests == []
+
+        bare = [{"role": "system", "content": "You summarize code."},
+                {"role": "user", "content": "no data block here"}]
+        answer = mock.send(bare, "mini-model")
+        assert digests == ["mini-model"]
+        # pinned: recorded sessions and goldens hold the mock's texts
+        assert answer.text == "[mock:a7a2c6dc49e9]" == f"[mock:{real(bare, 'mini-model')[:12]}]"
+        assert (answer.input_tokens, answer.output_tokens) == (10, 5)
+
+    def test_unknown_task_answers_with_the_digest(self):
+        answer = MockProvider().send(TestReplayProvider.MESSAGES, "mini-model")
+        assert answer.text == "[mock:7a8911fdd1d8]"
 
 
 class TestBudgetAssertion:

@@ -25,8 +25,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    JUNE, NESTED, ROSTER_TEXT, commit_tree_entries, hang_cat_file, random_script, store_rows,
-    with_tree_entries, write_file_layout,
+    JUNE, NESTED, ROSTER_TEXT, HalfWriter, commit_tree_entries, hang_cat_file, random_script,
+    store_rows, with_tree_entries, write_file_layout,
 )
 from contribsum import (
     attribution, gitio, identity, ingest, pipeline, store as store_module, synthfix,
@@ -38,6 +38,7 @@ from contribsum.agents.provider import (
     MockProvider,
     ModelTier,
     ProviderResponse,
+    ReplayProvider,
     extract_data_block,
     request_digest,
 )
@@ -1120,24 +1121,6 @@ def _evidence_paths(result) -> set[str]:
     return {row["path"] for rows in cset["per_student"].values() for row in rows}
 
 
-class _HalfWriter:
-    """A file that takes half of what it is given, then fails as a full disk does."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise OSError(28, "No space left on device")
-
-
 class TestAtomicArtifacts:
     def test_failed_report_write_keeps_previous_artifacts(self, tmp_path, monkeypatch):
         handle, _ = synthfix.build_standard_fixture("sole_author", tmp_path / "repo")
@@ -1149,7 +1132,7 @@ class TestAtomicArtifacts:
 
         def failing_open(file, mode="r", *args, **kwargs):
             fh = open(file, mode, *args, **kwargs)
-            return _HalfWriter(fh) if Path(file).name.startswith(".report.md.") else fh
+            return HalfWriter(fh) if Path(file).name.startswith(".report.md.") else fh
 
         monkeypatch.setattr(store_module, "open", failing_open, raising=False)
         manifest = (out_dir / pipeline.MANIFEST_NAME).read_bytes()
@@ -1202,7 +1185,7 @@ class TestFaultMatrix:
             fh = open(file, mode, *args, **kwargs)
             path = Path(file)
             if path.name.startswith(".report.md.") and "victim" in path.parts:
-                return _HalfWriter(fh)
+                return HalfWriter(fh)
             return fh
 
         monkeypatch.setattr(store_module, "open", failing_open, raising=False)
@@ -1290,6 +1273,40 @@ class TestFaultMatrix:
             absent = "package-lock.json" if fault == "lockfile" else "libs/thing"
             for name in ("functionality.csv", "contribution.csv", "contribution_set.json", "report.md"):
                 assert absent not in (victim_out / name).read_text("utf-8"), name
+
+    def test_truncated_recording_fails_only_its_team(self, tmp_path):
+        """A recording cut short, as a recorder killed mid-write could leave
+        one, fails the team whose request it answers with a message naming
+        it; the other team replays as recorded."""
+        roots = {
+            team: synthfix.build(_history(12 + n), tmp_path / "repos" / team)[0].root_path
+            for n, team in enumerate(self.TEAMS)
+        }
+        recordings = tmp_path / "recordings"
+
+        def run(name: str, provider, teams=self.TEAMS):
+            cfg = _config(tmp_path / name, [(team, roots[team]) for team in teams], ("side",))
+            with closing(Store(tmp_path / name / "cache")) as store:
+                results = pipeline.run_analysis(
+                    cfg, load_roster(ROSTER_TEXT), provider, store, CostLedger()
+                )
+            return {r.team: r for r in results}, Path(cfg.out_dir)
+
+        run("bystander-alone", ReplayProvider(recordings, inner=MockProvider()), ("bystander",))
+        bystanders = set(recordings.iterdir())
+        recorded, recorded_out = run("recorded", ReplayProvider(recordings, inner=MockProvider()))
+        assert all(r.ok for r in recorded.values()), [r.error for r in recorded.values()]
+        cut = sorted(set(recordings.iterdir()) - bystanders)[0]
+        text = cut.read_text(encoding="utf-8")
+        cut.write_text(text[: len(text) // 2], encoding="utf-8")
+
+        results, out = run("replayed", ReplayProvider(recordings))
+        assert not results["victim"].ok
+        assert results["victim"].error == (
+            f"unreadable recording {cut.stem[:12]} in {recordings} (after 1 attempt)"
+        )
+        assert results["bystander"].ok, results["bystander"].error
+        assert _tree_bytes(out / "bystander") == _tree_bytes(recorded_out / "bystander")
 
 
 class CountingProvider:
