@@ -186,7 +186,7 @@ class HttpProvider:
                     input_tokens=int(usage.get("prompt_tokens", 0)),
                     output_tokens=int(usage.get("completion_tokens", 0)),
                 )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
                 raise ProviderError(f"malformed provider response: {exc}", attempt)
         raise ProviderError(last_error, MAX_ATTEMPTS)
 
@@ -215,8 +215,9 @@ class ReplayProvider:
             try:
                 r = json.loads(path.read_text(encoding="utf-8"))["response"]
                 return ProviderResponse(r["text"], r["input_tokens"], r["output_tokens"])
-            except (ValueError, KeyError, TypeError) as exc:
-                # not JSON text, or no response in it: a recording cut short
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                # not JSON text, no response in it (a recording cut short), or
+                # nested past the interpreter's recursion limit
                 raise ProviderError(
                     f"unreadable recording {digest[:12]} in {self.directory}"
                 ) from exc
@@ -265,12 +266,12 @@ class MockProvider:
 
     A call costs near-zero CPU: each theme's regex runs only on a text
     holding one of its literals, and the request digest is computed only
-    for the `[mock:<digest>]` answer to a request with no known task.
+    for the `[mock:<digest>]` answer to a request with no known task. It
+    keeps nothing of a request once answered.
     """
 
     def __init__(self, budgets: dict[str, int] | None = None):
         self.budgets = budgets or {}
-        self.calls: list[dict] = []
 
     def send(self, messages: list[dict], model_id: str) -> ProviderResponse:
         joined = "".join(m.get("content", "") for m in messages)
@@ -280,7 +281,6 @@ class MockProvider:
                 f"request estimate {estimate_tokens(joined)} exceeds "
                 f"{BUDGET_FRACTION:.0%} budget {limit} for {model_id}"
             )
-        self.calls.append({"model": model_id, "messages": messages})
         data = extract_data_block(joined)
         text = _generate(data) if data else None
         if text is None:

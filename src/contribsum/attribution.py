@@ -53,7 +53,7 @@ import json
 import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from difflib import SequenceMatcher
 from fnmatch import translate
@@ -142,7 +142,8 @@ class ContributionSet:
         return self.per_student.get(student_id, [])
 
     def to_json(self) -> str:
-        """Canonical serialization: stable key order, byte-deterministic."""
+        """Canonical serialization: stable key order, byte-deterministic. An
+        evidence row is written as its fields less `student`, its key."""
         payload = {
             "window": {
                 "start": self.window.start.astimezone(timezone.utc).isoformat(),
@@ -152,14 +153,7 @@ class ContributionSet:
             "zero_commit_students": sorted(s.id for s in self.zero_commit_students),
             "per_student": {
                 sid: [
-                    {
-                        "path": ev.path,
-                        "lines_owned": ev.lines_owned,
-                        "lines_added_in_window": ev.lines_added_in_window,
-                        "commit_messages": ev.commit_messages,
-                        "solo_functions": [[n, s] for n, s in ev.solo_functions],
-                        "comment_only": ev.comment_only,
-                    }
+                    {f.name: getattr(ev, f.name) for f in fields(ev) if f.name != "student"}
                     for ev in sorted(rows, key=lambda e: e.path)
                 ]
                 for sid, rows in sorted(self.per_student.items())

@@ -59,11 +59,24 @@ def _effective_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _read_roster(cfg: RunConfig):
+    """The run's roster; one that cannot be read, is not UTF-8 text or does
+    not parse raises ConfigError."""
+    try:
+        return load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ContribSumError) as exc:
+        raise ConfigError(f"roster: {cfg.roster_path}: {exc}") from exc
+
+
 def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
     """Run every team; `state_flag`, a `--state` flag's directory, beats
     CONTRIBSUM_STATE."""
     cfg = _effective_config(cfg)
-    roster = load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
+    try:
+        roster = _read_roster(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     state_dir = resolve_state_dir(cfg.state_dir, state_flag)
     store = Store(state_dir / "cache")
     ledger = CostLedger(state_dir / "ledger.jsonl")
@@ -90,11 +103,11 @@ def cmd_check(cfg: RunConfig) -> int:
     problems = 0
     roster = None
     try:
-        roster = load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
+        roster = _read_roster(cfg)
         print(f"[ok]   roster: {len(roster.students)} students")
-    except ContribSumError as exc:
+    except ConfigError as exc:
         problems += 1
-        print(f"[fail] roster: {exc}")
+        print(f"[fail] {exc}")
 
     for name in ("system", "summarize_file", "describe_contribution", "synthesize", "repair"):
         try:

@@ -28,6 +28,7 @@ import re
 import shutil
 import threading
 import time
+import typing
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,7 +104,18 @@ def _probe(sqlite3, path: Path) -> None:
 def _connect(sqlite3, path: Path):
     db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
     try:
-        db.execute("PRAGMA journal_mode=WAL")
+        # Switching a new database to write-ahead logging locks it, and SQLite
+        # fails a second connection that asks at once without waiting; that
+        # one asks again until sqlite3.connect's busy timeout (5 s) has passed.
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+            time.sleep(0.001)
         db.execute("PRAGMA synchronous=NORMAL")
         db.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
         db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, body)")
@@ -259,15 +271,10 @@ class LedgerEntry:
     team: str = ""  # the team whose call sent the request; "" in ledgers written without it
 
 
-# the types a ledger line's fields must have to load as a LedgerEntry
+# the type each field of a ledger line must have to load: its declared one, or for a float an int
 _FIELD_TYPES = {
-    "timestamp": (int, float),
-    "tier": str,
-    "model_id": str,
-    "input_tokens": int,
-    "output_tokens": int,
-    "cost": (int, float),
-    "team": str,
+    name: (int, float) if kind is float else kind
+    for name, kind in typing.get_type_hints(LedgerEntry).items()
 }
 
 
@@ -313,15 +320,7 @@ class CostLedger:
     ) -> LedgerEntry:
         if input_tokens < 0 or output_tokens < 0:
             raise ValueError("token counts must be non-negative")
-        entry = LedgerEntry(
-            timestamp=time.time(),
-            tier=tier,
-            model_id=model_id,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            cost=cost,
-            team=team,
-        )
+        entry = LedgerEntry(time.time(), tier, model_id, input_tokens, output_tokens, cost, team)
         # every team thread of a run records into one ledger: the list, the
         # file and the fresh-line flag change together
         with self._lock:

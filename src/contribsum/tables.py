@@ -1,5 +1,9 @@
 """The two intermediate CSV artifacts: functionality and contribution tables.
 
+A table's columns are its row type's fields, in order. A `str` field is a
+text column, an `int` field an integer column, and an `int | None` field
+an integer column whose empty cell is None.
+
 RFC 4180 serialization (UTF-8, header row, minimal quoting, CRLF records)
 with lossless round-trips. Rows are stored and written in primary-key
 order, so equal tables always serialize to identical bytes.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,11 +61,18 @@ class ContributionTableRow:
     solo_functions: str = ""  # "name:score; name:score"
 
 
-def _check_text(row, fields: tuple[str, ...]) -> None:
-    # the csv module cannot represent NUL in any quoting mode
-    for name in fields:
-        if "\x00" in getattr(row, name):
-            raise ValueError(f"{name} contains a NUL character, not representable in CSV")
+def _order(table, key, what: str) -> None:
+    """Put `table.rows` in `key` order, and refuse a duplicate key or a NUL
+    in a text column: the csv module cannot represent NUL in any quoting mode."""
+    ordered = tuple(sorted(table.rows, key=key))
+    object.__setattr__(table, "rows", ordered)
+    keys = [key(r) for r in ordered]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate {what}")
+    for row in ordered:
+        for name, kind in _FIELDS[type(row)]:
+            if kind is str and "\x00" in getattr(row, name):
+                raise ValueError(f"{name} contains a NUL character, not representable in CSV")
 
 
 @dataclass(frozen=True)
@@ -68,13 +80,7 @@ class FunctionalityTable:
     rows: tuple[FunctionalityTableRow, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.rows, key=lambda r: r.filename))
-        object.__setattr__(self, "rows", ordered)
-        names = [r.filename for r in ordered]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate Filename in functionality table")
-        for row in ordered:
-            _check_text(row, ("filename", "functionality", "difficulty"))
+        _order(self, lambda r: r.filename, "Filename in functionality table")
 
 
 @dataclass(frozen=True)
@@ -82,50 +88,16 @@ class ContributionTable:
     rows: tuple[ContributionTableRow, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.rows, key=lambda r: (r.student, r.file)))
-        object.__setattr__(self, "rows", ordered)
-        keys = [(r.student, r.file) for r in ordered]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (Student, File) in contribution table")
-        for row in ordered:
-            _check_text(row, ("student", "file", "description", "solo_functions"))
+        _order(self, lambda r: (r.student, r.file), "(Student, File) in contribution table")
 
 
-def _opt(value: int | None) -> str:
-    return "" if value is None else str(value)
-
-
-def _serialize(table: FunctionalityTable | ContributionTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if isinstance(table, FunctionalityTable):
-        writer.writerow(FUNCTIONALITY_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.filename,
-                    r.functionality,
-                    r.difficulty,
-                    str(r.byte_size),
-                    str(r.line_count),
-                    _opt(r.complexity),
-                    _opt(r.tag_count),
-                ]
-            )
-    else:
-        writer.writerow(CONTRIBUTION_COLUMNS)
-        for r in table.rows:
-            writer.writerow(
-                [
-                    r.student,
-                    r.file,
-                    r.description,
-                    str(r.lines_owned),
-                    str(r.lines_added_in_window),
-                    r.solo_functions,
-                ]
-            )
-    return buf.getvalue()
+# each table type's column names and row type
+_SCHEMAS = {
+    FunctionalityTable: (FUNCTIONALITY_COLUMNS, FunctionalityTableRow),
+    ContributionTable: (CONTRIBUTION_COLUMNS, ContributionTableRow),
+}
+# each row type's (field name, type), in column order: str, int or int | None
+_FIELDS = {row: list(typing.get_type_hints(row).items()) for _, row in _SCHEMAS.values()}
 
 
 def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int:
@@ -133,7 +105,13 @@ def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int
 
     `destination` may be a path or a binary file object.
     """
-    data = _serialize(table).encode("utf-8")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_SCHEMAS[type(table)][0])
+    for row in table.rows:
+        values = (getattr(row, name) for name, _ in _FIELDS[type(row)])
+        writer.writerow(["" if value is None else str(value) for value in values])
+    data = buf.getvalue().encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(data)
     else:
@@ -141,17 +119,16 @@ def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int
     return len(data)
 
 
-def _parse_int(value: str, column: str, line_no: int) -> int:
+def _parse(value: str, kind, column: str, line_no: int):
+    """A cell's value as its column's field type."""
+    if kind is str:
+        return value
+    if value == "" and kind == int | None:
+        return None
     try:
         return int(value)
     except ValueError:
         raise MalformedCsv(line_no, f"column {column!r}: not an integer: {value!r}")
-
-
-def _parse_opt_int(value: str, column: str, line_no: int) -> int | None:
-    if value == "":
-        return None
-    return _parse_int(value, column, line_no)
 
 
 def read_csv(source) -> FunctionalityTable | ContributionTable:
@@ -176,50 +153,29 @@ def read_csv(source) -> FunctionalityTable | ContributionTable:
         raise MalformedCsv(1, "empty document, header row required")
 
     header = records[0]
-    if header == list(FUNCTIONALITY_COLUMNS):
-        expected = FUNCTIONALITY_COLUMNS
-    elif header == list(CONTRIBUTION_COLUMNS):
-        expected = CONTRIBUTION_COLUMNS
+    for table_type, (columns, row_type) in _SCHEMAS.items():
+        if header == list(columns):
+            break
     else:
-        for schema in (FUNCTIONALITY_COLUMNS, CONTRIBUTION_COLUMNS):
-            if header and header[0] == schema[0]:
-                missing = [c for c in schema if c not in header]
-                extra = [c for c in header if c not in schema]
-                offending = (missing + extra or [schema[0]])[0]
+        for columns, _ in _SCHEMAS.values():
+            if header and header[0] == columns[0]:
+                missing = [c for c in columns if c not in header]
+                extra = [c for c in header if c not in columns]
+                offending = (missing + extra or [columns[0]])[0]
                 raise SchemaMismatch(offending, "header does not match schema")
         raise SchemaMismatch(header[0] if header else "<empty>", "unrecognized header")
 
     body = records[1:]
     for line_no, record in enumerate(body, start=2):
-        if len(record) != len(expected):
-            raise MalformedCsv(line_no, f"expected {len(expected)} fields, got {len(record)}")
+        if len(record) != len(columns):
+            raise MalformedCsv(line_no, f"expected {len(columns)} fields, got {len(record)}")
 
-    if expected is FUNCTIONALITY_COLUMNS:
-        rows = [
-            FunctionalityTableRow(
-                filename=rec[0],
-                functionality=rec[1],
-                difficulty=rec[2],
-                byte_size=_parse_int(rec[3], "ByteSize", no),
-                line_count=_parse_int(rec[4], "LineCount", no),
-                complexity=_parse_opt_int(rec[5], "Complexity", no),
-                tag_count=_parse_opt_int(rec[6], "TagCount", no),
-            )
-            for no, rec in enumerate(body, start=2)
-        ]
-        return FunctionalityTable(rows=tuple(rows))
+    kinds = [kind for _, kind in _FIELDS[row_type]]
     rows = [
-        ContributionTableRow(
-            student=rec[0],
-            file=rec[1],
-            description=rec[2],
-            lines_owned=_parse_int(rec[3], "LinesOwned", no),
-            lines_added_in_window=_parse_int(rec[4], "LinesAddedInWindow", no),
-            solo_functions=rec[5],
-        )
+        row_type(*(_parse(cell, kind, col, no) for cell, kind, col in zip(rec, kinds, columns)))
         for no, rec in enumerate(body, start=2)
     ]
-    return ContributionTable(rows=tuple(rows))
+    return table_type(rows=tuple(rows))
 
 
 def solo_functions_text(pairs: list[tuple[str, int]]) -> str:

@@ -63,6 +63,19 @@ def set_store_row(directory, key: str, body) -> None:
 
 
 
+class Recorder:
+    """A provider that keeps every request it sends on to `inner`, for tests
+    to read: `calls` holds one `{"model", "messages"}` dict per send."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[dict] = []
+
+    def send(self, messages: list[dict], model_id: str):
+        self.calls.append({"model": model_id, "messages": messages})
+        return self.inner.send(messages, model_id)
+
+
 class HalfWriter:
     """A file that takes half of what it is given, then fails as a full disk does."""
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import contribsum
 import contribsum.agents
-from conftest import JUNE, HalfWriter
+from conftest import JUNE, NESTED, HalfWriter, Recorder
 from contribsum import store as store_module
 from contribsum.agents import chain
 from contribsum.agents import provider as provider_module
@@ -74,8 +74,10 @@ def admin():
 """
 
 
-def _mock() -> MockProvider:
-    return MockProvider(budgets={t.model_id: t.max_input_tokens for t in (ANALYSIS, SYNTHESIS)})
+def _mock() -> Recorder:
+    return Recorder(
+        MockProvider(budgets={t.model_id: t.max_input_tokens for t in (ANALYSIS, SYNTHESIS)})
+    )
 
 
 def _file_row(pool, tier, path, content, metrics):
@@ -155,7 +157,7 @@ class TestSummarizeFile:
 
     def test_oversized_content_clipped_to_budget(self, pool):
         tiny = ModelTier("analysis", "tiny", 2000, 0, 0)
-        mock = MockProvider(budgets={"tiny": 2000})
+        mock = Recorder(MockProvider(budgets={"tiny": 2000}))
         big = "\n".join(f"statement_{i} = {i}" for i in range(5000))
         metrics = compute_file_metrics("big.py", big.encode())
         row = _file_row(pool(mock), tiny, "big.py", big, metrics)
@@ -168,7 +170,7 @@ class TestSummarizeFile:
         """At a budget that rejects 200 and 100 head and tail lines, the
         request sent keeps 50 of each."""
         small = ModelTier("analysis", "small", 1000, 0, 0)
-        mock = MockProvider(budgets={"small": 1000})
+        mock = Recorder(MockProvider(budgets={"small": 1000}))
         big = "\n".join(f"statement_{i} = {i}" for i in range(1000))
         metrics = compute_file_metrics("big.py", big.encode())
 
@@ -190,7 +192,7 @@ class TestSummarizeFile:
 
     def test_budget_exceeded_when_even_clipping_cannot_fit(self, pool):
         micro = ModelTier("analysis", "micro", 200, 0, 0)
-        mock = MockProvider(budgets={"micro": 200})
+        mock = Recorder(MockProvider(budgets={"micro": 200}))
         wide = "x" * 100_000  # one unsplittable enormous line
         metrics = compute_file_metrics("wide.py", wide.encode())
         with pytest.raises(
@@ -659,8 +661,9 @@ class TestReplayProvider:
             lambda text: json.dumps({"request": json.loads(text)["request"]}),
             lambda text: json.dumps([json.loads(text)["response"]]),
             lambda text: json.dumps({"response": {"text": "only text"}}),
+            lambda text: NESTED.decode(),
         ],
-        ids=["cut-in-half", "empty", "no-response", "not-an-object", "response-cut"],
+        ids=["cut-in-half", "empty", "no-response", "not-an-object", "response-cut", "nested"],
     )
     def test_unreadable_recording_is_a_clear_error(self, tmp_path, spoil):
         directory = tmp_path / "replays"
@@ -944,6 +947,25 @@ class TestHttpRetries:
         live = HttpProvider("http://localhost/v1", "key")
         assert live.send(self.MESSAGES, "m").text == "ok"
         assert not live.one_at_a_time
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b'{"choices": []}', b'{"choices": [{"message": {}}]}', NESTED],
+        ids=["not-json", "no-choice", "no-content", "nested"],
+    )
+    def test_malformed_answer_is_a_provider_error(self, monkeypatch, body):
+        """An answer that is not JSON, lacks its text or is nested past the
+        recursion limit fails the send with `ProviderError`, not retried."""
+
+        class Body(Answer):
+            def json(self):
+                return json.loads(body)
+
+        _endpoint(monkeypatch, [Body(200)])
+        live = HttpProvider("http://localhost/v1", "key")
+        message = r"^malformed provider response: .*\(after 1 attempt\)$"
+        with pytest.raises(ProviderError, match=message):
+            live.send(self.MESSAGES, "m")
 
 
 class TestPublicNames:

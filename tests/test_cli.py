@@ -106,14 +106,30 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "2/2 teams analyzed" in out
 
-    def test_missing_roster_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "roster",
+        [None, b"alice | Alice Lee\n", ROSTER.encode() + b"alex | Alice Lee | alex@campus.edu\n",
+         b"\xff" + ROSTER.encode()],
+        ids=["missing", "two-fields", "duplicate-alias", "not-utf8"],
+    )
+    def test_missing_roster_is_config_error(self, tmp_path, capsys, roster):
+        """A roster that is missing, does not parse or is not UTF-8 fails
+        `analyze` as a configuration error, before any output; `check`
+        names it in a failed roster line, once the config names a file."""
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
-        (tmp_path / "roster.txt").unlink()
+        if roster is None:
+            (tmp_path / "roster.txt").unlink()
+        else:
+            (tmp_path / "roster.txt").write_bytes(roster)
         exit_code = main(["analyze", "--config", str(config)])
         assert exit_code == 2
         err = capsys.readouterr().err
-        assert "roster" in err
+        assert err.startswith("config error: roster")
         assert not (tmp_path / "out").exists()
+        if roster is None:
+            return
+        assert main(["check", "--config", str(config)]) == 1
+        assert f"[fail] roster: {tmp_path / 'roster.txt'}: " in capsys.readouterr().out
 
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(

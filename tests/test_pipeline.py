@@ -25,8 +25,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    JUNE, NESTED, ROSTER_TEXT, HalfWriter, commit_tree_entries, hang_cat_file, random_script,
-    store_rows, with_tree_entries, write_file_layout,
+    JUNE, NESTED, ROSTER_TEXT, HalfWriter, Recorder, commit_tree_entries, hang_cat_file,
+    random_script, store_rows, with_tree_entries, write_file_layout,
 )
 from contribsum import (
     attribution, gitio, identity, ingest, pipeline, store as store_module, synthfix,
@@ -1728,7 +1728,7 @@ class TestOutputsSlot:
             (out / name).write_text(json.dumps(old, indent=2, sort_keys=True), encoding="utf-8")
         else:
             (out / name).write_text("stale\n", encoding="utf-8")
-        provider = MockProvider()
+        provider = Recorder(MockProvider())
         with caplog.at_level("INFO", logger=pipeline.__name__):
             (result,) = pipeline.run_analysis(
                 cfg, load_roster(ROSTER_TEXT), provider, store, CostLedger()

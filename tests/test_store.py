@@ -93,6 +93,33 @@ class TestStore:
         Store(tmp_path / "cache").put(key, {"text": "durable"})
         assert Store(tmp_path / "cache").get(key) == {"text": "durable"}
 
+    def test_two_stores_open_one_new_database_at_once(self, tmp_path):
+        """Two stores on one new directory make their first put at once, 300
+        times over, and every put succeeds: switching a new database to
+        write-ahead logging locks it, and SQLite fails the second connection
+        that asks without waiting for the first."""
+        errors = []
+        for trial in range(300):
+            stores = [Store(tmp_path / str(trial)), Store(tmp_path / str(trial))]
+            barrier = threading.Barrier(2)
+
+            def first_put(store, n):
+                barrier.wait()
+                try:
+                    store.put(cache_key("t", "m", str(n)), {"text": str(n)})
+                except sqlite3.Error as exc:  # reported by the assertion below
+                    errors.append((trial, exc))
+
+            threads = [threading.Thread(target=first_put, args=pair) for pair in zip(stores, "ab")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            for store in stores:
+                store.close()
+        assert errors == []
+        assert len(store_rows(tmp_path / "299")) == 2
+
     def test_threads_share_a_store_while_another_reads(self, tmp_path):
         """8 threads put and read 200 keys, 10 of them put by every thread
         with equal payloads, while a second store on the directory reads."""
@@ -355,8 +382,17 @@ class TestCostLedger:
             b'{"timestamp": 1.0, "tier": "analysis", "model_id": "\xff", "input_tokens": 1,'
             b' "output_tokens": 2, "cost": 0.25}',
             NESTED,
+            b'{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1.0,'
+            b' "output_tokens": 2, "cost": 0.25}',
+            b'{"timestamp": "1.0", "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": 0.25}',
+            b'{"timestamp": 1.0, "tier": null, "model_id": "m", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": 0.25}',
+            b'{"timestamp": 1.0, "tier": "analysis", "model_id": "m", "input_tokens": 1,'
+            b' "output_tokens": 2, "cost": 0.25, "spare": 1}',
         ],
-        ids=["list", "missing-fields", "wrong-type", "wrong-type-team", "not-utf8", "nested"],
+        ids=["list", "missing-fields", "wrong-type", "wrong-type-team", "not-utf8", "nested",
+             "float-tokens", "text-timestamp", "null-tier", "unknown-field"],
     )
     def test_wrong_shape_line_skipped(self, tmp_path, caplog, capsys, line):
         path = tmp_path / "ledger.jsonl"
@@ -368,6 +404,29 @@ class TestCostLedger:
         assert "truncated ledger line 2" in caplog.text
         assert main(["cost", "--state", str(tmp_path)]) == 0
         assert "total: $0.25" in capsys.readouterr().out
+
+    def test_lines_load_as_the_declared_field_types_admit(self, tmp_path):
+        """Each field set in turn to a value of each JSON type: a line loads
+        exactly when every field has the type a ledger line was checked
+        against before those types were read from `LedgerEntry`, where a
+        float field takes an int too."""
+        before = {
+            "timestamp": (int, float), "tier": str, "model_id": str, "input_tokens": int,
+            "output_tokens": int, "cost": (int, float), "team": str,
+        }
+        base = {"timestamp": 1.5, "tier": "analysis", "model_id": "m", "input_tokens": 1,
+                "output_tokens": 2, "cost": 0.25, "team": "t"}
+        records = [
+            {**base, name: value}
+            for name in base
+            for value in (0, 7, 2.5, True, "x", "", None, [], {})
+        ]
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        loaded = [vars(entry) for entry in CostLedger(path).entries]
+        admitted = [r for r in records if all(isinstance(r[f], t) for f, t in before.items())]
+        assert loaded == admitted
+        assert 0 < len(admitted) < len(records)
 
     def test_line_without_team_loads_with_no_team(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
