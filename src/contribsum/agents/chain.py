@@ -189,54 +189,66 @@ class SendPool(ThreadPoolExecutor):
         call order. Only `provider.send` of a key the cache did not hold
         runs on the pool's threads, once per run, whichever team asks. Usage
         and cache entries are recorded by the call that sent the request, on
-        the calling thread and in call order, so ledger and cache come out
-        the same for any pool size; ledger entries name `team`. A call whose
-        shared send failed or was cancelled sends on its own. When a send
-        fails or is cancelled, this call's sends not yet started are
-        cancelled, the answers already in are still recorded, and the first
-        error is raised.
+        the calling thread and in call order, and a call that joins another
+        call's send takes its answer once that call has recorded it. So
+        ledger and cache come out the same for any pool size, and across
+        teams that ask for shared requests in one order the ledger follows
+        that order; ledger entries name `team`. A call whose shared send
+        failed or was cancelled sends on its own. When a send fails or is
+        cancelled, this call's sends not yet started are cancelled, the
+        answers already in are still recorded, and the first error is
+        raised.
         """
-        sends = [self._join(call) if call is not None else None for call in calls]
+        sends: list[tuple[Future, Future | None] | None] = []
         error = None
         try:
+            for call in calls:
+                sends.append(self._join(call) if call is not None else None)
             for i, call in enumerate(calls):
-                while sends[i] is not None and not sends[i][1] and error is None:
+                while sends[i] is not None and sends[i][1] is None and error is None:
                     try:  # another call's send of the same request
                         call.text, call.messages = sends[i][0].result().text, None
                         sends[i] = None
                     except Exception:  # it failed or was cancelled: send it here
                         sends[i] = self._join(call)
-                if sends[i] is None or not sends[i][1]:
+                if sends[i] is None or sends[i][1] is None:
                     continue
+                answer, send = sends[i]
                 try:
-                    self._record(call, sends[i][0].result(), team)
+                    self._record(call, send.result(), team)
                 except Exception as exc:  # a cancelled send raises CancelledError
                     error = error or exc
                     _cancel(sends)
+                finally:
+                    _settle(answer, send)
         finally:
             _cancel(sends)  # an interrupt, too, must not leave queued sends behind
+            for send in sends:  # nor calls that joined a send waiting for it
+                if send is not None and send[1] is not None and not send[0].done():
+                    send[1].add_done_callback(functools.partial(_settle, send[0]))
         if error is not None:
             raise error
         return [call and call.text for call in calls]
 
-    def _join(self, call: Call) -> tuple[Future, bool]:
-        """The answer to `call`: `(future, True)` when `call` sends it,
-        `(future, False)` when the cache or another call holds it. Only a
-        key's first call reads the cache, and a hit is kept as a done future
-        that later calls join."""
+    def _join(self, call: Call) -> tuple[Future, Future | None]:
+        """The answer to `call` and, when `call` sends it, the send: `(answer,
+        send)`; `(answer, None)` when the cache or another call holds it.
+        Only a key's first call reads the cache, and a hit is kept as a done
+        answer that later calls join; a sent answer is settled once its
+        sender has recorded it."""
         with self._lock:  # two calls never both read or send one key
-            future = self._sends.get(call.key)
-            hit = self._store.get(call.key) if future is None else None
+            answer = self._sends.get(call.key)
+            hit = self._store.get(call.key) if answer is None else None
             if hit is not None:
-                future = self._sends[call.key] = Future()
-                future.set_result(ProviderResponse(**hit))
-            if future is not None and not (
-                future.cancelled() or (future.done() and future.exception() is not None)
+                answer = self._sends[call.key] = Future()
+                answer.set_result(ProviderResponse(**hit))
+            if answer is not None and not (
+                answer.cancelled() or (answer.done() and answer.exception() is not None)
             ):
-                return future, False
-            future = self.submit(self._provider.send, call.messages, call.tier.model_id)
-            self._sends[call.key] = future
-            return future, True
+                return answer, None
+            send = self.submit(self._provider.send, call.messages, call.tier.model_id)
+            answer = self._sends[call.key] = Future()
+            return answer, send
 
     def _record(self, call: Call, response, team: str) -> None:
         """Ledger and cache one provider response to `call`, sent for `team`."""
@@ -246,11 +258,23 @@ class SendPool(ThreadPoolExecutor):
         call.messages = None  # answered: the prompt is not kept
 
 
-def _cancel(sends: list[tuple[Future, bool] | None]) -> None:
+def _settle(answer: Future, send: Future) -> None:
+    """Give the calls that joined `send` its outcome, once it is done."""
+    if answer.done() or not send.done():
+        return
+    if send.cancelled():
+        answer.cancel()
+    elif send.exception() is not None:
+        answer.set_exception(send.exception())
+    else:
+        answer.set_result(send.result())
+
+
+def _cancel(sends: list[tuple[Future, Future | None] | None]) -> None:
     """Cancel the sends this call makes that have not started."""
     for send in sends:
-        if send is not None and send[1]:
-            send[0].cancel()
+        if send is not None and send[1] is not None:
+            send[1].cancel()
 
 
 def record_usage(

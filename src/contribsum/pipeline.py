@@ -56,8 +56,10 @@ team, join that answer or its send, so a request is sent at most once
 per run. Only `provider.send` runs on the pool's threads; rendering,
 budget checks, cache reads and writes, ledger entries and parsing stay
 on the team's own thread in row order, so outputs and each team's ledger
-entries are the same for any pool size (across teams the ledger follows
-completion order), and a fully cached team starts no send thread.
+entries are the same for any pool size. A call that joins another team's
+send takes the answer once that team has recorded it, so teams that ask
+for shared requests in one order ledger them in that order, as one team
+alone would. A fully cached team starts no send thread.
 `chain.fill_tables` fills a team's tables in two batches, the file rows
 and then the contribution rows that quote them.
 """

@@ -106,30 +106,29 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "2/2 teams analyzed" in out
 
-    @pytest.mark.parametrize(
-        "roster",
-        [None, b"alice | Alice Lee\n", ROSTER.encode() + b"alex | Alice Lee | alex@campus.edu\n",
-         b"\xff" + ROSTER.encode()],
-        ids=["missing", "two-fields", "duplicate-alias", "not-utf8"],
-    )
-    def test_missing_roster_is_config_error(self, tmp_path, capsys, roster):
-        """A roster that is missing, does not parse or is not UTF-8 fails
+    def test_missing_roster_is_config_error(self, tmp_path, capsys):
+        """A roster that does not parse, is not UTF-8 or is missing fails
         `analyze` as a configuration error, before any output; `check`
         names it in a failed roster line, once the config names a file."""
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
-        if roster is None:
-            (tmp_path / "roster.txt").unlink()
-        else:
-            (tmp_path / "roster.txt").write_bytes(roster)
-        exit_code = main(["analyze", "--config", str(config)])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: roster")
-        assert not (tmp_path / "out").exists()
-        if roster is None:
-            return
-        assert main(["check", "--config", str(config)]) == 1
-        assert f"[fail] roster: {tmp_path / 'roster.txt'}: " in capsys.readouterr().out
+        roster_path = tmp_path / "roster.txt"
+        rosters = {
+            "two-fields": b"alice | Alice Lee\n",
+            "duplicate-alias": ROSTER.encode() + b"alex | Alice Lee | alex@campus.edu\n",
+            "not-utf8": b"\xff" + ROSTER.encode(),
+            "missing": None,
+        }
+        for case, roster in rosters.items():
+            if roster is None:
+                roster_path.unlink()
+            else:
+                roster_path.write_bytes(roster)
+            assert main(["analyze", "--config", str(config)]) == 2, case
+            assert capsys.readouterr().err.startswith("config error: roster"), case
+            assert not (tmp_path / "out").exists(), case
+            if roster is not None:
+                assert main(["check", "--config", str(config)]) == 1, case
+                assert f"[fail] roster: {roster_path}: " in capsys.readouterr().out, case
 
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(

@@ -904,6 +904,40 @@ class TestThrottlingEndpoint:
         assert ledgers["live"] == ledgers["sequential"]
 
 
+class TestLedgerOrderAcrossTeams:
+    def test_a_joined_answer_waits_for_its_record(self, tmp_path, monkeypatch):
+        """A team that joins another team's send goes on once the sender has
+        recorded it, so with the first team's records slowed the overlapping
+        run's ledger still lists the shared requests in the order one team
+        asks for them, as a one-at-a-time run does."""
+        repos = []
+        for n in range(2):
+            handle, _ = synthfix.build(_history(12), tmp_path / f"repo-{n}")
+            repos.append((f"team-{n}", handle.root_path))
+        real_record = chain.record_usage
+
+        def slow_record(ledger, tier, input_tokens, output_tokens, team):
+            if team == "team-0":
+                time.sleep(0.02)
+            return real_record(ledger, tier, input_tokens, output_tokens, team)
+
+        monkeypatch.setattr(chain, "record_usage", slow_record)
+        ledgers = {}
+        for workers in (1, 8):
+            cfg = _config(tmp_path / f"w{workers}", repos)
+            cfg.analysis_workers = workers
+            ledger, store = CostLedger(), Store(tmp_path / f"w{workers}" / "cache")
+            try:
+                results = pipeline.run_analysis(
+                    cfg, load_roster(ROSTER_TEXT), MockProvider(), store, ledger
+                )
+            finally:
+                store.close()
+            assert all(r.ok for r in results), [r.error for r in results]
+            ledgers[workers] = [(e.model_id, e.input_tokens, e.output_tokens) for e in ledger.entries]
+        assert ledgers[8] == ledgers[1]
+
+
 class TestOneLookupPerKey:
     """Two teams that need the same requests, as in `TestThrottlingEndpoint`:
     each request key is read from the provider cache once per run, by
