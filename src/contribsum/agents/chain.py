@@ -7,20 +7,24 @@ cache key, so editing a template invalidates exactly the affected
 responses.
 
 Every request goes one way: `prepare` renders it and alone checks the
-tier budget, and the run's `SendPool.answer_all` answers it and records
-the usage and cache entries of its own sends. A key is looked up once
-per run: its first call reads the provider cache, and later calls, of
-any team, join that answer or its send. The pool holds the run's
-provider, provider cache and ledger, so nothing else in this module
-reads or writes the cache or the ledger. Table rows and synthesis, with
-its repair retry, all take that path, so the pool's size caps every
-request of a run, and a request that several teams need is sent once
-per run; its ledger entry names the team whose call sent it.
+tier budget, and the run's `SendPool` answers it (`answer_all`, or `ask`
+and later `answers`) and records the usage and cache entries of its own
+sends. A key is looked up once per run: its first call reads the
+provider cache, and later calls, of any team, join that answer or its
+send. The pool holds the run's provider, provider cache and ledger, so
+nothing else in this module reads or writes the cache or the ledger.
+Table rows and synthesis, with its repair retry, all take that path, so
+the pool's size caps every request of a run, and a request that several
+teams need is sent once per run; its ledger entry names the team whose
+call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
-are filled: two `answer_all` batches, the file rows and then the
-contribution rows that quote them, each answer parsed straight into a
-`tables` row.
+are filled: two batches, each answer parsed straight into a `tables`
+row. The file rows need only the window-head files and their metrics,
+so they are asked for (`SendPool.ask`) before the team's history is
+replayed, and are in flight while it runs; the contribution rows, which
+quote them, wait for the replayed `ContributionSet` and the file rows'
+answers.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import hashlib
 import json
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Iterable
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from ..attribution import ContributionEvidence, ContributionSet
+from ..attribution import ContributionEvidence, ContributionSet, KeptFile
 from ..errors import BudgetExceeded, TemplateViolation
 from ..identity import Roster, StudentId
 from ..ingest import AnalysisWindow
@@ -135,7 +140,7 @@ def _render(template_name: str, data: dict) -> str:
 
 @dataclass
 class Call:
-    """One budgeted request; `text` once `SendPool.answer_all` has answered it."""
+    """One budgeted request; `text` once the `SendPool` has answered it."""
 
     tier: ModelTier
     key: str
@@ -163,7 +168,45 @@ def prepare(
     return Call(tier, cache_key(template_hash(template_name), tier.model_id, prompt), messages)
 
 
-class SendPool(ThreadPoolExecutor):
+def _started_by(threads: list[threading.Thread]) -> None:
+    threads.append(threading.current_thread())
+
+
+class ThreadPool(ThreadPoolExecutor):
+    """A ThreadPoolExecutor whose `shutdown(wait=True)` joins every thread
+    it started.
+
+    The executor lists a new thread only after `Thread.start` returns, and
+    `shutdown` joins the listed ones alone, so an interrupt that lands in
+    between would leave a thread running after `shutdown`. Here each thread
+    records itself as it starts, before it takes any work: a thread that
+    runs a task is joined.
+    """
+
+    def __init__(self, max_workers: int, thread_name_prefix: str):
+        self._started: list[threading.Thread] = []
+        super().__init__(
+            max_workers, thread_name_prefix, initializer=_started_by, initargs=(self._started,)
+        )
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        super().shutdown(wait, cancel_futures=cancel_futures)
+        if wait:
+            for thread in list(self._started):
+                thread.join()
+
+
+@dataclass
+class Batch:
+    """Calls joined to their answers in the run (`SendPool.ask`), whose
+    answers `SendPool.answers` or `SendPool.drop` takes, once."""
+
+    calls: list[Call | None]
+    joins: list[tuple[Future, Future | None] | None]
+    taken: bool = False
+
+
+class SendPool(ThreadPool):
     """The run's one request path: its send threads, its provider, provider
     cache and ledger, and every send of the run by cache key.
 
@@ -175,7 +218,7 @@ class SendPool(ThreadPoolExecutor):
     """
 
     def __init__(self, workers: int, provider, store: Store, ledger: CostLedger):
-        super().__init__(max_workers=workers, thread_name_prefix="contribsum-send")
+        super().__init__(workers, "contribsum-send")
         self._provider = provider
         self._store = store
         self._ledger = ledger
@@ -183,27 +226,62 @@ class SendPool(ThreadPoolExecutor):
         self._sends: dict[str, Future] = {}
 
     def answer_all(self, calls: list[Call | None], team: str) -> list[str | None]:
-        """Response text of every call, in order; a None call stays None.
+        """Response text of every call, in order; a None call stays None:
+        `answers` of `ask(calls)`."""
+        return self.answers(self.ask(calls), team)
 
-        Each call is joined to its key's answer in the run (`_join`), in
-        call order. Only `provider.send` of a key the cache did not hold
-        runs on the pool's threads, once per run, whichever team asks. Usage
-        and cache entries are recorded by the call that sent the request, on
-        the calling thread and in call order, and a call that joins another
+    def ask(self, calls: list[Call | None]) -> Batch:
+        """`calls` joined to their answers in the run, in call order (`_join`):
+        a key the cache does not hold is sent at once, on the pool's threads,
+        and `answers` takes it."""
+        joins: list[tuple[Future, Future | None] | None] = []
+        try:
+            for call in calls:
+                joins.append(self._join(call) if call is not None else None)
+        except BaseException:
+            _release(joins)
+            raise
+        return Batch(calls, joins)
+
+    def answers(self, batch: Batch, team: str) -> list[str | None]:
+        """Response text of every call of `batch`, in order; a None call
+        stays None.
+
+        Only `provider.send` of a key the cache did not hold runs on the
+        pool's threads, once per run, whichever team asks. Usage and cache
+        entries are recorded by the call that sent the request, on the
+        calling thread and in call order, and a call that joins another
         call's send takes its answer once that call has recorded it. So
         ledger and cache come out the same for any pool size, and across
         teams that ask for shared requests in one order the ledger follows
         that order; ledger entries name `team`. A call whose shared send
         failed or was cancelled sends on its own. When a send fails or is
-        cancelled, this call's sends not yet started are cancelled, the
+        cancelled, this batch's sends not yet started are cancelled, the
         answers already in are still recorded, and the first error is
         raised.
         """
-        sends: list[tuple[Future, Future | None] | None] = []
-        error = None
+        error = self._take(batch, team, None)
+        if error is not None:
+            raise error
+        return [call and call.text for call in batch.calls]
+
+    def drop(self, batch: Batch, team: str) -> None:
+        """Take `batch` for a team that stopped before its answers: its sends
+        not yet started are cancelled, and the answers of the others are
+        recorded for `team` once they are in. A batch already taken is left
+        as it is."""
+        if not batch.taken:
+            self._take(batch, team, CancelledError())
+
+    def _take(self, batch: Batch, team: str, error: BaseException | None) -> BaseException | None:
+        """Record the answers of `batch`'s own sends, in call order, and the
+        first error; with `error` given, the batch's sends not yet started
+        are cancelled first and no other call's answer is waited for."""
+        batch.taken = True
+        calls, sends = batch.calls, list(batch.joins)
         try:
-            for call in calls:
-                sends.append(self._join(call) if call is not None else None)
+            if error is not None:
+                _cancel(sends)
             for i, call in enumerate(calls):
                 while sends[i] is not None and sends[i][1] is None and error is None:
                     try:  # another call's send of the same request
@@ -222,13 +300,8 @@ class SendPool(ThreadPoolExecutor):
                 finally:
                     _settle(answer, send)
         finally:
-            _cancel(sends)  # an interrupt, too, must not leave queued sends behind
-            for send in sends:  # nor calls that joined a send waiting for it
-                if send is not None and send[1] is not None and not send[0].done():
-                    send[1].add_done_callback(functools.partial(_settle, send[0]))
-        if error is not None:
-            raise error
-        return [call and call.text for call in calls]
+            _release(sends)  # an interrupt, too, must not leave sends behind
+        return error
 
     def _join(self, call: Call) -> tuple[Future, Future | None]:
         """The answer to `call` and, when `call` sends it, the send: `(answer,
@@ -275,6 +348,15 @@ def _cancel(sends: list[tuple[Future, Future | None] | None]) -> None:
     for send in sends:
         if send is not None and send[1] is not None:
             send[1].cancel()
+
+
+def _release(sends: list[tuple[Future, Future | None] | None]) -> None:
+    """Cancel the sends not yet started, and settle the calls that joined a
+    send still running once it is done."""
+    _cancel(sends)
+    for send in sends:
+        if send is not None and send[1] is not None and not send[0].done():
+            send[1].add_done_callback(functools.partial(_settle, send[0]))
 
 
 def record_usage(
@@ -397,22 +479,25 @@ def contribution_row(evidence: ContributionEvidence, text: str) -> ContributionT
     )
 
 
+def file_calls(tier: ModelTier, files: Iterable[KeptFile]) -> list[Call | None]:
+    """The requests behind the Functionality Table rows of `files`, in order."""
+    return [file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics) for f in files]
+
+
 def fill_tables(
-    pool: SendPool, tier: ModelTier, cset: ContributionSet, roster: Roster, team: str
+    pool: SendPool, tier: ModelTier, file_rows: Batch, cset: ContributionSet, roster: Roster,
+    team: str,
 ) -> tuple[list[FunctionalityTableRow], list[ContributionTableRow]]:
     """Functionality and Contribution Table rows of one contribution set,
     answered on `pool` for `team`.
 
-    One `answer_all` batch of file rows, in `cset.files` order, then one
-    of contribution rows, in roster order, for every evidence entry with
-    lines; each of those names a kept file, so its row quotes that file's
-    functionality.
+    `file_rows` is `pool.ask(file_calls(tier, cset.files))`, asked as soon
+    as the snapshot's files were measured: its answers are taken first, in
+    `cset.files` order, then one `answer_all` batch of contribution rows,
+    in roster order, for every evidence entry with lines; each of those
+    names a kept file, so its row quotes that file's functionality.
     """
-    calls = [
-        file_call(tier, f.path, f.content.decode("utf-8", "replace"), f.metrics)
-        for f in cset.files
-    ]
-    answers = pool.answer_all(calls, team)
+    answers = pool.answers(file_rows, team)
     functionality_rows = [
         functionality_row(f.path, f.metrics, answer) for f, answer in zip(cset.files, answers)
     ]

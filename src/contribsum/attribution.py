@@ -21,12 +21,17 @@ one of them, so a file keeps its authors even when it moved in from an
 excluded or deleted path. Symlinks and gitlinks (submodules) are never
 kept, and a gitlink is never read. Changes to other paths are never
 read or diffed, and each commit's state is freed once its last child is
-replayed. Each distinct head blob is read once, and replay requests
-every blob it reads before it reads the first (the head blobs, then the
-replay's in replay order), so one `cat-file` process streams them back
-without a round trip per blob. Replay hands back the kept files with
-their head bytes; the `ContributionSet` carries them with their
-metrics, computed once, so the pipeline reads no blob of its own.
+replayed. A team's load is split at its window head: `read_snapshot`
+reads the default branch's kept head files and measures them, so their
+table rows can be asked for at once, and `build_contribution_set` then
+loads the included branches' histories, replays and aggregates on the
+same reader, reusing those head blobs and metrics. Each distinct head
+blob is read once, and each step requests every blob it reads before it
+reads the first (the default head's blobs, then the branch heads' new
+ones, then the replay's in replay order), so one `cat-file` process
+streams them back without a round trip per blob. The `ContributionSet`
+carries the kept files with their head bytes and metrics, each computed
+once, so the pipeline reads no blob of its own.
 Exclude globs are matched as one compiled pattern.
 
 Semantics:
@@ -358,49 +363,55 @@ def _needed_changes(
     return out
 
 
-def _ownership_at(
-    reader: gitio.ObjectReader, heads: Iterable[tuple[History, str | None]],
-    excludes: tuple[str, ...], max_file_bytes: int, measured_head: str | None = None,
-) -> tuple[dict[str, tuple[dict[str, bytes], set[str], _State]], dict[str, metrics.FileMetrics]]:
-    """head -> (kept files -> head bytes in bytewise path order, skipped
-    paths, ownership at the head), for each `(history, head)` with a head,
-    and the kept files' metrics at `measured_head` (none without one).
+def _read_head(
+    reader: gitio.ObjectReader, history: History, at: str, excludes: tuple[str, ...],
+    max_file_bytes: int, blobs: dict[str, bytes | None],
+) -> tuple[dict[str, bytes], set[str]]:
+    """(kept files -> head bytes in bytewise path order, skipped paths) at
+    `at`, a commit of `history`.
 
-    A path at a head that is not excluded is kept when it is no symlink or
-    gitlink and its blob passes `is_blamable`, else skipped. Replay runs
-    parents first over the union of the heads' ancestors (the first head's
-    in its order, then each later head's unseen ones), one `_commit_state`
-    per commit, and applies only changes to their kept paths and rename
-    sources; a commit's state is dropped after its last child is replayed,
-    unless it is a head. Every blob is requested from `reader` before the
-    first one is read, head blobs first and then the replay's in replay
-    order.
+    A path that is not excluded is kept when it is no symlink or gitlink
+    and its blob passes `is_blamable`, else skipped. `blobs` maps each head
+    blob read so far to its bytes, None when not blamable: the blobs it
+    lacks are requested from `reader` before the first one is read, and
+    each is read once and added to it.
     """
-    lineages = {at: history.ancestors(at) for history, at in heads if at is not None}
-    candidates: dict[str, list[tuple[str, str]]] = {}  # head -> (path, blob sha) to read
-    skipped: dict[str, set[str]] = {}
-    for at, ancestors in lineages.items():
-        candidates[at], skipped[at] = [], set()
-        tree = _tree_at(ancestors, at)
-        for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
-            mode, sha = tree[path]
-            if is_excluded(path, excludes):
-                continue
-            if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
-                skipped[at].add(path)
-            else:
-                candidates[at].append((path, sha))
-    reader.request(dict.fromkeys(sha for pairs in candidates.values() for _, sha in pairs))
-    head_blobs: dict[str, bytes | None] = {}  # blob sha -> content, None when not blamable
-    kept: dict[str, dict[str, bytes]] = {}
-    for at, pairs in candidates.items():
-        for _, sha in pairs:
-            if sha not in head_blobs:  # each distinct head blob is read once
-                blob = reader.blob(sha)
-                head_blobs[sha] = blob if is_blamable(blob, max_file_bytes) else None
-        kept[at] = {path: head_blobs[sha] for path, sha in pairs if head_blobs[sha] is not None}
-        skipped[at].update(path for path, sha in pairs if head_blobs[sha] is None)
+    tree = _tree_at(history, at)
+    candidates: list[tuple[str, str]] = []  # (path, blob sha) to read
+    skipped: set[str] = set()
+    for path in sorted(tree, key=lambda p: p.encode("utf-8", "replace")):
+        mode, sha = tree[path]
+        if is_excluded(path, excludes):
+            continue
+        if mode in (gitio.SYMLINK_MODE, gitio.GITLINK_MODE):
+            skipped.add(path)
+        else:
+            candidates.append((path, sha))
+    fresh = [sha for sha in dict.fromkeys(sha for _, sha in candidates) if sha not in blobs]
+    reader.request(fresh)
+    for sha in fresh:
+        blob = reader.blob(sha)
+        blobs[sha] = blob if is_blamable(blob, max_file_bytes) else None
+    kept = {path: blobs[sha] for path, sha in candidates if blobs[sha] is not None}
+    skipped.update(path for path, sha in candidates if blobs[sha] is None)
+    return kept, skipped
 
+
+def _replay(
+    reader: gitio.ObjectReader, lineages: dict[str, History], kept: dict[str, dict[str, bytes]],
+    blobs: dict[str, bytes | None],
+) -> dict[str, _State]:
+    """head -> ownership at the head, for each head of `lineages` (head ->
+    its ancestors), whose kept files are `kept[head]`.
+
+    Replay runs parents first over the union of the heads' ancestors (the
+    first head's in its order, then each later head's unseen ones), one
+    `_commit_state` per commit, and applies only changes to the kept paths
+    and their rename sources; a commit's state is dropped after its last
+    child is replayed, unless it is a head. A blob in `blobs` (the head
+    blobs read) is not read again; every other one is requested from
+    `reader` before the first one is read, in replay order.
+    """
     plan_commits = {c.hash: c for ancestors in lineages.values() for c in ancestors.commits}
     children = Counter(p for commit in plan_commits.values() for p in commit.parents)
     children.update(lineages.keys())  # a head's state outlives its children
@@ -410,11 +421,11 @@ def _ownership_at(
         change.new_blob
         for _, changes in plan
         for change in changes
-        if change.status != "D" and head_blobs.get(change.new_blob) is None
+        if change.status != "D" and blobs.get(change.new_blob) is None
     )
 
     def read(sha: str) -> bytes:
-        blob = head_blobs.get(sha)
+        blob = blobs.get(sha)
         return blob if blob is not None else reader.blob(sha)
 
     states: dict[str, _State] = {}
@@ -425,12 +436,7 @@ def _ownership_at(
             children[parent] -= 1
             if not children[parent]:
                 del states[parent]
-
-    measured = {
-        path: metrics.compute_file_metrics(path, blob)
-        for path, blob in kept.get(measured_head, {}).items()
-    }
-    return {at: (kept[at], skipped[at], states[at]) for at in lineages}, measured
+    return {at: states[at] for at in lineages}
 
 
 def _credit_lists(commits: Iterable[Commit], roster: Roster) -> dict[str, list[StudentId]]:
@@ -460,9 +466,10 @@ def _blame(
 ) -> list[LineAttribution]:
     """Replay up to `at`, then one attribution per line of each kept file,
     credited to the owning commit's primary author."""
+    blobs: dict[str, bytes | None] = {}
     with gitio.ObjectReader(root) as reader:
-        owned, _ = _ownership_at(reader, [(history, at)], excludes, max_file_bytes)
-    kept, _, state = owned[at]
+        kept, _ = _read_head(reader, history, at, excludes, max_file_bytes, blobs)
+        state = _replay(reader, {at: history.ancestors(at)}, {at: kept}, blobs)[at]
     commits = history.by_sha
     owning = set().union(*(state[path][1] for path in kept))
     credit_lists = _credit_lists((commits[sha] for sha in owning), roster)
@@ -509,12 +516,45 @@ def _is_comment_line(kind: str, content: str) -> bool:
     return stripped.startswith(_COMMENT_PREFIXES.get(kind, ()))
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """The default branch's window-end snapshot, read ahead of its replay:
+    the kept files are measured, so their table rows can be asked for while
+    `build_contribution_set` replays the history behind them."""
+
+    reader: gitio.ObjectReader  # the team's reader, which the replay goes on with
+    head: str | None  # the window head; None before any commit
+    files: tuple[KeptFile, ...]  # bytewise path order
+    skipped: set[str]  # head paths not kept, excluded ones aside
+    blobs: dict[str, bytes | None]  # head blob sha -> its bytes, None when not blamable
+
+
+def read_snapshot(
+    repo: RepoHandle, window: AnalysisWindow, options: AttributionOptions,
+    reader: gitio.ObjectReader,
+) -> Snapshot:
+    """The window-end snapshot of `repo`'s default branch: its kept files'
+    head blobs, each distinct one read once over `reader`, and their
+    metrics, each file measured once."""
+    head = repo.history.window_head(window)
+    blobs: dict[str, bytes | None] = {}
+    kept, skipped = _read_head(
+        reader, repo.history, head, tuple(options.exclude_globs), options.max_file_bytes, blobs
+    ) if head else ({}, set())
+    files = tuple(
+        KeptFile(path, blob, metrics.compute_file_metrics(path, blob))
+        for path, blob in kept.items()
+    )
+    return Snapshot(reader, head, files, skipped, blobs)
+
+
 def build_contribution_set(
     repo: RepoHandle,
     window: AnalysisWindow,
     roster: Roster,
     options: AttributionOptions = AttributionOptions(),
     branches: Iterable[str] = (),
+    snapshot: Snapshot | None = None,
 ) -> ContributionSet:
     """Aggregate per-(student, file) evidence over the window-end snapshot.
 
@@ -526,10 +566,17 @@ def build_contribution_set(
     message loop share one credit list per commit.
     Each of `branches` costs one `git log`; its window head is replayed
     with the default branch's, and `_branch_section` filters it.
+    `snapshot` is `read_snapshot`'s for the same repository, window and
+    options, whose head blobs, metrics and reader the replay goes on with;
+    without one, it is read here over a reader of its own.
     """
+    if snapshot is None:
+        with gitio.ObjectReader(repo.root_path) as reader:
+            snapshot = read_snapshot(repo, window, options, reader)
+            return build_contribution_set(repo, window, roster, options, branches, snapshot)
     per_student: dict[str, list[ContributionEvidence]] = {s.id: [] for s in roster.students}
     history = repo.history
-    head = history.window_head(window)
+    head, files, skipped = snapshot.head, snapshot.files, snapshot.skipped
     replayed = history.ancestors(head) if head else History([])
     window_commits = sorted(replayed.in_window(window), key=lambda c: (c.authored_at, c.hash))
     split = options.split_coauthors
@@ -548,15 +595,18 @@ def build_contribution_set(
         if branch in repo.tips else None
         for branch in branches
     }
-    histories = [history, *(h for h in branch_histories.values() if h is not None)]
     excludes, max_file_bytes = tuple(options.exclude_globs), options.max_file_bytes
-    with gitio.ObjectReader(repo.root_path) as reader:
-        owned, measured = _ownership_at(
-            reader, [(h, h.window_head(window)) for h in histories], excludes, max_file_bytes,
-            head,
-        )
-    kept, skipped, state = owned[head] if head else ({}, set(), {})
-    files = tuple(KeptFile(path, blob, measured[path]) for path, blob in kept.items())
+    lineages = {head: replayed} if head else {}
+    kept = {head: {file.path: file.content for file in files}} if head else {}
+    for branch_history in filter(None, branch_histories.values()):
+        at = branch_history.window_head(window)
+        if at is not None and at not in lineages:
+            lineages[at] = branch_history.ancestors(at)
+            kept[at], _ = _read_head(
+                snapshot.reader, branch_history, at, excludes, max_file_bytes, snapshot.blobs
+            )
+    states = _replay(snapshot.reader, lineages, kept, snapshot.blobs)
+    state = states.get(head, {})
     owning = set().union(*(state[file.path][1] for file in files))
     credit_lists = _credit_lists(
         [*window_commits, *(history.by_sha[sha] for sha in owning)], roster
@@ -626,7 +676,7 @@ def build_contribution_set(
         head=head,
         files=files,
         branches={
-            branch: h and _branch_section(history, h, owned.get(h.window_head(window)), roster)
+            branch: h and _branch_section(history, h, kept, states, h.window_head(window), roster)
             for branch, h in branch_histories.items()
         },
     )
@@ -655,14 +705,20 @@ def _attach_solo_functions(
 def _branch_section(
     history: History,
     branch_history: History,
-    at_head: tuple[dict[str, bytes], set[str], _State] | None,
+    kept: dict[str, dict[str, bytes]],
+    states: dict[str, _State],
+    at: str | None,
     roster: Roster,
 ) -> tuple[tuple[tuple[str, int], ...], tuple[str, ...]]:
     """(primary author's display name, line count) pairs and the files of
-    the lines at a branch's window head (`at_head`, None before any commit)
-    whose owning commit `history` never saw, both sorted."""
-    kept, _, state = at_head or ({}, set(), {})
-    extra = {path: [sha for sha in state[path][1] if sha not in history.by_sha] for path in kept}
+    the lines at a branch's window head `at` (None before any commit), with
+    its kept files and ownership in `kept` and `states`, whose owning
+    commit `history` never saw, both sorted."""
+    state = states.get(at, {})
+    extra = {
+        path: [sha for sha in state[path][1] if sha not in history.by_sha]
+        for path in kept.get(at, {})
+    }
     shas = [sha for path_shas in extra.values() for sha in path_shas]
     credit_lists = _credit_lists((branch_history.by_sha[sha] for sha in shas), roster)
     lines = Counter(credit_lists[sha][0].display_name for sha in shas)

@@ -84,6 +84,9 @@ def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
 
     try:
         results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
+    except ConfigError as exc:  # an instruction file, read before any team
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     finally:
         store.close()
     failed = 0
@@ -105,6 +108,12 @@ def cmd_check(cfg: RunConfig) -> int:
     try:
         roster = _read_roster(cfg)
         print(f"[ok]   roster: {len(roster.students)} students")
+    except ConfigError as exc:
+        problems += 1
+        print(f"[fail] {exc}")
+
+    try:
+        pipeline.read_instructions(cfg)
     except ConfigError as exc:
         problems += 1
         print(f"[fail] {exc}")

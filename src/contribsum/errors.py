@@ -59,21 +59,6 @@ class TemplateViolation(ContribSumError):
     """Synthesis output does not match the required section structure."""
 
 
-class SchemaMismatch(ContribSumError):
-    def __init__(self, column: str, detail: str = ""):
-        msg = f"schema mismatch on column {column!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.column = column
-
-
-class MalformedCsv(ContribSumError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"malformed CSV at line {line_no}: {reason}")
-        self.line_no = line_no
-
-
 class ScriptError(ContribSumError):
     def __init__(self, step: int | str, reason: str):
         super().__init__(f"script step {step}: {reason}")

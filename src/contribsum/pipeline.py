@@ -39,18 +39,31 @@ and rate limit (outputs are equal for any); the endpoint, key and replay
 directory (the model ids name the answers, as in the provider cache's
 keys); and the other teams.
 
-Teams overlap: `run_analysis` replays one team at a time on the calling
+`run_analysis` reads the two instruction files once, before any team
+(`read_instructions`): one that cannot be read or is not UTF-8 text is a
+`ConfigError` that names it.
+
+Teams overlap: `run_analysis` loads one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
 last to one of at most `min(teams - 1, analysis_workers)` team threads,
-so a replay overlaps the earlier teams' provider waits while one
-replay's memory is held at a time. The calling thread finishes the last
+so a load overlaps the earlier teams' provider waits while one replay's
+memory is held at a time. A load is split at the window head
+(`attribution.read_snapshot`): once the kept head files are read and
+measured, the team's file rows are asked for (`SendPool.ask`), and only
+then are the included branches loaded, the history replayed and the
+evidence aggregated, while those requests are in flight. So the first
+request of a run leaves before the first replay, and a team's replay
+overlaps its own file rows. The team's `_finish_team` takes their
+answers; a replay that fails, or an interrupt before a team's finish
+has started, still records every answer in and cancels the sends not
+yet started (`SendPool.drop`). The calling thread finishes the last
 team itself once fewer than `analysis_workers` others are unfinished, so
-at most `analysis_workers` teams are in their provider stages and a
-one-team run starts no team thread. Every team shares one
-`chain.SendPool` of `analysis_workers` threads, made once per run with
-the run's provider, `Store` and `CostLedger`. Its `answer_all` answers
-every request of the run, table rows, synthesis and its repair retry
-alike, so `analysis_workers` caps them all. A request key is looked up
+at most `analysis_workers` teams are in their provider stages, the file
+rows asked at load aside, and a one-team run starts no team thread.
+Every team shares one `chain.SendPool` of `analysis_workers` threads,
+made once per run with the run's provider, `Store` and `CostLedger`. It
+answers every request of the run, table rows, synthesis and its repair
+retry alike, so `analysis_workers` caps them all. A request key is looked up
 once per run: its first call reads the store, and later calls, of any
 team, join that answer or its send, so a request is sent at most once
 per run. Only `provider.send` runs on the pool's threads; rendering,
@@ -61,7 +74,7 @@ send takes the answer once that team has recorded it, so teams that ask
 for shared requests in one order ledger them in that order, as one team
 alone would. A fully cached team starts no send thread.
 `chain.fill_tables` fills a team's tables in two batches, the file rows
-and then the contribution rows that quote them.
+asked at load and then the contribution rows that quote them.
 """
 
 from __future__ import annotations
@@ -73,16 +86,16 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from . import attribution, ingest, tables
+from . import attribution, gitio, ingest, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
-from .errors import ContribSumError
+from .errors import ConfigError, ContribSumError
 from .identity import UNMAPPED, Roster, unmapped_signatures
 from .report import ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
@@ -115,10 +128,20 @@ def window_dir(cfg: RunConfig, team: str) -> Path:
     return Path(cfg.out_dir) / team / (cfg.window.label or "window")
 
 
-def _read_optional(path: str | None) -> str:
-    if not path:
-        return ""
-    return Path(path).read_text(encoding="utf-8")
+def read_instructions(cfg: RunConfig) -> tuple[str, str]:
+    """The sprint-instructions and project-description texts, "" for one
+    not configured; a file that cannot be read or is not UTF-8 text raises
+    ConfigError naming it."""
+    texts = []
+    for key, path in (
+        ("sprint_instructions", cfg.sprint_instructions_path),
+        ("project_description", cfg.project_description_path),
+    ):
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8") if path else "")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{key}: {path}: {exc}") from exc
+    return texts[0], texts[1]
 
 
 def _recorded(result: TeamResult, step, *args):
@@ -136,8 +159,9 @@ def _recorded(result: TeamResult, step, *args):
 
 @dataclass(frozen=True)
 class TeamInputs:
-    """What a team's outputs are made from besides its replay, read once per
-    team before its load, and `digest` over all of it (`_inputs_digest`)."""
+    """What a team's outputs are made from besides its replay: the run's
+    instruction texts and the team's prior state, read before its load,
+    and `digest` over all of it (`_inputs_digest`)."""
 
     sprint_instructions: str
     project_description: str
@@ -270,17 +294,17 @@ def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[st
 
 
 def _load_team(
-    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster
-) -> tuple[ingest.RepoHandle, TeamInputs, attribution.ContributionSet] | None:
-    """The team's repo handle, inputs and replay; or None, with `result`
-    taken from the window's outputs record, when its inputs and outputs are
-    unchanged. The record is read only for a history that is not cut."""
+    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, texts: tuple[str, str],
+    pool: chain.SendPool,
+) -> tuple[ingest.RepoHandle, TeamInputs, chain.Batch, attribution.ContributionSet] | None:
+    """The team's repo handle, inputs, file rows asked on `pool` and replay;
+    or None, with `result` taken from the window's outputs record, when its
+    inputs and outputs are unchanged. The record is read only for a history
+    that is not cut. The file rows are asked for once the window head is
+    read and measured, so they are in flight while the replay runs; if the
+    replay fails, their answers already in are still recorded."""
     repo = ingest.open_repo(repo_path, cfg.branch)
     cut = may_be_shallow(repo_path)
-    texts = (
-        _read_optional(cfg.sprint_instructions_path),
-        _read_optional(cfg.project_description_path),
-    )
     prior, prior_sha = _find_prior_state(cfg, result.team) or (None, None)
     inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, cut, texts, prior_sha))
     if not cut:
@@ -294,21 +318,29 @@ def _load_team(
         split_coauthors=cfg.coauthor_split,
         exclude_globs=cfg.exclude_globs,
     )
-    cset = attribution.build_contribution_set(
-        repo, cfg.window, roster, options, cfg.include_branches
-    )
-    return repo, inputs, cset
+    with gitio.ObjectReader(repo.root_path) as reader:
+        snapshot = attribution.read_snapshot(repo, cfg.window, options, reader)
+        file_rows = pool.ask(chain.file_calls(cfg.analysis_tier, snapshot.files))
+        try:
+            cset = attribution.build_contribution_set(
+                repo, cfg.window, roster, options, cfg.include_branches, snapshot
+            )
+        except BaseException:
+            pool.drop(file_rows, result.team)
+            raise
+    return repo, inputs, file_rows, cset
 
 
 def _finish_team(
-    result: TeamResult, repo: ingest.RepoHandle, inputs: TeamInputs,
+    result: TeamResult, repo: ingest.RepoHandle, inputs: TeamInputs, file_rows: chain.Batch,
     cset: attribution.ContributionSet, cfg: RunConfig, roster: Roster, pool: chain.SendPool,
 ) -> None:
-    """Tables, synthesis, validation, render and write of a replayed team;
-    its manifest, which holds the outputs record, is written last."""
+    """Tables, synthesis, validation, render and write of a replayed team
+    whose file rows were asked for in `file_rows`; its manifest, which
+    holds the outputs record, is written last."""
     team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
-        pool, cfg.analysis_tier, cset, roster, team
+        pool, cfg.analysis_tier, file_rows, cset, roster, team
     )
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
@@ -431,23 +463,28 @@ def _find_prior_state(cfg: RunConfig, team: str) -> tuple[ReportState, str] | No
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:
     """Analyze every configured team, as the module docstring describes;
-    results in `cfg.repos` order. On an interrupt no team or send that has
-    not started runs, a team thread's next send raises, and the interrupt
+    results in `cfg.repos` order. The instruction files are read first
+    (`read_instructions`), once. On an interrupt no team or send that has
+    not started runs, a team thread's next send raises, the answers a
+    loaded team's file rows already have are recorded, and the interrupt
     is raised once the sends in flight are back."""
+    texts = read_instructions(cfg)
     sends = chain.SendPool(cfg.analysis_workers, provider, store, ledger)
     # threads start on demand, so a one-team run starts none
-    teams = ThreadPoolExecutor(
-        max_workers=max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)),
-        thread_name_prefix="contribsum-team",
+    teams = chain.ThreadPool(
+        max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)), "contribsum-team"
     )
     results = [TeamResult(team=team, ok=True) for team, _ in cfg.repos]
+    asked: list[tuple[str, chain.Batch]] = []  # each loaded team's file rows
     try:
         finishing = []
         for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
-            loaded = _recorded(result, _load_team, result, path, cfg, roster)
+            loaded = _recorded(result, _load_team, result, path, cfg, roster, texts, sends)
             if loaded is None:  # failed, or its outputs are unchanged
                 continue
-            args = (result, *loaded, cfg, roster, sends)
+            repo, inputs, file_rows, cset = loaded
+            asked.append((result.team, file_rows))
+            args = (result, repo, inputs, file_rows, cset, cfg, roster, sends)
             if n < len(cfg.repos):
                 finishing.append(teams.submit(_recorded, result, _finish_team, *args))
             else:  # the last team, once fewer than `analysis_workers` others are unfinished
@@ -460,5 +497,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     finally:
         sends.shutdown(wait=False, cancel_futures=True)  # a later send raises
         teams.shutdown(cancel_futures=True)
+        for team, file_rows in asked:  # on an interrupt, a team whose finish never started
+            sends.drop(file_rows, team)
         sends.shutdown()
     return results

@@ -1,12 +1,13 @@
-"""The two intermediate CSV artifacts: functionality and contribution tables.
+"""The functionality and contribution tables, written as CSV files for
+instructors beside each team's report; the run reads neither back.
 
 A table's columns are its row type's fields, in order. A `str` field is a
 text column, an `int` field an integer column, and an `int | None` field
 an integer column whose empty cell is None.
 
-RFC 4180 serialization (UTF-8, header row, minimal quoting, CRLF records)
-with lossless round-trips. Rows are stored and written in primary-key
-order, so equal tables always serialize to identical bytes.
+RFC 4180 serialization (UTF-8, header row, minimal quoting, CRLF
+records). Rows are stored and written in primary-key order, so equal
+tables always serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import csv
 import io
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import MalformedCsv, SchemaMismatch
 from .store import write_atomic
 
 FUNCTIONALITY_COLUMNS = (
@@ -117,65 +116,6 @@ def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int
     else:
         write_atomic(destination, data)
     return len(data)
-
-
-def _parse(value: str, kind, column: str, line_no: int):
-    """A cell's value as its column's field type."""
-    if kind is str:
-        return value
-    if value == "" and kind == int | None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise MalformedCsv(line_no, f"column {column!r}: not an integer: {value!r}")
-
-
-def read_csv(source) -> FunctionalityTable | ContributionTable:
-    """Parse a table written by write_csv (or hand-authored to the schema).
-
-    The header row selects the schema; a header that matches neither
-    raises SchemaMismatch naming the offending column.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    try:
-        records = list(reader)
-    except csv.Error as exc:
-        raise MalformedCsv(reader.line_num, str(exc))
-    if not records:
-        raise MalformedCsv(1, "empty document, header row required")
-
-    header = records[0]
-    for table_type, (columns, row_type) in _SCHEMAS.items():
-        if header == list(columns):
-            break
-    else:
-        for columns, _ in _SCHEMAS.values():
-            if header and header[0] == columns[0]:
-                missing = [c for c in columns if c not in header]
-                extra = [c for c in header if c not in columns]
-                offending = (missing + extra or [columns[0]])[0]
-                raise SchemaMismatch(offending, "header does not match schema")
-        raise SchemaMismatch(header[0] if header else "<empty>", "unrecognized header")
-
-    body = records[1:]
-    for line_no, record in enumerate(body, start=2):
-        if len(record) != len(columns):
-            raise MalformedCsv(line_no, f"expected {len(columns)} fields, got {len(record)}")
-
-    kinds = [kind for _, kind in _FIELDS[row_type]]
-    rows = [
-        row_type(*(_parse(cell, kind, col, no) for cell, kind, col in zip(rec, kinds, columns)))
-        for no, rec in enumerate(body, start=2)
-    ]
-    return table_type(rows=tuple(rows))
 
 
 def solo_functions_text(pairs: list[tuple[str, int]]) -> str:

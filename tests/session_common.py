@@ -182,7 +182,8 @@ def session_script() -> RepoScript:
 def analysis_rows(pool, cset, roster):
     """Functionality and contribution rows of the session window, filled
     as the pipeline fills them."""
-    return chain.fill_tables(pool, ANALYSIS_TIER, cset, roster, SESSION_TEAM)
+    file_rows = pool.ask(chain.file_calls(ANALYSIS_TIER, cset.files))
+    return chain.fill_tables(pool, ANALYSIS_TIER, file_rows, cset, roster, SESSION_TEAM)
 
 
 def run_session(provider, workdir: Path, ledger: CostLedger) -> dict[str, int]:

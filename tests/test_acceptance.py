@@ -28,7 +28,9 @@ from contribsum.identity import UNMAPPED
 from contribsum.metrics import cyclomatic, notebook_complexity
 from contribsum.report import RunMeta, render
 from contribsum.store import CostLedger
-from contribsum.tables import ContributionTable, ContributionTableRow, read_csv, write_csv
+from contribsum.tables import (
+    CONTRIBUTION_COLUMNS, ContributionTable, ContributionTableRow, write_csv,
+)
 
 import session_common
 from test_cli import make_workspace
@@ -211,6 +213,7 @@ def test_partition_invariant(tmp_path):
 
 @criterion("CSV round-trip: 1000 randomized tables, zero failures")
 def test_csv_round_trip_bulk():
+    import csv
     import io
     import random as random_module
 
@@ -239,8 +242,14 @@ def test_csv_round_trip_bulk():
         table = ContributionTable(rows=tuple(rows.values()))
         buf = io.BytesIO()
         write_csv(table, buf)
-        back = read_csv(io.StringIO(buf.getvalue().decode("utf-8"), newline=""))
-        if back != table:
+        header, *records = csv.reader(
+            io.StringIO(buf.getvalue().decode("utf-8"), newline=""), strict=True
+        )
+        back = ContributionTable(rows=tuple(
+            ContributionTableRow(student, file, description, int(owned), int(added), solo)
+            for student, file, description, owned, added, solo in records
+        ))
+        if header != list(CONTRIBUTION_COLUMNS) or back != table:
             failures += 1
     assert failures == 0
 

@@ -248,7 +248,11 @@ class TestFillTables:
         handle, truth = built_fixtures["comment_injection"]
         cset = build_contribution_set(handle, JUNE, truth.roster)
         mock = _mock()
-        files, contributions = chain.fill_tables(pool(mock), ANALYSIS, cset, truth.roster, TEAM)
+        sends = pool(mock)
+        file_rows = sends.ask(chain.file_calls(ANALYSIS, cset.files))
+        files, contributions = chain.fill_tables(
+            sends, ANALYSIS, file_rows, cset, truth.roster, TEAM
+        )
         assert [row.filename for row in files] == [f.path for f in cset.files]
         evidence = [
             ev

@@ -868,11 +868,20 @@ class TestUnmergedBranch:
 
 
 def _ownership_at(root, heads, excludes, max_file_bytes) -> dict:
-    """`attribution._ownership_at` on a reader of its own, measuring no
-    head: head -> (kept files, skipped paths, ownership)."""
+    """Each head's kept files and skipped paths (`attribution._read_head`)
+    and its ownership from one replay of every head (`attribution._replay`),
+    on a reader of its own: head -> (kept files, skipped paths, ownership)."""
+    blobs: dict = {}
     with gitio.ObjectReader(root) as reader:
-        owned, _ = attribution._ownership_at(reader, heads, excludes, max_file_bytes)
-    return owned
+        read = {
+            at: attribution._read_head(reader, history, at, excludes, max_file_bytes, blobs)
+            for history, at in heads
+        }
+        states = attribution._replay(
+            reader, {at: history.ancestors(at) for history, at in heads},
+            {at: kept for at, (kept, _) in read.items()}, blobs,
+        )
+    return {at: (*read[at], states[at]) for at in read}
 
 
 class TestBranchReplay:

@@ -130,6 +130,40 @@ class TestAnalyze:
                 assert main(["check", "--config", str(config)]) == 1, case
                 assert f"[fail] roster: {roster_path}: " in capsys.readouterr().out, case
 
+    def test_unreadable_instructions_are_config_errors(self, tmp_path, capsys):
+        """An instruction file that is missing, cannot be read or is not
+        UTF-8 fails `analyze` as a configuration error naming it, before any
+        output or state; `check` names an unreadable or non-UTF-8 one in a
+        failed line, and a missing one fails the config as `analyze` does."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        for key, name in (
+            ("sprint_instructions", "sprint.md"), ("project_description", "project.md")
+        ):
+            path = tmp_path / name
+            text = path.read_bytes()
+            for case in ("missing", "unreadable", "not-utf8"):
+                label = f"{name} {case}"
+                path.unlink()
+                if case == "unreadable":
+                    path.mkdir()  # opening a directory fails
+                elif case == "not-utf8":
+                    path.write_bytes(b"\xff" + text)
+                assert main(["analyze", "--config", str(config)]) == 2, label
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and str(path) in err, label
+                assert not (tmp_path / "out").exists() and not (tmp_path / "state").exists(), label
+                if case == "missing":
+                    assert main(["check", "--config", str(config)]) == 2, label
+                    assert str(path) in capsys.readouterr().err, label
+                else:
+                    assert main(["check", "--config", str(config)]) == 1, label
+                    assert f"[fail] {key}: {path}: " in capsys.readouterr().out, label
+                if path.is_dir():
+                    path.rmdir()
+                path.write_bytes(text)
+        assert main(["check", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(
             tmp_path, {"team-bad": "sole_author", "team-good": "merged_branch"}

@@ -749,19 +749,25 @@ class TestSchedule:
         assert replayed == [path for _, path in repos]
 
     def test_interrupt_stops_the_run_promptly(self, tmp_path):
-        """Ctrl-C while a team sends and the next team replays: the run
-        raises it once the send in flight is back. With one send thread a
-        send started after the interrupt would be a second start."""
-        cfg = _config(tmp_path, self._repos(tmp_path, (12, 120, 120)))
-        cfg.analysis_workers = 1
-        provider = InterruptingProvider(hold=0.5)
-        with pytest.raises(KeyboardInterrupt):
-            pipeline.run_analysis(
-                cfg, load_roster(ROSTER_TEXT), provider, Store(tmp_path / "cache"), CostLedger()
-            )
-        assert provider.starts == 1
-        assert not [t.name for t in threading.enumerate() if t.name.startswith("contribsum-")]
-        assert not list(Path(cfg.out_dir).rglob("report.md"))
+        """Ctrl-C while a team sends and the next team replays, and in a
+        one-team run, where it lands while the calling thread starts the
+        send thread or replays: the run raises it once the send in flight is
+        back. With one send thread a send started after the interrupt would
+        be a second start."""
+        for case, commits in (("three teams", (12, 120, 120)), ("one team", (12,))):
+            base = tmp_path / case
+            cfg = _config(base, self._repos(base, commits))
+            cfg.analysis_workers = 1
+            provider = InterruptingProvider(hold=0.5)
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.run_analysis(
+                    cfg, load_roster(ROSTER_TEXT), provider, Store(base / "cache"), CostLedger()
+                )
+            assert provider.starts == 1, case
+            assert not [
+                t.name for t in threading.enumerate() if t.name.startswith("contribsum-")
+            ], case
+            assert not list(Path(cfg.out_dir).rglob("report.md")), case
 
     def test_one_team_run_starts_no_team_thread(self, tmp_path, monkeypatch):
         threads: list[list[str]] = []
@@ -808,6 +814,203 @@ class TestSchedule:
         )
         assert all(r.ok for r in results), [r.error for r in results]
         assert len(peak) == 3 and max(peak) == workers
+
+
+def _team_repos(tmp_path, commits) -> list[tuple[str, str]]:
+    """Teams `team-0`, `team-1`, ... of `commits[n]` commits each, over three
+    files under a directory named after the team, so a provider can tell
+    whose file row it answers."""
+    repos = []
+    for n, count in enumerate(commits):
+        team = f"team-{n}"
+        files = [f"{team}/mod_{i}.py" for i in range(3)]
+        steps = [
+            Step(*AUTHORS[0], message="scaffold", ops=tuple(SetFile(p, ("x = 0",)) for p in files))
+        ]
+        steps += [
+            Step(*AUTHORS[k % 2], message=f"edit {k}",
+                 ops=(Insert(files[k % len(files)], 1, (f"v_{k} = {k}",)),))
+            for k in range(1, count)
+        ]
+        handle, _ = synthfix.build(
+            RepoScript(name=team, roster_text=ROSTER_TEXT, steps=steps), tmp_path / team
+        )
+        repos.append((team, handle.root_path))
+    return repos
+
+
+class TeamFileRows:
+    """MockProvider that holds each send `hold` seconds, and notes for each
+    team when one of its file rows is sent and when one is answered; it
+    keeps each answered send's (team, prompt, model)."""
+
+    def __init__(self, hold: float = 0.0):
+        self.inner = MockProvider()
+        self.hold = hold
+        self.sent: dict[str, threading.Event] = {}
+        self.answered: dict[str, threading.Event] = {}
+        self.answers: list[tuple[str | None, str, str]] = []
+        self._lock = threading.Lock()
+
+    def events(self, team: str) -> tuple[threading.Event, threading.Event]:
+        with self._lock:
+            return (
+                self.sent.setdefault(team, threading.Event()),
+                self.answered.setdefault(team, threading.Event()),
+            )
+
+    def send(self, messages, model_id):
+        data = extract_data_block(messages[-1]["content"]) or {}
+        team = data["path"].split("/")[0] if data.get("task") == "summarize-file" else None
+        if team is not None:
+            self.events(team)[0].set()
+        time.sleep(self.hold)
+        response = self.inner.send(messages, model_id)
+        with self._lock:
+            self.answers.append((team, messages[-1]["content"], model_id))
+        if team is not None:
+            self.events(team)[1].set()
+        return response
+
+
+def _gate_replays(monkeypatch, repos, gate) -> None:
+    """Each team's replay (`attribution.build_contribution_set`) runs
+    `gate(team)` first."""
+    team_of = {path: team for team, path in repos}
+    real_build = attribution.build_contribution_set
+
+    def gated_build(repo, *args):
+        gate(team_of[repo.root_path])
+        return real_build(repo, *args)
+
+    monkeypatch.setattr(attribution, "build_contribution_set", gated_build)
+
+
+def _file_row_key(prompt: str, model_id: str) -> str:
+    return store_module.cache_key(chain.template_hash("summarize_file"), model_id, prompt)
+
+
+class TestFileRowsBeforeReplay:
+    """A team's file rows are asked for once its window head is read and
+    measured, so they are in flight while its history is replayed; a
+    replay that fails or is interrupted still records every answer in."""
+
+    @pytest.mark.parametrize("teams", [1, 3])
+    def test_replay_runs_while_its_file_rows_are_sent(self, tmp_path, monkeypatch, teams):
+        """Each replay waits for a send of one of its own team's file rows,
+        which only a team that sends before its replay makes."""
+        repos = _team_repos(tmp_path, [12 + n for n in range(teams)])
+        provider = TeamFileRows()
+
+        def gate(team):
+            assert provider.events(team)[0].wait(timeout=5), f"{team} replayed before it sent"
+
+        _gate_replays(monkeypatch, repos, gate)
+        results = pipeline.run_analysis(
+            _config(tmp_path, repos), load_roster(ROSTER_TEXT), provider,
+            Store(tmp_path / "cache"), CostLedger(),
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+
+    def test_failed_replay_records_its_answered_file_rows(self, tmp_path, monkeypatch):
+        """team-0's repository lacks a blob only its replay reads, and the
+        replay starts once one of team-0's file rows is answered. team-0 fails
+        with the missing object's message, each of its answered sends has one
+        ledger entry and one cache row, team-1 is ok, and a re-run sends none
+        of those rows again."""
+        repos = _team_repos(tmp_path / "repos", [12, 13])
+        victim = ingest.open_repo(repos[0][1])
+        edited = victim.history.commits[1]  # the first edit of team-0/mod_1.py, edited again later
+        sha = subprocess.run(
+            ["git", "-C", victim.root_path, "rev-parse", f"{edited.hash}:team-0/mod_1.py"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        (Path(victim.root_path) / "objects" / sha[:2] / sha[2:]).unlink()
+        cache = tmp_path / "cache"
+
+        def run(name: str, provider):
+            ledger = CostLedger()
+            with closing(Store(cache)) as store:
+                results = pipeline.run_analysis(
+                    _config(tmp_path / name, repos), load_roster(ROSTER_TEXT), provider, store,
+                    ledger,
+                )
+            return {r.team: r for r in results}, ledger
+
+        provider = TeamFileRows()
+
+        def gate(team):
+            if team == "team-0":
+                assert provider.events(team)[1].wait(timeout=5), "team-0 replayed before an answer"
+
+        with monkeypatch.context() as patch:
+            _gate_replays(patch, repos, gate)
+            results, ledger = run("first", provider)
+        assert not results["team-0"].ok
+        assert results["team-0"].error == f"unknown commit: {sha}"
+        assert results["team-1"].ok, results["team-1"].error
+        answered = [(prompt, model) for team, prompt, model in provider.answers if team == "team-0"]
+        assert answered
+        assert len([e for e in ledger.entries if e.team == "team-0"]) == len(answered)
+        rows = store_rows(cache)
+        assert all(_file_row_key(*send) in rows for send in answered)
+
+        again = TeamFileRows()
+        results, _ = run("again", again)
+        assert results["team-0"].error == f"unknown commit: {sha}"
+        resent = {(prompt, model) for _, prompt, model in again.answers}
+        assert not resent & set(answered)
+
+    def test_interrupt_during_a_replay(self, tmp_path, monkeypatch):
+        """Ctrl-C lands in team-2's replay, once one of its file rows is in
+        flight, while team-0 finishes and team-1's finish waits for the one
+        team thread: the run raises it promptly, leaves no thread, writes no
+        report, and records every answered send once."""
+        repos = _team_repos(tmp_path, [12, 13, 14])
+        cfg = _config(tmp_path, repos)
+        cfg.analysis_workers = 1
+        provider, ledger = TeamFileRows(hold=0.1), CostLedger()
+        interrupted = []
+
+        def gate(team):
+            if team == "team-2":
+                assert provider.events(team)[0].wait(timeout=10), "team-2 replayed before it sent"
+                interrupted.append(time.monotonic())
+                raise KeyboardInterrupt
+
+        _gate_replays(monkeypatch, repos, gate)
+        with closing(Store(tmp_path / "cache")) as store:
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.run_analysis(cfg, load_roster(ROSTER_TEXT), provider, store, ledger)
+        assert time.monotonic() - interrupted[0] < 2
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("contribsum-")]
+        assert not list(Path(cfg.out_dir).rglob("report.md"))
+        assert len(ledger.entries) == len(provider.answers) > 0
+        assert {e.team for e in ledger.entries if e.tier == "analysis"} >= {"team-1", "team-2"}
+
+
+class TestRunInputs:
+    def test_instruction_files_read_once_per_run(self, tmp_path, monkeypatch):
+        """Three teams, one read of each instruction file: the run reads them
+        before any team."""
+        cfg = _config(tmp_path, TestSchedule._repos(tmp_path, (12, 13, 14)))
+        sprint, project = tmp_path / "sprint.md", tmp_path / "project.md"
+        sprint.write_text("Sprint 1.", encoding="utf-8")
+        project.write_text("A portal.", encoding="utf-8")
+        cfg.sprint_instructions_path, cfg.project_description_path = str(sprint), str(project)
+        reads: Counter = Counter()
+        real_read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads[self] += 1
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        results = pipeline.run_analysis(
+            cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
+        )
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert (reads[sprint], reads[project]) == (1, 1)
 
 
 class OneAtATimeEndpoint:
@@ -1481,21 +1684,19 @@ class TestStoreDatabase:
                     raise sqlite3.DatabaseError("database disk image is malformed")
                 return super().execute(sql, *args)
 
-        real_answer_all, real_join, real_get = (
-            chain.SendPool.answer_all, chain.SendPool._join, Store.get
-        )
+        real_ask, real_join, real_get = chain.SendPool.ask, chain.SendPool._join, Store.get
         real_finish = pipeline._finish_team
 
-        def answer_all(self, calls, team):
-            if team == "alpha" and not batch:
+        def ask(self, calls):
+            if not batch:  # alpha's file rows, asked for first
                 batch.append(sum(call is not None for call in calls))
-            return real_answer_all(self, calls, team)
+            return real_ask(self, calls)
 
         def join(self, call):
             future, sends = real_join(self, call)
             if sends:
                 sent.append(call.key)
-            if threading.current_thread() is not threading.main_thread() and batch:
+            if batch and batch[0] > 0:  # a join of alpha's first batch
                 batch[0] -= 1
                 if batch[0] == 0:
                     alpha_joined.set()
@@ -1514,7 +1715,7 @@ class TestStoreDatabase:
         monkeypatch.setattr(
             sqlite3, "connect", lambda *args, **kw: connect(*args, factory=MalformedOnce, **kw)
         )
-        monkeypatch.setattr(chain.SendPool, "answer_all", answer_all)
+        monkeypatch.setattr(chain.SendPool, "ask", ask)
         monkeypatch.setattr(chain.SendPool, "_join", join)
         monkeypatch.setattr(Store, "get", get)
         monkeypatch.setattr(pipeline, "_finish_team", finish)
