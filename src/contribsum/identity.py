@@ -46,14 +46,6 @@ class Roster:
                 return s
         return None
 
-    def dump(self) -> str:
-        """Serialize back to the roster file format (round-trip safe)."""
-        lines = []
-        for s in self.students:
-            emails = [a for a, sid in self.aliases.items() if sid == s.id and "@" in a]
-            lines.append(f"{s.id} | {s.display_name} | {', '.join(sorted(emails))}")
-        return "\n".join(lines) + "\n"
-
 
 def _normalize(alias: str) -> str:
     return alias.strip().lower()
@@ -65,7 +57,7 @@ def load_roster(document: str) -> Roster:
     aliases: dict[str, str] = {}
     seen_ids: set[str] = set()
 
-    def claim(alias: str, student_id: str, line_no: int) -> None:
+    def claim(alias: str, student_id: str) -> None:
         norm = _normalize(alias)
         if not norm:
             return
@@ -89,14 +81,14 @@ def load_roster(document: str) -> Roster:
             raise MalformedRoster(line_no, "empty display name")
         seen_ids.add(student_id)
         students.append(StudentId(id=student_id, display_name=name))
-        claim(name, student_id, line_no)
+        claim(name, student_id)
         for email in emails.split(","):
             email = email.strip()
             if not email:
                 continue
             if "@" not in email:
                 raise MalformedRoster(line_no, f"not an email address: {email!r}")
-            claim(email, student_id, line_no)
+            claim(email, student_id)
 
     return Roster(students=tuple(students), aliases=aliases)
 

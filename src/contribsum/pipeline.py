@@ -27,21 +27,21 @@ written before records were, is logged at INFO. Deleting a window's
 `run_manifest.json` or its directory, not the state dir, forces that
 window to run again.
 
-The inputs digest covers the code (`code_digest`), the window's bounds
-and label, the default and included branches and their tips, whether
-the history may be cut (a cut history's outputs change when it is
-deepened, its tips not), both model tiers, the provider mode, the roles,
-co-author and exclude options, the roster, the instruction files' text
-and the prior window's saved state as read. It leaves out where the
-repository (a full history is decided by its tips), out dir and state
-dir are, so the manifest's bytes do not depend on them; the pool size
-and rate limit (outputs are equal for any); the endpoint, key and replay
-directory (the model ids name the answers, as in the provider cache's
-keys); and the other teams.
-
-`run_analysis` reads the two instruction files once, before any team
-(`read_instructions`): one that cannot be read or is not UTF-8 text is a
-`ConfigError` that names it.
+`run_analysis` gathers the run's inputs once, before any team, into one
+`RunInputs`: the config, the roster, the attribution options, the two
+instruction files' text (`read_instructions`: one that cannot be read
+or is not UTF-8 text is a `ConfigError` that names it) and the inputs
+digest's run-wide material: the code (`code_digest`), the window's
+bounds and label, both model tiers, the provider mode, the roles,
+co-author and exclude options, the roster and the texts. A team's
+digest adds its own: the default and included branches and their tips,
+whether the history may be cut (a cut history's outputs change when it
+is deepened, its tips not) and the prior window's saved state as read.
+It leaves out where the repository (a full history is decided by its
+tips), out dir and state dir are, so the manifest's bytes do not depend
+on them; the pool size and rate limit (outputs are equal for any); the
+endpoint, key and replay directory (the model ids name the answers, as
+in the provider cache's keys); and the other teams.
 
 Teams overlap: `run_analysis` loads one team at a time on the calling
 thread, in `cfg.repos` order, and hands the rest of each team but the
@@ -157,18 +157,6 @@ def _recorded(result: TeamResult, step, *args):
     return None
 
 
-@dataclass(frozen=True)
-class TeamInputs:
-    """What a team's outputs are made from besides its replay: the run's
-    instruction texts and the team's prior state, read before its load,
-    and `digest` over all of it (`_inputs_digest`)."""
-
-    sprint_instructions: str
-    project_description: str
-    prior: ReportState | None  # the most recent earlier window's saved state
-    digest: str
-
-
 @lru_cache(maxsize=1)
 def code_digest() -> str:
     """sha256 over the relative path and bytes of every module and prompt
@@ -208,26 +196,48 @@ def may_be_shallow(root: str) -> bool:
     return any(os.path.exists(os.path.join(git_dir, name)) for name in ("shallow", "info/grafts"))
 
 
-def _inputs_digest(
-    cfg: RunConfig, roster: Roster, repo: ingest.RepoHandle, cut: bool, texts: tuple[str, str],
-    prior_sha: str | None,
-) -> str:
+@dataclass(frozen=True)
+class RunInputs:
+    """What every team of a run is made from besides its own repository and
+    prior state, gathered once, before any team (`gather`, which reads the
+    instruction files): the config, the roster, both instruction texts,
+    the attribution options and the inputs digest's run-wide material."""
+
+    cfg: RunConfig
+    roster: Roster
+    sprint_instructions: str
+    project_description: str
+    options: attribution.AttributionOptions
+    material: dict  # `_inputs_digest`'s keys that every team shares
+
+    @classmethod
+    def gather(cls, cfg: RunConfig, roster: Roster) -> RunInputs:
+        texts = read_instructions(cfg)
+        options = attribution.AttributionOptions(cfg.coauthor_split, cfg.exclude_globs)
+        material = {
+            "code": code_digest(),
+            "window": [cfg.window.start.isoformat(), cfg.window.end.isoformat(), cfg.window.label],
+            "tiers": [dataclasses.asdict(cfg.analysis_tier), dataclasses.asdict(cfg.synthesis_tier)],
+            "provider_mode": cfg.provider_mode,
+            "roles_enabled": cfg.roles_enabled,
+            "coauthor_split": cfg.coauthor_split,
+            "exclude_globs": list(cfg.exclude_globs),
+            "roster": [[[s.id, s.display_name] for s in roster.students], sorted(roster.aliases.items())],
+            "texts": list(texts),
+        }
+        return cls(cfg, roster, *texts, options, material)
+
+
+def _inputs_digest(run: RunInputs, repo: ingest.RepoHandle, cut: bool, prior_sha: str | None) -> str:
     """sha256 over what the team's outputs are made from (see the module
-    docstring); `cut` is whether its history may be cut (`may_be_shallow`),
-    and `prior_sha` the prior window's saved state's."""
+    docstring): the run's material and the team's branches and tips; `cut`
+    is whether its history may be cut (`may_be_shallow`), and `prior_sha`
+    the prior window's saved state's."""
     material = {
-        "code": code_digest(),
-        "window": [cfg.window.start.isoformat(), cfg.window.end.isoformat(), cfg.window.label],
+        **run.material,
         "default_branch": [repo.default_branch, repo.head_ref],
-        "include_branches": [[b, repo.tips.get(b)] for b in cfg.include_branches],
+        "include_branches": [[b, repo.tips.get(b)] for b in run.cfg.include_branches],
         "cut": cut,
-        "tiers": [dataclasses.asdict(cfg.analysis_tier), dataclasses.asdict(cfg.synthesis_tier)],
-        "provider_mode": cfg.provider_mode,
-        "roles_enabled": cfg.roles_enabled,
-        "coauthor_split": cfg.coauthor_split,
-        "exclude_globs": list(cfg.exclude_globs),
-        "roster": [[[s.id, s.display_name] for s in roster.students], sorted(roster.aliases.items())],
-        "texts": list(texts),
         "prior": prior_sha,
     }
     return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
@@ -293,60 +303,67 @@ def _unchanged_outputs(team: str, directory: Path, inputs: str) -> tuple[list[st
     return [name for name in ARTIFACT_NAMES if name in files], warnings
 
 
+@dataclass(frozen=True)
+class LoadedTeam:
+    """A replayed team's load, which its `_finish_team` takes."""
+
+    repo: ingest.RepoHandle
+    prior: ReportState | None  # the most recent earlier window's saved state
+    digest: str
+    file_rows: chain.Batch
+    cset: attribution.ContributionSet
+
+
 def _load_team(
-    result: TeamResult, repo_path: str, cfg: RunConfig, roster: Roster, texts: tuple[str, str],
-    pool: chain.SendPool,
-) -> tuple[ingest.RepoHandle, TeamInputs, chain.Batch, attribution.ContributionSet] | None:
-    """The team's repo handle, inputs, file rows asked on `pool` and replay;
-    or None, with `result` taken from the window's outputs record, when its
-    inputs and outputs are unchanged. The record is read only for a history
-    that is not cut. The file rows are asked for once the window head is
-    read and measured, so they are in flight while the replay runs; if the
-    replay fails, their answers already in are still recorded."""
+    result: TeamResult, repo_path: str, run: RunInputs, pool: chain.SendPool
+) -> LoadedTeam | None:
+    """The team's load; or None, with `result` taken from the window's
+    outputs record, when its inputs and outputs are unchanged. The record
+    is read only for a history that is not cut. The file rows are asked for
+    once the window head is read and measured, so they are in flight while
+    the replay runs; if the replay fails, their answers already in are
+    still recorded."""
+    cfg = run.cfg
     repo = ingest.open_repo(repo_path, cfg.branch)
     cut = may_be_shallow(repo_path)
     prior, prior_sha = _find_prior_state(cfg, result.team) or (None, None)
-    inputs = TeamInputs(*texts, prior, _inputs_digest(cfg, roster, repo, cut, texts, prior_sha))
+    digest = _inputs_digest(run, repo, cut, prior_sha)
     if not cut:
         out_dir = window_dir(cfg, result.team)
-        remembered = _unchanged_outputs(result.team, out_dir, inputs.digest)
+        remembered = _unchanged_outputs(result.team, out_dir, digest)
         if remembered is not None:
             artifacts, result.warnings = remembered
             result.artifacts = {name: str(out_dir / name) for name in artifacts}
             return None
-    options = attribution.AttributionOptions(
-        split_coauthors=cfg.coauthor_split,
-        exclude_globs=cfg.exclude_globs,
-    )
     with gitio.ObjectReader(repo.root_path) as reader:
-        snapshot = attribution.read_snapshot(repo, cfg.window, options, reader)
+        snapshot = attribution.read_snapshot(repo, cfg.window, run.options, reader)
         file_rows = pool.ask(chain.file_calls(cfg.analysis_tier, snapshot.files))
         try:
             cset = attribution.build_contribution_set(
-                repo, cfg.window, roster, options, cfg.include_branches, snapshot
+                repo, cfg.window, run.roster, run.options, cfg.include_branches, snapshot
             )
         except BaseException:
             pool.drop(file_rows, result.team)
             raise
-    return repo, inputs, file_rows, cset
+    return LoadedTeam(repo, prior, digest, file_rows, cset)
 
 
 def _finish_team(
-    result: TeamResult, repo: ingest.RepoHandle, inputs: TeamInputs, file_rows: chain.Batch,
-    cset: attribution.ContributionSet, cfg: RunConfig, roster: Roster, pool: chain.SendPool,
+    result: TeamResult, loaded: LoadedTeam, run: RunInputs, pool: chain.SendPool
 ) -> None:
     """Tables, synthesis, validation, render and write of a replayed team
-    whose file rows were asked for in `file_rows`; its manifest, which
-    holds the outputs record, is written last."""
+    whose file rows were asked for at its load; its manifest, which holds
+    the outputs record, is written last."""
+    cfg, roster, repo, cset = run.cfg, run.roster, loaded.repo, loaded.cset
     team = result.team
     functionality_rows, contribution_rows = chain.fill_tables(
-        pool, cfg.analysis_tier, file_rows, cset, roster, team
+        pool, cfg.analysis_tier, loaded.file_rows, cset, roster, team
     )
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
         contribution_rows=contribution_rows,
-        sprint_instructions=inputs.sprint_instructions,
-        project_description=inputs.project_description,
+        sprint_instructions=run.sprint_instructions,
+        project_description=run.project_description,
         roles_enabled=cfg.roles_enabled,
         roster=roster,
         contribution_set=cset,
@@ -403,8 +420,8 @@ def _finish_team(
     write("report.md", document.markdown)
     write("contribution_set.json", cset.to_json())
     write(STATE_NAME, state.to_json())
-    if inputs.prior is not None:
-        write("delta.md", diff_windows(inputs.prior, state) or "No changes between windows.\n")
+    if loaded.prior is not None:
+        write("delta.md", diff_windows(loaded.prior, state) or "No changes between windows.\n")
     else:  # a delta left by a run that found a prior window since removed
         (out_dir / "delta.md").unlink(missing_ok=True)
 
@@ -429,7 +446,7 @@ def _finish_team(
         },
         "artifacts": {name: written[name] for name in artifact_names},
         # the outputs record (`_recorded_outputs`)
-        "inputs_digest": inputs.digest,
+        "inputs_digest": loaded.digest,
         "state_sha256": written[STATE_NAME],
         "warnings": result.warnings,
     }
@@ -463,28 +480,27 @@ def _find_prior_state(cfg: RunConfig, team: str) -> tuple[ReportState, str] | No
 
 def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger: CostLedger) -> list[TeamResult]:
     """Analyze every configured team, as the module docstring describes;
-    results in `cfg.repos` order. The instruction files are read first
-    (`read_instructions`), once. On an interrupt no team or send that has
+    results in `cfg.repos` order. The run's inputs are gathered first
+    (`RunInputs.gather`), once. On an interrupt no team or send that has
     not started runs, a team thread's next send raises, the answers a
     loaded team's file rows already have are recorded, and the interrupt
     is raised once the sends in flight are back."""
-    texts = read_instructions(cfg)
+    run = RunInputs.gather(cfg, roster)
     sends = chain.SendPool(cfg.analysis_workers, provider, store, ledger)
     # threads start on demand, so a one-team run starts none
     teams = chain.ThreadPool(
         max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)), "contribsum-team"
     )
     results = [TeamResult(team=team, ok=True) for team, _ in cfg.repos]
-    asked: list[tuple[str, chain.Batch]] = []  # each loaded team's file rows
+    loads: list[tuple[str, LoadedTeam]] = []  # each loaded team, by name
     try:
         finishing = []
         for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
-            loaded = _recorded(result, _load_team, result, path, cfg, roster, texts, sends)
+            loaded = _recorded(result, _load_team, result, path, run, sends)
             if loaded is None:  # failed, or its outputs are unchanged
                 continue
-            repo, inputs, file_rows, cset = loaded
-            asked.append((result.team, file_rows))
-            args = (result, repo, inputs, file_rows, cset, cfg, roster, sends)
+            loads.append((result.team, loaded))
+            args = (result, loaded, run, sends)
             if n < len(cfg.repos):
                 finishing.append(teams.submit(_recorded, result, _finish_team, *args))
             else:  # the last team, once fewer than `analysis_workers` others are unfinished
@@ -497,7 +513,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     finally:
         sends.shutdown(wait=False, cancel_futures=True)  # a later send raises
         teams.shutdown(cancel_futures=True)
-        for team, file_rows in asked:  # on an interrupt, a team whose finish never started
-            sends.drop(file_rows, team)
+        for team, loaded in loads:  # on an interrupt, a team whose finish never started
+            sends.drop(loaded.file_rows, team)
         sends.shutdown()
     return results

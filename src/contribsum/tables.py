@@ -17,8 +17,6 @@ import io
 import typing
 from dataclasses import dataclass
 
-from .store import write_atomic
-
 FUNCTIONALITY_COLUMNS = (
     "Filename",
     "Functionality",
@@ -99,23 +97,15 @@ _SCHEMAS = {
 _FIELDS = {row: list(typing.get_type_hints(row).items()) for _, row in _SCHEMAS.values()}
 
 
-def write_csv(table: FunctionalityTable | ContributionTable, destination) -> int:
-    """Write the table; returns the number of bytes written.
-
-    `destination` may be a path or a binary file object.
-    """
+def write_csv(table: FunctionalityTable | ContributionTable, destination) -> None:
+    """Write the table to `destination`, a binary file object."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_SCHEMAS[type(table)][0])
     for row in table.rows:
         values = (getattr(row, name) for name, _ in _FIELDS[type(row)])
         writer.writerow(["" if value is None else str(value) for value in values])
-    data = buf.getvalue().encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        write_atomic(destination, data)
-    return len(data)
+    destination.write(buf.getvalue().encode("utf-8"))
 
 
 def solo_functions_text(pairs: list[tuple[str, int]]) -> str:

@@ -54,12 +54,6 @@ class TestLoadRoster:
         roster = load_roster("\n# comment\n\nalice | Alice Lee | a@x.com\n")
         assert len(roster.students) == 1
 
-    def test_round_trip_preserves_alias_map(self):
-        roster = load_roster(BASIC)
-        again = load_roster(roster.dump())
-        assert again.aliases == roster.aliases
-        assert again.students == roster.students
-
 
 class TestResolve:
     def test_email_match(self):

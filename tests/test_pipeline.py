@@ -991,8 +991,8 @@ class TestFileRowsBeforeReplay:
 
 class TestRunInputs:
     def test_instruction_files_read_once_per_run(self, tmp_path, monkeypatch):
-        """Three teams, one read of each instruction file: the run reads them
-        before any team."""
+        """Three teams, one read of each instruction file and one code
+        digest: the run gathers its inputs before any team."""
         cfg = _config(tmp_path, TestSchedule._repos(tmp_path, (12, 13, 14)))
         sprint, project = tmp_path / "sprint.md", tmp_path / "project.md"
         sprint.write_text("Sprint 1.", encoding="utf-8")
@@ -1005,12 +1005,32 @@ class TestRunInputs:
             reads[self] += 1
             return real_read_text(self, *args, **kwargs)
 
+        real_code_digest = pipeline.code_digest
+
+        def counting_code_digest():
+            reads["code"] += 1
+            return real_code_digest()
+
         monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(pipeline, "code_digest", counting_code_digest)
         results = pipeline.run_analysis(
             cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
         )
         assert all(r.ok for r in results), [r.error for r in results]
-        assert (reads[sprint], reads[project]) == (1, 1)
+        assert (reads[sprint], reads[project], reads["code"]) == (1, 1, 1)
+
+    def test_inputs_digest_material_and_form_pinned(self, tmp_path, monkeypatch):
+        """With the code's share fixed, a team with both instruction files,
+        an included branch and a prior window records a known inputs digest:
+        a change to the digest's material or JSON form retires every outputs
+        record, so it must be a deliberate one."""
+        monkeypatch.setattr(pipeline, "code_digest", lambda: "code")
+        cfg, store = TestOutputsSlot._primed(tmp_path)
+        store.close()
+        manifest = pipeline.window_dir(cfg, "team") / pipeline.MANIFEST_NAME
+        assert json.loads(manifest.read_bytes())["inputs_digest"] == (
+            "3f3418e658531d1e257653d760a9e6515684e068b63c8f5332230e2cfffc03af"
+        )
 
 
 class OneAtATimeEndpoint:

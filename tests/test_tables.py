@@ -50,12 +50,10 @@ NASTY = 'desc with, comma\nand "quotes" and newline\r\nand ünïcödé 😀'
 
 
 class TestWriteCsv:
-    def test_empty_table_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        count = write_csv(FunctionalityTable(rows=()), path)
-        data = path.read_bytes()
-        assert count == len(data)
-        assert data == b"Filename,Functionality,Difficulty,ByteSize,LineCount,Complexity,TagCount\r\n"
+    def test_empty_table_header_only(self):
+        buf = io.BytesIO()
+        write_csv(FunctionalityTable(rows=()), buf)
+        assert buf.getvalue() == b"Filename,Functionality,Difficulty,ByteSize,LineCount,Complexity,TagCount\r\n"
 
     def test_nasty_field_quoted_and_roundtrips(self):
         row = FunctionalityTableRow(
@@ -71,15 +69,15 @@ class TestWriteCsv:
         again = _roundtrip(table)
         assert again == table
 
-    def test_rows_written_in_sorted_key_order(self, tmp_path):
+    def test_rows_written_in_sorted_key_order(self):
         rows = (
             ContributionTableRow("zoe", "b.py", "later", 1, 0, ""),
             ContributionTableRow("abe", "a.py", "earlier", 2, 1, ""),
         )
         table = ContributionTable(rows=rows)
-        path = tmp_path / "c.csv"
-        write_csv(table, path)
-        lines = path.read_text().splitlines()
+        buf = io.BytesIO()
+        write_csv(table, buf)
+        lines = buf.getvalue().decode("utf-8").splitlines()
         assert lines[1].startswith("abe,")
         assert lines[2].startswith("zoe,")
 
