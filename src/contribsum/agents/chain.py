@@ -8,15 +8,17 @@ responses.
 
 Every request goes one way: `prepare` renders it and alone checks the
 tier budget, and the run's `SendPool` answers it (`answer_all`, or `ask`
-and later `answers`) and records the usage and cache entries of its own
-sends. A key is looked up once per run: its first call reads the
-provider cache, and later calls, of any team, join that answer or its
-send. The pool holds the run's provider, provider cache and ledger, so
-nothing else in this module reads or writes the cache or the ledger.
-Table rows and synthesis, with its repair retry, all take that path, so
-the pool's size caps every request of a run, and a request that several
-teams need is sent once per run; its ledger entry names the team whose
-call sent it.
+and later `answers`). `SendPool._settle` alone records a send's usage
+and cache entries, for the team that asked: in `answers`, on the calling
+thread in call order, or, for a batch let go of (`drop`), on the send's
+thread once it is answered. A key is looked up once per run: its first
+call reads the provider cache, and later calls, of any team, join that
+answer or its send. The pool holds the run's provider, provider cache
+and ledger, so nothing else in this module reads or writes the cache or
+the ledger. Table rows and synthesis, with its repair retry, all take
+that path, so the pool's size caps every request of a run, and a
+request that several teams need is sent once per run; its ledger entry
+names the team whose call sent it.
 
 `fill_tables` is the one place the Functionality and Contribution Tables
 are filled: two batches, each answer parsed straight into a `tables`
@@ -35,7 +37,7 @@ import json
 import re
 import threading
 from collections.abc import Iterable
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -198,12 +200,12 @@ class ThreadPool(ThreadPoolExecutor):
 
 @dataclass
 class Batch:
-    """Calls joined to their answers in the run (`SendPool.ask`), whose
-    answers `SendPool.answers` or `SendPool.drop` takes, once."""
+    """Calls joined to their answers in the run for `team` (`SendPool.ask`),
+    whose answers `SendPool.answers` takes or `SendPool.drop` lets go of."""
 
     calls: list[Call | None]
-    joins: list[tuple[Future, Future | None] | None]
-    taken: bool = False
+    team: str
+    joins: list[tuple[Future, Future | None] | None] = field(default_factory=list)
 
 
 class SendPool(ThreadPool):
@@ -223,124 +225,120 @@ class SendPool(ThreadPool):
         self._store = store
         self._ledger = ledger
         self._lock = threading.Lock()
+        self._claims = threading.Lock()
         self._sends: dict[str, Future] = {}
 
     def answer_all(self, calls: list[Call | None], team: str) -> list[str | None]:
         """Response text of every call, in order; a None call stays None:
-        `answers` of `ask(calls)`."""
-        return self.answers(self.ask(calls), team)
+        `answers` of `ask(calls, team)`."""
+        return self.answers(self.ask(calls, team))
 
-    def ask(self, calls: list[Call | None]) -> Batch:
-        """`calls` joined to their answers in the run, in call order (`_join`):
-        a key the cache does not hold is sent at once, on the pool's threads,
-        and `answers` takes it."""
-        joins: list[tuple[Future, Future | None] | None] = []
+    def ask(self, calls: list[Call | None], team: str) -> Batch:
+        """`calls` joined to their answers in the run for `team`, in call order
+        (`_join`): a key the cache does not hold is sent at once, on the
+        pool's threads, for `answers` to take; an interrupt drops the batch."""
+        batch = Batch(calls, team)
         try:
             for call in calls:
-                joins.append(self._join(call) if call is not None else None)
+                batch.joins.append(self._join(call) if call is not None else None)
         except BaseException:
-            _release(joins)
+            self.drop(batch)
             raise
-        return Batch(calls, joins)
+        return batch
 
-    def answers(self, batch: Batch, team: str) -> list[str | None]:
+    def answers(self, batch: Batch) -> list[str | None]:
         """Response text of every call of `batch`, in order; a None call
         stays None.
 
         Only `provider.send` of a key the cache did not hold runs on the
-        pool's threads, once per run, whichever team asks. Usage and cache
-        entries are recorded by the call that sent the request, on the
-        calling thread and in call order, and a call that joins another
-        call's send takes its answer once that call has recorded it. So
-        ledger and cache come out the same for any pool size, and across
-        teams that ask for shared requests in one order the ledger follows
-        that order; ledger entries name `team`. A call whose shared send
-        failed or was cancelled sends on its own. When a send fails or is
-        cancelled, this batch's sends not yet started are cancelled, the
-        answers already in are still recorded, and the first error is
-        raised.
+        pool's threads, once per run, whichever team asks. The batch's own
+        sends are settled (`_settle`) on the calling thread in call order,
+        each recorded for the batch's team before a call that joined it takes
+        its answer. So ledger and cache come out the same for any pool size,
+        and across teams that ask for shared requests in one order the ledger
+        follows that order. A call whose shared send failed or was cancelled
+        sends on its own. When a send fails or is cancelled, this batch's
+        sends not yet started are cancelled, the answers already in are still
+        recorded, and the first error is raised. On an interrupt the sends
+        not yet settled are let go of (`drop`).
         """
-        error = self._take(batch, team, None)
+        calls, joins = batch.calls, batch.joins
+        error = None
+        try:
+            for i, call in enumerate(calls):
+                while error is None and joins[i] is not None and joins[i][1] is None:
+                    try:  # another call's send of the same request
+                        call.text, call.messages = joins[i][0].result().text, None
+                        joins[i] = None
+                    except Exception:  # it failed or was cancelled: send it here
+                        joins[i] = self._join(call)
+                if joins[i] is None or joins[i][1] is None:
+                    continue
+                failure = self._settle(call, batch.team, *joins[i])
+                if failure is not None:
+                    error = error or failure
+                    _cancel(joins)
+        finally:
+            self.drop(batch)
         if error is not None:
             raise error
-        return [call and call.text for call in batch.calls]
+        return [call and call.text for call in calls]
 
-    def drop(self, batch: Batch, team: str) -> None:
-        """Take `batch` for a team that stopped before its answers: its sends
-        not yet started are cancelled, and the answers of the others are
-        recorded for `team` once they are in. A batch already taken is left
-        as it is."""
-        if not batch.taken:
-            self._take(batch, team, CancelledError())
-
-    def _take(self, batch: Batch, team: str, error: BaseException | None) -> BaseException | None:
-        """Record the answers of `batch`'s own sends, in call order, and the
-        first error; with `error` given, the batch's sends not yet started
-        are cancelled first and no other call's answer is waited for."""
-        batch.taken = True
-        calls, sends = batch.calls, list(batch.joins)
-        try:
-            if error is not None:
-                _cancel(sends)
-            for i, call in enumerate(calls):
-                while sends[i] is not None and sends[i][1] is None and error is None:
-                    try:  # another call's send of the same request
-                        call.text, call.messages = sends[i][0].result().text, None
-                        sends[i] = None
-                    except Exception:  # it failed or was cancelled: send it here
-                        sends[i] = self._join(call)
-                if sends[i] is None or sends[i][1] is None:
-                    continue
-                answer, send = sends[i]
-                try:
-                    self._record(call, send.result(), team)
-                except Exception as exc:  # a cancelled send raises CancelledError
-                    error = error or exc
-                    _cancel(sends)
-                finally:
-                    _settle(answer, send)
-        finally:
-            _release(sends)  # an interrupt, too, must not leave sends behind
-        return error
+    def drop(self, batch: Batch) -> None:
+        """Let go of `batch`, whose answers no call will take, without waiting:
+        its sends not yet started are cancelled, and each one not yet settled
+        settles itself for the batch's team (`_settle`) on its send thread
+        once it is done. Settled answers are left as they are."""
+        _cancel(batch.joins)
+        for call, join in zip(batch.calls, batch.joins):
+            if join is not None and join[1] is not None:
+                join[1].add_done_callback(functools.partial(self._settle, call, batch.team, join[0]))
 
     def _join(self, call: Call) -> tuple[Future, Future | None]:
         """The answer to `call` and, when `call` sends it, the send: `(answer,
         send)`; `(answer, None)` when the cache or another call holds it.
         Only a key's first call reads the cache, and a hit is kept as a done
-        answer that later calls join; a sent answer is settled once its
-        sender has recorded it."""
+        answer that later calls join; a sent answer is set by `_settle`."""
         with self._lock:  # two calls never both read or send one key
             answer = self._sends.get(call.key)
             hit = self._store.get(call.key) if answer is None else None
             if hit is not None:
                 answer = self._sends[call.key] = Future()
                 answer.set_result(ProviderResponse(**hit))
-            if answer is not None and not (
-                answer.cancelled() or (answer.done() and answer.exception() is not None)
-            ):
+            if answer is not None and not (answer.done() and answer.exception() is not None):
                 return answer, None
             send = self.submit(self._provider.send, call.messages, call.tier.model_id)
             answer = self._sends[call.key] = Future()
             return answer, send
 
-    def _record(self, call: Call, response, team: str) -> None:
-        """Ledger and cache one provider response to `call`, sent for `team`."""
-        record_usage(self._ledger, call.tier, response.input_tokens, response.output_tokens, team)
-        self._store.put(call.key, asdict(response))  # the payload `_join` reads back
-        call.text = response.text
-        call.messages = None  # answered: the prompt is not kept
-
-
-def _settle(answer: Future, send: Future) -> None:
-    """Give the calls that joined `send` its outcome, once it is done."""
-    if answer.done() or not send.done():
-        return
-    if send.cancelled():
-        answer.cancel()
-    elif send.exception() is not None:
-        answer.set_exception(send.exception())
-    else:
-        answer.set_result(send.result())
+    def _settle(self, call: Call, team: str, answer: Future, send: Future) -> BaseException | None:
+        """Settle `answer` from `call`'s `send` once the send is done: the one
+        place a sent answer is recorded. The first caller claims the answer,
+        records the response (one ledger entry for `team`, one cache put) and
+        only then sets it, or sets a failed or cancelled send's error; it
+        returns that error or one from recording. A later caller returns
+        None."""
+        try:
+            response, error = send.result(), None  # a cancelled send raises CancelledError
+        except Exception as exc:
+            response, error = None, exc
+        with self._claims:  # not `_lock`: a `_join` holding it may wait on the store
+            if answer.running() or answer.done():
+                return None
+            answer.set_running_or_notify_cancel()
+        try:
+            if error is None:
+                record_usage(self._ledger, call.tier, response.input_tokens, response.output_tokens, team)
+                self._store.put(call.key, asdict(response))  # the payload `_join` reads back
+                call.text, call.messages = response.text, None  # answered: the prompt is not kept
+        except Exception as exc:
+            return exc
+        finally:  # also when recording fails: a joined call must not wait forever
+            if error is None:
+                answer.set_result(response)
+            else:
+                answer.set_exception(error)
+        return error
 
 
 def _cancel(sends: list[tuple[Future, Future | None] | None]) -> None:
@@ -348,15 +346,6 @@ def _cancel(sends: list[tuple[Future, Future | None] | None]) -> None:
     for send in sends:
         if send is not None and send[1] is not None:
             send[1].cancel()
-
-
-def _release(sends: list[tuple[Future, Future | None] | None]) -> None:
-    """Cancel the sends not yet started, and settle the calls that joined a
-    send still running once it is done."""
-    _cancel(sends)
-    for send in sends:
-        if send is not None and send[1] is not None and not send[0].done():
-            send[1].add_done_callback(functools.partial(_settle, send[0]))
 
 
 def record_usage(
@@ -491,13 +480,13 @@ def fill_tables(
     """Functionality and Contribution Table rows of one contribution set,
     answered on `pool` for `team`.
 
-    `file_rows` is `pool.ask(file_calls(tier, cset.files))`, asked as soon
+    `file_rows` is `pool.ask(file_calls(tier, cset.files), team)`, asked as soon
     as the snapshot's files were measured: its answers are taken first, in
     `cset.files` order, then one `answer_all` batch of contribution rows,
     in roster order, for every evidence entry with lines; each of those
     names a kept file, so its row quotes that file's functionality.
     """
-    answers = pool.answers(file_rows, team)
+    answers = pool.answers(file_rows)
     functionality_rows = [
         functionality_row(f.path, f.metrics, answer) for f, answer in zip(cset.files, answers)
     ]

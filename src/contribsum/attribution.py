@@ -661,13 +661,8 @@ def build_contribution_set(
     zero_commit = sorted(
         (s for s in roster.students if s.id not in active_ids), key=lambda s: s.id
     )
-    per_student.setdefault(UNMAPPED.id, [])
     for (sid, _path), row in sorted(evidence.items()):
         per_student.setdefault(sid, []).append(row)
-    if not per_student[UNMAPPED.id]:
-        del per_student[UNMAPPED.id]
-    for rows in per_student.values():
-        rows.sort(key=lambda e: e.path)
 
     return ContributionSet(
         window=window,

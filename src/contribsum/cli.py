@@ -9,14 +9,24 @@ Every command takes a path given as a flag (`--state`, `--out`,
 `--roster`, `--config`) from the working directory, and a path written
 in the config file from the file's directory.
 
+One `analyze` runs on a state dir at a time: it holds an exclusive
+`flock` on `<state>/lock`, which names its pid, from before the store
+and ledger are opened until the run ends, and another `analyze` on that
+state dir exits 2 at once. The kernel drops the lock when its holder
+dies, so a killed run leaves none. `flock` makes this POSIX-only.
+`check`, `cost` and `render` take no lock.
+
 Exit codes: 0 success, 1 partial failure (some team failed or a check
-found problems), 2 configuration error or unknown flag.
+found problems), 2 configuration error, unknown flag or a state dir in
+use by another `analyze`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
+import os
 import sys
 from pathlib import Path
 
@@ -68,27 +78,50 @@ def _read_roster(cfg: RunConfig):
         raise ConfigError(f"roster: {cfg.roster_path}: {exc}") from exc
 
 
+def _lock(file) -> bool:
+    """Take an exclusive `flock` on `file` and write this process's pid in
+    it; False, writing nothing, while another process holds it. The lock
+    lasts until the file is closed or the process dies."""
+    try:
+        fcntl.flock(file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    file.truncate(0)
+    file.write(f"{os.getpid()}\n")
+    file.flush()
+    return True
+
+
 def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
-    """Run every team; `state_flag`, a `--state` flag's directory, beats
-    CONTRIBSUM_STATE."""
+    """Run every team, holding the state dir's lock; `state_flag`, a
+    `--state` flag's directory, beats CONTRIBSUM_STATE."""
     cfg = _effective_config(cfg)
     try:
         roster = _read_roster(cfg)
+        pipeline.read_instructions(cfg)  # a config error leaves no state dir
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     state_dir = resolve_state_dir(cfg.state_dir, state_flag)
-    store = Store(state_dir / "cache")
-    ledger = CostLedger(state_dir / "ledger.jsonl")
-    provider = build_provider(cfg)
-
-    try:
-        results = pipeline.run_analysis(cfg, roster, provider, store, ledger)
-    except ConfigError as exc:  # an instruction file, read before any team
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        store.close()
+    state_dir.mkdir(parents=True, exist_ok=True)
+    with open(state_dir / "lock", "a+", encoding="utf-8") as lock:
+        if not _lock(lock):
+            lock.seek(0)
+            holder = lock.read().strip()
+            print(
+                f"state dir {state_dir} is in use by another analyze (pid {holder})",
+                file=sys.stderr,
+            )
+            return 2
+        store = Store(state_dir / "cache")
+        ledger = CostLedger(state_dir / "ledger.jsonl")
+        try:
+            results = pipeline.run_analysis(cfg, roster, build_provider(cfg), store, ledger)
+        except ConfigError as exc:  # an instruction file changed since it was read
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            store.close()
     failed = 0
     for result in results:
         if result.ok:

@@ -55,24 +55,24 @@ evidence aggregated, while those requests are in flight. So the first
 request of a run leaves before the first replay, and a team's replay
 overlaps its own file rows. The team's `_finish_team` takes their
 answers; a replay that fails, or an interrupt before a team's finish
-has started, still records every answer in and cancels the sends not
-yet started (`SendPool.drop`). The calling thread finishes the last
-team itself once fewer than `analysis_workers` others are unfinished, so
-at most `analysis_workers` teams are in their provider stages, the file
-rows asked at load aside, and a one-team run starts no team thread.
+has started, lets go of them (`SendPool.drop`), cancelling the sends
+not yet started. The calling thread finishes the last team itself once
+fewer than `analysis_workers` others are unfinished, so at most
+`analysis_workers` teams are in their provider stages, the file rows
+asked at load aside, and a one-team run starts no team thread.
 Every team shares one `chain.SendPool` of `analysis_workers` threads,
 made once per run with the run's provider, `Store` and `CostLedger`. It
 answers every request of the run, table rows, synthesis and its repair
-retry alike, so `analysis_workers` caps them all. A request key is looked up
-once per run: its first call reads the store, and later calls, of any
-team, join that answer or its send, so a request is sent at most once
-per run. Only `provider.send` runs on the pool's threads; rendering,
-budget checks, cache reads and writes, ledger entries and parsing stay
-on the team's own thread in row order, so outputs and each team's ledger
-entries are the same for any pool size. A call that joins another team's
-send takes the answer once that team has recorded it, so teams that ask
-for shared requests in one order ledger them in that order, as one team
-alone would. A fully cached team starts no send thread.
+retry alike, so `analysis_workers` caps them all. A request key is
+looked up once per run: its first call reads the store, and later calls,
+of any team, join that answer or its send, so a request is sent at most
+once per run. Only `provider.send` runs on the pool's threads, and the
+record of a send let go of, once it is answered; rendering, budget
+checks, cache reads and writes, ledger entries and parsing stay on the
+team's thread in row order, so outputs and each team's ledger entries
+are the same for any pool size. A call that joins another team's send
+waits for its record, so teams that ask for shared requests in one order
+ledger them in that order. A fully cached team starts no send thread.
 `chain.fill_tables` fills a team's tables in two batches, the file rows
 asked at load and then the contribution rows that quote them.
 """
@@ -321,8 +321,8 @@ def _load_team(
     outputs record, when its inputs and outputs are unchanged. The record
     is read only for a history that is not cut. The file rows are asked for
     once the window head is read and measured, so they are in flight while
-    the replay runs; if the replay fails, their answers already in are
-    still recorded."""
+    the replay runs; if the replay fails, they are let go of, and each
+    one in flight records itself once it is answered."""
     cfg = run.cfg
     repo = ingest.open_repo(repo_path, cfg.branch)
     cut = may_be_shallow(repo_path)
@@ -337,13 +337,13 @@ def _load_team(
             return None
     with gitio.ObjectReader(repo.root_path) as reader:
         snapshot = attribution.read_snapshot(repo, cfg.window, run.options, reader)
-        file_rows = pool.ask(chain.file_calls(cfg.analysis_tier, snapshot.files))
+        file_rows = pool.ask(chain.file_calls(cfg.analysis_tier, snapshot.files), result.team)
         try:
             cset = attribution.build_contribution_set(
                 repo, cfg.window, run.roster, run.options, cfg.include_branches, snapshot
             )
         except BaseException:
-            pool.drop(file_rows, result.team)
+            pool.drop(file_rows)
             raise
     return LoadedTeam(repo, prior, digest, file_rows, cset)
 
@@ -482,9 +482,9 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     """Analyze every configured team, as the module docstring describes;
     results in `cfg.repos` order. The run's inputs are gathered first
     (`RunInputs.gather`), once. On an interrupt no team or send that has
-    not started runs, a team thread's next send raises, the answers a
-    loaded team's file rows already have are recorded, and the interrupt
-    is raised once the sends in flight are back."""
+    not started runs, a team thread's next send raises, a loaded team's
+    file rows not yet taken are let go of, and the interrupt is raised once
+    the sends in flight are back and have recorded themselves."""
     run = RunInputs.gather(cfg, roster)
     sends = chain.SendPool(cfg.analysis_workers, provider, store, ledger)
     # threads start on demand, so a one-team run starts none
@@ -492,14 +492,14 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
         max(1, min(len(cfg.repos) - 1, cfg.analysis_workers)), "contribsum-team"
     )
     results = [TeamResult(team=team, ok=True) for team, _ in cfg.repos]
-    loads: list[tuple[str, LoadedTeam]] = []  # each loaded team, by name
+    loads: list[LoadedTeam] = []
     try:
         finishing = []
         for n, (result, (_, path)) in enumerate(zip(results, cfg.repos), start=1):
             loaded = _recorded(result, _load_team, result, path, run, sends)
             if loaded is None:  # failed, or its outputs are unchanged
                 continue
-            loads.append((result.team, loaded))
+            loads.append(loaded)
             args = (result, loaded, run, sends)
             if n < len(cfg.repos):
                 finishing.append(teams.submit(_recorded, result, _finish_team, *args))
@@ -513,7 +513,7 @@ def run_analysis(cfg: RunConfig, roster: Roster, provider, store: Store, ledger:
     finally:
         sends.shutdown(wait=False, cancel_futures=True)  # a later send raises
         teams.shutdown(cancel_futures=True)
-        for team, loaded in loads:  # on an interrupt, a team whose finish never started
-            sends.drop(loaded.file_rows, team)
+        for loaded in loads:  # on an interrupt, a team whose finish never started
+            sends.drop(loaded.file_rows)
         sends.shutdown()
     return results

@@ -182,7 +182,7 @@ def session_script() -> RepoScript:
 def analysis_rows(pool, cset, roster):
     """Functionality and contribution rows of the session window, filled
     as the pipeline fills them."""
-    file_rows = pool.ask(chain.file_calls(ANALYSIS_TIER, cset.files))
+    file_rows = pool.ask(chain.file_calls(ANALYSIS_TIER, cset.files), SESSION_TEAM)
     return chain.fill_tables(pool, ANALYSIS_TIER, file_rows, cset, roster, SESSION_TEAM)
 
 

@@ -249,7 +249,7 @@ class TestFillTables:
         cset = build_contribution_set(handle, JUNE, truth.roster)
         mock = _mock()
         sends = pool(mock)
-        file_rows = sends.ask(chain.file_calls(ANALYSIS, cset.files))
+        file_rows = sends.ask(chain.file_calls(ANALYSIS, cset.files), TEAM)
         files, contributions = chain.fill_tables(
             sends, ANALYSIS, file_rows, cset, truth.roster, TEAM
         )
@@ -638,6 +638,42 @@ class TestSingleFlight:
         call = self._call()
         assert outcomes["waiting"] == [_mock().send(call.messages, ANALYSIS.model_id).text]
         assert provider.sends == 2 and len(ledger.entries) == 1
+
+    def test_send_of_an_interrupted_ask_records_itself(self, tmp_path):
+        """An `ask` interrupted at its second call's cache read, while its
+        first call's send is held in flight, lets go of that send: once
+        answered it records itself for the asking team, and another team's
+        call of the same request takes its text from it, with one provider
+        call, one ledger entry and one cache row."""
+        metrics = compute_file_metrics("app.py", FLASK_LIKE.encode())
+        second = file_call(ANALYSIS, "app.py", FLASK_LIKE + "\nVERSION = 2\n", metrics)
+        release = threading.Event()
+
+        class Held:
+            inner, sends = _mock(), 0
+
+            def send(self, messages, model_id):
+                self.sends += 1
+                assert release.wait(timeout=30), "send never released"
+                return self.inner.send(messages, model_id)
+
+        class InterruptedStore(Store):
+            def get(self, key):
+                if key == second.key:
+                    raise KeyboardInterrupt
+                return super().get(key)
+
+        provider, ledger = Held(), CostLedger()
+        with chain.SendPool(2, provider, InterruptedStore(tmp_path / "cache"), ledger) as pool:
+            with pytest.raises(KeyboardInterrupt):
+                pool.ask([self._call(), second], "asking")
+            release.set()
+            [text] = pool.answer_all([self._call()], "other")
+        call = self._call()
+        assert text == _mock().send(call.messages, ANALYSIS.model_id).text
+        assert provider.sends == 1
+        assert [entry.team for entry in ledger.entries] == ["asking"]
+        assert Store(tmp_path / "cache").get(call.key) is not None
 
 
 class TestReplayProvider:

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import contribsum
 from conftest import NESTED, commit_tree_entries
 from contribsum import synthfix
 from contribsum.agents.provider import HttpProvider, TokenBucket
-from contribsum.cli import build_provider, main
+from contribsum.cli import _lock, build_provider, main
 from contribsum.config import load_config
 from contribsum.errors import ConfigError
 from contribsum.store import CostLedger
@@ -163,6 +168,49 @@ class TestAnalyze:
                 path.write_bytes(text)
         assert main(["check", "--config", str(config)]) == 0
         assert capsys.readouterr().out.endswith("ok\n")
+
+    def test_state_dir_in_use_exits_2(self, tmp_path, capsys):
+        """While another holder has the state dir's lock, `analyze` exits 2
+        naming the holder's pid, before any output or ledger line; once it
+        is released, `analyze` runs."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        state = tmp_path / "state"
+        state.mkdir()
+        with open(state / "lock", "a+", encoding="utf-8") as lock:
+            assert _lock(lock)
+            assert main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"state dir {state} is in use by another analyze (pid {os.getpid()})\n"
+        )
+        assert sorted(p.name for p in state.iterdir()) == ["lock"]
+        assert not (tmp_path / "out").exists()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert (state / "ledger.jsonl").read_text().splitlines()
+
+    def test_killed_holder_does_not_block_the_next_run(self, tmp_path, capsys):
+        """The kernel drops the lock of an analyze killed with SIGKILL."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        state = tmp_path / "state"
+        state.mkdir()
+        hold = (
+            "import sys, time\nfrom contribsum.cli import _lock\n"
+            "lock = open(sys.argv[1], 'a+')\nassert _lock(lock)\nprint('held', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(contribsum.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-c", hold, str(state / "lock")], stdout=subprocess.PIPE, env=env
+        )
+        try:
+            assert child.stdout.readline() == b"held\n"
+            assert main(["analyze", "--config", str(config)]) == 2
+            assert f"(pid {child.pid})" in capsys.readouterr().err
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        assert main(["analyze", "--config", str(config)]) == 0
 
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(

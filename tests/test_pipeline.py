@@ -989,6 +989,54 @@ class TestFileRowsBeforeReplay:
         assert {e.team for e in ledger.entries if e.tier == "analysis"} >= {"team-1", "team-2"}
 
 
+class TestInterruptPoints:
+    def test_every_answered_send_is_recorded_once(self, tmp_path, monkeypatch):
+        """Ctrl-C lands at the k-th `Store.get` on the calling thread of a
+        two-team run whose sends take 20 ms, for every k the run reaches:
+        the run raises it and leaves no thread, and the sends the provider
+        answered, the ledger entries and the cache rows are equal in number."""
+        repos = _team_repos(tmp_path / "repos", [12, 13])
+        real_get = Store.get
+        gets, interrupt_at = [], []
+
+        def get(self, key):
+            if threading.current_thread() is threading.main_thread():
+                gets.append(key)
+                if len(gets) in interrupt_at:
+                    raise KeyboardInterrupt
+            return real_get(self, key)
+
+        def run(base: Path) -> None:
+            """A run in `base`; its (sends answered, ledger entries, cache
+            rows) go into `counts`."""
+            provider, ledger = TeamFileRows(hold=0.02), CostLedger()
+            gets.clear()
+            try:
+                with closing(Store(base / "cache")) as store:
+                    results = pipeline.run_analysis(
+                        _config(base, repos), load_roster(ROSTER_TEXT), provider, store, ledger
+                    )
+                assert all(r.ok for r in results), [r.error for r in results]
+            finally:
+                counts.append(
+                    (len(provider.answers), len(ledger.entries), len(store_rows(base / "cache")))
+                )
+
+        counts: list[tuple[int, int, int]] = []
+        monkeypatch.setattr(Store, "get", get)
+        run(tmp_path / "whole")
+        points = len(gets)
+        assert points > 2 and counts[0][0] > 0
+        for k in range(1, points + 1):
+            interrupt_at[:] = [k]
+            with pytest.raises(KeyboardInterrupt):
+                run(tmp_path / f"k{k}")
+            left = [t.name for t in threading.enumerate() if t.name.startswith("contribsum-")]
+            assert not left, k
+        # counts[0] is the whole run's, counts[k] the run interrupted at the k-th get
+        assert [k for k, (sent, entries, rows) in enumerate(counts) if not sent == entries == rows] == []
+
+
 class TestRunInputs:
     def test_instruction_files_read_once_per_run(self, tmp_path, monkeypatch):
         """Three teams, one read of each instruction file and one code
@@ -1707,10 +1755,10 @@ class TestStoreDatabase:
         real_ask, real_join, real_get = chain.SendPool.ask, chain.SendPool._join, Store.get
         real_finish = pipeline._finish_team
 
-        def ask(self, calls):
+        def ask(self, calls, team):
             if not batch:  # alpha's file rows, asked for first
                 batch.append(sum(call is not None for call in calls))
-            return real_ask(self, calls)
+            return real_ask(self, calls, team)
 
         def join(self, call):
             future, sends = real_join(self, call)
