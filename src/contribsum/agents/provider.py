@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import threading
 import time
@@ -51,8 +52,9 @@ class ModelTier:
             raise ValueError(f"unknown tier {self.tier!r}")
         if self.max_input_tokens <= 0:
             raise ValueError("max_input_tokens must be positive")
-        if self.cost_per_1k_input < 0 or self.cost_per_1k_output < 0:
-            raise ValueError("rates must be non-negative")
+        rates = (self.cost_per_1k_input, self.cost_per_1k_output)
+        if not all(0 <= rate < math.inf for rate in rates):
+            raise ValueError("rates must be finite, non-negative numbers")
 
     @property
     def input_budget(self) -> int:

@@ -17,8 +17,9 @@ dies, so a killed run leaves none. `flock` makes this POSIX-only.
 `check`, `cost` and `render` take no lock.
 
 Exit codes: 0 success, 1 partial failure (some team failed or a check
-found problems), 2 configuration error, unknown flag or a state dir in
-use by another `analyze`.
+found problems), 2 configuration error, unknown flag, a state dir that
+`analyze` cannot make or whose lock file it cannot open (one that names
+a regular file, say), or a state dir in use by another `analyze`.
 """
 
 from __future__ import annotations
@@ -103,8 +104,13 @@ def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     state_dir = resolve_state_dir(cfg.state_dir, state_flag)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    with open(state_dir / "lock", "a+", encoding="utf-8") as lock:
+    try:  # a state dir that names a regular file, say
+        state_dir.mkdir(parents=True, exist_ok=True)
+        lock = open(state_dir / "lock", "a+", encoding="utf-8")
+    except OSError as exc:
+        print(f"config error: state dir {state_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    with lock:
         if not _lock(lock):
             lock.seek(0)
             holder = lock.read().strip()

@@ -149,8 +149,14 @@ def resolve_window(
             raise ConfigError("--week requires sprint_start in the [run] section")
         if week < 1:
             raise ConfigError("--week must be 1 or greater")
-        start = _parse_when(sprint_start, "sprint_start") + timedelta(weeks=week - 1)
-        return AnalysisWindow(start=start, end=start + timedelta(weeks=1), label=f"week-{week}")
+        start = _parse_when(sprint_start, "sprint_start")
+        try:
+            start += timedelta(weeks=week - 1)
+            end = start + timedelta(weeks=1)
+            end.astimezone(timezone.utc)  # as the outputs record it
+        except OverflowError:
+            raise ConfigError(f"--week {week} ends past the last date Python can hold")
+        return AnalysisWindow(start=start, end=end, label=f"week-{week}")
     if not window_start or not window_end:
         raise ConfigError("window_start and window_end (or --week) are required")
     start = _parse_when(window_start, "window_start")

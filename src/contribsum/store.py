@@ -12,10 +12,11 @@ is detected on read; a put is one statement, so a killed run keeps every
 put that completed. A database that is not one, or is cut short, is
 moved aside with its log, both as found, with a warning, and the store
 starts empty; so is one that SQLite finds malformed on a later `get` or
-`put`. Entries of the earlier one-file-per-entry layout
-(`cache/ab/cdef...json`) are checked as `get` checks them and imported
-on the first open, and their files removed. The ledger is append-only
-line-delimited JSON: crash-safe appends, trivially auditable.
+`put`. Files of the one-file-per-entry layout that came before the
+database (`cache/ab/cdef...json`) are left where they are and never
+read, so a run over such a directory sends, and pays for, their
+requests once more. The ledger is append-only line-delimited JSON:
+crash-safe appends, trivially auditable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import shutil
 import threading
 import time
@@ -182,9 +182,7 @@ class Store:
                     raise
                 except sqlite3.DatabaseError:  # not a database, or cut short
                     self._set_aside(found)
-            db = _connect(sqlite3, self.path)
-            self._import_files(db)
-            self._db = db
+            self._db = _connect(sqlite3, self.path)
         return self._db
 
     def _execute(self, sql: str, parameters: tuple):
@@ -218,46 +216,6 @@ class Store:
         # with the log and index the database had, or the probe made
         for path in (self.path, self._log, self._index):
             path.unlink(missing_ok=True)
-
-    def _import_files(self, db) -> None:
-        """Move the entries of the one-file-per-entry layout (`ab/cdef...json`)
-        into `db` in one transaction, each checked as `get` checks it, then
-        remove their files. Rows already in `db` are newer and stay."""
-        fanout = [
-            entry.path for entry in os.scandir(self.directory)
-            if re.fullmatch("[0-9a-f]{2}", entry.name) and entry.is_dir()
-        ]
-        if not fanout:
-            return
-        rows, files = [], []
-        for directory in fanout:
-            for entry in os.scandir(directory):
-                if re.fullmatch(r"\..*\.tmp", entry.name):  # a killed write's temp file
-                    files.append(entry.path)
-                elif entry.name.endswith(".json"):
-                    files.append(entry.path)
-                    try:
-                        body = Path(entry.path).read_bytes()
-                    except OSError:
-                        body = None
-                    if _payload_text(body, entry.path) is not None:
-                        key = os.path.basename(directory) + entry.name.removesuffix(".json")
-                        rows.append((key, body.decode("utf-8")))
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            db.executemany("INSERT OR IGNORE INTO entries (key, body) VALUES (?, ?)", rows)
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        for path in files:
-            Path(path).unlink(missing_ok=True)
-        for directory in fanout:
-            try:
-                os.rmdir(directory)
-            except OSError:  # something else lives there
-                pass
-        logger.info("%d cache entries imported into %s", len(rows), self.path)
 
 
 @dataclass(frozen=True)

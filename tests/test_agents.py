@@ -120,6 +120,11 @@ class TestModelTier:
             ModelTier("analysis", "m", 0, 0, 0)
         with pytest.raises(ValueError):
             ModelTier("analysis", "m", 100, -1, 0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ModelTier("analysis", "m", 100, rate, 0)
+            with pytest.raises(ValueError, match="finite"):
+                ModelTier("analysis", "m", 100, 0, rate)
 
     def test_budget_is_eighty_percent(self):
         assert ModelTier("analysis", "m", 1000, 0, 0).input_budget == 800

@@ -187,6 +187,19 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(config)]) == 0
         assert (state / "ledger.jsonl").read_text().splitlines()
 
+    def test_state_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys):
+        """A state dir that names a regular file is a config error: no
+        traceback, no output, and the file is left as it was."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        state = tmp_path / "state"
+        state.write_text("not a directory\n")
+        assert main(["analyze", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: state dir {state}: File exists\n"
+        assert captured.out == ""
+        assert state.read_text() == "not a directory\n"
+        assert not (tmp_path / "out").exists()
+
     def test_killed_holder_does_not_block_the_next_run(self, tmp_path, capsys):
         """The kernel drops the lock of an analyze killed with SIGKILL."""
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
@@ -422,6 +435,40 @@ class TestConfigErrors:
         cfg.rate_limit = rate
         with pytest.raises(ConfigError, match="rate_limit"):
             cfg.validate()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_tier_rate_finite(self, tmp_path, rate):
+        """A tier rate that is not a finite number is a config error naming
+        its section, not a `$nan` cost later."""
+        config = make_workspace(tmp_path, {})
+        text = config.read_text().replace("output = 10.0", f"output = {rate}")
+        config.write_text(text)
+        with pytest.raises(ConfigError, match=r"^\[synthesis_model\]: rates must be finite"):
+            load_config(config)
+
+    @pytest.mark.parametrize("command", ["analyze", "check", "render"])
+    @pytest.mark.parametrize(
+        "sprint_start, week",
+        [
+            ("2024-06-03", "600000"),
+            ("9999-12-28", "1"),
+            ("9999-12-24T23:00:00-05:00", "1"),  # past the last date in UTC
+            ("2024-06-03", str(10**20)),
+        ],
+    )
+    def test_week_past_the_last_date_is_config_error(
+        self, tmp_path, capsys, command, sprint_start, week
+    ):
+        """A week that ends past the last date Python can hold, from a large
+        `--week` or a late `sprint_start`, exits 2 naming `--week`."""
+        config = make_workspace(tmp_path, {})
+        text = config.read_text().replace("[run]\n", f"[run]\nsprint_start = {sprint_start}\n")
+        config.write_text(text)
+        assert main([command, "--config", str(config), "--week", week]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --week {week} ends past the last date Python can hold\n"
+        )
+        assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
 
 
 class TestBuildProvider:

@@ -1629,8 +1629,9 @@ class CountingProvider:
 
 
 class TestStoreDatabase:
-    """A run over a cache database that is unreadable, and over a state dir
-    in the one-file-per-entry layout that came before the database."""
+    """A run over a cache database that is unreadable, and over a cache
+    directory in the one-file-per-entry layout that came before the
+    database, whose files are left unread."""
 
     TEAMS = ("alpha", "beta")
 
@@ -1807,34 +1808,28 @@ class TestStoreDatabase:
         assert set(store_rows(cache)) == set(sent)  # alpha's put, after the set-aside
         assert _tree_bytes(base / "out") == fresh_out
 
-    def test_file_layout_imported_once(self, tmp_path, caplog):
-        """Entries a release before the database wrote, one file each, are
-        read without a provider call; a tampered one is dropped as `get`
-        drops it, and no entry file stays."""
+    def test_old_layout_files_are_left_unread(self, tmp_path, caplog):
+        """Entries a release before the database wrote, one file each beside
+        a killed write's temp file, are never read: the run sends every
+        request again, writes the same `out/`, and leaves every old file as
+        it was."""
         repos = self._repos(tmp_path)
         cache = tmp_path / "cache"
         primed_sends, primed_out = self._run(tmp_path / "primed", repos, cache)
-        assert primed_sends > 0
         rows = store_rows(cache)
+        assert primed_sends == len(rows) > 0
         for path in cache.iterdir():
             path.unlink()
-        answer = min(rows)
-        wrapped = json.loads(rows[answer])
-        tampered = wrapped["payload_json"].replace('"text": "', '"text": "x', 1)
-        assert tampered != wrapped["payload_json"]
-        write_file_layout(
-            cache, {**rows, answer: json.dumps({**wrapped, "payload_json": tampered})}
-        )
+        write_file_layout(cache, rows)
+        old = _tree_bytes(cache)
+        assert len(old) == 2 * len(rows)  # an entry file and a temp file per request
         with caplog.at_level("WARNING", logger="contribsum.store"):
             sends, out = self._run(tmp_path / "upgraded", repos, cache)
-        assert sends == 1
+        assert sends == primed_sends
         assert out == primed_out
-        entry = cache / answer[:2] / f"{answer[2:]}.json"
-        assert [r.getMessage() for r in caplog.records if r.name == "contribsum.store"] == [
-            f"cache digest mismatch, entry dropped: {entry}"
-        ]
-        assert sorted(p.name for p in cache.iterdir()) == ["store.sqlite3"]
-        assert store_rows(cache) == rows  # the answer sent again
+        assert not [r for r in caplog.records if r.name == "contribsum.store"]
+        assert _tree_bytes(cache) == {**old, "store.sqlite3": (cache / "store.sqlite3").read_bytes()}
+        assert store_rows(cache) == rows  # every answer sent again
 
 
 # every RunConfig field, with how the outputs record accounts for it

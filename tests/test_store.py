@@ -221,17 +221,21 @@ class TestStore:
         store.close()
         assert Store(cache).get(keys[0]) == {"text": "again"}
 
-    def test_open_lists_the_directory_once(self, tmp_path, monkeypatch):
-        """Looking for entries of the one-file-per-entry layout costs one
-        listing of the store's directory per open, and none per call."""
+    def test_open_get_and_put_list_no_directory(self, tmp_path, monkeypatch):
+        """A store opens its one database file by name: neither the first
+        open nor a later `get` or `put` lists its directory."""
         listed = []
-        real_scandir = os.scandir
-        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or real_scandir(path))
+        for name in ("scandir", "listdir"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda path=".", real=real: listed.append(path) or real(path))
         store = Store(tmp_path / "cache")
         for n in range(3):
             store.put(cache_key("t", "m", str(n)), {"n": n})
-            store.get(cache_key("t", "m", str(n)))
-        assert listed == [tmp_path / "cache"]
+            assert store.get(cache_key("t", "m", str(n))) == {"n": n}
+        store.close()
+        store.get(cache_key("t", "m", "0"))  # opened again
+        store.close()
+        assert listed == []
 
     def test_one_database_file_and_no_entry_files(self, tmp_path):
         store = Store(tmp_path / "cache")
