@@ -5,6 +5,10 @@ that `analyze` saved beside it, byte for byte as `analyze` wrote it,
 without reading the roster or calling the provider. `cost` prints the
 ledger's calls and spend per tier and per team.
 
+The flags of `analyze`, `check` and `render` but `--config` and `--week`
+override the [run] keys of their names (`--include-branch` sets
+`include_branches`, `--exclude` sets `exclude_globs`). `analyze` runs the
+`RunConfig` that `config.load_config` builds from them, unchanged.
 Every command takes a path given as a flag (`--state`, `--out`,
 `--roster`, `--config`) from the working directory, and a path written
 in the config file from the file's directory.
@@ -25,7 +29,6 @@ a regular file, say), or a state dir in use by another `analyze`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import fcntl
 import os
 import sys
@@ -57,19 +60,6 @@ def build_provider(cfg: RunConfig):
     )
 
 
-def _effective_config(cfg: RunConfig) -> RunConfig:
-    # mock calls are free by definition; zero the rates so ledger totals
-    # stay honest no matter what the config file says
-    if cfg.provider_mode == "mock":
-        cfg.analysis_tier = dataclasses.replace(
-            cfg.analysis_tier, cost_per_1k_input=0.0, cost_per_1k_output=0.0
-        )
-        cfg.synthesis_tier = dataclasses.replace(
-            cfg.synthesis_tier, cost_per_1k_input=0.0, cost_per_1k_output=0.0
-        )
-    return cfg
-
-
 def _read_roster(cfg: RunConfig):
     """The run's roster; one that cannot be read, is not UTF-8 text or does
     not parse raises ConfigError."""
@@ -96,7 +86,6 @@ def _lock(file) -> bool:
 def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
     """Run every team, holding the state dir's lock; `state_flag`, a
     `--state` flag's directory, beats CONTRIBSUM_STATE."""
-    cfg = _effective_config(cfg)
     try:
         roster = _read_roster(cfg)
         pipeline.read_instructions(cfg)  # a config error leaves no state dir
@@ -242,33 +231,12 @@ def _add_config_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--include-branch",
-        dest="include_branches_list",
+        dest="include_branches",
         action="append",
         metavar="BRANCH",
         help="add a labeled supplementary section for an unmerged branch",
     )
-    sub.add_argument("--exclude", dest="exclude_list", action="append", metavar="GLOB")
-
-
-def _overrides_from(args: argparse.Namespace) -> dict:
-    overrides = {
-        "week": args.week,
-        "window_start": args.window_start,
-        "window_end": args.window_end,
-        "window_label": args.window_label,
-        "provider": args.provider,
-        "roster": args.roster,
-        "out_dir": args.out_dir,
-        "state_dir": args.state_dir,
-        "branch": args.branch,
-        "roles": args.roles,
-        "coauthor_split": args.coauthor_split,
-    }
-    if args.include_branches_list:
-        overrides["include_branches"] = ",".join(args.include_branches_list)
-    if args.exclude_list:
-        overrides["exclude_globs"] = ",".join(args.exclude_list)
-    return overrides
+    sub.add_argument("--exclude", dest="exclude_globs", action="append", metavar="GLOB")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         # render reads only saved state: no roster, no provider
-        cfg = load_config(args.config, _overrides_from(args), inputs=args.command != "render")
+        cfg = load_config(args.config, vars(args), inputs=args.command != "render")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,8 @@
 Sections: [run] (paths, window, flags), [repos] (team = clone path),
 [analysis_model] / [synthesis_model] (tiers with rates), [provider]
 (endpoint, replay directory). LLM_API_KEY overrides any configured key.
+A mock run's tiers cost nothing: their rates are checked, then zeroed, so
+its ledger totals $0 whatever rates the file gives.
 The state directory is a `--state` flag's, else CONTRIBSUM_STATE, else
 [run] state_dir, else `.contribsum`. A path in the file is taken from its
 directory, and a path given as a flag from the working directory. A
@@ -13,6 +15,7 @@ still runs and a misspelt key shows.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import logging
 import math
 import os
@@ -120,11 +123,12 @@ def _parse_number(raw: str, kind: type, what: str):
         raise ConfigError(f"{what}: expected a number, got {raw!r}")
 
 
-def _tier(parser: configparser.ConfigParser, section: str, tier_name: str) -> ModelTier:
+def _tier(parser: configparser.ConfigParser, section: str, tier_name: str, free: bool) -> ModelTier:
+    """The tier `section` describes; a `free` one's rates are checked, then zeroed."""
     if not parser.has_section(section):
         raise ConfigError(f"missing [{section}] section")
     try:
-        return ModelTier(
+        tier = ModelTier(
             tier=tier_name,
             model_id=parser.get(section, "model_id"),
             max_input_tokens=parser.getint(section, "max_input_tokens"),
@@ -133,6 +137,14 @@ def _tier(parser: configparser.ConfigParser, section: str, tier_name: str) -> Mo
         )
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}]: {exc}")
+    return dataclasses.replace(tier, cost_per_1k_input=0.0, cost_per_1k_output=0.0) if free else tier
+
+
+def _path_component(name: str, what: str) -> None:
+    """Refuse a name that `out/` holds as one directory but that is empty,
+    `.` or `..`, or holds a path separator."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{what} {name!r} must be one directory name")
 
 
 def resolve_window(
@@ -143,36 +155,51 @@ def resolve_window(
     sprint_start: str | None,
     week: int | None,
 ) -> AnalysisWindow:
-    """Explicit bounds, or a --week preset against the sprint start date."""
+    """Explicit bounds, or a --week preset against the sprint start date;
+    either bound outside the dates Python can hold in UTC, as the outputs
+    record it, raises ConfigError naming where it came from."""
     if week is not None:
         if not sprint_start:
             raise ConfigError("--week requires sprint_start in the [run] section")
         if week < 1:
             raise ConfigError("--week must be 1 or greater")
         start = _parse_when(sprint_start, "sprint_start")
+        too_early = f"--week {week} starts before the first date Python can hold"
+        too_late = f"--week {week} ends past the last date Python can hold"
         try:
             start += timedelta(weeks=week - 1)
             end = start + timedelta(weeks=1)
-            end.astimezone(timezone.utc)  # as the outputs record it
         except OverflowError:
-            raise ConfigError(f"--week {week} ends past the last date Python can hold")
-        return AnalysisWindow(start=start, end=end, label=f"week-{week}")
-    if not window_start or not window_end:
-        raise ConfigError("window_start and window_end (or --week) are required")
-    start = _parse_when(window_start, "window_start")
-    end = _parse_when(window_end, "window_end")
-    if not start < end:
-        raise ConfigError("window_start must precede window_end")
-    return AnalysisWindow(start=start, end=end, label=window_label or "window")
+            raise ConfigError(too_late)
+        label = f"week-{week}"
+    else:
+        if not window_start or not window_end:
+            raise ConfigError("window_start and window_end (or --week) are required")
+        start = _parse_when(window_start, "window_start")
+        end = _parse_when(window_end, "window_end")
+        if not start < end:
+            raise ConfigError("window_start must precede window_end")
+        too_early = f"window_start {window_start} is before the first date Python can hold in UTC"
+        too_late = f"window_end {window_end} is past the last date Python can hold in UTC"
+        label = "window" if window_label is None else window_label
+    for moment, message in ((start, too_early), (end, too_late)):
+        try:
+            moment.astimezone(timezone.utc)
+        except OverflowError:
+            raise ConfigError(message)
+    return AnalysisWindow(start=start, end=end, label=label)
 
 
 def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = True) -> RunConfig:
     """Parse and validate the run configuration file.
 
     `overrides` carries CLI flag values (same key names as [run] options,
-    plus `week`); only non-None entries take effect. `inputs` is passed
-    to `RunConfig.validate`. Each [run] key that no option reads, such as
-    a misspelt one or the removed `jobs`, is logged as a warning.
+    plus `week`); only non-None entries take effect, a list as its items
+    joined by ",", and a key that names no option (`command`, `config`)
+    is ignored. `inputs` is passed to `RunConfig.validate`. Each [run] key
+    that no option reads, such as a misspelt one or the removed `jobs`, is
+    logged as a warning. A window label or team id names a directory
+    under `out/`, so one that is not a plain directory name raises.
     """
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     config_path = Path(path)
@@ -198,14 +225,16 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
 
     def run_opt(key: str, fallback: str | None = None, path: bool = False) -> str | None:
         read.add(key)
-        if key in overrides:
-            return str(overrides[key])  # a flag's path is the working directory's
+        if key in overrides:  # a flag's path is the working directory's
+            value = overrides[key]
+            return ",".join(value) if isinstance(value, list) else str(value)
         value = parser.get("run", key, fallback=fallback)
         return rel(value) if path else value
 
     repos: list[tuple[str, str]] = []
     if parser.has_section("repos"):
         for team, repo_path in parser.items("repos"):
+            _path_component(team, "[repos] team id")
             repos.append((team, rel(repo_path) or repo_path))
 
     window = resolve_window(
@@ -215,6 +244,7 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         sprint_start=run_opt("sprint_start"),
         week=overrides.get("week"),
     )
+    _path_component(window.label, "window label")
 
     roster = run_opt("roster", path=True)
     if not roster:
@@ -229,13 +259,14 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
     else:
         exclude_globs = DEFAULT_EXCLUDE_GLOBS
 
+    provider_mode = (run_opt("provider", "mock") or "mock").lower()
     cfg = RunConfig(
         repos=repos,
         roster_path=roster,
         window=window,
-        analysis_tier=_tier(parser, "analysis_model", "analysis"),
-        synthesis_tier=_tier(parser, "synthesis_model", "synthesis"),
-        provider_mode=(run_opt("provider", "mock") or "mock").lower(),
+        analysis_tier=_tier(parser, "analysis_model", "analysis", provider_mode == "mock"),
+        synthesis_tier=_tier(parser, "synthesis_model", "synthesis", provider_mode == "mock"),
+        provider_mode=provider_mode,
         sprint_instructions_path=run_opt("sprint_instructions", path=True),
         project_description_path=run_opt("project_description", path=True),
         roles_enabled=_parse_bool(run_opt("roles", "off") or "off", "[run] roles"),

@@ -1,9 +1,10 @@
 """The functionality and contribution tables, written as CSV files for
 instructors beside each team's report; the run reads neither back.
 
-A table's columns are its row type's fields, in order. A `str` field is a
-text column, an `int` field an integer column, and an `int | None` field
-an integer column whose empty cell is None.
+A table's columns are its row type's fields, in order, each named in
+CamelCase (`lines_added_in_window` is `LinesAddedInWindow`). A `str`
+field is a text column, an `int` field an integer column, and an
+`int | None` field an integer column whose empty cell is None.
 
 RFC 4180 serialization (UTF-8, header row, minimal quoting, CRLF
 records). Rows are stored and written in primary-key order, so equal
@@ -15,26 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import typing
-from dataclasses import dataclass
-
-FUNCTIONALITY_COLUMNS = (
-    "Filename",
-    "Functionality",
-    "Difficulty",
-    "ByteSize",
-    "LineCount",
-    "Complexity",
-    "TagCount",
-)
-
-CONTRIBUTION_COLUMNS = (
-    "Student",
-    "File",
-    "Description",
-    "LinesOwned",
-    "LinesAddedInWindow",
-    "SoloFunctions",
-)
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -56,6 +38,14 @@ class ContributionTableRow:
     lines_owned: int
     lines_added_in_window: int
     solo_functions: str = ""  # "name:score; name:score"
+
+
+def _columns(row: type) -> tuple[str, ...]:
+    return tuple("".join(part.capitalize() for part in f.name.split("_")) for f in fields(row))
+
+
+FUNCTIONALITY_COLUMNS = _columns(FunctionalityTableRow)
+CONTRIBUTION_COLUMNS = _columns(ContributionTableRow)
 
 
 def _order(table, key, what: str) -> None:

@@ -14,12 +14,13 @@ import pytest
 
 import contribsum
 from conftest import NESTED, commit_tree_entries
-from contribsum import synthfix
+from contribsum import cli, pipeline, synthfix
 from contribsum.agents.provider import HttpProvider, TokenBucket
 from contribsum.cli import _lock, build_provider, main
 from contribsum.config import load_config
 from contribsum.errors import ConfigError
-from contribsum.store import CostLedger
+from contribsum.identity import load_roster
+from contribsum.store import CostLedger, Store
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -91,6 +92,8 @@ def make_workspace(
 
 
 EXPECTED_ARTIFACTS = ("functionality.csv", "contribution.csv", "report.md")
+START_LINE = "window_start = 2024-06-01T00:00:00+00:00\n"
+END_LINE = "window_end = 2024-07-01T00:00:00+00:00\n"
 
 
 class TestAnalyze:
@@ -224,6 +227,30 @@ class TestAnalyze:
             child.stdout.close()
         assert child.returncode == -signal.SIGKILL
         assert main(["analyze", "--config", str(config)]) == 0
+
+    def test_library_run_matches_analyze(self, tmp_path):
+        """A mock run is free and records one inputs digest whether `analyze`
+        starts it or a caller of the library does, as `coursebench/worker.py`
+        does (`load_config`, `load_roster`, `build_provider`, `run_analysis`),
+        though the config file gives nonzero rates."""
+        teams = {"team-alpha": "merged_branch"}
+        assert main(["analyze", "--config", str(make_workspace(tmp_path / "cli", teams))]) == 0
+        cfg = load_config(make_workspace(tmp_path / "library", teams))
+        roster = load_roster(Path(cfg.roster_path).read_text(encoding="utf-8"))
+        store = Store(tmp_path / "library" / "state" / "cache")
+        ledger = CostLedger(tmp_path / "library" / "state" / "ledger.jsonl")
+        try:
+            results = pipeline.run_analysis(cfg, roster, build_provider(cfg), store, ledger)
+        finally:
+            store.close()
+        assert [r.ok for r in results] == [True]
+        digests = []
+        for root in (tmp_path / "cli", tmp_path / "library"):
+            ledger = CostLedger(root / "state" / "ledger.jsonl")
+            assert ledger.entries and ledger.total == 0.0
+            manifest = root / "out" / "team-alpha" / "week-1" / "run_manifest.json"
+            digests.append(json.loads(manifest.read_text())["inputs_digest"])
+        assert digests[0] == digests[1]
 
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(
@@ -469,6 +496,94 @@ class TestConfigErrors:
             f"config error: --week {week} ends past the last date Python can hold\n"
         )
         assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("command", ["analyze", "check", "render"])
+    @pytest.mark.parametrize(
+        "edits, args, error",
+        [
+            (
+                {START_LINE: "window_start = 9999-12-30T00:00:00+00:00\n",
+                 END_LINE: "window_end = 9999-12-31T23:00:00-05:00\n"},
+                [],
+                "window_end 9999-12-31T23:00:00-05:00 is past the last date Python can hold in UTC",
+            ),
+            (
+                {},
+                ["--window-start", "9999-12-30", "--window-end", "9999-12-31T23:00:00-05:00"],
+                "window_end 9999-12-31T23:00:00-05:00 is past the last date Python can hold in UTC",
+            ),
+            (
+                {START_LINE: "window_start = 0001-01-01T00:00:00+05:00\n"},
+                [],
+                "window_start 0001-01-01T00:00:00+05:00 is before the first date Python can hold in UTC",
+            ),
+            (
+                {"[run]\n": "[run]\nsprint_start = 0001-01-01T00:00:00+05:00\n"},
+                ["--week", "1"],
+                "--week 1 starts before the first date Python can hold",
+            ),
+        ],
+        ids=["end-in-file", "end-from-flags", "start", "week-start"],
+    )
+    def test_window_outside_the_dates_in_utc_is_config_error(
+        self, tmp_path, capsys, command, edits, args, error
+    ):
+        """A window bound that Python cannot hold once in UTC, as the outputs
+        record it, exits 2 naming the bound, not an `OverflowError` per team."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        text = config.read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        config.write_text(text)
+        assert main([command, "--config", str(config), *args]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "where, name",
+        [
+            *(("file", name) for name in ("", ".", "..", "w/1", "w\\1")),
+            *(("flag", name) for name in ("", ".", "..", "w/1", "w\\1")),
+            *(("team", name) for name in (".", "..", "a/b", "a\\b")),
+        ],
+    )
+    def test_window_label_or_team_id_not_a_directory_name(self, tmp_path, capsys, where, name):
+        """A window label, from the file or `--window-label`, or a team id
+        names a directory under `out/`; one that is empty, `.` or `..`, or
+        holds a path separator exits 2 before any state or output."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        args = ["analyze", "--config", str(config)]
+        if where == "file":
+            text = config.read_text().replace("window_label = week-1\n", f"window_label = {name}\n")
+        elif where == "flag":
+            text, args = config.read_text(), [*args, "--window-label", name]
+        else:
+            text = config.read_text().replace("team-alpha = ", f"{name} = ")
+        config.write_text(text)
+        assert main(args) == 2
+        what = "[repos] team id" if where == "team" else "window label"
+        assert capsys.readouterr().err == f"config error: {what} {name!r} must be one directory name\n"
+        assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
+
+    def test_each_flag_overrides_its_run_key(self, tmp_path, monkeypatch):
+        """`main` hands `load_config` every flag under its [run] key, a
+        repeated one joined as the file would list it."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda cfg: seen.append(cfg) or 0)
+        flags = [
+            "--window-start", "2024-06-02T00:00:00+00:00", "--window-end", "2024-06-09T00:00:00+00:00",
+            "--window-label", "june", "--roster", str(tmp_path / "roster.txt"),
+            "--out", "o", "--state", "s", "--branch", "dev", "--roles", "--no-coauthor-split",
+            "--include-branch", "a", "--include-branch", "b", "--exclude", "*.md", "--exclude", "docs/*",
+        ]
+        assert main(["check", "--config", str(config), *flags]) == 0
+        (cfg,) = seen
+        assert (cfg.window.start.day, cfg.window.end.day, cfg.window.label) == (2, 9, "june")
+        assert (cfg.roster_path, cfg.out_dir, cfg.state_dir) == (str(tmp_path / "roster.txt"), "o", "s")
+        assert (cfg.branch, cfg.roles_enabled, cfg.coauthor_split) == ("dev", True, False)
+        assert (cfg.include_branches, cfg.exclude_globs) == (("a", "b"), ("*.md", "docs/*"))
 
 
 class TestBuildProvider:
