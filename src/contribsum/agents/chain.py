@@ -44,7 +44,6 @@ from importlib import resources
 from ..attribution import ContributionEvidence, ContributionSet, KeptFile
 from ..errors import BudgetExceeded, TemplateViolation
 from ..identity import Roster, StudentId
-from ..ingest import AnalysisWindow
 from ..metrics import FileMetrics
 from ..store import CostLedger, Store, cache_key
 from ..tables import ContributionTableRow, FunctionalityTableRow, solo_functions_text
@@ -95,7 +94,6 @@ class StudentSummary:
 
 @dataclass(frozen=True)
 class TeamSummary:
-    window: AnalysisWindow
     narrative: str
     progress_bullets: tuple[str, ...] = ()
 
@@ -527,7 +525,6 @@ def synthesize(
 
     if not active:
         team_summary = TeamSummary(
-            window=bundle.contribution_set.window,
             narrative="No recorded team contributions in this window.",
             progress_bullets=(),
         )
@@ -639,7 +636,7 @@ def _parse_synthesis(
     narrative = " ".join(l.strip() for l in narrative_lines).strip()
     if not narrative:
         raise TemplateViolation("TEAM section has no narrative paragraph")
-    team = TeamSummary(bundle.contribution_set.window, narrative, tuple(bullet_lines))
+    team = TeamSummary(narrative, tuple(bullet_lines))
     return summaries, team
 
 

@@ -2,13 +2,15 @@
 
 `render` rewrites each team's `report.md` from the `report_state.json`
 that `analyze` saved beside it, byte for byte as `analyze` wrote it,
-without reading the roster or calling the provider. `cost` prints the
-ledger's calls and spend per tier and per team.
+without reading the roster or calling the provider. `cost` reads no
+config: it prints the path of the ledger it read, and its calls and
+spend per tier and per team.
 
 The flags of `analyze`, `check` and `render` but `--config` and `--week`
 override the [run] keys of their names (`--include-branch` sets
 `include_branches`, `--exclude` sets `exclude_globs`). `analyze` runs the
-`RunConfig` that `config.load_config` builds from them, unchanged.
+`RunConfig` that `config.load_config` builds from them, unchanged: its
+instruction texts and state dir are resolved there, once.
 Every command takes a path given as a flag (`--state`, `--out`,
 `--roster`, `--config`) from the working directory, and a path written
 in the config file from the file's directory.
@@ -21,9 +23,11 @@ dies, so a killed run leaves none. `flock` makes this POSIX-only.
 `check`, `cost` and `render` take no lock.
 
 Exit codes: 0 success, 1 partial failure (some team failed or a check
-found problems), 2 configuration error, unknown flag, a state dir that
-`analyze` cannot make or whose lock file it cannot open (one that names
-a regular file, say), or a state dir in use by another `analyze`.
+found problems), 2 configuration error (a missing roster, an unreadable
+instruction file or a `--window-*` flag with `--week`, say), unknown
+flag, a state dir that `analyze` cannot make or whose lock file it
+cannot open (one that names a regular file, say), or a state dir in use
+by another `analyze`.
 """
 
 from __future__ import annotations
@@ -83,16 +87,15 @@ def _lock(file) -> bool:
     return True
 
 
-def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
-    """Run every team, holding the state dir's lock; `state_flag`, a
-    `--state` flag's directory, beats CONTRIBSUM_STATE."""
+def cmd_analyze(cfg: RunConfig) -> int:
+    """Run every team, holding the state dir's lock; a team its outputs
+    record stands in for is marked `(unchanged)`."""
     try:
-        roster = _read_roster(cfg)
-        pipeline.read_instructions(cfg)  # a config error leaves no state dir
+        roster = _read_roster(cfg)  # a config error leaves no state dir
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    state_dir = resolve_state_dir(cfg.state_dir, state_flag)
+    state_dir = Path(cfg.state_dir)
     try:  # a state dir that names a regular file, say
         state_dir.mkdir(parents=True, exist_ok=True)
         lock = open(state_dir / "lock", "a+", encoding="utf-8")
@@ -112,15 +115,13 @@ def cmd_analyze(cfg: RunConfig, state_flag: str | None = None) -> int:
         ledger = CostLedger(state_dir / "ledger.jsonl")
         try:
             results = pipeline.run_analysis(cfg, roster, build_provider(cfg), store, ledger)
-        except ConfigError as exc:  # an instruction file changed since it was read
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         finally:
             store.close()
     failed = 0
     for result in results:
         if result.ok:
-            print(f"[ok]   {result.team}: {len(result.artifacts)} artifacts")
+            unchanged = " (unchanged)" if result.unchanged else ""
+            print(f"[ok]   {result.team}: {len(result.artifacts)} artifacts{unchanged}")
             for warning in result.warnings:
                 print(f"       warning: {warning}")
         else:
@@ -136,12 +137,6 @@ def cmd_check(cfg: RunConfig) -> int:
     try:
         roster = _read_roster(cfg)
         print(f"[ok]   roster: {len(roster.students)} students")
-    except ConfigError as exc:
-        problems += 1
-        print(f"[fail] {exc}")
-
-    try:
-        pipeline.read_instructions(cfg)
     except ConfigError as exc:
         problems += 1
         print(f"[fail] {exc}")
@@ -270,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "analyze":
-        return cmd_analyze(cfg, args.state_dir)
+        return cmd_analyze(cfg)
     if args.command == "check":
         return cmd_check(cfg)
     if args.command == "render":

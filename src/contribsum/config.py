@@ -6,10 +6,10 @@ Sections: [run] (paths, window, flags), [repos] (team = clone path),
 A mock run's tiers cost nothing: their rates are checked, then zeroed, so
 its ledger totals $0 whatever rates the file gives.
 The state directory is a `--state` flag's, else CONTRIBSUM_STATE, else
-[run] state_dir, else `.contribsum`. A path in the file is taken from its
-directory, and a path given as a flag from the working directory. A
-[run] key that no option reads loads with a warning, so an old config
-still runs and a misspelt key shows.
+[run] state_dir, else `.contribsum`, resolved once by `load_config`. A
+path in the file is taken from its directory, and a path given as a flag
+from the working directory. A [run] key that no option reads loads with
+a warning, so an old config still runs and a misspelt key shows.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .agents.provider import ModelTier
 from .attribution import DEFAULT_EXCLUDE_GLOBS
 from .errors import ConfigError
 from .ingest import AnalysisWindow
+from .store import resolve_state_dir
 
 logger = logging.getLogger(__name__)
 
@@ -45,8 +46,8 @@ class RunConfig:
     analysis_tier: ModelTier
     synthesis_tier: ModelTier
     provider_mode: str = "mock"
-    sprint_instructions_path: str | None = None
-    project_description_path: str | None = None
+    sprint_instructions: str = ""  # the file's text, "" when none is configured
+    project_description: str = ""
     roles_enabled: bool = False
     coauthor_split: bool = True
     include_branches: tuple[str, ...] = ()
@@ -62,8 +63,8 @@ class RunConfig:
 
     def validate(self, inputs: bool = True) -> None:
         """Reject an unusable configuration; with `inputs`, also require what
-        `analyze` and `check` read and `render` does not: the roster and
-        instruction files, the provider's endpoint, key or replay directory."""
+        `analyze` and `check` read and `render` does not: the roster file, the
+        provider's endpoint, key or replay directory."""
         if not self.repos:
             raise ConfigError("no repositories configured ([repos] section empty)")
         paths = [p for _, p in self.repos]
@@ -88,10 +89,6 @@ class RunConfig:
             raise ConfigError("replay provider requires [provider] replay_dir")
         if not Path(self.roster_path).exists():
             raise ConfigError(f"roster file not found: {self.roster_path}")
-        for key in ("sprint_instructions_path", "project_description_path"):
-            value = getattr(self, key)
-            if value and not Path(value).exists():
-                raise ConfigError(f"{key.replace('_path', '')} file not found: {value}")
 
     def resolved_api_key(self) -> str:
         return os.environ.get(API_KEY_ENV_VAR) or self.api_key
@@ -196,10 +193,13 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
     `overrides` carries CLI flag values (same key names as [run] options,
     plus `week`); only non-None entries take effect, a list as its items
     joined by ",", and a key that names no option (`command`, `config`)
-    is ignored. `inputs` is passed to `RunConfig.validate`. Each [run] key
-    that no option reads, such as a misspelt one or the removed `jobs`, is
-    logged as a warning. A window label or team id names a directory
-    under `out/`, so one that is not a plain directory name raises.
+    is ignored. With `inputs` (`analyze`, `check`), both instruction files
+    are read, once; one missing, unreadable or not UTF-8 raises. Each [run]
+    key that no option reads, such as a misspelt one or the removed `jobs`,
+    is logged as a warning, as are the `window_*` keys that `--week`
+    overrides; a `--window-*` flag with `--week` raises. A window label or
+    team id names a directory under `out/`, so one that is not a plain
+    directory name raises.
     """
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     config_path = Path(path)
@@ -237,12 +237,21 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
             _path_component(team, "[repos] team id")
             repos.append((team, rel(repo_path) or repo_path))
 
+    week = overrides.get("week")
+    if week is not None:
+        window_keys = ("window_start", "window_end", "window_label")
+        flags = [f"--{key.replace('_', '-')}" for key in window_keys if key in overrides]
+        if flags:
+            raise ConfigError(f"{', '.join(flags)} cannot be given with --week")
+        ignored = [key for key in window_keys if parser.has_option("run", key)]
+        if ignored:
+            logger.warning("[run] %s ignored: --week %d sets the window", ", ".join(ignored), week)
     window = resolve_window(
         window_start=run_opt("window_start"),
         window_end=run_opt("window_end"),
         window_label=run_opt("window_label"),
         sprint_start=run_opt("sprint_start"),
-        week=overrides.get("week"),
+        week=week,
     )
     _path_component(window.label, "window label")
 
@@ -259,6 +268,14 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
     else:
         exclude_globs = DEFAULT_EXCLUDE_GLOBS
 
+    texts = {}
+    for key in ("sprint_instructions", "project_description"):
+        path = run_opt(key, path=True)  # a known key even where it is not read
+        try:
+            texts[key] = Path(path).read_text(encoding="utf-8") if path and inputs else ""
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{key}: {path}: {exc}") from exc
+
     provider_mode = (run_opt("provider", "mock") or "mock").lower()
     cfg = RunConfig(
         repos=repos,
@@ -267,8 +284,7 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         analysis_tier=_tier(parser, "analysis_model", "analysis", provider_mode == "mock"),
         synthesis_tier=_tier(parser, "synthesis_model", "synthesis", provider_mode == "mock"),
         provider_mode=provider_mode,
-        sprint_instructions_path=run_opt("sprint_instructions", path=True),
-        project_description_path=run_opt("project_description", path=True),
+        **texts,
         roles_enabled=_parse_bool(run_opt("roles", "off") or "off", "[run] roles"),
         coauthor_split=_parse_bool(run_opt("coauthor_split", "on") or "on", "[run] coauthor_split"),
         include_branches=include_branches,
@@ -277,7 +293,8 @@ def load_config(path: str | Path, overrides: dict | None = None, inputs: bool = 
         api_key=parser.get("provider", "api_key", fallback=""),
         replay_dir=rel(parser.get("provider", "replay_dir", fallback="")) or "",
         out_dir=run_opt("out_dir", "out", path=True) or "out",
-        state_dir=run_opt("state_dir", ".contribsum", path=True) or ".contribsum",
+        # flag, env, file, default (`run_opt` gives a flag too, which wins anyway)
+        state_dir=str(resolve_state_dir(run_opt("state_dir", path=True), overrides.get("state_dir"))),
         analysis_workers=_parse_number(
             run_opt("analysis_workers") or str(RunConfig.analysis_workers),
             int,

@@ -28,12 +28,12 @@ written before records were, is logged at INFO. Deleting a window's
 window to run again.
 
 `run_analysis` gathers the run's inputs once, before any team, into one
-`RunInputs`: the config, the roster, the attribution options, the two
-instruction files' text (`read_instructions`: one that cannot be read
-or is not UTF-8 text is a `ConfigError` that names it) and the inputs
-digest's run-wide material: the code (`code_digest`), the window's
-bounds and label, both model tiers, the provider mode, the roles,
-co-author and exclude options, the roster and the texts. A team's
+`RunInputs`: the config, which holds the two instruction files' text as
+`load_config` read them, the roster, the attribution options and the
+inputs digest's run-wide material: the code (`code_digest`), the
+window's bounds and label, both model tiers, the provider mode, the
+roles, co-author and exclude options, the roster and the texts. A run
+opens no instruction file. A team's
 digest adds its own: the default and included branches and their tips,
 whether the history may be cut (a cut history's outputs change when it
 is deepened, its tips not) and the prior window's saved state as read.
@@ -95,7 +95,7 @@ from . import attribution, gitio, ingest, tables
 from .agents import chain
 from .agents.chain import SynthesisBundle
 from .config import RunConfig
-from .errors import ConfigError, ContribSumError
+from .errors import ContribSumError
 from .identity import UNMAPPED, Roster, unmapped_signatures
 from .report import ReportState, RunMeta, diff_windows
 from .store import CostLedger, Store, write_atomic
@@ -122,26 +122,11 @@ class TeamResult:
     error: str = ""
     artifacts: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    unchanged: bool = False  # taken from the window's outputs record, not run
 
 
 def window_dir(cfg: RunConfig, team: str) -> Path:
     return Path(cfg.out_dir) / team / (cfg.window.label or "window")
-
-
-def read_instructions(cfg: RunConfig) -> tuple[str, str]:
-    """The sprint-instructions and project-description texts, "" for one
-    not configured; a file that cannot be read or is not UTF-8 text raises
-    ConfigError naming it."""
-    texts = []
-    for key, path in (
-        ("sprint_instructions", cfg.sprint_instructions_path),
-        ("project_description", cfg.project_description_path),
-    ):
-        try:
-            texts.append(Path(path).read_text(encoding="utf-8") if path else "")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{key}: {path}: {exc}") from exc
-    return texts[0], texts[1]
 
 
 def _recorded(result: TeamResult, step, *args):
@@ -199,20 +184,17 @@ def may_be_shallow(root: str) -> bool:
 @dataclass(frozen=True)
 class RunInputs:
     """What every team of a run is made from besides its own repository and
-    prior state, gathered once, before any team (`gather`, which reads the
-    instruction files): the config, the roster, both instruction texts,
-    the attribution options and the inputs digest's run-wide material."""
+    prior state, gathered once, before any team (`gather`): the config,
+    which holds both instruction texts, the roster, the attribution options
+    and the inputs digest's run-wide material."""
 
     cfg: RunConfig
     roster: Roster
-    sprint_instructions: str
-    project_description: str
     options: attribution.AttributionOptions
     material: dict  # `_inputs_digest`'s keys that every team shares
 
     @classmethod
     def gather(cls, cfg: RunConfig, roster: Roster) -> RunInputs:
-        texts = read_instructions(cfg)
         options = attribution.AttributionOptions(cfg.coauthor_split, cfg.exclude_globs)
         material = {
             "code": code_digest(),
@@ -223,9 +205,9 @@ class RunInputs:
             "coauthor_split": cfg.coauthor_split,
             "exclude_globs": list(cfg.exclude_globs),
             "roster": [[[s.id, s.display_name] for s in roster.students], sorted(roster.aliases.items())],
-            "texts": list(texts),
+            "texts": [cfg.sprint_instructions, cfg.project_description],
         }
-        return cls(cfg, roster, *texts, options, material)
+        return cls(cfg, roster, options, material)
 
 
 def _inputs_digest(run: RunInputs, repo: ingest.RepoHandle, cut: bool, prior_sha: str | None) -> str:
@@ -333,6 +315,7 @@ def _load_team(
         remembered = _unchanged_outputs(result.team, out_dir, digest)
         if remembered is not None:
             artifacts, result.warnings = remembered
+            result.unchanged = True
             result.artifacts = {name: str(out_dir / name) for name in artifacts}
             return None
     with gitio.ObjectReader(repo.root_path) as reader:
@@ -362,8 +345,8 @@ def _finish_team(
     bundle = SynthesisBundle(
         functionality_rows=functionality_rows,
         contribution_rows=contribution_rows,
-        sprint_instructions=run.sprint_instructions,
-        project_description=run.project_description,
+        sprint_instructions=cfg.sprint_instructions,
+        project_description=cfg.project_description,
         roles_enabled=cfg.roles_enabled,
         roster=roster,
         contribution_set=cset,

@@ -214,7 +214,7 @@ class ReportState:
             for item in state["summaries"]
         )
         team = state["team_summary"]
-        team_summary = TeamSummary(window, team["narrative"], tuple(team["bullets"]))
+        team_summary = TeamSummary(team["narrative"], tuple(team["bullets"]))
         meta = RunMeta(
             team=state["team"],
             window=window,

@@ -305,8 +305,10 @@ class CostLedger:
 
 def ledger_report(ledger: CostLedger) -> str:
     """Human-readable per-tier, per-team and grand-total cost summary; entries
-    that name no team are listed as `(no team)`."""
+    that name no team are listed as `(no team)`, and a file's ledger is named."""
     lines = ["Cost ledger"]
+    if ledger.path is not None:
+        lines.append(f"  file: {ledger.path}{'' if ledger.path.exists() else ' (not found)'}")
     totals = ledger.totals_by_tier()
     tokens_in = sum(e.input_tokens for e in ledger.entries)
     tokens_out = sum(e.output_tokens for e in ledger.entries)

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,9 +141,8 @@ class TestAnalyze:
 
     def test_unreadable_instructions_are_config_errors(self, tmp_path, capsys):
         """An instruction file that is missing, cannot be read or is not
-        UTF-8 fails `analyze` as a configuration error naming it, before any
-        output or state; `check` names an unreadable or non-UTF-8 one in a
-        failed line, and a missing one fails the config as `analyze` does."""
+        UTF-8 fails `analyze` and `check` as a configuration error naming
+        its key and path, before any output or state."""
         config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
         for key, name in (
             ("sprint_instructions", "sprint.md"), ("project_description", "project.md")
@@ -150,22 +150,18 @@ class TestAnalyze:
             path = tmp_path / name
             text = path.read_bytes()
             for case in ("missing", "unreadable", "not-utf8"):
-                label = f"{name} {case}"
                 path.unlink()
                 if case == "unreadable":
                     path.mkdir()  # opening a directory fails
                 elif case == "not-utf8":
                     path.write_bytes(b"\xff" + text)
-                assert main(["analyze", "--config", str(config)]) == 2, label
-                err = capsys.readouterr().err
-                assert err.startswith("config error: ") and str(path) in err, label
-                assert not (tmp_path / "out").exists() and not (tmp_path / "state").exists(), label
-                if case == "missing":
-                    assert main(["check", "--config", str(config)]) == 2, label
-                    assert str(path) in capsys.readouterr().err, label
-                else:
-                    assert main(["check", "--config", str(config)]) == 1, label
-                    assert f"[fail] {key}: {path}: " in capsys.readouterr().out, label
+                for command in ("analyze", "check"):
+                    label = f"{command}: {name} {case}"
+                    assert main([command, "--config", str(config)]) == 2, label
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"config error: {key}: {path}: "), label
+                    assert not (tmp_path / "out").exists(), label
+                    assert not (tmp_path / "state").exists(), label
                 if path.is_dir():
                     path.rmdir()
                 path.write_bytes(text)
@@ -251,6 +247,58 @@ class TestAnalyze:
             manifest = root / "out" / "team-alpha" / "week-1" / "run_manifest.json"
             digests.append(json.loads(manifest.read_text())["inputs_digest"])
         assert digests[0] == digests[1]
+
+    def test_each_instruction_file_read_once(self, tmp_path, monkeypatch):
+        """One `analyze` of two teams reads each instruction file once, in
+        `load_config`, and takes the code digest once: the run gathers its
+        inputs before any team and opens no instruction file."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author", "team-beta": "sole_author"})
+        reads: Counter = Counter()
+        real_read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads[self] += 1
+            return real_read_text(self, *args, **kwargs)
+
+        real_code_digest = pipeline.code_digest
+
+        def counting_code_digest():
+            reads["code"] += 1
+            return real_code_digest()
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(pipeline, "code_digest", counting_code_digest)
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert (reads[tmp_path / "sprint.md"], reads[tmp_path / "project.md"], reads["code"]) == (
+            1, 1, 1
+        )
+
+    def test_state_dir_resolved_by_load_config(self, tmp_path, monkeypatch):
+        """`load_config` sets the state dir to the `--state` flag's, else
+        CONTRIBSUM_STATE, else the file's `state_dir`, else `.contribsum`,
+        and `analyze` keeps its lock and ledger there."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        bare = config.with_name("bare.ini")  # no state_dir key
+        bare.write_text(config.read_text().replace("state_dir = state\n", ""))
+        monkeypatch.chdir(tmp_path)
+        cases = [
+            (config, "from-flag", "from-env", "from-flag"),
+            (config, None, "from-env", "from-env"),
+            (config, None, None, str(tmp_path / "state")),
+            (bare, None, None, ".contribsum"),
+        ]
+        for n, (path, flag, env, expected) in enumerate(cases):
+            if env:
+                monkeypatch.setenv("CONTRIBSUM_STATE", env)
+            else:
+                monkeypatch.delenv("CONTRIBSUM_STATE", raising=False)
+            assert load_config(path, {"state_dir": flag}).state_dir == expected, expected
+            flags = ["--state", flag] if flag else []
+            assert main(["analyze", "--config", str(path), "--out", f"out-{n}", *flags]) == 0
+            # this run's state dir and the earlier runs', no other
+            locked = {case[3] for case in cases if (tmp_path / case[3] / "lock").exists()}
+            assert locked == {case[3] for case in cases[: n + 1]}, expected
+            assert CostLedger(tmp_path / expected / "ledger.jsonl").entries, expected
 
     def test_corrupt_repo_isolated_from_healthy_one(self, tmp_path, capsys):
         config = make_workspace(
@@ -371,9 +419,10 @@ class TestAnalyze:
 
 class TestUnchangedRerun:
     def test_unchanged_teams_are_skipped(self, tmp_path, capsys, caplog):
-        """A second `analyze` prints the same, rewrites nothing and adds no
-        ledger line; `render` in between changes nothing of that; after one
-        team's new commit only that team runs again."""
+        """A second `analyze` prints the same, each team marked unchanged,
+        rewrites nothing and adds no ledger line; `render` in between
+        changes nothing of that; after one team's new commit only that team
+        runs again, and only the other is marked."""
         config = make_workspace(
             tmp_path, {"team-alpha": "merged_branch", "team-beta": "zero_commit_student"}
         )
@@ -392,21 +441,27 @@ class TestUnchangedRerun:
 
         printed, _ = analyze()
         first, lines = files(), ledger.read_text()
-        assert lines
+        assert lines and "unchanged" not in printed
+        marked = printed.replace(" artifacts\n", " artifacts (unchanged)\n")
+        assert marked.count(" (unchanged)\n") == 2
         both = ["team outputs unchanged: team-alpha", "team outputs unchanged: team-beta"]
-        assert analyze() == (printed, both)
+        assert analyze() == (marked, both)
         assert files() == first and ledger.read_text() == lines
 
         assert main(["render", "--config", str(config)]) == 0
         capsys.readouterr()
         rendered = files()
-        assert analyze() == (printed, both)
+        assert analyze() == (marked, both)
         assert files() == rendered and ledger.read_text() == lines
 
         entry = ("100644", "more.py", b"m = 1\n")
         commit_tree_entries(str(tmp_path / "repos" / "team-alpha"), tmp_path / "index", entry)
-        assert analyze()[1] == [
+        printed, logged = analyze()
+        assert logged == [
             "team outputs stale: team-alpha (inputs)", "team outputs unchanged: team-beta"
+        ]
+        assert [line.split(":")[0] for line in printed.splitlines() if "(unchanged)" in line] == [
+            "[ok]   team-beta"
         ]
         after = files()
         beta = {p: v for p, v in rendered.items() if "team-beta" in p.parts}
@@ -566,6 +621,38 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {what} {name!r} must be one directory name\n"
         assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "check", "render"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--window-start", "2020-01-01"), ("--window-end", "2020-02-01"), ("--window-label", "mine")],
+    )
+    def test_window_flag_with_week_is_config_error(self, tmp_path, capsys, command, flag, value):
+        """`--week` sets the whole window, so a `--window-*` flag given
+        with it exits 2 naming both, before any state or output."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        config.write_text(config.read_text().replace("[run]\n", "[run]\nsprint_start = 2024-06-03\n"))
+        assert main([command, "--config", str(config), "--week", "2", flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {flag} cannot be given with --week\n"
+        assert not (tmp_path / "state").exists() and not (tmp_path / "out").exists()
+
+    def test_file_window_with_week_runs_the_week_and_warns(self, tmp_path, caplog):
+        """The file's `window_*` keys are a standing default: `--week`
+        overrides them for one run, with one warning naming them."""
+        config = make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        config.write_text(config.read_text().replace("[run]\n", "[run]\nsprint_start = 2024-06-03\n"))
+        with caplog.at_level("WARNING", logger="contribsum.config"):
+            assert main(["analyze", "--config", str(config), "--week", "2"]) == 0
+        assert caplog.messages == [
+            "[run] window_start, window_end, window_label ignored: --week 2 sets the window"
+        ]
+        manifest = tmp_path / "out" / "team-alpha" / "week-2" / "run_manifest.json"
+        assert json.loads(manifest.read_text())["window"] == {
+            "start": "2024-06-10T00:00:00+00:00",
+            "end": "2024-06-17T00:00:00+00:00",
+            "label": "week-2",
+        }
+        assert not (tmp_path / "out" / "team-alpha" / "week-1").exists()
+
     def test_each_flag_overrides_its_run_key(self, tmp_path, monkeypatch):
         """`main` hands `load_config` every flag under its [run] key, a
         repeated one joined as the file would list it."""
@@ -673,6 +760,24 @@ class TestCost:
         assert main(["cost", "--state", "st"]) == 0
         out = capsys.readouterr().out
         assert "(no entries)" not in out and "team team-alpha:" in out
+
+    def test_report_names_the_ledger_it_read(self, tmp_path, monkeypatch, capsys):
+        """`cost` reads no config: after an `analyze` whose config sets
+        `state_dir = state`, `cost` alone says the ledger it read,
+        `.contribsum`'s, does not exist; `cost --state state` names the
+        run's ledger and reports its entries."""
+        make_workspace(tmp_path, {"team-alpha": "sole_author"})
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", "contribsum.ini"]) == 0
+        capsys.readouterr()
+        assert main(["cost"]) == 0
+        out = capsys.readouterr().out
+        assert f"  file: {Path('.contribsum', 'ledger.jsonl')} (not found)\n" in out
+        assert "(no entries)" in out
+        assert main(["cost", "--state", "state"]) == 0
+        out = capsys.readouterr().out
+        assert f"  file: {Path('state', 'ledger.jsonl')}\n" in out
+        assert "(no entries)" not in out
 
     def test_fresh_state_zero_totals(self, tmp_path, capsys):
         assert main(["cost", "--state", str(tmp_path / "state")]) == 0
@@ -824,6 +929,18 @@ class TestRender:
 
         report = self._rerendered(tmp_path, config, between=edit_roster)
         assert "## Alice Lee" in report and "## Bob Roy" in report
+
+    def test_rerender_without_instruction_files(self, tmp_path, caplog):
+        """`render` reads neither instruction file, and knows both keys."""
+        config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})
+
+        def remove_instructions():
+            (tmp_path / "sprint.md").unlink()
+            (tmp_path / "project.md").unlink()
+
+        with caplog.at_level("WARNING", logger="contribsum.config"):
+            self._rerendered(tmp_path, config, between=remove_instructions)
+        assert caplog.messages == []
 
     def test_rerender_without_roster(self, tmp_path):
         config = make_workspace(tmp_path, {"team-alpha": "merged_branch"})

@@ -112,7 +112,8 @@ def _record_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipel
     """The result of re-running `cfg`'s one team unchanged: the outputs
     record in its window's manifest stands in for it, so the run makes no
     store call, spawns one git process (the branch listing), starts no
-    thread, records no ledger entry and writes no file."""
+    thread, records no ledger entry and writes no file; the result is
+    marked unchanged."""
     def files() -> dict:
         out = Path(cfg.out_dir)
         return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
@@ -137,7 +138,7 @@ def _record_hit(monkeypatch, cfg: RunConfig, store: Store, roster=None) -> pipel
 
     spawns = _git_spawns(monkeypatch, run)
     (result,) = results
-    assert result.ok, result.error
+    assert result.ok and result.unchanged, result.error
     assert (calls, len(spawns), ledger.entries) == ([], 1, [])
     assert files() == before
     return result
@@ -582,9 +583,8 @@ class TestSendPool:
             ("Sprint 1.", repos[:1], MockProvider()),
             ("Sprint 2.", repos, SendsHeld(hold=0.3, crowd=3)),
         ):
-            (tmp_path / "sprint.txt").write_text(sprint, encoding="utf-8")
             cfg = _config(tmp_path / sprint, teams)
-            cfg.sprint_instructions_path = str(tmp_path / "sprint.txt")
+            cfg.sprint_instructions = sprint
             cfg.analysis_workers = 2
             results = pipeline.run_analysis(cfg, roster, provider, store, CostLedger())
             assert all(r.ok for r in results), [r.error for r in results]
@@ -618,10 +618,10 @@ class TestSendPool:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         (warm,) = pipeline.run_analysis(cfg, roster, NoProvider(), store, ledger)
         monkeypatch.undo()
-        assert warm.ok, warm.error
+        assert warm.ok and not warm.unchanged, warm.error
         assert starts == []
         assert ledger.entries == []
-        assert _record_hit(monkeypatch, cfg, store) == warm
+        assert _record_hit(monkeypatch, cfg, store) == dataclasses.replace(warm, unchanged=True)
 
     def test_failed_send_fails_only_its_team(self, tmp_path, monkeypatch):
         roster = load_roster(ROSTER_TEXT)
@@ -1038,35 +1038,6 @@ class TestInterruptPoints:
 
 
 class TestRunInputs:
-    def test_instruction_files_read_once_per_run(self, tmp_path, monkeypatch):
-        """Three teams, one read of each instruction file and one code
-        digest: the run gathers its inputs before any team."""
-        cfg = _config(tmp_path, TestSchedule._repos(tmp_path, (12, 13, 14)))
-        sprint, project = tmp_path / "sprint.md", tmp_path / "project.md"
-        sprint.write_text("Sprint 1.", encoding="utf-8")
-        project.write_text("A portal.", encoding="utf-8")
-        cfg.sprint_instructions_path, cfg.project_description_path = str(sprint), str(project)
-        reads: Counter = Counter()
-        real_read_text = Path.read_text
-
-        def counting_read_text(self, *args, **kwargs):
-            reads[self] += 1
-            return real_read_text(self, *args, **kwargs)
-
-        real_code_digest = pipeline.code_digest
-
-        def counting_code_digest():
-            reads["code"] += 1
-            return real_code_digest()
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
-        monkeypatch.setattr(pipeline, "code_digest", counting_code_digest)
-        results = pipeline.run_analysis(
-            cfg, load_roster(ROSTER_TEXT), MockProvider(), Store(tmp_path / "cache"), CostLedger()
-        )
-        assert all(r.ok for r in results), [r.error for r in results]
-        assert (reads[sprint], reads[project], reads["code"]) == (1, 1, 1)
-
     def test_inputs_digest_material_and_form_pinned(self, tmp_path, monkeypatch):
         """With the code's share fixed, a team with both instruction files,
         an included branch and a prior window records a known inputs digest:
@@ -1276,7 +1247,7 @@ def _write_state(team_dir: Path, label: str, start: str) -> None:
     (team_dir / label).mkdir(parents=True)
     begin = datetime.fromisoformat(start)
     window = AnalysisWindow(start=begin, end=begin + timedelta(days=7), label=label)
-    state = ReportState((), chain.TeamSummary(window, "narrative"), RunMeta("team", window))
+    state = ReportState((), chain.TeamSummary("narrative"), RunMeta("team", window))
     (team_dir / label / pipeline.STATE_NAME).write_text(state.to_json(), encoding="utf-8")
 
 
@@ -1843,6 +1814,8 @@ KEYED_FIELDS = {
     "coauthor_split": "in the inputs digest",
     "include_branches": "each name and its tip, or null, are in the inputs digest",
     "exclude_globs": "in the inputs digest",
+    "sprint_instructions": "the text is in the inputs digest",
+    "project_description": "the text is in the inputs digest",
 }
 UNKEYED_FIELDS = {
     "repos": "the team's tips and whether its history may be cut are in the inputs digest; "
@@ -1857,8 +1830,6 @@ UNKEYED_FIELDS = {
     "api_key": "the model ids name the answers, as in the provider cache's keys",
     "replay_dir": "the model ids name the answers, as in the provider cache's keys",
     "roster_path": "the roster's students and aliases are in the inputs digest",
-    "sprint_instructions_path": "the file's text is in the inputs digest",
-    "project_description_path": "the file's text is in the inputs digest",
 }
 
 
@@ -1869,14 +1840,11 @@ class TestOutputsSlot:
 
     @staticmethod
     def _primed(tmp_path: Path) -> tuple[RunConfig, Store]:
-        """A one-team course with both instruction files, an included
+        """A one-team course with both instruction texts, an included
         branch and a prior window, analysed once with a store."""
         handle, _ = synthfix.build(_history(12), tmp_path / "repo")
         cfg = _config(tmp_path, [("team", handle.root_path)], ("side",))
-        for key, text in (("sprint_instructions_path", "Ship it.\n"),
-                          ("project_description_path", "A portal.\n")):
-            (tmp_path / f"{key}.md").write_text(text, encoding="utf-8")
-            setattr(cfg, key, str(tmp_path / f"{key}.md"))
+        cfg.sprint_instructions, cfg.project_description = "Ship it.\n", "A portal.\n"
         _write_state(Path(cfg.out_dir) / "team", "week-0", "2024-05-01T00:00:00+00:00")
         store = Store(tmp_path / "cache")
         (result,) = pipeline.run_analysis(
@@ -1925,9 +1893,6 @@ class TestOutputsSlot:
         if field == "out_dir":  # the same files in another place
             shutil.copytree(cfg.out_dir, tmp_path / "moved")
             cfg.out_dir = str(tmp_path / "moved")
-        elif field.endswith("instructions_path") or field.endswith("description_path"):
-            shutil.copy(getattr(cfg, field), tmp_path / "copy")  # the same text elsewhere
-            setattr(cfg, field, str(tmp_path / "copy"))
         else:
             setattr(cfg, field, {"analysis_workers": 1, "rate_limit": 5.0}.get(field, "other"))
         _record_hit(monkeypatch, cfg, store)
@@ -1968,7 +1933,7 @@ class TestOutputsSlot:
         elif change == "roster_alias":
             roster = load_roster(ROSTER_TEXT.replace("carol@campus.edu", "carol@campus.edu, cw@x"))
         elif change in ("sprint_instructions", "project_description"):
-            Path(getattr(cfg, f"{change}_path")).write_text("Other text.\n", encoding="utf-8")
+            setattr(cfg, change, "Other text.\n")
         elif change in ("default_commit", "branch_commit"):
             branch = "main" if change == "default_commit" else "side"
             entry = ("100644", "more.py", b"m = 1\n")
@@ -2088,7 +2053,7 @@ class TestOutputsSlot:
         roster = load_roster(ROSTER_TEXT)
         out = pipeline.window_dir(cfg, "team")
         before = (out / pipeline.MANIFEST_NAME).read_bytes()
-        Path(cfg.sprint_instructions_path).write_text("Ship it twice.\n", encoding="utf-8")
+        cfg.sprint_instructions = "Ship it twice.\n"
         real_write = pipeline.write_atomic
 
         def failing_write(path, data):
@@ -2123,13 +2088,14 @@ class TestOutputsSlot:
         roster = load_roster(ROSTER_TEXT)
         store = Store(tmp_path / "cache")
         first = pipeline.run_analysis(cfg, roster, MockProvider(), store, CostLedger())
-        assert all(r.ok for r in first), [r.error for r in first]
+        assert all(r.ok and not r.unchanged for r in first), [r.error for r in first]
         assert any(r.warnings for r in first)
         before = {p: p.stat().st_mtime_ns for p in Path(cfg.out_dir).rglob("*") if p.is_file()}
         ledger = CostLedger()
         with caplog.at_level("INFO", logger=pipeline.__name__):
             again = pipeline.run_analysis(cfg, roster, MockProvider(), store, ledger)
-        assert again == first and ledger.entries == []
+        assert again == [dataclasses.replace(r, unchanged=True) for r in first]
+        assert ledger.entries == []
         unchanged = [m for m in caplog.messages if m.startswith("team outputs unchanged: ")]
         assert unchanged == [f"team outputs unchanged: {team}" for team, _ in repos]
         assert {p: p.stat().st_mtime_ns for p in before} == before

@@ -42,7 +42,6 @@ def _summary(student, headline="did things", bullets=None, role=None, flags=()):
 
 def _team():
     return TeamSummary(
-        window=JUNE,
         narrative="The team made steady progress on the portal.",
         progress_bullets=("Backend API online", "Login flow working"),
     )
@@ -187,7 +186,7 @@ def report_states(draw):
         ),
         evidence=draw(st.dictionaries(sids, st.dictionaries(texts, owned, max_size=3), max_size=4)),
     )
-    team = TeamSummary(window, draw(texts), tuple(draw(st.lists(texts, max_size=3))))
+    team = TeamSummary(draw(texts), tuple(draw(st.lists(texts, max_size=3))))
     return ReportState(tuple(draw(summaries(s)) for s in students), team, meta)
 
 
